@@ -1,0 +1,15 @@
+//! Records the compiler the benchmark was built with, for the host block.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |s| s.trim().to_string());
+    println!("cargo:rustc-env=IXBENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
