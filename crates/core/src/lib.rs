@@ -35,6 +35,7 @@ pub mod builder;
 pub mod error;
 pub mod expr;
 pub mod normalize;
+pub mod pack;
 pub mod parser;
 pub mod partition;
 pub mod printer;

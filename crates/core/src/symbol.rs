@@ -74,6 +74,12 @@ impl Symbol {
     pub fn index(&self) -> u32 {
         self.0
     }
+
+    /// The symbol with the given interning index, if one was interned — the
+    /// inverse of [`Symbol::index`] for the in-memory packed action codec.
+    pub(crate) fn from_index(index: u32) -> Option<Symbol> {
+        ((index as usize) < global().read().strings.len()).then_some(Symbol(index))
+    }
 }
 
 impl From<&str> for Symbol {

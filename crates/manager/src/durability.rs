@@ -32,9 +32,10 @@
 //! capture and rebuild.
 
 use crate::error::{ManagerError, ManagerResult};
+use crate::log::{LogKey, ShardLog};
 use crate::manager::{InteractionManager, ManagerStats, ProtocolVariant, Reservation};
 use crate::queue::QueueBackend;
-use crate::runtime::{DurableOp, LogKey, RuntimeReport, SubmissionRecord};
+use crate::runtime::{DurableOp, RuntimeReport, SubmissionRecord};
 use crate::subscription::{ClientId, SubscriptionRow};
 use ix_core::{Action, Alphabet, Expr};
 use ix_durable::{
@@ -493,8 +494,8 @@ pub(crate) fn replay_queue_tail(
 // ---------------------------------------------------------------------------
 
 /// The cheap clones a worker hands the checkpoint coordinator at its task
-/// boundary: CoW handles, `Arc`s, and small tables.  Encoding happens off
-/// the worker thread.
+/// boundary: CoW handles, `Arc`s (the log's sealed chunks among them), and
+/// small tables.  Encoding happens off the worker thread.
 #[derive(Clone)]
 pub(crate) struct ShardCapture {
     pub(crate) shard: usize,
@@ -506,7 +507,7 @@ pub(crate) struct ShardCapture {
     pub(crate) accepted: u64,
     pub(crate) rejected: u64,
     pub(crate) state: StateRef,
-    pub(crate) log: Vec<(LogKey, Action)>,
+    pub(crate) log: ShardLog,
     pub(crate) reservations: Vec<Reservation>,
     pub(crate) subscriptions: Vec<SubscriptionRow>,
     /// Cumulative statistics delta of every record this shard's stream ever
@@ -522,7 +523,7 @@ pub(crate) struct ShardCheckpoint {
     pub(crate) accepted: u64,
     pub(crate) rejected: u64,
     pub(crate) state: StateRef,
-    pub(crate) log: Vec<(LogKey, Action)>,
+    pub(crate) log: ShardLog,
     pub(crate) reservations: Vec<Reservation>,
     pub(crate) subscriptions: Vec<SubscriptionRow>,
     pub(crate) stat_base: StatDelta,
@@ -603,11 +604,11 @@ pub(crate) fn encode_shard_checkpoint(cap: &ShardCapture) -> Vec<u8> {
         w.u64(p.compile_nanos);
     }
     w.len_prefix(cap.log.len());
-    for (key, action) in &cap.log {
+    for (key, action) in cap.log.iter() {
         w.u64(key.0);
         w.u8(key.1);
         w.u64(key.2);
-        encode_action(&mut w, action);
+        encode_action(&mut w, &action);
     }
     w.len_prefix(cap.reservations.len());
     for res in &cap.reservations {
@@ -669,12 +670,12 @@ pub(crate) fn decode_shard_checkpoint(bytes: &[u8]) -> ManagerResult<ShardCheckp
                 compile_nanos: r.u64()?,
             });
         }
-        let nlog = r.len_prefix()?;
-        let mut log = Vec::with_capacity(nlog);
-        for _ in 0..nlog {
+        let mut log = ShardLog::new();
+        for _ in 0..r.len_prefix()? {
             let key = (r.u64()?, r.u8()?, r.u64()?);
-            log.push((key, decode_action(&mut r)?));
+            log.push_keyed(key, &decode_action(&mut r)?);
         }
+        log.set_epoch(epoch);
         let nres = r.len_prefix()?;
         let mut reservations = Vec::with_capacity(nres);
         for _ in 0..nres {
@@ -1109,7 +1110,11 @@ mod tests {
             accepted: engine.accepted(),
             rejected: engine.rejected(),
             state: engine.state_handle().clone(),
-            log: vec![((3, 1, 0), act("a"))],
+            log: {
+                let mut log = ShardLog::new();
+                log.push_keyed((3, 1, 0), &act("a"));
+                log
+            },
             reservations: vec![Reservation {
                 id: 1,
                 action: act("b"),
@@ -1125,7 +1130,8 @@ mod tests {
         assert_eq!(decoded.covered, 17);
         assert_eq!(decoded.epoch, 3);
         assert_eq!(decoded.accepted, cap.accepted);
-        assert_eq!(decoded.log, cap.log);
+        assert_eq!(decoded.log.iter().collect::<Vec<_>>(), vec![((3, 1, 0), act("a"))]);
+        assert_eq!(decoded.log.epoch(), 3);
         assert_eq!(decoded.reservations, cap.reservations);
         assert_eq!(decoded.subscriptions, cap.subscriptions);
         assert_eq!(decoded.stat_base, cap.stat_base);

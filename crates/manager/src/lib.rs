@@ -26,6 +26,7 @@
 
 pub mod durability;
 pub mod error;
+mod log;
 pub mod manager;
 pub mod multi;
 pub mod protocol;

@@ -56,6 +56,7 @@
 //! shard, which reproduces the paper's central scheduler exactly.
 
 use crate::error::{ManagerError, ManagerResult};
+use crate::log::ShardLog;
 use crate::subscription::{ClientId, Notification, SubscriptionRegistry};
 use ix_core::{Action, Alphabet, Expr, Partition};
 use ix_state::{Engine, ShardRouter, StateMetrics};
@@ -139,7 +140,7 @@ struct Shard {
     /// keeps the commit hot path free of any cross-shard lock;
     /// [`InteractionManager::log`] merges the segments by sequence number on
     /// read.
-    log: Vec<(u64, Action)>,
+    log: ShardLog,
 }
 
 impl Shard {
@@ -305,7 +306,7 @@ impl InteractionManager {
                 engine,
                 reservations: BTreeMap::new(),
                 subscriptions: SubscriptionRegistry::new(),
-                log: Vec::new(),
+                log: ShardLog::new(),
             }));
             alphabets.push(alphabet);
         }
@@ -377,12 +378,10 @@ impl InteractionManager {
     /// committed action appears exactly once — a cross-shard action is
     /// logged only in its primary owner's segment.
     pub fn log(&self) -> Vec<Action> {
-        let mut entries: Vec<(u64, Action)> = Vec::new();
-        for shard in &self.shards {
-            entries.extend(lock(shard).log.iter().cloned());
-        }
-        entries.sort_by_key(|(seq, _)| *seq);
-        entries.into_iter().map(|(_, action)| action).collect()
+        // Each lock is held for a snapshot of its segment (shared chunks),
+        // not for decoding it.
+        let segments: Vec<ShardLog> = self.shards.iter().map(|s| lock(s).log.clone()).collect();
+        ShardLog::merged_actions(&segments)
     }
 
     /// Current logical time.
@@ -803,7 +802,7 @@ impl InteractionManager {
             let engine = &shard.engine;
             notifications.extend(shard.subscriptions.refresh(|a| engine.is_permitted(a)));
         }
-        guards[0].1.log.push((seq, action.clone()));
+        guards[0].1.log.push_cross(seq, action);
         self.stats.confirmations.fetch_add(1, Ordering::Relaxed);
         notifications.extend(self.refresh_cross_subscriptions(guards));
         self.stats.notifications.fetch_add(notifications.len() as u64, Ordering::Relaxed);

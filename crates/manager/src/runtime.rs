@@ -62,6 +62,7 @@ use crate::durability::{
     TopologyCheckpoint, VaultQueueBackend, WalRecord,
 };
 use crate::error::{ManagerError, ManagerResult, SubmitError};
+use crate::log::{LogKey, ShardLog};
 use crate::manager::{
     CrossEntry, CrossSubscriptions, ManagerStats, ProtocolVariant, Reservation, SharedStats,
 };
@@ -313,6 +314,10 @@ struct ShardGate {
     /// of the placement rebalancer — a transient burst barely moves it, a
     /// queue that *stays* deep saturates it.
     depth_ewma: AtomicU64,
+    /// Entries and bytes of the shard's commit log, published by the owning
+    /// worker after every task.
+    log_entries: AtomicU64,
+    log_bytes: AtomicU64,
 }
 
 impl ShardGate {
@@ -328,7 +333,16 @@ impl ShardGate {
             wait_ewma_ns: AtomicU64::new(0),
             service_ewma_ns: AtomicU64::new(0),
             depth_ewma: AtomicU64::new(0),
+            log_entries: AtomicU64::new(0),
+            log_bytes: AtomicU64::new(0),
         }
+    }
+
+    /// Publishes the size of the shard's commit log for [`LoadReport`].
+    /// Called only by whoever holds the shard state, so plain stores do.
+    fn publish_log(&self, log: &ShardLog) {
+        self.log_entries.store(log.len() as u64, Ordering::Relaxed);
+        self.log_bytes.store(log.bytes() as u64, Ordering::Relaxed);
     }
 
     /// Whether the gate enforces a limit at all.
@@ -427,6 +441,8 @@ impl ShardGate {
             wait_ewma_ns: self.wait_ewma_ns.load(Ordering::Relaxed),
             service_ewma_ns: self.service_ewma_ns.load(Ordering::Relaxed),
             depth_ewma: self.depth_ewma.load(Ordering::Relaxed) as usize / 16,
+            log_entries: self.log_entries.load(Ordering::Relaxed),
+            log_bytes: self.log_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -455,6 +471,12 @@ pub struct ShardLoad {
     /// EWMA of queue depth in task units — the sustained-pressure signal
     /// behind adaptive watermark scaling and hot-shard rebalancing.
     pub depth_ewma: usize,
+    /// Confirmed actions in the shard's commit log (a multi-owner action
+    /// counts on its primary owner only).
+    pub log_entries: u64,
+    /// Bytes of memory those entries occupy — the part of the runtime's
+    /// footprint that grows with every commit.
+    pub log_bytes: u64,
 }
 
 impl ShardLoad {
@@ -514,14 +536,15 @@ pub struct SchedStats {
 
 /// Queued client task units a channel message represents — the unit of the
 /// [`ShardGate`] credit accounting.  Control messages (pause barriers,
-/// snapshots, compiles, checkpoints, stop markers) are free: they are
+/// fact and log reads, compiles, checkpoints, stop markers) are free: they are
 /// runtime-internal and never admitted.
 fn task_units(task: &Task) -> usize {
     match task {
         Task::Single(_) | Task::Cross(_) | Task::Exec(_) => 1,
         Task::Batch(tasks) => tasks.len(),
         Task::Pause(_)
-        | Task::Snapshot(_)
+        | Task::Facts(_)
+        | Task::LogSegment(_)
         | Task::Compile(_)
         | Task::Checkpoint(_)
         | Task::Stop => 0,
@@ -876,27 +899,15 @@ pub struct CascadeStats {
     pub cascaded_commits: u64,
 }
 
-/// Sort key of a per-shard log entry.  Cross-shard commits act as epoch
-/// boundaries: their key is `(own seq, 0, 0)`, and a single-owner commit is
-/// keyed by `(seq of the last cross-shard commit applied on its shard, 1,
-/// unique sub-sequence)`.  Sorting the merged segments by this key yields a
-/// legal linearization even though shard workers run (and speculate) at
-/// different speeds: per-shard commit order is preserved exactly, and
-/// single-owner commits of *different* shards within the same epoch have
-/// disjoint alphabets (they belong to different sync-components), so any
-/// relative order replays.
-pub(crate) type LogKey = (u64, u8, u64);
-
 /// One shard's state, exclusively owned by its worker thread — no lock.
 struct ShardState {
     id: usize,
     engine: Engine,
     reservations: BTreeMap<u64, Reservation>,
     subscriptions: SubscriptionRegistry,
-    log: Vec<(LogKey, Action)>,
-    /// Sequence number of the last cross-shard commit applied on this shard
-    /// — the epoch component of single-owner log keys.
-    epoch: u64,
+    /// The shard's confirmed actions, which also carries the log-key epoch
+    /// (sequence of the last cross-shard commit applied on this shard).
+    log: ShardLog,
     /// Write-ahead hub of the durable runtime (`None` = durability off).
     /// This worker is the *only* writer of its shard stream, so appends need
     /// no coordination.
@@ -948,7 +959,7 @@ impl ShardState {
         Some(ShardCapture {
             shard: self.id,
             covered: hub.vault().stream_len(DurabilityHub::shard_stream(self.id)),
-            epoch: self.epoch,
+            epoch: self.log.epoch(),
             accepted: self.engine.accepted(),
             rejected: self.engine.rejected(),
             state: self.engine.state_handle().clone(),
@@ -1149,10 +1160,9 @@ fn meta_event(shared: &RuntimeShared, delta: StatDelta) {
     }
 }
 
-/// Read-only facts a snapshot task reports about one shard.
+/// Read-only facts a [`Task::Facts`] reports about one shard.
 #[derive(Clone, Debug, Default)]
-struct ShardSnapshot {
-    log: Vec<(LogKey, Action)>,
+struct ShardFacts {
     subscriptions: usize,
     is_final: bool,
     tier: TierStats,
@@ -1168,7 +1178,11 @@ enum Task {
     /// A quiescence barrier of a live migration: the worker hands its whole
     /// shard state to the coordinator and blocks until it is returned.
     Pause(PauseTask),
-    Snapshot(TicketIssuer<ShardSnapshot>),
+    /// Facts about the shard's current state; never touches the log.
+    Facts(TicketIssuer<ShardFacts>),
+    /// A snapshot of the shard's log segment (shared chunks plus a copy of
+    /// the open one) for [`ManagerRuntime::log`].
+    LogSegment(TicketIssuer<ShardLog>),
     /// Forces a tier compilation pass on the shard engine (workers also
     /// compile hot engines on their own before parking).
     Compile(TicketIssuer<TierStats>),
@@ -1624,8 +1638,7 @@ fn recover_runtime(
             engine: Engine::new(&component.expr).map_err(ManagerError::State)?,
             reservations: BTreeMap::new(),
             subscriptions: SubscriptionRegistry::new(),
-            log: Vec::new(),
-            epoch: 0,
+            log: ShardLog::new(),
             stat_base: StatDelta::ZERO,
         };
         let mut covered = 0;
@@ -1644,15 +1657,14 @@ fn recover_runtime(
             seed.reservations = cp.reservations.into_iter().map(|r| (r.id, r)).collect();
             seed.subscriptions = SubscriptionRegistry::import(cp.subscriptions);
             seed.log = cp.log;
-            seed.epoch = cp.epoch;
             seed.stat_base = cp.stat_base;
             covered = cp.covered;
         } else {
             seed.engine.set_tier_budget(options.tier_budget);
             seed.engine.set_tier_auto(false);
         }
-        for (key, _) in &seed.log {
-            next_seq = next_seq.max(key.0 + 1).max(key.2 + 1);
+        if let Some(seq) = seed.log.max_seq() {
+            next_seq = next_seq.max(seq + 1);
         }
         for rid in seed.reservations.keys() {
             next_reservation = next_reservation.max(rid + 1);
@@ -1669,13 +1681,13 @@ fn recover_runtime(
                         )));
                     }
                     if is_primary {
-                        seed.log.push((key, action.clone()));
+                        seed.log.push_keyed(key, &action);
                     }
                     if key.1 == 0 {
                         // A cross-shard commit: an epoch boundary on this
                         // shard, and a candidate for roll-forward on owners
                         // whose echo record the crash swallowed.
-                        seed.epoch = key.0;
+                        seed.log.set_epoch(key.0);
                         let entry = tail_commits.entry(key.0).or_insert_with(|| TailCommit {
                             key,
                             action: action.clone(),
@@ -1741,7 +1753,7 @@ fn recover_runtime(
             // at 0, so for the very first commit an epoch of 0 is ambiguous
             // between "covered" and "never applied", and we must err on the
             // side of replaying.
-            if commit.key.0 > 0 && seed.epoch >= commit.key.0 {
+            if commit.key.0 > 0 && seed.log.epoch() >= commit.key.0 {
                 continue;
             }
             if !seed.engine.try_execute(&commit.action) {
@@ -1751,10 +1763,11 @@ fn recover_runtime(
                 )));
             }
             let is_primary = pos == 0;
+            let epoch = seed.log.epoch().max(commit.key.0);
             if is_primary {
-                seed.log.push((commit.key, commit.action.clone()));
+                seed.log.push_keyed(commit.key, &commit.action);
             }
-            seed.epoch = seed.epoch.max(commit.key.0);
+            seed.log.set_epoch(epoch);
             // Re-journal the missing echo (zero delta — the statistics of a
             // torn record whose primary echo is lost are lost with it), so
             // the streams are self-contained again for the next crash.
@@ -1960,8 +1973,7 @@ struct ShardSeed {
     engine: Engine,
     reservations: BTreeMap<u64, Reservation>,
     subscriptions: SubscriptionRegistry,
-    log: Vec<(LogKey, Action)>,
-    epoch: u64,
+    log: ShardLog,
     stat_base: StatDelta,
 }
 
@@ -2013,8 +2025,7 @@ fn fresh_seeds(partition: &Partition, options: &RuntimeOptions) -> ManagerResult
             engine,
             reservations: BTreeMap::new(),
             subscriptions: SubscriptionRegistry::new(),
-            log: Vec::new(),
-            epoch: 0,
+            log: ShardLog::new(),
             stat_base: StatDelta::ZERO,
         });
     }
@@ -2076,13 +2087,13 @@ fn spawn_runtime(
         .zip(gates.iter())
         .enumerate()
         .map(|(id, ((seed, rx), gate))| {
+            gate.publish_log(&seed.log);
             let state = ShardState {
                 id,
                 engine: seed.engine,
                 reservations: seed.reservations,
                 subscriptions: seed.subscriptions,
                 log: seed.log,
-                epoch: seed.epoch,
                 wal: hub.clone(),
                 stat_base: seed.stat_base,
             };
@@ -2425,44 +2436,40 @@ impl ManagerRuntime {
 
     /// The merged log of confirmed actions in commit order.  Each shard
     /// reports its segment through its own queue, so the snapshot reflects
-    /// every commit that completed before this call.
+    /// every commit that completed before this call.  A shard worker pays
+    /// for sharing its sealed chunks and copying the open one; decoding and
+    /// merging happen on the caller.
     pub fn log(&self) -> Vec<Action> {
-        let mut entries: Vec<(LogKey, Action)> = Vec::new();
-        for snapshot in self.snapshots() {
-            entries.extend(snapshot.log);
-        }
-        entries.sort_by_key(|(key, _)| *key);
-        entries.into_iter().map(|(_, action)| action).collect()
+        ShardLog::merged_actions(&self.ask_shards(Task::LogSegment))
     }
 
     /// True if the interaction state is final on every shard.
     pub fn is_final(&self) -> bool {
-        self.snapshots().iter().all(|s| s.is_final)
+        self.ask_shards(Task::Facts).iter().all(|s| s.is_final)
     }
 
     /// Number of active subscriptions across shard registries, cross-shard
     /// entries, and orphan registrations.
     pub fn subscription_count(&self) -> usize {
-        let owned: usize = self.snapshots().iter().map(|s| s.subscriptions).sum();
+        let owned: usize = self.ask_shards(Task::Facts).iter().map(|s| s.subscriptions).sum();
         owned
             + lock(&self.shared.cross_subscriptions).len()
             + lock(&self.shared.orphan_subscriptions).len()
     }
 
-    fn snapshots(&self) -> Vec<ShardSnapshot> {
+    /// Sends every shard one control task and collects the answers by shard
+    /// id; a shard whose queue is already closed answers with the default.
+    fn ask_shards<T: Clone>(&self, task: fn(TicketIssuer<T>) -> Task) -> Vec<T> {
         let topo = read_topology(&self.topology);
-        let tickets: Vec<Ticket<ShardSnapshot>> = topo
+        let tickets: Vec<Ticket<T>> = topo
             .queues
             .iter()
             .enumerate()
             .map(|(shard, q)| {
                 let (issuer, t) = ticket();
-                match q.send(Task::Snapshot(issuer)) {
+                match q.send(task(issuer)) {
                     Ok(()) => topo.pool.core.wake_shard(shard),
-                    Err(SendError(Task::Snapshot(issuer))) => {
-                        issuer.complete(ShardSnapshot::default())
-                    }
-                    Err(_) => unreachable!("send returns the task it was given"),
+                    Err(SendError(task)) => fail_task(task),
                 }
                 t
             })
@@ -2476,28 +2483,13 @@ impl ManagerRuntime {
     /// own in idle slots; this forces the matter — benches and tests use it
     /// to reach the table tier deterministically.
     pub fn compile_tiers(&self) -> Vec<TierStats> {
-        let topo = read_topology(&self.topology);
-        let tickets: Vec<Ticket<TierStats>> = topo
-            .queues
-            .iter()
-            .enumerate()
-            .map(|(shard, q)| {
-                let (issuer, t) = ticket();
-                match q.send(Task::Compile(issuer)) {
-                    Ok(()) => topo.pool.core.wake_shard(shard),
-                    Err(SendError(Task::Compile(issuer))) => issuer.complete(TierStats::default()),
-                    Err(_) => unreachable!("send returns the task it was given"),
-                }
-                t
-            })
-            .collect();
-        tickets.iter().map(|t| t.wait()).collect()
+        self.ask_shards(Task::Compile)
     }
 
     /// Aggregated execution-tier stats across the shard engines.
     pub fn tier_stats(&self) -> TierStats {
         let mut total = TierStats::default();
-        for s in self.snapshots() {
+        for s in self.ask_shards(Task::Facts) {
             let t = s.tier;
             total.tables += t.tables;
             total.states += t.states;
@@ -2642,15 +2634,15 @@ impl ManagerRuntime {
             // linearization of everything the new components can cover (a
             // shared action's primary owner is itself affected, so its
             // entries are all here).
-            let mut entries: Vec<&(LogKey, Action)> =
-                paused.iter().flat_map(|(_, st, _)| st.log.iter()).collect();
-            entries.sort_by_key(|(key, _)| *key);
-            for (i, (_, engine, alphabet)) in new_engines.iter_mut().enumerate() {
-                for (key, action) in entries.iter().filter(|(_, a)| alphabet.covers(a)) {
-                    if !engine.try_execute(action) {
-                        let action = action.to_string();
-                        resume_paused(&shared.pool, paused);
-                        return Err(ManagerError::IncompatibleExtension { action });
+            let mut rejected = None;
+            'replay: for (key, action) in ShardLog::merge(paused.iter().map(|(_, st, _)| &st.log)) {
+                for (i, (_, engine, alphabet)) in new_engines.iter_mut().enumerate() {
+                    if !alphabet.covers(&action) {
+                        continue;
+                    }
+                    if !engine.try_execute(&action) {
+                        rejected = Some(action.to_string());
+                        break 'replay;
                     }
                     replayed += 1;
                     // Future single-owner commits of this new shard must
@@ -2658,6 +2650,10 @@ impl ManagerRuntime {
                     // largest epoch/sequence component seen.
                     new_epochs[i] = new_epochs[i].max(key.0);
                 }
+            }
+            if let Some(action) = rejected {
+                resume_paused(&shared.pool, paused);
+                return Err(ManagerError::IncompatibleExtension { action });
             }
 
             // ---- Nothing can fail from here on: migrate reservations and
@@ -2818,13 +2814,14 @@ impl ManagerRuntime {
                 new_senders.push(tx);
                 let gate = Arc::new(ShardGate::new(shared.queue_limit, shared.shed));
                 new_gates.push(Arc::clone(&gate));
+                let mut log = ShardLog::new();
+                log.set_epoch(new_epochs[i]);
                 let state = ShardState {
                     id: idx,
                     engine,
                     reservations: std::mem::take(&mut new_reservations[i]),
                     subscriptions: std::mem::take(&mut new_subscriptions[i]),
-                    log: Vec::new(),
-                    epoch: new_epochs[i],
+                    log,
                     wal: shared.durability.clone(),
                     stat_base: StatDelta::ZERO,
                 };
@@ -3088,18 +3085,13 @@ impl ManagerRuntime {
         for slot in self.shared.pool.slot_snapshot() {
             slot.rx.close();
         }
-        let mut entries: Vec<(LogKey, Action)> = Vec::new();
-        let mut shards = 0usize;
-        for state in lock(&self.shared.pool.finished).drain(..) {
-            entries.extend(state.log);
-            shards += 1;
-        }
-        entries.sort_by_key(|(key, _)| *key);
+        let mut finished = std::mem::take(&mut *lock(&self.shared.pool.finished));
+        finished.sort_by_key(|state| state.id);
         Ok(RuntimeReport {
-            log: entries.into_iter().map(|(_, action)| action).collect(),
+            log: ShardLog::merged_actions(finished.iter().map(|state| &state.log)),
             stats: self.shared.stats.snapshot(),
             clock: self.shared.clock.load(Ordering::Relaxed),
-            shards,
+            shards: finished.len(),
         })
     }
 }
@@ -4417,12 +4409,12 @@ fn serve_slice(
                     Err(SendError(state)) => st = Box::new(state),
                 }
             }
-            Task::Snapshot(issuer) => issuer.complete(ShardSnapshot {
-                log: st.log.clone(),
+            Task::Facts(issuer) => issuer.complete(ShardFacts {
                 subscriptions: st.subscriptions.len(),
                 is_final: st.engine.is_final(),
                 tier: st.engine.tier_stats(),
             }),
+            Task::LogSegment(issuer) => issuer.complete(st.log.clone()),
             Task::Compile(issuer) => issuer.complete(st.engine.compile_tier()),
             Task::Checkpoint(issuer) => issuer.complete(st.capture()),
             Task::Stop => {
@@ -4440,6 +4432,7 @@ fn serve_slice(
                 return SliceOutcome::Finished;
             }
         }
+        slot.gate.publish_log(&st.log);
         if cx.wakes.len() >= 256 {
             cx.flush(shared);
         }
@@ -4471,7 +4464,8 @@ fn fail_task(task: Task) {
         // Dropping the pause disconnects its state channel; the coordinator
         // observes the failed recv and aborts the migration.
         Task::Pause(_) => {}
-        Task::Snapshot(issuer) => issuer.complete(ShardSnapshot::default()),
+        Task::Facts(issuer) => issuer.complete(ShardFacts::default()),
+        Task::LogSegment(issuer) => issuer.complete(ShardLog::new()),
         Task::Compile(issuer) => issuer.complete(TierStats::default()),
         Task::Checkpoint(issuer) => issuer.complete(None),
         Task::Stop => {}
@@ -5058,12 +5052,13 @@ fn apply_exec_commit(
     cx: &mut WorkerCtx,
 ) {
     st.engine.commit_prepared(next);
-    st.epoch = seq;
     let engine = &st.engine;
     let local_notes = st.subscriptions.refresh(|a| engine.is_permitted(a));
     let bits = cross_bits_for_shard(shared, st);
     if pos == 0 {
-        st.log.push(((seq, 0, 0), task.action.clone()));
+        st.log.push_cross(seq, &task.action);
+    } else {
+        st.log.set_epoch(seq);
     }
     // Every owner echoes the commit into its own stream (self-contained
     // per-shard recovery); the statistics ride on the primary's record, the
@@ -5616,13 +5611,13 @@ fn install_commit(
     st.engine.commit_prepared(next);
     let engine = &st.engine;
     let mut notes = st.subscriptions.refresh(|a| engine.is_permitted(a));
-    st.log.push(((st.epoch, 1, sub), action.clone()));
+    let key = st.log.push_single(sub, action);
     notes.extend(refresh_cross_for_shard(shared, st.id, &st.engine));
     // `granted` distinguishes the combined grant-and-commit (one ask, one
     // grant) from confirming an earlier grant (already journaled with its
     // Reserve record).
     st.journal_commit(
-        (st.epoch, 1, sub),
+        key,
         action,
         true,
         StatDelta {
@@ -5757,18 +5752,19 @@ fn process_cross(
         Decision::Commit { seq } => {
             let next = prepared.expect("commit decided only when every owner prepared");
             st.engine.commit_prepared(next);
-            st.epoch = seq;
+            st.log.set_epoch(seq);
             let engine = &st.engine;
             let local_notes = st.subscriptions.refresh(|a| engine.is_permitted(a));
             let bits = cross_bits_for_shard(shared, st);
             if pos == 0 || st.wal.is_some() {
                 let action = match &task.op {
-                    CrossOp::Ask { action, .. } => action.clone(),
-                    CrossOp::Confirm { .. } => removed_here
-                        .as_ref()
-                        .expect("confirm committed, so every owner held the reservation")
-                        .action
-                        .clone(),
+                    CrossOp::Ask { action, .. } => action,
+                    CrossOp::Confirm { .. } => {
+                        &removed_here
+                            .as_ref()
+                            .expect("confirm committed, so every owner held the reservation")
+                            .action
+                    }
                     _ => unreachable!("only ask/confirm commit"),
                 };
                 // The statistics of the decision ride on the primary's echo
@@ -5776,7 +5772,7 @@ fn process_cross(
                 // their streams replay standalone.
                 st.journal_commit(
                     (seq, 0, 0),
-                    &action,
+                    action,
                     pos == 0,
                     match (&task.op, pos) {
                         (CrossOp::Ask { .. }, 0) => {
@@ -5787,7 +5783,7 @@ fn process_cross(
                     },
                 );
                 if pos == 0 {
-                    st.log.push(((seq, 0, 0), action));
+                    st.log.push_cross(seq, action);
                 }
             }
             let mut sync = lock(&task.sync);

@@ -414,6 +414,59 @@ fn lease_expiry_on_a_conditionally_voted_reservation_aborts_the_chain_cleanly() 
     assert!(matches!(session.confirm_blocking(id), Err(ManagerError::UnknownReservation { .. })));
 }
 
+/// Memory per committed action, read from `load_report()`: the packed log
+/// must stay within 8 bytes for a nullary action and 16 for the paper's
+/// Fig. 7 actions (a patient number and a department), where the entry it
+/// replaced took 48 plus the action's own allocation.
+#[test]
+fn the_commit_log_stays_within_its_bytes_per_commit_budget() {
+    fn bytes_per_commit(runtime: &ManagerRuntime, word: &[Action]) -> f64 {
+        let session = runtime.session(1);
+        let tickets: Vec<Ticket<Completion>> = word.iter().map(|a| session.execute(a)).collect();
+        for (ticket, action) in tickets.iter().zip(word) {
+            assert!(matches!(ticket.wait(), Completion::Executed { .. }), "{action} must commit");
+        }
+        // A worker publishes its log gauges after the task that committed;
+        // a control task queued behind it has therefore seen them published.
+        runtime.is_final();
+        let load = runtime.load_report();
+        let entries: u64 = load.shards.iter().map(|s| s.log_entries).sum();
+        let bytes: u64 = load.shards.iter().map(|s| s.log_bytes).sum();
+        assert_eq!(entries as usize, word.len(), "one log entry per commit");
+        assert_eq!(runtime.log().len(), word.len());
+        bytes as f64 / entries as f64
+    }
+
+    let ring = |k: usize| format!("(call{k} - prep{k} - perform{k} - report{k})*");
+    let rings = parse(&(0..4).map(ring).collect::<Vec<_>>().join(" @ ")).unwrap();
+    let runtime = ManagerRuntime::with_protocol(&rings, ProtocolVariant::Combined).unwrap();
+    assert_eq!(runtime.shard_count(), 4);
+    let word: Vec<Action> = (0..500)
+        .flat_map(|_| ["call", "prep", "perform", "report"])
+        .flat_map(|stage| (0..4).map(move |k| Action::nullary(format!("{stage}{k}").as_str())))
+        .collect();
+    let nullary = bytes_per_commit(&runtime, &word);
+    assert!(nullary <= 8.0, "{nullary} bytes per nullary commit");
+
+    let fig7 = ix_graph::figures::fig7_expr();
+    let runtime = ManagerRuntime::with_protocol(&fig7, ProtocolVariant::Combined).unwrap();
+    let exam = [
+        "call_patient_start",
+        "call_patient_end",
+        "perform_examination_start",
+        "perform_examination_end",
+    ];
+    let word: Vec<Action> = (0..40i64)
+        .flat_map(|p| exam.map(|name| (name, p)))
+        .map(|(name, p)| {
+            let dept = ["sono", "endo", "xray", "ct"][p as usize % 4];
+            Action::concrete(name, [Value::int(1000 + p), Value::sym(dept)])
+        })
+        .collect();
+    let two_args = bytes_per_commit(&runtime, &word);
+    assert!(two_args <= 16.0, "{two_args} bytes per Fig. 7 commit");
+}
+
 /// The compatibility adapter and the runtime agree: the same workload driven
 /// through `ManagerServer`/`ClientHandle` ends in the same state as the
 /// blocking manager.

@@ -459,6 +459,56 @@ fn file_backed_vault_survives_a_crash_and_a_rollover() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The on-disk format did not move with the in-memory log representation:
+/// `tests/fixtures/vault_pr11/vault` was written by commit 96d8399 (the
+/// parent of the packed commit log) — three coupled departments with
+/// two-argument actions and nullary audits, a checkpoint after the fourth of
+/// six rounds, then a tail with an open case and a denial — and
+/// `expected.txt` holds the statistics and the merged log that commit
+/// reported at shutdown.  Recovery reads the snapshots' string-named log
+/// entries and the write-ahead tail into the packed log; a checkpoint cut by
+/// this code must read back the same way.
+#[test]
+fn a_vault_written_before_the_packed_log_recovers() {
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/vault_pr11");
+    let expected = std::fs::read_to_string(fixture.join("expected.txt")).unwrap();
+    let (stats, log) = expected.split_once('\n').unwrap();
+    // Recovery re-journals into the vault it reads: work on a copy.
+    let dir = temp_vault_dir();
+    for sub in ["blobs", "wal/meta", "wal/shard-0", "wal/shard-1", "wal/shard-2"] {
+        std::fs::create_dir_all(dir.join(sub)).unwrap();
+        for entry in std::fs::read_dir(fixture.join("vault").join(sub)).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dir.join(sub).join(entry.file_name())).unwrap();
+        }
+    }
+    let options =
+        RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
+    let render = |log: &[Action]| log.iter().map(|a| format!("{a}\n")).collect::<String>();
+
+    let recovered = ManagerRuntime::recover_path(&dir, options).unwrap();
+    assert_eq!(render(&recovered.log()), log);
+    assert_eq!(format!("{:?}", recovered.stats()), stats);
+    // The case the tail left open at department a closes; the barrier works.
+    let session = recovered.session(1);
+    let sono = |name: &str, p| Action::concrete(name, [Value::int(p), Value::sym("sono")]);
+    assert!(matches!(session.execute(&sono("call_a", 78)).wait(), Completion::Denied));
+    for action in [sono("perform_a", 77), audit()] {
+        assert!(matches!(session.execute(&action).wait(), Completion::Executed { .. }));
+    }
+    recovered.checkpoint().unwrap();
+    assert!(matches!(session.execute(&sono("call_c", 5)).wait(), Completion::Executed { .. }));
+    let report = recovered.shutdown().unwrap();
+    assert_eq!(report.log.len(), log.lines().count() + 3);
+
+    let again = ManagerRuntime::recover_path(&dir, options).unwrap();
+    assert_eq!(again.log(), report.log);
+    assert_eq!(again.stats(), report.stats);
+    again.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Durable submissions pending at the crash are recovered into the queue
 /// and redelivered (at least once) by `crash_redeliver`.
 #[test]

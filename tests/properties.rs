@@ -539,6 +539,23 @@ fn assert_tier_equivalence(
     Ok(())
 }
 
+/// Strategy for arbitrary actions, abstract ones included: arity 0–8, the
+/// integer extremes and the whole `i64` range, symbolic values, parameters.
+fn arb_action() -> impl Strategy<Value = ix_core::Action> {
+    use ix_core::{Param, Term};
+    let term = prop_oneof![
+        Just(Term::Value(Value::int(i64::MIN))),
+        Just(Term::Value(Value::int(i64::MAX))),
+        (0u64..5).prop_map(|i| Term::Value(Value::int(i as i64 - 2))),
+        (0u64..u64::MAX).prop_map(|bits| Term::Value(Value::int(bits as i64))),
+        (0usize..3).prop_map(|i| Term::Value(Value::sym(["sono", "endo", "xray"][i]))),
+        (0usize..2).prop_map(|i| Term::Param(Param::new(["p", "x"][i]))),
+    ];
+    (0usize..4, proptest::collection::vec(term, 0..9)).prop_map(|(name, args)| {
+        ix_core::Action::new(["call", "perform", "audit", "e"][name], args)
+    })
+}
+
 /// Strategy mixing quantified spines (which the compiler bails on) with
 /// quantifier-free operands (which become tiles): the tier serves part of
 /// the expression while the tree walk handles the rest.
@@ -763,6 +780,22 @@ proptest! {
         script in grow_script(),
     ) {
         assert_grown_runtime_matches_monolithic(&script)?;
+    }
+
+    #[test]
+    fn packed_actions_round_trip(a in arb_action(), b in arb_action()) {
+        // The in-memory codec of the commit log (`Action::pack`): any two
+        // actions back to back decode to themselves with nothing left over,
+        // and the skip-without-decoding length agrees.
+        let mut bytes = Vec::new();
+        a.pack(&mut bytes);
+        prop_assert_eq!(ix_core::Action::packed_len(&bytes), Some(bytes.len()));
+        b.pack(&mut bytes);
+        let mut rest = &bytes[..];
+        prop_assert_eq!(ix_core::Action::unpack(&mut rest), Some(a));
+        prop_assert_eq!(ix_core::Action::packed_len(rest), Some(rest.len()));
+        prop_assert_eq!(ix_core::Action::unpack(&mut rest), Some(b));
+        prop_assert!(rest.is_empty());
     }
 
     #[test]
