@@ -932,14 +932,25 @@ fn compile_bench() {
 fn recover_bench() {
     heading("Durability — log-tail recovery from sharded checkpoints vs full replay");
     println!(
-        "{:>7} {:>9} {:>11} {:>11} {:>13} {:>13} {:>9} {:>10}",
-        "shards", "actions", "ckpt frac", "tail recs", "full ms", "tail ms", "speedup", "snap KiB"
+        "{:>7} {:>9} {:>11} {:>11} {:>13} {:>13} {:>9} {:>10} {:>10} {:>10} {:>9} {:>9}",
+        "shards",
+        "actions",
+        "ckpt frac",
+        "tail recs",
+        "full ms",
+        "tail ms",
+        "speedup",
+        "snap KiB",
+        "cut-1 KiB",
+        "cut KiB",
+        "cut-1 ms",
+        "cut ms"
     );
     let mut rows = Vec::new();
     for (shards, actions) in [(4usize, 30_000usize), (8, 30_000)] {
         let r = recover_experiment(shards, actions, 0.9);
         println!(
-            "{:>7} {:>9} {:>11.2} {:>11} {:>13.1} {:>13.1} {:>8.2}x {:>10.1}",
+            "{:>7} {:>9} {:>11.2} {:>11} {:>13.1} {:>13.1} {:>8.2}x {:>10.1} {:>10.1} {:>10.1} {:>9.2} {:>9.2}",
             r.shards,
             r.actions,
             r.checkpoint_fraction,
@@ -948,16 +959,25 @@ fn recover_bench() {
             r.tail_replay.as_secs_f64() * 1e3,
             r.speedup(),
             r.snapshot_bytes as f64 / 1024.0,
+            r.earlier_cut_bytes as f64 / 1024.0,
+            r.checkpoint_bytes as f64 / 1024.0,
+            r.cut_times[0].as_secs_f64() * 1e3,
+            r.cut_times[1].as_secs_f64() * 1e3,
         );
         rows.push(format!(
             "    {{\"shards\": {}, \"actions\": {}, \"checkpoint_fraction\": {:.2}, \
-             \"snapshot_bytes\": {}, \"tail_records\": {}, \
+             \"snapshot_bytes\": {}, \"earlier_cut_bytes\": {}, \"checkpoint_bytes\": {}, \
+             \"earlier_cut_ms\": {:.3}, \"checkpoint_ms\": {:.3}, \"tail_records\": {}, \
              \"full_replay_ms\": {:.3}, \"tail_replay_ms\": {:.3}, \
              \"speedup\": {:.3}, \"recovered_actions\": {}}}",
             r.shards,
             r.actions,
             r.checkpoint_fraction,
             r.snapshot_bytes,
+            r.earlier_cut_bytes,
+            r.checkpoint_bytes,
+            r.cut_times[0].as_secs_f64() * 1e3,
+            r.cut_times[1].as_secs_f64() * 1e3,
             r.tail_records,
             r.full_replay.as_secs_f64() * 1e3,
             r.tail_replay.as_secs_f64() * 1e3,
@@ -969,8 +989,11 @@ fn recover_bench() {
         "{{\n  \"experiment\": \"crash recovery: sharded checkpoints and log-tail replay\",\n  \
           \"workload\": \"identical committed call/perform runs into two file-backed vaults; \
           one never checkpoints (recovery = full per-shard log replay), the other cuts a \
-          sharded copy-on-write checkpoint at 90% of the run, truncating the covered log \
-          prefix (recovery = snapshot load + tail replay); recovery wall-clock is the best \
+          sharded copy-on-write checkpoint at 80% and at 90% of the run, each archiving the \
+          commits since the previous one on the history streams and truncating the covered \
+          log prefix (recovery = snapshot load + tail replay, no history); \
+          earlier_cut_bytes and checkpoint_bytes are what the two cuts wrote, snapshots \
+          plus history records; recovery wall-clock is the best \
           of two attempts per vault, both recoveries must surface the identical merged \
           log\",\n  \
           \"recover\": [\n{}\n  ]\n}}\n",
@@ -983,11 +1006,13 @@ fn recover_bench() {
 /// The recovery CI bench smoke: validates `BENCH_recover.json` and fails
 /// when snapshot-plus-tail recovery loses its headroom over full log
 /// replay.  With the checkpoint at 90% of the run the tail is a tenth of
-/// the log; decoding the snapshot (dominated by the committed-action log,
-/// ~0.5µs/entry) is the counterweight to re-deciding the history
-/// (~6µs/action on the layered constraint), so the measured band is
-/// 6-7x — the gate at 5x is the acceptance floor, far above the 1x of a
-/// checkpoint that recovery ignores, below the measured band.
+/// the log and a snapshot holds state, not history, so recovery costs the
+/// tail's share of re-deciding the run (~6µs/action on the layered
+/// constraint) plus set-up — the gate at 5x is the acceptance floor, far
+/// above the 1x of a checkpoint that recovery ignores, below the measured
+/// band.  It also fails when the checkpoint at 90% wrote more than half of
+/// what the cut at 80% wrote: a checkpoint must cost the commits since the
+/// previous one, not the run.
 fn check_recover_report(path: &str) {
     let text = read_validated_report(
         path,
@@ -1006,6 +1031,10 @@ fn check_recover_report(path: &str) {
             .unwrap_or_else(|| die(&format!("{path}: recover row without snapshot_bytes")));
         let tail_records = json_number(row, "tail_records")
             .unwrap_or_else(|| die(&format!("{path}: recover row without tail_records")));
+        let earlier_cut = json_number(row, "earlier_cut_bytes")
+            .unwrap_or_else(|| die(&format!("{path}: recover row without earlier_cut_bytes")));
+        let checkpoint = json_number(row, "checkpoint_bytes")
+            .unwrap_or_else(|| die(&format!("{path}: recover row without checkpoint_bytes")));
         let recovered = json_number(row, "recovered_actions")
             .unwrap_or_else(|| die(&format!("{path}: recover row without recovered_actions")));
         if !(speedup.is_finite() && speedup > 0.0) {
@@ -1029,6 +1058,14 @@ fn check_recover_report(path: &str) {
                  {tail_records} tail records for an expected ~{expected_tail:.0}"
             ));
         }
+        if checkpoint > earlier_cut / 2.0 {
+            die(&format!(
+                "checkpoint cost follows the run, not the delta, at {shards} shards: the cut at \
+                 {:.0}% wrote {checkpoint} bytes after {earlier_cut} at {:.0}%",
+                fraction * 100.0,
+                (fraction - 0.1) * 100.0
+            ));
+        }
         if fraction >= 0.9 && speedup < 5.0 {
             die(&format!(
                 "log-tail recovery lost its headroom at {shards} shards: \
@@ -1041,8 +1078,8 @@ fn check_recover_report(path: &str) {
         die(&format!("{path}: no recover rows to check"));
     }
     println!(
-        "check passed: {checked} configurations — checkpoints truncate their covered prefix \
-         and snapshot-plus-tail recovery is >= 5x full replay"
+        "check passed: {checked} configurations — checkpoints truncate their covered prefix, \
+         write the delta, and snapshot-plus-tail recovery is >= 5x full replay"
     );
 }
 

@@ -9,12 +9,17 @@
 //! replays only the log tail.  Both recoveries must surface the same
 //! merged log; the wall-clock ratio is the speedup the `--check` gate
 //! asserts.
+//!
+//! The checkpointed vault is also cut once *earlier*, a tenth of the run
+//! before: a checkpoint archives the commits since the previous one and
+//! snapshots state, not history, so the later cut must write a fraction of
+//! what the earlier one wrote — the second thing the gate asserts.
 
 use crate::contended::{component_call, component_perform};
 use ix_core::{parse, Expr};
 use ix_manager::{
-    inspect_vault, Completion, FileVault, FsyncPolicy, ManagerRuntime, ProtocolVariant,
-    RuntimeOptions, Vault,
+    inspect_vault, CheckpointReport, Completion, FileVault, FsyncPolicy, ManagerRuntime,
+    ProtocolVariant, RuntimeOptions, Vault,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -31,6 +36,13 @@ pub struct RecoverReport {
     pub checkpoint_fraction: f64,
     /// Bytes of the sharded snapshots the checkpoint wrote.
     pub snapshot_bytes: u64,
+    /// Bytes (snapshots plus history records) the earlier cut wrote, a tenth
+    /// of the run before the checkpoint: it archives everything up to there.
+    pub earlier_cut_bytes: u64,
+    /// Bytes the checkpoint itself wrote: it archives a tenth of the run.
+    pub checkpoint_bytes: u64,
+    /// Wall-clock of the earlier cut and of the checkpoint.
+    pub cut_times: [Duration; 2],
     /// Log records left in the checkpointed vault's tail (all shards).
     pub tail_records: u64,
     /// Wall-clock recovery of the never-checkpointed vault (full replay).
@@ -72,10 +84,16 @@ fn options() -> RuntimeOptions {
     }
 }
 
-/// Commits the workload into a fresh file-backed vault at `dir`, optionally
-/// checkpointing once `checkpoint_at` actions have committed, then crashes
-/// (shutdown journals nothing).  Returns the checkpoint's snapshot bytes.
-fn run_workload(dir: &PathBuf, shards: usize, actions: usize, checkpoint_at: Option<usize>) -> u64 {
+/// Commits the workload into a fresh file-backed vault at `dir`,
+/// checkpointing each time the commits reach the next of `checkpoints_at`,
+/// then crashes (shutdown journals nothing).  Returns what each checkpoint
+/// reported and how long it took.
+fn run_workload(
+    dir: &PathBuf,
+    shards: usize,
+    actions: usize,
+    checkpoints_at: &[usize],
+) -> Vec<(CheckpointReport, Duration)> {
     std::fs::remove_dir_all(dir).ok();
     let expr = layered_components_constraint(shards, 6);
     let runtime =
@@ -83,8 +101,7 @@ fn run_workload(dir: &PathBuf, shards: usize, actions: usize, checkpoint_at: Opt
     let session = runtime.session(1);
     let mut committed = 0usize;
     let mut case = 0i64;
-    let mut snapshot_bytes = 0u64;
-    let mut checkpointed = false;
+    let mut reports = Vec::new();
     while committed < actions {
         let window: Vec<_> = (0..64)
             .flat_map(|i| {
@@ -99,15 +116,14 @@ fn run_workload(dir: &PathBuf, shards: usize, actions: usize, checkpoint_at: Opt
             assert!(matches!(t.wait(), Completion::Executed { .. }));
         }
         committed += window.len();
-        if let Some(cut) = checkpoint_at {
-            if !checkpointed && committed >= cut {
-                snapshot_bytes = runtime.checkpoint().expect("checkpoint").bytes;
-                checkpointed = true;
-            }
+        if checkpoints_at.get(reports.len()).is_some_and(|cut| committed >= *cut) {
+            let started = Instant::now();
+            let report = runtime.checkpoint().expect("checkpoint");
+            reports.push((report, started.elapsed()));
         }
     }
     runtime.shutdown().expect("pre-crash shutdown");
-    snapshot_bytes
+    reports
 }
 
 /// Recovers the vault at `dir` twice and returns the faster wall-clock
@@ -138,9 +154,11 @@ pub fn recover_experiment(
     let full_dir = base.join("full");
     let tail_dir = base.join("tail");
     let cut = ((actions as f64 * checkpoint_fraction) as usize).max(1);
+    let earlier = ((actions as f64 * (checkpoint_fraction - 0.1)) as usize).max(1);
 
-    run_workload(&full_dir, shards, actions, None);
-    let snapshot_bytes = run_workload(&tail_dir, shards, actions, Some(cut));
+    run_workload(&full_dir, shards, actions, &[]);
+    let cuts = run_workload(&tail_dir, shards, actions, &[earlier, cut]);
+    let written = |report: &CheckpointReport| report.bytes + report.history_bytes;
 
     let tail_records = {
         let vault: Arc<dyn Vault> = Arc::new(
@@ -160,7 +178,10 @@ pub fn recover_experiment(
         shards,
         actions,
         checkpoint_fraction,
-        snapshot_bytes,
+        snapshot_bytes: cuts[1].0.bytes,
+        earlier_cut_bytes: written(&cuts[0].0),
+        checkpoint_bytes: written(&cuts[1].0),
+        cut_times: [cuts[0].1, cuts[1].1],
         tail_records,
         full_replay,
         tail_replay,
@@ -177,6 +198,12 @@ mod tests {
         let report = recover_experiment(2, 512, 0.5);
         assert_eq!(report.recovered_actions, 512);
         assert!(report.snapshot_bytes > 0, "the checkpoint captured snapshots");
+        assert!(
+            report.checkpoint_bytes < report.earlier_cut_bytes,
+            "a tenth of the run after four tenths: {} bytes after {}",
+            report.checkpoint_bytes,
+            report.earlier_cut_bytes
+        );
         assert!(
             report.tail_records <= 512 / 2 + 64,
             "the covered prefix is gone from the checkpointed vault: {} tail records",

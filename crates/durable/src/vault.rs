@@ -3,7 +3,8 @@
 //! A [`Vault`] holds two kinds of data:
 //!
 //! * numbered append-only **streams** of records — the per-shard write-ahead
-//!   logs, the meta stream ([`META_STREAM`]) and the submission-queue stream
+//!   logs, the per-shard history streams ([`history_stream`]), the meta
+//!   stream ([`META_STREAM`]) and the submission-queue stream
 //!   ([`QUEUE_STREAM`]).  Records are addressed by a monotonically growing
 //!   index that never resets: truncation deletes covered storage but keeps
 //!   the indices of the surviving records, so "replay the tail after offset
@@ -36,6 +37,16 @@ pub const META_STREAM: u32 = u32::MAX;
 
 /// Stream id of the durable submission queue's journal.
 pub const QUEUE_STREAM: u32 = u32::MAX - 1;
+
+/// First id of the history streams: shard `k` archives its confirmed actions
+/// on stream `HISTORY_STREAM_BASE + k`.  Shard ids stay below it.
+pub const HISTORY_STREAM_BASE: u32 = 1 << 31;
+
+/// Stream id of a shard's history: the confirmed actions its checkpoints
+/// moved out of memory.  Never truncated.
+pub fn history_stream(shard: usize) -> u32 {
+    HISTORY_STREAM_BASE + shard as u32
+}
 
 /// When a [`FileVault`] flushes appended records to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -191,6 +202,7 @@ fn stream_dir_name(stream: u32) -> String {
     match stream {
         META_STREAM => "meta".to_string(),
         QUEUE_STREAM => "queue".to_string(),
+        id if id >= HISTORY_STREAM_BASE => format!("history-{}", id - HISTORY_STREAM_BASE),
         id => format!("shard-{id}"),
     }
 }
@@ -199,7 +211,10 @@ fn parse_stream_dir(name: &str) -> Option<u32> {
     match name {
         "meta" => Some(META_STREAM),
         "queue" => Some(QUEUE_STREAM),
-        other => other.strip_prefix("shard-")?.parse().ok(),
+        other => match other.strip_prefix("history-") {
+            Some(shard) => shard.parse::<u32>().ok()?.checked_add(HISTORY_STREAM_BASE),
+            None => other.strip_prefix("shard-")?.parse().ok(),
+        },
     }
 }
 
@@ -336,13 +351,13 @@ impl FileVault {
 impl Vault for FileVault {
     fn append(&self, stream: u32, payload: &[u8]) -> u64 {
         self.with_inner(|streams| {
-            let s = streams.entry(stream).or_insert_with(|| FileStream {
-                dir: self.root.join("wal").join(stream_dir_name(stream)),
-                next_index: 0,
-                open: None,
-                unsynced: 0,
+            // A stream gets its directory when it gets its entry; entries
+            // read back at open have theirs already.
+            let s = streams.entry(stream).or_insert_with(|| {
+                let dir = self.root.join("wal").join(stream_dir_name(stream));
+                fs::create_dir_all(&dir).expect("create stream directory");
+                FileStream { dir, next_index: 0, open: None, unsynced: 0 }
             });
-            fs::create_dir_all(&s.dir).expect("create stream directory");
             // Rotate (or open) the append segment.
             let rotate = s.open.as_ref().is_some_and(|o| o.bytes >= self.segment_bytes);
             if s.open.is_none() || rotate {
@@ -527,6 +542,24 @@ mod tests {
         );
         assert_eq!(v.load_blob("manifest").unwrap(), b"mf");
         assert_eq!(v.streams(), vec![0, META_STREAM]);
+    }
+
+    #[test]
+    fn history_streams_get_directories_of_their_own() {
+        let dir = temp_dir("history");
+        {
+            let v = FileVault::open(&dir, FsyncPolicy::Never).unwrap();
+            assert!(!dir.join("wal").join("history-2").exists(), "created by the first append");
+            assert_eq!(v.append(2, b"wal"), 0);
+            assert_eq!(v.append(history_stream(2), b"old"), 0);
+            assert_eq!(v.append(history_stream(2), b"older"), 1);
+            assert!(dir.join("wal").join("history-2").join(segment_file_name(0)).exists());
+        }
+        let v = FileVault::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(v.streams(), vec![2, history_stream(2)]);
+        assert_eq!(v.stream_len(history_stream(2)), 2);
+        assert_eq!(v.read_from(2, 0), vec![(0, b"wal".to_vec())]);
+        assert_eq!(v.read_from(history_stream(2), 1), vec![(1, b"older".to_vec())]);
     }
 
     #[test]

@@ -19,12 +19,21 @@
 //!   The CoW state is serialized through the pointer-deduplicating
 //!   state-table codec, sharing one node pool between the engine state and
 //!   the states of its compiled DFA tiles (keyed by fingerprint), so
-//!   recovery re-attaches the tiles instead of recompiling them.
+//!   recovery re-attaches the tiles instead of recompiling them.  A
+//!   snapshot carries the state that decides the next action and *not* the
+//!   history of confirmed actions: [`persist_shards`] first **archives** the
+//!   entries committed since the shard's last checkpoint on the shard's
+//!   history stream ([`ix_durable::history_stream`]) and the snapshot only
+//!   counts them, so a checkpoint writes O(new commits).
 //! * **Recovery**: load the topology blob, then per shard the latest
-//!   snapshot plus the stream tail; roll torn multi-owner records forward
-//!   (a record present on at least one owner's stream is completed on all
-//!   of them); rebuild the derived structures (reservation index, timer
-//!   wheel, submission queue) from what was recovered.
+//!   snapshot plus the stream tail — no history; roll torn multi-owner
+//!   records forward (a record present on at least one owner's stream is
+//!   completed on all of them); rebuild the derived structures (reservation
+//!   index, timer wheel, submission queue) from what was recovered.
+//! * **Reading the log** ([`visit_log`]): who needs every confirmed action —
+//!   `log()`, `shutdown()`, the replay of a live repartition, the vault
+//!   inspection — chains a shard's history stream before the entries still
+//!   resident in its [`ShardLog`].
 //!
 //! This module holds the record and blob codecs plus the [`DurabilityHub`]
 //! the runtime journals through; the checkpoint coordinator and the
@@ -39,14 +48,22 @@ use crate::runtime::{DurableOp, RuntimeReport, SubmissionRecord};
 use crate::subscription::{ClientId, SubscriptionRow};
 use ix_core::{Action, Alphabet, Expr};
 use ix_durable::{
-    decode_action, decode_alphabet, encode_action, encode_alphabet, CodecError, Reader,
-    StateTableBuilder, StateTableReader, Vault, Writer, META_STREAM, QUEUE_STREAM,
+    decode_action, decode_alphabet, encode_action, encode_alphabet, history_stream, CodecError,
+    Reader, StateTableBuilder, StateTableReader, Vault, Writer, META_STREAM, QUEUE_STREAM,
 };
 use ix_state::{CompiledTable, StateRef, TableParts};
+use std::cell::Cell;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Version byte every persisted record and blob starts with.
 const FORMAT_VERSION: u8 = 1;
+
+/// Version byte of a shard snapshot without a log section: the confirmed
+/// actions are on the shard's history stream and the snapshot counts them.
+/// [`FORMAT_VERSION`] marks the layout with the log inline, which vaults
+/// written before the history streams hold and recovery still reads.
+const SNAPSHOT_VERSION: u8 = 2;
 
 /// Wraps a codec failure into a [`ManagerError::Durability`].
 pub(crate) fn codec_err(what: &str, e: CodecError) -> ManagerError {
@@ -190,6 +207,16 @@ const TAG_CLOCK: u8 = 5;
 const TAG_SUBSCRIBE: u8 = 6;
 const TAG_UNSUBSCRIBE: u8 = 7;
 
+fn encode_key(w: &mut Writer, key: LogKey) {
+    w.u64(key.0);
+    w.u8(key.1);
+    w.u64(key.2);
+}
+
+fn decode_key(r: &mut Reader) -> Result<LogKey, CodecError> {
+    Ok((r.u64()?, r.u8()?, r.u64()?))
+}
+
 fn encode_reservation(w: &mut Writer, res: &Reservation) {
     w.u64(res.id);
     encode_action(w, &res.action);
@@ -215,9 +242,7 @@ impl WalRecord {
         match self {
             WalRecord::Commit { key, action, is_primary, delta } => {
                 w.u8(TAG_COMMIT);
-                w.u64(key.0);
-                w.u8(key.1);
-                w.u64(key.2);
+                encode_key(&mut w, *key);
                 encode_action(&mut w, action);
                 w.bool(*is_primary);
                 encode_delta(&mut w, delta);
@@ -263,7 +288,7 @@ impl WalRecord {
         }
         match r.u8()? {
             TAG_COMMIT => Ok(WalRecord::Commit {
-                key: (r.u64()?, r.u8()?, r.u64()?),
+                key: decode_key(&mut r)?,
                 action: decode_action(&mut r)?,
                 is_primary: r.bool()?,
                 delta: decode_delta(&mut r)?,
@@ -507,6 +532,8 @@ pub(crate) struct ShardCapture {
     pub(crate) accepted: u64,
     pub(crate) rejected: u64,
     pub(crate) state: StateRef,
+    /// The log as of the capture; [`persist_shards`] archives what it holds
+    /// past its archived mark.
     pub(crate) log: ShardLog,
     pub(crate) reservations: Vec<Reservation>,
     pub(crate) subscriptions: Vec<SubscriptionRow>,
@@ -523,6 +550,9 @@ pub(crate) struct ShardCheckpoint {
     pub(crate) accepted: u64,
     pub(crate) rejected: u64,
     pub(crate) state: StateRef,
+    /// The log the shard resumes with: every entry the snapshot counts
+    /// archived and none resident — or, from a snapshot with the log inline,
+    /// all of them resident and none archived.
     pub(crate) log: ShardLog,
     pub(crate) reservations: Vec<Reservation>,
     pub(crate) subscriptions: Vec<SubscriptionRow>,
@@ -561,8 +591,10 @@ fn decode_subscription_rows(r: &mut Reader) -> Result<Vec<SubscriptionRow>, Code
 
 /// Serializes one shard capture.  The engine state and every DFA-tile state
 /// share one pointer-deduplicated node pool, so structural sharing between
-/// the live state and the pinned tile states costs nothing twice.
-pub(crate) fn encode_shard_checkpoint(cap: &ShardCapture) -> Vec<u8> {
+/// the live state and the pinned tile states costs nothing twice.  Of the log
+/// only the entry count and the key high-water mark go in: the caller
+/// ([`persist_shards`]) has archived the entries themselves.
+fn encode_shard_checkpoint(cap: &ShardCapture) -> Vec<u8> {
     let parts: Vec<TableParts> = cap.tier.iter().map(|t| t.to_parts()).collect();
     let mut pool = StateTableBuilder::new();
     let root = pool.add_root(&cap.state);
@@ -570,7 +602,7 @@ pub(crate) fn encode_shard_checkpoint(cap: &ShardCapture) -> Vec<u8> {
         parts.iter().map(|p| p.states.iter().map(|s| pool.add_root(s)).collect()).collect();
 
     let mut w = Writer::new();
-    w.u8(FORMAT_VERSION);
+    w.u8(SNAPSHOT_VERSION);
     w.u64(cap.covered);
     w.u64(cap.epoch);
     w.u64(cap.accepted);
@@ -604,12 +636,7 @@ pub(crate) fn encode_shard_checkpoint(cap: &ShardCapture) -> Vec<u8> {
         w.u64(p.compile_nanos);
     }
     w.len_prefix(cap.log.len());
-    for (key, action) in cap.log.iter() {
-        w.u64(key.0);
-        w.u8(key.1);
-        w.u64(key.2);
-        encode_action(&mut w, &action);
-    }
+    w.u64(cap.log.max_seq().unwrap_or(0));
     w.len_prefix(cap.reservations.len());
     for res in &cap.reservations {
         encode_reservation(&mut w, res);
@@ -622,7 +649,7 @@ pub(crate) fn decode_shard_checkpoint(bytes: &[u8]) -> ManagerResult<ShardCheckp
     let mut r = Reader::new(bytes);
     (|| -> Result<ShardCheckpoint, CodecError> {
         let version = r.u8()?;
-        if version != FORMAT_VERSION {
+        if version != SNAPSHOT_VERSION && version != FORMAT_VERSION {
             return Err(CodecError::BadVersion { version });
         }
         let covered = r.u64()?;
@@ -670,12 +697,20 @@ pub(crate) fn decode_shard_checkpoint(bytes: &[u8]) -> ManagerResult<ShardCheckp
                 compile_nanos: r.u64()?,
             });
         }
-        let mut log = ShardLog::new();
-        for _ in 0..r.len_prefix()? {
-            let key = (r.u64()?, r.u8()?, r.u64()?);
-            log.push_keyed(key, &decode_action(&mut r)?);
-        }
-        log.set_epoch(epoch);
+        let entries = r.len_prefix()?;
+        let log = if version == SNAPSHOT_VERSION {
+            ShardLog::resumed(entries, epoch, r.u64()?)
+        } else {
+            // The log inline: it stays resident until the first checkpoint
+            // of this code archives it.
+            let mut log = ShardLog::new();
+            for _ in 0..entries {
+                let key = decode_key(&mut r)?;
+                log.push_keyed(key, &decode_action(&mut r)?);
+            }
+            log.set_epoch(epoch);
+            log
+        };
         let nres = r.len_prefix()?;
         let mut reservations = Vec::with_capacity(nres);
         for _ in 0..nres {
@@ -696,6 +731,290 @@ pub(crate) fn decode_shard_checkpoint(bytes: &[u8]) -> ManagerResult<ShardCheckp
         })
     })()
     .map_err(|e| codec_err("shard checkpoint", e))
+}
+
+// ---------------------------------------------------------------------------
+// The history streams
+// ---------------------------------------------------------------------------
+
+/// Entries one history record holds at most: what a checkpoint encodes and
+/// a reader decodes at a time, however long the shard's log is.
+pub(crate) const HISTORY_BATCH: usize = 4096;
+
+/// Appends the entries of `log` past its archived mark to the history stream
+/// of `shard`, as records `(version, index of the first entry, count,
+/// entries)` of at most [`HISTORY_BATCH`] entries in the `(key, action)`
+/// format of the write-ahead records, encoded one after the other through
+/// `scratch`.  Returns the bytes appended.
+fn archive(vault: &dyn Vault, shard: usize, log: &ShardLog, scratch: &mut Writer) -> u64 {
+    let mut first = log.archived();
+    let mut entries = log.iter_from(first);
+    let mut bytes = 0;
+    while first < log.len() {
+        let count = (log.len() - first).min(HISTORY_BATCH);
+        scratch.clear();
+        scratch.u8(FORMAT_VERSION);
+        scratch.len_prefix(first);
+        scratch.len_prefix(count);
+        for (key, action) in entries.by_ref().take(count) {
+            encode_key(scratch, key);
+            encode_action(scratch, &action);
+        }
+        vault.append(history_stream(shard), scratch.as_bytes());
+        bytes += scratch.len() as u64;
+        first += count;
+    }
+    bytes
+}
+
+/// The index of the first entry and the entry count a history record
+/// declares; leaves the reader at the first entry.
+fn decode_history_header(r: &mut Reader) -> Result<(usize, usize), CodecError> {
+    let version = r.u8()?;
+    if version != FORMAT_VERSION {
+        return Err(CodecError::BadVersion { version });
+    }
+    Ok((r.len_prefix()?, r.len_prefix()?))
+}
+
+fn decode_history_record(payload: &[u8]) -> Result<Vec<(LogKey, Action)>, CodecError> {
+    let mut r = Reader::new(payload);
+    let (_, count) = decode_history_header(&mut r)?;
+    let mut entries = Vec::with_capacity(count.min(HISTORY_BATCH));
+    for _ in 0..count {
+        entries.push((decode_key(&mut r)?, decode_action(&mut r)?));
+    }
+    Ok(entries)
+}
+
+/// One shard's history stream as read back: the raw records, and which
+/// entries of which record are entries `0..len` of the shard's log.
+///
+/// Records normally continue each other.  They overlap when a crash fell
+/// between an archive and the snapshot that would have counted it: the
+/// recovered shard re-archives from its older mark, and what it committed
+/// after the crash need not be what the orphaned records hold.  So a record
+/// **supersedes** everything at or past its first entry in the records
+/// before it.  Entries at or past `wanted` — the reader's own count of
+/// archived entries — are ignored, and a record that starts past the end of
+/// what precedes it leaves a **gap**: `len` stops there, short of `wanted`.
+pub(crate) struct ShardHistory {
+    shard: usize,
+    records: Vec<Vec<u8>>,
+    /// `(record, entries taken from its front)` in entry order.
+    live: Vec<(usize, usize)>,
+    /// Entries the live slices hold, gapless from entry 0.
+    len: usize,
+    wanted: usize,
+}
+
+impl ShardHistory {
+    /// The first `wanted` entries of the history of `shard`.  Reads nothing
+    /// when none is wanted (and there is none without a vault).
+    pub(crate) fn load(
+        vault: Option<&dyn Vault>,
+        shard: usize,
+        wanted: usize,
+    ) -> ManagerResult<Self> {
+        let records = match vault {
+            Some(vault) if wanted > 0 => {
+                vault.read_from(history_stream(shard), 0).into_iter().map(|(_, p)| p).collect()
+            }
+            _ => Vec::new(),
+        };
+        ShardHistory::from_records(shard, records, wanted)
+    }
+
+    fn from_records(shard: usize, records: Vec<Vec<u8>>, wanted: usize) -> ManagerResult<Self> {
+        // `(record, first entry, entries)` of the records still standing.
+        let mut spans: Vec<(usize, usize, usize)> = Vec::new();
+        let mut end = 0;
+        for (index, payload) in records.iter().enumerate() {
+            let (first, count) = decode_history_header(&mut Reader::new(payload))
+                .map_err(|e| codec_err(&format!("history record {index} of shard {shard}"), e))?;
+            if first > end {
+                break;
+            }
+            while spans.last().is_some_and(|(_, start, _)| *start >= first) {
+                spans.pop();
+            }
+            if let Some((_, start, taken)) = spans.last_mut() {
+                *taken = first - *start;
+            }
+            spans.push((index, first, count));
+            end = first + count;
+        }
+        let len = end.min(wanted);
+        let live = spans
+            .into_iter()
+            .filter(|(_, first, _)| *first < len)
+            .map(|(record, first, count)| (record, count.min(len - first)))
+            .collect();
+        Ok(ShardHistory { shard, records, live, len, wanted })
+    }
+
+    /// Fails if the stream holds fewer than the wanted entries.
+    pub(crate) fn check_complete(&self) -> ManagerResult<()> {
+        if self.len == self.wanted {
+            return Ok(());
+        }
+        Err(durability_err(format!(
+            "history of shard {} has a gap: {} entries were archived, the stream holds the first {}",
+            self.shard, self.wanted, self.len
+        )))
+    }
+
+    /// The entries, decoded one record at a time.  A record that does not
+    /// decode ends the iteration and is reported through `failed`.
+    fn iter<'a>(&'a self, failed: &'a Cell<Option<ManagerError>>) -> HistoryIter<'a> {
+        HistoryIter { history: self, next_live: 0, current: Vec::new().into_iter(), failed }
+    }
+
+    fn decode(&self, record: usize) -> ManagerResult<Vec<(LogKey, Action)>> {
+        decode_history_record(&self.records[record])
+            .map_err(|e| codec_err(&format!("history record {record} of shard {}", self.shard), e))
+    }
+
+    /// Key of the last entry held, `None` if none is.
+    fn last_key(&self) -> ManagerResult<Option<LogKey>> {
+        let Some(&(record, taken)) = self.live.last() else { return Ok(None) };
+        Ok(Some(self.decode(record)?[taken - 1].0))
+    }
+}
+
+struct HistoryIter<'a> {
+    history: &'a ShardHistory,
+    next_live: usize,
+    current: std::vec::IntoIter<(LogKey, Action)>,
+    failed: &'a Cell<Option<ManagerError>>,
+}
+
+impl Iterator for HistoryIter<'_> {
+    type Item = (LogKey, Action);
+
+    fn next(&mut self) -> Option<(LogKey, Action)> {
+        loop {
+            if let Some(entry) = self.current.next() {
+                return Some(entry);
+            }
+            let &(record, taken) = self.history.live.get(self.next_live)?;
+            self.next_live += 1;
+            match self.history.decode(record) {
+                Ok(mut entries) => {
+                    entries.truncate(taken);
+                    self.current = entries.into_iter();
+                }
+                Err(e) => {
+                    self.failed.set(Some(e));
+                    self.next_live = usize::MAX;
+                    return None;
+                }
+            }
+        }
+    }
+}
+
+/// What a reader of the whole log does about a history stream with a gap
+/// (a device that acknowledged a sync it never did can leave one: the
+/// snapshot that counts the entries survived, the entries did not).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Gaps {
+    /// Fail with [`ManagerError::Durability`]: the caller needs every entry.
+    Refuse,
+    /// Visit the longest prefix of the merged log every shard still vouches
+    /// for: the entries up to the key of the last one held before the first
+    /// gap.
+    CutBefore,
+}
+
+/// Visits every confirmed action of the given `(shard, log)` pairs in commit
+/// order, until `visit` breaks: per shard the entries its log released — read
+/// from the shard's history stream in `vault` — chained before the resident
+/// ones, the shards merged by key.  Without released entries (no vault, or
+/// no checkpoint yet) this is [`ShardLog::merge`] and touches no vault.
+pub(crate) fn visit_log<'a>(
+    vault: Option<&dyn Vault>,
+    logs: impl IntoIterator<Item = (usize, &'a ShardLog)>,
+    gaps: Gaps,
+    mut visit: impl FnMut(LogKey, Action) -> ControlFlow<()>,
+) -> ManagerResult<()> {
+    let logs: Vec<(usize, &ShardLog)> = logs.into_iter().collect();
+    let mut histories = Vec::with_capacity(logs.len());
+    let mut cut: Option<LogKey> = None;
+    for (shard, log) in &logs {
+        let history = ShardHistory::load(vault, *shard, log.released())?;
+        if history.len < history.wanted {
+            if gaps == Gaps::Refuse {
+                return history.check_complete();
+            }
+            let Some(last) = history.last_key()? else { return Ok(()) };
+            cut = Some(cut.map_or(last, |cut| cut.min(last)));
+        }
+        histories.push(history);
+    }
+    let failed = Cell::new(None);
+    let segments = histories
+        .iter()
+        .zip(&logs)
+        .map(|(history, (_, log))| history.iter(&failed).chain(log.iter()));
+    for (key, action) in crate::log::Merge::new(segments) {
+        if cut.is_some_and(|cut| key > cut) || visit(key, action).is_break() {
+            break;
+        }
+    }
+    failed.take().map_or(Ok(()), Err)
+}
+
+/// The confirmed actions of the given `(shard, log)` pairs in commit order
+/// ([`visit_log`]), up to the first gap if a history stream has one.
+pub(crate) fn merged_log<'a>(
+    vault: Option<&dyn Vault>,
+    logs: impl IntoIterator<Item = (usize, &'a ShardLog)> + Clone,
+) -> ManagerResult<Vec<Action>> {
+    let mut out = Vec::with_capacity(logs.clone().into_iter().map(|(_, log)| log.len()).sum());
+    visit_log(vault, logs, Gaps::CutBefore, |_, action| {
+        out.push(action);
+        ControlFlow::Continue(())
+    })?;
+    Ok(out)
+}
+
+/// What [`persist_shards`] wrote.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Persisted {
+    /// Bytes of the snapshot blobs.
+    pub(crate) blob_bytes: u64,
+    /// Entries appended to the history streams.
+    pub(crate) archived_entries: u64,
+    /// Bytes of the history records holding them.
+    pub(crate) history_bytes: u64,
+}
+
+/// Persists shard captures — the one way shard state reaches the vault.
+/// **Archive, sync, snapshot**: the entries each capture's log holds past
+/// its archived mark go to the shard's history stream, the streams are
+/// synced, and only then is the snapshot saved that counts them archived
+/// and carries none of them.  A crash before the snapshot leaves the older
+/// snapshot with the older count (the new records are superseded by the
+/// next archive, [`ShardHistory`]); after it, the entries it counts are on
+/// stable storage.  The caller truncates the covered write-ahead prefix
+/// afterwards, and releases the archived entries from memory last.
+pub(crate) fn persist_shards(vault: &dyn Vault, captures: &[ShardCapture]) -> Persisted {
+    let mut out = Persisted::default();
+    let mut scratch = Writer::new();
+    for cap in captures {
+        out.archived_entries += (cap.log.len() - cap.log.archived()) as u64;
+        out.history_bytes += archive(vault, cap.shard, &cap.log, &mut scratch);
+    }
+    if out.history_bytes > 0 {
+        vault.sync();
+    }
+    for cap in captures {
+        let blob = encode_shard_checkpoint(cap);
+        out.blob_bytes += blob.len() as u64;
+        vault.save_blob(&snap_blob(cap.shard), &blob);
+    }
+    out
 }
 
 /// The blob name of a shard's snapshot.
@@ -913,8 +1232,15 @@ pub struct ShardInspection {
     pub covered: u64,
     /// Records past the covered offset — the replay work recovery does.
     pub tail_records: u64,
-    /// Confirmed log entries inside the snapshot.
+    /// Confirmed log entries the snapshot covers: the archived ones plus,
+    /// in a snapshot written before the history streams, the inline ones.
     pub log_entries: u64,
+    /// Of those, the entries the snapshot counts on the shard's history
+    /// stream rather than carries.
+    pub archived_entries: u64,
+    /// Records on the shard's history stream (a checkpoint appends one per
+    /// 4096 newly confirmed actions).
+    pub history_records: u64,
     /// Reservations pending inside the snapshot.
     pub reservations: u64,
     /// Compiled DFA tables checkpointed alongside the CoW state.
@@ -955,7 +1281,9 @@ pub struct VaultInspection {
 
 /// Summarizes a vault without recovering from it: the persisted topology,
 /// the checkpoint manifest, and each shard's snapshot plus the log tail a
-/// recovery would replay.  Fails when the vault holds no topology blob.
+/// recovery would replay.  Fails when the vault holds no topology blob, or
+/// when a shard's history stream does not hold every entry its snapshot
+/// counts archived.
 pub fn inspect_vault(vault: &Arc<dyn Vault>) -> ManagerResult<VaultInspection> {
     let topo = match vault.load_blob(TOPOLOGY_BLOB) {
         Some(blob) => decode_topology(&blob)?,
@@ -982,11 +1310,15 @@ pub fn inspect_vault(vault: &Arc<dyn Vault>) -> ManagerResult<VaultInspection> {
             row.snapshot_bytes = blob.len() as u64;
             row.covered = cp.covered;
             row.log_entries = cp.log.len() as u64;
+            row.archived_entries = cp.log.archived() as u64;
+            let history = ShardHistory::load(Some(vault.as_ref()), shard, cp.log.archived())?;
+            history.check_complete()?;
             row.reservations = cp.reservations.len() as u64;
             row.tier_tables = cp.tier.len() as u64;
             row.epoch = cp.epoch;
         }
         row.tail_records = vault.stream_len(stream).saturating_sub(row.covered);
+        row.history_records = vault.stream_len(history_stream(shard));
         shards.push(row);
     }
     Ok(VaultInspection {
@@ -1130,8 +1462,10 @@ mod tests {
         assert_eq!(decoded.covered, 17);
         assert_eq!(decoded.epoch, 3);
         assert_eq!(decoded.accepted, cap.accepted);
-        assert_eq!(decoded.log.iter().collect::<Vec<_>>(), vec![((3, 1, 0), act("a"))]);
-        assert_eq!(decoded.log.epoch(), 3);
+        // The snapshot counts the log entry and does not carry it.
+        assert_eq!((decoded.log.len(), decoded.log.archived()), (1, 1));
+        assert_eq!(decoded.log.iter().next(), None);
+        assert_eq!((decoded.log.epoch(), decoded.log.max_seq()), (3, Some(3)));
         assert_eq!(decoded.reservations, cap.reservations);
         assert_eq!(decoded.subscriptions, cap.subscriptions);
         assert_eq!(decoded.stat_base, cap.stat_base);
@@ -1146,6 +1480,152 @@ mod tests {
         restored.adopt_tier(decoded.tier);
         assert_eq!(restored.tier_stats().compiles, 0, "re-attach must not count as a compile");
         assert!(restored.try_execute(&act("b")));
+    }
+
+    /// A history record as [`archive`] writes it, entry `i` keyed
+    /// `(0, 1, i)` and named after `tag`.
+    fn history_record(first: usize, count: usize, tag: &str) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u8(FORMAT_VERSION);
+        w.len_prefix(first);
+        w.len_prefix(count);
+        for i in first..first + count {
+            encode_key(&mut w, (0, 1, i as u64));
+            encode_action(&mut w, &act(&format!("{tag}{i}")));
+        }
+        w.into_bytes()
+    }
+
+    fn held(history: &ShardHistory) -> Vec<String> {
+        let failed = Cell::new(None);
+        let names = history.iter(&failed).map(|(_, action)| action.to_string()).collect();
+        assert!(failed.take().is_none());
+        names
+    }
+
+    #[test]
+    fn a_later_history_record_supersedes_from_its_first_entry() {
+        let names = |tag: &str, range: std::ops::Range<usize>| -> Vec<String> {
+            range.map(|i| format!("{tag}{i}")).collect()
+        };
+        // Records that continue each other.
+        let records = vec![history_record(0, 3, "a"), history_record(3, 2, "a")];
+        let history = ShardHistory::from_records(0, records, 5).unwrap();
+        history.check_complete().unwrap();
+        assert_eq!(held(&history), names("a", 0..5));
+        assert_eq!(history.last_key().unwrap(), Some((0, 1, 4)));
+
+        // A crash between archive and snapshot: `b` was archived from the
+        // older mark after the recovery and wins from entry 3 on — also over
+        // the part of `a` it does not reach, also when it is a series.
+        let records = vec![
+            history_record(0, 3, "a"),
+            history_record(3, 4, "a"),
+            history_record(7, 2, "a"),
+            history_record(3, 2, "b"),
+            history_record(5, 3, "b"),
+        ];
+        let history = ShardHistory::from_records(0, records.clone(), 8).unwrap();
+        history.check_complete().unwrap();
+        assert_eq!(held(&history), [names("a", 0..3), names("b", 3..8)].concat());
+        // Before the second `b` record is appended the orphaned tail of `a`
+        // is already gone.
+        let history = ShardHistory::from_records(0, records[..4].to_vec(), 5).unwrap();
+        assert_eq!(held(&history), [names("a", 0..3), names("b", 3..5)].concat());
+        assert!(ShardHistory::from_records(0, records[..4].to_vec(), 6)
+            .unwrap()
+            .check_complete()
+            .is_err());
+        // A record that restarts at 0 supersedes everything.
+        let records = vec![history_record(0, 3, "a"), history_record(0, 2, "b")];
+        assert_eq!(held(&ShardHistory::from_records(0, records, 2).unwrap()), names("b", 0..2));
+    }
+
+    #[test]
+    fn history_past_the_snapshot_count_is_ignored_and_a_gap_is_an_error() {
+        // The snapshot counts 4: the orphaned rest is not read, not even a
+        // record that would not decode.
+        let records = vec![history_record(0, 3, "a"), history_record(3, 3, "a"), vec![99]];
+        let history = ShardHistory::from_records(2, records[..2].to_vec(), 4).unwrap();
+        history.check_complete().unwrap();
+        assert_eq!(held(&history).len(), 4);
+        assert_eq!(history.last_key().unwrap(), Some((0, 1, 3)));
+        assert!(ShardHistory::from_records(2, records, 4).is_err(), "unknown version");
+        let none = ShardHistory::from_records(2, vec![history_record(0, 3, "a")], 0).unwrap();
+        none.check_complete().unwrap();
+        assert_eq!((held(&none).len(), none.last_key().unwrap()), (0, None));
+
+        // Entries 3..5 are missing: what follows the gap does not count.
+        let records = vec![history_record(0, 3, "a"), history_record(5, 3, "a")];
+        let history = ShardHistory::from_records(2, records, 8).unwrap();
+        assert_eq!(held(&history).len(), 3);
+        let error = history.check_complete().unwrap_err();
+        assert!(
+            matches!(&error, ManagerError::Durability { detail } if detail.contains("shard 2")),
+            "{error}"
+        );
+        // A stream that ends early is the same.
+        let history = ShardHistory::from_records(2, vec![history_record(0, 3, "a")], 4).unwrap();
+        assert!(history.check_complete().is_err());
+        assert!(ShardHistory::from_records(2, Vec::new(), 1).unwrap().check_complete().is_err());
+    }
+
+    #[test]
+    fn persisting_archives_the_delta_in_bounded_records_and_reads_back() {
+        use ix_durable::MemVault;
+        let vault = MemVault::new();
+        let expr = parse("(a - b)*").unwrap();
+        let engine = Engine::new(&expr).unwrap();
+        let capture = |log: &ShardLog| ShardCapture {
+            shard: 1,
+            covered: 0,
+            epoch: log.epoch(),
+            accepted: 0,
+            rejected: 0,
+            state: engine.state_handle().clone(),
+            log: log.clone(),
+            reservations: Vec::new(),
+            subscriptions: Vec::new(),
+            stat_base: StatDelta::ZERO,
+            tier: Vec::new(),
+        };
+        let mut log = ShardLog::new();
+        let mut expected = Vec::new();
+        let push = |log: &mut ShardLog, expected: &mut Vec<Action>, n: usize| {
+            for _ in 0..n {
+                let action = act(["a", "b"][expected.len() % 2]);
+                log.push_single(expected.len() as u64, &action);
+                expected.push(action);
+            }
+        };
+        let read = |log: &ShardLog| merged_log(Some(&vault), [(1, log)]).unwrap();
+
+        // Nothing to archive: no stream, no sync, a snapshot all the same.
+        let first = persist_shards(&vault, &[capture(&log)]);
+        assert_eq!((first.archived_entries, first.history_bytes), (0, 0));
+        assert!(first.blob_bytes > 0 && vault.streams().is_empty());
+
+        push(&mut log, &mut expected, 2 * HISTORY_BATCH + 10);
+        let second = persist_shards(&vault, &[capture(&log)]);
+        assert_eq!(second.archived_entries as usize, 2 * HISTORY_BATCH + 10);
+        assert_eq!(vault.stream_len(history_stream(1)), 3, "two full records and the rest");
+        assert_eq!(second.blob_bytes, first.blob_bytes + 2, "two varints grew by a byte each");
+        log.release(log.len());
+        assert_eq!(read(&log), expected);
+
+        // The next cut appends the delta only.
+        push(&mut log, &mut expected, 5);
+        let third = persist_shards(&vault, &[capture(&log)]);
+        assert_eq!((third.archived_entries, vault.stream_len(history_stream(1))), (5, 4));
+        assert!(third.history_bytes < second.history_bytes / 100);
+        assert_eq!(read(&log), expected, "released prefix from the vault, the rest resident");
+        log.release(log.len());
+        assert_eq!(read(&log), expected);
+
+        // The snapshot resumes the log where the archive ends.
+        let decoded = decode_shard_checkpoint(&vault.load_blob(&snap_blob(1)).unwrap()).unwrap();
+        assert_eq!((decoded.log.len(), decoded.log.archived()), (expected.len(), expected.len()));
+        assert_eq!(read(&decoded.log), expected);
     }
 
     #[test]

@@ -22,6 +22,14 @@
 //! a clone shares every sealed chunk and copies only the open one — which is
 //! what a checkpoint capture, a log read, and a manager clone pay.
 //!
+//! Every chunk remembers its *resume point* — the index of its first entry
+//! and the decoder state there — so a reader can start at any chunk.  That is
+//! what lets a runtime with a vault leave history behind: once a checkpoint
+//! has archived a prefix of the entries ([`ShardLog::release`]), the sealed
+//! chunks wholly inside it are dropped, while [`ShardLog::len`],
+//! [`ShardLog::epoch`] and [`ShardLog::max_seq`] keep counting everything.
+//! A log nobody releases (no vault, the blocking manager) keeps every chunk.
+//!
 //! The key scheme — who sorts before whom in the merged log — is confined to
 //! the three writers ([`ShardLog::push_single`], [`ShardLog::push_cross`],
 //! [`ShardLog::set_epoch`]) and the merge.  Elsewhere a key is a value to
@@ -82,13 +90,29 @@ fn read_head(buf: &mut &[u8]) -> Option<(u8, u64)> {
     Some((first & 3, delta))
 }
 
+/// Where a reader starts a chunk: the index of the chunk's first entry and
+/// the decoder state before its first item.
+#[derive(Clone, Copy, Default)]
+struct Resume {
+    first: usize,
+    epoch: u64,
+    sub: u64,
+}
+
 /// One shard's append-only log of confirmed actions.
 #[derive(Clone, Default)]
 pub(crate) struct ShardLog {
-    sealed: Vec<Arc<[u8]>>,
+    /// The resident sealed chunks, oldest first.
+    sealed: Vec<(Resume, Arc<[u8]>)>,
     open: Vec<u8>,
+    open_resume: Resume,
+    /// Bytes of the resident sealed chunks.
     sealed_bytes: usize,
+    /// Entries ever logged, released ones included.
     entries: usize,
+    /// Entries a checkpoint has archived in the vault: the next one
+    /// archives from here.
+    archived: usize,
     /// Epoch the next single-owner entry is keyed under.
     epoch: u64,
     /// Epoch a reader holds at the end of the stream; differs from `epoch`
@@ -106,14 +130,57 @@ impl ShardLog {
         ShardLog::default()
     }
 
-    /// Number of entries.
+    /// A log whose first `entries` entries live in the vault only: what a
+    /// recovery starts a shard with.  `epoch` and `max_seq` are what
+    /// [`ShardLog::epoch`] and [`ShardLog::max_seq`] returned when the
+    /// entries were archived.
+    pub(crate) fn resumed(entries: usize, epoch: u64, max_seq: u64) -> ShardLog {
+        ShardLog {
+            open_resume: Resume { first: entries, epoch, sub: 0 },
+            entries,
+            archived: entries,
+            epoch,
+            stream_epoch: epoch,
+            max_seq,
+            ..ShardLog::default()
+        }
+    }
+
+    /// Number of entries ever logged, released ones included.
     pub(crate) fn len(&self) -> usize {
         self.entries
     }
 
-    /// Bytes the entries occupy.
+    /// Bytes the resident entries occupy.
     pub(crate) fn bytes(&self) -> usize {
         self.sealed_bytes + self.open.len()
+    }
+
+    /// Entries a checkpoint has archived ([`ShardLog::release`]).
+    pub(crate) fn archived(&self) -> usize {
+        self.archived
+    }
+
+    /// Index of the first resident entry: everything below it was released.
+    pub(crate) fn released(&self) -> usize {
+        self.sealed.first().map_or(self.open_resume.first, |(resume, _)| resume.first)
+    }
+
+    /// Records that the vault holds every entry below `archived` and drops
+    /// the sealed chunks that lie wholly below it.  The open chunk and a
+    /// sealed one the mark falls into stay.
+    pub(crate) fn release(&mut self, archived: usize) {
+        self.archived = self.archived.max(archived.min(self.entries));
+        // A chunk ends where the next one starts.
+        let ends = self.sealed.iter().skip(1).map(|(resume, _)| resume.first);
+        let wholly_below = ends
+            .chain([self.open_resume.first])
+            .take(self.sealed.len())
+            .take_while(|end| *end <= self.archived)
+            .count();
+        for (_, chunk) in self.sealed.drain(..wholly_below) {
+            self.sealed_bytes -= chunk.len();
+        }
     }
 
     /// The largest sequence number among the keys of the entries, `None` for
@@ -193,31 +260,48 @@ impl ShardLog {
             let item = self.open.split_off(start);
             let full = std::mem::take(&mut self.open);
             self.sealed_bytes += full.len();
-            self.sealed.push(Arc::from(full));
+            self.sealed.push((self.open_resume, Arc::from(full)));
+            // The writers update their state after the item is in, so this
+            // is the decoder state before `item`.
+            self.open_resume =
+                Resume { first: self.entries, epoch: self.stream_epoch, sub: self.last_sub };
             self.open.reserve_exact(CHUNK_BYTES.max(item.len()));
             self.open.extend_from_slice(&item);
         }
     }
 
-    /// The entries in commit order, decoded lazily.
+    /// The resident entries in commit order, decoded lazily.
     pub(crate) fn iter(&self) -> Iter<'_> {
         Iter { log: self, next_chunk: 0, rest: &[], epoch: 0, sub: 0, cache: HashMap::new() }
+    }
+
+    /// The entries from index `from` on, which must be resident
+    /// (`released() <= from`).  Starts at the chunk holding `from` and
+    /// skips, undecoded, the entries before it in that chunk.
+    pub(crate) fn iter_from(&self, from: usize) -> Iter<'_> {
+        assert!(from >= self.released(), "entry {from} of the log was released");
+        let (chunk, first) = if self.open_resume.first <= from {
+            (self.sealed.len(), self.open_resume.first)
+        } else {
+            // Not released and not in the open chunk: a sealed chunk starts
+            // at or before it.
+            let chunk = self.sealed.partition_point(|(resume, _)| resume.first <= from) - 1;
+            (chunk, self.sealed[chunk].0.first)
+        };
+        let mut iter = self.iter();
+        iter.next_chunk = chunk;
+        for _ in first..from.min(self.entries) {
+            iter.advance();
+        }
+        iter
     }
 
     /// The given segments merged by key (ties go to the earlier segment):
     /// the commit order across shards.  Every segment is already in key
     /// order, so this is a k-way merge that holds one decoded entry per
     /// segment, not a sort of the concatenation.
-    pub(crate) fn merge<'a>(logs: impl IntoIterator<Item = &'a ShardLog>) -> Merge<'a> {
-        let mut merge = Merge { iters: Vec::new(), heads: BinaryHeap::new(), run: None };
-        for (segment, log) in logs.into_iter().enumerate() {
-            let mut iter = log.iter();
-            if let Some((key, action)) = iter.next() {
-                merge.heads.push(Reverse(((key, segment), action)));
-            }
-            merge.iters.push(iter);
-        }
-        merge
+    pub(crate) fn merge<'a>(logs: impl IntoIterator<Item = &'a ShardLog>) -> Merge<Iter<'a>> {
+        Merge::new(logs.into_iter().map(ShardLog::iter))
     }
 
     /// The actions of the merged segments in commit order.
@@ -241,7 +325,7 @@ impl fmt::Debug for ShardLog {
     }
 }
 
-/// Lazy decoder over one [`ShardLog`].
+/// Lazy decoder over the resident entries of one [`ShardLog`].
 pub(crate) struct Iter<'a> {
     log: &'a ShardLog,
     next_chunk: usize,
@@ -253,19 +337,23 @@ pub(crate) struct Iter<'a> {
     cache: HashMap<&'a [u8], Action>,
 }
 
-impl Iterator for Iter<'_> {
-    type Item = (LogKey, Action);
+const OWN: &str = "a ShardLog holds only bytes it encoded";
 
-    fn next(&mut self) -> Option<(LogKey, Action)> {
-        const OWN: &str = "a ShardLog holds only bytes it encoded";
+impl<'a> Iter<'a> {
+    /// The key and the packed action of the next entry.
+    fn advance(&mut self) -> Option<(LogKey, &'a [u8])> {
         loop {
             while self.rest.is_empty() {
                 let log = self.log;
-                self.rest = match self.next_chunk.cmp(&log.sealed.len()) {
-                    std::cmp::Ordering::Less => &log.sealed[self.next_chunk][..],
-                    std::cmp::Ordering::Equal => &log.open[..],
+                let (resume, chunk) = match self.next_chunk.cmp(&log.sealed.len()) {
+                    std::cmp::Ordering::Less => {
+                        let (resume, chunk) = &log.sealed[self.next_chunk];
+                        (*resume, &chunk[..])
+                    }
+                    std::cmp::Ordering::Equal => (log.open_resume, &log.open[..]),
                     std::cmp::Ordering::Greater => return None,
                 };
+                (self.epoch, self.sub, self.rest) = (resume.epoch, resume.sub, chunk);
                 self.next_chunk += 1;
             }
             let (kind, delta) = read_head(&mut self.rest).expect(OWN);
@@ -286,24 +374,35 @@ impl Iterator for Iter<'_> {
             };
             let (packed, rest) = self.rest.split_at(Action::packed_len(self.rest).expect(OWN));
             self.rest = rest;
-            let action = match self.cache.get(packed) {
-                Some(action) => action.clone(),
-                None => {
-                    let action = Action::unpack(&mut &*packed).expect(OWN);
-                    if self.cache.len() < DECODE_CACHE {
-                        self.cache.insert(packed, action.clone());
-                    }
-                    action
-                }
-            };
-            return Some((key, action));
+            return Some((key, packed));
         }
     }
 }
 
-/// K-way merge of shard segments by key ([`ShardLog::merge`]).
-pub(crate) struct Merge<'a> {
-    iters: Vec<Iter<'a>>,
+impl Iterator for Iter<'_> {
+    type Item = (LogKey, Action);
+
+    fn next(&mut self) -> Option<(LogKey, Action)> {
+        let (key, packed) = self.advance()?;
+        let action = match self.cache.get(packed) {
+            Some(action) => action.clone(),
+            None => {
+                let action = Action::unpack(&mut &*packed).expect(OWN);
+                if self.cache.len() < DECODE_CACHE {
+                    self.cache.insert(packed, action.clone());
+                }
+                action
+            }
+        };
+        Some((key, action))
+    }
+}
+
+/// K-way merge of segments by key ([`ShardLog::merge`]).  A segment is any
+/// iterator over one shard's entries in commit order: the resident entries,
+/// or what the vault archived chained before them.
+pub(crate) struct Merge<I> {
+    iters: Vec<I>,
     /// The next entry of every segment not being drained as `run`.
     heads: BinaryHeap<Reverse<((LogKey, usize), Action)>>,
     /// The segment the last entry came from and its next entry, kept out of
@@ -313,7 +412,20 @@ pub(crate) struct Merge<'a> {
     run: Option<((LogKey, usize), Action)>,
 }
 
-impl Iterator for Merge<'_> {
+impl<I: Iterator<Item = (LogKey, Action)>> Merge<I> {
+    pub(crate) fn new(segments: impl IntoIterator<Item = I>) -> Merge<I> {
+        let mut merge = Merge { iters: Vec::new(), heads: BinaryHeap::new(), run: None };
+        for (segment, mut iter) in segments.into_iter().enumerate() {
+            if let Some((key, action)) = iter.next() {
+                merge.heads.push(Reverse(((key, segment), action)));
+            }
+            merge.iters.push(iter);
+        }
+        merge
+    }
+}
+
+impl<I: Iterator<Item = (LogKey, Action)>> Iterator for Merge<I> {
     type Item = (LogKey, Action);
 
     fn next(&mut self) -> Option<(LogKey, Action)> {
@@ -342,7 +454,11 @@ mod tests {
     }
 
     fn raw(log: &ShardLog) -> Vec<u8> {
-        log.sealed.iter().flat_map(|c| c.iter().copied()).chain(log.open.iter().copied()).collect()
+        log.sealed
+            .iter()
+            .flat_map(|(_, c)| c.iter().copied())
+            .chain(log.open.iter().copied())
+            .collect()
     }
 
     fn entries(log: &ShardLog) -> Vec<(LogKey, Action)> {
@@ -358,6 +474,9 @@ mod tests {
         );
         assert_eq!(log.iter().next(), None);
         assert_eq!(ShardLog::merge([&log, &log]).next(), None);
+        let mut log = log;
+        log.release(5);
+        assert_eq!((log.archived(), log.released(), log.iter_from(0).next()), (0, 0, None));
     }
 
     #[test]
@@ -421,7 +540,10 @@ mod tests {
             }
             n += 1;
         }
-        assert!(log.sealed.iter().all(|c| c.len() <= CHUNK_BYTES && c.len() > CHUNK_BYTES - 32));
+        assert!(log
+            .sealed
+            .iter()
+            .all(|(_, c)| c.len() <= CHUNK_BYTES && c.len() > CHUNK_BYTES - 32));
         assert_eq!(log.bytes(), raw(&log).len());
         assert_eq!(log.len(), shadow.len());
         assert_eq!(entries(&log), shadow);
@@ -465,7 +587,7 @@ mod tests {
             if slack == 0 {
                 assert_eq!((log.sealed.len(), log.open.len()), (0, CHUNK_BYTES));
             } else {
-                assert_eq!((log.sealed.len(), log.sealed[0].len()), (1, used));
+                assert_eq!((log.sealed.len(), log.sealed[0].1.len()), (1, used));
             }
             // Either way the chunk holding `fill` has no room for another.
             log.push_single(3, &small);
@@ -485,7 +607,7 @@ mod tests {
         log.push_single(2, &big);
         log.push_single(3, &small);
         assert_eq!(log.sealed.len(), 2);
-        assert!(log.sealed[1].len() > CHUNK_BYTES);
+        assert!(log.sealed[1].1.len() > CHUNK_BYTES);
         assert_eq!(
             entries(&log),
             vec![((0, 1, 1), small.clone()), ((0, 1, 2), big), ((0, 1, 3), small)]
@@ -502,7 +624,7 @@ mod tests {
         }
         let snapshot = log.clone();
         let (bytes, seen) = (raw(&snapshot), entries(&snapshot));
-        assert!(snapshot.sealed.iter().zip(&log.sealed).all(|(s, l)| Arc::ptr_eq(s, l)));
+        assert!(snapshot.sealed.iter().zip(&log.sealed).all(|(s, l)| Arc::ptr_eq(&s.1, &l.1)));
         assert!(snapshot.open.capacity() < CHUNK_BYTES, "only the used part is copied");
         // The original keeps growing, past the end of the chunk that was
         // open when the snapshot was taken.
@@ -518,6 +640,94 @@ mod tests {
         fork.push_cross(1 << 40, &nullary(0));
         assert_eq!(fork.len(), snapshot.len() + 1);
         assert_eq!(raw(&snapshot), bytes);
+    }
+
+    /// A log of `chunks` sealed chunks and a partly filled open one, an
+    /// epoch change every 50 entries, with the entries it holds.
+    fn chunked(chunks: usize) -> (ShardLog, Vec<(LogKey, Action)>) {
+        let (mut log, mut shadow) = (ShardLog::new(), Vec::new());
+        let mut n = 0u64;
+        while log.sealed.len() < chunks || log.open.len() < 100 {
+            let action = Action::concrete("log_wide", [Value::int(n as i64 * 1_000_003)]);
+            match n % 50 {
+                0 => shadow.push((log.push_cross(2 * n, &action), action)),
+                25 => {
+                    log.set_epoch(2 * n);
+                    shadow.push((log.push_single(2 * n + 1, &action), action));
+                }
+                _ => shadow.push((log.push_single(2 * n + 1, &action), action)),
+            }
+            n += 1;
+        }
+        (log, shadow)
+    }
+
+    #[test]
+    fn release_drops_whole_chunks_below_the_mark_and_keeps_counting() {
+        let (mut log, shadow) = chunked(4);
+        let firsts: Vec<usize> = log.sealed.iter().map(|(r, _)| r.first).collect();
+        let (len, epoch, max_seq, bytes) = (log.len(), log.epoch(), log.max_seq(), log.bytes());
+        assert_eq!((log.released(), log.archived()), (0, 0));
+
+        // A mark inside the second chunk releases the first only.
+        let mark = firsts[1] + 10;
+        log.release(mark);
+        assert_eq!((log.archived(), log.released()), (mark, firsts[1]));
+        assert_eq!(log.sealed.len(), 3);
+        assert!(log.bytes() < bytes && log.bytes() == raw(&log).len());
+        assert_eq!((log.len(), log.epoch(), log.max_seq()), (len, epoch, max_seq));
+        assert_eq!(entries(&log), shadow[firsts[1]..]);
+        // A lower mark later is a no-op; a mark at a chunk boundary releases
+        // up to that chunk.
+        log.release(3);
+        assert_eq!((log.archived(), log.released()), (mark, firsts[1]));
+        log.release(firsts[3]);
+        assert_eq!(log.released(), firsts[3]);
+        assert_eq!(entries(&log), shadow[firsts[3]..]);
+
+        // The released log keeps logging; a mark past the end archives
+        // everything and leaves the open chunk.
+        let more = nullary(1);
+        let key = log.push_single(1 << 40, &more);
+        log.release(usize::MAX);
+        assert_eq!(log.archived(), len + 1);
+        assert!(log.sealed.is_empty() && log.released() == log.open_resume.first);
+        assert_eq!(entries(&log).last(), Some(&(key, more)));
+        assert_eq!(entries(&log), [&shadow[log.released()..], &[(key, nullary(1))]].concat());
+    }
+
+    #[test]
+    fn iter_from_starts_at_any_resident_entry() {
+        let (mut log, shadow) = chunked(3);
+        let firsts: Vec<usize> = log.sealed.iter().map(|(r, _)| r.first).collect();
+        let open_first = log.open_resume.first;
+        for from in [0, 1, firsts[1] - 1, firsts[1], firsts[2] + 7, open_first, log.len() - 1] {
+            assert_eq!(log.iter_from(from).collect::<Vec<_>>(), shadow[from..], "from {from}");
+        }
+        assert_eq!(log.iter_from(log.len()).next(), None);
+        log.release(firsts[2]);
+        for from in [firsts[2], firsts[2] + 1, open_first + 3] {
+            assert_eq!(log.iter_from(from).collect::<Vec<_>>(), shadow[from..], "from {from}");
+        }
+    }
+
+    #[test]
+    fn a_resumed_log_continues_the_count_and_the_keys() {
+        let (full, shadow) = chunked(1);
+        let mut log = ShardLog::resumed(full.len(), full.epoch(), full.max_seq().expect("entries"));
+        assert_eq!(
+            (log.len(), log.archived(), log.released()),
+            (full.len(), full.len(), full.len())
+        );
+        assert_eq!((log.epoch(), log.max_seq(), log.bytes()), (full.epoch(), full.max_seq(), 0));
+        assert_eq!(log.iter().next(), None);
+        let action = nullary(2);
+        let single = log.push_single(1 << 40, &action);
+        assert_eq!(single, (full.epoch(), 1, 1 << 40));
+        log.push_keyed((3 << 40, 0, 0), &action);
+        assert_eq!(entries(&log), vec![(single, action.clone()), ((3 << 40, 0, 0), action)]);
+        assert_eq!(log.iter_from(shadow.len() + 1).count(), 1);
+        assert_eq!(log.len(), shadow.len() + 2);
     }
 
     #[test]

@@ -58,7 +58,7 @@
 //! equivalence property tests).
 
 use crate::durability::{
-    self, durability_err, DurabilityHub, Manifest, QueueCheckpoint, ShardCapture, StatDelta,
+    self, durability_err, DurabilityHub, Gaps, Manifest, QueueCheckpoint, ShardCapture, StatDelta,
     TopologyCheckpoint, VaultQueueBackend, WalRecord,
 };
 use crate::error::{ManagerError, ManagerResult, SubmitError};
@@ -78,6 +78,7 @@ use ix_state::{
     DEFAULT_TIER_BUDGET,
 };
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, Weak};
 use std::thread::JoinHandle;
@@ -314,9 +315,11 @@ struct ShardGate {
     /// of the placement rebalancer — a transient burst barely moves it, a
     /// queue that *stays* deep saturates it.
     depth_ewma: AtomicU64,
-    /// Entries and bytes of the shard's commit log, published by the owning
+    /// Entries of the shard's commit log, how many of them a checkpoint has
+    /// archived, and the bytes of the resident ones; published by the owning
     /// worker after every task.
     log_entries: AtomicU64,
+    log_archived: AtomicU64,
     log_bytes: AtomicU64,
 }
 
@@ -334,6 +337,7 @@ impl ShardGate {
             service_ewma_ns: AtomicU64::new(0),
             depth_ewma: AtomicU64::new(0),
             log_entries: AtomicU64::new(0),
+            log_archived: AtomicU64::new(0),
             log_bytes: AtomicU64::new(0),
         }
     }
@@ -342,6 +346,7 @@ impl ShardGate {
     /// Called only by whoever holds the shard state, so plain stores do.
     fn publish_log(&self, log: &ShardLog) {
         self.log_entries.store(log.len() as u64, Ordering::Relaxed);
+        self.log_archived.store(log.archived() as u64, Ordering::Relaxed);
         self.log_bytes.store(log.bytes() as u64, Ordering::Relaxed);
     }
 
@@ -442,6 +447,7 @@ impl ShardGate {
             service_ewma_ns: self.service_ewma_ns.load(Ordering::Relaxed),
             depth_ewma: self.depth_ewma.load(Ordering::Relaxed) as usize / 16,
             log_entries: self.log_entries.load(Ordering::Relaxed),
+            log_archived: self.log_archived.load(Ordering::Relaxed),
             log_bytes: self.log_bytes.load(Ordering::Relaxed),
         }
     }
@@ -474,8 +480,13 @@ pub struct ShardLoad {
     /// Confirmed actions in the shard's commit log (a multi-owner action
     /// counts on its primary owner only).
     pub log_entries: u64,
-    /// Bytes of memory those entries occupy — the part of the runtime's
-    /// footprint that grows with every commit.
+    /// Of those, the entries a checkpoint has archived on the shard's
+    /// history stream in the vault (always 0 without a vault).
+    pub log_archived: u64,
+    /// Bytes of memory the *resident* entries occupy: all of them without a
+    /// vault — the part of the footprint that then grows with every commit
+    /// — and under a vault the ones committed since the last checkpoint,
+    /// plus at most one chunk the archived mark fell into.
     pub log_bytes: u64,
 }
 
@@ -547,6 +558,7 @@ fn task_units(task: &Task) -> usize {
         | Task::LogSegment(_)
         | Task::Compile(_)
         | Task::Checkpoint(_)
+        | Task::Release(..)
         | Task::Stop => 0,
     }
 }
@@ -810,6 +822,13 @@ struct RuntimeShared {
     /// before or entirely after a quiescence point on every queue they
     /// share — never half/half.
     cross_enqueue: Mutex<()>,
+    /// Held by whoever persists shards — a checkpoint cut from its captures
+    /// to its releases, a repartition from its pause barriers to its
+    /// resumes.  A cut archives from the mark the previous one released at
+    /// and truncates the write-ahead prefix its captures cover, so two of
+    /// them interleaved could save an older snapshot over a newer one whose
+    /// prefix is already gone, or archive the same entries out of order.
+    persisting: Mutex<()>,
     reservation_index: Mutex<HashMap<u64, Vec<usize>>>,
     cross_subscriptions: Mutex<CrossSubscriptions>,
     orphan_subscriptions: Mutex<SubscriptionRegistry>,
@@ -1191,6 +1210,10 @@ enum Task {
     /// encoding and blob writes happen on the coordinator, off the shard's
     /// critical path.  Completes `None` on a non-durable runtime.
     Checkpoint(TicketIssuer<Option<ShardCapture>>),
+    /// The vault holds the shard's first `n` log entries durably (the
+    /// checkpoint that archived them is complete): drop the chunks that lie
+    /// wholly below the mark.
+    Release(usize, TicketIssuer<()>),
     Stop,
 }
 
@@ -1552,8 +1575,15 @@ pub struct CheckpointReport {
     /// Number of shards that produced a capture (all of them, absent a
     /// racing shutdown).
     pub captured: usize,
-    /// Total size of the written snapshot blobs in bytes.
+    /// Total size of the written snapshot blobs in bytes.  A snapshot holds
+    /// the state that decides the next action, not the confirmed actions, so
+    /// this does not grow with the length of the run.
     pub bytes: u64,
+    /// Confirmed actions this cut moved to the shards' history streams: the
+    /// ones committed since the previous cut.
+    pub archived_entries: u64,
+    /// Bytes of the history records holding them.
+    pub history_bytes: u64,
 }
 
 /// Serializes the cross-shard subscription registry into manifest rows.
@@ -2140,6 +2170,7 @@ fn spawn_runtime(
         topology: Arc::downgrade(&topology),
         epoch: AtomicU64::new(epoch),
         cross_enqueue: Mutex::new(()),
+        persisting: Mutex::new(()),
         reservation_index: Mutex::new(globals.reservation_index),
         cross_subscriptions: Mutex::new(globals.cross_subscriptions),
         orphan_subscriptions: Mutex::new(globals.orphan_subscriptions),
@@ -2438,9 +2469,20 @@ impl ManagerRuntime {
     /// reports its segment through its own queue, so the snapshot reflects
     /// every commit that completed before this call.  A shard worker pays
     /// for sharing its sealed chunks and copying the open one; decoding and
-    /// merging happen on the caller.
+    /// merging happen on the caller, which under a vault also reads what the
+    /// checkpoints archived back from the shards' history streams.
+    ///
+    /// If a history stream lost entries a snapshot counts (a device that
+    /// lied about a sync), the log ends before the first lost one; the state
+    /// that decides is not affected.
+    ///
+    /// # Panics
+    /// If a history record passes its checksum and does not decode.
     pub fn log(&self) -> Vec<Action> {
-        ShardLog::merged_actions(&self.ask_shards(Task::LogSegment))
+        let segments = self.ask_shards(Task::LogSegment);
+        let vault = self.shared.vault();
+        durability::merged_log(vault, segments.iter().enumerate())
+            .unwrap_or_else(|e| panic!("reading the archived commit log: {e}"))
     }
 
     /// True if the interaction state is final on every shard.
@@ -2558,6 +2600,7 @@ impl ManagerRuntime {
         let shared = &self.shared;
         // Serializes migrations and guards the live partition.
         let mut partition = lock(&self.partition);
+        let _persisting = lock(&shared.persisting);
         let old_len = partition.len();
         let (new_partition, delta) = partition.extend(std::slice::from_ref(constraint));
         if require_overlap && delta.widened.is_empty() {
@@ -2633,16 +2676,20 @@ impl ManagerRuntime {
             // merged affected segments sorted by log key are a legal
             // linearization of everything the new components can cover (a
             // shared action's primary owner is itself affected, so its
-            // entries are all here).
+            // entries are all here).  That means *every* entry: what the
+            // checkpoints archived comes back from the vault, and a history
+            // stream with a gap fails the migration.
             let mut rejected = None;
-            'replay: for (key, action) in ShardLog::merge(paused.iter().map(|(_, st, _)| &st.log)) {
+            let vault = shared.vault();
+            let logs = paused.iter().map(|(s, st, _)| (*s, &st.log));
+            let read = durability::visit_log(vault, logs, Gaps::Refuse, |key, action| {
                 for (i, (_, engine, alphabet)) in new_engines.iter_mut().enumerate() {
                     if !alphabet.covers(&action) {
                         continue;
                     }
                     if !engine.try_execute(&action) {
                         rejected = Some(action.to_string());
-                        break 'replay;
+                        return ControlFlow::Break(());
                     }
                     replayed += 1;
                     // Future single-owner commits of this new shard must
@@ -2650,10 +2697,16 @@ impl ManagerRuntime {
                     // largest epoch/sequence component seen.
                     new_epochs[i] = new_epochs[i].max(key.0);
                 }
-            }
-            if let Some(action) = rejected {
+                ControlFlow::Continue(())
+            });
+            let failed = match (read, rejected) {
+                (Err(e), _) => Some(e),
+                (Ok(()), Some(action)) => Some(ManagerError::IncompatibleExtension { action }),
+                (Ok(()), None) => None,
+            };
+            if let Some(error) = failed {
                 resume_paused(&shared.pool, paused);
-                return Err(ManagerError::IncompatibleExtension { action });
+                return Err(error);
             }
 
             // ---- Nothing can fail from here on: migrate reservations and
@@ -2831,12 +2884,8 @@ impl ManagerRuntime {
                 publish_reservation_fp(shared, &state);
                 // A new shard is born with replayed history its (empty) log
                 // stream does not cover: snapshot it before it serves.
-                if let Some(cap) = state.capture() {
-                    let hub = shared.durability.as_ref().expect("capture implies a hub");
-                    hub.vault().save_blob(
-                        &durability::snap_blob(idx),
-                        &durability::encode_shard_checkpoint(&cap),
-                    );
+                if let (Some(cap), Some(vault)) = (state.capture(), shared.vault()) {
+                    durability::persist_shards(vault, &[cap]);
                 }
                 let cell = Arc::new(ShardSlot {
                     rx,
@@ -2899,14 +2948,11 @@ impl ManagerRuntime {
         // engine or alphabet), so a crash before the blob rewrite simply
         // recovers the old partition.
         if let Some(hub) = &shared.durability {
-            for (_, state, _) in paused.iter() {
-                if let Some(cap) = state.capture() {
-                    hub.vault().save_blob(
-                        &durability::snap_blob(cap.shard),
-                        &durability::encode_shard_checkpoint(&cap),
-                    );
-                    hub.vault().truncate(DurabilityHub::shard_stream(cap.shard), cap.covered);
-                }
+            let captures: Vec<ShardCapture> =
+                paused.iter().filter_map(|(_, state, _)| state.capture()).collect();
+            durability::persist_shards(hub.vault().as_ref(), &captures);
+            for cap in &captures {
+                hub.vault().truncate(DurabilityHub::shard_stream(cap.shard), cap.covered);
             }
             write_topology_blob(hub, &joined_expr, &new_partition);
             if let Some(blob) = hub.vault().load_blob(durability::MANIFEST_BLOB) {
@@ -2917,6 +2963,11 @@ impl ManagerRuntime {
                     .save_blob(durability::MANIFEST_BLOB, &durability::encode_manifest(&manifest));
             }
             hub.vault().sync();
+            // The coordinator holds the paused states: it releases what it
+            // just archived itself.
+            for (_, state, _) in paused.iter_mut() {
+                state.log.release(state.log.len());
+            }
         }
         resume_paused(&shared.pool, paused);
         let repart = &shared.repart;
@@ -3087,8 +3138,9 @@ impl ManagerRuntime {
         }
         let mut finished = std::mem::take(&mut *lock(&self.shared.pool.finished));
         finished.sort_by_key(|state| state.id);
+        let vault = self.shared.vault();
         Ok(RuntimeReport {
-            log: ShardLog::merged_actions(finished.iter().map(|state| &state.log)),
+            log: durability::merged_log(vault, finished.iter().map(|st| (st.id, &st.log)))?,
             stats: self.shared.stats.snapshot(),
             clock: self.shared.clock.load(Ordering::Relaxed),
             shards: finished.len(),
@@ -3807,6 +3859,9 @@ fn run_checkpoint(
         .durability
         .as_ref()
         .ok_or_else(|| durability_err("checkpoint requires a runtime with a vault"))?;
+    // From capture to release one cut at a time: a cut archives from the
+    // mark the previous one released at.
+    let _persisting = lock(&shared.persisting);
     let topo = read_topology(slot);
     let mut pending = Vec::with_capacity(topo.queues.len());
     for (shard, queue) in topo.queues.iter().enumerate() {
@@ -3819,12 +3874,7 @@ fn run_checkpoint(
     let shards = pending.len();
     let mut captures: Vec<ShardCapture> = pending.into_iter().filter_map(|t| t.wait()).collect();
     captures.sort_by_key(|c| c.shard);
-    let mut bytes = 0u64;
-    for cap in &captures {
-        let blob = durability::encode_shard_checkpoint(cap);
-        bytes += blob.len() as u64;
-        hub.vault().save_blob(&durability::snap_blob(cap.shard), &blob);
-    }
+    let persisted = durability::persist_shards(hub.vault().as_ref(), &captures);
     // Fold the covered meta-stream prefix into the manifest's statistics
     // base.  Records racing in *after* the captured length keep an index
     // >= `meta_len`, survive the truncation, and replay as tail — the
@@ -3875,7 +3925,28 @@ fn run_checkpoint(
     }
     hub.vault().truncate(META_STREAM, meta_len);
     hub.vault().sync();
-    Ok(CheckpointReport { shards, captured: captures.len(), bytes })
+    // The cut is complete: the shards may forget what it archived.
+    let released: Vec<Ticket<()>> = captures
+        .iter()
+        .map(|cap| {
+            let (issuer, t) = ticket();
+            match topo.queues[cap.shard].send(Task::Release(cap.log.len(), issuer)) {
+                Ok(()) => topo.pool.core.wake_shard(cap.shard),
+                Err(SendError(task)) => fail_task(task),
+            }
+            t
+        })
+        .collect();
+    for t in released {
+        t.wait();
+    }
+    Ok(CheckpointReport {
+        shards,
+        captured: captures.len(),
+        bytes: persisted.blob_bytes,
+        archived_entries: persisted.archived_entries,
+        history_bytes: persisted.history_bytes,
+    })
 }
 
 /// One pass of the hot-shard rebalancer: sample every shard's backlog into
@@ -4417,6 +4488,13 @@ fn serve_slice(
             Task::LogSegment(issuer) => issuer.complete(st.log.clone()),
             Task::Compile(issuer) => issuer.complete(st.engine.compile_tier()),
             Task::Checkpoint(issuer) => issuer.complete(st.capture()),
+            Task::Release(archived, issuer) => {
+                st.log.release(archived);
+                // Published before the ticket: a load report read after the
+                // checkpoint returns shows what it released.
+                slot.gate.publish_log(&st.log);
+                issuer.complete(());
+            }
             Task::Stop => {
                 // Fail everything still queued behind the Stop marker; the
                 // enqueue lock guarantees a cross task behind one owner's
@@ -4468,6 +4546,7 @@ fn fail_task(task: Task) {
         Task::LogSegment(issuer) => issuer.complete(ShardLog::new()),
         Task::Compile(issuer) => issuer.complete(TierStats::default()),
         Task::Checkpoint(issuer) => issuer.complete(None),
+        Task::Release(_, issuer) => issuer.complete(()),
         Task::Stop => {}
     }
 }
@@ -6073,6 +6152,12 @@ fn deliver(shared: &RuntimeShared, notes: &[Notification]) {
 }
 
 impl RuntimeShared {
+    /// The vault the checkpoints archive the commit log in, if any: where
+    /// readers of the whole log find what the shards released.
+    fn vault(&self) -> Option<&dyn Vault> {
+        self.durability.as_ref().map(|hub| hub.vault().as_ref())
+    }
+
     fn new_reservation(&self, client: ClientId, action: &Action) -> Reservation {
         let now = self.clock.load(Ordering::Relaxed);
         let expires_at = match self.variant {

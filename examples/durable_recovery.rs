@@ -57,8 +57,9 @@ fn main() {
     ));
     let report = runtime.checkpoint().unwrap();
     println!(
-        "checkpoint: {} of {} shards captured, {} snapshot bytes — covered log prefix truncated",
-        report.captured, report.shards, report.bytes
+        "checkpoint: {} of {} shards captured, {} snapshot bytes, {} log entries archived \
+         ({} history bytes) — covered log prefix truncated",
+        report.captured, report.shards, report.bytes, report.archived_entries, report.history_bytes
     );
     // Post-checkpoint traffic lives only in the log tail.
     for p in 32..40 {

@@ -166,9 +166,16 @@ fn snapshot_inspect(dir: &str) -> ExitCode {
             "no snapshot".to_string()
         };
         println!(
-            "shard {:>4} : {snapshot}, {} log entries, {} reservations, \
-             {} tier tables, covered {} + {} tail records",
-            s.shard, s.log_entries, s.reservations, s.tier_tables, s.covered, s.tail_records
+            "shard {:>4} : {snapshot}, {} log entries ({} archived in {} history records), \
+             {} reservations, {} tier tables, covered {} + {} tail records",
+            s.shard,
+            s.log_entries,
+            s.archived_entries,
+            s.history_records,
+            s.reservations,
+            s.tier_tables,
+            s.covered,
+            s.tail_records
         );
     }
     ExitCode::SUCCESS

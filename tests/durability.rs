@@ -245,6 +245,228 @@ fn fault_injected_crash_points_recover_to_acknowledged_prefix() {
     }
 }
 
+/// A checkpoint archives, syncs, snapshots, truncates, syncs and releases;
+/// a crash may fall between any two of its vault operations.  Sweep an I/O
+/// error, a torn record and an fsync lie over every operation of two
+/// checkpoints (the first archives from entry 0, the second a delta) and of
+/// the commits around them: every crash recovers, and `log()` is the
+/// acknowledged sequence up to some point — no entry twice, none skipped.
+/// Whatever was durable before an I/O error is there.  The survivor commits,
+/// checkpoints and recovers once more with the same log.
+#[test]
+fn a_crash_between_any_two_steps_of_an_archiving_checkpoint_recovers_the_prefix() {
+    use ix_durable::{FaultMode, FaultPlan, FaultVault};
+
+    let options =
+        RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
+    let fault = Arc::new(FaultVault::new());
+    let vault: Arc<dyn Vault> = Arc::clone(&fault) as Arc<dyn Vault>;
+    let runtime = ManagerRuntime::with_durability(&coupled_constraint(), options, vault).unwrap();
+    let session = runtime.session(1);
+    let mut committed = Vec::new();
+    // `(storage operations, commits)` when a checkpoint starts and ends.
+    let mut cuts = Vec::new();
+    for i in 0..15i64 {
+        for kind in ["call", "perform"] {
+            let action = dept(kind, (i % 3) as usize, 1 + i);
+            assert!(matches!(session.execute(&action).wait(), Completion::Executed { .. }));
+            committed.push(action);
+        }
+        if i % 6 == 4 {
+            assert!(matches!(session.execute(&audit()).wait(), Completion::Executed { .. }));
+            committed.push(audit());
+            cuts.push((fault.ops(), committed.len()));
+            let report = runtime.checkpoint().unwrap();
+            assert!(report.archived_entries > 0 && report.history_bytes > 0);
+            cuts.push((fault.ops(), committed.len()));
+        }
+    }
+    assert_eq!(runtime.log(), committed);
+    runtime.shutdown().unwrap();
+    assert_eq!(cuts.len(), 4, "two checkpoints, the second one archiving a delta");
+
+    let probe = dept("call", 0, 99);
+    let mut gaps = 0;
+    for at in cuts[0].0 - 3..=fault.ops() {
+        // What an I/O error at `at` cannot take away: the commits journaled
+        // before the last checkpoint that started before it.
+        let durable = cuts.iter().rev().find(|(ops, _)| *ops <= at).map_or(0, |(_, n)| *n);
+        for mode in [FaultMode::ErrorAfter, FaultMode::TornFinal, FaultMode::FsyncLie] {
+            let plan = FaultPlan { mode, at };
+            let disk: Arc<dyn Vault> = Arc::new(fault.surviving(&plan));
+            let recovered = ManagerRuntime::recover(Arc::clone(&disk), options)
+                .unwrap_or_else(|e| panic!("recovery failed under {plan:?}: {e}"));
+            let log = recovered.log();
+            assert!(
+                log.len() <= committed.len() && log == committed[..log.len()],
+                "not a prefix of the acknowledged commits under {plan:?}: {log:?}"
+            );
+            if mode == FaultMode::ErrorAfter {
+                assert!(
+                    log.len() >= durable,
+                    "{} of {durable} durable commits, {plan:?}",
+                    log.len()
+                );
+            }
+            // The survivor serves, checkpoints and recovers again.  Its log
+            // grows by what it commits, unless the fault left a gap in a
+            // history stream (an append lost, the snapshot counting it
+            // kept): then the log ends before the gap for good.
+            let served =
+                matches!(recovered.session(7).execute(&probe).wait(), Completion::Executed { .. });
+            let mut expected = log.clone();
+            expected.extend(served.then(|| probe.clone()));
+            let gap = recovered.log() != expected;
+            assert!(!gap || (mode != FaultMode::ErrorAfter && recovered.log() == log), "{plan:?}");
+            gaps += usize::from(gap);
+            assert_eq!(inspect_vault(&disk).is_err(), gap, "inspection reports the gap, {plan:?}");
+            recovered.checkpoint().unwrap();
+            let before = recovered.log();
+            assert_eq!(recovered.shutdown().unwrap().log, before);
+            let again = ManagerRuntime::recover(disk, options).unwrap();
+            assert_eq!(again.log(), before, "second recovery under {plan:?}");
+            again.shutdown().unwrap();
+        }
+    }
+    assert!(gaps > 0, "the sweep must reach the crashes that lose archived entries");
+
+    // A live repartition needs every entry of the shards it couples: it
+    // refuses a history with a gap and leaves the runtime as it was.  (The
+    // second checkpoint's snapshots survive this lie, its archive does not.)
+    let plan = FaultPlan { mode: FaultMode::FsyncLie, at: cuts[2].0 };
+    let recovered =
+        ManagerRuntime::recover(Arc::new(fault.surviving(&plan)), options).expect("recovery");
+    let log = recovered.log();
+    assert!(log.len() < cuts[2].1 && log == committed[..log.len()], "{log:?}");
+    let refused = recovered.couple(&parse("(audit - review)*").unwrap()).unwrap_err();
+    assert!(matches!(refused, ix_manager::ManagerError::Durability { .. }), "{refused}");
+    assert_eq!(recovered.shard_count(), 3);
+    assert!(matches!(recovered.session(7).execute(&probe).wait(), Completion::Executed { .. }));
+    recovered.shutdown().unwrap();
+}
+
+/// What stays in memory and what a checkpoint writes follow the commits
+/// since the last checkpoint, not the length of the run — while `log()`,
+/// `shutdown().log`, a recovery and the history replay of a live
+/// repartition still see every entry, the same as a twin runtime without a
+/// vault driven by the same schedule.
+#[test]
+fn residency_and_checkpoint_cost_follow_the_delta() {
+    const CHUNK: u64 = 64 * 1024;
+    const CASES: i64 = 1400;
+    const ROUNDS: i64 = 3;
+    // Three ten-byte arguments: an entry packs into 37 bytes, so a round of
+    // 2 800 entries per shard spans a chunk and a half.
+    let dept =
+        |k: usize| format!("(some p {{ wide_call{k}(p, p, p) - wide_perform{k}(p, p, p) }})*");
+    let expr = parse(&(0..4).map(dept).collect::<Vec<_>>().join(" @ ")).unwrap();
+    let wide = |kind: &str, k: usize, n: i64| {
+        Action::concrete(&format!("wide_{kind}{k}"), [Value::int(i64::MAX - n); 3])
+    };
+    // One department at a time, so the commit order is the submission order.
+    let drive = |runtime: &ManagerRuntime, cases: std::ops::Range<i64>| {
+        let session = runtime.session(1);
+        let cases: Vec<i64> = cases.collect();
+        for window in cases.chunks(32) {
+            for k in 0..4 {
+                let actions: Vec<Action> = window
+                    .iter()
+                    .flat_map(|n| [wide("call", k, *n), wide("perform", k, *n)])
+                    .collect();
+                for ticket in session.submit_batch(&actions) {
+                    assert!(matches!(ticket.wait(), Completion::Executed { .. }));
+                }
+            }
+        }
+    };
+    let load = |runtime: &ManagerRuntime| {
+        // A control task behind the commits: their gauges are published.
+        runtime.is_final();
+        runtime.load_report().shards
+    };
+
+    let options =
+        RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
+    let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
+    let durable = ManagerRuntime::with_durability(&expr, options, Arc::clone(&vault)).unwrap();
+    let twin = ManagerRuntime::with_options(&expr, options).unwrap();
+    assert_eq!(durable.shard_count(), 4);
+
+    let per_shard = 2 * CASES as u64;
+    let mut round_bytes = 0;
+    let mut cuts = Vec::new();
+    for round in 0..ROUNDS {
+        for runtime in [&durable, &twin] {
+            drive(runtime, round * CASES..(round + 1) * CASES);
+        }
+        let done = (round as u64 + 1) * per_shard;
+        if round == 0 {
+            round_bytes = load(&twin)[0].log_bytes;
+            assert!(round_bytes > CHUNK, "a round must span more than a chunk: {round_bytes}");
+        }
+        for shard in load(&durable) {
+            assert_eq!((shard.log_entries, shard.log_archived), (done, done - per_shard));
+            assert!(shard.log_bytes <= round_bytes + CHUNK, "before cut {round}: {shard:?}");
+        }
+        let cut = durable.checkpoint().unwrap();
+        assert_eq!(cut.archived_entries, 4 * per_shard, "cut {round} archives the round");
+        for shard in load(&durable) {
+            assert_eq!(
+                (shard.log_entries, shard.log_archived),
+                (done, done),
+                "every commit counts"
+            );
+            assert!(shard.log_bytes <= CHUNK, "after cut {round}: {shard:?}");
+        }
+        cuts.push(cut);
+    }
+    for shard in load(&twin) {
+        assert_eq!(shard.log_archived, 0);
+        assert!(shard.log_bytes >= ROUNDS as u64 * round_bytes - CHUNK, "no vault, no release");
+    }
+    let (first, last) = (cuts[0], cuts[cuts.len() - 1]);
+    assert!(
+        2 * last.bytes <= 3 * first.bytes,
+        "snapshot bytes {} then {}",
+        first.bytes,
+        last.bytes
+    );
+    assert!(
+        last.history_bytes <= first.history_bytes + first.history_bytes / 10,
+        "history bytes {} then {}",
+        first.history_bytes,
+        last.history_bytes
+    );
+    assert!(first.bytes < first.history_bytes / 10, "the snapshots hold state, not the log");
+
+    // Readers of the whole log: the released part comes back from the vault.
+    let full = twin.log();
+    assert_eq!(full.len() as u64, 4 * ROUNDS as u64 * per_shard);
+    assert_eq!(durable.log(), full);
+    // A live repartition replays the history of department 0 — all of it
+    // released — into the new component.
+    let coupling = parse(&dept(0)).unwrap();
+    for runtime in [&durable, &twin] {
+        let migrated = runtime.couple(&coupling).unwrap();
+        assert_eq!(migrated.migrated_shards, vec![0]);
+        assert_eq!(migrated.replayed_actions as u64, ROUNDS as u64 * per_shard);
+    }
+    for runtime in [&durable, &twin] {
+        drive(runtime, ROUNDS * CASES..ROUNDS * CASES + 40);
+    }
+    let full = twin.log();
+    assert_eq!(durable.log(), full);
+    let cut = durable.checkpoint().unwrap();
+    assert_eq!(cut.archived_entries, 4 * 80);
+    assert_eq!(durable.log(), full);
+    assert_eq!(durable.shutdown().unwrap().log, full);
+    assert_eq!(twin.shutdown().unwrap().log, full);
+    let recovered = ManagerRuntime::recover(vault, options).unwrap();
+    assert!(load(&recovered).iter().all(|s| s.log_bytes == 0), "recovery loads no history");
+    assert_eq!(recovered.log(), full);
+    recovered.shutdown().unwrap();
+}
+
 /// A long-lived runtime that keeps acknowledging its durable submissions
 /// must not retain the whole journal: the queue stream compacts to
 /// O(unacknowledged), and recovery from the compacted vault still works.
@@ -487,9 +709,24 @@ fn a_vault_written_before_the_packed_log_recovers() {
         RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
     let render = |log: &[Action]| log.iter().map(|a| format!("{a}\n")).collect::<String>();
 
+    let snapshot_bytes = |dir: &std::path::Path| -> Vec<u64> {
+        (0..3)
+            .map(|k| std::fs::metadata(dir.join(format!("blobs/snap-{k}"))).unwrap().len())
+            .collect()
+    };
+    let inline_log_snapshots = snapshot_bytes(&dir);
+
     let recovered = ManagerRuntime::recover_path(&dir, options).unwrap();
     assert_eq!(render(&recovered.log()), log);
     assert_eq!(format!("{:?}", recovered.stats()), stats);
+    // The snapshots' inline logs are resident and nothing is archived yet.
+    let load = recovered.load_report();
+    assert_eq!(
+        load.shards.iter().map(|s| s.log_entries).sum::<u64>() as usize,
+        log.lines().count()
+    );
+    assert!(load.shards.iter().all(|s| s.log_archived == 0));
+    assert!(!dir.join("wal/history-0").exists(), "recovery creates no history stream");
     // The case the tail left open at department a closes; the barrier works.
     let session = recovered.session(1);
     let sono = |name: &str, p| Action::concrete(name, [Value::int(p), Value::sym("sono")]);
@@ -497,15 +734,43 @@ fn a_vault_written_before_the_packed_log_recovers() {
     for action in [sono("perform_a", 77), audit()] {
         assert!(matches!(session.execute(&action).wait(), Completion::Executed { .. }));
     }
-    recovered.checkpoint().unwrap();
+    // The first checkpoint of this code archives the whole inherited log
+    // and replaces every snapshot by a smaller one without a log section.
+    let cut = recovered.checkpoint().unwrap();
+    assert_eq!(cut.archived_entries as usize, log.lines().count() + 2);
+    for (shard, (now, before)) in snapshot_bytes(&dir).iter().zip(&inline_log_snapshots).enumerate()
+    {
+        assert!(
+            now < before,
+            "snapshot of shard {shard}: {now} bytes, {before} with the log inline"
+        );
+    }
     assert!(matches!(session.execute(&sono("call_c", 5)).wait(), Completion::Executed { .. }));
     let report = recovered.shutdown().unwrap();
     assert_eq!(report.log.len(), log.lines().count() + 3);
+    assert_eq!(render(&report.log[..log.lines().count()]), log);
 
+    // The second recovery loads no history; its log reads the archive.
     let again = ManagerRuntime::recover_path(&dir, options).unwrap();
+    let load = again.load_report();
+    assert_eq!(load.shards.iter().map(|s| s.log_archived).sum::<u64>(), cut.archived_entries);
+    assert!(load.shards.iter().all(|s| s.log_bytes < 64), "only the tail is resident: {load:?}");
     assert_eq!(again.log(), report.log);
+    assert_eq!(render(&again.log()[..log.lines().count()]), log);
     assert_eq!(again.stats(), report.stats);
     again.shutdown().unwrap();
+    let vault: Arc<dyn Vault> =
+        Arc::new(ix_manager::FileVault::open(&dir, FsyncPolicy::Never).unwrap());
+    let inspection = inspect_vault(&vault).unwrap();
+    assert_eq!(
+        inspection.shards.iter().map(|s| s.archived_entries).sum::<u64>(),
+        cut.archived_entries
+    );
+    assert!(inspection.shards.iter().all(|s| s.log_entries == s.archived_entries));
+    assert!(inspection
+        .shards
+        .iter()
+        .all(|s| s.history_records == u64::from(s.archived_entries > 0)));
     std::fs::remove_dir_all(&dir).ok();
 }
 
