@@ -261,9 +261,19 @@ struct FileStream {
     next_index: u64,
     open: Option<OpenSegment>,
     unsynced: u32,
+    /// The frame of the record being appended, kept for its capacity.
+    frame: Vec<u8>,
 }
 
+/// Capacity a stream's frame buffer keeps between appends: a write-ahead
+/// record fits many times, a history batch gives its room back.
+const KEPT_FRAME_BYTES: usize = 4096;
+
 impl FileStream {
+    fn new(dir: PathBuf) -> FileStream {
+        FileStream { dir, next_index: 0, open: None, unsynced: 0, frame: Vec::new() }
+    }
+
     /// Sorted `(first_index, path)` list of the stream's segment files.
     fn segments(&self) -> Vec<(u64, PathBuf)> {
         let mut out = Vec::new();
@@ -319,8 +329,7 @@ impl FileVault {
             let Some(id) = entry.file_name().to_str().and_then(parse_stream_dir) else {
                 continue;
             };
-            let mut stream =
-                FileStream { dir: entry.path(), next_index: 0, open: None, unsynced: 0 };
+            let mut stream = FileStream::new(entry.path());
             if let Some((first, path)) = stream.segments().into_iter().last() {
                 let bytes = fs::read(&path)?;
                 let (records, valid) = scan_records(&bytes);
@@ -356,7 +365,7 @@ impl Vault for FileVault {
             let s = streams.entry(stream).or_insert_with(|| {
                 let dir = self.root.join("wal").join(stream_dir_name(stream));
                 fs::create_dir_all(&dir).expect("create stream directory");
-                FileStream { dir, next_index: 0, open: None, unsynced: 0 }
+                FileStream::new(dir)
             });
             // Rotate (or open) the append segment.
             let rotate = s.open.as_ref().is_some_and(|o| o.bytes >= self.segment_bytes);
@@ -378,12 +387,15 @@ impl Vault for FileVault {
                 s.open = Some(OpenSegment { file, bytes });
             }
             let open = s.open.as_mut().expect("segment just opened");
-            let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+            let frame = &mut s.frame;
+            frame.clear();
+            frame.reserve(FRAME_HEADER + payload.len());
             frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             frame.extend_from_slice(&crc32(payload).to_le_bytes());
             frame.extend_from_slice(payload);
-            open.file.write_all(&frame).expect("append WAL record");
+            open.file.write_all(frame).expect("append WAL record");
             open.bytes += frame.len() as u64;
+            frame.shrink_to(KEPT_FRAME_BYTES);
             let index = s.next_index;
             s.next_index += 1;
             s.unsynced += 1;

@@ -27,6 +27,7 @@
 pub mod durability;
 pub mod error;
 mod log;
+mod lz;
 pub mod manager;
 pub mod multi;
 pub mod protocol;

@@ -2,9 +2,10 @@
 //!
 //! The interaction *state* decides the next action; the history exists only
 //! for audit and for the Sec. 7 recovery strategy.  It still grows with every
-//! commit for the life of the manager, so it is kept small: a [`ShardLog`] is
-//! an append-only byte stream cut into chunks of at most [`CHUNK_BYTES`], the
-//! full ones sealed behind `Arc`.
+//! commit for the life of the manager, so it is kept small, in two tiers: a
+//! [`ShardLog`] is an append-only byte stream cut into chunks of at most
+//! [`CHUNK_BYTES`]; the open one is written in place, and a full one is
+//! sealed — compressed by [`crate::lz`] and put behind an `Arc`.
 //!
 //! ```text
 //! stream := item*
@@ -20,7 +21,8 @@
 //! ascending by a few, an epoch change now and then) costs one head byte.
 //! An item never straddles a chunk, decoder state carries across chunks, and
 //! a clone shares every sealed chunk and copies only the open one — which is
-//! what a checkpoint capture, a log read, and a manager clone pay.
+//! what a checkpoint capture, a log read, and a manager clone pay.  A reader
+//! inflates one chunk at a time into a buffer of its own, never the history.
 //!
 //! Every chunk remembers its *resume point* — the index of its first entry
 //! and the decoder state there — so a reader can start at any chunk.  That is
@@ -28,7 +30,8 @@
 //! has archived a prefix of the entries ([`ShardLog::release`]), the sealed
 //! chunks wholly inside it are dropped, while [`ShardLog::len`],
 //! [`ShardLog::epoch`] and [`ShardLog::max_seq`] keep counting everything.
-//! A log nobody releases (no vault, the blocking manager) keeps every chunk.
+//! A log nobody releases (no vault, the blocking manager) keeps every chunk,
+//! at what the chunk compressed to.
 //!
 //! The key scheme — who sorts before whom in the merged log — is confined to
 //! the three writers ([`ShardLog::push_single`], [`ShardLog::push_cross`],
@@ -37,15 +40,17 @@
 //! [`ShardLog::push_keyed`]; only recovery's roll-forward of torn
 //! cross-shard commits looks inside one (the sequence of a cross key).
 //!
-//! The packed bytes name symbols by process-local index and therefore never
+//! The chunks name symbols by process-local index and therefore never
 //! leave memory: checkpoints and write-ahead records are written from the
 //! decoded `(key, action)` pairs in the string-named format of `ix_durable`.
 
+use crate::lz;
 use ix_core::pack::{read_varint, write_varint};
 use ix_core::Action;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Sort key of a log entry.  Cross-shard commits act as epoch boundaries:
@@ -59,7 +64,8 @@ use std::sync::Arc;
 /// order replays.
 pub(crate) type LogKey = (u64, u8, u64);
 
-/// Capacity of one chunk.  An item larger than this gets a chunk of its own.
+/// Capacity of one chunk before it is sealed.  An item larger than this gets
+/// a chunk of its own.
 const CHUNK_BYTES: usize = 64 * 1024;
 
 /// Distinct packed actions an iterator keeps decoded for reuse.
@@ -102,11 +108,11 @@ struct Resume {
 /// One shard's append-only log of confirmed actions.
 #[derive(Clone, Default)]
 pub(crate) struct ShardLog {
-    /// The resident sealed chunks, oldest first.
+    /// The resident sealed chunks, oldest first, as [`lz::pack`] left them.
     sealed: Vec<(Resume, Arc<[u8]>)>,
     open: Vec<u8>,
     open_resume: Resume,
-    /// Bytes of the resident sealed chunks.
+    /// Bytes the resident sealed chunks occupy, compressed.
     sealed_bytes: usize,
     /// Entries ever logged, released ones included.
     entries: usize,
@@ -151,7 +157,7 @@ impl ShardLog {
         self.entries
     }
 
-    /// Bytes the resident entries occupy.
+    /// Bytes the resident entries occupy: sealed chunks as compressed.
     pub(crate) fn bytes(&self) -> usize {
         self.sealed_bytes + self.open.len()
     }
@@ -257,26 +263,36 @@ impl ShardLog {
         let start = self.open.len();
         write(&mut self.open);
         if self.open.len() > CHUNK_BYTES && start > 0 {
-            let item = self.open.split_off(start);
-            let full = std::mem::take(&mut self.open);
-            self.sealed_bytes += full.len();
-            self.sealed.push((self.open_resume, Arc::from(full)));
+            let chunk: Arc<[u8]> = lz::pack(&self.open[..start]).into();
+            self.sealed_bytes += chunk.len();
+            self.sealed.push((self.open_resume, chunk));
             // The writers update their state after the item is in, so this
-            // is the decoder state before `item`.
+            // is the decoder state before the item.
             self.open_resume =
                 Resume { first: self.entries, epoch: self.stream_epoch, sub: self.last_sub };
-            self.open.reserve_exact(CHUNK_BYTES.max(item.len()));
-            self.open.extend_from_slice(&item);
+            // The buffer is reused with the item at its front.  Writing the
+            // item doubled it, of which only the chunk's worth is touched
+            // again; more than that an oversized item leaves behind.
+            self.open.drain(..start);
+            self.open.shrink_to(2 * CHUNK_BYTES);
         }
     }
 
     /// The resident entries in commit order, decoded lazily.
     pub(crate) fn iter(&self) -> Iter<'_> {
-        Iter { log: self, next_chunk: 0, rest: &[], epoch: 0, sub: 0, cache: HashMap::new() }
+        Iter {
+            log: self,
+            next_chunk: 0,
+            chunk: Vec::new(),
+            at: 0,
+            epoch: 0,
+            sub: 0,
+            cache: HashMap::new(),
+        }
     }
 
     /// The entries from index `from` on, which must be resident
-    /// (`released() <= from`).  Starts at the chunk holding `from` and
+    /// (`released() <= from`).  Inflates the chunk holding `from` first and
     /// skips, undecoded, the entries before it in that chunk.
     pub(crate) fn iter_from(&self, from: usize) -> Iter<'_> {
         assert!(from >= self.released(), "entry {from} of the log was released");
@@ -329,34 +345,44 @@ impl fmt::Debug for ShardLog {
 pub(crate) struct Iter<'a> {
     log: &'a ShardLog,
     next_chunk: usize,
-    rest: &'a [u8],
+    /// The chunk being read, inflated, and the offset of its next item.
+    chunk: Vec<u8>,
+    at: usize,
     epoch: u64,
     sub: u64,
     /// One decoded action per distinct packed byte pattern: a repetitive
     /// history decodes without allocating per entry.
-    cache: HashMap<&'a [u8], Action>,
+    cache: HashMap<Box<[u8]>, Action>,
 }
 
 const OWN: &str = "a ShardLog holds only bytes it encoded";
 
-impl<'a> Iter<'a> {
-    /// The key and the packed action of the next entry.
-    fn advance(&mut self) -> Option<(LogKey, &'a [u8])> {
+impl Iter<'_> {
+    /// The key of the next entry and where in `chunk` its packed action is.
+    fn advance(&mut self) -> Option<(LogKey, Range<usize>)> {
         loop {
-            while self.rest.is_empty() {
+            while self.at == self.chunk.len() {
                 let log = self.log;
-                let (resume, chunk) = match self.next_chunk.cmp(&log.sealed.len()) {
+                let resume = match self.next_chunk.cmp(&log.sealed.len()) {
                     std::cmp::Ordering::Less => {
-                        let (resume, chunk) = &log.sealed[self.next_chunk];
-                        (*resume, &chunk[..])
+                        let (resume, packed) = &log.sealed[self.next_chunk];
+                        lz::unpack(packed, &mut self.chunk).expect(OWN);
+                        *resume
                     }
-                    std::cmp::Ordering::Equal => (log.open_resume, &log.open[..]),
+                    std::cmp::Ordering::Equal => {
+                        self.chunk.clear();
+                        self.chunk.extend_from_slice(&log.open);
+                        log.open_resume
+                    }
                     std::cmp::Ordering::Greater => return None,
                 };
-                (self.epoch, self.sub, self.rest) = (resume.epoch, resume.sub, chunk);
+                (self.epoch, self.sub, self.at) = (resume.epoch, resume.sub, 0);
                 self.next_chunk += 1;
             }
-            let (kind, delta) = read_head(&mut self.rest).expect(OWN);
+            let mut rest = &self.chunk[self.at..];
+            let (kind, delta) = read_head(&mut rest).expect(OWN);
+            let start = self.chunk.len() - rest.len();
+            self.at = start;
             let key = match kind {
                 KIND_EPOCH => {
                     self.epoch = self.epoch.wrapping_add(delta);
@@ -372,9 +398,8 @@ impl<'a> Iter<'a> {
                 }
                 _ => unreachable!("{OWN}"),
             };
-            let (packed, rest) = self.rest.split_at(Action::packed_len(self.rest).expect(OWN));
-            self.rest = rest;
-            return Some((key, packed));
+            self.at += Action::packed_len(rest).expect(OWN);
+            return Some((key, start..self.at));
         }
     }
 }
@@ -384,12 +409,13 @@ impl Iterator for Iter<'_> {
 
     fn next(&mut self) -> Option<(LogKey, Action)> {
         let (key, packed) = self.advance()?;
+        let packed = &self.chunk[packed];
         let action = match self.cache.get(packed) {
             Some(action) => action.clone(),
             None => {
                 let action = Action::unpack(&mut &*packed).expect(OWN);
                 if self.cache.len() < DECODE_CACHE {
-                    self.cache.insert(packed, action.clone());
+                    self.cache.insert(packed.into(), action.clone());
                 }
                 action
             }
@@ -453,12 +479,21 @@ mod tests {
         Action::nullary(format!("log_n{}", i % 7).as_str())
     }
 
+    fn inflated(chunk: &[u8]) -> Vec<u8> {
+        let mut raw = Vec::new();
+        lz::unpack(chunk, &mut raw).expect(OWN);
+        raw
+    }
+
+    /// The item stream of the resident entries.
     fn raw(log: &ShardLog) -> Vec<u8> {
-        log.sealed
-            .iter()
-            .flat_map(|(_, c)| c.iter().copied())
-            .chain(log.open.iter().copied())
-            .collect()
+        let sealed = log.sealed.iter().flat_map(|(_, c)| inflated(c));
+        sealed.chain(log.open.iter().copied()).collect()
+    }
+
+    /// What `bytes()` has to report: sealed chunks as stored, the open one.
+    fn resident(log: &ShardLog) -> usize {
+        log.sealed.iter().map(|(_, c)| c.len()).sum::<usize>() + log.open.len()
     }
 
     fn entries(log: &ShardLog) -> Vec<(LogKey, Action)> {
@@ -540,11 +575,12 @@ mod tests {
             }
             n += 1;
         }
-        assert!(log
-            .sealed
-            .iter()
-            .all(|(_, c)| c.len() <= CHUNK_BYTES && c.len() > CHUNK_BYTES - 32));
-        assert_eq!(log.bytes(), raw(&log).len());
+        for (_, chunk) in &log.sealed {
+            let raw = inflated(chunk).len();
+            assert!(raw <= CHUNK_BYTES && raw > CHUNK_BYTES - 32, "sealed at {raw} bytes");
+            assert!(chunk.len() < raw, "ascending integers share their high bytes");
+        }
+        assert_eq!(log.bytes(), resident(&log));
         assert_eq!(log.len(), shadow.len());
         assert_eq!(entries(&log), shadow);
     }
@@ -587,7 +623,7 @@ mod tests {
             if slack == 0 {
                 assert_eq!((log.sealed.len(), log.open.len()), (0, CHUNK_BYTES));
             } else {
-                assert_eq!((log.sealed.len(), log.sealed[0].1.len()), (1, used));
+                assert_eq!((log.sealed.len(), inflated(&log.sealed[0].1).len()), (1, used));
             }
             // Either way the chunk holding `fill` has no room for another.
             log.push_single(3, &small);
@@ -607,7 +643,8 @@ mod tests {
         log.push_single(2, &big);
         log.push_single(3, &small);
         assert_eq!(log.sealed.len(), 2);
-        assert!(log.sealed[1].1.len() > CHUNK_BYTES);
+        assert!(inflated(&log.sealed[1].1).len() > CHUNK_BYTES);
+        assert!(log.open.capacity() <= 2 * CHUNK_BYTES, "the open chunk gave the room back");
         assert_eq!(
             entries(&log),
             vec![((0, 1, 1), small.clone()), ((0, 1, 2), big), ((0, 1, 3), small)]
@@ -674,7 +711,7 @@ mod tests {
         log.release(mark);
         assert_eq!((log.archived(), log.released()), (mark, firsts[1]));
         assert_eq!(log.sealed.len(), 3);
-        assert!(log.bytes() < bytes && log.bytes() == raw(&log).len());
+        assert!(log.bytes() < bytes && log.bytes() == resident(&log));
         assert_eq!((log.len(), log.epoch(), log.max_seq()), (len, epoch, max_seq));
         assert_eq!(entries(&log), shadow[firsts[1]..]);
         // A lower mark later is a no-op; a mark at a chunk boundary releases
@@ -742,6 +779,78 @@ mod tests {
         assert!(decoded.windows(2).all(|w| std::ptr::eq(w[0].args(), w[1].args())));
     }
 
+    /// An action packing into about `len` bytes: one ten-byte integer over
+    /// and over, or — seeded — a different one every time, which no codec
+    /// shrinks.
+    fn filler(len: usize, noise: Option<u64>) -> Action {
+        let args = (0..len as u64 / 11).map(|i| {
+            let value = noise.map_or(u64::MAX, |seed| {
+                (seed ^ i).wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29)
+            });
+            Term::Value(Value::int((value >> 1 | 1 << 62) as i64))
+        });
+        Action::new("log_fill", args)
+    }
+
+    #[test]
+    fn a_sealed_chunk_is_stored_at_whatever_is_smaller() {
+        for (noise, shrinks) in [(None, true), (Some(0), false)] {
+            let (mut log, mut shadow) = (ShardLog::new(), Vec::new());
+            while log.sealed.len() < 2 {
+                let n = shadow.len() as u64;
+                // The bytes two noisy actions share (head, name, arity) are
+                // fewer than the length bytes a run of 5 000 literals takes.
+                let action = filler(5000, noise.map(|seed: u64| seed + 1000 * n));
+                shadow.push((log.push_single(n, &action), action));
+            }
+            for (_, chunk) in &log.sealed {
+                let raw = inflated(chunk).len();
+                if shrinks {
+                    assert!(chunk.len() * 20 < raw, "{} bytes from {raw}", chunk.len());
+                } else {
+                    assert_eq!(chunk.len(), raw + 1, "as it is behind one flag byte");
+                }
+            }
+            assert_eq!(log.bytes(), resident(&log));
+            assert_eq!(entries(&log), shadow);
+        }
+    }
+
+    /// What the paper's Fig. 7 seals to: 32 patients in a seeded
+    /// interleaving, four steps an examination, every commit cross-shard,
+    /// one sequence number in five spent on a denial.  8 bytes a commit
+    /// packed; measured 4.6 sealed, held with a quarter to spare.
+    #[test]
+    fn a_fig7_history_seals_within_its_bytes_per_commit() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 33) % bound
+        };
+        let exam = [
+            "call_patient_start",
+            "call_patient_end",
+            "perform_examination_start",
+            "perform_examination_end",
+        ];
+        let (mut log, mut steps, mut seq) = (ShardLog::new(), [0usize; 32], 0);
+        while log.sealed.len() < 4 {
+            let patient = draw(32) as usize;
+            let (round, stage) = (steps[patient] / 4, steps[patient] % 4);
+            steps[patient] += 1;
+            let dept = ["sono", "endo", "xray", "ct"][(patient + round) % 4];
+            seq += 1 + u64::from(draw(5) == 0);
+            let args = [Value::int(1000 + patient as i64), Value::sym(dept)];
+            log.push_cross(seq, &Action::concrete(exam[stage], args));
+        }
+        let (sealed, packed) = (log.open_resume.first, raw(&log).len() - log.open.len());
+        let per_commit = log.sealed_bytes as f64 / sealed as f64;
+        assert_eq!(packed.div_ceil(sealed), 8);
+        assert!(per_commit <= 5.8, "{per_commit} bytes per sealed Fig. 7 commit");
+    }
+
     fn arb_action() -> impl Strategy<Value = Action> {
         let term = prop_oneof![
             (0u64..7).prop_map(|i| Term::Value(Value::int(i as i64 - 3))),
@@ -785,6 +894,111 @@ mod tests {
             }
         }
         (log, shadow)
+    }
+
+    /// What the chunked properties do to a log.  Pushes draw their keys from
+    /// one ascending counter, as [`drive`] does.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// A [`filler`] of `len` bytes, noisy if the case's share of noisy
+        /// actions (of three) exceeds `kind`.
+        Push {
+            cross: bool,
+            keyed: bool,
+            gap: u64,
+            len: usize,
+            kind: u64,
+            seed: u64,
+        },
+        /// A cross commit on another primary.
+        Epoch(u64),
+        /// Archive this share (per mille) of the entries.
+        Release(usize),
+        Snapshot,
+    }
+
+    /// Ops whose actions take a few hundred to a few thousand bytes, so a
+    /// hundred of them seal chunks.
+    fn arb_ops(len: Range<usize>) -> impl Strategy<Value = Vec<Op>> {
+        let push = (0u32..4, 1u64..40, 200usize..6000, 0u64..3, 0u64..1 << 40).prop_map(
+            |(how, gap, len, kind, seed)| Op::Push {
+                cross: how == 0,
+                keyed: how == 1,
+                gap,
+                len,
+                kind,
+                seed,
+            },
+        );
+        let op = prop_oneof![
+            push.clone(),
+            push.clone(),
+            push.clone(),
+            push,
+            (1u64..40).prop_map(Op::Epoch),
+            (0usize..1001).prop_map(Op::Release),
+            Just(Op::Snapshot),
+        ];
+        proptest::collection::vec(op, len)
+    }
+
+    /// A log driven beside the `Vec` of everything it was given.
+    #[derive(Default)]
+    struct Driven {
+        log: ShardLog,
+        shadow: Vec<(LogKey, Action)>,
+        epoch: u64,
+        /// Chunks sealed so far, released ones included.
+        seals: usize,
+        /// Clones taken on the way, with the length of the log then.
+        snapshots: Vec<(ShardLog, usize)>,
+    }
+
+    const TOP_UP: Op = Op::Push { cross: false, keyed: false, gap: 2, len: 4000, kind: 1, seed: 5 };
+
+    impl Driven {
+        fn push(&mut self, cross: bool, keyed: bool, seq: u64, action: Action) {
+            if cross {
+                self.epoch = seq;
+            }
+            let key = if cross { (seq, 0, 0) } else { (self.epoch, 1, seq) };
+            let open_first = self.log.open_resume.first;
+            let pushed = match (keyed, cross) {
+                (true, _) => {
+                    self.log.push_keyed(key, &action);
+                    key
+                }
+                (false, true) => self.log.push_cross(seq, &action),
+                (false, false) => self.log.push_single(seq, &action),
+            };
+            assert_eq!(pushed, key);
+            self.shadow.push((key, action));
+            // The open chunk starts at another entry after a seal.
+            self.seals += usize::from(self.log.open_resume.first != open_first);
+        }
+
+        /// `noisy` of three fillers are incompressible.
+        fn apply(&mut self, op: &Op, noisy: u64, counter: &mut u64) {
+            match *op {
+                Op::Push { cross, keyed, gap, len, kind, seed } => {
+                    *counter += gap;
+                    self.push(cross, keyed, *counter, filler(len, (kind < noisy).then_some(seed)));
+                }
+                Op::Epoch(gap) => {
+                    *counter += gap;
+                    self.epoch = *counter;
+                    self.log.set_epoch(self.epoch);
+                }
+                Op::Release(share) => self.log.release(self.log.len() * share / 1000),
+                Op::Snapshot => {
+                    let snapshot = self.log.clone();
+                    assert_eq!(snapshot.sealed.len(), self.log.sealed.len());
+                    let mut shared = snapshot.sealed.iter().zip(&self.log.sealed);
+                    assert!(shared.all(|(s, l)| Arc::ptr_eq(&s.1, &l.1)));
+                    self.snapshots.push((snapshot, self.log.len()));
+                }
+            }
+        }
     }
 
     proptest! {
@@ -845,6 +1059,74 @@ mod tests {
             prop_assert_eq!(ShardLog::merge(&logs).collect::<Vec<_>>(), expected.clone());
             let actions: Vec<Action> = expected.into_iter().map(|(_, a)| a).collect();
             prop_assert_eq!(ShardLog::merged_actions(&logs), actions);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn sealed_chunks_read_back_what_was_pushed(
+            // With 3 of 3 every chunk is stored as it is, with 0 every
+            // chunk shrinks.
+            noisy in 0u64..4,
+            ops in arb_ops(40..160),
+            oversized in 0usize..40,
+        ) {
+            let (mut driven, mut counter) = (Driven::default(), 0);
+            for (i, op) in ops.iter().enumerate() {
+                if i == oversized {
+                    counter += 1;
+                    let big = action_of_len(CHUNK_BYTES + 1 + oversized);
+                    driven.push(false, false, counter, big);
+                }
+                driven.apply(op, noisy, &mut counter);
+            }
+            while driven.seals < 3 {
+                driven.apply(&TOP_UP, noisy, &mut counter);
+            }
+
+            let Driven { log, shadow, snapshots, .. } = &driven;
+            prop_assert_eq!(log.len(), shadow.len());
+            prop_assert_eq!(log.bytes(), resident(log));
+            prop_assert_eq!(entries(log), &shadow[log.released()..]);
+            // Every resident entry is a place to start, chunk boundaries
+            // among them.
+            for from in log.released()..=log.len() {
+                prop_assert_eq!(log.iter_from(from).collect::<Vec<_>>(), &shadow[from..]);
+            }
+            // What a clone saw stays what it reads, whatever the original
+            // sealed, released or logged since.
+            for (snapshot, len) in snapshots {
+                prop_assert_eq!(snapshot.len(), *len);
+                prop_assert_eq!(entries(snapshot), &shadow[snapshot.released()..*len]);
+            }
+        }
+
+        #[test]
+        fn merge_reads_three_chunked_segments(
+            noisy in 0u64..4,
+            ops in arb_ops(90..200),
+            turns in proptest::collection::vec(0usize..3, 64..65),
+        ) {
+            // Shards take turns drawing from the one counter; nothing is
+            // released, so the merge is the sort of everything pushed.
+            let mut shards: Vec<Driven> = (0..3).map(|_| Driven::default()).collect();
+            let (mut counter, mut turns) = (0, turns.iter().cycle());
+            let mut deal = |shards: &mut [Driven], op: &Op| {
+                shards[*turns.next().expect("a cycle")].apply(op, noisy, &mut counter);
+            };
+            for op in ops.iter().filter(|op| !matches!(op, Op::Release(_))) {
+                deal(&mut shards, op);
+            }
+            while shards.iter().map(|d| d.seals).sum::<usize>() < 3 {
+                deal(&mut shards, &TOP_UP);
+            }
+            let mut expected: Vec<(LogKey, Action)> =
+                shards.iter().flat_map(|d| d.shadow.iter().cloned()).collect();
+            expected.sort_by_key(|(key, _)| *key);
+            let merged = ShardLog::merge(shards.iter().map(|d| &d.log));
+            prop_assert_eq!(merged.collect::<Vec<_>>(), expected);
         }
     }
 }
