@@ -42,11 +42,11 @@
 
 use crate::error::{ManagerError, ManagerResult};
 use crate::log::{LogKey, ShardLog};
-use crate::manager::{InteractionManager, ManagerStats, ProtocolVariant, Reservation};
+use crate::manager::{ManagerStats, Reservation};
 use crate::queue::QueueBackend;
-use crate::runtime::{DurableOp, RuntimeReport, SubmissionRecord};
+use crate::runtime::{DurableOp, SubmissionRecord};
 use crate::subscription::{ClientId, SubscriptionRow};
-use ix_core::{Action, Alphabet, Expr};
+use ix_core::{Action, Alphabet};
 use ix_durable::{
     decode_action, decode_alphabet, encode_action, encode_alphabet, history_stream, CodecError,
     Reader, StateTableBuilder, StateTableReader, Vault, Writer, META_STREAM, QUEUE_STREAM,
@@ -125,6 +125,19 @@ impl StatDelta {
         self.expired += other.expired;
         self.aborted += other.aborted;
         self.notifications += other.notifications;
+    }
+
+    /// What of `self` is not in `other`, field by field.
+    pub(crate) fn minus(&self, other: &StatDelta) -> StatDelta {
+        StatDelta {
+            asks: self.asks.saturating_sub(other.asks),
+            grants: self.grants.saturating_sub(other.grants),
+            denials: self.denials.saturating_sub(other.denials),
+            confirmations: self.confirmations.saturating_sub(other.confirmations),
+            expired: self.expired.saturating_sub(other.expired),
+            aborted: self.aborted.saturating_sub(other.aborted),
+            notifications: self.notifications.saturating_sub(other.notifications),
+        }
     }
 
     /// The delta as a [`ManagerStats`] (same field order).
@@ -332,7 +345,9 @@ impl WalRecord {
 // ---------------------------------------------------------------------------
 
 /// The runtime's handle on its vault: stream addressing plus the append
-/// helpers the workers journal through.
+/// helpers the workers journal through.  A clone is another handle on the
+/// same vault.
+#[derive(Clone)]
 pub(crate) struct DurabilityHub {
     vault: Arc<dyn Vault>,
 }
@@ -1194,24 +1209,6 @@ pub(crate) fn decode_topology(bytes: &[u8]) -> ManagerResult<TopologyCheckpoint>
         Ok(TopologyCheckpoint { epoch, expr, components })
     })()
     .map_err(|e| codec_err("topology", e))
-}
-
-// ---------------------------------------------------------------------------
-// The one log-replay implementation
-// ---------------------------------------------------------------------------
-
-/// Rebuilds a blocking [`InteractionManager`] from a runtime's merged
-/// report: replay the confirmed log on a fresh manager, then hand back the
-/// runtime's counters and clock.  This is the single replay path — the
-/// protocol adapter's shutdown and any offline tooling go through here.
-pub(crate) fn rebuild_manager(
-    expr: &Expr,
-    variant: ProtocolVariant,
-    report: &RuntimeReport,
-) -> ManagerResult<InteractionManager> {
-    let manager = InteractionManager::recover(expr, variant, &report.log)?;
-    manager.restore(report.stats, report.clock);
-    Ok(manager)
 }
 
 // ---------------------------------------------------------------------------

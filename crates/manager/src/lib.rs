@@ -5,9 +5,11 @@
 //! graph) and arbitrates the execution of actions requested by interaction
 //! clients — workflow engines or worklist handlers — through the
 //! coordination protocol of Fig. 10, keeps subscribers informed about
-//! permissibility changes (subscription protocol), recovers from crashes by
-//! replaying its persistent log, and can be federated to avoid becoming a
-//! bottleneck.
+//! permissibility changes (subscription protocol), and recovers from crashes
+//! by replaying its persistent log.  So that it does not become a
+//! bottleneck, the expression is partitioned into its sync-components
+//! (`ix_core::Partition`) and each component is served as a shard of its own;
+//! an action several components share is permitted iff all of them permit it.
 //!
 //! ```
 //! use ix_core::parse;
@@ -29,10 +31,9 @@ pub mod error;
 mod log;
 mod lz;
 pub mod manager;
-pub mod multi;
-pub mod protocol;
 pub mod queue;
 pub mod runtime;
+mod shard;
 pub mod subscription;
 pub mod ticket;
 pub mod timer;
@@ -44,13 +45,11 @@ pub use durability::{
 pub use error::{ManagerError, ManagerResult, SubmitError};
 pub use ix_durable::{FileVault, FsyncPolicy, MemVault, Vault};
 pub use manager::{BatchResult, InteractionManager, ManagerStats, ProtocolVariant, Reservation};
-pub use multi::ManagerFederation;
-pub use protocol::{ClientHandle, ManagerServer, Reply, Request};
 pub use queue::{DurableQueue, QueueBackend};
 pub use runtime::{
     CascadeStats, CheckpointReport, ClockMode, Completion, LoadReport, ManagerRuntime,
     RepartitionReport, RepartitionStats, RuntimeOptions, RuntimeReport, SchedStats, Session,
-    ShardLoad, ShedPolicy,
+    ShardLoad,
 };
 pub use subscription::{ClientId, Notification, SubscriptionRegistry};
 pub use ticket::{Ticket, TicketIssuer};

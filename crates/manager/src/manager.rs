@@ -873,20 +873,6 @@ impl InteractionManager {
         manager.stats.confirmations.store(log.len() as u64, Ordering::Relaxed);
         Ok(manager)
     }
-
-    /// Overwrites the statistics counters and the logical clock — used by
-    /// the recovery replayer to hand back a pre-crash instance's counters on
-    /// a manager rebuilt from its log.
-    pub(crate) fn restore(&self, stats: ManagerStats, clock: u64) {
-        self.stats.asks.store(stats.asks, Ordering::Relaxed);
-        self.stats.grants.store(stats.grants, Ordering::Relaxed);
-        self.stats.denials.store(stats.denials, Ordering::Relaxed);
-        self.stats.confirmations.store(stats.confirmations, Ordering::Relaxed);
-        self.stats.expired_reservations.store(stats.expired_reservations, Ordering::Relaxed);
-        self.stats.aborted_reservations.store(stats.aborted_reservations, Ordering::Relaxed);
-        self.stats.notifications.store(stats.notifications, Ordering::Relaxed);
-        self.clock.store(clock, Ordering::Relaxed);
-    }
 }
 
 impl Clone for InteractionManager {

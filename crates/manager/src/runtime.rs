@@ -6,10 +6,16 @@
 //! queues instead of calling it under a lock.  [`ManagerRuntime`] realizes
 //! that shape on top of the sharded kernel:
 //!
-//! * **one worker thread per shard**, exclusively owning the shard's engine,
-//!   reservation table, subscription registry, and log segment — the
-//!   per-shard mutexes of [`InteractionManager`] are gone; a worker mutates
-//!   its shard state with no interior locking at all;
+//! * **a pool of worker threads serving the shards**: a shard's engine,
+//!   reservation table, subscription registry and log segment are one
+//!   `ShardState` (the private `shard` module, the only code that changes
+//!   one), checked out by whichever worker the placement table names for as
+//!   long as it serves the shard — the per-shard mutexes of
+//!   [`InteractionManager`] are gone, and nothing inside the state is
+//!   locked.  This file is the *drivers* of that kernel: the single-owner
+//!   path, the rendezvous of several owners, the coalesced execute cascade
+//!   and crash recovery all vote, conclude, apply and finish through the
+//!   same four steps;
 //! * **an ordered task queue per shard**: submissions become tasks; a shard
 //!   executes its tasks strictly in queue order;
 //! * **completion tickets**: every submission returns a [`Ticket`]
@@ -67,6 +73,7 @@ use crate::manager::{
     CrossEntry, CrossSubscriptions, ManagerStats, ProtocolVariant, Reservation, SharedStats,
 };
 use crate::queue::{DurableQueue, PoolCore, QueueBackend};
+use crate::shard::{CrossBit, Effects, LocalVote, Op, Role, ShardState, Verdict, DENIED};
 use crate::subscription::{ClientId, Notification, SubscriptionRegistry};
 use crate::ticket::{completed, ticket, Ticket, TicketIssuer, WakeBatch};
 use crate::timer::TimerWheel;
@@ -137,11 +144,10 @@ pub struct RuntimeOptions {
     /// [`crate::error::SubmitError::Overloaded`] backpressure ticket (with a
     /// retry-after hint) when the owning shard is full.  Cross-shard
     /// submissions reserve a credit on *every* owner queue up front, so a
-    /// 2PC chain can never half-enqueue.  Confirm/abort/expiry releases are
-    /// never shed — shedding them would leak reservations.
+    /// 2PC chain can never half-enqueue.  Request classes are shed in the
+    /// order of `AdmitClass`; confirm/abort/expiry releases are never shed
+    /// — shedding them would leak reservations.
     pub queue_limit: usize,
-    /// The load-shedding ladder applied when `queue_limit` is set.
-    pub shed: ShedPolicy,
     /// Number of pool workers draining the shard queues (0 = one per
     /// available hardware thread).  Shards are decoupled from OS threads:
     /// each worker exclusively owns the *set* of shards the placement table
@@ -179,7 +185,6 @@ impl Default for RuntimeOptions {
             queue_metrics: false,
             fsync: FsyncPolicy::Never,
             queue_limit: 0,
-            shed: ShedPolicy::default(),
             worker_threads: 0,
             rebalance_every: None,
             checkpoint_every: 0,
@@ -187,79 +192,51 @@ impl Default for RuntimeOptions {
     }
 }
 
-/// Graceful-degradation ladder of the bounded-admission gate: request
-/// classes shed in priority order as a shard queue fills, so committed
-/// workflow progress survives longest.
+/// Percentage of the queue limit above which [`AdmitClass::Probe`] traffic is
+/// shed.
+const PROBE_WATERMARK_PCT: usize = 50;
+
+/// Percentage of the queue limit above which [`AdmitClass::Speculative`]
+/// traffic is shed.
+const SPECULATIVE_WATERMARK_PCT: usize = 75;
+
+/// The admission cap (in queued task units) of a request class under
+/// `limit`, given the shard's depth-EWMA pressure in percent of the limit.
 ///
-/// * **Probes** — `is_permitted` queries and subscription registrations —
-///   are shed first, once the queue passes `probe_watermark × queue_limit`.
-///   A lost probe costs a retry; it holds no protocol state.
-/// * **Speculative** work — multi-owner execute rendezvous (the cascade
-///   batches) — is shed at `speculative_watermark × queue_limit`: it fans
-///   one submission across every owner queue, so it amplifies load exactly
-///   when the runtime can least afford it.
-/// * **Commits** — single-owner execute/ask and cross-shard asks — use the
-///   full limit.
-/// * Releases (confirm / abort / expiry / redelivery) are never shed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShedPolicy {
-    /// Percentage of `queue_limit` above which probes and subscription
-    /// registrations are shed (default 50).
-    pub probe_watermark_pct: u8,
-    /// Percentage of `queue_limit` above which speculative multi-owner
-    /// executes are shed (default 75).
-    pub speculative_watermark_pct: u8,
-    /// Depth-EWMA watermark scaling (default on).  The static percentages
-    /// describe the right ladder for a queue that breathes; under
-    /// *sustained* pressure they admit sheddable traffic right up to the
-    /// same watermarks while commits fight for the remainder.  Adaptive
-    /// mode scales both watermarks by a factor that falls linearly from
-    /// 1.0 to 0.5 as the shard's depth EWMA climbs from 25% to 75% of the
-    /// limit — probes and speculative fan-out shed *earlier* the longer
-    /// the queue has been deep, reserving the freed credits for commit
-    /// traffic.  Both watermarks scale by the same factor and the commit
-    /// class never scales, so the strict probe → speculative → commit
-    /// shed order is preserved at every pressure level.
-    pub adaptive: bool,
-}
-
-impl Default for ShedPolicy {
-    fn default() -> ShedPolicy {
-        ShedPolicy { probe_watermark_pct: 50, speculative_watermark_pct: 75, adaptive: true }
+/// The static percentages describe the right ladder for a queue that
+/// breathes; under *sustained* pressure they would admit sheddable traffic
+/// right up to the same watermarks while commits fight for the remainder.
+/// So both watermarks scale by a factor that falls linearly from 1.0 to 0.5
+/// as the pressure climbs from 25% to 75% of the limit — probes and
+/// speculative fan-out shed *earlier* the longer the queue has been deep.
+/// Both scale by the same factor and the commit class never scales, so the
+/// strict probe → speculative → commit shed order holds at every pressure.
+/// Watermark caps are at least 1, so a tiny limit still admits idle-system
+/// probes.
+fn class_cap(class: AdmitClass, limit: usize, pressure_pct: usize) -> usize {
+    let scale = 125usize.saturating_sub(pressure_pct).clamp(50, 100);
+    let pct = |p: usize| (limit.saturating_mul(p).saturating_mul(scale) / 10_000).max(1);
+    match class {
+        AdmitClass::Probe => pct(PROBE_WATERMARK_PCT),
+        AdmitClass::Speculative => pct(SPECULATIVE_WATERMARK_PCT),
+        AdmitClass::Commit => limit,
     }
 }
 
-impl ShedPolicy {
-    /// The admission cap (in queued task units) of a request class under
-    /// `limit`, given the shard's current depth-EWMA pressure in percent of
-    /// the limit.  Watermark caps are at least 1 so a tiny limit still
-    /// admits idle-system probes.
-    fn cap(&self, class: AdmitClass, limit: usize, pressure_pct: usize) -> usize {
-        // Scale factor in percent: 100 below a quarter of the limit, then
-        // one point per pressure point down to 50 at three quarters.
-        let scale = if !self.adaptive {
-            100
-        } else {
-            (125usize.saturating_sub(pressure_pct)).clamp(50, 100)
-        };
-        let pct =
-            |p: u8| ((limit.saturating_mul(p as usize).saturating_mul(scale)) / 10_000).max(1);
-        match class {
-            AdmitClass::Probe => pct(self.probe_watermark_pct),
-            AdmitClass::Speculative => pct(self.speculative_watermark_pct),
-            AdmitClass::Commit => limit,
-        }
-    }
-}
-
-/// Admission class of a submission, in shed order (see [`ShedPolicy`]).
+/// Admission class of a submission: the graceful-degradation ladder of the
+/// bounded-admission gate.  Classes are shed in this order as a shard queue
+/// fills ([`class_cap`]), so committed workflow progress survives longest.
+/// Releases (confirm / abort / expiry / redelivery) are never shed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum AdmitClass {
-    /// `is_permitted` queries and subscription registrations.
+    /// `is_permitted` queries and subscription registrations, shed first: a
+    /// lost probe costs a retry and holds no protocol state.
     Probe,
-    /// Multi-owner combined executes (the speculative cascade batches).
+    /// Multi-owner combined executes (the speculative cascade batches): one
+    /// submission fans out across every owner queue, so it amplifies load
+    /// exactly when the runtime can least afford it.
     Speculative,
-    /// Single-owner ask/execute and cross-shard asks.
+    /// Single-owner ask/execute and cross-shard asks: the full limit.
     Commit,
 }
 
@@ -291,8 +268,6 @@ enum Credit {
 struct ShardGate {
     /// Queue-depth limit in task units (0 = gate inert).
     limit: usize,
-    /// The shed ladder carving per-class caps out of `limit`.
-    shed: ShedPolicy,
     /// Currently queued task units (signed: release-before-charge races of
     /// concurrent enqueues may dip a reading below zero transiently).
     depth: AtomicI64,
@@ -310,8 +285,8 @@ struct ShardGate {
     /// EWMA (α = 1/8) of per-task service time, nanoseconds.
     service_ewma_ns: AtomicU64,
     /// EWMA (α = 1/8) of queue depth in task units, sampled by the owning
-    /// worker at every completed task.  Drives the adaptive watermark
-    /// scaling ([`ShedPolicy::adaptive`]) and the sustained-hot detection
+    /// worker at every completed task.  Drives the watermark scaling of
+    /// [`class_cap`] and the sustained-hot detection
     /// of the placement rebalancer — a transient burst barely moves it, a
     /// queue that *stays* deep saturates it.
     depth_ewma: AtomicU64,
@@ -324,10 +299,9 @@ struct ShardGate {
 }
 
 impl ShardGate {
-    fn new(limit: usize, shed: ShedPolicy) -> ShardGate {
+    fn new(limit: usize) -> ShardGate {
         ShardGate {
             limit,
-            shed,
             depth: AtomicI64::new(0),
             peak: AtomicI64::new(0),
             shed_probes: AtomicU64::new(0),
@@ -362,7 +336,7 @@ impl ShardGate {
         if !self.active() || units == 0 {
             return Ok(());
         }
-        let cap = self.shed.cap(class, self.limit, self.pressure_pct()) as i64;
+        let cap = class_cap(class, self.limit, self.pressure_pct()) as i64;
         let prev = self.depth.fetch_add(units as i64, Ordering::Relaxed);
         if prev + units as i64 > cap {
             self.depth.fetch_sub(units as i64, Ordering::Relaxed);
@@ -842,10 +816,10 @@ struct RuntimeShared {
     tier_budget: usize,
     durable: Option<Mutex<DurableQueue<SubmissionRecord>>>,
     /// The write-ahead vault behind the durable runtime (`None` = the
-    /// in-memory runtime).  Workers journal shard-stream records through
-    /// their own [`ShardState::wal`] clone; this handle serves the
-    /// meta-stream events and the checkpoint/recovery machinery.
-    durability: Option<Arc<DurabilityHub>>,
+    /// in-memory runtime).  Every shard state journals its own stream
+    /// through its own clone; this handle serves the meta-stream events and
+    /// the checkpoint/recovery machinery.
+    durability: Option<DurabilityHub>,
     clock: AtomicU64,
     log_seq: AtomicU64,
     next_reservation: AtomicU64,
@@ -868,8 +842,6 @@ struct RuntimeShared {
     /// Per-shard admission limit (see [`RuntimeOptions::queue_limit`]) —
     /// kept here so repartitions gate their new shards identically.
     queue_limit: usize,
-    /// The shed ladder of bounded admission.
-    shed: ShedPolicy,
     /// The worker pool: placement table, parkers, the slot bench, and the
     /// rebalancer state.  Shards are scheduling units; workers are the OS
     /// threads that serve them (see the worker-pool section of
@@ -916,79 +888,6 @@ pub struct CascadeStats {
     pub invalidated_votes: u64,
     /// Commit decisions that included at least one promoted vote.
     pub cascaded_commits: u64,
-}
-
-/// One shard's state, exclusively owned by its worker thread — no lock.
-struct ShardState {
-    id: usize,
-    engine: Engine,
-    reservations: BTreeMap<u64, Reservation>,
-    subscriptions: SubscriptionRegistry,
-    /// The shard's confirmed actions, which also carries the log-key epoch
-    /// (sequence of the last cross-shard commit applied on this shard).
-    log: ShardLog,
-    /// Write-ahead hub of the durable runtime (`None` = durability off).
-    /// This worker is the *only* writer of its shard stream, so appends need
-    /// no coordination.
-    wal: Option<Arc<DurabilityHub>>,
-    /// Sum of the statistics deltas of every record this shard's stream ever
-    /// carried — including records a checkpoint has since truncated.
-    /// Snapshotted with the shard; recovery sums the bases plus the live
-    /// tails to rebuild the global counters.
-    stat_base: StatDelta,
-}
-
-impl ShardState {
-    fn permitted_considering_reservations(&self, action: &Action) -> bool {
-        self.engine.permitted_after(self.reservations.values().map(|r| &r.action), action)
-    }
-
-    /// Appends one record to this shard's write-ahead stream and folds its
-    /// statistics delta into the shard's base.  No-op when durability is off.
-    fn journal(&mut self, record: WalRecord) {
-        if let Some(hub) = &self.wal {
-            self.stat_base.add(&record.delta());
-            hub.log_shard(self.id, &record);
-        }
-    }
-
-    fn journal_commit(&mut self, key: LogKey, action: &Action, is_primary: bool, delta: StatDelta) {
-        if self.wal.is_some() {
-            self.journal(WalRecord::Commit { key, action: action.clone(), is_primary, delta });
-        }
-    }
-
-    fn journal_reserve(&mut self, reservation: &Reservation, delta: StatDelta) {
-        if self.wal.is_some() {
-            self.journal(WalRecord::Reserve { reservation: reservation.clone(), delta });
-        }
-    }
-
-    fn journal_release(&mut self, id: u64, delta: StatDelta) {
-        if self.wal.is_some() {
-            self.journal(WalRecord::Release { id, delta });
-        }
-    }
-
-    /// The checkpoint capture of this shard: the CoW state handle, the
-    /// tables, and the stream offset the snapshot covers — taken at a task
-    /// boundary, so state and offset are exactly consistent.
-    fn capture(&self) -> Option<ShardCapture> {
-        let hub = self.wal.as_ref()?;
-        Some(ShardCapture {
-            shard: self.id,
-            covered: hub.vault().stream_len(DurabilityHub::shard_stream(self.id)),
-            epoch: self.log.epoch(),
-            accepted: self.engine.accepted(),
-            rejected: self.engine.rejected(),
-            state: self.engine.state_handle().clone(),
-            log: self.log.clone(),
-            reservations: self.reservations.values().cloned().collect(),
-            subscriptions: self.subscriptions.export(),
-            stat_base: self.stat_base,
-            tier: self.engine.tier_tables(),
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1228,28 +1127,17 @@ struct PauseTask {
 struct SingleTask {
     /// The topology epoch the submission was routed under.
     epoch: u64,
-    client: ClientId,
     op: Op,
     ticket: TicketIssuer<Completion>,
     /// Submission instant (queue-metrics mode only).
     submitted: Option<Instant>,
 }
 
-#[derive(Debug)]
-enum Op {
-    Execute { action: Action },
-    Ask { action: Action },
-    Confirm { id: u64 },
-    Abort { id: u64 },
-    Expire { id: u64, now: u64 },
-    Subscribe { action: Action },
-    Unsubscribe { action: Action },
-    Query { action: Action },
-}
-
 /// A multi-owner task: enqueued onto every owner's queue (in ascending
 /// order, under the enqueue lock); the owners rendezvous on `sync` to vote,
-/// decide, and apply — the queue-based incarnation of the two-phase commit.
+/// conclude, and apply — the queue-based incarnation of the two-phase
+/// commit.  Executes have a rendezvous of their own ([`ExecTask`]), and an
+/// unsubscribe touches no shard, so `op` is never one of those.
 struct CrossTask {
     /// The topology epoch the submission was routed under.
     epoch: u64,
@@ -1257,19 +1145,9 @@ struct CrossTask {
     /// waiting ordering bound.
     seq: u64,
     owners: Vec<usize>,
-    op: CrossOp,
+    op: Op,
     sync: Mutex<CrossSync>,
     barrier: Condvar,
-}
-
-#[derive(Clone)]
-enum CrossOp {
-    Ask { client: ClientId, action: Action },
-    Confirm { id: u64 },
-    Abort { id: u64 },
-    Expire { id: u64, now: u64 },
-    Subscribe { client: ClientId, action: Action },
-    Query { action: Action },
 }
 
 /// A multi-owner combined execute — the hot cross-shard task, carried by its
@@ -1325,8 +1203,6 @@ struct ExecTask {
     /// waiting ordering bound.
     seq: u64,
     owners: Vec<usize>,
-    // The client is not part of a combined execute's semantics (exactly as
-    // in the blocking manager, which ignores it on this path).
     action: Action,
     /// Submission instant (queue-metrics mode only).
     submitted: Option<Instant>,
@@ -1432,11 +1308,9 @@ struct ExecSync {
     decision: Option<ExecDecision>,
     /// Owners that have applied a commit decision so far.
     applied: usize,
-    /// Local subscription notifications, tagged with the owner position so
-    /// the merged order matches the blocking manager.
-    notes: Vec<(usize, Vec<Notification>)>,
-    /// Refreshed cross-subscription bits deposited by the owners.
-    cross_bits: Vec<(Action, usize, bool)>,
+    /// What those of them that had anything left for [`finish`], tagged with
+    /// the owner position.
+    effects: Vec<(usize, Effects)>,
     ticket: Option<TicketIssuer<Completion>>,
 }
 
@@ -1458,46 +1332,26 @@ struct CrossSync {
     ticket: Option<TicketIssuer<Completion>>,
     /// Owners that have voted so far.
     votes: usize,
-    /// Conjunction of the votes.
-    ok: bool,
-    /// True if any owner held the referenced reservation (confirm/abort).
-    any_reservation: bool,
-    /// The removed reservation (identical copies on every owner).
-    removed: Option<Reservation>,
-    /// Per-owner status bits (query/subscribe), aligned with `owners`.
-    bits: Vec<bool>,
+    tally: Tally,
     /// The verdict, set exactly once by the last voter.
-    decision: Option<Decision>,
-    /// The reservation created by a granted ask.
-    granted: Option<Reservation>,
-    /// Owners that have applied the decision so far.
+    verdict: Option<Verdict>,
+    /// Owners that have applied the verdict so far.
     applied: usize,
-    /// Per-owner local subscription notifications, aligned with `owners`
-    /// (kept per owner so the merged order matches the blocking manager).
-    notes: Vec<Vec<Notification>>,
-    /// Refreshed cross-subscription bits deposited by the owners:
-    /// (action, owner shard id, permitted).
-    cross_bits: Vec<(Action, usize, bool)>,
+    /// What those of them that had anything left for [`finish`], tagged with
+    /// the owner position.
+    effects: Vec<(usize, Effects)>,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Decision {
-    /// All owners voted yes: install the prepared successors under sequence
-    /// number `seq`.
-    Commit { seq: u64 },
-    /// All owners voted yes on an ask: replicate the reservation.
-    Reserve,
-    /// Some owner voted no.
-    Deny,
-    /// The referenced reservation is unknown everywhere.
-    Unknown,
-    /// A confirmed action was not executable (reservations consumed).
-    Rejected,
-    /// A reservation was released (abort/expiry), or there was nothing to
-    /// release.
-    Released,
-    /// A read-only rendezvous (query/subscribe) resolved.
-    Done,
+/// The owners' votes on one operation, added up: what [`conclude`] reads.
+struct Tally {
+    /// Conjunction of the votes.
+    ok: bool,
+    /// The reservation a confirm, abort or expiry removed (identical copies
+    /// on every owner that held it).
+    removed: Option<Reservation>,
+    /// The votes one by one, aligned with the owners — the per-owner status
+    /// bits a shared subscription starts from.
+    bits: Vec<bool>,
 }
 
 /// The session-oriented runtime.  Create it once, hand [`Session`]s to
@@ -1610,13 +1464,11 @@ fn import_cross(rows: Vec<durability::CrossRow>) -> CrossSubscriptions {
 }
 
 /// One cross-shard commit seen while replaying the log tails: which owners'
-/// streams already carry its echo record, and whether the primary's (the
-/// one whose statistics delta counts) was among them.
+/// streams already carry its echo record.
 struct TailCommit {
     key: LogKey,
     action: Action,
     present: HashSet<usize>,
-    primary_present: bool,
 }
 
 /// The recovery driver behind [`ManagerRuntime::recover`].
@@ -1624,7 +1476,7 @@ fn recover_runtime(
     vault: Arc<dyn Vault>,
     options: RuntimeOptions,
 ) -> ManagerResult<ManagerRuntime> {
-    let hub = Arc::new(DurabilityHub::new(vault));
+    let hub = DurabilityHub::new(vault);
     let topo_blob = hub
         .vault()
         .load_blob(durability::TOPOLOGY_BLOB)
@@ -1664,23 +1516,23 @@ fn recover_runtime(
     let mut tail_reserved: HashSet<u64> = HashSet::new();
     let mut tail_released: HashSet<u64> = HashSet::new();
     for (id, component) in partition.components().iter().enumerate() {
-        let mut seed = ShardSeed {
-            engine: Engine::new(&component.expr).map_err(ManagerError::State)?,
-            reservations: BTreeMap::new(),
-            subscriptions: SubscriptionRegistry::new(),
-            log: ShardLog::new(),
-            stat_base: StatDelta::ZERO,
+        let mut engine = Engine::new(&component.expr).map_err(ManagerError::State)?;
+        let snapshot = match hub.vault().load_blob(&durability::snap_blob(id)) {
+            Some(blob) => Some(durability::decode_shard_checkpoint(&blob)?),
+            None => None,
         };
-        let mut covered = 0;
-        if let Some(blob) = hub.vault().load_blob(&durability::snap_blob(id)) {
-            let cp = durability::decode_shard_checkpoint(&blob)?;
-            seed.engine = Engine::restore(&component.expr, cp.state, cp.accepted, cp.rejected)
+        if let Some(cp) = &snapshot {
+            engine = Engine::restore(&component.expr, cp.state.clone(), cp.accepted, cp.rejected)
                 .map_err(ManagerError::State)?;
-            // Budget and auto-compile mode must be set before adoption:
-            // `set_tier_budget` invalidates an armed tier, which would drop
-            // the adopted tables again.
-            seed.engine.set_tier_budget(options.tier_budget);
-            seed.engine.set_tier_auto(false);
+        }
+        // Budget and auto-compile mode must be set before adoption:
+        // `set_tier_budget` invalidates an armed tier, which would drop the
+        // adopted tables again.
+        engine.set_tier_budget(options.tier_budget);
+        engine.set_tier_auto(false);
+        let mut seed = ShardState::new(id, engine, component.alphabet.clone(), Some(hub.clone()));
+        let mut covered = 0;
+        if let Some(cp) = snapshot {
             // Compiled DFA tiles re-attach from the snapshot — keyed by the
             // stored fingerprints, counted as zero compiles.
             seed.engine.adopt_tier(cp.tier);
@@ -1689,9 +1541,6 @@ fn recover_runtime(
             seed.log = cp.log;
             seed.stat_base = cp.stat_base;
             covered = cp.covered;
-        } else {
-            seed.engine.set_tier_budget(options.tier_budget);
-            seed.engine.set_tier_auto(false);
         }
         if let Some(seq) = seed.log.max_seq() {
             next_seq = next_seq.max(seq + 1);
@@ -1702,60 +1551,33 @@ fn recover_runtime(
         for (index, payload) in hub.vault().read_from(DurabilityHub::shard_stream(id), covered) {
             let record = WalRecord::decode(&payload)
                 .map_err(|e| durability::codec_err("shard log record", e))?;
-            seed.stat_base.add(&record.delta());
-            match record {
-                WalRecord::Commit { key, action, is_primary, .. } => {
-                    if !seed.engine.try_execute(&action) {
-                        return Err(durability_err(format!(
-                            "log record {index} of shard {id} does not replay: {action}"
-                        )));
-                    }
-                    if is_primary {
-                        seed.log.push_keyed(key, &action);
-                    }
+            // What the owners share is tracked here; the shard's own part
+            // of the record is the kernel's.
+            match &record {
+                WalRecord::Commit { key, action, .. } => {
                     if key.1 == 0 {
-                        // A cross-shard commit: an epoch boundary on this
-                        // shard, and a candidate for roll-forward on owners
-                        // whose echo record the crash swallowed.
-                        seed.log.set_epoch(key.0);
+                        // A cross-shard commit: a candidate for roll-forward
+                        // on owners whose echo record the crash swallowed.
                         let entry = tail_commits.entry(key.0).or_insert_with(|| TailCommit {
-                            key,
+                            key: *key,
                             action: action.clone(),
                             present: HashSet::new(),
-                            primary_present: false,
                         });
                         entry.present.insert(id);
-                        entry.primary_present |= is_primary;
                     }
                     next_seq = next_seq.max(key.0 + 1).max(key.2 + 1);
                 }
                 WalRecord::Reserve { reservation, .. } => {
                     next_reservation = next_reservation.max(reservation.id + 1);
                     tail_reserved.insert(reservation.id);
-                    seed.reservations.insert(reservation.id, reservation);
                 }
                 WalRecord::Release { id: rid, .. } => {
-                    tail_released.insert(rid);
-                    seed.reservations.remove(&rid);
+                    tail_released.insert(*rid);
                 }
-                WalRecord::Subscribe { client, action, permitted } => {
-                    let key = router
-                        .alphabet(id)
-                        .actions()
-                        .find(|a| a.matches_concrete(&action))
-                        .cloned()
-                        .unwrap_or_else(|| action.clone());
-                    seed.subscriptions.subscribe(client, action, key, permitted);
-                }
-                WalRecord::Unsubscribe { client, action } => {
-                    seed.subscriptions.unsubscribe(client, &action);
-                }
-                WalRecord::Event { .. } | WalRecord::Clock { .. } => {
-                    return Err(durability_err(format!(
-                        "meta-stream record in shard stream {id} at {index}"
-                    )));
-                }
+                _ => {}
             }
+            seed.replay(record)
+                .map_err(|e| durability_err(format!("log record {index} of shard {id}: {e}")))?;
         }
         seeds.push(seed);
     }
@@ -1786,30 +1608,14 @@ fn recover_runtime(
             if commit.key.0 > 0 && seed.log.epoch() >= commit.key.0 {
                 continue;
             }
-            if !seed.engine.try_execute(&commit.action) {
-                return Err(durability_err(format!(
-                    "torn commit {} does not replay on shard {owner}: {}",
-                    commit.key.0, commit.action
-                )));
-            }
-            let is_primary = pos == 0;
-            let epoch = seed.log.epoch().max(commit.key.0);
-            if is_primary {
-                seed.log.push_keyed(commit.key, &commit.action);
-            }
-            seed.log.set_epoch(epoch);
-            // Re-journal the missing echo (zero delta — the statistics of a
-            // torn record whose primary echo is lost are lost with it), so
-            // the streams are self-contained again for the next crash.
-            hub.log_shard(
-                owner,
-                &WalRecord::Commit {
-                    key: commit.key,
-                    action: commit.action.clone(),
-                    is_primary,
-                    delta: StatDelta::ZERO,
-                },
-            );
+            // The missing echo, with a zero delta: the statistics of a torn
+            // record whose primary echo is lost are lost with it.
+            seed.repair(WalRecord::Commit {
+                key: commit.key,
+                action: commit.action.clone(),
+                is_primary: pos == 0,
+                delta: StatDelta::ZERO,
+            })?;
         }
     }
 
@@ -1831,19 +1637,14 @@ fn recover_runtime(
         }
         if tail_reserved.contains(rid) && !tail_released.contains(rid) {
             for &owner in owners.iter().filter(|o| !holding.contains(o)) {
-                seeds[owner].reservations.insert(*rid, reservation.clone());
-                hub.log_shard(
-                    owner,
-                    &WalRecord::Reserve {
-                        reservation: reservation.clone(),
-                        delta: StatDelta::ZERO,
-                    },
-                );
+                seeds[owner].repair(WalRecord::Reserve {
+                    reservation: reservation.clone(),
+                    delta: StatDelta::ZERO,
+                })?;
             }
         } else {
             for &owner in holding {
-                seeds[owner].reservations.remove(rid);
-                hub.log_shard(owner, &WalRecord::Release { id: *rid, delta: StatDelta::ZERO });
+                seeds[owner].repair(WalRecord::Release { id: *rid, delta: StatDelta::ZERO })?;
             }
         }
     }
@@ -1890,13 +1691,7 @@ fn recover_runtime(
                     }
                 }
                 Route::Single(owner) => {
-                    let key = router
-                        .alphabet(owner)
-                        .actions()
-                        .find(|a| a.matches_concrete(&action))
-                        .cloned()
-                        .unwrap_or_else(|| action.clone());
-                    seeds[owner].subscriptions.subscribe(client, action, key, permitted);
+                    seeds[owner].replay(WalRecord::Subscribe { client, action, permitted })?;
                 }
                 Route::None => {
                     orphan_subscriptions.subscribe(client, action.clone(), action, false);
@@ -1919,7 +1714,9 @@ fn recover_runtime(
                         cross_subscriptions.by_shard.retain(|_, actions| !actions.is_empty());
                     }
                 }
-                Route::Single(owner) => seeds[owner].subscriptions.unsubscribe(client, &action),
+                Route::Single(owner) => {
+                    seeds[owner].replay(WalRecord::Unsubscribe { client, action })?;
+                }
                 Route::None => orphan_subscriptions.unsubscribe(client, &action),
             },
             _ => {
@@ -1933,16 +1730,12 @@ fn recover_runtime(
         stat_total.add(&seed.stat_base);
     }
 
-    // Silent subscription refresh: a Subscribe echo carries the cache as of
-    // registration, and checkpointed registries carry it as of the cut;
-    // commits replayed afterwards may have flipped the status.  The
-    // uncrashed runtime kept every cache current through notifications, so
-    // recomputing against the recovered engines — and discarding the
-    // notifications, whose deliveries were never durable — restores exactly
-    // the caches the crash interrupted.
+    // Silent subscription refresh: commits replayed after a registration or
+    // a cut may have flipped a cached status.  The uncrashed runtime kept
+    // every cache current through notifications, so recomputing against the
+    // recovered engines restores exactly the caches the crash interrupted.
     for seed in seeds.iter_mut() {
-        let ShardSeed { engine, subscriptions, .. } = seed;
-        let _ = subscriptions.refresh(|a| engine.is_permitted(a));
+        seed.settle_subscriptions();
     }
     for (action, entry) in cross_subscriptions.entries.iter_mut() {
         for (pos, &owner) in entry.owners.iter().enumerate() {
@@ -1997,16 +1790,6 @@ fn recover_runtime(
     spawn_runtime(&expr, partition, options, Some(hub), seeds, globals)
 }
 
-/// Construction seed of one shard worker: the engine plus the recovered (or
-/// empty) shard-local state it starts from.
-struct ShardSeed {
-    engine: Engine,
-    reservations: BTreeMap<u64, Reservation>,
-    subscriptions: SubscriptionRegistry,
-    log: ShardLog,
-    stat_base: StatDelta,
-}
-
 /// Runtime-global state a recovery seeds the shared block with; the default
 /// is the fresh-construction state.
 struct RecoveredGlobals {
@@ -2042,22 +1825,20 @@ impl Default for RecoveredGlobals {
     }
 }
 
-/// Fresh shard seeds for a partition: one new engine per component, empty
+/// Fresh shard states for a partition: one new engine per component, empty
 /// shard-local state.
-fn fresh_seeds(partition: &Partition, options: &RuntimeOptions) -> ManagerResult<Vec<ShardSeed>> {
+fn fresh_seeds(
+    partition: &Partition,
+    options: &RuntimeOptions,
+    hub: Option<&DurabilityHub>,
+) -> ManagerResult<Vec<ShardState>> {
     let mut seeds = Vec::with_capacity(partition.len());
-    for component in partition.components() {
+    for (id, component) in partition.components().iter().enumerate() {
         let mut engine = Engine::new(&component.expr).map_err(ManagerError::State)?;
         // Workers compile in their idle slots, never mid-transition.
         engine.set_tier_budget(options.tier_budget);
         engine.set_tier_auto(false);
-        seeds.push(ShardSeed {
-            engine,
-            reservations: BTreeMap::new(),
-            subscriptions: SubscriptionRegistry::new(),
-            log: ShardLog::new(),
-            stat_base: StatDelta::ZERO,
-        });
+        seeds.push(ShardState::new(id, engine, component.alphabet.clone(), hub.cloned()));
     }
     Ok(seeds)
 }
@@ -2072,14 +1853,14 @@ fn write_topology_blob(hub: &DurabilityHub, expr: &Expr, partition: &Partition) 
 }
 
 /// The one runtime constructor: wires the topology, the shared block, and
-/// the worker threads from per-shard seeds — fresh construction, durable
+/// the worker threads from the shard states — fresh construction, durable
 /// construction, and crash recovery all funnel through here.
 fn spawn_runtime(
     expr: &Expr,
     partition: Partition,
     options: RuntimeOptions,
-    hub: Option<Arc<DurabilityHub>>,
-    seeds: Vec<ShardSeed>,
+    hub: Option<DurabilityHub>,
+    seeds: Vec<ShardState>,
     globals: RecoveredGlobals,
 ) -> ManagerResult<ManagerRuntime> {
     let alphabets: Vec<Alphabet> =
@@ -2092,9 +1873,8 @@ fn spawn_runtime(
         senders.push(tx);
         receivers.push(rx);
     }
-    let gates: Vec<Arc<ShardGate>> = (0..senders.len())
-        .map(|_| Arc::new(ShardGate::new(options.queue_limit, options.shed)))
-        .collect();
+    let gates: Vec<Arc<ShardGate>> =
+        (0..senders.len()).map(|_| Arc::new(ShardGate::new(options.queue_limit))).collect();
 
     // ---- The worker pool: size, placement, and the slot bench. ----
     let workers_n = match options.worker_threads {
@@ -2115,18 +1895,8 @@ fn spawn_runtime(
         .into_iter()
         .zip(receivers)
         .zip(gates.iter())
-        .enumerate()
-        .map(|(id, ((seed, rx), gate))| {
-            gate.publish_log(&seed.log);
-            let state = ShardState {
-                id,
-                engine: seed.engine,
-                reservations: seed.reservations,
-                subscriptions: seed.subscriptions,
-                log: seed.log,
-                wal: hub.clone(),
-                stat_base: seed.stat_base,
-            };
+        .map(|((state, rx), gate)| {
+            gate.publish_log(&state.log);
             Arc::new(ShardSlot {
                 rx,
                 gate: Arc::clone(gate),
@@ -2179,7 +1949,7 @@ fn spawn_runtime(
         timers: Mutex::new(globals.timers),
         tier_budget: options.tier_budget,
         durable,
-        durability: hub.clone(),
+        durability: hub,
         clock: AtomicU64::new(globals.clock),
         log_seq: AtomicU64::new(globals.log_seq),
         next_reservation: AtomicU64::new(globals.next_reservation),
@@ -2191,7 +1961,6 @@ fn spawn_runtime(
         queue_metrics: options.queue_metrics,
         queue_samples: Mutex::new(Vec::new()),
         queue_limit: options.queue_limit,
-        shed: options.shed,
         pool: Arc::clone(&pool),
         checkpoint_every: options.checkpoint_every,
         auto_checkpoints: AtomicU64::new(0),
@@ -2268,7 +2037,7 @@ impl ManagerRuntime {
     /// gets one worker thread and one ordered task queue.
     pub fn with_options(expr: &Expr, options: RuntimeOptions) -> ManagerResult<ManagerRuntime> {
         let partition = Partition::of(expr);
-        let seeds = fresh_seeds(&partition, &options)?;
+        let seeds = fresh_seeds(&partition, &options, None)?;
         spawn_runtime(expr, partition, options, None, seeds, RecoveredGlobals::default())
     }
 
@@ -2285,14 +2054,14 @@ impl ManagerRuntime {
         options: RuntimeOptions,
         vault: Arc<dyn Vault>,
     ) -> ManagerResult<ManagerRuntime> {
-        let hub = Arc::new(DurabilityHub::new(vault));
+        let hub = DurabilityHub::new(vault);
         let partition = Partition::of(expr);
         // Persist the topology before anything journals against it: the log
         // streams are meaningless without the component table that routed
         // them.
         write_topology_blob(&hub, expr, &partition);
         hub.vault().sync();
-        let seeds = fresh_seeds(&partition, &options)?;
+        let seeds = fresh_seeds(&partition, &options, Some(&hub))?;
         spawn_runtime(expr, partition, options, Some(hub), seeds, RecoveredGlobals::default())
     }
 
@@ -2862,22 +2631,20 @@ impl ManagerRuntime {
         let mut new_gates = Vec::with_capacity(new_engines.len());
         {
             let pool = &shared.pool;
-            for (i, (idx, engine, _)) in new_engines.into_iter().enumerate() {
+            for (i, (idx, engine, alphabet)) in new_engines.into_iter().enumerate() {
                 let (tx, rx): (Sender<Task>, Receiver<Task>) = unbounded();
                 new_senders.push(tx);
-                let gate = Arc::new(ShardGate::new(shared.queue_limit, shared.shed));
+                let gate = Arc::new(ShardGate::new(shared.queue_limit));
                 new_gates.push(Arc::clone(&gate));
-                let mut log = ShardLog::new();
-                log.set_epoch(new_epochs[i]);
-                let state = ShardState {
-                    id: idx,
-                    engine,
-                    reservations: std::mem::take(&mut new_reservations[i]),
-                    subscriptions: std::mem::take(&mut new_subscriptions[i]),
-                    log,
-                    wal: shared.durability.clone(),
-                    stat_base: StatDelta::ZERO,
-                };
+                // The one place outside the shard kernel that fills a
+                // shard's tables: a new shard is born holding the
+                // reservations and subscriptions that migrated onto it, in
+                // the epoch of the history it replayed — whole tables handed
+                // over before anything serves it, not operations on a shard.
+                let mut state = ShardState::new(idx, engine, alphabet, shared.durability.clone());
+                state.reservations = std::mem::take(&mut new_reservations[i]);
+                state.subscriptions = std::mem::take(&mut new_subscriptions[i]);
+                state.log.set_epoch(new_epochs[i]);
                 // Seed the new shard's published reservation fingerprint so
                 // post-migration conditional votes verify against the
                 // migrated table, not the empty default.
@@ -2976,10 +2743,11 @@ impl ManagerRuntime {
         repart.replayed_actions.fetch_add(replayed as u64, Ordering::Relaxed);
         repart.migrated_reservations.fetch_add(migrated_reservations as u64, Ordering::Relaxed);
         repart.migrated_subscriptions.fetch_add(migrated_subscriptions as u64, Ordering::Relaxed);
-        shared.stats.notifications.fetch_add(flips.len() as u64, Ordering::Relaxed);
-        if !flips.is_empty() {
-            meta_event(shared, StatDelta { notifications: flips.len() as u64, ..StatDelta::ZERO });
-        }
+        account(
+            shared,
+            StatDelta { notifications: flips.len() as u64, ..StatDelta::ZERO },
+            StatDelta::ZERO,
+        );
         deliver(shared, &flips);
         let report = RepartitionReport {
             epoch,
@@ -3037,7 +2805,7 @@ impl ManagerRuntime {
                     submit_ask(&self.shared, &topo, record.client, action, Credit::Charge)
                 }
                 DurableOp::Execute { ref action } => {
-                    submit_execute(&self.shared, &topo, record.client, action, Credit::Charge)
+                    submit_execute(&self.shared, &topo, action, Credit::Charge)
                 }
                 DurableOp::Confirm { id } => submit_confirm(&self.shared, &self.topology, id),
                 DurableOp::Abort { id } => submit_abort(&self.shared, &self.topology, id),
@@ -3235,7 +3003,7 @@ impl Session {
         let topo = self.snapshot();
         admit_submission(&topo, action, AdmitClass::Commit, AdmitClass::Speculative)?;
         self.journal(DurableOp::Execute { action: action.clone() });
-        Ok(submit_execute(&self.shared, &topo, self.client, action, Credit::Held))
+        Ok(submit_execute(&self.shared, &topo, action, Credit::Held))
     }
 
     /// Submits a whole *window* of combined executes with one topology
@@ -3276,16 +3044,10 @@ impl Session {
             shared.stats.asks.fetch_add(1, Ordering::Relaxed);
             self.journal(DurableOp::Execute { action: action.clone() });
             match route {
-                None => {
-                    meta_event(shared, StatDelta { asks: 1, ..StatDelta::ZERO });
-                    out.push(completed(Completion::Failed {
-                        error: ManagerError::NonConcreteAction { action: action.to_string() },
-                    }));
-                }
+                None => out.push(completed(non_concrete(shared, action))),
                 Some(Route::None) => {
-                    shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-                    meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-                    out.push(completed(Completion::Denied));
+                    let op = Op::Execute { action: action.clone() };
+                    out.push(completed(settle_unowned(shared, op)));
                 }
                 Some(route) => {
                     let (issuer, t) = ticket();
@@ -3313,7 +3075,6 @@ impl Session {
                     }
                     run.push(SingleTask {
                         epoch: topo.epoch(),
-                        client: self.client,
                         op: Op::Execute { action },
                         ticket: issuer,
                         submitted,
@@ -3352,39 +3113,8 @@ impl Session {
         if let Err(e) = admit_submission(&topo, action, AdmitClass::Probe, AdmitClass::Probe) {
             return completed(Completion::Failed { error: e.into() });
         }
-        match topo.router.classify(action) {
-            Route::None => {
-                lock(&shared.orphan_subscriptions).subscribe(
-                    self.client,
-                    action.clone(),
-                    action.clone(),
-                    false,
-                );
-                if let Some(hub) = &shared.durability {
-                    hub.log_meta(&WalRecord::Subscribe {
-                        client: self.client,
-                        action: action.clone(),
-                        permitted: false,
-                    });
-                }
-                completed(Completion::Subscribed { permitted: false })
-            }
-            Route::Single(shard) => dispatch_single(
-                shared,
-                &topo,
-                shard,
-                self.client,
-                Op::Subscribe { action: action.clone() },
-                Credit::Held,
-            ),
-            Route::Multi(owners) => dispatch_cross(
-                shared,
-                &topo,
-                owners,
-                CrossOp::Subscribe { client: self.client, action: action.clone() },
-                Credit::Held,
-            ),
-        }
+        let op = Op::Subscribe { client: self.client, action: action.clone() };
+        dispatch(shared, &topo, topo.router.classify(action), op, Credit::Held)
     }
 
     /// Removes a subscription.
@@ -3392,29 +3122,15 @@ impl Session {
         let shared = &self.shared;
         let topo = self.snapshot();
         match topo.router.classify(action) {
-            Route::None => {
-                lock(&shared.orphan_subscriptions).unsubscribe(self.client, action);
-                if let Some(hub) = &shared.durability {
-                    hub.log_meta(&WalRecord::Unsubscribe {
-                        client: self.client,
-                        action: action.clone(),
-                    });
-                }
+            Route::Multi(_) => {
+                cross_unsubscribe(shared, self.client, action);
                 completed(Completion::Unsubscribed)
             }
             // Unsubscribes are never shed: dropping one would leak the
             // registry entry the client believes is gone.
-            Route::Single(shard) => dispatch_single(
-                shared,
-                &topo,
-                shard,
-                self.client,
-                Op::Unsubscribe { action: action.clone() },
-                Credit::Charge,
-            ),
-            Route::Multi(_) => {
-                cross_unsubscribe(shared, self.client, action);
-                completed(Completion::Unsubscribed)
+            route => {
+                let op = Op::Unsubscribe { client: self.client, action: action.clone() };
+                dispatch(shared, &topo, route, op, Credit::Charge)
             }
         }
     }
@@ -3426,24 +3142,8 @@ impl Session {
         if let Err(e) = admit_submission(&topo, action, AdmitClass::Probe, AdmitClass::Probe) {
             return completed(Completion::Failed { error: e.into() });
         }
-        match topo.router.classify(action) {
-            Route::None => completed(Completion::Status { permitted: false }),
-            Route::Single(shard) => dispatch_single(
-                &self.shared,
-                &topo,
-                shard,
-                self.client,
-                Op::Query { action: action.clone() },
-                Credit::Held,
-            ),
-            Route::Multi(owners) => dispatch_cross(
-                &self.shared,
-                &topo,
-                owners,
-                CrossOp::Query { action: action.clone() },
-                Credit::Held,
-            ),
-        }
+        let op = Op::Query { action: action.clone() };
+        dispatch(&self.shared, &topo, topo.router.classify(action), op, Credit::Held)
     }
 
     /// Drains the subscription notifications received so far.
@@ -3526,6 +3226,46 @@ impl Session {
 // Submission paths (shared by sessions and durable redelivery).
 // ---------------------------------------------------------------------------
 
+/// What an ask or an execute of a non-concrete action comes to, counted as
+/// the blocking manager counts it.
+fn non_concrete(shared: &RuntimeShared, action: &Action) -> Completion {
+    account(shared, StatDelta { asks: 1, ..StatDelta::ZERO }, StatDelta::ZERO);
+    Completion::Failed { error: ManagerError::NonConcreteAction { action: action.to_string() } }
+}
+
+/// What an operation on an action outside every alphabet comes to — no
+/// owner, so no vote: the outcome and the counts the blocking manager gives
+/// it, before any queue or lock is touched.  A subscription waits among the
+/// orphans for a constraint that covers it.
+fn settle_unowned(shared: &RuntimeShared, op: Op) -> Completion {
+    match op {
+        Op::Subscribe { client, action } => {
+            lock(&shared.orphan_subscriptions).subscribe(
+                client,
+                action.clone(),
+                action.clone(),
+                false,
+            );
+            if let Some(hub) = &shared.durability {
+                hub.log_meta(&WalRecord::Subscribe { client, action, permitted: false });
+            }
+            Completion::Subscribed { permitted: false }
+        }
+        Op::Unsubscribe { client, action } => {
+            lock(&shared.orphan_subscriptions).unsubscribe(client, &action);
+            if let Some(hub) = &shared.durability {
+                hub.log_meta(&WalRecord::Unsubscribe { client, action });
+            }
+            Completion::Unsubscribed
+        }
+        Op::Query { .. } => Completion::Status { permitted: false },
+        _ => {
+            account(shared, DENIED, StatDelta::ZERO);
+            Completion::Denied
+        }
+    }
+}
+
 fn submit_ask(
     shared: &Arc<RuntimeShared>,
     topo: &Arc<Topology>,
@@ -3535,60 +3275,23 @@ fn submit_ask(
 ) -> Ticket<Completion> {
     shared.stats.asks.fetch_add(1, Ordering::Relaxed);
     if !action.is_concrete() {
-        meta_event(shared, StatDelta { asks: 1, ..StatDelta::ZERO });
-        return completed(Completion::Failed {
-            error: ManagerError::NonConcreteAction { action: action.to_string() },
-        });
+        return completed(non_concrete(shared, action));
     }
-    match topo.router.classify(action) {
-        Route::None => {
-            // Unknown to every shard: denied inline, before any queue or
-            // lock is touched (the signature-level miss in the router).
-            shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-            meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-            completed(Completion::Denied)
-        }
-        Route::Single(shard) => {
-            dispatch_single(shared, topo, shard, client, Op::Ask { action: action.clone() }, credit)
-        }
-        Route::Multi(owners) => dispatch_cross(
-            shared,
-            topo,
-            owners,
-            CrossOp::Ask { client, action: action.clone() },
-            credit,
-        ),
-    }
+    let op = Op::Ask { client, action: action.clone() };
+    dispatch(shared, topo, topo.router.classify(action), op, credit)
 }
 
 fn submit_execute(
     shared: &Arc<RuntimeShared>,
     topo: &Arc<Topology>,
-    client: ClientId,
     action: &Action,
     credit: Credit,
 ) -> Ticket<Completion> {
     shared.stats.asks.fetch_add(1, Ordering::Relaxed);
     if !action.is_concrete() {
-        meta_event(shared, StatDelta { asks: 1, ..StatDelta::ZERO });
-        return completed(Completion::Failed {
-            error: ManagerError::NonConcreteAction { action: action.to_string() },
-        });
+        return completed(non_concrete(shared, action));
     }
     match topo.router.classify(action) {
-        Route::None => {
-            shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-            meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-            completed(Completion::Denied)
-        }
-        Route::Single(shard) => dispatch_single(
-            shared,
-            topo,
-            shard,
-            client,
-            Op::Execute { action: action.clone() },
-            credit,
-        ),
         Route::Multi(owners) => {
             let (issuer, t) = ticket();
             let submitted = stamp_submitted(shared);
@@ -3596,6 +3299,7 @@ fn submit_execute(
             enqueue_exec(topo, owners, action.clone(), issuer, submitted, credit);
             t
         }
+        route => dispatch(shared, topo, route, Op::Execute { action: action.clone() }, credit),
     }
 }
 
@@ -3607,10 +3311,7 @@ fn submit_confirm(shared: &Arc<RuntimeShared>, slot: &TopologySlot, id: u64) -> 
         }
     };
     let topo = covering_topology(slot, &owners);
-    match owners.as_slice() {
-        [shard] => dispatch_single(shared, &topo, *shard, 0, Op::Confirm { id }, Credit::Charge),
-        _ => dispatch_cross(shared, &topo, owners, CrossOp::Confirm { id }, Credit::Charge),
-    }
+    dispatch_owners(shared, &topo, owners, Op::Confirm { id })
 }
 
 fn submit_abort(shared: &Arc<RuntimeShared>, slot: &TopologySlot, id: u64) -> Ticket<Completion> {
@@ -3621,10 +3322,7 @@ fn submit_abort(shared: &Arc<RuntimeShared>, slot: &TopologySlot, id: u64) -> Ti
         }
     };
     let topo = covering_topology(slot, &owners);
-    match owners.as_slice() {
-        [shard] => dispatch_single(shared, &topo, *shard, 0, Op::Abort { id }, Credit::Charge),
-        _ => dispatch_cross(shared, &topo, owners, CrossOp::Abort { id }, Credit::Charge),
-    }
+    dispatch_owners(shared, &topo, owners, Op::Abort { id })
 }
 
 /// Removes a cross-shard subscription from the runtime-level registry (no
@@ -3657,7 +3355,6 @@ fn cross_unsubscribe(shared: &RuntimeShared, client: ClientId, action: &Action) 
 fn enqueue_single(
     topo: &Topology,
     shard: usize,
-    client: ClientId,
     op: Op,
     issuer: TicketIssuer<Completion>,
     submitted: Option<Instant>,
@@ -3666,8 +3363,7 @@ fn enqueue_single(
     if credit == Credit::Charge {
         topo.gates[shard].charge(1);
     }
-    let task =
-        Task::Single(SingleTask { epoch: topo.epoch(), client, op, ticket: issuer, submitted });
+    let task = Task::Single(SingleTask { epoch: topo.epoch(), op, ticket: issuer, submitted });
     match topo.queues[shard].send(task) {
         Ok(()) => topo.pool.core.wake_shard(shard),
         Err(SendError(Task::Single(task))) => {
@@ -3682,13 +3378,42 @@ fn dispatch_single(
     shared: &RuntimeShared,
     topo: &Topology,
     shard: usize,
-    client: ClientId,
     op: Op,
     credit: Credit,
 ) -> Ticket<Completion> {
     let (issuer, t) = ticket();
-    enqueue_single(topo, shard, client, op, issuer, stamp_submitted(shared), credit);
+    enqueue_single(topo, shard, op, issuer, stamp_submitted(shared), credit);
     t
+}
+
+/// Enqueues an operation on the owner or owners `route` names and returns
+/// its ticket; without an owner it resolves on the spot.
+fn dispatch(
+    shared: &RuntimeShared,
+    topo: &Topology,
+    route: Route,
+    op: Op,
+    credit: Credit,
+) -> Ticket<Completion> {
+    match route {
+        Route::None => completed(settle_unowned(shared, op)),
+        Route::Single(shard) => dispatch_single(shared, topo, shard, op, credit),
+        Route::Multi(owners) => dispatch_cross(shared, topo, owners, op, credit),
+    }
+}
+
+/// Enqueues a reservation operation (confirm, abort, expiry) on the owners
+/// the reservation index names.  Forced traffic: never shed.
+fn dispatch_owners(
+    shared: &RuntimeShared,
+    topo: &Topology,
+    owners: Vec<usize>,
+    op: Op,
+) -> Ticket<Completion> {
+    match owners.as_slice() {
+        [shard] => dispatch_single(shared, topo, *shard, op, Credit::Charge),
+        _ => dispatch_cross(shared, topo, owners, op, Credit::Charge),
+    }
 }
 
 /// Sends a batched run of same-shard single tasks as one channel message
@@ -3745,8 +3470,7 @@ fn enqueue_exec(
             cascade_next: None,
             decision: None,
             applied: 0,
-            notes: Vec::new(),
-            cross_bits: Vec::new(),
+            effects: Vec::new(),
             ticket: Some(issuer),
         }),
         barrier: Condvar::new(),
@@ -3774,7 +3498,7 @@ fn enqueue_exec(
 fn enqueue_cross(
     topo: &Topology,
     owners: Vec<usize>,
-    op: CrossOp,
+    op: Op,
     issuer: TicketIssuer<Completion>,
     credit: Credit,
 ) {
@@ -3793,15 +3517,10 @@ fn enqueue_cross(
             stale: None,
             ticket: Some(issuer),
             votes: 0,
-            ok: true,
-            any_reservation: false,
-            removed: None,
-            bits: vec![false; n],
-            decision: None,
-            granted: None,
+            tally: Tally { ok: true, removed: None, bits: vec![false; n] },
+            verdict: None,
             applied: 0,
-            notes: vec![Vec::new(); n],
-            cross_bits: Vec::new(),
+            effects: Vec::new(),
         }),
         barrier: Condvar::new(),
     });
@@ -3826,7 +3545,7 @@ fn dispatch_cross(
     shared: &RuntimeShared,
     topo: &Topology,
     owners: Vec<usize>,
-    op: CrossOp,
+    op: Op,
     credit: Credit,
 ) -> Ticket<Completion> {
     let (issuer, t) = ticket();
@@ -4100,23 +3819,7 @@ fn advance_clock(shared: &Arc<RuntimeShared>, slot: &TopologySlot, delta: u64) -
             let owners =
                 lock(&shared.reservation_index).get(&event.id).cloned().unwrap_or(event.owners);
             let topo = covering_topology(slot, &owners);
-            Some(match owners.as_slice() {
-                [shard] => dispatch_single(
-                    shared,
-                    &topo,
-                    *shard,
-                    0,
-                    Op::Expire { id: event.id, now },
-                    Credit::Charge,
-                ),
-                _ => dispatch_cross(
-                    shared,
-                    &topo,
-                    owners,
-                    CrossOp::Expire { id: event.id, now },
-                    Credit::Charge,
-                ),
-            })
+            Some(dispatch_owners(shared, &topo, owners, Op::Expire { id: event.id, now }))
         })
         .collect();
     let expired = tickets
@@ -4291,7 +3994,7 @@ fn pool_worker(shared: Arc<RuntimeShared>, me: usize) {
     let pool = Arc::clone(&shared.pool);
     // The inert placeholder gate; serve_slice swaps the served shard's own
     // gate in for the duration of each slice.
-    let idle_gate = Arc::new(ShardGate::new(0, shared.shed));
+    let idle_gate = Arc::new(ShardGate::new(0));
     let mut cx = WorkerCtx::new(shared.queue_metrics, idle_gate);
     loop {
         let mut progressed = false;
@@ -4450,7 +4153,7 @@ fn serve_slice(
                         }
                         Err(_) => break,
                     }
-                    if batch.actions.len() >= MAX_BATCH {
+                    if batch.ops.len() >= MAX_BATCH {
                         break;
                     }
                 }
@@ -4581,9 +4284,9 @@ fn ensure_single_route(
     let behind_divert = task.epoch < *divert_below;
     match &task.op {
         Op::Execute { action }
-        | Op::Ask { action }
-        | Op::Subscribe { action }
-        | Op::Unsubscribe { action }
+        | Op::Ask { action, .. }
+        | Op::Subscribe { action, .. }
+        | Op::Unsubscribe { action, .. }
         | Op::Query { action } => match topo.router.classify(action) {
             Route::Single(shard) if shard == st.id && !behind_divert => Some(task),
             route => {
@@ -4606,15 +4309,8 @@ fn ensure_single_route(
                 Some(owners) => {
                     shared.repart.rerouted_tasks.fetch_add(1, Ordering::Relaxed);
                     *divert_below = topo.epoch();
-                    let SingleTask { op, ticket, .. } = task;
-                    let op = match op {
-                        Op::Confirm { id } => CrossOp::Confirm { id },
-                        Op::Abort { id } => CrossOp::Abort { id },
-                        Op::Expire { id, now } => CrossOp::Expire { id, now },
-                        _ => unreachable!("reservation ops only"),
-                    };
                     let _guard = lock(&shared.cross_enqueue);
-                    enqueue_cross(&topo, owners, op, ticket, Credit::Charge);
+                    enqueue_cross(&topo, owners, task.op, task.ticket, Credit::Charge);
                     None
                 }
             }
@@ -4633,66 +4329,24 @@ fn redispatch_single(
     route: Route,
     cx: &mut WorkerCtx,
 ) {
-    let SingleTask { client, op, ticket: issuer, submitted, .. } = task;
+    let SingleTask { op, ticket: issuer, submitted, .. } = task;
     match (op, route) {
         (op, Route::Single(shard)) => {
-            enqueue_single(topo, shard, client, op, issuer, submitted, Credit::Charge)
+            enqueue_single(topo, shard, op, issuer, submitted, Credit::Charge)
         }
         (Op::Execute { action }, Route::Multi(owners)) => {
             enqueue_exec(topo, owners, action, issuer, submitted, Credit::Charge);
         }
-        (Op::Ask { action }, Route::Multi(owners)) => {
-            enqueue_cross(topo, owners, CrossOp::Ask { client, action }, issuer, Credit::Charge)
-        }
-        (Op::Subscribe { action }, Route::Multi(owners)) => enqueue_cross(
-            topo,
-            owners,
-            CrossOp::Subscribe { client, action },
-            issuer,
-            Credit::Charge,
-        ),
-        (Op::Unsubscribe { action }, Route::Multi(_)) => {
+        (Op::Unsubscribe { client, action }, Route::Multi(_)) => {
             // The migration promoted the registration to the cross-shard
             // registry; remove it there.
             cross_unsubscribe(shared, client, &action);
             fulfil(issuer, Completion::Unsubscribed, cx);
         }
-        (Op::Query { action }, Route::Multi(owners)) => {
-            enqueue_cross(topo, owners, CrossOp::Query { action }, issuer, Credit::Charge)
-        }
-        (op, Route::None) => {
-            // Owner sets never shrink; complete with the outcome an
-            // unknown action gets on the submission path.
-            let completion = match op {
-                Op::Subscribe { action } => {
-                    lock(&shared.orphan_subscriptions).subscribe(
-                        client,
-                        action.clone(),
-                        action.clone(),
-                        false,
-                    );
-                    if let Some(hub) = &shared.durability {
-                        hub.log_meta(&WalRecord::Subscribe { client, action, permitted: false });
-                    }
-                    Completion::Subscribed { permitted: false }
-                }
-                Op::Unsubscribe { action } => {
-                    lock(&shared.orphan_subscriptions).unsubscribe(client, &action);
-                    if let Some(hub) = &shared.durability {
-                        hub.log_meta(&WalRecord::Unsubscribe { client, action });
-                    }
-                    Completion::Unsubscribed
-                }
-                Op::Query { .. } => Completion::Status { permitted: false },
-                _ => {
-                    shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-                    meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-                    Completion::Denied
-                }
-            };
-            fulfil(issuer, completion, cx);
-        }
-        (op, route) => unreachable!("unhandled stale reroute {op:?} -> {route:?}"),
+        (op, Route::Multi(owners)) => enqueue_cross(topo, owners, op, issuer, Credit::Charge),
+        // Owner sets never shrink; complete with the outcome an unknown
+        // action gets on the submission path.
+        (op, Route::None) => fulfil(issuer, settle_unowned(shared, op), cx),
     }
 }
 
@@ -4739,29 +4393,11 @@ fn process_batch_window(
         let _guard = lock(&shared.cross_enqueue);
         for task in std::iter::once(task).chain(iter) {
             shared.repart.rerouted_tasks.fetch_add(1, Ordering::Relaxed);
-            let SingleTask { client, op, ticket, submitted, .. } = task;
-            let Op::Execute { action } = op else {
+            let Op::Execute { action } = &task.op else {
                 unreachable!("submission windows carry executes only");
             };
-            match topo.router.classify(&action) {
-                Route::Single(shard) => enqueue_single(
-                    &topo,
-                    shard,
-                    client,
-                    Op::Execute { action },
-                    ticket,
-                    submitted,
-                    Credit::Charge,
-                ),
-                Route::Multi(owners) => {
-                    enqueue_exec(&topo, owners, action, ticket, submitted, Credit::Charge)
-                }
-                Route::None => {
-                    shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-                    meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-                    fulfil(ticket, Completion::Denied, cx);
-                }
-            }
+            let route = topo.router.classify(action);
+            redispatch_single(shared, &topo, task, route, cx);
         }
         return;
     }
@@ -4793,7 +4429,7 @@ fn cross_is_live(
         }
         return !stale;
     }
-    if sync.votes > 0 || sync.decision.is_some() {
+    if sync.votes > 0 {
         // Somebody already voted under the old epoch, so the owner set
         // cannot have changed (its owners could not straddle a migration).
         sync.stale = Some(false);
@@ -4801,12 +4437,14 @@ fn cross_is_live(
     }
     let current = shared.topology.upgrade().map(|slot| read_topology(&slot));
     let owners = current.as_ref().and_then(|topo| match &task.op {
-        CrossOp::Ask { action, .. }
-        | CrossOp::Subscribe { action, .. }
-        | CrossOp::Query { action } => Some(topo.router.owners(action)),
-        CrossOp::Confirm { id } | CrossOp::Abort { id } | CrossOp::Expire { id, .. } => {
+        Op::Confirm { id } | Op::Abort { id } | Op::Expire { id, .. } => {
             lock(&shared.reservation_index).get(id).cloned()
         }
+        Op::Execute { action }
+        | Op::Ask { action, .. }
+        | Op::Subscribe { action, .. }
+        | Op::Unsubscribe { action, .. }
+        | Op::Query { action } => Some(topo.router.owners(action)),
     });
     let (stale, owners) = match owners {
         Some(owners) if owners != task.owners => (true, owners),
@@ -4878,28 +4516,6 @@ fn exec_is_live(shared: &Arc<RuntimeShared>, task: &Arc<ExecTask>, divert_below:
 /// cost of recomputing a speculation tail after a denial.
 const MAX_BATCH: usize = 128;
 
-/// One owner's local vote on an execute: the reservation-aware probe (only
-/// when reservations are outstanding, as on the single-owner path) followed
-/// by the tentative prepare, both from the speculative `base` state of the
-/// run's chain.  `Some` is a yes vote carrying the prepared successor.
-/// Also returns the fingerprint of the reservation table the probe ran
-/// against — the witness a conditional vote built on this probe carries.
-fn exec_vote(st: &ShardState, base: Option<&StateRef>, action: &Action) -> (Option<StateRef>, u64) {
-    let (permitted, fp) = if st.reservations.is_empty() {
-        (true, empty_reservation_fingerprint())
-    } else {
-        st.engine.permitted_after_from_fingerprinted(
-            base,
-            st.reservations.values().map(|r| &r.action),
-            action,
-        )
-    };
-    if !permitted {
-        return (None, fp);
-    }
-    (st.engine.prepare_from(base, action), fp)
-}
-
 /// Publishes the shard's current reservation-table fingerprint, against
 /// which conditional votes prove their probes still hold at promotion time.
 /// Called after every mutation of `st.reservations` (cascade mode only —
@@ -4908,8 +4524,7 @@ fn publish_reservation_fp(shared: &RuntimeShared, st: &ShardState) {
     if !shared.cascade {
         return;
     }
-    let fp = Engine::reservation_fingerprint(st.reservations.values().map(|r| &r.action));
-    lock(&shared.reservation_fps).insert(st.id, fp);
+    lock(&shared.reservation_fps).insert(st.id, st.reservation_fingerprint());
 }
 
 /// Records the verdict: the single place `ExecSync::decision` is set.
@@ -5016,8 +4631,7 @@ fn deposit_unconditional_vote(
         try_decide_exec(shared, task, sync)
     } else {
         sync.votes[pos] = Vote::Pending;
-        shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-        meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
+        account(shared, DENIED, StatDelta::ZERO);
         if let Some(issuer) = sync.ticket.take() {
             fulfil(issuer, Completion::Denied, cx);
         }
@@ -5118,68 +4732,13 @@ fn propagate_decisions(shared: &RuntimeShared, decided: &mut Vec<(Arc<ExecTask>,
     }
 }
 
-/// Applies a commit decision on this owner and, as the last applier, merges
-/// the notifications, counts the stats and fulfils the ticket — the same
-/// bookkeeping as the blocking manager's per-commit path.
-fn apply_exec_commit(
-    shared: &RuntimeShared,
-    st: &mut ShardState,
-    task: &ExecTask,
-    pos: usize,
-    seq: u64,
-    next: StateRef,
-    cx: &mut WorkerCtx,
-) {
-    st.engine.commit_prepared(next);
-    let engine = &st.engine;
-    let local_notes = st.subscriptions.refresh(|a| engine.is_permitted(a));
-    let bits = cross_bits_for_shard(shared, st);
-    if pos == 0 {
-        st.log.push_cross(seq, &task.action);
-    } else {
-        st.log.set_epoch(seq);
-    }
-    // Every owner echoes the commit into its own stream (self-contained
-    // per-shard recovery); the statistics ride on the primary's record, the
-    // nondeterministically-attributed notification count on a meta event.
-    st.journal_commit(
-        (seq, 0, 0),
-        &task.action,
-        pos == 0,
-        if pos == 0 {
-            StatDelta { asks: 1, grants: 1, confirmations: 1, ..StatDelta::ZERO }
-        } else {
-            StatDelta::ZERO
-        },
-    );
-    let mut sync = lock(&task.sync);
-    if !local_notes.is_empty() {
-        sync.notes.push((pos, local_notes));
-    }
-    sync.cross_bits.extend(bits);
-    sync.applied += 1;
-    if sync.applied == task.owners.len() {
-        sync.notes.sort_by_key(|(owner_pos, _)| *owner_pos);
-        let mut notes: Vec<Notification> = sync.notes.drain(..).flat_map(|(_, n)| n).collect();
-        notes.extend(merge_cross_bits(shared, &sync.cross_bits));
-        shared.stats.confirmations.fetch_add(1, Ordering::Relaxed);
-        shared.stats.grants.fetch_add(1, Ordering::Relaxed);
-        shared.stats.notifications.fetch_add(notes.len() as u64, Ordering::Relaxed);
-        meta_event(shared, StatDelta { notifications: notes.len() as u64, ..StatDelta::ZERO });
-        deliver(shared, &notes);
-        if let Some(issuer) = sync.ticket.take() {
-            fulfil(issuer, Completion::Executed { notifications: notes }, cx);
-        }
-        cx.record(task.submitted);
-    }
-}
-
 /// One speculative batch: a consecutive queue run of multi-owner executes of
 /// a single owner set plus the single-owner executes interleaved between
 /// them, in queue order.
 struct Batch {
     owners: Vec<usize>,
-    actions: Vec<Action>,
+    /// The items, every one an [`Op::Execute`].
+    ops: Vec<Op>,
     kinds: Vec<BatchKind>,
     /// Per-item submission instants (queue-metrics mode only), aligned with
     /// `kinds`.
@@ -5197,7 +4756,7 @@ impl Batch {
     fn new(first: Arc<ExecTask>) -> Batch {
         Batch {
             owners: first.owners.clone(),
-            actions: vec![first.action.clone()],
+            ops: vec![Op::Execute { action: first.action.clone() }],
             submitted: vec![first.submitted],
             kinds: vec![BatchKind::Exec(first)],
         }
@@ -5219,16 +4778,13 @@ impl Batch {
                 }
             }
         }
-        self.actions.push(task.action.clone());
+        self.ops.push(Op::Execute { action: task.action.clone() });
         self.submitted.push(task.submitted);
         self.kinds.push(BatchKind::Exec(task));
     }
 
     fn push_local(&mut self, task: SingleTask) {
-        let Op::Execute { action } = task.op else {
-            unreachable!("only execute tasks join a batch");
-        };
-        self.actions.push(action);
+        self.ops.push(task.op);
         self.submitted.push(task.submitted);
         self.kinds.push(BatchKind::Local(Some(task.ticket)));
     }
@@ -5291,8 +4847,11 @@ fn compute_specs(
     // The assumed-commit prefix of the conditional chain — a persistent
     // cons list every later conditional vote's tag snapshots in O(1).
     let mut assumed_commits: Option<Arc<AssumedLink>> = None;
-    for (action, kind) in batch.actions[from..].iter().zip(&batch.kinds[from..]) {
-        let (next, reservation_fp) = exec_vote(st, chain.as_ref(), action);
+    for (op, kind) in batch.ops[from..].iter().zip(&batch.kinds[from..]) {
+        let Op::Execute { action } = op else {
+            unreachable!("only execute tasks join a batch");
+        };
+        let (next, reservation_fp) = st.probe(chain.as_ref(), action);
         match kind {
             BatchKind::Local(_) => {
                 // A single-owner execute: decided by this shard alone, but
@@ -5414,7 +4973,7 @@ fn process_batch(
 
     // ---- Speculative pass: one chain over the whole batch. ----
     let mut pass = SpecPass {
-        specs: Vec::with_capacity(batch.actions.len()),
+        specs: Vec::with_capacity(batch.ops.len()),
         // Decisions made while holding a rendezvous lock, propagated along
         // the cascade links as soon as the lock is dropped.
         decided: Vec::new(),
@@ -5441,9 +5000,8 @@ fn process_batch(
                     unreachable!("local spec on a cross item");
                 };
                 let ticket = ticket.take().expect("local resolved once");
-                shared.stats.grants.fetch_add(1, Ordering::Relaxed);
-                let notes = install_commit(shared, st, &batch.actions[i], next, true);
-                fulfil(ticket, Completion::Executed { notifications: notes }, cx);
+                let vote = LocalVote { ok: true, prepared: Some(next), removed: None };
+                fulfil(ticket, settle_single(shared, st, &batch.ops[i], vote), cx);
                 cx.record(batch.submitted[i]);
             }
             Spec::Deny => {
@@ -5451,8 +5009,7 @@ fn process_batch(
                     unreachable!("local spec on a cross item");
                 };
                 let ticket = ticket.take().expect("local resolved once");
-                shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-                meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
+                account(shared, DENIED, StatDelta::ZERO);
                 fulfil(ticket, Completion::Denied, cx);
                 cx.record(batch.submitted[i]);
             }
@@ -5518,9 +5075,30 @@ fn process_batch(
                 propagate_decisions(shared, &mut pass.decided);
                 match decision {
                     ExecDecision::Commit { seq } => {
-                        let next = prepared
-                            .expect("commit requires this shard's yes vote and its prepare");
-                        apply_exec_commit(shared, st, &task, pos, seq, next, cx);
+                        // A commit requires this shard's yes vote, and with
+                        // it the prepare `apply` installs.
+                        let op = &batch.ops[i];
+                        let vote = LocalVote { ok: true, prepared, removed: None };
+                        let verdict = Verdict::Commit { order: seq, granted: true };
+                        let fx = apply_local(shared, st, op, vote, &verdict, Role::at(pos));
+                        let mut sync = lock(&task.sync);
+                        sync.applied += 1;
+                        if !fx.is_empty() {
+                            sync.effects.push((pos, fx));
+                        }
+                        if sync.applied == task.owners.len() {
+                            let completion = finish(
+                                shared,
+                                op,
+                                &task.owners,
+                                &verdict,
+                                Effects::merged(&mut sync.effects),
+                            );
+                            if let Some(issuer) = sync.ticket.take() {
+                                fulfil(issuer, completion, cx);
+                            }
+                            cx.record(task.submitted);
+                        }
                     }
                     ExecDecision::Deny => {
                         if assumed {
@@ -5537,180 +5115,219 @@ fn process_batch(
     propagate_decisions(shared, &mut pass.decided);
 }
 
+// ---------------------------------------------------------------------------
+// Driving the shard kernel.  Every operation takes the same four steps —
+// `ShardState::vote` on each owner, one `conclude`, `ShardState::apply` on
+// each owner, one `finish` — and the paths differ only in how the owners
+// meet: a single owner takes all four inline, several owners rendezvous
+// after the first and the third, and the coalesced executes bring their own
+// votes and verdicts (the cascade above) and join at `apply`.
+// ---------------------------------------------------------------------------
+
+/// Phase 1 on the shard this worker holds.
+fn vote_local(shared: &RuntimeShared, st: &mut ShardState, op: &Op) -> LocalVote {
+    let vote = st.vote(op, shared.variant);
+    if vote.removed.is_some() {
+        publish_reservation_fp(shared, st);
+    }
+    vote
+}
+
+/// Phase 2 on the shard this worker holds.
+fn apply_local(
+    shared: &RuntimeShared,
+    st: &mut ShardState,
+    op: &Op,
+    vote: LocalVote,
+    verdict: &Verdict,
+    role: Role,
+) -> Effects {
+    // The cross-subscribed actions this shard co-owns, whose bits a commit
+    // reports; it skips the registry lock entirely while there are none (the
+    // common case).
+    let commits = matches!(verdict, Verdict::Commit { .. });
+    let watched: Vec<Action> = if commits && shared.cross_entry_count.load(Ordering::Relaxed) > 0 {
+        let cross = lock(&shared.cross_subscriptions);
+        cross.by_shard.get(&st.id).map(|a| a.iter().cloned().collect()).unwrap_or_default()
+    } else {
+        Vec::new()
+    };
+    let fx = st.apply(op, vote, verdict, role, &watched, |bits| merge_cross_bits(shared, bits));
+    if matches!(verdict, Verdict::Reserve(_)) {
+        publish_reservation_fp(shared, st);
+    }
+    fx
+}
+
+/// The verdict from the owners' votes — one owner's or many's — with what
+/// the owners share kept in step: the commit sequence, the reservation ids
+/// and index, the clock, the registry of subscriptions several owners share.
+fn conclude(shared: &RuntimeShared, op: &Op, owners: &[usize], tally: &Tally) -> Verdict {
+    match op {
+        Op::Confirm { id } | Op::Abort { id } => {
+            lock(&shared.reservation_index).remove(id);
+        }
+        Op::Expire { id, .. } if tally.removed.is_some() => {
+            lock(&shared.reservation_index).remove(id);
+        }
+        Op::Subscribe { client, action } if owners.len() > 1 => {
+            return Verdict::Status(subscribe_cross(shared, *client, action, owners, &tally.bits));
+        }
+        _ => {}
+    }
+    Verdict::of(
+        op,
+        shared.variant,
+        tally.ok,
+        tally.removed.as_ref(),
+        || shared.log_seq.fetch_add(1, Ordering::Relaxed),
+        |client, action| shared.new_reservation(client, action),
+    )
+}
+
+/// Registers a subscription several owners share and returns its status.
+/// The other owners are parked at the rendezvous, so `bits` is a consistent
+/// snapshot — the same guarantee the blocking manager gets from holding all
+/// owner locks while registering.
+fn subscribe_cross(
+    shared: &RuntimeShared,
+    client: ClientId,
+    action: &Action,
+    owners: &[usize],
+    bits: &[bool],
+) -> bool {
+    let mut cross = lock(&shared.cross_subscriptions);
+    for &owner in owners {
+        cross.by_shard.entry(owner).or_default().insert(action.clone());
+    }
+    let entry = cross.entries.entry(action.clone()).or_insert_with(|| {
+        shared.cross_entry_count.fetch_add(1, Ordering::Relaxed);
+        CrossEntry {
+            owners: owners.to_vec(),
+            bits: bits.to_vec(),
+            clients: Vec::new(),
+            permitted: bits.iter().all(|b| *b),
+        }
+    });
+    if !entry.clients.contains(&client) {
+        entry.clients.push(client);
+        entry.clients.sort_unstable();
+    }
+    let permitted = entry.permitted;
+    drop(cross);
+    if let Some(hub) = &shared.durability {
+        hub.log_meta(&WalRecord::Subscribe { client, action: action.clone(), permitted });
+    }
+    permitted
+}
+
+/// What the last owner to apply does, once per operation, for one owner and
+/// for many alike, with what the owners' `apply` left (`fx`, the default if
+/// no owner had anything to apply): merge the bits of shared subscriptions,
+/// count the statistics, deliver the notifications, index a new reservation
+/// — and say what the client is told.
+fn finish(
+    shared: &RuntimeShared,
+    op: &Op,
+    owners: &[usize],
+    verdict: &Verdict,
+    fx: Effects,
+) -> Completion {
+    let mut notes = fx.notes;
+    if !fx.cross_bits.is_empty() {
+        notes.extend(merge_cross_bits(shared, &fx.cross_bits));
+    }
+    let mut total = verdict.total(op);
+    total.notifications = notes.len() as u64;
+    account(shared, total, fx.delta);
+    deliver(shared, &notes);
+    match (verdict, op) {
+        (Verdict::Commit { .. }, Op::Execute { .. }) => {
+            Completion::Executed { notifications: notes }
+        }
+        // The combined protocol commits an ask on the spot; the reply
+        // carries no reservation to confirm.
+        (Verdict::Commit { .. }, Op::Ask { .. }) => Completion::Granted { reservation: 0 },
+        (Verdict::Commit { .. }, _) => Completion::Confirmed { notifications: notes },
+        (Verdict::Reserve(reservation), _) => {
+            lock(&shared.reservation_index).insert(reservation.id, owners.to_vec());
+            if reservation.expires_at != u64::MAX {
+                lock(&shared.timers).schedule(
+                    reservation.expires_at,
+                    TimerEvent::Expiry(ExpiryEvent { id: reservation.id, owners: owners.to_vec() }),
+                );
+            }
+            Completion::Granted { reservation: reservation.id }
+        }
+        (Verdict::Deny, _) => Completion::Denied,
+        (Verdict::Unknown, Op::Confirm { id } | Op::Abort { id }) => {
+            Completion::Failed { error: ManagerError::UnknownReservation { id: *id } }
+        }
+        (Verdict::Unknown, _) => Completion::Expired { reservation: None },
+        (Verdict::Rejected(reservation), _) => Completion::Failed {
+            error: ManagerError::RejectedConfirmation { action: reservation.action.to_string() },
+        },
+        (Verdict::Released(reservation), Op::Abort { .. }) => {
+            Completion::Aborted { reservation: reservation.clone() }
+        }
+        (Verdict::Released(reservation), _) => {
+            Completion::Expired { reservation: Some(reservation.clone()) }
+        }
+        (Verdict::Status(permitted), Op::Subscribe { .. }) => {
+            Completion::Subscribed { permitted: *permitted }
+        }
+        (Verdict::Status(_), Op::Unsubscribe { .. }) => Completion::Unsubscribed,
+        (Verdict::Status(permitted), _) => Completion::Status { permitted: *permitted },
+    }
+}
+
+/// Counts one operation's statistics, once: `total` on the live counters
+/// (asks aside — a submission counts as an ask when it arrives, whatever
+/// becomes of it), and the part of it no shard record carried as an event on
+/// the meta stream, so that recovered counters equal the live ones.
+fn account(shared: &RuntimeShared, total: StatDelta, journaled: StatDelta) {
+    let count = |counter: &AtomicU64, n: u64| {
+        if n > 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+    };
+    let stats = &shared.stats;
+    count(&stats.grants, total.grants);
+    count(&stats.denials, total.denials);
+    count(&stats.confirmations, total.confirmations);
+    count(&stats.expired_reservations, total.expired);
+    count(&stats.aborted_reservations, total.aborted);
+    count(&stats.notifications, total.notifications);
+    if shared.durability.is_some() {
+        meta_event(shared, total.minus(&journaled));
+    }
+}
+
+/// The rest of an operation whose only owner has voted: one owner is all
+/// the owners, so conclude, apply and finish run inline.
+fn settle_single(
+    shared: &RuntimeShared,
+    st: &mut ShardState,
+    op: &Op,
+    vote: LocalVote,
+) -> Completion {
+    let owners = [st.id];
+    let tally = Tally { ok: vote.ok, removed: vote.removed.clone(), bits: Vec::new() };
+    let verdict = conclude(shared, op, &owners, &tally);
+    let fx = apply_local(shared, st, op, vote, &verdict, Role::Sole);
+    finish(shared, op, &owners, &verdict, fx)
+}
+
 fn process_single(
     shared: &RuntimeShared,
     st: &mut ShardState,
     task: SingleTask,
     cx: &mut WorkerCtx,
 ) {
-    let SingleTask { client, op, ticket, submitted, .. } = task;
-    let completion = match op {
-        Op::Execute { action } => match single_commit(shared, st, &action, true) {
-            Some(notes) => Completion::Executed { notifications: notes },
-            None => Completion::Denied,
-        },
-        Op::Ask { action } => {
-            if matches!(shared.variant, ProtocolVariant::Combined) {
-                // The combined protocol commits immediately; the reply
-                // carries no reservation to confirm.
-                match single_commit(shared, st, &action, true) {
-                    Some(_) => Completion::Granted { reservation: 0 },
-                    None => Completion::Denied,
-                }
-            } else if !st.permitted_considering_reservations(&action) {
-                shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-                meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-                Completion::Denied
-            } else {
-                shared.stats.grants.fetch_add(1, Ordering::Relaxed);
-                let reservation = shared.new_reservation(client, &action);
-                st.journal_reserve(
-                    &reservation,
-                    StatDelta { asks: 1, grants: 1, ..StatDelta::ZERO },
-                );
-                st.reservations.insert(reservation.id, reservation.clone());
-                publish_reservation_fp(shared, st);
-                lock(&shared.reservation_index).insert(reservation.id, vec![st.id]);
-                if reservation.expires_at != u64::MAX {
-                    lock(&shared.timers).schedule(
-                        reservation.expires_at,
-                        TimerEvent::Expiry(ExpiryEvent { id: reservation.id, owners: vec![st.id] }),
-                    );
-                }
-                Completion::Granted { reservation: reservation.id }
-            }
-        }
-        Op::Confirm { id } => {
-            lock(&shared.reservation_index).remove(&id);
-            let removed = st.reservations.remove(&id);
-            if removed.is_some() {
-                publish_reservation_fp(shared, st);
-                st.journal_release(id, StatDelta::ZERO);
-            }
-            match removed {
-                None => Completion::Failed { error: ManagerError::UnknownReservation { id } },
-                Some(reservation) => match st.engine.prepare(&reservation.action) {
-                    None => Completion::Failed {
-                        error: ManagerError::RejectedConfirmation {
-                            action: reservation.action.to_string(),
-                        },
-                    },
-                    Some(next) => {
-                        let notes = install_commit(shared, st, &reservation.action, next, false);
-                        Completion::Confirmed { notifications: notes }
-                    }
-                },
-            }
-        }
-        Op::Abort { id } => {
-            lock(&shared.reservation_index).remove(&id);
-            match st.reservations.remove(&id) {
-                None => Completion::Failed { error: ManagerError::UnknownReservation { id } },
-                Some(reservation) => {
-                    publish_reservation_fp(shared, st);
-                    st.journal_release(id, StatDelta { aborted: 1, ..StatDelta::ZERO });
-                    shared.stats.aborted_reservations.fetch_add(1, Ordering::Relaxed);
-                    Completion::Aborted { reservation }
-                }
-            }
-        }
-        Op::Expire { id, now } => {
-            if st.reservations.get(&id).is_some_and(|r| r.expires_at <= now) {
-                let reservation = st.reservations.remove(&id);
-                publish_reservation_fp(shared, st);
-                st.journal_release(id, StatDelta { expired: 1, ..StatDelta::ZERO });
-                lock(&shared.reservation_index).remove(&id);
-                shared.stats.expired_reservations.fetch_add(1, Ordering::Relaxed);
-                Completion::Expired { reservation }
-            } else {
-                Completion::Expired { reservation: None }
-            }
-        }
-        Op::Subscribe { action } => {
-            let key = abstract_key(shared, st.id, &action);
-            let permitted = st.engine.is_permitted(&action);
-            let status = st.subscriptions.subscribe(client, action.clone(), key, permitted);
-            if st.wal.is_some() {
-                st.journal(WalRecord::Subscribe { client, action, permitted: status });
-            }
-            Completion::Subscribed { permitted: status }
-        }
-        Op::Unsubscribe { action } => {
-            st.subscriptions.unsubscribe(client, &action);
-            if st.wal.is_some() {
-                st.journal(WalRecord::Unsubscribe { client, action });
-            }
-            Completion::Unsubscribed
-        }
-        Op::Query { action } => Completion::Status { permitted: st.engine.is_permitted(&action) },
-    };
-    fulfil(ticket, completion, cx);
+    let SingleTask { op, ticket, submitted, .. } = task;
+    let vote = vote_local(shared, st, &op);
+    fulfil(ticket, settle_single(shared, st, &op, vote), cx);
     cx.record(submitted);
-}
-
-/// Probe + prepare + commit of a single-owner action; `None` is a denial.
-fn single_commit(
-    shared: &RuntimeShared,
-    st: &mut ShardState,
-    action: &Action,
-    count_grant: bool,
-) -> Option<Vec<Notification>> {
-    // With no outstanding reservations the reservation-aware probe computes
-    // exactly the transition `prepare` computes, so it is skipped — the
-    // single-owner worker walks the state once per action, not twice.
-    if !st.reservations.is_empty() && !st.permitted_considering_reservations(action) {
-        shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-        meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-        return None;
-    }
-    let Some(next) = st.engine.prepare(action) else {
-        // The reservation-aware probe can pass while the immediate commit is
-        // impossible; that is a denial, exactly as in the blocking manager.
-        shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-        meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-        return None;
-    };
-    if count_grant {
-        shared.stats.grants.fetch_add(1, Ordering::Relaxed);
-    }
-    Some(install_commit(shared, st, action, next, count_grant))
-}
-
-/// Installs an already prepared successor on a single-owner shard and does
-/// all commit bookkeeping (sequence number, log, subscriptions, stats,
-/// delivery).
-fn install_commit(
-    shared: &RuntimeShared,
-    st: &mut ShardState,
-    action: &Action,
-    next: StateRef,
-    granted: bool,
-) -> Vec<Notification> {
-    let sub = shared.log_seq.fetch_add(1, Ordering::Relaxed);
-    st.engine.commit_prepared(next);
-    let engine = &st.engine;
-    let mut notes = st.subscriptions.refresh(|a| engine.is_permitted(a));
-    let key = st.log.push_single(sub, action);
-    notes.extend(refresh_cross_for_shard(shared, st.id, &st.engine));
-    // `granted` distinguishes the combined grant-and-commit (one ask, one
-    // grant) from confirming an earlier grant (already journaled with its
-    // Reserve record).
-    st.journal_commit(
-        key,
-        action,
-        true,
-        StatDelta {
-            asks: granted as u64,
-            grants: granted as u64,
-            confirmations: 1,
-            notifications: notes.len() as u64,
-            ..StatDelta::ZERO
-        },
-    );
-    shared.stats.confirmations.fetch_add(1, Ordering::Relaxed);
-    shared.stats.notifications.fetch_add(notes.len() as u64, Ordering::Relaxed);
-    deliver(shared, &notes);
-    notes
 }
 
 fn process_cross(
@@ -5726,76 +5343,28 @@ fn process_cross(
         .position(|&o| o == st.id)
         .expect("cross task routed to a non-owner shard");
     let n = task.owners.len();
+    let vote = vote_local(shared, st, &task.op);
 
-    // ---- Phase 1: the local vote. ----
-    let mut prepared: Option<StateRef> = None;
-    let mut vote = true;
-    let mut removed_here: Option<Reservation> = None;
-    let mut bit = false;
-    match &task.op {
-        CrossOp::Ask { action, .. } => {
-            if matches!(shared.variant, ProtocolVariant::Combined) {
-                vote = st.reservations.is_empty() || st.permitted_considering_reservations(action);
-                if vote {
-                    prepared = st.engine.prepare(action);
-                    vote = prepared.is_some();
-                }
-            } else {
-                vote = st.permitted_considering_reservations(action);
-            }
-        }
-        CrossOp::Confirm { id } => {
-            removed_here = st.reservations.remove(id);
-            if removed_here.is_some() {
-                publish_reservation_fp(shared, st);
-                st.journal_release(*id, StatDelta::ZERO);
-            }
-            vote = match &removed_here {
-                Some(reservation) => {
-                    prepared = st.engine.prepare(&reservation.action);
-                    prepared.is_some()
-                }
-                None => false,
-            };
-        }
-        CrossOp::Abort { id } => {
-            removed_here = st.reservations.remove(id);
-            if removed_here.is_some() {
-                publish_reservation_fp(shared, st);
-                st.journal_release(*id, StatDelta::ZERO);
-            }
-        }
-        CrossOp::Expire { id, now } => {
-            if st.reservations.get(id).is_some_and(|r| r.expires_at <= *now) {
-                removed_here = st.reservations.remove(id);
-                publish_reservation_fp(shared, st);
-                st.journal_release(*id, StatDelta::ZERO);
-            }
-        }
-        CrossOp::Subscribe { action, .. } | CrossOp::Query { action } => {
-            bit = st.engine.is_permitted(action);
-        }
-    }
-
-    // ---- Rendezvous: deposit the vote; the last voter decides.  While any
-    // owner is parked here its engine cannot move — the rendezvous is the
-    // queue-based equivalent of holding all owner locks. ----
-    let decision = {
+    // ---- Rendezvous: deposit the vote; the last voter concludes.  While
+    // any owner is parked here its engine cannot move — the rendezvous is
+    // the queue-based equivalent of holding all owner locks. ----
+    let verdict = {
         let mut sync = lock(&task.sync);
         sync.votes += 1;
-        sync.ok &= vote;
-        if let Some(reservation) = &removed_here {
-            sync.any_reservation = true;
-            if sync.removed.is_none() {
-                sync.removed = Some(reservation.clone());
-            }
+        sync.tally.ok &= vote.ok;
+        sync.tally.bits[pos] = vote.ok;
+        if sync.tally.removed.is_none() {
+            sync.tally.removed.clone_from(&vote.removed);
         }
-        sync.bits[pos] = bit;
         if sync.votes == n {
-            let decision = decide(shared, task, &mut sync);
-            sync.decision = Some(decision);
+            let verdict = conclude(shared, &task.op, &task.owners, &sync.tally);
+            if !verdict.applies() {
+                // Nothing to apply anywhere: the others only need to see
+                // the verdict and move on.
+                finish_cross(shared, task, &mut sync, &verdict);
+            }
+            sync.verdict = Some(verdict);
             task.barrier.notify_all();
-            decision
         } else {
             // Help-while-waiting: a co-owner's vote may be queued behind
             // another shard this same worker owns — with fewer workers than
@@ -5804,15 +5373,15 @@ fn process_cross(
             // round; park briefly only when nothing helps (a vote deposit
             // wakes the barrier immediately, the timeout just bounds how
             // long we can miss fresh enqueues on sibling shards).
-            while sync.decision.is_none() {
+            while sync.verdict.is_none() {
                 drop(sync);
                 let helped = help_one(shared, help, cx, task.seq);
                 sync = lock(&task.sync);
-                if sync.decision.is_none() && !helped {
+                if sync.verdict.is_none() && !helped {
                     drop(sync);
                     cx.flush(shared);
                     sync = lock(&task.sync);
-                    if sync.decision.is_none() {
+                    if sync.verdict.is_none() {
                         sync = task
                             .barrier
                             .wait_timeout(sync, HELP_PARK)
@@ -5821,264 +5390,36 @@ fn process_cross(
                     }
                 }
             }
-            sync.decision.expect("checked above")
         }
+        sync.verdict.clone().expect("concluded above")
     };
 
-    // ---- Phase 2: apply.  Only commit/reserve decisions have local work;
-    // the decider already finished everything else. ----
-    match decision {
-        Decision::Commit { seq } => {
-            let next = prepared.expect("commit decided only when every owner prepared");
-            st.engine.commit_prepared(next);
-            st.log.set_epoch(seq);
-            let engine = &st.engine;
-            let local_notes = st.subscriptions.refresh(|a| engine.is_permitted(a));
-            let bits = cross_bits_for_shard(shared, st);
-            if pos == 0 || st.wal.is_some() {
-                let action = match &task.op {
-                    CrossOp::Ask { action, .. } => action,
-                    CrossOp::Confirm { .. } => {
-                        &removed_here
-                            .as_ref()
-                            .expect("confirm committed, so every owner held the reservation")
-                            .action
-                    }
-                    _ => unreachable!("only ask/confirm commit"),
-                };
-                // The statistics of the decision ride on the primary's echo
-                // record; the other owners journal a zero-delta echo so
-                // their streams replay standalone.
-                st.journal_commit(
-                    (seq, 0, 0),
-                    action,
-                    pos == 0,
-                    match (&task.op, pos) {
-                        (CrossOp::Ask { .. }, 0) => {
-                            StatDelta { asks: 1, grants: 1, confirmations: 1, ..StatDelta::ZERO }
-                        }
-                        (_, 0) => StatDelta { confirmations: 1, ..StatDelta::ZERO },
-                        _ => StatDelta::ZERO,
-                    },
-                );
-                if pos == 0 {
-                    st.log.push_cross(seq, action);
-                }
-            }
-            let mut sync = lock(&task.sync);
-            sync.notes[pos] = local_notes;
-            sync.cross_bits.extend(bits);
-            sync.applied += 1;
-            if sync.applied == n {
-                finish_commit(shared, task, &mut sync);
-            }
+    // ---- Phase 2: every owner applies; the last one finishes. ----
+    if verdict.applies() {
+        let fx = apply_local(shared, st, &task.op, vote, &verdict, Role::at(pos));
+        let mut sync = lock(&task.sync);
+        sync.applied += 1;
+        if !fx.is_empty() {
+            sync.effects.push((pos, fx));
         }
-        Decision::Reserve => {
-            let reservation =
-                lock(&task.sync).granted.clone().expect("reserve decided with a reservation");
-            st.journal_reserve(
-                &reservation,
-                if pos == 0 {
-                    StatDelta { asks: 1, grants: 1, ..StatDelta::ZERO }
-                } else {
-                    StatDelta::ZERO
-                },
-            );
-            st.reservations.insert(reservation.id, reservation);
-            publish_reservation_fp(shared, st);
-            let mut sync = lock(&task.sync);
-            sync.applied += 1;
-            if sync.applied == n {
-                finish_reserve(shared, task, &mut sync);
-            }
-        }
-        Decision::Deny
-        | Decision::Unknown
-        | Decision::Rejected
-        | Decision::Released
-        | Decision::Done => {}
-    }
-}
-
-/// The last voter's verdict.  Non-commit outcomes are finished right here —
-/// the other owners only need to observe the decision and move on.
-fn decide(shared: &RuntimeShared, task: &CrossTask, sync: &mut CrossSync) -> Decision {
-    let complete = |sync: &mut CrossSync, completion: Completion| {
-        if let Some(issuer) = sync.ticket.take() {
-            issuer.complete(completion);
-        }
-    };
-    match &task.op {
-        CrossOp::Ask { client, action } => {
-            if !sync.ok {
-                shared.stats.denials.fetch_add(1, Ordering::Relaxed);
-                meta_event(shared, StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO });
-                complete(sync, Completion::Denied);
-                Decision::Deny
-            } else if matches!(shared.variant, ProtocolVariant::Combined) {
-                Decision::Commit { seq: shared.log_seq.fetch_add(1, Ordering::Relaxed) }
-            } else {
-                shared.stats.grants.fetch_add(1, Ordering::Relaxed);
-                sync.granted = Some(shared.new_reservation(*client, action));
-                Decision::Reserve
-            }
-        }
-        CrossOp::Confirm { id } => {
-            lock(&shared.reservation_index).remove(id);
-            if !sync.any_reservation {
-                complete(
-                    sync,
-                    Completion::Failed { error: ManagerError::UnknownReservation { id: *id } },
-                );
-                Decision::Unknown
-            } else if !sync.ok {
-                let action =
-                    sync.removed.as_ref().map(|r| r.action.to_string()).unwrap_or_default();
-                complete(
-                    sync,
-                    Completion::Failed { error: ManagerError::RejectedConfirmation { action } },
-                );
-                Decision::Rejected
-            } else {
-                Decision::Commit { seq: shared.log_seq.fetch_add(1, Ordering::Relaxed) }
-            }
-        }
-        CrossOp::Abort { id } => {
-            lock(&shared.reservation_index).remove(id);
-            match sync.removed.clone() {
-                Some(reservation) => {
-                    shared.stats.aborted_reservations.fetch_add(1, Ordering::Relaxed);
-                    meta_event(shared, StatDelta { aborted: 1, ..StatDelta::ZERO });
-                    complete(sync, Completion::Aborted { reservation });
-                }
-                None => complete(
-                    sync,
-                    Completion::Failed { error: ManagerError::UnknownReservation { id: *id } },
-                ),
-            }
-            Decision::Released
-        }
-        CrossOp::Expire { id, .. } => {
-            let reservation = sync.removed.clone();
-            if reservation.is_some() {
-                lock(&shared.reservation_index).remove(id);
-                shared.stats.expired_reservations.fetch_add(1, Ordering::Relaxed);
-                meta_event(shared, StatDelta { expired: 1, ..StatDelta::ZERO });
-            }
-            complete(sync, Completion::Expired { reservation });
-            Decision::Released
-        }
-        CrossOp::Subscribe { client, action } => {
-            // Every other owner is parked at the rendezvous, so the bits are
-            // a consistent snapshot — the same guarantee the blocking
-            // manager gets from holding all owner locks while registering.
-            let permitted = sync.bits.iter().all(|b| *b);
-            let mut cross = lock(&shared.cross_subscriptions);
-            for &owner in &task.owners {
-                cross.by_shard.entry(owner).or_default().insert(action.clone());
-            }
-            let entry = cross.entries.entry(action.clone()).or_insert_with(|| {
-                shared.cross_entry_count.fetch_add(1, Ordering::Relaxed);
-                crate::manager::CrossEntry {
-                    owners: task.owners.clone(),
-                    bits: sync.bits.clone(),
-                    clients: Vec::new(),
-                    permitted,
-                }
-            });
-            if !entry.clients.contains(client) {
-                entry.clients.push(*client);
-                entry.clients.sort_unstable();
-            }
-            let status = entry.permitted;
-            drop(cross);
-            if let Some(hub) = &shared.durability {
-                hub.log_meta(&WalRecord::Subscribe {
-                    client: *client,
-                    action: action.clone(),
-                    permitted: status,
-                });
-            }
-            complete(sync, Completion::Subscribed { permitted: status });
-            Decision::Done
-        }
-        CrossOp::Query { .. } => {
-            let permitted = sync.bits.iter().all(|b| *b);
-            complete(sync, Completion::Status { permitted });
-            Decision::Done
+        if sync.applied == n {
+            finish_cross(shared, task, &mut sync, &verdict);
         }
     }
 }
 
-/// Central bookkeeping after every owner applied a commit: merge the
-/// cross-subscription bits, count the stats, deliver the notifications, and
-/// fulfil the ticket.
-fn finish_commit(shared: &RuntimeShared, task: &CrossTask, sync: &mut CrossSync) {
-    let mut notes: Vec<Notification> = sync.notes.iter_mut().flat_map(std::mem::take).collect();
-    notes.extend(merge_cross_bits(shared, &sync.cross_bits));
-    shared.stats.confirmations.fetch_add(1, Ordering::Relaxed);
-    if matches!(task.op, CrossOp::Ask { .. }) {
-        shared.stats.grants.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.stats.notifications.fetch_add(notes.len() as u64, Ordering::Relaxed);
-    meta_event(shared, StatDelta { notifications: notes.len() as u64, ..StatDelta::ZERO });
-    deliver(shared, &notes);
+/// [`finish`] for a rendezvous, completing its ticket.
+fn finish_cross(shared: &RuntimeShared, task: &CrossTask, sync: &mut CrossSync, verdict: &Verdict) {
+    let fx = Effects::merged(&mut sync.effects);
+    let completion = finish(shared, &task.op, &task.owners, verdict, fx);
     if let Some(issuer) = sync.ticket.take() {
-        let completion = match &task.op {
-            CrossOp::Ask { .. } => Completion::Granted { reservation: 0 },
-            CrossOp::Confirm { .. } => Completion::Confirmed { notifications: notes },
-            _ => unreachable!("only ask/confirm commit"),
-        };
         issuer.complete(completion);
     }
 }
 
-/// Central bookkeeping after every owner replicated a granted reservation.
-fn finish_reserve(shared: &RuntimeShared, task: &CrossTask, sync: &mut CrossSync) {
-    let reservation = sync.granted.clone().expect("reserve decided with a reservation");
-    lock(&shared.reservation_index).insert(reservation.id, task.owners.clone());
-    if reservation.expires_at != u64::MAX {
-        lock(&shared.timers).schedule(
-            reservation.expires_at,
-            TimerEvent::Expiry(ExpiryEvent { id: reservation.id, owners: task.owners.clone() }),
-        );
-    }
-    if let Some(issuer) = sync.ticket.take() {
-        issuer.complete(Completion::Granted { reservation: reservation.id });
-    }
-}
-
-/// The refreshed (action, shard, permitted) bits for every cross-subscribed
-/// action this shard co-owns — computed on the worker's own engine.
-fn cross_bits_for_shard(shared: &RuntimeShared, st: &ShardState) -> Vec<(Action, usize, bool)> {
-    if shared.cross_entry_count.load(Ordering::Relaxed) == 0 {
-        return Vec::new();
-    }
-    let co_owned: Vec<Action> = {
-        let cross = lock(&shared.cross_subscriptions);
-        match cross.by_shard.get(&st.id) {
-            Some(actions) => actions.iter().cloned().collect(),
-            None => Vec::new(),
-        }
-    };
-    co_owned
-        .into_iter()
-        .map(|action| {
-            let permitted = st.engine.is_permitted(&action);
-            (action, st.id, permitted)
-        })
-        .collect()
-}
-
 /// Writes deposited per-owner bits into the cross-subscription registry and
 /// returns notifications for entries whose conjunction flipped.
-fn merge_cross_bits(
-    shared: &RuntimeShared,
-    deposits: &[(Action, usize, bool)],
-) -> Vec<Notification> {
-    if deposits.is_empty() {
-        return Vec::new();
-    }
+fn merge_cross_bits(shared: &RuntimeShared, deposits: &[CrossBit]) -> Vec<Notification> {
     let mut cross = lock(&shared.cross_subscriptions);
     for (action, owner, bit) in deposits {
         if let Some(entry) = cross.entries.get_mut(action) {
@@ -6093,40 +5434,6 @@ fn merge_cross_bits(
     let mut out = Vec::new();
     for action in touched {
         let Some(entry) = cross.entries.get_mut(&action) else { continue };
-        let now = entry.bits.iter().all(|b| *b);
-        if now != entry.permitted {
-            entry.permitted = now;
-            for client in &entry.clients {
-                out.push(Notification { client: *client, action: action.clone(), permitted: now });
-            }
-        }
-    }
-    out
-}
-
-/// Single-owner version of the cross-subscription refresh: a commit on this
-/// shard may flip entries it co-owns.
-fn refresh_cross_for_shard(
-    shared: &RuntimeShared,
-    shard_id: usize,
-    engine: &Engine,
-) -> Vec<Notification> {
-    if shared.cross_entry_count.load(Ordering::Relaxed) == 0 {
-        return Vec::new();
-    }
-    let mut cross = lock(&shared.cross_subscriptions);
-    if cross.entries.is_empty() {
-        return Vec::new();
-    }
-    let Some(actions) = cross.by_shard.get(&shard_id).cloned() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for action in actions {
-        let Some(entry) = cross.entries.get_mut(&action) else { continue };
-        if let Some(pos) = entry.owners.iter().position(|&o| o == shard_id) {
-            entry.bits[pos] = engine.is_permitted(&action);
-        }
         let now = entry.bits.iter().all(|b| *b);
         if now != entry.permitted {
             entry.permitted = now;
@@ -6173,26 +5480,6 @@ impl RuntimeShared {
             expires_at,
         }
     }
-}
-
-/// The abstract alphabet entry of a shard covering the action — the index
-/// key of the shard's subscription registry.  Resolved through the current
-/// topology (subscriptions are rare enough that the weak upgrade does not
-/// matter); the action itself is the fallback key when the runtime is
-/// already tearing down.
-fn abstract_key(shared: &RuntimeShared, shard_id: usize, action: &Action) -> Action {
-    shared
-        .topology
-        .upgrade()
-        .and_then(|slot| {
-            read_topology(&slot)
-                .router
-                .alphabet(shard_id)
-                .actions()
-                .find(|a| a.matches_concrete(action))
-                .cloned()
-        })
-        .unwrap_or_else(|| action.clone())
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {

@@ -642,44 +642,6 @@ impl Engine {
         self.successor_valid(&next)
     }
 
-    /// [`Engine::permitted_after_from`] that additionally returns the
-    /// [`Engine::reservation_fingerprint`] of the `reserved` actions the
-    /// probe walked — folded in the same pass, so the caller gets the
-    /// verdict *and* a compact witness of exactly which reservation table it
-    /// was computed against.  A speculative voter stores the fingerprint in
-    /// its vote's validity tag; whoever decides the vote later compares it
-    /// against the shard's currently published fingerprint to prove the
-    /// probe's reservation assumptions still hold.
-    pub fn permitted_after_from_fingerprinted<'a, I>(
-        &self,
-        base: Option<&Shared<State>>,
-        reserved: I,
-        action: &Action,
-    ) -> (bool, u64)
-    where
-        I: IntoIterator<Item = &'a Action>,
-    {
-        let mut hasher = fingerprint_hasher();
-        let mut speculative: Option<Shared<State>> = base.cloned();
-        for r in reserved {
-            r.hash(&mut hasher);
-            if !r.is_concrete() {
-                continue;
-            }
-            let base = speculative.as_ref().unwrap_or(&self.state);
-            let next = self.transition(base, r);
-            if self.successor_valid(&next) {
-                speculative = Some(next);
-            }
-        }
-        if !action.is_concrete() {
-            return (false, hasher.finish());
-        }
-        let base = speculative.as_ref().unwrap_or(&self.state);
-        let next = self.transition(base, action);
-        (self.successor_valid(&next), hasher.finish())
-    }
-
     /// Content fingerprint of a reservation table: a stable hash over the
     /// reserved actions in iteration order (callers iterate their
     /// reservation maps in key order, so equal tables produce equal

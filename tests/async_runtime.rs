@@ -474,24 +474,3 @@ fn the_commit_log_stays_within_its_bytes_per_commit_budget() {
     let two_args = bytes_per_commit(&runtime, &word);
     assert!(two_args <= 10.0, "{two_args} bytes per Fig. 7 commit");
 }
-
-/// The compatibility adapter and the runtime agree: the same workload driven
-/// through `ManagerServer`/`ClientHandle` ends in the same state as the
-/// blocking manager.
-#[test]
-fn protocol_adapter_round_trips_through_the_runtime() {
-    let expr = coupled_constraint(3);
-    let server = ix_manager::ManagerServer::spawn(&expr, ProtocolVariant::Combined).unwrap();
-    let blocking = InteractionManager::with_protocol(&expr, ProtocolVariant::Combined).unwrap();
-    let client = server.client(1);
-    let schedule = [call(0, 1), audit(), perform(0, 1), audit(), call(2, 5), perform(2, 5)];
-    for action in &schedule {
-        let adapter = client.execute(action).unwrap();
-        let direct = blocking.try_execute(1, action).unwrap().is_some();
-        assert_eq!(adapter, direct, "adapter and blocking manager disagree on {action}");
-    }
-    let manager = server.shutdown().unwrap();
-    assert_eq!(manager.log(), blocking.log());
-    assert_eq!(manager.stats().confirmations, blocking.stats().confirmations);
-    assert_eq!(manager.stats().denials, blocking.stats().denials);
-}

@@ -4,7 +4,7 @@
 
 use ix_core::{parse, Action, Value};
 use ix_graph::figures;
-use ix_manager::{InteractionManager, ManagerFederation, ProtocolVariant};
+use ix_manager::{InteractionManager, ProtocolVariant};
 use ix_state::{classify, Benignity, Engine};
 use ix_wfms::{EnsembleSimulation, SimulationConfig};
 
@@ -67,33 +67,52 @@ fn graphs_expressions_and_engine_agree_on_fig7() {
 
 #[test]
 fn federation_matches_single_manager_with_coupled_expression() {
-    // Enforcing Fig. 7 with a single manager must accept/deny exactly the
-    // same schedule as a federation with one manager per subconstraint.
-    let single =
-        InteractionManager::with_protocol(&figures::fig7_expr(), ProtocolVariant::Combined)
-            .unwrap();
-    let mut federation = ManagerFederation::new();
-    federation.add("patients", &figures::fig3_expr()).unwrap();
-    federation.add("capacity", &figures::fig6_expr()).unwrap();
+    // Fig. 7 couples two subconstraints, patients (Fig. 3) and capacity
+    // (Fig. 6).  The partition gives each a shard of its own — one manager
+    // per subconstraint, federated — and a shared action executes iff both
+    // permit it: the schedule must be accepted and denied exactly as by one
+    // manager holding the whole expression, and each veto must be the veto
+    // of the member named here.
+    let expr = figures::fig7_expr();
+    let sharded = InteractionManager::with_protocol(&expr, ProtocolVariant::Combined).unwrap();
+    let single = InteractionManager::monolithic(&expr, ProtocolVariant::Combined).unwrap();
+    assert_eq!(sharded.shard_count(), 2, "patients and capacity");
+    assert_eq!(single.shard_count(), 1);
+    let members = [
+        ("patients", InteractionManager::new(&figures::fig3_expr()).unwrap()),
+        ("capacity", InteractionManager::new(&figures::fig6_expr()).unwrap()),
+    ];
 
     let schedule = [
-        start("call_patient", 1, "sono"),
-        end("call_patient", 1, "sono"),
-        start("call_patient", 2, "sono"),
-        start("call_patient", 1, "endo"), // vetoed: patient 1 mid-examination
-        end("call_patient", 2, "sono"),
-        start("call_patient", 3, "sono"),
-        end("call_patient", 3, "sono"),
-        start("call_patient", 4, "sono"), // vetoed: capacity of sono exhausted
-        start("perform_examination", 1, "sono"),
-        end("perform_examination", 1, "sono"),
-        start("call_patient", 4, "sono"), // now fine
+        (start("call_patient", 1, "sono"), None),
+        (end("call_patient", 1, "sono"), None),
+        (start("call_patient", 2, "sono"), None),
+        (start("call_patient", 1, "endo"), Some("patients")), // patient 1 mid-examination
+        (end("call_patient", 2, "sono"), None),
+        (start("call_patient", 3, "sono"), None),
+        (end("call_patient", 3, "sono"), None),
+        (start("call_patient", 4, "sono"), Some("capacity")), // capacity of sono exhausted
+        (start("perform_examination", 1, "sono"), None),
+        (end("perform_examination", 1, "sono"), None),
+        (start("call_patient", 4, "sono"), None), // now fine
     ];
-    for action in schedule {
-        let single_ok = single.try_execute(1, &action).unwrap().is_some();
-        let fed_ok = federation.try_execute(1, &action).unwrap().is_some();
-        assert_eq!(single_ok, fed_ok, "disagreement on {action}");
+    for (action, veto) in schedule {
+        let vetoes: Vec<&str> = members
+            .iter()
+            .filter(|(_, m)| m.controls(&action) && !m.is_permitted(&action))
+            .map(|(name, _)| *name)
+            .collect();
+        assert_eq!(vetoes, Vec::from_iter(veto), "who vetoes {action}");
+        let permitted = veto.is_none();
+        assert_eq!(sharded.try_execute(1, &action).unwrap().is_some(), permitted, "{action}");
+        assert_eq!(single.try_execute(1, &action).unwrap().is_some(), permitted, "{action}");
+        if permitted {
+            for (_, member) in members.iter().filter(|(_, m)| m.controls(&action)) {
+                assert!(member.try_execute(1, &action).unwrap().is_some());
+            }
+        }
     }
+    assert_eq!(sharded.log(), single.log());
 }
 
 #[test]

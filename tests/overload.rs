@@ -5,9 +5,7 @@
 //! limit.
 
 use ix_core::{parse, Action, Expr, Value};
-use ix_manager::{
-    Completion, ManagerRuntime, ProtocolVariant, RuntimeOptions, ShedPolicy, SubmitError,
-};
+use ix_manager::{Completion, ManagerRuntime, ProtocolVariant, RuntimeOptions, SubmitError};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -153,11 +151,7 @@ fn credit_gate_caps_queue_depth_and_sheds_overflow() {
 #[test]
 fn retrying_client_commits_under_sustained_overload() {
     let limit = 8;
-    let options = RuntimeOptions {
-        shed: ShedPolicy { probe_watermark_pct: 25, speculative_watermark_pct: 60, adaptive: true },
-        ..combined(limit)
-    };
-    let runtime = ManagerRuntime::with_options(&constraint(), options).unwrap();
+    let runtime = ManagerRuntime::with_options(&constraint(), combined(limit)).unwrap();
     let flood = runtime.session(1);
     let polite = runtime.session(2);
     let mut outstanding = Vec::new();
