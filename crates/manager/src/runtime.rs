@@ -87,7 +87,7 @@ use ix_state::{
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -149,12 +149,13 @@ pub struct RuntimeOptions {
     /// — shedding them would leak reservations.
     pub queue_limit: usize,
     /// Number of pool workers draining the shard queues (0 = one per
-    /// available hardware thread).  Shards are decoupled from OS threads:
-    /// each worker exclusively owns the *set* of shards the placement table
-    /// assigns it and drains their queues in bounded run-to-completion
-    /// slices, so a 64-shard partition on an 8-core host runs 8 threads,
-    /// not 64.  `worker_threads = shards` reproduces the historical
-    /// thread-per-shard layout exactly (1:1 placement).
+    /// available hardware thread; the host is asked once per process, so a
+    /// cgroup limit changed later is not seen).  Shards are decoupled from
+    /// OS threads: each worker exclusively owns the *set* of shards the
+    /// placement table assigns it and drains their queues in bounded
+    /// run-to-completion slices, so a 64-shard partition on an 8-core host
+    /// runs 8 threads, not 64.  `worker_threads = shards` reproduces the
+    /// historical thread-per-shard layout exactly (1:1 placement).
     pub worker_threads: usize,
     /// Load-driven placement: with `Some(period)`, a background rebalancer
     /// samples the per-shard load signal every `period` and, when one shard
@@ -521,19 +522,13 @@ pub struct SchedStats {
 
 /// Queued client task units a channel message represents — the unit of the
 /// [`ShardGate`] credit accounting.  Control messages (pause barriers,
-/// fact and log reads, compiles, checkpoints, stop markers) are free: they are
-/// runtime-internal and never admitted.
+/// control requests, stop markers) are free: they are runtime-internal and
+/// never admitted.
 fn task_units(task: &Task) -> usize {
     match task {
         Task::Single(_) | Task::Cross(_) | Task::Exec(_) => 1,
         Task::Batch(tasks) => tasks.len(),
-        Task::Pause(_)
-        | Task::Facts(_)
-        | Task::LogSegment(_)
-        | Task::Compile(_)
-        | Task::Checkpoint(_)
-        | Task::Release(..)
-        | Task::Stop => 0,
+        Task::Pause(_) | Task::Control(_) | Task::Stop => 0,
     }
 }
 
@@ -899,11 +894,12 @@ pub struct CascadeStats {
 // run-to-completion slice: it *checks the shard state out* of its slot
 // (phase Live → Busy), drains up to `SLICE_BUDGET` tasks in queue order,
 // and checks it back in.  Exclusivity is a slot-phase property, not a
-// thread identity: exactly one worker can hold a slot Busy, so a shard's
+// thread identity: exactly one thread can hold a slot Busy, so a shard's
 // tasks still execute in queue order on one worker at a time even while
 // the placement table is being rewritten under it — a rebalance is a
 // table write, and the new owner simply finds the slot Live on its next
-// pass.  `worker_threads = shards` reproduces the historical
+// pass — and a control request may run on its caller while the shard is at
+// rest (`control`).  `worker_threads = shards` reproduces the historical
 // thread-per-shard layout (1:1 placement, every slice uninterrupted).
 // ---------------------------------------------------------------------------
 
@@ -913,8 +909,9 @@ enum SlotPhase {
     /// At rest on the bench, ready to be served by whoever the placement
     /// table names.
     Live(Box<ShardState>),
-    /// Checked out by a worker — either actively serving a slice or the
-    /// outer frame of a help-while-waiting excursion.  Marks the slot
+    /// Checked out — by a worker actively serving a slice, by the outer
+    /// frame of a help-while-waiting excursion, or by the caller frame of a
+    /// control request ([`control`]).  Marks the slot
     /// non-reentrant: a helping worker never recurses into a shard that is
     /// already being served, which bounds the help depth by the number of
     /// shards a worker owns.
@@ -1050,6 +1047,79 @@ fn checkin(slot: &ShardSlot, st: Box<ShardState>, pushback: Option<Task>, divert
     serve.divert_below = divert_below;
 }
 
+/// What [`control`] hands back: the value itself when the request ran on
+/// the calling thread, the ticket of the queued task otherwise.
+enum Answer<T> {
+    Ready(T),
+    Queued(Ticket<T>),
+}
+
+impl<T: Clone> Answer<T> {
+    fn wait(self) -> T {
+        match self {
+            Answer::Ready(value) => value,
+            Answer::Queued(ticket) => ticket.wait(),
+        }
+    }
+}
+
+/// The control plane: runs `request` on shard `shard` at a task boundary,
+/// behind every submission queued before the call.  A shard at rest — slot
+/// Live, nothing carried over, queue empty — has served all of those, so
+/// the request runs right here in a *caller frame*: the calling thread
+/// holds the slot Busy for the length of `request` and no worker is
+/// involved.  Otherwise the request is queued like a submission.  A caller
+/// frame holds one slot at a time and never blocks while holding it (no
+/// rendezvous, no ticket wait; a compile is bounded by `tier_budget`), so
+/// it cannot join a wait cycle.  A finished shard answers with the default.
+fn control<T, F>(topo: &Topology, shard: usize, request: F) -> Answer<T>
+where
+    T: Clone + Default + Send + 'static,
+    F: FnOnce(&mut ShardState) -> T + Send + 'static,
+{
+    let slot = topo.pool.slot(shard).expect("a routed shard has a slot on the bench");
+    let request = match checkout(&slot) {
+        Checkout::State(mut st, pushback, divert_below) => {
+            let served = if pushback.is_none() && slot.rx.is_empty() {
+                Ok(request(&mut st))
+            } else {
+                Err(request)
+            };
+            checkin(&slot, st, pushback, divert_below);
+            // A wake-up sent while this frame held the slot found it Busy,
+            // and the worker it woke has parked again: repeat it.
+            if !slot.rx.is_empty() {
+                topo.pool.core.wake_shard(shard);
+            }
+            match served {
+                Ok(value) => return Answer::Ready(value),
+                Err(request) => request,
+            }
+        }
+        Checkout::Done => return Answer::Ready(T::default()),
+        Checkout::Skip => request,
+    };
+    let (issuer, answer) = ticket();
+    let task =
+        Task::Control(Box::new(move |st| issuer.complete(st.map(request).unwrap_or_default())));
+    match topo.queues[shard].send(task) {
+        Ok(()) => topo.pool.core.wake_shard(shard),
+        Err(SendError(task)) => fail_task(task),
+    }
+    Answer::Queued(answer)
+}
+
+/// Runs one control request on every shard and collects the answers by
+/// shard id.  Requests that had to be queued wait side by side.
+fn ask_shards<T>(topo: &Topology, request: fn(&mut ShardState) -> T) -> Vec<T>
+where
+    T: Clone + Default + Send + 'static,
+{
+    let answers: Vec<Answer<T>> =
+        (0..topo.queues.len()).map(|shard| control(topo, shard, request)).collect();
+    answers.into_iter().map(Answer::wait).collect()
+}
+
 /// Parks a finished shard's state for [`ManagerRuntime::shutdown`] and
 /// retires the slot.  The last shard to finish wakes every worker so they
 /// observe `live == 0` and exit.
@@ -1078,13 +1148,10 @@ fn meta_event(shared: &RuntimeShared, delta: StatDelta) {
     }
 }
 
-/// Read-only facts a [`Task::Facts`] reports about one shard.
-#[derive(Clone, Debug, Default)]
-struct ShardFacts {
-    subscriptions: usize,
-    is_final: bool,
-    tier: TierStats,
-}
+/// A queued control request ([`control`]): runs on the shard's state at a
+/// task boundary and fulfils its own ticket — from the default when it is
+/// handed `None`, because the shard closed before serving it.
+type ControlFn = Box<dyn FnOnce(Option<&mut ShardState>) + Send>;
 
 enum Task {
     Single(SingleTask),
@@ -1096,23 +1163,8 @@ enum Task {
     /// A quiescence barrier of a live migration: the worker hands its whole
     /// shard state to the coordinator and blocks until it is returned.
     Pause(PauseTask),
-    /// Facts about the shard's current state; never touches the log.
-    Facts(TicketIssuer<ShardFacts>),
-    /// A snapshot of the shard's log segment (shared chunks plus a copy of
-    /// the open one) for [`ManagerRuntime::log`].
-    LogSegment(TicketIssuer<ShardLog>),
-    /// Forces a tier compilation pass on the shard engine (workers also
-    /// compile hot engines on their own before parking).
-    Compile(TicketIssuer<TierStats>),
-    /// A checkpoint cut: the worker captures its CoW state handle plus the
-    /// covered stream offset at this task boundary and keeps serving —
-    /// encoding and blob writes happen on the coordinator, off the shard's
-    /// critical path.  Completes `None` on a non-durable runtime.
-    Checkpoint(TicketIssuer<Option<ShardCapture>>),
-    /// The vault holds the shard's first `n` log entries durably (the
-    /// checkpoint that archived them is complete): drop the chunks that lie
-    /// wholly below the mark.
-    Release(usize, TicketIssuer<()>),
+    /// A control request that found its shard not at rest.
+    Control(ControlFn),
     Stop,
 }
 
@@ -1878,7 +1930,7 @@ fn spawn_runtime(
 
     // ---- The worker pool: size, placement, and the slot bench. ----
     let workers_n = match options.worker_threads {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        0 => host_parallelism(),
         n => n,
     };
     let shards_n = seeds.len();
@@ -2034,7 +2086,8 @@ impl ManagerRuntime {
 
     /// Creates a runtime with explicit options.  The expression is
     /// partitioned into its fine-grained sync-components; each component
-    /// gets one worker thread and one ordered task queue.
+    /// becomes a shard with one ordered task queue, served by the pool of
+    /// [`RuntimeOptions::worker_threads`] workers.
     pub fn with_options(expr: &Expr, options: RuntimeOptions) -> ManagerResult<ManagerRuntime> {
         let partition = Partition::of(expr);
         let seeds = fresh_seeds(&partition, &options, None)?;
@@ -2235,9 +2288,11 @@ impl ManagerRuntime {
     }
 
     /// The merged log of confirmed actions in commit order.  Each shard
-    /// reports its segment through its own queue, so the snapshot reflects
-    /// every commit that completed before this call.  A shard worker pays
-    /// for sharing its sealed chunks and copying the open one; decoding and
+    /// reports its segment from a task boundary behind everything queued
+    /// before this call (see `control`), so the snapshot reflects every
+    /// commit that completed before it.  Whoever serves the request — the
+    /// caller when the shard is at rest, its worker otherwise — pays for
+    /// sharing the sealed chunks and copying the open one; decoding and
     /// merging happen on the caller, which under a vault also reads what the
     /// checkpoints archived back from the shards' history streams.
     ///
@@ -2248,7 +2303,7 @@ impl ManagerRuntime {
     /// # Panics
     /// If a history record passes its checksum and does not decode.
     pub fn log(&self) -> Vec<Action> {
-        let segments = self.ask_shards(Task::LogSegment);
+        let segments = self.ask_shards(|st| st.log.clone());
         let vault = self.shared.vault();
         durability::merged_log(vault, segments.iter().enumerate())
             .unwrap_or_else(|e| panic!("reading the archived commit log: {e}"))
@@ -2256,52 +2311,40 @@ impl ManagerRuntime {
 
     /// True if the interaction state is final on every shard.
     pub fn is_final(&self) -> bool {
-        self.ask_shards(Task::Facts).iter().all(|s| s.is_final)
+        self.ask_shards(|st| st.engine.is_final()).into_iter().all(|is_final| is_final)
     }
 
     /// Number of active subscriptions across shard registries, cross-shard
     /// entries, and orphan registrations.
     pub fn subscription_count(&self) -> usize {
-        let owned: usize = self.ask_shards(Task::Facts).iter().map(|s| s.subscriptions).sum();
+        let owned: usize = self.ask_shards(|st| st.subscriptions.len()).into_iter().sum();
         owned
             + lock(&self.shared.cross_subscriptions).len()
             + lock(&self.shared.orphan_subscriptions).len()
     }
 
-    /// Sends every shard one control task and collects the answers by shard
-    /// id; a shard whose queue is already closed answers with the default.
-    fn ask_shards<T: Clone>(&self, task: fn(TicketIssuer<T>) -> Task) -> Vec<T> {
-        let topo = read_topology(&self.topology);
-        let tickets: Vec<Ticket<T>> = topo
-            .queues
-            .iter()
-            .enumerate()
-            .map(|(shard, q)| {
-                let (issuer, t) = ticket();
-                match q.send(task(issuer)) {
-                    Ok(()) => topo.pool.core.wake_shard(shard),
-                    Err(SendError(task)) => fail_task(task),
-                }
-                t
-            })
-            .collect();
-        tickets.iter().map(|t| t.wait()).collect()
+    /// One control request to every shard of the current topology.
+    fn ask_shards<T>(&self, request: fn(&mut ShardState) -> T) -> Vec<T>
+    where
+        T: Clone + Default + Send + 'static,
+    {
+        ask_shards(&read_topology(&self.topology), request)
     }
 
-    /// Compiles every shard engine's execution tier now (ordinary tasks on
-    /// the shard queues, serialized with in-flight submissions) and returns
-    /// the per-shard tier stats.  Workers also compile hot engines on their
-    /// own in idle slots; this forces the matter — benches and tests use it
-    /// to reach the table tier deterministically.
+    /// Compiles every shard engine's execution tier now and returns the
+    /// per-shard tier stats.  A shard at rest compiles on the calling
+    /// thread; a busy one compiles at its next task boundary, behind the
+    /// submissions already queued (see `control`).  Workers also compile hot
+    /// engines on their own in idle slots; this forces the matter — benches
+    /// and tests use it to reach the table tier deterministically.
     pub fn compile_tiers(&self) -> Vec<TierStats> {
-        self.ask_shards(Task::Compile)
+        self.ask_shards(|st| st.engine.compile_tier())
     }
 
     /// Aggregated execution-tier stats across the shard engines.
     pub fn tier_stats(&self) -> TierStats {
         let mut total = TierStats::default();
-        for s in self.ask_shards(Task::Facts) {
-            let t = s.tier;
+        for t in self.ask_shards(|st| st.engine.tier_stats()) {
             total.tables += t.tables;
             total.states += t.states;
             total.hits += t.hits;
@@ -3582,16 +3625,9 @@ fn run_checkpoint(
     // mark the previous one released at.
     let _persisting = lock(&shared.persisting);
     let topo = read_topology(slot);
-    let mut pending = Vec::with_capacity(topo.queues.len());
-    for (shard, queue) in topo.queues.iter().enumerate() {
-        let (issuer, t) = ticket();
-        if queue.send(Task::Checkpoint(issuer)).is_ok() {
-            topo.pool.core.wake_shard(shard);
-            pending.push(t);
-        }
-    }
-    let shards = pending.len();
-    let mut captures: Vec<ShardCapture> = pending.into_iter().filter_map(|t| t.wait()).collect();
+    let shards = topo.queues.len();
+    let mut captures: Vec<ShardCapture> =
+        ask_shards(&topo, |st| st.capture()).into_iter().flatten().collect();
     captures.sort_by_key(|c| c.shard);
     let persisted = durability::persist_shards(hub.vault().as_ref(), &captures);
     // Fold the covered meta-stream prefix into the manifest's statistics
@@ -3645,19 +3681,20 @@ fn run_checkpoint(
     hub.vault().truncate(META_STREAM, meta_len);
     hub.vault().sync();
     // The cut is complete: the shards may forget what it archived.
-    let released: Vec<Ticket<()>> = captures
+    let released: Vec<Answer<()>> = captures
         .iter()
         .map(|cap| {
-            let (issuer, t) = ticket();
-            match topo.queues[cap.shard].send(Task::Release(cap.log.len(), issuer)) {
-                Ok(()) => topo.pool.core.wake_shard(cap.shard),
-                Err(SendError(task)) => fail_task(task),
-            }
-            t
+            let (archived, gate) = (cap.log.len(), Arc::clone(&topo.gates[cap.shard]));
+            control(&topo, cap.shard, move |st| {
+                st.log.release(archived);
+                // Published before the answer: a load report read after the
+                // checkpoint returns shows what it released.
+                gate.publish_log(&st.log);
+            })
         })
         .collect();
-    for t in released {
-        t.wait();
+    for answer in released {
+        answer.wait();
     }
     Ok(CheckpointReport {
         shards,
@@ -3846,19 +3883,20 @@ fn advance_clock(shared: &Arc<RuntimeShared>, slot: &TopologySlot, delta: u64) -
 // The worker: one pool thread serving the shard slots placement assigns it.
 // ---------------------------------------------------------------------------
 
-/// True on hosts with a single hardware thread (cached).  One worker policy
-/// flips there: ticket wakeups are deferred and flushed in batches so a
+/// The host's hardware-thread count, read once per process: the standard
+/// library re-reads the cgroup files on every call, which cost every
+/// runtime construction some 30 µs.
+fn host_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// True on hosts with a single hardware thread.  One worker policy flips
+/// there: ticket wakeups are deferred and flushed in batches so a
 /// client/worker pair context-switches per drained queue instead of per
 /// completion.
 fn single_core() -> bool {
-    static CORES: AtomicU64 = AtomicU64::new(0);
-    let cached = CORES.load(Ordering::Relaxed);
-    if cached != 0 {
-        return cached == 1;
-    }
-    let parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    CORES.store(parallelism as u64, Ordering::Relaxed);
-    parallelism == 1
+    host_parallelism() == 1
 }
 
 /// Tasks a worker serves from one shard before moving to the next — the
@@ -4183,21 +4221,7 @@ fn serve_slice(
                     Err(SendError(state)) => st = Box::new(state),
                 }
             }
-            Task::Facts(issuer) => issuer.complete(ShardFacts {
-                subscriptions: st.subscriptions.len(),
-                is_final: st.engine.is_final(),
-                tier: st.engine.tier_stats(),
-            }),
-            Task::LogSegment(issuer) => issuer.complete(st.log.clone()),
-            Task::Compile(issuer) => issuer.complete(st.engine.compile_tier()),
-            Task::Checkpoint(issuer) => issuer.complete(st.capture()),
-            Task::Release(archived, issuer) => {
-                st.log.release(archived);
-                // Published before the ticket: a load report read after the
-                // checkpoint returns shows what it released.
-                slot.gate.publish_log(&st.log);
-                issuer.complete(());
-            }
+            Task::Control(request) => request(Some(&mut st)),
             Task::Stop => {
                 // Fail everything still queued behind the Stop marker; the
                 // enqueue lock guarantees a cross task behind one owner's
@@ -4245,11 +4269,7 @@ fn fail_task(task: Task) {
         // Dropping the pause disconnects its state channel; the coordinator
         // observes the failed recv and aborts the migration.
         Task::Pause(_) => {}
-        Task::Facts(issuer) => issuer.complete(ShardFacts::default()),
-        Task::LogSegment(issuer) => issuer.complete(ShardLog::new()),
-        Task::Compile(issuer) => issuer.complete(TierStats::default()),
-        Task::Checkpoint(issuer) => issuer.complete(None),
-        Task::Release(_, issuer) => issuer.complete(()),
+        Task::Control(request) => request(None),
         Task::Stop => {}
     }
 }
@@ -6207,5 +6227,195 @@ mod tests {
         assert_eq!(expired[0].id, 70);
         assert_eq!(expired[0].action, audit());
         recovered.shutdown().unwrap();
+    }
+
+    /// `shards` disjoint quantifier-free rings `(a_k - b_k)*`: every shard
+    /// compiles to a table, and shard `k` commits `a_k b_k a_k b_k …`.
+    fn ring_runtime(shards: usize, workers: usize) -> ManagerRuntime {
+        let rings: Vec<String> = (0..shards).map(|k| format!("(a_{k} - b_{k})*")).collect();
+        let options = RuntimeOptions {
+            variant: ProtocolVariant::Combined,
+            worker_threads: workers,
+            ..RuntimeOptions::default()
+        };
+        ManagerRuntime::with_options(&parse(&rings.join(" @ ")).unwrap(), options).unwrap()
+    }
+
+    /// `rounds` turns of every ring, interleaved across the shards.
+    fn ring_word(shards: usize, rounds: usize) -> Vec<Action> {
+        let turn = |i: usize| ["a", "b"][i % 2];
+        (0..rounds)
+            .flat_map(|i| (0..shards).map(move |k| Action::nullary(&format!("{}_{k}", turn(i)))))
+            .collect()
+    }
+
+    /// `log` holds exactly the commits of `sent`, every shard's in order.
+    fn assert_log_holds(log: &[Action], sent: &[Action], shards: usize) {
+        assert_eq!(log.len(), sent.len(), "the log misses commits queued before the call");
+        for k in 0..shards {
+            let suffix = format!("_{k}");
+            let of_shard = |word: &[Action]| -> Vec<Action> {
+                word.iter().filter(|a| a.to_string().ends_with(&suffix)).cloned().collect()
+            };
+            assert_eq!(of_shard(log), of_shard(sent), "shard {k} logged out of order");
+        }
+    }
+
+    /// Calls `log()` and `tier_stats()` from a second thread while the
+    /// shards in `stuck` cannot be served, waits until each of their queues
+    /// holds one more task — the call took the queued path there — and only
+    /// then lets `unstick` release them.
+    fn ask_behind_backlog(
+        runtime: &ManagerRuntime,
+        stuck: &[usize],
+        unstick: impl FnOnce(),
+    ) -> (Vec<Action>, TierStats) {
+        let slots = runtime.shared.pool.slot_snapshot();
+        let before: Vec<usize> = stuck.iter().map(|&s| slots[s].rx.len()).collect();
+        std::thread::scope(|scope| {
+            let asker = scope.spawn(|| (runtime.log(), runtime.tier_stats()));
+            let deadline = Instant::now() + Duration::from_secs(2);
+            let queued = || stuck.iter().zip(&before).all(|(&s, &n)| slots[s].rx.len() > n);
+            while !queued() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            unstick();
+            asker.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn control_calls_never_overtake_queued_submissions() {
+        // Every pool size: a whole window is in the queues when `log()` is
+        // called, and the answer must reflect all of it.
+        for workers in [1usize, 2, 3] {
+            let runtime = ring_runtime(3, workers);
+            runtime.compile_tiers();
+            let sent = ring_word(3, 200);
+            let tickets = runtime.session(1).submit_batch(&sent);
+            let log = runtime.log();
+            let tiers = runtime.tier_stats();
+            assert_log_holds(&log, &sent, 3);
+            assert!(
+                tickets.iter().all(|t| matches!(t.poll(), Some(Completion::Executed { .. }))),
+                "log() answered before a submission queued ahead of it ({workers} workers)"
+            );
+            assert_eq!(tiers, runtime.tier_stats(), "tier_stats() answered ahead of the window");
+            assert_eq!(tiers.hits, sent.len() as u64);
+            runtime.shutdown().unwrap();
+        }
+
+        // Forced: the one worker is held inside a task of shard 0, so slot 0
+        // is Busy and slot 1 is Live behind a backlog nobody serves.  Both
+        // calls must queue on both shards.
+        let runtime = ring_runtime(2, 1);
+        let topo = read_topology(&runtime.topology);
+        let session = runtime.session(1);
+        let (entered_tx, entered_rx) = unbounded();
+        let (release_tx, release_rx) = unbounded::<()>();
+        let hold = Task::Control(Box::new(move |_| {
+            entered_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        }));
+        assert!(topo.queues[0].send(hold).is_ok());
+        topo.pool.core.wake_shard(0);
+        entered_rx.recv().unwrap();
+        let mut sent = ring_word(2, 50);
+        let tickets = session.submit_batch(&sent);
+        let (log, tiers) = ask_behind_backlog(&runtime, &[0, 1], || drop(release_tx));
+        assert_log_holds(&log, &sent, 2);
+        assert!(tickets.iter().all(|t| t.poll().is_some()));
+        assert_eq!(tiers, runtime.tier_stats());
+
+        // Forced: shard 0 is Suspended by a pause barrier in flight.
+        let (state_tx, state_rx) = unbounded();
+        let (resume_tx, resume_rx) = unbounded();
+        assert!(topo.queues[0].send(Task::Pause(PauseTask { state_tx, resume_rx })).is_ok());
+        topo.pool.core.wake_shard(0);
+        let state = state_rx.recv().unwrap();
+        let more = ring_word(2, 50);
+        let tickets = session.submit_batch(&more);
+        sent.extend(more);
+        let (log, tiers) = ask_behind_backlog(&runtime, &[0], || {
+            assert!(resume_tx.send(state).is_ok());
+            topo.pool.core.wake_all();
+        });
+        assert_log_holds(&log, &sent, 2);
+        assert!(tickets.iter().all(|t| t.poll().is_some()));
+        assert_eq!(tiers, runtime.tier_stats());
+        runtime.shutdown().unwrap();
+    }
+
+    /// An enqueuer's wake-up that finds the slot Busy in a caller frame
+    /// sends the worker back to sleep for [`IDLE_PARK`]; the frame has to
+    /// repeat it when it checks the slot in, or the round trip costs up to
+    /// 10 ms.
+    #[test]
+    fn a_caller_frame_repeats_the_wake_up_it_swallowed() {
+        let runtime = ring_runtime(2, 2);
+        let expr = runtime.expr();
+        let blocking = InteractionManager::with_protocol(&expr, ProtocolVariant::Combined).unwrap();
+        let session = runtime.session(1);
+        let agrees = |action: &Action| {
+            let got = matches!(session.execute(action).wait(), Completion::Executed { .. });
+            got == blocking.try_execute(1, action).unwrap().is_some()
+        };
+
+        // Control calls hammer both shards while window-1 round trips run on
+        // them.  Every fifth action repeats its predecessor, out of turn.
+        let mut word = ring_word(2, 1000);
+        for i in (4..word.len()).step_by(5) {
+            word[i] = word[i - 1].clone();
+        }
+        let stop = AtomicBool::new(false);
+        let (took, wrong) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    runtime.tier_stats();
+                    runtime.is_final();
+                }
+            });
+            let started = Instant::now();
+            let wrong = word.iter().filter(|action| !agrees(action)).count();
+            stop.store(true, Ordering::Relaxed);
+            (started.elapsed(), wrong)
+        });
+        assert_eq!(wrong, 0, "verdicts differ from the blocking manager");
+        assert_eq!(runtime.log(), blocking.log());
+        // Bounds are for optimised builds (CI runs this test in release).
+        let slack = if cfg!(debug_assertions) { 5 } else { 1 };
+        assert!(took < Duration::from_secs(2 * slack), "2000 round trips took {took:?}");
+
+        // Those frames are too short for a worker to run into often, so
+        // hold one open across a submission: the worker it wakes finds
+        // slot 0 Busy and parks before the frame checks the slot back in.
+        let topo = read_topology(&runtime.topology);
+        let done = blocking.log().iter().filter(|a| a.to_string().ends_with("_0")).count();
+        let started = Instant::now();
+        for turn in done..done + 200 {
+            let action = Action::nullary(["a_0", "b_0"][turn % 2]);
+            let (entered_tx, entered_rx) = unbounded();
+            let (release_tx, release_rx) = unbounded::<()>();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let hold = move |_: &mut ShardState| {
+                        entered_tx.send(()).unwrap();
+                        let _ = release_rx.recv();
+                    };
+                    control(&topo, 0, hold).wait()
+                });
+                entered_rx.recv().unwrap();
+                let ticket = session.execute(&action);
+                std::thread::sleep(Duration::from_micros(200));
+                drop(release_tx);
+                assert!(matches!(ticket.wait(), Completion::Executed { .. }));
+            });
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(slack),
+            "200 round trips behind a caller frame took {took:?}: wake-ups were swallowed"
+        );
+        runtime.shutdown().unwrap();
     }
 }

@@ -60,16 +60,21 @@ fn pool_options(workers: usize) -> RuntimeOptions {
 
 /// Drives `word` through a pooled runtime session and the blocking manager
 /// in lockstep, asserting identical per-action verdicts, merged log,
-/// finality, and statistics.
+/// finality, and statistics.  With `compile_every` > 0 a `compile_tiers()`
+/// control call runs between the actions, before every `compile_every`-th.
 fn assert_pool_matches_blocking(
     x: &Expr,
     word: &[Action],
     workers: usize,
+    compile_every: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let blocking = InteractionManager::with_protocol(x, ProtocolVariant::Combined).unwrap();
     let runtime = ManagerRuntime::with_options(x, pool_options(workers)).unwrap();
     let session = runtime.session(1);
-    for action in word {
+    for (i, action) in word.iter().enumerate() {
+        if compile_every > 0 && i % compile_every == 0 {
+            runtime.compile_tiers();
+        }
         prop_assert_eq!(
             session.is_permitted_blocking(action),
             blocking.is_permitted(action),
@@ -117,14 +122,16 @@ proptest! {
     /// (fully serialized workers), a two-worker pool (shards genuinely
     /// share threads), and a worker per shard (the thread-per-shard
     /// baseline — the constraint has three components) all match the
-    /// blocking manager on the same word, hence match each other.
+    /// blocking manager on the same word, hence match each other — also
+    /// with control calls served between the actions, on whichever thread.
     #[test]
     fn every_pool_size_matches_the_blocking_manager_in_lockstep(
         word in word_strategy(),
+        compile_every in 0usize..4,
     ) {
         let x = coupled_constraint();
         for workers in [1usize, 2, 3] {
-            assert_pool_matches_blocking(&x, &word, workers)?;
+            assert_pool_matches_blocking(&x, &word, workers, compile_every)?;
         }
     }
 }
