@@ -230,15 +230,18 @@ impl<T: Clone> DurableQueue<T> {
 // ---------------------------------------------------------------------------
 //
 // The runtime's per-shard task queues are *pool-visible*: instead of one OS
-// thread blocking on one shard's channel, a sized pool of workers each owns
-// a set of shards and drains their queues in bounded run-to-completion
-// slices.  What makes that safe to enqueue against is the pair of types
-// below — a placement table naming, for every shard, the single worker that
-// may touch its state, and a token parker per worker so an enqueue onto any
-// owned queue wakes exactly the right thread.
+// thread blocking on one shard's channel, a sized pool of workers each
+// drains the queues of a set of shards in bounded run-to-completion slices.
+// What makes that safe to enqueue against is the pair of types below — a
+// placement table naming, for every shard, the worker that drains its queue,
+// and a token parker per worker so an enqueue onto any of its queues wakes
+// exactly the right thread.  A worker's thread starts with the first wake-up
+// that has work behind it (`PoolCore::wake_worker`): a pool nothing was ever
+// queued on runs no thread at all.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A token parker for one pool worker: `unpark` deposits a wake token,
@@ -294,10 +297,23 @@ impl WorkerParker {
     }
 }
 
+/// Starts the thread of one pool worker; `None` when what the thread would
+/// serve is already gone.
+pub(crate) type WorkerSpawner = Box<dyn Fn(usize) -> Option<JoinHandle<()>> + Send>;
+
+/// The worker threads started so far and the way to start another.
+#[derive(Default)]
+struct PoolThreads {
+    /// Installed once by the runtime's constructor; taken away again by
+    /// [`PoolCore::close`], after which nothing starts.
+    spawner: Option<WorkerSpawner>,
+    handles: Vec<JoinHandle<()>>,
+}
+
 /// The scheduling core of the worker pool: the placement table (shard id →
-/// worker id — the exclusivity artifact that replaced "thread = shard"),
-/// one [`WorkerParker`] per worker, and the slot-liveness counter workers
-/// use to decide when the pool is finished.
+/// worker id — the work-finding artifact that replaced "thread = shard"),
+/// one [`WorkerParker`] per worker, the threads started so far, and the
+/// slot-liveness counter workers use to decide when the pool is finished.
 ///
 /// The placement table is mutable *without* a topology-epoch bump: moving a
 /// shard between workers changes who drains its queue, never how tasks are
@@ -309,6 +325,11 @@ pub(crate) struct PoolCore {
     /// shards; rewritten in place by the rebalancer.
     placement: RwLock<Vec<usize>>,
     parkers: Vec<WorkerParker>,
+    /// Whether worker `w`'s thread has been started.  Set under the
+    /// `threads` lock (Release) after the thread exists; the Acquire load in
+    /// [`PoolCore::wake_worker`] is all an enqueue pays once it has.
+    started: Vec<AtomicBool>,
+    threads: Mutex<PoolThreads>,
     /// Shards whose slot has not yet finished (stop marker or disconnect).
     /// Workers exit when they own nothing and this reaches zero.
     pub(crate) live: AtomicUsize,
@@ -327,14 +348,58 @@ impl PoolCore {
             live: AtomicUsize::new(placement.len()),
             placement: RwLock::new(placement),
             parkers: (0..workers).map(|_| WorkerParker::new()).collect(),
+            started: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+            threads: Mutex::new(PoolThreads::default()),
             rebalances: AtomicU64::new(0),
             last_isolated: AtomicUsize::new(usize::MAX),
         }
     }
 
-    /// Number of pool workers (fixed at spawn).
+    /// Number of pool workers (fixed at construction; how many of them run
+    /// a thread is [`PoolCore::started`]).
     pub(crate) fn workers(&self) -> usize {
         self.parkers.len()
+    }
+
+    /// Installs the way worker threads are started.  Until then, and after
+    /// [`PoolCore::close`], a wake-up starts nothing.
+    pub(crate) fn set_spawner(&self, spawner: WorkerSpawner) {
+        self.threads.lock().unwrap_or_else(|e| e.into_inner()).spawner = Some(spawner);
+    }
+
+    /// Number of workers whose thread has been started.
+    pub(crate) fn started(&self) -> usize {
+        self.started.iter().filter(|s| s.load(Ordering::Acquire)).count()
+    }
+
+    /// The workers whose thread has not been started.
+    pub(crate) fn unstarted(&self) -> Vec<usize> {
+        (0..self.workers()).filter(|&w| !self.started[w].load(Ordering::Acquire)).collect()
+    }
+
+    /// Starts worker `worker`'s thread unless it runs already or the pool is
+    /// closed.  Serialized by the `threads` lock, so two racing wake-ups
+    /// start one thread.
+    #[cold]
+    fn start(&self, worker: usize) {
+        let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
+        if self.started[worker].load(Ordering::Relaxed) {
+            return;
+        }
+        if let Some(handle) = threads.spawner.as_ref().and_then(|spawn| spawn(worker)) {
+            threads.handles.push(handle);
+            self.started[worker].store(true, Ordering::Release);
+        }
+    }
+
+    /// Shutdown: from here on no wake-up starts a thread.  Returns the
+    /// handles of the threads that were started, to be joined, and the ids
+    /// of the workers that never were — whoever shuts down serves what is
+    /// left in their queues itself.
+    pub(crate) fn close(&self) -> (Vec<JoinHandle<()>>, Vec<usize>) {
+        let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
+        threads.spawner = None;
+        (std::mem::take(&mut threads.handles), self.unstarted())
     }
 
     /// A snapshot of the placement table.
@@ -364,8 +429,9 @@ impl PoolCore {
         self.live.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Moves `shard` to `worker`, waking both the old owner (to release the
-    /// slot) and the new one (to adopt it).
+    /// Moves `shard` to `worker`, waking both the old worker (to let go of
+    /// the shard) and the new one (to adopt it — started if need be: the
+    /// shard may come with a backlog).
     pub(crate) fn assign(&self, shard: usize, worker: usize) {
         let old = {
             let mut table = self.placement.write().unwrap_or_else(|e| e.into_inner());
@@ -374,7 +440,7 @@ impl PoolCore {
             }
             std::mem::replace(&mut table[shard], worker)
         };
-        self.wake_worker(old);
+        self.parkers[old].unpark();
         self.wake_worker(worker);
     }
 
@@ -384,14 +450,19 @@ impl PoolCore {
         self.wake_worker(self.worker_of(shard));
     }
 
-    /// Wakes one worker by id.
+    /// Wakes one worker by id because there is work for it, starting its
+    /// thread if this is the first time.
     pub(crate) fn wake_worker(&self, worker: usize) {
-        if let Some(parker) = self.parkers.get(worker) {
-            parker.unpark();
+        let Some(parker) = self.parkers.get(worker) else { return };
+        if !self.started[worker].load(Ordering::Acquire) {
+            self.start(worker);
         }
+        parker.unpark();
     }
 
-    /// Wakes every worker (pool shutdown, migration resume).
+    /// Wakes every running worker (pool shutdown, migration resume).  Starts
+    /// none: a worker that never ran has nothing to be told — the token
+    /// waits for it, and costs it one empty pass if it ever starts.
     pub(crate) fn wake_all(&self) {
         for parker in &self.parkers {
             parker.unpark();
@@ -557,6 +628,29 @@ mod tests {
         let t0 = std::time::Instant::now();
         parker.park_timeout(Duration::from_millis(10));
         assert!(t0.elapsed() >= Duration::from_millis(5));
+    }
+
+    #[test]
+    fn workers_start_at_their_first_wake_up_and_never_after_close() {
+        let core = PoolCore::new(2, vec![0, 1]);
+        let spawned = std::sync::Arc::new(AtomicUsize::new(0));
+        let count = std::sync::Arc::clone(&spawned);
+        core.set_spawner(Box::new(move |_| {
+            count.fetch_add(1, Ordering::SeqCst);
+            Some(std::thread::spawn(|| {}))
+        }));
+        core.wake_all();
+        assert_eq!(core.started(), 0, "wake_all tells running workers; it starts none");
+        core.wake_shard(1);
+        core.wake_shard(1);
+        assert_eq!((core.started(), spawned.load(Ordering::SeqCst)), (1, 1));
+        let (handles, unstarted) = core.close();
+        assert_eq!((handles.len(), unstarted), (1, vec![0]));
+        core.wake_worker(0);
+        assert_eq!((core.started(), spawned.load(Ordering::SeqCst)), (1, 1));
+        for handle in handles {
+            handle.join().unwrap();
+        }
     }
 
     #[test]

@@ -9,17 +9,21 @@
 //! * **a pool of worker threads serving the shards**: a shard's engine,
 //!   reservation table, subscription registry and log segment are one
 //!   `ShardState` (the private `shard` module, the only code that changes
-//!   one), checked out by whichever worker the placement table names for as
-//!   long as it serves the shard — the per-shard mutexes of
-//!   [`InteractionManager`] are gone, and nothing inside the state is
-//!   locked.  This file is the *drivers* of that kernel: the single-owner
-//!   path, the rendezvous of several owners, the coalesced execute cascade
-//!   and crash recovery all vote, conclude, apply and finish through the
-//!   same four steps;
+//!   one), checked out by whoever serves the shard for as long as it does —
+//!   the worker the placement table names, or the submitting thread itself
+//!   when the shard is at rest and the operation has one owner (a *caller
+//!   frame*: a client that blocks on each reply, as the paper's WfMS does,
+//!   is served without a thread hop and without a worker thread).  The
+//!   per-shard mutexes of [`InteractionManager`] are gone, and nothing
+//!   inside the state is locked.  This file is the *drivers* of that
+//!   kernel: the single-owner path, the rendezvous of several owners, the
+//!   coalesced execute cascade and crash recovery all vote, conclude, apply
+//!   and finish through the same four steps;
 //! * **an ordered task queue per shard**: submissions become tasks; a shard
 //!   executes its tasks strictly in queue order;
 //! * **completion tickets**: every submission returns a [`Ticket`]
-//!   immediately — `wait()` for the synchronous round trip, `poll()` to
+//!   immediately — already complete if it was decided on the caller's frame;
+//!   otherwise `wait()` for the synchronous round trip, `poll()` to
 //!   pipeline, `then()` for callbacks — so clients keep dozens of requests
 //!   in flight without blocking;
 //! * **cross-shard actions as ordered enqueues**: a multi-owner submission
@@ -148,14 +152,15 @@ pub struct RuntimeOptions {
     /// order of `AdmitClass`; confirm/abort/expiry releases are never shed
     /// — shedding them would leak reservations.
     pub queue_limit: usize,
-    /// Number of pool workers draining the shard queues (0 = one per
+    /// Size of the pool of workers draining the shard queues (0 = one per
     /// available hardware thread; the host is asked once per process, so a
     /// cgroup limit changed later is not seen).  Shards are decoupled from
-    /// OS threads: each worker exclusively owns the *set* of shards the
-    /// placement table assigns it and drains their queues in bounded
-    /// run-to-completion slices, so a 64-shard partition on an 8-core host
-    /// runs 8 threads, not 64.  `worker_threads = shards` reproduces the
-    /// historical thread-per-shard layout exactly (1:1 placement).
+    /// OS threads: each worker drains the queues of the *set* of shards the
+    /// placement table assigns it, in bounded run-to-completion slices, so a
+    /// 64-shard partition on an 8-core host runs at most 8 threads, not 64.
+    /// A worker's thread starts with the first task queued for it; what a
+    /// client submits while its shard is at rest is decided on the client's
+    /// own thread and queues nothing.
     pub worker_threads: usize,
     /// Load-driven placement: with `Some(period)`, a background rebalancer
     /// samples the per-shard load signal every `period` and, when one shard
@@ -280,20 +285,20 @@ struct ShardGate {
     shed_speculative: AtomicU64,
     /// Commits shed at the full limit.
     shed_commits: AtomicU64,
-    /// EWMA (α = 1/8) of enqueue wait, nanoseconds; written only by the
-    /// owning worker.
+    /// EWMA (α = 1/8) of enqueue wait, nanoseconds; written only by
+    /// whoever holds the shard's slot Busy.
     wait_ewma_ns: AtomicU64,
     /// EWMA (α = 1/8) of per-task service time, nanoseconds.
     service_ewma_ns: AtomicU64,
-    /// EWMA (α = 1/8) of queue depth in task units, sampled by the owning
-    /// worker at every completed task.  Drives the watermark scaling of
+    /// EWMA (α = 1/8) of queue depth in task units, sampled at every
+    /// completed task by whoever served it.  Drives the watermark scaling of
     /// [`class_cap`] and the sustained-hot detection
     /// of the placement rebalancer — a transient burst barely moves it, a
     /// queue that *stays* deep saturates it.
     depth_ewma: AtomicU64,
     /// Entries of the shard's commit log, how many of them a checkpoint has
-    /// archived, and the bytes of the resident ones; published by the owning
-    /// worker after every task.
+    /// archived, and the bytes of the resident ones; published after every
+    /// task by whoever served it.
     log_entries: AtomicU64,
     log_archived: AtomicU64,
     log_bytes: AtomicU64,
@@ -318,7 +323,8 @@ impl ShardGate {
     }
 
     /// Publishes the size of the shard's commit log for [`LoadReport`].
-    /// Called only by whoever holds the shard state, so plain stores do.
+    /// Called only by whoever holds the shard's slot Busy — a worker in a
+    /// slice, or a caller frame — so plain stores do.
     fn publish_log(&self, log: &ShardLog) {
         self.log_entries.store(log.len() as u64, Ordering::Relaxed);
         self.log_archived.store(log.archived() as u64, Ordering::Relaxed);
@@ -362,7 +368,8 @@ impl ShardGate {
         self.peak.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Returns `units` credits when the worker dequeues the message.
+    /// Returns `units` credits when the message is dequeued — or, for a
+    /// submission a caller frame serves, when the frame is entered.
     fn release(&self, units: usize) {
         if !self.active() || units == 0 {
             return;
@@ -372,7 +379,8 @@ impl ShardGate {
 
     /// Folds one completed task's (wait, service) pair into the EWMAs and
     /// samples the current depth into the pressure EWMA.  Called only by
-    /// the owning worker, so plain load/store is race-free.
+    /// whoever holds the shard's slot Busy (one thread at a time, whichever
+    /// it is), so plain load/store is race-free.
     fn observe(&self, wait_ns: u64, service_ns: u64) {
         let wait = self.wait_ewma_ns.load(Ordering::Relaxed);
         self.wait_ewma_ns.store(wait - wait / 8 + wait_ns / 8, Ordering::Relaxed);
@@ -506,8 +514,13 @@ impl LoadReport {
 /// ([`ManagerRuntime::sched_stats`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Pool worker threads serving the shard queues.
+    /// The size of the worker pool: how many threads may serve the shard
+    /// queues.
     pub workers: usize,
+    /// How many of them have been started.  A worker's thread starts with
+    /// the first task queued for it, so a runtime whose clients block on
+    /// each reply — every decision taken on the caller's frame — reads 0.
+    pub started: usize,
     /// The placement table: `placement[shard]` is the worker currently
     /// serving that shard.
     pub placement: Vec<usize>,
@@ -895,12 +908,16 @@ pub struct CascadeStats {
 // (phase Live → Busy), drains up to `SLICE_BUDGET` tasks in queue order,
 // and checks it back in.  Exclusivity is a slot-phase property, not a
 // thread identity: exactly one thread can hold a slot Busy, so a shard's
-// tasks still execute in queue order on one worker at a time even while
-// the placement table is being rewritten under it — a rebalance is a
-// table write, and the new owner simply finds the slot Live on its next
-// pass — and a control request may run on its caller while the shard is at
-// rest (`control`).  `worker_threads = shards` reproduces the historical
-// thread-per-shard layout (1:1 placement, every slice uninterrupted).
+// tasks still execute in queue order, one at a time, even while the
+// placement table is being rewritten under it — a rebalance is a table
+// write, and the new worker simply finds the slot Live on its next pass.
+// Who may hold a slot Busy: a worker serving a slice (or the outer frame of
+// its help-while-waiting excursion), the thread that shuts the runtime down
+// (for workers that never started), and a *caller frame* — a control
+// request or a single-owner operation run on the thread that asked for it,
+// while the shard is at rest (`caller_frame`).  The placement table only
+// says which worker looks for work where, and a worker's thread starts
+// with the first task queued for it.
 // ---------------------------------------------------------------------------
 
 /// Where one shard's serving state currently is, from the pool's point of
@@ -910,8 +927,8 @@ enum SlotPhase {
     /// table names.
     Live(Box<ShardState>),
     /// Checked out — by a worker actively serving a slice, by the outer
-    /// frame of a help-while-waiting excursion, or by the caller frame of a
-    /// control request ([`control`]).  Marks the slot
+    /// frame of a help-while-waiting excursion, or by a caller frame
+    /// ([`caller_frame`]).  Marks the slot
     /// non-reentrant: a helping worker never recurses into a shard that is
     /// already being served, which bounds the help depth by the number of
     /// shards a worker owns.
@@ -1063,42 +1080,71 @@ impl<T: Clone> Answer<T> {
     }
 }
 
-/// The control plane: runs `request` on shard `shard` at a task boundary,
-/// behind every submission queued before the call.  A shard at rest — slot
-/// Live, nothing carried over, queue empty — has served all of those, so
-/// the request runs right here in a *caller frame*: the calling thread
-/// holds the slot Busy for the length of `request` and no worker is
-/// involved.  Otherwise the request is queued like a submission.  A caller
-/// frame holds one slot at a time and never blocks while holding it (no
-/// rendezvous, no ticket wait; a compile is bounded by `tier_budget`), so
-/// it cannot join a wait cycle.  A finished shard answers with the default.
-fn control<T, F>(topo: &Topology, shard: usize, request: F) -> Answer<T>
-where
-    T: Clone + Default + Send + 'static,
-    F: FnOnce(&mut ShardState) -> T + Send + 'static,
-{
+/// What became of an attempt to serve a shard on the calling thread.
+enum Frame<T> {
+    /// `serve` ran, holding the slot, and this is what it returned.
+    Served(T),
+    /// The shard is not at rest, or `serve` declined: queue the request.
+    NotAtRest,
+    /// The shard has finished.
+    Done,
+}
+
+/// A *caller frame*: runs `serve` on shard `shard` right here, on the
+/// calling thread, if the shard is at rest — slot Live, nothing carried
+/// over from a slice, queue empty.  A shard at rest has served everything
+/// queued before the call, so what runs in the frame runs behind all of it,
+/// exactly where a task queued now would; the calling thread holds the slot
+/// Busy for the length of `serve` and no worker is involved.  `serve` may
+/// still decline (`None`).
+///
+/// The rule that keeps frames out of every wait cycle: a frame takes one
+/// slot, by trying, and never blocks while it holds it — no rendezvous, no
+/// ticket wait, no second slot (a compile is bounded by `tier_budget`).
+/// The locks `serve` does take (reservation index, shared subscriptions,
+/// timers, the vault) are the ones a worker takes holding the same slot, in
+/// the same order, because it calls the same functions.
+fn caller_frame<T>(
+    topo: &Topology,
+    shard: usize,
+    serve: impl FnOnce(&ShardSlot, &mut ShardState) -> Option<T>,
+) -> Frame<T> {
     let slot = topo.pool.slot(shard).expect("a routed shard has a slot on the bench");
-    let request = match checkout(&slot) {
+    match checkout(&slot) {
         Checkout::State(mut st, pushback, divert_below) => {
-            let served = if pushback.is_none() && slot.rx.is_empty() {
-                Ok(request(&mut st))
-            } else {
-                Err(request)
-            };
+            // What `serve` publishes through the gate relies on it.
+            debug_assert!(matches!(lock(&slot.serve).phase, SlotPhase::Busy));
+            let served =
+                if pushback.is_none() && slot.rx.is_empty() { serve(&slot, &mut st) } else { None };
             checkin(&slot, st, pushback, divert_below);
             // A wake-up sent while this frame held the slot found it Busy,
             // and the worker it woke has parked again: repeat it.
             if !slot.rx.is_empty() {
                 topo.pool.core.wake_shard(shard);
             }
-            match served {
-                Ok(value) => return Answer::Ready(value),
-                Err(request) => request,
-            }
+            served.map_or(Frame::NotAtRest, Frame::Served)
         }
-        Checkout::Done => return Answer::Ready(T::default()),
-        Checkout::Skip => request,
-    };
+        Checkout::Skip => Frame::NotAtRest,
+        Checkout::Done => Frame::Done,
+    }
+}
+
+/// The control plane: runs `request` on shard `shard` at a task boundary,
+/// behind every submission queued before the call — in a [`caller_frame`]
+/// when the shard is at rest, queued like a submission otherwise.  A
+/// finished shard answers with the default.
+fn control<T, F>(topo: &Topology, shard: usize, request: F) -> Answer<T>
+where
+    T: Clone + Default + Send + 'static,
+    F: FnOnce(&mut ShardState) -> T + Send + 'static,
+{
+    let mut request = Some(request);
+    match caller_frame(topo, shard, |_, st| request.take().map(|request| request(st))) {
+        Frame::Served(value) => return Answer::Ready(value),
+        Frame::Done => return Answer::Ready(T::default()),
+        Frame::NotAtRest => {}
+    }
+    let request = request.expect("a frame that served nothing took nothing");
     let (issuer, answer) = ticket();
     let task =
         Task::Control(Box::new(move |st| issuer.complete(st.map(request).unwrap_or_default())));
@@ -1416,9 +1462,6 @@ pub struct ManagerRuntime {
     /// The live (epoch-versioned) partition; the mutex also serializes
     /// repartitions — at most one migration is in flight at a time.
     partition: Mutex<Partition>,
-    /// The pool worker threads (final shard states are harvested through
-    /// `shared.pool.finished`, not the join handles).
-    workers: Mutex<Vec<JoinHandle<()>>>,
     /// Service threads: the wall-clock ticker and/or the rebalancer, both
     /// stopped by `ticker_stop`.
     ticker: Mutex<Vec<JoinHandle<()>>>,
@@ -2031,11 +2074,15 @@ fn spawn_runtime(
         let now = shared.clock.load(Ordering::Relaxed);
         lock(&shared.timers).schedule(now + options.checkpoint_every, TimerEvent::Checkpoint);
     }
-    let mut workers = Vec::with_capacity(workers_n);
-    for me in 0..workers_n {
-        let shared = Arc::clone(&shared);
-        workers.push(std::thread::spawn(move || pool_worker(shared, me)));
-    }
+    // No worker thread starts here: each starts with the first task queued
+    // for it.  The pool outlives the runtime handle inside `shared`, hence
+    // the weak handle — a wake-up after everything else is gone starts
+    // nothing.
+    let weak = Arc::downgrade(&shared);
+    pool.core.set_spawner(Box::new(move |me| {
+        let shared = weak.upgrade()?;
+        Some(std::thread::spawn(move || pool_worker(shared, me)))
+    }));
     let ticker_stop = Arc::new(AtomicBool::new(false));
     let mut service = Vec::new();
     if let ClockMode::Wall { tick } = options.clock {
@@ -2066,7 +2113,6 @@ fn spawn_runtime(
         shared,
         topology,
         partition: Mutex::new(partition),
-        workers: Mutex::new(workers),
         ticker: Mutex::new(service),
         ticker_stop,
     })
@@ -2236,6 +2282,7 @@ impl ManagerRuntime {
         let last = core.last_isolated.load(Ordering::Relaxed);
         SchedStats {
             workers: core.workers(),
+            started: core.started(),
             placement: core.placement(),
             rebalances: core.rebalances.load(Ordering::Relaxed),
             last_isolated: (last != usize::MAX).then_some(last),
@@ -2374,7 +2421,7 @@ impl ManagerRuntime {
     /// The constraint's flattened operands become new shards (semantically
     /// the runtime now enforces `old ⊗ constraint`).  If the constraint's
     /// alphabet is disjoint from every existing shard's, the update is a
-    /// **pure shard-append**: new workers spawn, the topology epoch bumps,
+    /// **pure shard-append**: new slots join the bench, the topology epoch bumps,
     /// and no existing shard is paused, probed, or migrated — O(new
     /// constraint), independent of the running system's size.  If the
     /// constraint *couples* (shares actions with existing shards), exactly
@@ -2923,7 +2970,7 @@ impl ManagerRuntime {
         for handle in std::mem::take(&mut *lock(&self.ticker)) {
             let _ = handle.join();
         }
-        {
+        let (workers, unstarted) = {
             // The enqueue lock makes the Stop markers atomic w.r.t.
             // cross-shard enqueues: a cross task is ordered either before
             // the Stop on *all* of its owners (processed normally) or after
@@ -2934,9 +2981,14 @@ impl ManagerRuntime {
             for q in topo.queues.iter() {
                 let _ = q.send(Task::Stop);
             }
+            // Closed under the same lock: a cross task ahead of the markers
+            // woke — so started — the worker of every owner while it was
+            // enqueued, and nothing behind them starts one.
+            let threads = topo.pool.core.close();
             topo.pool.core.wake_all();
-        }
-        let workers = std::mem::take(&mut *lock(&self.workers));
+            threads
+        };
+        retire_unstarted(&self.shared, &unstarted);
         for handle in workers {
             handle.join().map_err(|_| ManagerError::Disconnected)?;
         }
@@ -2963,17 +3015,24 @@ impl Drop for ManagerRuntime {
     /// Dropping without [`ManagerRuntime::shutdown`] must not leak threads:
     /// stopping the service threads releases their clones of the queue
     /// senders, so once the sessions are gone too the channels disconnect
-    /// and every pool worker retires its shards and exits — a parked worker
-    /// re-polls within [`IDLE_PARK`], the wake below just shortens that.
+    /// and every running pool worker retires its shards and exits — a
+    /// parked worker re-polls within [`IDLE_PARK`], the wake below just
+    /// shortens that.  The shards of workers that never started are retired
+    /// by the ones that did (see [`pool_worker`]); if none did, there is no
+    /// thread to leak and the shards go with the last handle onto the
+    /// shared block.
     fn drop(&mut self) {
         self.ticker_stop.store(true, Ordering::Relaxed);
         self.shared.pool.core.wake_all();
     }
 }
 
-/// A client's handle onto the runtime.  Every method submits a task and
-/// returns a completion ticket immediately; the `*_blocking` conveniences
-/// wait and translate to the blocking manager's result types.
+/// A client's handle onto the runtime.  Every method returns a completion
+/// ticket immediately — complete already when the operation has one owner
+/// and that shard is at rest, except from [`Session::submit`] and
+/// [`Session::submit_batch`], whose contract is to return once the
+/// submission is queued; the `*_blocking` conveniences wait and translate to
+/// the blocking manager's result types.
 pub struct Session {
     client: ClientId,
     shared: Arc<RuntimeShared>,
@@ -3020,7 +3079,7 @@ impl Session {
         if let Err(e) = admit_submission(&topo, action, AdmitClass::Commit, AdmitClass::Commit) {
             return completed(Completion::Failed { error: e.into() });
         }
-        self.journal(DurableOp::Ask { action: action.clone() });
+        self.journal(|| DurableOp::Ask { action: action.clone() });
         submit_ask(&self.shared, &topo, self.client, action, Credit::Held)
     }
 
@@ -3028,10 +3087,12 @@ impl Session {
     /// [`Completion::Executed`] or [`Completion::Denied`]; a shed execute
     /// resolves inline to [`Completion::Failed`] with
     /// [`ManagerError::Overloaded`] (use [`Session::submit`] for the typed
-    /// backpressure surface).
+    /// backpressure surface).  Like an ask, a confirm, an abort, a probe or
+    /// a subscription, a single-owner execute whose shard is at rest is
+    /// decided before the call returns.
     pub fn execute(&self, action: &Action) -> Ticket<Completion> {
-        match self.submit(action) {
-            Ok(t) => t,
+        match self.admit_execute(action) {
+            Ok(topo) => submit_execute(&self.shared, &topo, action, Credit::Held),
             Err(e) => completed(Completion::Failed { error: e.into() }),
         }
     }
@@ -3042,11 +3103,35 @@ impl Session {
     /// was journaled or enqueued anywhere, and the submission is safe to
     /// retry after the hinted backoff.  On unbounded runtimes this never
     /// errs.
+    ///
+    /// This is the pipelining call, with [`Session::submit_batch`]: it
+    /// returns once the submission is *queued*, never having decided it.
+    /// That is the contract a client firing a burst without waiting relies
+    /// on — each call costs an enqueue however long the decision takes, and
+    /// the burst meets the gate's backpressure instead of being worked off
+    /// on the client's own thread, where no queue would ever fill.  A client
+    /// that waits on each ticket wants [`Session::execute`].
     pub fn submit(&self, action: &Action) -> Result<Ticket<Completion>, SubmitError> {
+        let topo = self.admit_execute(action)?;
+        Ok(match topo.router.classify(action) {
+            Route::Single(shard) if action.is_concrete() => {
+                self.shared.stats.asks.fetch_add(1, Ordering::Relaxed);
+                let op = Op::Execute { action: action.clone() };
+                queue_single(&self.shared, &topo, shard, op, Credit::Held)
+            }
+            // Several owners always rendezvous through their queues; no
+            // owner, or no concrete action, is answered without one.
+            _ => submit_execute(&self.shared, &topo, action, Credit::Held),
+        })
+    }
+
+    /// Admission and journal of one combined execute, under the topology
+    /// snapshot it is then routed by.
+    fn admit_execute(&self, action: &Action) -> Result<Arc<Topology>, SubmitError> {
         let topo = self.snapshot();
         admit_submission(&topo, action, AdmitClass::Commit, AdmitClass::Speculative)?;
-        self.journal(DurableOp::Execute { action: action.clone() });
-        Ok(submit_execute(&self.shared, &topo, action, Credit::Held))
+        self.journal(|| DurableOp::Execute { action: action.clone() });
+        Ok(topo)
     }
 
     /// Submits a whole *window* of combined executes with one topology
@@ -3085,7 +3170,7 @@ impl Session {
                 }
             }
             shared.stats.asks.fetch_add(1, Ordering::Relaxed);
-            self.journal(DurableOp::Execute { action: action.clone() });
+            self.journal(|| DurableOp::Execute { action: action.clone() });
             match route {
                 None => out.push(completed(non_concrete(shared, action))),
                 Some(Route::None) => {
@@ -3136,13 +3221,13 @@ impl Session {
     /// Step 4/5: confirm a granted reservation.  Resolves to
     /// [`Completion::Confirmed`] or [`Completion::Failed`].
     pub fn confirm(&self, reservation: u64) -> Ticket<Completion> {
-        self.journal(DurableOp::Confirm { id: reservation });
+        self.journal(|| DurableOp::Confirm { id: reservation });
         submit_confirm(&self.shared, &self.topology, reservation)
     }
 
     /// Explicitly releases a granted reservation without executing it.
     pub fn abort(&self, reservation: u64) -> Ticket<Completion> {
-        self.journal(DurableOp::Abort { id: reservation });
+        self.journal(|| DurableOp::Abort { id: reservation });
         submit_abort(&self.shared, &self.topology, reservation)
     }
 
@@ -3254,10 +3339,12 @@ impl Session {
         matches!(self.is_permitted(action).wait(), Completion::Status { permitted: true })
     }
 
-    fn journal(&self, op: DurableOp) {
+    /// Journals a submission on a runtime that keeps the durable submission
+    /// queue; any other never builds the record (an `Action` clone).
+    fn journal(&self, op: impl FnOnce() -> DurableOp) {
         if let Some(durable) = &self.shared.durable {
             let mut journal = lock(durable);
-            journal.enqueue(SubmissionRecord { client: self.client, op });
+            journal.enqueue(SubmissionRecord { client: self.client, op: op() });
             // The runtime delivers the submission immediately; the journal
             // entry stays until the client acknowledges the completion.
             let _ = journal.dequeue();
@@ -3417,7 +3504,7 @@ fn enqueue_single(
 }
 
 /// Enqueues a task on one shard's queue and returns its ticket.
-fn dispatch_single(
+fn queue_single(
     shared: &RuntimeShared,
     topo: &Topology,
     shard: usize,
@@ -3427,6 +3514,63 @@ fn dispatch_single(
     let (issuer, t) = ticket();
     enqueue_single(topo, shard, op, issuer, stamp_submitted(shared), credit);
     t
+}
+
+/// One operation for one owner: decided in a [`caller_frame`] when the shard
+/// is at rest — the ticket comes back complete, no thread was waited for —
+/// and queued for the shard's worker otherwise.
+///
+/// The frame stands in for a worker that has just dequeued the task, and
+/// does what that worker would: returns the admission credit, votes and
+/// settles through the same kernel steps as [`process_single`] (the
+/// write-ahead record included), publishes the log size and feeds the
+/// gate's service average and the queue-delay samples — with a wait of
+/// zero.  It declines a route taken under an older topology epoch: those are
+/// re-checked where they are dequeued.  An epoch that moves while the frame
+/// holds the slot did not touch this shard (a migration needs the slot for
+/// its pause barrier), so the route stands, as for a task dequeued a moment
+/// before the move.
+fn dispatch_single(
+    shared: &RuntimeShared,
+    topo: &Topology,
+    shard: usize,
+    op: Op,
+    credit: Credit,
+) -> Ticket<Completion> {
+    let submitted = stamp_submitted(shared);
+    let served = caller_frame(topo, shard, |slot, st| {
+        if topo.epoch() != shared.epoch.load(Ordering::Acquire) {
+            return None;
+        }
+        if credit == Credit::Held {
+            slot.gate.release(1);
+        }
+        let vote = vote_local(shared, st, &op);
+        let completion = settle_single(shared, st, &op, vote);
+        slot.gate.publish_log(&st.log);
+        if let Some(at) = submitted {
+            let service = at.elapsed().as_nanos() as u64;
+            slot.gate.observe(0, service);
+            if shared.queue_metrics {
+                lock(&shared.queue_samples).push((0, service));
+            }
+        }
+        Some((completion, st.engine.tier_wants_compile()))
+    });
+    match served {
+        Frame::Served((completion, hot)) => {
+            // A hot engine is compiled by its shard's worker, in an idle
+            // pass — which takes a worker that runs.  Asked of every
+            // decision, not only the one that crossed the threshold: a
+            // replay (recovery, a migration) leaves engines hot that no
+            // frame saw turn.
+            if hot {
+                topo.pool.core.wake_shard(shard);
+            }
+            completed(completion)
+        }
+        _ => queue_single(shared, topo, shard, op, credit),
+    }
 }
 
 /// Enqueues an operation on the owner or owners `route` names and returns
@@ -4025,6 +4169,28 @@ fn help_one(shared: &Arc<RuntimeShared>, help: &Help<'_>, cx: &mut WorkerCtx, li
     false
 }
 
+/// Serves what is left in the queues of workers that never started — at
+/// shutdown: their Stop markers, and at most a submission that raced them —
+/// on the calling thread, through the slice a worker would have served them
+/// in.
+fn retire_unstarted(shared: &Arc<RuntimeShared>, unstarted: &[usize]) {
+    let pool = &shared.pool;
+    let mut cx = WorkerCtx::new(shared.queue_metrics, Arc::new(ShardGate::new(0)));
+    for &me in unstarted {
+        for shard in pool.core.owned(me) {
+            // Anything short of Finished is a slot a caller frame holds,
+            // for the length of one decision.
+            while !matches!(
+                serve_slice(shared, pool, me, shard, &mut cx, usize::MAX, u64::MAX),
+                SliceOutcome::Finished
+            ) {
+                std::thread::yield_now();
+            }
+        }
+    }
+    cx.flush(shared);
+}
+
 /// The pool worker loop: walk the shards the placement table assigns this
 /// worker, serve each a bounded slice, park when a full pass makes no
 /// progress, exit when every shard has finished.
@@ -4036,11 +4202,23 @@ fn pool_worker(shared: Arc<RuntimeShared>, me: usize) {
     let mut cx = WorkerCtx::new(shared.queue_metrics, idle_gate);
     loop {
         let mut progressed = false;
+        let mut closing = false;
         for shard in pool.core.owned(me) {
-            if let SliceOutcome::Progressed =
-                serve_slice(&shared, &pool, me, shard, &mut cx, SLICE_BUDGET, u64::MAX)
-            {
-                progressed = true;
+            match serve_slice(&shared, &pool, me, shard, &mut cx, SLICE_BUDGET, u64::MAX) {
+                SliceOutcome::Progressed => progressed = true,
+                SliceOutcome::Finished => closing = true,
+                SliceOutcome::Idle | SliceOutcome::Skip => {}
+            }
+        }
+        // A finished shard means the runtime is going — stopped, or dropped
+        // and its queues disconnected.  The shards of workers that never
+        // started are then retired by the ones that did: nobody else will,
+        // after a drop, and `live` reaches zero only when every slot is.
+        // (Should such a worker start this moment, the slot phase keeps the
+        // two of them apart, as it does across a placement write.)
+        if closing {
+            for shard in pool.core.unstarted().into_iter().flat_map(|w| pool.core.owned(w)) {
+                serve_slice(&shared, &pool, me, shard, &mut cx, SLICE_BUDGET, u64::MAX);
             }
         }
         if pool.core.live.load(Ordering::Acquire) == 0 {
@@ -6307,7 +6485,10 @@ mod tests {
 
         // Forced: the one worker is held inside a task of shard 0, so slot 0
         // is Busy and slot 1 is Live behind a backlog nobody serves.  Both
-        // calls must queue on both shards.
+        // calls must queue on both shards.  Nothing was compiled here, so
+        // the worker's idle compile may fall between the two `tier_stats()`
+        // of a comparison: `steps` is the part of them queue order decides.
+        let steps = |tiers: &TierStats| (tiers.hits, tiers.fallbacks);
         let runtime = ring_runtime(2, 1);
         let topo = read_topology(&runtime.topology);
         let session = runtime.session(1);
@@ -6325,7 +6506,7 @@ mod tests {
         let (log, tiers) = ask_behind_backlog(&runtime, &[0, 1], || drop(release_tx));
         assert_log_holds(&log, &sent, 2);
         assert!(tickets.iter().all(|t| t.poll().is_some()));
-        assert_eq!(tiers, runtime.tier_stats());
+        assert_eq!(steps(&tiers), steps(&runtime.tier_stats()));
 
         // Forced: shard 0 is Suspended by a pause barrier in flight.
         let (state_tx, state_rx) = unbounded();
@@ -6342,7 +6523,7 @@ mod tests {
         });
         assert_log_holds(&log, &sent, 2);
         assert!(tickets.iter().all(|t| t.poll().is_some()));
-        assert_eq!(tiers, runtime.tier_stats());
+        assert_eq!(steps(&tiers), steps(&runtime.tier_stats()));
         runtime.shutdown().unwrap();
     }
 
@@ -6417,5 +6598,281 @@ mod tests {
             "200 round trips behind a caller frame took {took:?}: wake-ups were swallowed"
         );
         runtime.shutdown().unwrap();
+    }
+
+    /// A single-owner operation may be decided on the submitting thread
+    /// only behind everything queued before it: not while its shard's slot
+    /// is held, and not while the slot is Live behind a backlog nobody has
+    /// served yet.  Either overtaking would show: the word alternates, so
+    /// an `a_k` run ahead of the queued window makes that window's first
+    /// `a_k` a denial.
+    #[test]
+    fn a_data_frame_never_overtakes_a_queued_submission() {
+        let runtime = ring_runtime(2, 1);
+        let topo = read_topology(&runtime.topology);
+        let session = runtime.session(1);
+        // The one worker is held inside a task of shard 0: slot 0 is Busy,
+        // slot 1 Live, and whatever is queued on either stays queued.
+        let (entered_tx, entered_rx) = unbounded();
+        let (release_tx, release_rx) = unbounded::<()>();
+        let hold = Task::Control(Box::new(move |_| {
+            entered_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        }));
+        assert!(topo.queues[0].send(hold).is_ok());
+        topo.pool.core.wake_shard(0);
+        entered_rx.recv().unwrap();
+        let mut sent = ring_word(2, 50);
+        let mut tickets = session.submit_batch(&sent);
+        for k in 0..2 {
+            let next = Action::nullary(&format!("a_{k}"));
+            let ticket = session.execute(&next);
+            assert!(ticket.poll().is_none(), "shard {k} decided ahead of its queue");
+            tickets.push(ticket);
+            sent.push(next);
+        }
+        drop(release_tx);
+        for (ticket, action) in tickets.iter().zip(&sent) {
+            assert!(
+                matches!(ticket.wait(), Completion::Executed { .. }),
+                "{action} was overtaken: denied out of turn"
+            );
+        }
+        let log = runtime.log();
+        assert_log_holds(&log, &sent, 2);
+        // At rest again, the same call is decided before it returns.
+        assert!(matches!(
+            session.execute(&Action::nullary("b_0")).poll(),
+            Some(Completion::Executed { .. })
+        ));
+        runtime.shutdown().unwrap();
+    }
+
+    /// A memory vault whose next append can be held open from outside: the
+    /// one step of a decision a test can stretch, with the decision's thread
+    /// inside the shard kernel and the slot Busy.
+    #[derive(Default)]
+    struct HeldVault {
+        inner: ix_durable::MemVault,
+        /// Taken by the next append: it reports in, then waits to be let go.
+        hold: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+    }
+
+    impl Vault for HeldVault {
+        fn append(&self, stream: u32, payload: &[u8]) -> u64 {
+            if let Some((entered, release)) = lock(&self.hold).take() {
+                entered.send(()).unwrap();
+                let _ = release.recv();
+            }
+            self.inner.append(stream, payload)
+        }
+        fn stream_len(&self, stream: u32) -> u64 {
+            self.inner.stream_len(stream)
+        }
+        fn read_from(&self, stream: u32, from: u64) -> Vec<(u64, Vec<u8>)> {
+            self.inner.read_from(stream, from)
+        }
+        fn truncate(&self, stream: u32, covered: u64) {
+            self.inner.truncate(stream, covered)
+        }
+        fn save_blob(&self, name: &str, bytes: &[u8]) {
+            self.inner.save_blob(name, bytes)
+        }
+        fn load_blob(&self, name: &str) -> Option<Vec<u8>> {
+            self.inner.load_blob(name)
+        }
+        fn streams(&self) -> Vec<u32> {
+            self.inner.streams()
+        }
+        fn sync(&self) {}
+    }
+
+    /// [`a_caller_frame_repeats_the_wake_up_it_swallowed`] for the frames
+    /// of the data plane.  A decision is held open at its write-ahead
+    /// append, on the submitting thread, across a queued submission to the
+    /// same shard: the worker that submission wakes finds the slot Busy and
+    /// parks for [`IDLE_PARK`] before the frame checks the slot back in.  If
+    /// the frame does not repeat the wake-up, every round costs 10 ms.
+    #[test]
+    fn a_data_frame_repeats_the_wake_up_it_swallowed() {
+        let vault = Arc::new(HeldVault::default());
+        let options = RuntimeOptions {
+            variant: ProtocolVariant::Combined,
+            worker_threads: 1,
+            ..RuntimeOptions::default()
+        };
+        let expr = parse("(a_0 - b_0)*").unwrap();
+        let runtime = ManagerRuntime::with_durability(&expr, options, vault.clone()).unwrap();
+        let (framer, client) = (runtime.session(1), runtime.session(2));
+        let (a, b) = (Action::nullary("a_0"), [Action::nullary("b_0")]);
+        let rounds = 200;
+        let mut framed = 0;
+        let started = Instant::now();
+        for _ in 0..rounds {
+            // The worker lets go of the slot a moment after it completes
+            // the previous round's ticket: wait until a probe gets through.
+            loop {
+                let probe = framer.is_permitted(&a);
+                let through = probe.poll().is_some();
+                probe.wait();
+                if through {
+                    break;
+                }
+            }
+            let (entered_tx, entered_rx) = unbounded();
+            let (release_tx, release_rx) = unbounded::<()>();
+            *lock(&vault.hold) = Some((entered_tx, release_rx));
+            std::thread::scope(|scope| {
+                let held = scope.spawn(|| {
+                    let ticket = framer.execute(&a);
+                    (ticket.poll().is_some(), ticket)
+                });
+                entered_rx.recv().unwrap();
+                // `submit_batch` always queues.
+                let ticket = client.submit_batch(&b).remove(0);
+                std::thread::sleep(Duration::from_micros(200));
+                drop(release_tx);
+                let (in_frame, held) = held.join().unwrap();
+                framed += usize::from(in_frame);
+                assert!(matches!(held.wait(), Completion::Executed { .. }));
+                assert!(matches!(ticket.wait(), Completion::Executed { .. }));
+            });
+        }
+        let took = started.elapsed();
+        assert_eq!(runtime.log().len(), 2 * rounds);
+        // The worker's idle re-poll may take the slot from under a round.
+        assert!(framed > rounds / 2, "{framed} of {rounds} held decisions ran in a caller frame");
+        // Bounds are for optimised builds (CI runs this test in release).
+        let slack = if cfg!(debug_assertions) { 5 } else { 1 };
+        assert!(
+            took < Duration::from_secs(slack),
+            "{rounds} round trips behind a caller frame took {took:?}: wake-ups were swallowed"
+        );
+        runtime.shutdown().unwrap();
+    }
+
+    /// The paper's own deployment — a client that blocks on each reply —
+    /// is served without a worker thread: every decision is taken on the
+    /// client's frame.  The first task that is queued starts the worker it
+    /// is queued for, and only that one.
+    #[test]
+    fn a_window_one_client_starts_no_worker() {
+        let expr = parse("(a_0 - b_0)* @ (a_1 - b_1)* @ all p { (call(p) - perform(p))* }");
+        let options = RuntimeOptions {
+            variant: ProtocolVariant::Leased { lease: 10 },
+            worker_threads: 3,
+            ..RuntimeOptions::default()
+        };
+        let runtime = ManagerRuntime::with_options(&expr.unwrap(), options).unwrap();
+        // Compiled here, in control frames: no engine is left hot for a
+        // worker's idle slot.
+        runtime.compile_tiers();
+        let session = runtime.session(1);
+        let case = |kind: &str, p: i64| Action::concrete(kind, [Value::int(p)]);
+        for turn in 0..300i64 {
+            let ring = Action::nullary(&format!("{}_{}", ["a", "b"][turn as usize % 2], turn % 2));
+            assert!(session.subscribe_blocking(&ring).is_ok());
+            session.is_permitted_blocking(&ring);
+            if let Some(id) = session.ask_blocking(&ring).unwrap() {
+                session.confirm_blocking(id).unwrap();
+            }
+            assert!(matches!(session.unsubscribe(&ring).wait(), Completion::Unsubscribed));
+            // A case that is confirmed, one that is aborted, one whose
+            // lease runs out.
+            let id = session.ask_blocking(&case("call", turn)).unwrap().expect("a new case");
+            match turn % 3 {
+                0 => drop(session.confirm_blocking(id).unwrap()),
+                1 => drop(session.abort_blocking(id).unwrap()),
+                _ => assert_eq!(session.advance_time(11).len(), 1),
+            }
+        }
+        let stats = runtime.sched_stats();
+        assert_eq!((stats.workers, stats.started), (3, 0), "a blocking client started a worker");
+        assert!(!runtime.log().is_empty());
+        assert_eq!(runtime.sched_stats().started, 0, "log() of a runtime at rest started a worker");
+
+        let window = [Action::nullary("a_1")];
+        let queued = session.submit_batch(&window).remove(0);
+        assert!(queued.wait() != Completion::Failed { error: ManagerError::Disconnected });
+        assert_eq!(runtime.sched_stats().started, 1, "one queue was used: one worker runs");
+        runtime.shutdown().unwrap();
+    }
+
+    /// Shutting down a runtime nothing was ever queued on serves the Stop
+    /// markers on the calling thread: no worker is started to be told to
+    /// stop.  The report is the one the workers would have left.
+    #[test]
+    fn shutdown_of_a_never_queued_runtime_starts_no_thread() {
+        let runtime = ring_runtime(3, 2);
+        let session = runtime.session(1);
+        let word = ring_word(3, 20);
+        for action in &word {
+            assert!(matches!(session.execute(action).poll(), Some(Completion::Executed { .. })));
+        }
+        let shared = Arc::clone(&runtime.shared);
+        let report = runtime.shutdown().unwrap();
+        assert_eq!(shared.pool.core.started(), 0, "shutdown started a worker thread");
+        assert_eq!(report.shards, 3);
+        assert_log_holds(&report.log, &word, 3);
+        assert_eq!(report.stats.confirmations, word.len() as u64);
+        // The queues are closed: a session that outlived the runtime is
+        // told so, by a frame as by a queue.
+        assert_eq!(
+            session.execute(&word[0]).wait(),
+            Completion::Failed { error: ManagerError::Disconnected }
+        );
+        assert_eq!(shared.pool.core.started(), 0);
+
+        // One shard queued on, two not: the started worker and the calling
+        // thread retire the shards between them.
+        let runtime = ring_runtime(3, 3);
+        let session = runtime.session(1);
+        let tickets = session.submit_batch(&[Action::nullary("a_1")]);
+        assert!(matches!(
+            session.execute(&Action::nullary("a_0")).wait(),
+            Completion::Executed { .. }
+        ));
+        let shared = Arc::clone(&runtime.shared);
+        let report = runtime.shutdown().unwrap();
+        assert!(matches!(tickets[0].wait(), Completion::Executed { .. }));
+        assert_eq!((shared.pool.core.started(), report.shards, report.log.len()), (1, 3, 2));
+    }
+
+    /// Dropping a runtime without `shutdown()` leaks no thread, whichever
+    /// workers had started: the one that did retires the shards of the two
+    /// that never ran, so the pool counts down to zero and it exits.
+    #[test]
+    fn a_dropped_runtime_leaves_no_worker_behind() {
+        let runtime = ring_runtime(3, 3);
+        let session = runtime.session(1);
+        let queued = session.submit_batch(&[Action::nullary("a_1")]).remove(0);
+        assert!(matches!(queued.wait(), Completion::Executed { .. }));
+        assert!(matches!(
+            session.execute(&Action::nullary("a_0")).poll(),
+            Some(Completion::Executed { .. })
+        ));
+        let shared = Arc::clone(&runtime.shared);
+        assert_eq!(shared.pool.core.started(), 1);
+        drop(session);
+        drop(runtime);
+        // The worker holds the only other handle onto the shared block.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Arc::strong_count(&shared) > 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(Arc::strong_count(&shared), 1, "the started worker is still running");
+        assert_eq!(shared.pool.core.live.load(Ordering::Acquire), 0);
+        assert_eq!(lock(&shared.pool.finished).len(), 3);
+        assert_eq!(shared.pool.core.started(), 1, "retiring a shard started its worker");
+
+        // No worker started: nothing runs, nothing to wait for.
+        let runtime = ring_runtime(3, 3);
+        assert!(matches!(
+            runtime.session(1).execute(&Action::nullary("a_0")).poll(),
+            Some(Completion::Executed { .. })
+        ));
+        let shared = Arc::clone(&runtime.shared);
+        drop(runtime);
+        assert_eq!((Arc::strong_count(&shared), shared.pool.core.started()), (1, 0));
     }
 }

@@ -1,8 +1,10 @@
 //! Completion tickets — the oneshot handles of the session runtime.
 //!
 //! Every submission to a [`crate::runtime::ManagerRuntime`] returns a
-//! [`Ticket`] immediately; the shard worker that eventually processes the
-//! task fulfils the ticket with the operation's [`crate::runtime::Completion`].
+//! [`Ticket`] immediately: born complete if the runtime decided the
+//! operation on the submitting thread, otherwise fulfilled by the shard
+//! worker that eventually processes the task, with the operation's
+//! [`crate::runtime::Completion`].
 //! Clients choose their own style per call:
 //!
 //! * [`Ticket::wait`] blocks until the result is in — the synchronous
@@ -66,22 +68,25 @@ impl<T> std::fmt::Debug for TicketIssuer<T> {
     }
 }
 
+impl<T> Inner<T> {
+    fn new(value: Option<T>) -> Arc<Inner<T>> {
+        let slot = Slot { value, abandoned: false, waiters: 0, callbacks: Vec::new() };
+        Arc::new(Inner { slot: Mutex::new(slot), ready: Condvar::new() })
+    }
+}
+
 /// Creates a connected issuer/ticket pair.
 pub fn ticket<T>() -> (TicketIssuer<T>, Ticket<T>) {
-    let inner = Arc::new(Inner {
-        slot: Mutex::new(Slot { value: None, abandoned: false, waiters: 0, callbacks: Vec::new() }),
-        ready: Condvar::new(),
-    });
+    let inner = Inner::new(None);
     (TicketIssuer { inner: Arc::clone(&inner) }, Ticket { inner })
 }
 
-/// Creates a ticket that is already complete (used for submissions the
-/// runtime can answer without touching any shard, e.g. denials of actions
-/// outside every shard alphabet).
-pub fn completed<T: Clone>(value: T) -> Ticket<T> {
-    let (issuer, t) = ticket();
-    issuer.complete(value);
-    t
+/// Creates a ticket that is already complete: for submissions the runtime
+/// answers without touching any shard (e.g. denials of actions outside every
+/// shard alphabet) and for those it decides on the submitting thread.  Born
+/// with its value — no issuer, nobody to wake, nothing to copy.
+pub fn completed<T>(value: T) -> Ticket<T> {
+    Ticket { inner: Inner::new(Some(value)) }
 }
 
 impl<T: Clone> Ticket<T> {

@@ -71,5 +71,10 @@ fn main() {
         "after the lease expires, client 8 asks again: {:?}",
         healthy.ask_blocking(&call(2, "sono")).unwrap().map(|_| "granted")
     );
+    // Both clients blocked on each reply, so every decision was taken on
+    // the asking thread: the pool never had to start a worker.
+    let sched = runtime.sched_stats();
+    println!("worker threads started: {} of {}", sched.started, sched.workers);
+    assert_eq!(sched.started, 0);
     runtime.shutdown().unwrap();
 }
