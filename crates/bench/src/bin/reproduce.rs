@@ -866,12 +866,13 @@ fn step_bench() {
 fn compile_bench() {
     heading("Tiered execution — compiled DFA tables vs the pure copy-on-write engine");
     println!(
-        "{:>14} {:>9} {:>7} {:>7} {:>8} {:>11} {:>10} {:>10} {:>9} {:>10}",
+        "{:>18} {:>9} {:>7} {:>7} {:>8} {:>13} {:>11} {:>10} {:>10} {:>9} {:>10}",
         "scenario",
         "resident",
         "budget",
         "tables",
         "states",
+        "fills/closed",
         "compile µs",
         "cow ns",
         "tier ns",
@@ -881,12 +882,13 @@ fn compile_bench() {
     let mut rows = Vec::new();
     for row in compile_experiment() {
         println!(
-            "{:>14} {:>9} {:>7} {:>7} {:>8} {:>11.1} {:>10.0} {:>10.0} {:>8.2}x {:>10}",
+            "{:>18} {:>9} {:>7} {:>7} {:>8} {:>13} {:>11.1} {:>10.0} {:>10.0} {:>8.2}x {:>10}",
             row.scenario,
             if row.resident { "yes" } else { "no" },
             row.tier_budget,
             row.tables,
             row.table_states,
+            format!("{}/{}", row.fills, row.closed_cells),
             row.compile_micros,
             row.cow_ns,
             row.tier_ns,
@@ -896,6 +898,7 @@ fn compile_bench() {
         rows.push(format!(
             "    {{\"scenario\": \"{}\", \"resident\": {}, \"steps\": {}, \
              \"tier_budget\": {}, \"tables\": {}, \"table_states\": {}, \
+             \"fills\": {}, \"closed_cells\": {}, \
              \"compile_us\": {:.1}, \"cow_ns_per_step\": {:.1}, \
              \"tier_ns_per_step\": {:.1}, \"speedup\": {:.3}, \"overhead\": {:.3}, \
              \"tier_hits\": {}, \"tier_fallbacks\": {}}}",
@@ -905,6 +908,8 @@ fn compile_bench() {
             row.tier_budget,
             row.tables,
             row.table_states,
+            row.fills,
+            row.closed_cells,
             row.compile_micros,
             row.cow_ns,
             row.tier_ns,
@@ -916,10 +921,12 @@ fn compile_bench() {
     }
     let json = format!(
         "{{\n  \"experiment\": \"tiered execution: compiled tables vs pure copy-on-write\",\n  \
-          \"workload\": \"min-of-trials ns/step, tier-compiled engine vs tier_budget=0 engine \
+          \"workload\": \"min-of-trials ns/step, tiered engine vs tier_budget=0 engine \
           on identical schedules with verdicts asserted identical; resident = reachable graph \
-          fits the budget and the working set overflows the 256-entry memo; fallback = \
-          compilation bails (quantifier / edge budget)\",\n  \
+          fits the budget and the working set overflows the 256-entry memo, table closed up \
+          front (compile_us = install + close) or, -lazy, filled by the walk itself \
+          (compile_us = install; fills of closed_cells computed); fallback = no table \
+          (quantifier) or the walk leaves a full one (state budget)\",\n  \
           \"compile\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
     );

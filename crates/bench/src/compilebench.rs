@@ -7,11 +7,15 @@
 //!   budget, driven with working sets larger than the transition memo
 //!   (256 entries), so the pure-CoW side pays a real tree rebuild per step
 //!   while the tier answers from a dense `state × symbol` array.  The CI
-//!   gate demands ≥ 10× here.
-//! * **fallback** — quantified or over-budget expressions where compilation
-//!   bails (entirely, or down to sub-tiles that cannot serve the spine).
-//!   The tier must cost (almost) nothing when it cannot help: the CI gate
-//!   demands ≤ 1.05× of the plain engine.
+//!   gate demands ≥ 10× here.  Each resident workload is measured twice:
+//!   with the table closed up front (`Engine::close_tier`, every cell of
+//!   the reachable graph) and as the engine runs by default, the table
+//!   filled by the walk itself — that row's `fills` against
+//!   `closed_cells` is what on-demand filling did not have to compute.
+//! * **fallback** — quantified expressions, which get no table, and a
+//!   starved budget, where the walk leaves the full table after a few
+//!   steps.  The tier must cost (almost) nothing when it cannot help: the
+//!   CI gate demands ≤ 1.05× of the plain engine.
 //!
 //! Verdicts are asserted identical between the two engines on every
 //! schedule before anything is timed.
@@ -23,22 +27,28 @@ use std::time::Instant;
 /// One measured configuration of the tiered-execution benchmark.
 #[derive(Clone, Debug)]
 pub struct CompileRow {
-    /// Workload name (`protocol-ring`, `mutex-product`, `quantified`,
-    /// `over-budget`).
+    /// Workload name (`protocol-ring`, `mutex-product`, their `-lazy`
+    /// twins, `quantified`, `over-budget`).
     pub scenario: &'static str,
     /// Whether the workload is table-resident (≥ 10× gate) or a fallback
     /// shape (≤ 1.05× gate).
     pub resident: bool,
     /// Number of committed steps per timed trial.
     pub steps: usize,
-    /// Tier state budget the tiered engine compiled under.
+    /// Tier state budget of the tiered engine.
     pub tier_budget: usize,
-    /// Compiled tables installed after the compilation pass.
+    /// Tables installed.
     pub tables: usize,
-    /// Total interned states across those tables.
+    /// Total interned states across those tables after the timed trials.
     pub table_states: usize,
-    /// One-time compilation cost in microseconds.
+    /// One-time cost before the first step, in microseconds: installing the
+    /// tier, and closing it where the row does.
     pub compile_micros: f64,
+    /// Cells computed by the end of the timed trials.
+    pub fills: u64,
+    /// Cells of the closed tables (`fills` of the closed twin; equal to
+    /// `fills` on a closed row).
+    pub closed_cells: u64,
     /// ns per step of the pure-CoW engine (`tier_budget = 0`).
     pub cow_ns: f64,
     /// ns per step of the tier-compiled engine.
@@ -120,12 +130,14 @@ fn time_engine_ns(engine: &mut Engine, word: &[Action]) -> f64 {
     t0.elapsed().as_nanos() as f64 / word.len() as f64
 }
 
-/// Measures one workload: a tier-compiled engine against a `tier_budget = 0`
-/// engine on the same word, interleaved min-of-`trials` timing, after a
-/// lockstep verdict-equality pass.
+/// Measures one workload: a tiered engine — its tables closed up front if
+/// `close`, else filled by the walk — against a `tier_budget = 0` engine on
+/// the same word, interleaved min-of-`trials` timing, after a lockstep
+/// verdict-equality pass.
 pub fn measure_compile(
     scenario: &'static str,
     resident: bool,
+    close: bool,
     expr: &Expr,
     word: &[Action],
     tier_budget: usize,
@@ -134,9 +146,10 @@ pub fn measure_compile(
     let mut plain = Engine::new(expr).expect("benchmark expression is closed");
     plain.set_tier_budget(0);
     let mut tiered = Engine::new(expr).expect("benchmark expression is closed");
-    tiered.set_tier_auto(false);
     tiered.set_tier_budget(tier_budget);
-    let after_compile = tiered.compile_tier();
+    let t0 = Instant::now();
+    let installed = if close { tiered.close_tier() } else { tiered.compile_tier() };
+    let compile_micros = t0.elapsed().as_nanos() as f64 / 1000.0;
 
     // Byte-identical verdicts before any timing.
     for action in word {
@@ -171,9 +184,11 @@ pub fn measure_compile(
         resident,
         steps: word.len(),
         tier_budget,
-        tables: after_compile.tables,
-        table_states: after_compile.states,
-        compile_micros: after_compile.compile_nanos as f64 / 1000.0,
+        tables: installed.tables,
+        table_states: stats.states,
+        compile_micros,
+        fills: stats.fills,
+        closed_cells: stats.fills,
         cow_ns,
         tier_ns,
         tier_hits: stats.hits - hits_before,
@@ -182,51 +197,50 @@ pub fn measure_compile(
 }
 
 /// Runs the whole tiered-execution experiment: two table-resident workloads
-/// with memo-defeating working sets, and two fallback workloads where
-/// compilation bails.
+/// with memo-defeating working sets, each closed and lazy, and two fallback
+/// workloads the tier cannot help.
 pub fn compile_experiment() -> Vec<CompileRow> {
     let trials = 5;
     let mut rows = Vec::new();
+    let mut resident =
+        |closed: &'static str, lazy: &'static str, expr: &Expr, word: &[Action], budget| {
+            let closed = measure_compile(closed, true, true, expr, word, budget, trials);
+            let lazy = measure_compile(lazy, true, false, expr, word, budget, trials);
+            rows.push(CompileRow { closed_cells: closed.fills, ..lazy });
+            rows.push(closed);
+        };
     // Resident: a 280-station protocol ring (281-state table; the 280-pair
     // working set overflows the 256-entry memo on the pure-CoW side).
-    let ring = ring_expr(280);
-    rows.push(measure_compile(
+    resident(
         "protocol-ring",
-        true,
-        &ring,
+        "protocol-ring-lazy",
+        &ring_expr(280),
         &ring_word(280, 280 * 16),
         2048,
-        trials,
-    ));
+    );
     // Resident: the product of 8 mutex loops (3^8 = 6561 interned states)
     // under a deterministic random walk that defeats the memo.
-    let product = product_expr(8);
-    rows.push(measure_compile(
-        "mutex-product",
-        true,
-        &product,
-        &product_word(8, 8192),
-        8192,
-        trials,
-    ));
-    // Fallback: a quantified spine — compilation bails structurally, the
-    // engine must keep pure-CoW speed.  The fallback rows compare two
+    resident("mutex-product", "mutex-product-lazy", &product_expr(8), &product_word(8, 8192), 8192);
+    // Fallback: a quantified spine — not eligible structurally, the engine
+    // must keep pure-CoW speed.  The fallback rows compare two
     // architecturally identical step paths, so their gate (<= 1.05x) is all
     // noise floor: give them more trials than the resident rows.
     let fallback_trials = 11;
     rows.push(measure_compile(
         "quantified",
         false,
+        false,
         &tier_fallback_expr(),
         &crate::stepbench::quant_word(16, 4096),
         DEFAULT_TIER_BUDGET,
         fallback_trials,
     ));
-    // Fallback: the same ring under a starved budget — the root blows the
-    // state budget, at most unservable sub-tiles compile, and every step
+    // Fallback: the same ring under a starved budget — the table is full
+    // after 63 steps, the walk leaves it, and every later step of a lap
     // walks the tree through the tier's miss path.
     rows.push(measure_compile(
         "over-budget",
+        false,
         false,
         &ring_expr(280),
         &ring_word(280, 280 * 8),
@@ -245,13 +259,14 @@ mod tests {
         let mut engine = Engine::new(&ring_expr(40)).unwrap();
         engine.set_tier_budget(256);
         let stats = engine.compile_tier();
-        assert_eq!(stats.tables, 1, "the ring is one tile: {stats:?}");
-        assert_eq!(stats.states, 41);
+        assert_eq!((stats.tables, stats.states), (1, 1), "the ring is one tile, at σ: {stats:?}");
+        assert_eq!(engine.close_tier().states, 41);
         let mut engine = Engine::new(&product_expr(4)).unwrap();
         engine.set_tier_budget(256);
-        let stats = engine.compile_tier();
+        let stats = engine.close_tier();
         assert_eq!(stats.tables, 1, "the product is one tile: {stats:?}");
         assert_eq!(stats.states, 81, "3^4 interned product states");
+        assert_eq!(stats.fills, 81 * 8, "every cell of the closed table, once");
     }
 
     #[test]
@@ -261,8 +276,11 @@ mod tests {
             (product_expr(3), product_word(3, 200)),
             (tier_fallback_expr(), crate::stepbench::quant_word(4, 64)),
         ] {
-            let row = measure_compile("smoke", true, &expr, &word, 512, 1);
-            assert!(row.cow_ns > 0.0 && row.tier_ns > 0.0);
+            let lazy = measure_compile("smoke", true, false, &expr, &word, 512, 1);
+            let closed = measure_compile("smoke", true, true, &expr, &word, 512, 1);
+            assert!(lazy.cow_ns > 0.0 && lazy.tier_ns > 0.0);
+            assert!(lazy.fills <= closed.fills, "the walk fills a part of the closed table");
+            assert_eq!((lazy.tier_fallbacks, closed.tier_fallbacks), (0, 0));
         }
     }
 

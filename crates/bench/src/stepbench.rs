@@ -215,8 +215,7 @@ fn legacy_trans(state: &State, action: &Action) -> State {
 
 fn time_tier_ns(expr: &Expr, word: &[Action]) -> f64 {
     let mut engine = ix_state::Engine::new(expr).expect("benchmark expression is closed");
-    engine.set_tier_auto(false);
-    engine.compile_tier();
+    engine.close_tier();
     // Warm pass (attach map, memo, allocator), then the timed pass.
     for action in word {
         assert!(engine.try_execute(action), "benchmark word must stay permissible");

@@ -606,7 +606,11 @@ fn decode_subscription_rows(r: &mut Reader) -> Result<Vec<SubscriptionRow>, Code
 
 /// Serializes one shard capture.  The engine state and every DFA-tile state
 /// share one pointer-deduplicated node pool, so structural sharing between
-/// the live state and the pinned tile states costs nothing twice.  Of the log
+/// the live state and the pinned tile states costs nothing twice.  A tile
+/// goes in as far as it is filled: a cell not computed yet is the raw
+/// `u32::MAX - 1` its transition array holds, a `permitted` bit says
+/// "filled and live", and a complete table from an older snapshot is a
+/// lazy table with nothing left to fill.  Of the log
 /// only the entry count and the key high-water mark go in: the caller
 /// ([`persist_shards`]) has archived the entries themselves.
 fn encode_shard_checkpoint(cap: &ShardCapture) -> Vec<u8> {
@@ -648,7 +652,9 @@ fn encode_shard_checkpoint(cap: &ShardCapture) -> Vec<u8> {
             w.u64(*v);
         }
         w.u64(p.fingerprint);
-        w.u64(p.compile_nanos);
+        // Where the explorer's wall-clock cost used to go; the format keeps
+        // the word.
+        w.u64(0);
     }
     w.len_prefix(cap.log.len());
     w.u64(cap.log.max_seq().unwrap_or(0));
@@ -702,15 +708,9 @@ pub(crate) fn decode_shard_checkpoint(bytes: &[u8]) -> ManagerResult<ShardCheckp
             for _ in 0..nperm {
                 permitted.push(r.u64()?);
             }
-            tier.push(TableParts {
-                symbols,
-                states,
-                transitions,
-                finals,
-                permitted,
-                fingerprint: r.u64()?,
-                compile_nanos: r.u64()?,
-            });
+            let fingerprint = r.u64()?;
+            r.u64()?; // compile time, from snapshots that recorded one
+            tier.push(TableParts { symbols, states, transitions, finals, permitted, fingerprint });
         }
         let entries = r.len_prefix()?;
         let log = if version == SNAPSHOT_VERSION {
@@ -1428,10 +1428,12 @@ mod tests {
 
     #[test]
     fn shard_checkpoint_round_trips_state_and_tables() {
-        let expr = parse("(a - b)*").unwrap();
+        // A ring caught mid-lap: two of its cells filled, three states.
+        let expr = parse("(a - b - c)*").unwrap();
         let mut engine = Engine::new(&expr).unwrap();
-        assert!(engine.try_execute(&act("a")));
-        engine.compile_tier();
+        assert!(engine.try_execute(&act("a")) && engine.try_execute(&act("b")));
+        let at_capture = engine.tier_stats();
+        assert_eq!((at_capture.states, at_capture.fills), (3, 2));
         let cap = ShardCapture {
             shard: 0,
             covered: 17,
@@ -1446,7 +1448,7 @@ mod tests {
             },
             reservations: vec![Reservation {
                 id: 1,
-                action: act("b"),
+                action: act("c"),
                 client: 2,
                 granted_at: 0,
                 expires_at: 5,
@@ -1471,12 +1473,25 @@ mod tests {
                 || decoded.state == *engine.state_handle()
         );
         assert_eq!(decoded.tier.len(), cap.tier.len());
-        // Re-attach the decoded tables on a restored engine: no recompile.
+        // A cell the shard fills after the capture goes into the engine's own
+        // copy of the table, not into the one the capture holds.
+        assert!(!engine.is_permitted(&act("a")));
+        assert_eq!(engine.tier_stats().fills, 3);
+        let unknown = u32::MAX - 1;
+        let held = [1, unknown, unknown, unknown, 2, unknown, unknown, unknown, unknown];
+        assert_eq!(cap.tier[0].to_parts().transitions, held);
+        // Re-attach the decoded tables on a restored engine: not a compile,
+        // the cells filled before the capture are there, and the rest of
+        // the lap fills the rest — each cell computed once.
         let mut restored =
             Engine::restore(&expr, decoded.state, decoded.accepted, decoded.rejected).unwrap();
         restored.adopt_tier(decoded.tier);
-        assert_eq!(restored.tier_stats().compiles, 0, "re-attach must not count as a compile");
-        assert!(restored.try_execute(&act("b")));
+        let adopted = restored.tier_stats();
+        assert_eq!((adopted.compiles, adopted.states, adopted.fills), (0, 3, 2), "{adopted:?}");
+        assert!(restored.try_execute(&act("c")));
+        assert!(restored.try_execute(&act("a")) && restored.try_execute(&act("b")));
+        let lap = restored.tier_stats();
+        assert_eq!((lap.states, lap.fills, lap.hits, lap.fallbacks), (4, 4, 3, 0), "{lap:?}");
     }
 
     /// A history record as [`archive`] writes it, entry `i` keyed

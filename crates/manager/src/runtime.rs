@@ -120,9 +120,9 @@ pub struct RuntimeOptions {
     /// Clock mode for lease expiry.
     pub clock: ClockMode,
     /// Per-table state budget of the shard engines' execution tier (0
-    /// disables tiering).  Shard workers compile hot engines in their idle
-    /// slots — never on the submission path — and migrations invalidate the
-    /// tables of every affected shard.
+    /// disables tiering).  A table fills as decisions visit its cells, on
+    /// whichever thread decides, and stops growing at the budget; migrations
+    /// invalidate the tables of every affected shard.
     pub tier_budget: usize,
     /// Conditional-vote cascading on the coalesced cross-shard execute
     /// rendezvous (default on): a voter whose speculative chain runs through
@@ -1100,7 +1100,7 @@ enum Frame<T> {
 ///
 /// The rule that keeps frames out of every wait cycle: a frame takes one
 /// slot, by trying, and never blocks while it holds it — no rendezvous, no
-/// ticket wait, no second slot (a compile is bounded by `tier_budget`).
+/// ticket wait, no second slot.
 /// The locks `serve` does take (reservation index, shared subscriptions,
 /// timers, the vault) are the ones a worker takes holding the same slot, in
 /// the same order, because it calls the same functions.
@@ -1620,16 +1620,16 @@ fn recover_runtime(
             engine = Engine::restore(&component.expr, cp.state.clone(), cp.accepted, cp.rejected)
                 .map_err(ManagerError::State)?;
         }
-        // Budget and auto-compile mode must be set before adoption:
-        // `set_tier_budget` invalidates an armed tier, which would drop the
-        // adopted tables again.
+        // The budget must be set before adoption: `set_tier_budget`
+        // invalidates an installed tier, which would drop the adopted
+        // tables again.
         engine.set_tier_budget(options.tier_budget);
-        engine.set_tier_auto(false);
         let mut seed = ShardState::new(id, engine, component.alphabet.clone(), Some(hub.clone()));
         let mut covered = 0;
         if let Some(cp) = snapshot {
-            // Compiled DFA tiles re-attach from the snapshot — keyed by the
-            // stored fingerprints, counted as zero compiles.
+            // DFA tiles re-attach from the snapshot with the cells they
+            // had filled — each checked against the subtree it tabulates,
+            // counted as zero compiles.
             seed.engine.adopt_tier(cp.tier);
             seed.reservations = cp.reservations.into_iter().map(|r| (r.id, r)).collect();
             seed.subscriptions = SubscriptionRegistry::import(cp.subscriptions);
@@ -1930,9 +1930,7 @@ fn fresh_seeds(
     let mut seeds = Vec::with_capacity(partition.len());
     for (id, component) in partition.components().iter().enumerate() {
         let mut engine = Engine::new(&component.expr).map_err(ManagerError::State)?;
-        // Workers compile in their idle slots, never mid-transition.
         engine.set_tier_budget(options.tier_budget);
-        engine.set_tier_auto(false);
         seeds.push(ShardState::new(id, engine, component.alphabet.clone(), hub.cloned()));
     }
     Ok(seeds)
@@ -2378,12 +2376,13 @@ impl ManagerRuntime {
         ask_shards(&read_topology(&self.topology), request)
     }
 
-    /// Compiles every shard engine's execution tier now and returns the
-    /// per-shard tier stats.  A shard at rest compiles on the calling
-    /// thread; a busy one compiles at its next task boundary, behind the
-    /// submissions already queued (see `control`).  Workers also compile hot
-    /// engines on their own in idle slots; this forces the matter — benches
-    /// and tests use it to reach the table tier deterministically.
+    /// Makes sure every shard engine's execution tier is installed — one
+    /// table per table-resident subtree, holding σ; cells fill as traffic
+    /// visits them — and returns the per-shard tier stats.  A shard at rest
+    /// answers on the calling thread; a busy one at its next task boundary,
+    /// behind the submissions already queued (see `control`).  An engine
+    /// installs its tier on its first transition anyway; this only says up
+    /// front which shards are table-resident.
     pub fn compile_tiers(&self) -> Vec<TierStats> {
         self.ask_shards(|st| st.engine.compile_tier())
     }
@@ -2396,10 +2395,10 @@ impl ManagerRuntime {
             total.states += t.states;
             total.hits += t.hits;
             total.fallbacks += t.fallbacks;
+            total.fills += t.fills;
             total.compiles += t.compiles;
             total.bailouts += t.bailouts;
             total.invalidations += t.invalidations;
-            total.compile_nanos += t.compile_nanos;
             total.epoch = total.epoch.max(t.epoch);
         }
         total
@@ -2478,7 +2477,6 @@ impl ManagerRuntime {
             let component = &new_partition.components()[idx];
             let mut engine = Engine::new(&component.expr).map_err(ManagerError::State)?;
             engine.set_tier_budget(shared.tier_budget);
-            engine.set_tier_auto(false);
             new_engines.push((idx, engine, component.alphabet.clone()));
         }
         let new_alphabets: Vec<Alphabet> = new_engines.iter().map(|(_, _, a)| a.clone()).collect();
@@ -3555,20 +3553,10 @@ fn dispatch_single(
                 lock(&shared.queue_samples).push((0, service));
             }
         }
-        Some((completion, st.engine.tier_wants_compile()))
+        Some(completion)
     });
     match served {
-        Frame::Served((completion, hot)) => {
-            // A hot engine is compiled by its shard's worker, in an idle
-            // pass — which takes a worker that runs.  Asked of every
-            // decision, not only the one that crossed the threshold: a
-            // replay (recovery, a migration) leaves engines hot that no
-            // frame saw turn.
-            if hot {
-                topo.pool.core.wake_shard(shard);
-            }
-            completed(completion)
-        }
+        Frame::Served(completion) => completed(completion),
         _ => queue_single(shared, topo, shard, op, credit),
     }
 }
@@ -4226,38 +4214,13 @@ fn pool_worker(shared: Arc<RuntimeShared>, me: usize) {
         }
         if !progressed {
             // Going idle: deliver the banked wakeups first — the woken
-            // clients are exactly who refills the queues — then compile one
-            // hot engine's execution tier off the submission path, and only
-            // then park.
+            // clients are exactly who refills the queues — and only then
+            // park.
             cx.flush(&shared);
-            if !compile_one_idle(&pool, me) {
-                pool.core.park(me, IDLE_PARK);
-            }
+            pool.core.park(me, IDLE_PARK);
         }
     }
     cx.flush(&shared);
-}
-
-/// Compiles the execution tier of at most one owned shard that wants it,
-/// checking states out through the normal slot protocol.  Returns whether
-/// any compile ran (in which case the worker skips its park — fresh work
-/// may have arrived meanwhile).
-fn compile_one_idle(pool: &Arc<PoolCtl>, me: usize) -> bool {
-    for shard in pool.core.owned(me) {
-        let Some(slot) = pool.slot(shard) else { continue };
-        let Checkout::State(mut st, pushback, divert_below) = checkout(&slot) else { continue };
-        let compiled = if st.engine.tier_wants_compile() {
-            st.engine.compile_tier();
-            true
-        } else {
-            false
-        };
-        checkin(&slot, st, pushback, divert_below);
-        if compiled {
-            return true;
-        }
-    }
-    false
 }
 
 /// Serves up to `budget` tasks from `shard`'s queue, checking its state out
@@ -6485,10 +6448,7 @@ mod tests {
 
         // Forced: the one worker is held inside a task of shard 0, so slot 0
         // is Busy and slot 1 is Live behind a backlog nobody serves.  Both
-        // calls must queue on both shards.  Nothing was compiled here, so
-        // the worker's idle compile may fall between the two `tier_stats()`
-        // of a comparison: `steps` is the part of them queue order decides.
-        let steps = |tiers: &TierStats| (tiers.hits, tiers.fallbacks);
+        // calls must queue on both shards.
         let runtime = ring_runtime(2, 1);
         let topo = read_topology(&runtime.topology);
         let session = runtime.session(1);
@@ -6506,7 +6466,7 @@ mod tests {
         let (log, tiers) = ask_behind_backlog(&runtime, &[0, 1], || drop(release_tx));
         assert_log_holds(&log, &sent, 2);
         assert!(tickets.iter().all(|t| t.poll().is_some()));
-        assert_eq!(steps(&tiers), steps(&runtime.tier_stats()));
+        assert_eq!(tiers, runtime.tier_stats());
 
         // Forced: shard 0 is Suspended by a pause barrier in flight.
         let (state_tx, state_rx) = unbounded();
@@ -6523,7 +6483,7 @@ mod tests {
         });
         assert_log_holds(&log, &sent, 2);
         assert!(tickets.iter().all(|t| t.poll().is_some()));
-        assert_eq!(steps(&tiers), steps(&runtime.tier_stats()));
+        assert_eq!(tiers, runtime.tier_stats());
         runtime.shutdown().unwrap();
     }
 
@@ -6764,9 +6724,6 @@ mod tests {
             ..RuntimeOptions::default()
         };
         let runtime = ManagerRuntime::with_options(&expr.unwrap(), options).unwrap();
-        // Compiled here, in control frames: no engine is left hot for a
-        // worker's idle slot.
-        runtime.compile_tiers();
         let session = runtime.session(1);
         let case = |kind: &str, p: i64| Action::concrete(kind, [Value::int(p)]);
         for turn in 0..300i64 {

@@ -27,8 +27,8 @@
 //! is pure — and `set_memo_capacity(0)` disables it (the equivalence
 //! property tests drive memo-on and memo-off engines in lockstep).
 
-use crate::compile::{compile_all, visit_shared, CompileBudget, CompileOutcome, CompiledTable};
-use crate::compile::{TableParts, TierStats, DEAD, DEFAULT_TIER_BUDGET};
+use crate::compile::{for_each_resident, CompileBudget, CompiledTable, TableParts, TierStats};
+use crate::compile::{DEAD, DEFAULT_TIER_BUDGET, UNKNOWN};
 use crate::error::StateResult;
 use crate::init::init;
 use crate::predicates::{is_final, is_valid};
@@ -150,88 +150,66 @@ impl TransMemo {
     }
 }
 
-/// Number of tree-computed transitions after which an auto-compiling
-/// engine attempts tier compilation (the hotness threshold).
-const TIER_HOT_THRESHOLD: u64 = 64;
-
-/// Bound on cached attach *misses* (fresh spine allocations observed during
-/// walks) before the miss cache is swept; pinned table-state entries are
-/// never evicted.
-const TIER_MISS_CACHE: usize = 4096;
-
-/// One entry of the tier's pointer-keyed attach map.
+/// One entry of the tier's pointer-keyed attach map: the keyed allocation
+/// is state `state` of table `table`.  `pin` keeps it alive, so the pointer
+/// key can never be reused while the entry exists (the same argument the
+/// transition memo makes).  An allocation without an entry is no table
+/// state the tier knows of, and is answered by the tree walk.
 #[derive(Clone, Debug)]
-enum AttachEntry {
-    /// The allocation is a known table state.  `pin` keeps it alive, so the
-    /// pointer key can never be reused while the entry exists (the same
-    /// argument the transition memo makes).
-    Hit {
-        /// Handle pinning the keyed allocation.
-        pin: Shared<State>,
-        /// Index into the tier's table list.
-        table: u32,
-        /// State id inside that table.
-        state: u32,
-    },
-    /// The allocation was seen during a walk and is not worth value-probing
-    /// again.  Misses are *not* pinned: a stale miss (pointer reuse) only
-    /// degrades to a tree walk, never to a wrong answer.
-    Miss,
+struct Attached {
+    pin: Shared<State>,
+    table: u32,
+    state: u32,
 }
 
-/// The engine's execution tier: compiled DFA tiles for the table-resident
-/// subtrees of the expression, plus the pointer-keyed attach map that links
-/// live state allocations to table state ids.
+/// Records `handle`'s allocation as state `state` of table `table`.
+fn pin(attach: &mut HashMap<usize, Attached>, handle: &Shared<State>, table: usize, state: usize) {
+    let entry = Attached { pin: handle.clone(), table: table as u32, state: state as u32 };
+    attach.insert(Shared::as_ptr(handle) as usize, entry);
+}
+
+/// The engine's execution tier: lazily filled DFA tiles for the
+/// table-resident subtrees of the expression, plus the pointer-keyed attach
+/// map that links live state allocations to table state ids.
 ///
 /// All fields are interior-mutable so the tier can be consulted (and can
-/// bookkeep) through the `&self` methods of the fused walk; the engine
-/// still owns the tier exclusively.
+/// fill a cell) through the `&self` methods of the fused walk; the engine
+/// still owns the tier exclusively.  Tables sit behind `Arc` so a checkpoint
+/// capture or a cloned engine can hold one: a fill goes through
+/// `Arc::make_mut`, so whoever else holds the table keeps the cells it saw.
 #[derive(Clone, Debug)]
 struct Tier {
     /// State-count budget per table (0 = tiering disabled).
     budget: Cell<usize>,
-    /// Compile automatically once the engine runs hot (standalone engines;
-    /// the session runtime compiles in worker idle slots instead).
-    auto_compile: Cell<bool>,
-    /// A compilation pass ran since the last invalidation (successful or
-    /// not) — prevents recompiling a bailing expression on every step.
-    attempted: Cell<bool>,
+    /// The install pass ran since the last invalidation — whether or not it
+    /// found a subtree to tabulate.
+    installed: Cell<bool>,
     /// Invalidation epoch; installed tables are stamped with the epoch they
-    /// were compiled under, so a stale tile is structurally impossible to
+    /// were installed under, so a stale tile is structurally impossible to
     /// consult (it is dropped *and* its stamp no longer matches).
     epoch: Cell<u64>,
     tables: RefCell<Vec<Arc<CompiledTable>>>,
-    attach: RefCell<HashMap<usize, AttachEntry>>,
-    /// Number of pinned (table-state) attach entries.
-    pinned: Cell<usize>,
+    attach: RefCell<HashMap<usize, Attached>>,
     hits: Cell<u64>,
     fallbacks: Cell<u64>,
-    /// Tree-computed transitions while no tables are installed — the
-    /// hotness counter feeding auto-compilation.
-    computed: Cell<u64>,
     compiles: Cell<u64>,
     bailouts: Cell<u64>,
     invalidations: Cell<u64>,
-    compile_nanos: Cell<u64>,
 }
 
 impl Tier {
     fn new(budget: usize) -> Tier {
         Tier {
             budget: Cell::new(budget),
-            auto_compile: Cell::new(true),
-            attempted: Cell::new(false),
+            installed: Cell::new(false),
             epoch: Cell::new(0),
             tables: RefCell::new(Vec::new()),
             attach: RefCell::new(HashMap::new()),
-            pinned: Cell::new(0),
             hits: Cell::new(0),
             fallbacks: Cell::new(0),
-            computed: Cell::new(0),
             compiles: Cell::new(0),
             bailouts: Cell::new(0),
             invalidations: Cell::new(0),
-            compile_nanos: Cell::new(0),
         }
     }
 
@@ -239,91 +217,53 @@ impl Tier {
         !self.tables.borrow().is_empty()
     }
 
-    /// Installs a compilation outcome: epoch-stamps the tables, pins every
-    /// table state in the attach map, and value-probes the live state so
-    /// already-reached positions attach immediately.
-    fn install(&self, outcome: CompileOutcome, state: &Shared<State>) {
-        let mut nanos = 0;
-        {
-            let mut tables = self.tables.borrow_mut();
-            tables.clear();
-            for mut table in outcome.tables {
-                table.epoch = self.epoch.get();
-                nanos += table.compile_nanos();
-                tables.push(Arc::new(table));
-            }
-            self.compiles.set(self.compiles.get() + tables.len() as u64);
-        }
-        self.bailouts.set(self.bailouts.get() + outcome.bailouts);
-        self.compile_nanos.set(self.compile_nanos.get() + nanos);
-        self.rebuild_attach(state);
-    }
-
-    /// Rebuilds the attach map from scratch: pins all table states, then
-    /// value-probes the live state tree (including its σ spawn templates).
-    /// Compile/reset-time only — the per-transition path never value-probes.
-    fn rebuild_attach(&self, state: &Shared<State>) {
-        let tables = self.tables.borrow();
-        let mut attach = self.attach.borrow_mut();
-        attach.clear();
-        let mut pinned = 0usize;
-        for (ti, table) in tables.iter().enumerate() {
-            for (id, handle) in table.states.iter().enumerate() {
-                attach.insert(
-                    Shared::as_ptr(handle) as usize,
-                    AttachEntry::Hit { pin: handle.clone(), table: ti as u32, state: id as u32 },
-                );
-                pinned += 1;
-            }
-        }
-        if !tables.is_empty() {
-            visit_shared(state, &mut |node| {
-                let key = Shared::as_ptr(node) as usize;
-                if attach.contains_key(&key) {
-                    return;
-                }
-                for (ti, table) in tables.iter().enumerate() {
-                    if let Some(&id) = table.index.get(node) {
-                        attach.insert(
-                            key,
-                            AttachEntry::Hit { pin: node.clone(), table: ti as u32, state: id },
-                        );
-                        pinned += 1;
-                        return;
+    /// The install pass: one table per maximal resident subtree of `expr`,
+    /// stamped with the tier's epoch and budget, and the attach map rebuilt
+    /// around them.
+    ///
+    /// A table is the next of `adopted` if that one tabulates this very
+    /// subtree (a snapshot's tables on recovery, the tier's own on `reset`
+    /// and `close_tier`), else a fresh one holding σ and nothing more.
+    /// Every table state is pinned, and so are the sub-states of the live
+    /// `state` that run a resident subtree — interned by value, once each,
+    /// here and never on the per-transition path — so a tier installed
+    /// mid-word picks the walk up where it stands.
+    fn install(&self, expr: &Expr, state: &Shared<State>, adopted: Vec<Arc<CompiledTable>>) {
+        self.installed.set(true);
+        let budget = CompileBudget::with_states(self.budget.get());
+        let mut adopted = adopted.into_iter();
+        let mut tables: Vec<Arc<CompiledTable>> = Vec::new();
+        let mut attach = HashMap::new();
+        let (mut compiles, mut bailouts) = (0, 0);
+        if budget.max_states > 0 {
+            for_each_resident(expr, vec![state], &mut bailouts, &mut |sub, nodes| {
+                let Ok(fresh) = CompiledTable::install(sub, budget) else { return false };
+                let mut table = match adopted.next() {
+                    Some(old) if old.stands_in_for(&fresh) => old,
+                    _ => {
+                        compiles += 1;
+                        Arc::new(fresh)
+                    }
+                };
+                let tile = Arc::make_mut(&mut table);
+                tile.epoch = self.epoch.get();
+                tile.max_states = budget.max_states;
+                for node in nodes.iter().filter(|n| !n.is_null()) {
+                    if let Ok(id) = tile.intern((*node).clone()) {
+                        pin(&mut attach, node, tables.len(), id as usize);
                     }
                 }
+                for (id, handle) in tile.states.iter().enumerate() {
+                    pin(&mut attach, handle, tables.len(), id);
+                }
+                tables.push(table);
+                true
             });
         }
-        self.pinned.set(pinned);
-    }
-
-    /// Value-probes one live state tree against the installed tables and
-    /// attaches every node that is a table state.  Compile/reset-time only
-    /// — the per-transition path never value-probes.
-    fn attach_probe(&self, state: &Shared<State>) {
-        let tables = self.tables.borrow();
-        if tables.is_empty() {
-            return;
-        }
-        let mut attach = self.attach.borrow_mut();
-        let mut pinned = self.pinned.get();
-        visit_shared(state, &mut |node| {
-            let key = Shared::as_ptr(node) as usize;
-            if matches!(attach.get(&key), Some(AttachEntry::Hit { .. })) {
-                return;
-            }
-            for (ti, table) in tables.iter().enumerate() {
-                if let Some(&id) = table.index.get(node) {
-                    attach.insert(
-                        key,
-                        AttachEntry::Hit { pin: node.clone(), table: ti as u32, state: id },
-                    );
-                    pinned += 1;
-                    return;
-                }
-            }
-        });
-        self.pinned.set(pinned);
+        *self.tables.borrow_mut() = tables;
+        *self.attach.borrow_mut() = attach;
+        self.compiles.set(self.compiles.get() + compiles);
+        self.bailouts.set(self.bailouts.get() + bailouts);
     }
 
     /// Drops every table and attach entry and bumps the epoch: after this,
@@ -332,9 +272,7 @@ impl Tier {
     fn invalidate(&self) {
         self.tables.borrow_mut().clear();
         self.attach.borrow_mut().clear();
-        self.pinned.set(0);
-        self.attempted.set(false);
-        self.computed.set(0);
+        self.installed.set(false);
         self.epoch.set(self.epoch.get() + 1);
         self.invalidations.set(self.invalidations.get() + 1);
     }
@@ -346,10 +284,10 @@ impl Tier {
             states: tables.iter().map(|t| t.state_count()).sum(),
             hits: self.hits.get(),
             fallbacks: self.fallbacks.get(),
+            fills: tables.iter().map(|t| t.filled as u64).sum(),
             compiles: self.compiles.get(),
             bailouts: self.bailouts.get(),
             invalidations: self.invalidations.get(),
-            compile_nanos: self.compile_nanos.get(),
             epoch: self.epoch.get(),
         }
     }
@@ -363,29 +301,41 @@ impl TierLookup for Tier {
             // combinator).
             return None;
         }
-        let key = Shared::as_ptr(child) as usize;
+        // Known by allocation identity or not at all: nothing is hashed by
+        // value on this path (hashing a large state here would tax exactly
+        // the expressions that gain nothing from the tier).
         let mut attach = self.attach.borrow_mut();
-        match attach.get(&key) {
-            Some(AttachEntry::Hit { pin, table, state }) if Shared::ptr_eq(pin, child) => {
-                let tables = self.tables.borrow();
-                let tile = &tables[*table as usize];
-                debug_assert_eq!(tile.epoch, self.epoch.get(), "stale tile consulted");
-                let next = tile.step(*state, action);
-                self.hits.set(self.hits.get() + 1);
-                Some(if next == DEAD { null_state() } else { tile.states[next as usize].clone() })
-            }
-            Some(_) => None,
-            None => {
-                // Unknown allocation: cache the miss *without* value-probing
-                // (hashing a large state on the hot path would tax exactly
-                // the expressions that gain nothing from the tier).
-                if attach.len() >= self.pinned.get() + TIER_MISS_CACHE {
-                    attach.retain(|_, e| matches!(e, AttachEntry::Hit { .. }));
+        let at = attach.get(&(Shared::as_ptr(child) as usize))?;
+        debug_assert!(Shared::ptr_eq(&at.pin, child), "a pinned allocation was reused");
+        let (table, state) = (at.table as usize, at.state);
+        let mut tables = self.tables.borrow_mut();
+        let tile = &mut tables[table];
+        debug_assert_eq!(tile.epoch, self.epoch.get(), "stale tile consulted");
+        let Some(sym) = tile.column(action) else {
+            // Off the closed alphabet: `Null` in every state, no cell needed.
+            self.hits.set(self.hits.get() + 1);
+            return Some(null_state());
+        };
+        let mut next = tile.transitions[state as usize * tile.symbol_count() + sym];
+        if next == UNKNOWN {
+            // First visit: the one τ̂ the tree walk would have run, kept.
+            let tile = Arc::make_mut(tile);
+            let known = tile.state_count();
+            match tile.fill(state, sym) {
+                Ok(id) => next = id,
+                Err(successor) => {
+                    // The table is full and the successor is new: it leaves
+                    // the table, and the walk goes on from it by the tree.
+                    self.fallbacks.set(self.fallbacks.get() + 1);
+                    return Some(successor);
                 }
-                attach.insert(key, AttachEntry::Miss);
-                None
+            }
+            if tile.state_count() > known {
+                pin(&mut attach, &tile.states[known], table, known);
             }
         }
+        self.hits.set(self.hits.get() + 1);
+        Some(if next == DEAD { null_state() } else { tile.states[next as usize].clone() })
     }
 }
 
@@ -425,9 +375,10 @@ impl Engine {
     /// Reconstructs an engine from checkpointed pieces: the expression, a
     /// decoded state, and the accept/reject counters.  The expression is
     /// re-validated (σ must exist) exactly as in [`Engine::new`]; the decoded
-    /// state then replaces σ.  The memo starts cold and the tier starts
-    /// empty — recovery re-attaches checkpointed tables via
-    /// [`Engine::adopt_tier`] instead of recompiling.
+    /// state then replaces σ.  The memo starts cold and the tier is not
+    /// installed yet — recovery hands it the checkpointed tables via
+    /// [`Engine::adopt_tier`]; without them the first transition installs
+    /// fresh ones around the decoded state.
     pub fn restore(
         expr: &Expr,
         state: Shared<State>,
@@ -471,13 +422,14 @@ impl Engine {
     }
 
     /// The tiered, memoized transition τ̂ from an explicit base state.
-    /// Order: compiled tier (exact by construction), then the memo (exact:
-    /// the key is the base state's allocation identity plus the concrete
-    /// action, and entries pin their key state alive), then the tree walk —
-    /// which itself consults the tier at every shared child, so
-    /// table-resident subtrees under a CoW spine still answer in O(1).
+    /// Order: the table tier (exact cell by cell, filling the cell on its
+    /// first visit), then the memo (exact: the key is the base state's
+    /// allocation identity plus the concrete action, and entries pin their
+    /// key state alive), then the tree walk — which itself consults the
+    /// tier at every shared child, so table-resident subtrees under a CoW
+    /// spine still answer in O(1).
     fn transition(&self, base: &Shared<State>, action: &Action) -> Shared<State> {
-        let tier_on = self.options.optimize && self.tier.has_tables();
+        let tier_on = self.tier_ready();
         if tier_on {
             if let Some(next) = self.tier.tier_step(base, action) {
                 return next;
@@ -490,50 +442,36 @@ impl Engine {
             }
         }
         let next = if tier_on {
-            match fused(base, action, &self.tier) {
-                State::Null => null_state(),
-                other => Shared::new(other),
-            }
-        } else {
-            match trans_with(base, action, self.options) {
-                State::Null => null_state(),
-                other => Shared::new(other),
-            }
-        };
-        if tier_on {
             self.tier.fallbacks.set(self.tier.fallbacks.get() + 1);
-        } else if self.options.optimize && self.tier.budget.get() > 0 {
-            let computed = self.tier.computed.get() + 1;
-            self.tier.computed.set(computed);
-            if computed >= TIER_HOT_THRESHOLD
-                && self.tier.auto_compile.get()
-                && !self.tier.attempted.get()
-            {
-                self.tier_compile_now();
-                // `next` was computed before the tables existed; attach it so
-                // the step that triggered compilation lands on the tier.
-                self.tier.attach_probe(&next);
-            }
-        }
+            fused(base, action, &self.tier)
+        } else {
+            trans_with(base, action, self.options)
+        };
+        let next = match next {
+            State::Null => null_state(),
+            other => Shared::new(other),
+        };
         self.memo.borrow_mut().insert(base, action, next.clone());
         next
     }
 
-    /// Runs a compilation pass now (idempotent until the next invalidation):
-    /// compiles the maximal table-resident subtrees under the budget,
-    /// installs and attaches the tiles, and clears the memo so the tier
-    /// takes over from stale pointer-keyed entries.
-    fn tier_compile_now(&self) {
-        self.tier.attempted.set(true);
-        let budget = self.tier.budget.get();
-        if budget == 0 || !self.options.optimize {
-            return;
+    /// Installs the tier on first use (idempotent until the next
+    /// invalidation) and says whether there is a table to consult.  Which
+    /// subtrees are resident is read off the expression's shape, so this
+    /// costs O(|expression|) and computes no transition; a memo filled
+    /// before the tables existed is cleared so the tier takes over from its
+    /// pointer-keyed entries.
+    fn tier_ready(&self) -> bool {
+        if !self.options.optimize {
+            return false;
         }
-        let outcome = compile_all(&self.expr, CompileBudget::with_states(budget));
-        self.tier.install(outcome, &self.state);
-        if self.tier.has_tables() {
-            self.memo.borrow_mut().clear();
+        if !self.tier.installed.get() {
+            self.tier.install(&self.expr, &self.state, Vec::new());
+            if self.tier.has_tables() {
+                self.memo.borrow_mut().clear();
+            }
         }
+        self.tier.has_tables()
     }
 
     /// Whether a successor state counts as valid.  On the optimized path
@@ -746,8 +684,9 @@ impl Engine {
         self.memo.borrow_mut().clear();
         if self.tier.has_tables() {
             // Installed tables stay valid (the expression is unchanged);
-            // re-attach them to the fresh σ allocations.
-            self.tier.rebuild_attach(&self.state);
+            // re-attach them, cells and all, to the fresh σ allocations.
+            let tables = self.tier.tables.take();
+            self.tier.install(&self.expr, &self.state, tables);
         }
         self.accepted = 0;
         self.rejected = 0;
@@ -764,40 +703,39 @@ impl Engine {
     /// tiering entirely — the lockstep equivalence property tests drive a
     /// tiered and a `tier_budget = 0` engine against each other.
     pub fn set_tier_budget(&mut self, budget: usize) {
-        if self.tier.has_tables() || self.tier.attempted.get() {
+        if self.tier.installed.get() {
             self.tier.invalidate();
         }
         self.tier.budget.set(budget);
     }
 
-    /// Whether the engine compiles its tier automatically once hot (the
-    /// default).  The session runtime switches this off and compiles in the
-    /// shard worker's idle slots instead, off the submission hot path.
-    pub fn set_tier_auto(&mut self, auto_compile: bool) {
-        self.tier.auto_compile.set(auto_compile);
-    }
-
-    /// True once the engine has run enough tree-computed transitions to be
-    /// worth compiling and no compilation pass has happened yet — the
-    /// hotness signal a background compiler polls.
-    pub fn tier_wants_compile(&self) -> bool {
-        self.options.optimize
-            && self.tier.budget.get() > 0
-            && !self.tier.attempted.get()
-            && self.tier.computed.get() >= TIER_HOT_THRESHOLD
-    }
-
-    /// Compiles the tier now (regardless of hotness) and returns the
-    /// resulting stats.  Idempotent until the next invalidation.
+    /// Makes sure the tier is installed — one table per maximal resident
+    /// subtree, σ interned, cells filling as steps visit them — and returns
+    /// its stats.  Every transition does the same on first use; this only
+    /// does it now.  Idempotent until the next invalidation.
     pub fn compile_tier(&mut self) -> TierStats {
-        self.tier_compile_now();
+        self.tier_ready();
         self.tier.stats()
     }
 
-    /// Drops all compiled tables and bumps the tier epoch.  Topology
-    /// migrations (`add_constraint`/`couple`) call this on every affected
-    /// shard engine, so a tile compiled before the migration can never
-    /// serve a post-migration step.
+    /// Installs the tier and fills every cell of every table breadth-first
+    /// — the closed tables [`crate::compile`] returns, for callers that want
+    /// the whole reachable graph up front (exhaustive checks, benches that
+    /// time pure lookups).  Cells a full table cannot intern a successor
+    /// for stay unknown and keep being answered by the tree walk.
+    pub fn close_tier(&mut self) -> TierStats {
+        if self.tier_ready() {
+            let mut tables = self.tier.tables.take();
+            tables.iter_mut().for_each(|table| Arc::make_mut(table).close());
+            self.tier.install(&self.expr, &self.state, tables);
+        }
+        self.tier.stats()
+    }
+
+    /// Drops all tables and bumps the tier epoch; the next use installs
+    /// fresh ones.  Topology migrations (`add_constraint`/`couple`) call
+    /// this on every affected shard engine, so a tile filled before the
+    /// migration can never serve a post-migration step.
     pub fn invalidate_tier(&mut self) {
         self.tier.invalidate();
     }
@@ -807,34 +745,26 @@ impl Engine {
         self.tier.stats()
     }
 
-    /// The currently installed tables (empty when the tier has not
-    /// compiled).  Checkpoints persist these via
+    /// The currently installed tables (empty before first use), holding the
+    /// cells filled so far.  Checkpoints persist these via
     /// [`CompiledTable::to_parts`] so recovery can re-attach them.
     pub fn tier_tables(&self) -> Vec<Arc<CompiledTable>> {
         self.tier.tables.borrow().clone()
     }
 
-    /// Installs checkpointed tables without counting a compilation: each
-    /// part is reassembled, stamped with the tier's current epoch, and
-    /// re-attached to the live state.  Marks the tier as `attempted`, so
-    /// the hotness signal does not ask for a redundant recompile; the
-    /// `compiles` counter is untouched — recovery re-attaching tiles is
-    /// observably not a compile.
+    /// Installs the tier from checkpointed tables: each part that
+    /// tabulates the resident subtree at its position (same σ, same symbol
+    /// axis, well-formed arrays) is reassembled, stamped with the tier's
+    /// current epoch and budget, re-attached to the live state, and goes on
+    /// filling where it stood; any other is replaced by a fresh table.
+    /// Adopted tables leave the `compiles` counter untouched — recovery
+    /// re-attaching tiles is observably not a compile.
     pub fn adopt_tier(&mut self, parts: Vec<TableParts>) {
-        if parts.is_empty() {
+        if parts.is_empty() || !self.options.optimize {
             return;
         }
-        {
-            let mut tables = self.tier.tables.borrow_mut();
-            tables.clear();
-            for part in parts {
-                let mut table = CompiledTable::from_parts(part);
-                table.epoch = self.tier.epoch.get();
-                tables.push(Arc::new(table));
-            }
-        }
-        self.tier.attempted.set(true);
-        self.tier.rebuild_attach(&self.state);
+        let tables = parts.into_iter().map(|p| Arc::new(CompiledTable::from_parts(p))).collect();
+        self.tier.install(&self.expr, &self.state, tables);
     }
 }
 
@@ -1023,19 +953,29 @@ mod tests {
         assert!(!m2.is_null);
     }
 
+    /// The 2⁸-state product of eight two-step loops — far past any budget
+    /// the starved-table tests give it.
+    fn mutex_product() -> Expr {
+        let src: Vec<String> = (0..8).map(|k| format!("(a{k} - b{k})*")).collect();
+        parse(&src.join(" | ")).unwrap()
+    }
+
     #[test]
-    fn tier_auto_compiles_when_hot_and_serves_hits() {
+    fn tier_installs_on_first_use_and_serves_hits() {
         let e = parse("((r0 - r1) + (w0 - w1))*").unwrap();
         let mut eng = Engine::new(&e).unwrap();
         eng.set_memo_capacity(0); // force every step through the tier path
-        for _ in 0..2 * TIER_HOT_THRESHOLD {
+        assert_eq!(eng.tier_stats().tables, 0, "Engine::new does no tier work");
+        for _ in 0..100 {
             assert!(eng.try_execute(&a("r0")));
             assert!(eng.try_execute(&a("r1")));
         }
         let stats = eng.tier_stats();
-        assert!(stats.tables >= 1, "hot mutex must compile: {stats:?}");
-        assert!(stats.hits > 0, "table must serve steps: {stats:?}");
-        assert_eq!(stats.compiles, 1);
+        assert_eq!((stats.tables, stats.compiles, stats.fallbacks), (1, 1, 0), "{stats:?}");
+        // σ, reading, the restarted idle: three states, one cell each on
+        // this word (idle → reading closes the cycle) — every other step is
+        // a lookup.
+        assert_eq!((stats.states, stats.fills, stats.hits), (3, 3, 200), "{stats:?}");
     }
 
     #[test]
@@ -1044,17 +984,17 @@ mod tests {
         let mut eng = Engine::new(&e).unwrap();
         eng.set_tier_budget(0);
         eng.set_memo_capacity(0);
-        for _ in 0..2 * TIER_HOT_THRESHOLD {
+        for _ in 0..100 {
             assert!(eng.try_execute(&a("r0")));
             assert!(eng.try_execute(&a("r1")));
         }
-        let stats = eng.tier_stats();
-        assert_eq!((stats.tables, stats.hits, stats.compiles), (0, 0, 0));
+        let stats = eng.compile_tier();
+        assert_eq!((stats.tables, stats.hits, stats.compiles, stats.bailouts), (0, 0, 0, 0));
     }
 
     #[test]
     fn tiered_engine_agrees_with_plain_engine_on_a_mixed_expression() {
-        // A table-resident mutex ⊗ a quantified (never compiled) spine: the
+        // A table-resident mutex ⊗ a quantified (never tabulated) spine: the
         // tier serves the mutex tile while the quantifier falls back.
         let e = parse("((r0 - r1) + (w0 - w1))* @ (some p { r0 - go(p) })*").unwrap();
         let mut tiered = Engine::new(&e).unwrap();
@@ -1063,7 +1003,8 @@ mod tests {
         plain.set_memo_capacity(0);
         plain.set_tier_budget(0);
         let stats = tiered.compile_tier();
-        assert!(stats.tables >= 1, "mutex operand must compile: {stats:?}");
+        assert_eq!((stats.tables, stats.states, stats.fills), (1, 1, 0), "{stats:?}");
+        assert!(stats.bailouts >= 1, "the quantified spine is not eligible: {stats:?}");
         let go = |p: i64| Action::concrete("go", [Value::int(p)]);
         let script =
             [a("r0"), go(1), a("r1"), a("w0"), a("r0"), a("w1"), a("r0"), go(2), a("r1"), a("zzz")];
@@ -1098,49 +1039,106 @@ mod tests {
     }
 
     #[test]
-    fn budget_bailout_decomposes_into_leaf_tiles() {
-        // 2^10 product states blow a budget of 8 states at the root, but each
-        // parallel operand is a 3-state loop — the compiler bails on the
-        // spine and tiles the leaves.
-        let mut src = String::from("(a0 - b0)*");
-        for k in 1..10 {
-            src = format!("{src} | (a{k} - b{k})*");
+    fn close_tier_fills_what_compile_returns() {
+        for (src, states) in [("(s0 - s1 - s2 - s3)*", 5), ("(a - b)* @ (c - d)*", 9)] {
+            let e = parse(src).unwrap();
+            let mut eng = Engine::new(&e).unwrap();
+            let installed = eng.compile_tier();
+            assert_eq!((installed.tables, installed.states, installed.fills), (1, 1, 0));
+            let closed = eng.close_tier();
+            assert_eq!((closed.states, closed.fills), (states, states as u64 * 4), "{src}");
+            assert_eq!(closed.compiles, 1, "closing is not another install");
+            let table = crate::compile::compile(&e, CompileBudget::with_states(64)).unwrap();
+            let mine = eng.tier_tables();
+            assert_eq!(mine[0].transitions, table.transitions, "{src}: same ids, same cells");
+            assert_eq!(mine[0].states, table.states);
+            // Closing again computes nothing, and a closed table never
+            // falls back.
+            assert_eq!(eng.close_tier(), closed);
+            eng.set_memo_capacity(0);
+            for name in ["s0", "a", "c", "s1", "b", "d", "zzz"] {
+                eng.try_execute(&a(name));
+            }
+            let after = eng.tier_stats();
+            assert_eq!((after.fills, after.fallbacks), (closed.fills, 0));
         }
-        let e = parse(&src).unwrap();
+    }
+
+    #[test]
+    fn a_full_table_hands_the_walk_to_the_tree() {
+        // 2^8 product states against a budget of two: the table holds σ and
+        // the first successor, the walk leaves it on the next new state and
+        // the tree answers from there — exactly, and without growing the
+        // table.  (The root is the one resident subtree: eligibility is
+        // structural, so a small budget no longer tiles the operands.)
+        let e = mutex_product();
+        let mut starved = Engine::new(&e).unwrap();
+        let mut plain = Engine::new(&e).unwrap();
+        starved.set_memo_capacity(0);
+        plain.set_memo_capacity(0);
+        starved.set_tier_budget(2);
+        plain.set_tier_budget(0);
+        let word = ["a0", "a0", "a1", "b0", "zzz", "a2", "b1", "a0", "b2", "b0"];
+        for name in word {
+            assert_eq!(starved.is_permitted(&a(name)), plain.is_permitted(&a(name)), "{name}");
+            assert_eq!(starved.try_execute(&a(name)), plain.try_execute(&a(name)), "{name}");
+            assert_eq!(starved.state(), plain.state(), "state after {name}");
+            assert_eq!(starved.is_final(), plain.is_final());
+        }
+        let stats = starved.tier_stats();
+        assert_eq!((stats.tables, stats.states), (1, 2), "{stats:?}");
+        // Filled: σ·a0 (interned), and the dead σ₁·a0; σ₁·a1 found the
+        // table full.  Off the table the walk is never hashed back in.
+        assert_eq!(stats.fills, 2, "{stats:?}");
+        assert!(stats.fallbacks >= 8, "the tree took over: {stats:?}");
+        // Back at σ the table answers again, and still records what it can.
+        starved.reset();
+        plain.reset();
+        let hits = starved.tier_stats().hits;
+        assert!(!starved.is_permitted(&a("b0")) && starved.is_permitted(&a("a0")));
+        let stats = starved.tier_stats();
+        assert_eq!((stats.hits, stats.fills, stats.states), (hits + 2, 3, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn a_full_table_still_records_a_known_successor() {
+        // (a + b)* under a budget of two: σ and "after a" fit.  "After a"
+        // steps to itself on `a` — recorded though the table is full — and
+        // to the un-internable "after b" on `b`, every time by the tree.
+        let e = parse("(a + b)*").unwrap();
         let mut eng = Engine::new(&e).unwrap();
         eng.set_memo_capacity(0);
-        eng.set_tier_budget(8);
-        let stats = eng.compile_tier();
-        assert!(stats.bailouts >= 1, "the product spine must bail: {stats:?}");
-        assert_eq!(stats.tables, 10, "one tile per operand: {stats:?}");
-        for k in 0..10 {
-            assert!(eng.try_execute(&Action::nullary(format!("a{k}").as_str())));
-        }
-        assert_eq!(eng.accepted(), 10);
-        assert!(eng.tier_stats().hits > 0, "leaf tiles serve under the spine");
+        eng.set_tier_budget(2);
+        assert!(eng.try_execute(&a("a")) && eng.try_execute(&a("a")) && eng.try_execute(&a("a")));
+        let stats = eng.tier_stats();
+        assert_eq!((stats.states, stats.fills, stats.hits, stats.fallbacks), (2, 2, 3, 0));
+        assert!(eng.is_permitted(&a("b")) && eng.is_permitted(&a("b")));
+        let stats = eng.tier_stats();
+        assert_eq!((stats.states, stats.fills, stats.fallbacks), (2, 2, 2), "{stats:?}");
     }
 
     #[test]
     fn budget_too_small_for_any_tile_falls_back_to_cow() {
-        // Two states cannot even hold σ plus a loop position: every subtree
-        // bails and the engine keeps answering from the tree.
+        // One state holds σ and no successor: the first step already leaves
+        // the table, and the engine keeps answering from the tree.
         let e = parse("(a - b)* | (c - d)*").unwrap();
         let mut eng = Engine::new(&e).unwrap();
         eng.set_memo_capacity(0);
-        eng.set_tier_budget(2);
+        eng.set_tier_budget(1);
         let stats = eng.compile_tier();
-        assert_eq!(stats.tables, 0, "nothing fits in 2 states: {stats:?}");
-        assert!(stats.bailouts >= 1);
+        assert_eq!((stats.tables, stats.states), (1, 1), "σ is all that fits: {stats:?}");
         for name in ["a", "c", "b", "d"] {
             assert!(eng.try_execute(&a(name)));
         }
         assert_eq!(eng.accepted(), 4);
-        assert_eq!(eng.tier_stats().hits, 0);
+        let stats = eng.tier_stats();
+        assert_eq!((stats.hits, stats.fills, stats.states), (0, 0, 1), "{stats:?}");
+        assert_eq!(stats.fallbacks, 4);
     }
 
     #[test]
     fn compile_during_traffic_preserves_in_flight_state() {
-        // Compile mid-protocol: the attach map must pick up the *current*
+        // Install mid-protocol: the attach map must pick up the *current*
         // interior state, not just σ, and a reset must re-attach.
         let e = parse("(s0 - s1 - s2 - s3)*").unwrap();
         let mut tiered = Engine::new(&e).unwrap();
@@ -1151,18 +1149,22 @@ mod tests {
         let script = ["s0", "s1", "s2", "s3", "s0", "s1"];
         for (k, step) in script.iter().enumerate() {
             if k == 2 {
-                assert!(tiered.compile_tier().tables >= 1);
+                tiered.invalidate_tier();
+                let stats = tiered.compile_tier();
+                assert_eq!((stats.tables, stats.states), (1, 2), "σ and the state in flight");
             }
             assert_eq!(tiered.try_execute(&a(step)), plain.try_execute(&a(step)));
             assert_eq!(tiered.state(), plain.state(), "state after {step}");
         }
-        assert!(tiered.tier_stats().hits > 0);
-        let hits = tiered.tier_stats().hits;
+        let stats = tiered.tier_stats();
+        assert_eq!((stats.hits, stats.fallbacks), (6, 0), "every step on a table: {stats:?}");
         tiered.reset();
         plain.reset();
         assert!(tiered.try_execute(&a("s0")) && plain.try_execute(&a("s0")));
         assert_eq!(tiered.state(), plain.state());
-        assert!(tiered.tier_stats().hits > hits, "tables survive a reset");
+        let after = tiered.tier_stats();
+        assert_eq!(after.hits, 7, "tables survive a reset");
+        assert_eq!((after.fills, after.compiles), (stats.fills + 1, stats.compiles));
     }
 
     #[test]
@@ -1176,11 +1178,43 @@ mod tests {
         let epoch_before = eng.tier_stats().epoch;
         eng.invalidate_tier();
         let stats = eng.tier_stats();
-        assert_eq!(stats.tables, 0, "invalidation must drop every tile");
+        assert_eq!((stats.tables, stats.fills), (0, 0), "invalidation must drop every tile");
         assert_eq!(stats.invalidations, 1);
         assert!(stats.epoch > epoch_before);
-        assert!(eng.try_execute(&a("b")), "correct from the tree after invalidation");
-        assert!(eng.compile_tier().tables >= 1, "recompilation restores the tier");
+        let hits = stats.hits;
+        assert!(eng.try_execute(&a("b")), "the next step installs fresh tables and is served");
+        assert_eq!(eng.tier_stats().hits, hits + 1);
         assert!(eng.try_execute(&a("a")));
+    }
+
+    #[test]
+    fn a_cloned_engine_fills_its_own_copy_of_a_shared_table() {
+        let e = parse("(s0 - s1 - s2 - s3)*").unwrap();
+        let mut left = Engine::new(&e).unwrap();
+        left.set_memo_capacity(0);
+        assert!(left.try_execute(&a("s0")));
+        let mut right = left.clone();
+        let shared = left.tier_tables();
+        assert!(Arc::ptr_eq(&shared[0], &right.tier_tables()[0]), "a clone shares the table");
+        let seen = shared[0].transitions.clone();
+        // Left walks on, right probes denials: each fills cells the other
+        // never sees, and what either saw before stays what it was.
+        for name in ["s1", "s2", "s3", "s0"] {
+            assert!(left.try_execute(&a(name)));
+        }
+        for name in ["s0", "s2", "s3"] {
+            assert!(!right.is_permitted(&a(name)));
+        }
+        assert!(right.try_execute(&a("s1")));
+        assert_eq!(shared[0].transitions, seen, "a held table is not written through");
+        let (l, r) = (left.tier_stats(), right.tier_stats());
+        assert_eq!((l.fills, l.states), (5, 5));
+        assert_eq!((r.fills, r.states), (5, 3));
+        let mut plain = Engine::new(&e).unwrap();
+        plain.set_tier_budget(0);
+        plain.feed(&[a("s0"), a("s1")]);
+        assert_eq!(right.state(), plain.state());
+        plain.feed(&[a("s2"), a("s3"), a("s0")]);
+        assert_eq!(left.state(), plain.state());
     }
 }

@@ -10,10 +10,12 @@
 //! second property crashes the same schedule half-way and recovers it from
 //! the vault; a fault drill shows that the write-ahead records a frame
 //! writes are the ones a worker would have written, at the same ordinals;
-//! and a bounded runtime ends ten thousand framed operations holding no
-//! admission credit.
+//! a bounded runtime ends ten thousand framed operations holding no
+//! admission credit; and a blocking client runs with no worker thread at
+//! all, whatever the shape of its expression — which shards are
+//! table-resident is read off the expression, not learned by a worker.
 
-use ix_core::Action;
+use ix_core::{parse, Action, Value};
 use ix_durable::{FaultMode, FaultPlan, FaultVault};
 use ix_manager::{
     ClockMode, Completion, InteractionManager, ManagerError, ManagerRuntime, MemVault,
@@ -536,5 +538,84 @@ fn a_bounded_runtime_leaks_no_credit_through_caller_frames() {
     assert!(verdicts[LIMIT], "a gate below zero admitted past its limit");
     let report = runtime.load_report();
     assert!(report.shards.iter().all(|s| s.depth == 0), "credits leaked: {report:?}");
+    runtime.shutdown().unwrap();
+}
+
+/// One ask → confirm round trip at window 1, granted.
+fn round_trip(session: &Session, action: &Action) {
+    let id = session.ask_blocking(action).unwrap().unwrap_or_else(|| panic!("{action} denied"));
+    session.confirm_blocking(id).unwrap();
+}
+
+/// A client that blocks on every reply never needs a worker — not even to
+/// find out that its expression cannot be tabulated.  (A quantified engine
+/// used to turn "hot" after 64 tree steps, and the worker woken to compile
+/// it could only report `CompileBailout::Quantifier`.)
+#[test]
+fn a_blocking_client_on_a_quantified_expression_starts_no_worker() {
+    // ixbench's `local_sync`: four ⊗-coupled departments of whole cases.
+    let departments: Vec<String> =
+        (0..4).map(|k| format!("(some p {{ call_{k}(p) - perform_{k}(p) }})*")).collect();
+    let x = parse(&departments.join(" @ ")).unwrap();
+    let options = RuntimeOptions { variant: ProtocolVariant::Simple, ..RuntimeOptions::default() };
+    let runtime = ManagerRuntime::with_options(&x, options).unwrap();
+    let session = runtime.session(1);
+    for trip in 0..1_000i64 {
+        let (k, case) = (trip / 2 % 4, Value::int(trip / 8));
+        let stage = if trip % 2 == 0 { "call" } else { "perform" };
+        round_trip(&session, &Action::concrete(&format!("{stage}_{k}"), [case]));
+    }
+    assert_eq!(runtime.sched_stats().started, 0, "a worker was started");
+    let tiers = runtime.tier_stats();
+    assert_eq!((tiers.tables, tiers.hits, tiers.fills), (0, 0, 0), "{tiers:?}");
+    assert_eq!(runtime.stats().confirmations, 1_000);
+    runtime.shutdown().unwrap();
+}
+
+/// The same client over ixbench's `local_pipelined` rings, with exact
+/// counts: installing the tier computes no cell, one lap and the denials
+/// around it fill the cells they visit and no other, and from the second
+/// lap on every decision is a lookup — on the caller's thread.
+#[test]
+fn a_blocking_client_on_rings_fills_its_tables_in_one_lap_and_starts_no_worker() {
+    const STAGES: [&str; 4] = ["call", "prep", "perform", "report"];
+    let rings: Vec<String> = (0..4)
+        .map(|k| format!("({})*", STAGES.map(|stage| format!("{stage}_{k}")).join(" - ")))
+        .collect();
+    let x = parse(&rings.join(" @ ")).unwrap();
+    let options = RuntimeOptions { variant: ProtocolVariant::Simple, ..RuntimeOptions::default() };
+    let runtime = ManagerRuntime::with_options(&x, options).unwrap();
+    let installed = runtime.compile_tiers();
+    assert_eq!(installed.len(), 4);
+    for shard in &installed {
+        assert_eq!((shard.tables, shard.states, shard.fills, shard.hits), (1, 1, 0, 0));
+    }
+    assert_eq!(runtime.compile_tiers(), installed, "installing again is a no-op");
+
+    let session = runtime.session(1);
+    let stage = |ring: usize, at: usize| Action::nullary(&format!("{}_{ring}", STAGES[at % 4]));
+    // One lap of every ring, and at each position the stage two ahead:
+    // denied, as ixbench's schedule scripts it.
+    for at in 0..4 {
+        for ring in 0..4 {
+            assert_eq!(session.ask_blocking(&stage(ring, at + 2)).unwrap(), None);
+            round_trip(&session, &stage(ring, at));
+        }
+    }
+    let lap = runtime.tier_stats();
+    // Per ring: σ, three positions and the restarted idle; four cells that
+    // moved on and four that said no.  (The closed tables hold 80.)
+    assert_eq!((lap.tables, lap.states, lap.fills, lap.fallbacks), (4, 20, 32, 0), "{lap:?}");
+
+    for trip in 16..1_000 {
+        let (ring, at) = (trip % 4, trip / 4);
+        round_trip(&session, &stage(ring, at));
+    }
+    let end = runtime.tier_stats();
+    // The restarted idle's first step closes each ring: one more cell a
+    // ring, and nothing after that.
+    assert_eq!((end.states, end.fills, end.fallbacks), (20, 36, 0), "{end:?}");
+    assert!(end.hits >= lap.hits + 2 * (1_000 - 16), "ask and confirm both hit: {end:?}");
+    assert_eq!(runtime.sched_stats().started, 0, "a worker was started");
     runtime.shutdown().unwrap();
 }

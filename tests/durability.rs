@@ -579,6 +579,56 @@ fn checkpointed_tiles_reattach_without_recompiling() {
     recovered.shutdown().unwrap();
 }
 
+/// A snapshot carries its tables as far as they are filled, and recovery
+/// goes on filling them: a checkpoint cut mid-lap, a crash, and the rest of
+/// the lap computes exactly the cells an uninterrupted lap would have —
+/// none of the recovered ones again.
+#[test]
+fn a_half_filled_table_keeps_filling_after_recovery() {
+    let constraint = parse("(s0 - s1 - s2 - s3)* @ (t0 - t1)*").unwrap();
+    let step = |name: &str| Action::nullary(name);
+    let options =
+        RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
+    let lap = ["s0", "t0", "s1", "s2", "t1", "s3", "s0", "t0"];
+    let run = |session: &ix_manager::Session, names: &[&str]| {
+        for name in names {
+            assert!(matches!(session.execute(&step(name)).wait(), Completion::Executed { .. }));
+        }
+    };
+
+    let uninterrupted = ManagerRuntime::with_options(&constraint, options).unwrap();
+    run(&uninterrupted.session(1), &lap);
+    let whole = uninterrupted.tier_stats();
+    assert_eq!((whole.tables, whole.states, whole.fills), (2, 8, 8), "{whole:?}");
+    uninterrupted.shutdown().unwrap();
+
+    let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
+    let runtime =
+        ManagerRuntime::with_durability(&constraint, options, Arc::clone(&vault)).unwrap();
+    run(&runtime.session(1), &lap[..3]);
+    let cut = runtime.tier_stats();
+    assert_eq!((cut.states, cut.fills), (5, 3), "{cut:?}");
+    runtime.checkpoint().unwrap();
+    // One more commit lands in the log tail only: recovery replays it, and
+    // the replay fills its cell like any other step.
+    run(&runtime.session(1), &lap[3..4]);
+    runtime.shutdown().unwrap();
+
+    let recovered = ManagerRuntime::recover(vault, options).unwrap();
+    let adopted = recovered.tier_stats();
+    assert_eq!((adopted.tables, adopted.compiles), (2, 0), "re-attached, not re-installed");
+    assert_eq!(
+        (adopted.states, adopted.fills),
+        (6, 4),
+        "the cut's cells and the tail's: {adopted:?}"
+    );
+    run(&recovered.session(2), &lap[4..]);
+    let end = recovered.tier_stats();
+    assert_eq!((end.states, end.fills, end.fallbacks), (whole.states, whole.fills, 0), "{end:?}");
+    assert_eq!(end.hits, 5, "the replayed commit and the four after it, each a table step");
+    recovered.shutdown().unwrap();
+}
+
 /// The `ContinueAsNew`-style rollover: a checkpoint truncates the covered
 /// log prefix, so recovery replays only the records since the last cut.
 #[test]

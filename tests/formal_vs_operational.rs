@@ -12,7 +12,7 @@
 
 use ix_core::{parse, Action, Expr, Value};
 use ix_semantics::{classify_word_in, Universe, WordClass};
-use ix_state::{word_problem, WordStatus};
+use ix_state::{word_problem, Engine, WordStatus};
 use proptest::prelude::*;
 
 /// The concrete actions words are built from in the exhaustive tests.
@@ -32,20 +32,43 @@ fn universe() -> Universe {
     Universe::new([Value::int(1), Value::int(2)]).with_fresh(1)
 }
 
+/// The word problem as an [`Engine`] answers it, through its table tier:
+/// the tables closed up front, or filled by this very walk.
+fn tiered_word_problem(expr: &Expr, word: &[Action], close: bool) -> WordStatus {
+    let mut engine = Engine::new(expr).expect("state model");
+    engine.set_memo_capacity(0);
+    if close {
+        engine.close_tier();
+    }
+    if engine.feed(word) < word.len() {
+        WordStatus::Illegal
+    } else if engine.is_final() {
+        WordStatus::Complete
+    } else {
+        WordStatus::Partial
+    }
+}
+
 fn agree(expr: &Expr, word: &[Action]) {
     let oracle = classify_word_in(expr, word, &universe()).expect("oracle");
-    let operational = word_problem(expr, word).expect("state model");
     let oracle_status = match oracle {
         WordClass::Illegal => WordStatus::Illegal,
         WordClass::Partial => WordStatus::Partial,
         WordClass::Complete => WordStatus::Complete,
     };
-    assert_eq!(
-        oracle_status,
-        operational,
-        "disagreement on expression `{expr}` and word {}",
-        ix_core::display_word(word)
-    );
+    let operational = [
+        ("state model", word_problem(expr, word).expect("state model")),
+        ("lazily filled tier", tiered_word_problem(expr, word, false)),
+        ("closed tier", tiered_word_problem(expr, word, true)),
+    ];
+    for (how, status) in operational {
+        assert_eq!(
+            oracle_status,
+            status,
+            "the {how} disagrees on expression `{expr}` and word {}",
+            ix_core::display_word(word)
+        );
+    }
 }
 
 /// Enumerates every word over `pool` up to the given length.
@@ -254,6 +277,11 @@ proptest! {
         };
         prop_assert_eq!(oracle_status, operational,
             "disagreement on `{}` and {}", expr, ix_core::display_word(&word));
+        for close in [false, true] {
+            prop_assert_eq!(oracle_status, tiered_word_problem(&expr, &word, close),
+                "the tier (closed: {}) disagrees on `{}` and {}",
+                close, expr, ix_core::display_word(&word));
+        }
     }
 
     #[test]

@@ -485,56 +485,86 @@ fn assert_memo_equivalence(
     Ok(())
 }
 
-/// Drives the same word through a tier-compiled engine and a `tier_budget =
-/// 0` (pure-CoW) engine in lockstep, asserting identical verdicts, probe
-/// answers, states and counters — the correctness contract of the compiled
-/// execution tier.  The tier is compiled at σ and then invalidated and
-/// recompiled mid-word, so in-flight states re-attach to fresh tables
-/// (the compile-during-traffic race).
+/// Drives the same word through tiered engines and a `tier_budget = 0`
+/// (pure-CoW) engine in lockstep, asserting identical verdicts, probe
+/// answers, states and counters — the correctness contract of the
+/// execution tier.  The tiered side is every way a table comes to hold its
+/// cells: filled by the walk itself (installed at σ, then invalidated and
+/// re-installed mid-word, so the state in flight re-attaches to fresh
+/// tables), closed up front by `close_tier()`, starved (two states per
+/// table: the walk leaves the table almost at once and the tree answers),
+/// and a clone taken mid-word that fills its copy of the tables it shared.
 fn assert_tier_equivalence(
     x: &Expr,
     word: &[ix_core::Action],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let mut tiered = Engine::new(x).unwrap();
-    let mut plain = Engine::new(x).unwrap();
-    // Memoization off on both sides: every step goes through the tier (or
+    // Memoization off on every side: each step goes through the tier (or
     // its fallback) rather than the memo.
-    tiered.set_memo_capacity(0);
-    plain.set_memo_capacity(0);
-    plain.set_tier_budget(0);
-    tiered.compile_tier();
+    let engine = |budget: Option<usize>| {
+        let mut engine = Engine::new(x).unwrap();
+        engine.set_memo_capacity(0);
+        if let Some(budget) = budget {
+            engine.set_tier_budget(budget);
+        }
+        engine
+    };
+    let mut plain = engine(Some(0));
+    let mut tiered =
+        vec![("lazy", engine(None)), ("closed", engine(None)), ("starved", engine(Some(2)))];
+    tiered[0].1.compile_tier();
+    tiered[1].1.close_tier();
     for (i, action) in word.iter().enumerate() {
         if i == word.len() / 2 {
-            tiered.invalidate_tier();
-            tiered.compile_tier();
+            let clone = tiered[0].1.clone();
+            tiered.push(("cloned", clone));
+            tiered[0].1.invalidate_tier();
+            tiered[0].1.compile_tier();
         }
-        prop_assert_eq!(
-            tiered.is_permitted(action),
-            plain.is_permitted(action),
-            "is_permitted diverges with the tier on `{}` for {}",
-            x,
-            action
-        );
         let reserved = [word.first().cloned().unwrap_or_else(|| action.clone())];
-        prop_assert_eq!(
-            tiered.permitted_after(reserved.iter(), action),
-            plain.permitted_after(reserved.iter(), action),
-            "permitted_after diverges with the tier on `{}` for {}",
-            x,
-            action
-        );
-        prop_assert_eq!(
-            tiered.try_execute(action),
-            plain.try_execute(action),
-            "try_execute diverges with the tier on `{}` for {}",
-            x,
-            action
-        );
-        prop_assert_eq!(tiered.state(), plain.state(), "states diverge on `{}`", x);
-        prop_assert_eq!(tiered.is_final(), plain.is_final(), "ϕ diverges on `{}`", x);
+        let permitted = plain.is_permitted(action);
+        let after = plain.permitted_after(reserved.iter(), action);
+        let executed = plain.try_execute(action);
+        for (how, tiered) in &mut tiered {
+            prop_assert_eq!(
+                tiered.is_permitted(action),
+                permitted,
+                "is_permitted diverges with the {} tier on `{}` for {}",
+                how,
+                x,
+                action
+            );
+            prop_assert_eq!(
+                tiered.permitted_after(reserved.iter(), action),
+                after,
+                "permitted_after diverges with the {} tier on `{}` for {}",
+                how,
+                x,
+                action
+            );
+            prop_assert_eq!(
+                tiered.try_execute(action),
+                executed,
+                "try_execute diverges with the {} tier on `{}` for {}",
+                how,
+                x,
+                action
+            );
+            prop_assert_eq!(tiered.state(), plain.state(), "{} states diverge on `{}`", how, x);
+            prop_assert_eq!(tiered.is_final(), plain.is_final(), "{} ϕ diverges on `{}`", how, x);
+        }
     }
-    prop_assert_eq!(tiered.accepted(), plain.accepted());
-    prop_assert_eq!(tiered.rejected(), plain.rejected());
+    for (how, tiered) in &tiered {
+        prop_assert_eq!(tiered.accepted(), plain.accepted(), "{}", how);
+        prop_assert_eq!(tiered.rejected(), plain.rejected(), "{}", how);
+        let stats = tiered.tier_stats();
+        if *how == "starved" {
+            prop_assert!(stats.states <= 2 * stats.tables, "a table grew past its budget");
+        }
+        let whole = stats.tables == 1 && stats.bailouts == 0;
+        if *how == "closed" && whole && stats.states < ix_state::DEFAULT_TIER_BUDGET {
+            prop_assert_eq!(stats.fallbacks, 0, "a closed root table fell back on `{}`", x);
+        }
+    }
     prop_assert_eq!(plain.tier_stats().hits, 0, "a zero-budget tier must never serve");
     Ok(())
 }

@@ -272,31 +272,3 @@ fn a_stale_tile_can_never_serve_a_post_migration_step() {
     }
     assert!(runtime.tier_stats().hits > hits, "fresh tiles serve post-migration traffic");
 }
-
-#[test]
-fn workers_compile_hot_engines_in_idle_slots() {
-    // No explicit compile call: blocking traffic leaves the worker an idle
-    // window after every submission, and once the engine runs hot the
-    // worker compiles it there — off the submission path.
-    let runtime =
-        ManagerRuntime::with_protocol(&parse("(tick - tock)*").unwrap(), ProtocolVariant::Combined)
-            .unwrap();
-    let session = runtime.session(1);
-    let tick = Action::nullary("tick");
-    let tock = Action::nullary("tock");
-    let mut compiled = false;
-    for _ in 0..1_000 {
-        assert!(session.execute_blocking(&tick).unwrap().is_some());
-        assert!(session.execute_blocking(&tock).unwrap().is_some());
-        if runtime.tier_stats().tables >= 1 {
-            compiled = true;
-            break;
-        }
-    }
-    assert!(compiled, "an idle worker must compile its hot engine: {:?}", runtime.tier_stats());
-    for _ in 0..5 {
-        assert!(session.execute_blocking(&tick).unwrap().is_some());
-        assert!(session.execute_blocking(&tock).unwrap().is_some());
-    }
-    assert!(runtime.tier_stats().hits > 0);
-}
