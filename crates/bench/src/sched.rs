@@ -14,7 +14,6 @@
 use ix_core::{parse, Action, Expr, Value};
 use ix_manager::{Completion, ManagerRuntime, ProtocolVariant, RuntimeOptions, Ticket};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// `components` disjoint always-repeatable work pools, exactly as in the
@@ -150,57 +149,69 @@ pub fn sched_point(
     total: u64,
 ) -> SchedPoint {
     let expr = pools_constraint(shards);
-    let runtime = Arc::new(
-        ManagerRuntime::with_options(&expr, options(workers, rebalance)).expect("sched runtime"),
-    );
+    let runtime =
+        ManagerRuntime::with_options(&expr, options(workers, rebalance)).expect("sched runtime");
+    run_point(runtime, shards, shape, rebalance, total, |_| {})
+}
+
+/// Floods `runtime` (built over `pools_constraint(shards)`) from two
+/// sessions, calls `queued` once every item is submitted and before any
+/// ticket is awaited, then awaits them all.
+fn run_point(
+    runtime: ManagerRuntime,
+    shards: usize,
+    shape: LoadShape,
+    rebalance: bool,
+    total: u64,
+    queued: impl FnOnce(&ManagerRuntime),
+) -> SchedPoint {
     let sessions = 2usize;
     let per_session = total / sessions as u64;
-    let offered = Arc::new(AtomicU64::new(0));
-    let committed = Arc::new(AtomicU64::new(0));
+    let offered = AtomicU64::new(0);
     let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for worker in 0..sessions {
-            let runtime = Arc::clone(&runtime);
-            let offered = Arc::clone(&offered);
-            let committed = Arc::clone(&committed);
-            scope.spawn(move || {
-                let session = runtime.session(1 + worker as u64);
-                let mut sampler = Sampler::new(shards, shape, 7 + worker as u64);
-                // Disjoint case-id ranges per session keep every work item
-                // fresh.
-                let mut case = vec![worker as i64 * 1_000_000_000; shards];
-                let mut tickets: Vec<Ticket<Completion>> = Vec::new();
-                // Submit in bursts with a yield between them so the pool
-                // workers interleave with the flooders on small hosts.
-                for i in 0..per_session {
-                    let k = sampler.next();
-                    case[k] += 1;
-                    offered.fetch_add(1, Ordering::Relaxed);
-                    if let Ok(ticket) = session.submit(&work(k, case[k])) {
-                        tickets.push(ticket);
+    let tickets: Vec<Ticket<Completion>> = std::thread::scope(|scope| {
+        let flooders: Vec<_> = (0..sessions)
+            .map(|worker| {
+                let (runtime, offered) = (&runtime, &offered);
+                scope.spawn(move || {
+                    let session = runtime.session(1 + worker as u64);
+                    let mut sampler = Sampler::new(shards, shape, 7 + worker as u64);
+                    // Disjoint case-id ranges per session keep every work
+                    // item fresh.
+                    let mut case = vec![worker as i64 * 1_000_000_000; shards];
+                    let mut tickets = Vec::new();
+                    // Submit in bursts with a yield between them so the pool
+                    // workers interleave with the flooders on small hosts.
+                    for i in 0..per_session {
+                        let k = sampler.next();
+                        case[k] += 1;
+                        offered.fetch_add(1, Ordering::Relaxed);
+                        if let Ok(ticket) = session.submit(&work(k, case[k])) {
+                            tickets.push(ticket);
+                        }
+                        if i.is_multiple_of(256) {
+                            std::thread::yield_now();
+                        }
                     }
-                    if i.is_multiple_of(256) {
-                        std::thread::yield_now();
-                    }
-                }
-                let n = tickets
-                    .into_iter()
-                    .filter(|t| matches!(t.wait(), Completion::Executed { .. }))
-                    .count();
-                committed.fetch_add(n as u64, Ordering::Relaxed);
-            });
-        }
+                    tickets
+                })
+            })
+            .collect();
+        flooders.into_iter().flat_map(|f| f.join().expect("flooder panicked")).collect()
     });
+    queued(&runtime);
+    let committed =
+        tickets.iter().filter(|t| matches!(t.wait(), Completion::Executed { .. })).count() as u64;
     let elapsed = t0.elapsed();
     let sched = runtime.sched_stats();
     let point = SchedPoint {
         shards,
         shape,
-        workers,
+        workers: sched.workers,
         rebalance,
         offered: offered.load(Ordering::Relaxed),
-        committed: committed.load(Ordering::Relaxed),
-        throughput: committed.load(Ordering::Relaxed) as f64 / elapsed.as_secs_f64(),
+        committed,
+        throughput: committed as f64 / elapsed.as_secs_f64(),
         rebalances: sched.rebalances,
         isolated: sched.last_isolated,
         isolated_alone: sched.last_isolated.is_some_and(|isolated| {
@@ -208,7 +219,7 @@ pub fn sched_point(
             sched.placement.iter().enumerate().all(|(s, &w)| s == isolated || w != on_worker)
         }),
     };
-    Arc::try_unwrap(runtime).expect("all sessions joined").shutdown().expect("sched shutdown");
+    runtime.shutdown().expect("sched shutdown");
     point
 }
 
@@ -239,6 +250,8 @@ pub fn sched_experiment(total: u64) -> SchedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ix_manager::{MemVault, Vault};
+    use std::sync::{Arc, Condvar, Mutex};
 
     #[test]
     fn pooled_and_thread_per_shard_commit_everything() {
@@ -249,12 +262,68 @@ mod tests {
         }
     }
 
+    /// A memory vault whose appends wait until it is opened: a worker
+    /// deciding a commit stops at its write-ahead record, so whatever is
+    /// queued behind it stays queued for as long as the test needs.
+    #[derive(Default)]
+    struct GatedVault {
+        inner: MemVault,
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl GatedVault {
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl Vault for GatedVault {
+        fn append(&self, stream: u32, payload: &[u8]) -> u64 {
+            let open = self.open.lock().unwrap();
+            drop(self.opened.wait_while(open, |open| !*open).unwrap());
+            self.inner.append(stream, payload)
+        }
+        fn stream_len(&self, stream: u32) -> u64 {
+            self.inner.stream_len(stream)
+        }
+        fn read_from(&self, stream: u32, from: u64) -> Vec<(u64, Vec<u8>)> {
+            self.inner.read_from(stream, from)
+        }
+        fn truncate(&self, stream: u32, covered: u64) {
+            self.inner.truncate(stream, covered)
+        }
+        fn save_blob(&self, name: &str, bytes: &[u8]) {
+            self.inner.save_blob(name, bytes)
+        }
+        fn load_blob(&self, name: &str) -> Option<Vec<u8>> {
+            self.inner.load_blob(name)
+        }
+        fn streams(&self) -> Vec<u32> {
+            self.inner.streams()
+        }
+        fn sync(&self) {}
+    }
+
     #[test]
     fn rebalance_isolates_the_hot_shard_without_losing_work() {
         // Two workers, eight shards, heavy skew onto shard 0: the
         // rebalancer must move the cold co-residents off shard 0's worker
-        // and no task may be lost in the handoff.
-        let point = sched_point(8, LoadShape::Zipf, 2, true, 6_000);
+        // and no task may be lost in the handoff.  The backlog must still
+        // be queued when the rebalancer samples it, so both workers are
+        // held at their first commit's journal write while the flooders
+        // submit, and the test itself takes the three sustained-hot passes
+        // (the timer is off) before it lets them go.
+        let vault = Arc::new(GatedVault::default());
+        let options = options(2, false);
+        let runtime =
+            ManagerRuntime::with_durability(&pools_constraint(8), options, vault.clone()).unwrap();
+        let point = run_point(runtime, 8, LoadShape::Zipf, true, 6_000, |runtime| {
+            let passes = [(); 3].map(|_| runtime.rebalance_now());
+            assert_eq!(passes, [false, false, true], "isolated on the third hot pass");
+            vault.open();
+        });
         assert_eq!(point.committed, point.offered, "rebalance lost tasks");
         assert!(
             point.rebalances > 0,

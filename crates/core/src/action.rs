@@ -23,9 +23,13 @@ pub struct Action {
 }
 
 impl Action {
-    /// Creates an action with the given name and arguments.
+    /// Creates an action with the given name and arguments.  Nullary
+    /// actions share the empty argument list `Arc::default()` hands out
+    /// instead of allocating one each.
     pub fn new(name: impl Into<Symbol>, args: impl IntoIterator<Item = Term>) -> Action {
-        Action { name: name.into(), args: args.into_iter().collect() }
+        let args = args.into_iter();
+        let args = if args.size_hint().1 == Some(0) { Arc::default() } else { args.collect() };
+        Action { name: name.into(), args }
     }
 
     /// Creates an action without arguments.
@@ -117,36 +121,23 @@ impl Action {
     /// This is the membership test used for alphabets (see the alphabet
     /// complement κ of Table 8): a concrete action "belongs to" an abstract
     /// action's footprint exactly when some instantiation of the abstract
-    /// action yields it.
+    /// action yields it.  Arities are small, so the bindings are checked in
+    /// place — a parameter binds at its first position, every later
+    /// position naming it must carry the same value — and nothing is
+    /// allocated.
     pub fn matches_concrete(&self, concrete: &Action) -> bool {
         if self.name != concrete.name || self.args.len() != concrete.args.len() {
             return false;
         }
-        let mut bindings: Vec<(Param, Value)> = Vec::new();
-        for (pat, conc) in self.args.iter().zip(concrete.args.iter()) {
-            let cv = match conc {
-                Term::Value(v) => *v,
-                // A non-concrete "concrete" action never matches.
-                Term::Param(_) => return false,
-            };
-            match pat {
-                Term::Value(v) => {
-                    if *v != cv {
-                        return false;
-                    }
-                }
-                Term::Param(p) => {
-                    if let Some((_, bound)) = bindings.iter().find(|(q, _)| q == p) {
-                        if *bound != cv {
-                            return false;
-                        }
-                    } else {
-                        bindings.push((*p, cv));
-                    }
-                }
+        let pairs = || self.args.iter().zip(concrete.args.iter());
+        pairs().enumerate().all(|(i, (pat, conc))| match (pat, conc) {
+            // A non-concrete "concrete" action never matches.
+            (_, Term::Param(_)) => false,
+            (Term::Value(v), Term::Value(cv)) => v == cv,
+            (Term::Param(_), _) => {
+                pairs().take(i).find(|(earlier, _)| *earlier == pat).is_none_or(|(_, b)| b == conc)
             }
-        }
-        true
+        })
     }
 
     /// True if the two (possibly abstract) actions could be instantiated to

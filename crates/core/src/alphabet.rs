@@ -11,17 +11,26 @@
 //! action in an alphabet is decided by unification-style matching (same name
 //! and arity, concrete argument positions equal, parameter positions bind
 //! consistently — see [`Action::matches_concrete`]).
+//!
+//! An alphabet is built once and then only asked and shared: it is a sorted,
+//! deduplicated `Arc<[Action]>`, so a clone is a reference count, a
+//! membership query is a binary search over a contiguous slice, and no
+//! query allocates.  Iteration order, equality, ordering and hashing must
+//! equal those of a `BTreeSet<Action>` of the same actions (`Ord` order, a
+//! lexicographic comparison, a length prefix then the elements): the
+//! topology blob, snapshots and table fingerprints walk or hash alphabets,
+//! and their bytes must not depend on the representation.
 
 use crate::action::Action;
 use crate::expr::{Expr, ExprKind};
 use crate::Symbol;
-use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
-/// A finite set of abstract actions.
+/// A finite set of abstract actions: sorted, deduplicated, immutable.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct Alphabet {
-    actions: BTreeSet<Action>,
+    actions: Arc<[Action]>,
 }
 
 impl Alphabet {
@@ -32,17 +41,20 @@ impl Alphabet {
 
     /// Builds an alphabet from an iterator of abstract actions.
     pub fn from_actions(actions: impl IntoIterator<Item = Action>) -> Alphabet {
-        Alphabet { actions: actions.into_iter().collect() }
+        let mut actions: Vec<Action> = actions.into_iter().collect();
+        actions.sort_unstable();
+        actions.dedup();
+        Alphabet { actions: actions.into() }
     }
 
-    /// Inserts an abstract action.
-    pub fn insert(&mut self, a: Action) {
-        self.actions.insert(a);
-    }
-
-    /// The abstract actions of this alphabet.
-    pub fn actions(&self) -> impl Iterator<Item = &Action> {
+    /// The abstract actions of this alphabet, in ascending order.
+    pub fn actions(&self) -> std::slice::Iter<'_, Action> {
         self.actions.iter()
+    }
+
+    /// The abstract actions as one sorted slice.
+    pub fn as_slice(&self) -> &[Action] {
+        &self.actions
     }
 
     /// Number of abstract actions.
@@ -57,26 +69,52 @@ impl Alphabet {
 
     /// Set union α(y) ∪ α(z).
     pub fn union(&self, other: &Alphabet) -> Alphabet {
-        Alphabet { actions: self.actions.union(&other.actions).cloned().collect() }
+        self.merge(other, |_, _| true)
     }
 
     /// Set difference, used for the alphabet complement κ_x(y) = α(x) \ α(y).
     pub fn difference(&self, other: &Alphabet) -> Alphabet {
-        Alphabet { actions: self.actions.difference(&other.actions).cloned().collect() }
+        self.merge(other, |mine, theirs| mine && !theirs)
+    }
+
+    /// One pass over both sorted slices, keeping each action for which
+    /// `keep(in self, in other)` holds.
+    fn merge(&self, other: &Alphabet, keep: impl Fn(bool, bool) -> bool) -> Alphabet {
+        let (mut mine, mut theirs) = (self.as_slice(), other.as_slice());
+        let mut out = Vec::with_capacity(mine.len() + theirs.len());
+        while let Some(action) = mine.first().into_iter().chain(theirs.first()).min() {
+            let (in_mine, in_theirs) =
+                (mine.first() == Some(action), theirs.first() == Some(action));
+            if keep(in_mine, in_theirs) {
+                out.push(action.clone());
+            }
+            mine = &mine[in_mine as usize..];
+            theirs = &theirs[in_theirs as usize..];
+        }
+        Alphabet { actions: out.into() }
     }
 
     /// True if the exact abstract action is a member (syntactic membership).
     pub fn contains_abstract(&self, a: &Action) -> bool {
-        self.actions.contains(a)
+        self.actions.binary_search(a).is_ok()
     }
 
     /// The members whose action name is `name` — the symbol-indexed
     /// candidate set for routing a concrete action.  Actions order by name
-    /// first, so the candidates are one contiguous range of the backing
-    /// set: the lookup costs a tree descent plus the matching actions, not
-    /// a scan of the whole alphabet.
-    pub fn candidates(&self, name: Symbol) -> impl Iterator<Item = &Action> {
-        self.actions.range(Action::nullary(name)..).take_while(move |a| a.name() == name)
+    /// first, so the candidates are one contiguous range of the slice, found
+    /// by two binary searches: the lookup costs O(log n) plus the matching
+    /// actions, not a scan of the whole alphabet.
+    pub fn candidates(&self, name: Symbol) -> &[Action] {
+        let start = self.actions.partition_point(|a| a.name() < name);
+        let len = self.actions[start..].partition_point(|a| a.name() == name);
+        &self.actions[start..start + len]
+    }
+
+    /// The first member (in alphabet order) that the concrete action
+    /// matches — the abstract entry that "covers" it, under which shards
+    /// index their subscriptions.
+    pub fn covering(&self, concrete: &Action) -> Option<&Action> {
+        self.candidates(concrete.name()).iter().find(|a| a.matches_concrete(concrete))
     }
 
     /// True if the concrete action matches some abstract action of the
@@ -84,21 +122,14 @@ impl Alphabet {
     /// uses to decide whether an operand "knows" an action; dispatch is on
     /// the action name via [`Alphabet::candidates`].
     pub fn covers(&self, concrete: &Action) -> bool {
-        self.candidates(concrete.name()).any(|a| a.matches_concrete(concrete))
+        self.covering(concrete).is_some()
     }
 
     /// True if the two alphabets share no footprint: no concrete action can
     /// be covered by both.  Conservative approximation via pairwise
     /// unifiability of abstract actions ([`Action::may_overlap`]).
     pub fn is_disjoint(&self, other: &Alphabet) -> bool {
-        for a in &self.actions {
-            for b in &other.actions {
-                if a.may_overlap(b) {
-                    return false;
-                }
-            }
-        }
-        true
+        !self.actions().any(|a| other.overlaps_action(a))
     }
 
     /// True if some member of the alphabet could be instantiated to the same
@@ -106,14 +137,14 @@ impl Alphabet {
     /// map uses this to decide which components co-own an abstract action.
     /// Overlap requires equal names, so the symbol index applies here too.
     pub fn overlaps_action(&self, action: &Action) -> bool {
-        self.candidates(action.name()).any(|a| a.may_overlap(action))
+        self.candidates(action.name()).iter().any(|a| a.may_overlap(action))
     }
 }
 
 impl fmt::Display for Alphabet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, a) in self.actions.iter().enumerate() {
+        for (i, a) in self.actions().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -135,13 +166,13 @@ impl Expr {
     /// alphabet — the abstract (parameterized) atoms themselves are its
     /// elements.
     pub fn alphabet(&self) -> Alphabet {
-        let mut alpha = Alphabet::new();
+        let mut atoms = Vec::new();
         self.visit(&mut |e| {
             if let ExprKind::Atom(a) = e.kind() {
-                alpha.insert(a.clone());
+                atoms.push(a.clone());
             }
         });
-        alpha
+        Alphabet::from_actions(atoms)
     }
 
     /// The alphabet complement κ_x(y) = α(x) \ α(y) where `self` plays the
@@ -231,10 +262,14 @@ mod tests {
             Action::nullary("z"),
         ]);
         let call = crate::Symbol::new("call");
-        let candidates: Vec<&Action> = alpha.candidates(call).collect();
+        let candidates = alpha.candidates(call);
         assert_eq!(candidates.len(), 2);
         assert!(candidates.iter().all(|a| a.name() == call));
-        assert_eq!(alpha.candidates(crate::Symbol::new("missing")).count(), 0);
+        assert!(alpha.candidates(crate::Symbol::new("missing")).is_empty());
+        assert_eq!(
+            alpha.covering(&Action::concrete("call", [Value::int(9)])),
+            Some(&act_p("call", "p"))
+        );
         // covers routes through the same index.
         assert!(alpha.covers(&Action::concrete("call", [Value::int(9)])));
         assert!(!alpha.covers(&Action::concrete("missing", [Value::int(9)])));

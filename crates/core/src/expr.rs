@@ -15,7 +15,7 @@
 //! instantiation in the operational semantics cheap.
 
 use crate::action::Action;
-use crate::value::{Param, Value};
+use crate::value::{Param, Term, Value};
 use crate::Symbol;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -199,8 +199,14 @@ impl Expr {
 
     /// Direct children of this node.
     pub fn children(&self) -> Vec<&Expr> {
-        match self.kind() {
-            ExprKind::Empty | ExprKind::Atom(_) | ExprKind::Hole(_) => vec![],
+        self.iter_children().collect()
+    }
+
+    /// Direct children of this node, in order, without allocating — what
+    /// every tree walk uses.
+    pub fn iter_children(&self) -> impl Iterator<Item = &Expr> {
+        let (first, second) = match self.kind() {
+            ExprKind::Empty | ExprKind::Atom(_) | ExprKind::Hole(_) => (None, None),
             ExprKind::Option(y)
             | ExprKind::SeqIter(y)
             | ExprKind::ParIter(y)
@@ -208,19 +214,20 @@ impl Expr {
             | ExprKind::ParQ(_, y)
             | ExprKind::SyncQ(_, y)
             | ExprKind::AllQ(_, y)
-            | ExprKind::Mult(_, y) => vec![y],
+            | ExprKind::Mult(_, y) => (Some(y), None),
             ExprKind::Seq(y, z)
             | ExprKind::Par(y, z)
             | ExprKind::Or(y, z)
             | ExprKind::And(y, z)
-            | ExprKind::Sync(y, z) => vec![y, z],
-        }
+            | ExprKind::Sync(y, z) => (Some(y), Some(z)),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Calls `f` on every node of the tree (pre-order).
     pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
-        for c in self.children() {
+        for c in self.iter_children() {
             c.visit(f);
         }
     }
@@ -244,9 +251,11 @@ impl Expr {
         fn go(e: &Expr, bound: &mut Vec<Param>, out: &mut BTreeSet<Param>) {
             match e.kind() {
                 ExprKind::Atom(a) => {
-                    for p in a.params() {
-                        if !bound.contains(&p) {
-                            out.insert(p);
+                    for t in a.args() {
+                        if let Term::Param(p) = t {
+                            if !bound.contains(p) {
+                                out.insert(*p);
+                            }
                         }
                     }
                 }
@@ -259,7 +268,7 @@ impl Expr {
                     bound.pop();
                 }
                 _ => {
-                    for c in e.children() {
+                    for c in e.iter_children() {
                         go(c, bound, out);
                     }
                 }
@@ -357,7 +366,6 @@ impl From<Action> for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Term;
 
     fn atom(name: &str) -> Expr {
         Expr::atom(Action::nullary(name))

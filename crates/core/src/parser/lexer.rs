@@ -2,25 +2,26 @@
 
 use crate::error::{CoreError, CoreResult};
 
-/// A lexical token with its byte offset in the source.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A lexical token with its byte offset in the source.  Identifiers borrow
+/// their text from the source, so a token is `Copy`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub struct Token {
-    pub kind: TokenKind,
+pub struct Token<'src> {
+    pub kind: TokenKind<'src>,
     pub offset: usize,
 }
 
 /// The kinds of tokens of the textual notation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)] // the punctuation variants are self-describing
-pub enum TokenKind {
+pub enum TokenKind<'src> {
     /// An identifier: action names, parameter names, symbolic values and the
     /// keywords `some`, `all`, `sync`, `each`, `mult`, `empty`.
-    Ident(String),
+    Ident(&'src str),
     /// An integer literal.
     Int(i64),
     /// `$name` — a template hole.
-    Hole(String),
+    Hole(&'src str),
     LParen,
     RParen,
     LBrace,
@@ -39,7 +40,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// A short human-readable description used in error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -67,9 +68,11 @@ impl TokenKind {
 
 /// Splits the source into tokens.  Whitespace separates tokens and is
 /// otherwise ignored; `//` starts a comment that runs to the end of the line.
-pub fn lex(src: &str) -> CoreResult<Vec<Token>> {
+pub fn lex(src: &str) -> CoreResult<Vec<Token<'_>>> {
     let bytes = src.as_bytes();
-    let mut tokens = Vec::new();
+    // Expressions run at fewer than one token per two bytes, so this is
+    // usually the one allocation lexing makes.
+    let mut tokens = Vec::with_capacity(src.len() / 2 + 1);
     let mut i = 0usize;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -151,10 +154,7 @@ pub fn lex(src: &str) -> CoreResult<Vec<Token>> {
                         message: "expected identifier after `$`".into(),
                     });
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Hole(src[ident_start..i].to_string()),
-                    offset: start,
-                });
+                tokens.push(Token { kind: TokenKind::Hole(&src[ident_start..i]), offset: start });
             }
             c if c.is_ascii_digit() => {
                 while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
@@ -171,10 +171,7 @@ pub fn lex(src: &str) -> CoreResult<Vec<Token>> {
                 while i < bytes.len() && is_ident_char(bytes[i] as char) {
                     i += 1;
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(src[start..i].to_string()),
-                    offset: start,
-                });
+                tokens.push(Token { kind: TokenKind::Ident(&src[start..i]), offset: start });
             }
             other => {
                 return Err(CoreError::Parse {
@@ -200,7 +197,7 @@ fn is_ident_char(c: char) -> bool {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -208,7 +205,7 @@ mod tests {
     fn lexes_operators_and_identifiers() {
         let ks = kinds("a - b* | c# + d? & e @ f");
         assert_eq!(ks.len(), 14 + 1);
-        assert!(matches!(ks[0], TokenKind::Ident(ref s) if s == "a"));
+        assert!(matches!(ks[0], TokenKind::Ident("a")));
         assert!(matches!(ks[1], TokenKind::Minus));
         assert!(matches!(ks[3], TokenKind::Star));
         assert!(matches!(ks.last(), Some(TokenKind::Eof)));
@@ -226,7 +223,7 @@ mod tests {
     fn lexes_holes_and_template_calls() {
         let ks = kinds("mutex!($x, $y)");
         assert!(ks.contains(&TokenKind::Bang));
-        assert!(ks.contains(&TokenKind::Hole("x".into())));
+        assert!(ks.contains(&TokenKind::Hole("x")));
     }
 
     #[test]
@@ -234,12 +231,7 @@ mod tests {
         let ks = kinds("a // comment with * and (\n - b");
         assert_eq!(
             ks,
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Minus,
-                TokenKind::Ident("b".into()),
-                TokenKind::Eof
-            ]
+            vec![TokenKind::Ident("a"), TokenKind::Minus, TokenKind::Ident("b"), TokenKind::Eof]
         );
     }
 

@@ -34,32 +34,34 @@ pub fn parse_with(src: &str, registry: &TemplateRegistry) -> CoreResult<Expr> {
 
 const KEYWORDS: &[&str] = &["some", "all", "sync", "each", "mult", "empty"];
 
-struct Parser<'r> {
-    tokens: Vec<Token>,
+/// The parser state: tokens borrow identifiers from the source, so peeking,
+/// advancing and scoping copy a few words and never allocate.
+struct Parser<'src, 'r> {
+    tokens: Vec<Token<'src>>,
     pos: usize,
     registry: &'r TemplateRegistry,
     /// Parameters bound by enclosing quantifiers, innermost last.
-    scope: Vec<String>,
+    scope: Vec<&'src str>,
 }
 
-impl<'r> Parser<'r> {
-    fn peek(&self) -> &Token {
+impl<'src> Parser<'src, '_> {
+    fn peek(&self) -> &Token<'src> {
         &self.tokens[self.pos]
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn advance(&mut self) -> Token<'src> {
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn check(&self, kind: &TokenKind) -> bool {
+    fn check(&self, kind: &TokenKind<'_>) -> bool {
         &self.peek().kind == kind
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.check(kind) {
             self.advance();
             true
@@ -68,7 +70,7 @@ impl<'r> Parser<'r> {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> CoreResult<Token> {
+    fn expect(&mut self, kind: TokenKind<'_>) -> CoreResult<Token<'src>> {
         if self.check(&kind) {
             Ok(self.advance())
         } else {
@@ -147,7 +149,7 @@ impl<'r> Parser<'r> {
     }
 
     fn parse_primary(&mut self) -> CoreResult<Expr> {
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::LParen => {
                 self.advance();
                 let e = self.parse_expr()?;
@@ -156,16 +158,16 @@ impl<'r> Parser<'r> {
             }
             TokenKind::Hole(name) => {
                 self.advance();
-                Ok(Expr::hole(name.as_str()))
+                Ok(Expr::hole(name))
             }
-            TokenKind::Ident(name) => match name.as_str() {
+            TokenKind::Ident(name) => match name {
                 "empty" => {
                     self.advance();
                     Ok(Expr::empty())
                 }
                 "some" | "all" | "sync" | "each" => {
                     self.advance();
-                    self.parse_quantifier(&name)
+                    self.parse_quantifier(name)
                 }
                 "mult" => {
                     self.advance();
@@ -183,7 +185,7 @@ impl<'r> Parser<'r> {
     fn parse_quantifier(&mut self, keyword: &str) -> CoreResult<Expr> {
         let param_name = match self.advance().kind {
             TokenKind::Ident(n) => {
-                if KEYWORDS.contains(&n.as_str()) {
+                if KEYWORDS.contains(&n) {
                     return Err(self.error(format!(
                         "`{n}` is a reserved word and cannot be used as a parameter"
                     )));
@@ -198,12 +200,12 @@ impl<'r> Parser<'r> {
             }
         };
         self.expect(TokenKind::LBrace)?;
-        self.scope.push(param_name.clone());
+        self.scope.push(param_name);
         let body = self.parse_expr();
         self.scope.pop();
         let body = body?;
         self.expect(TokenKind::RBrace)?;
-        let p = Param::new(&param_name);
+        let p = Param::new(param_name);
         Ok(match keyword {
             "some" => Expr::some_q(p, body),
             "all" => Expr::par_q(p, body),
@@ -232,7 +234,7 @@ impl<'r> Parser<'r> {
         Ok(Expr::mult(n, body))
     }
 
-    fn parse_atom_or_template(&mut self, name: String) -> CoreResult<Expr> {
+    fn parse_atom_or_template(&mut self, name: &str) -> CoreResult<Expr> {
         if self.eat(&TokenKind::Bang) {
             // Template application: name!(e1, ..., en)
             self.expect(TokenKind::LParen)?;
@@ -246,7 +248,7 @@ impl<'r> Parser<'r> {
                 }
             }
             self.expect(TokenKind::RParen)?;
-            return self.registry.expand(Symbol::new(&name), &args);
+            return self.registry.expand(Symbol::new(name), &args);
         }
         let mut terms = Vec::new();
         if self.eat(&TokenKind::LParen) {
@@ -260,17 +262,17 @@ impl<'r> Parser<'r> {
             }
             self.expect(TokenKind::RParen)?;
         }
-        Ok(crate::builder::act(&name, terms))
+        Ok(crate::builder::act(name, terms))
     }
 
     fn parse_term(&mut self) -> CoreResult<Term> {
         match self.advance().kind {
             TokenKind::Int(i) => Ok(Term::Value(Value::Int(i))),
             TokenKind::Ident(name) => {
-                if self.scope.iter().any(|s| s == &name) {
-                    Ok(Term::Param(Param::new(&name)))
+                if self.scope.contains(&name) {
+                    Ok(Term::Param(Param::new(name)))
                 } else {
-                    Ok(Term::Value(Value::sym(&name)))
+                    Ok(Term::Value(Value::sym(name)))
                 }
             }
             other => Err(self.error(format!(

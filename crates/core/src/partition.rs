@@ -191,10 +191,9 @@ impl Partition {
     pub fn of(expr: &Expr) -> Partition {
         let mut operands = Vec::new();
         flatten(expr, &mut operands);
-        let components: Vec<Component> =
+        let components =
             operands.into_iter().map(|e| Component { alphabet: e.alphabet(), expr: e }).collect();
-        let alphabets: Vec<Alphabet> = components.iter().map(|c| c.alphabet.clone()).collect();
-        Partition { components, ownership: OwnershipMap::of(&alphabets), epoch: 0 }
+        Partition::from_components(components, 0)
     }
 
     /// Computes the coarse partition with pairwise disjoint component
@@ -208,52 +207,11 @@ impl Partition {
         let mut operands = Vec::new();
         flatten(expr, &mut operands);
         let alphabets: Vec<Alphabet> = operands.iter().map(|e| e.alphabet()).collect();
-
-        let mut parent: Vec<usize> = (0..operands.len()).collect();
-        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-            if parent[i] != i {
-                let root = find(parent, parent[i]);
-                parent[i] = root;
-            }
-            parent[i]
-        }
-        for i in 0..operands.len() {
-            for j in i + 1..operands.len() {
-                if !alphabets[i].is_disjoint(&alphabets[j]) {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[rj] = ri;
-                    }
-                }
-            }
-        }
-
-        // Group operands by root, preserving the original operand order both
-        // across and within groups.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for i in 0..operands.len() {
-            let root = find(&mut parent, i);
-            match groups.iter_mut().find(|(r, _)| *r == root) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((root, vec![i])),
-            }
-        }
-
-        let components: Vec<Component> = groups
-            .into_iter()
-            .map(|(_, members)| {
-                let expr = members
-                    .iter()
-                    .map(|&i| operands[i].clone())
-                    .reduce(Expr::sync)
-                    .expect("every group has at least one operand");
-                let alphabet =
-                    members.iter().fold(Alphabet::new(), |acc, &i| acc.union(&alphabets[i]));
-                Component { expr, alphabet }
-            })
+        let components = overlap_groups(&alphabets)
+            .iter()
+            .map(|members| join(&operands, &alphabets, members))
             .collect();
-        let alphabets: Vec<Alphabet> = components.iter().map(|c| c.alphabet.clone()).collect();
-        Partition { components, ownership: OwnershipMap::of(&alphabets), epoch: 0 }
+        Partition::from_components(components, 0)
     }
 
     /// Reassembles a partition from serialized components and a stored
@@ -293,9 +251,9 @@ impl Partition {
             components
                 .extend(flat.into_iter().map(|e| Component { alphabet: e.alphabet(), expr: e }));
         }
-        let alphabets: Vec<Alphabet> = components.iter().map(|c| c.alphabet.clone()).collect();
-        let ownership = OwnershipMap::of(&alphabets);
-        let widened = ownership
+        let extended = Partition::from_components(components, self.epoch + 1);
+        let widened = extended
+            .ownership
             .entries()
             .filter(|(action, owners)| {
                 owners.iter().any(|&o| o < old_len)
@@ -303,12 +261,8 @@ impl Partition {
             })
             .map(|(action, owners)| (action.clone(), owners.to_vec()))
             .collect();
-        let delta = PartitionDelta {
-            added: (old_len..components.len()).collect(),
-            widened,
-            merges: Vec::new(),
-        };
-        (Partition { components, ownership, epoch: self.epoch + 1 }, delta)
+        let added = (old_len..extended.len()).collect();
+        (extended, PartitionDelta { added, widened, merges: Vec::new() })
     }
 
     /// Extends the partition with one *coupling* constraint — a new operand
@@ -348,39 +302,12 @@ impl Partition {
             }
         }
 
-        let mut parent: Vec<usize> = (0..operands.len()).collect();
-        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-            if parent[i] != i {
-                let root = find(parent, parent[i]);
-                parent[i] = root;
-            }
-            parent[i]
-        }
-        for i in 0..operands.len() {
-            for j in i + 1..operands.len() {
-                if !alphabets[i].is_disjoint(&alphabets[j]) {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[rj] = ri;
-                    }
-                }
-            }
-        }
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for i in 0..operands.len() {
-            let root = find(&mut parent, i);
-            match groups.iter_mut().find(|(r, _)| *r == root) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((root, vec![i])),
-            }
-        }
-
         let mut added = Vec::new();
         let mut merges = Vec::new();
-        let components: Vec<Component> = groups
+        let components = overlap_groups(&alphabets)
             .iter()
             .enumerate()
-            .map(|(target, (_, members))| {
+            .map(|(target, members)| {
                 let old_members: Vec<usize> =
                     members.iter().copied().filter(|&i| i < old_len).collect();
                 if old_members.is_empty() {
@@ -388,26 +315,11 @@ impl Partition {
                 } else if old_members.len() > 1 || members.len() > old_members.len() {
                     merges.push(MergeGroup { sources: old_members, target });
                 }
-                let expr = members
-                    .iter()
-                    .map(|&i| operands[i].clone())
-                    .reduce(Expr::sync)
-                    .expect("every group has at least one operand");
-                let alphabet =
-                    members.iter().fold(Alphabet::new(), |acc, &i| acc.union(&alphabets[i]));
-                Component { expr, alphabet }
+                join(&operands, &alphabets, members)
             })
             .collect();
-        let alphabets: Vec<Alphabet> = components.iter().map(|c| c.alphabet.clone()).collect();
         let delta = PartitionDelta { added, widened: Vec::new(), merges };
-        (
-            Partition {
-                components,
-                ownership: OwnershipMap::of(&alphabets),
-                epoch: self.epoch + 1,
-            },
-            delta,
-        )
+        (Partition::from_components(components, self.epoch + 1), delta)
     }
 
     /// Re-joins the component expressions with ⊗ — the monolithic
@@ -486,6 +398,51 @@ fn flatten(expr: &Expr, out: &mut Vec<Expr>) {
         }
         _ => out.push(expr.clone()),
     }
+}
+
+/// The operand indices grouped by transitive alphabet overlap (a union–find
+/// over pairwise [`Alphabet::is_disjoint`]), preserving the original
+/// operand order both across and within groups.
+fn overlap_groups(alphabets: &[Alphabet]) -> Vec<Vec<usize>> {
+    fn find(parent: &mut [usize], i: usize) -> usize {
+        if parent[i] != i {
+            let root = find(parent, parent[i]);
+            parent[i] = root;
+        }
+        parent[i]
+    }
+    let mut parent: Vec<usize> = (0..alphabets.len()).collect();
+    for i in 0..alphabets.len() {
+        for j in i + 1..alphabets.len() {
+            if !alphabets[i].is_disjoint(&alphabets[j]) {
+                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                if ri != rj {
+                    parent[rj] = ri;
+                }
+            }
+        }
+    }
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    for i in 0..alphabets.len() {
+        let root = find(&mut parent, i);
+        match groups.iter_mut().find(|(r, _)| *r == root) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((root, vec![i])),
+        }
+    }
+    groups.into_iter().map(|(_, members)| members).collect()
+}
+
+/// One coalesced component: the members' operands re-joined with ⊗, over
+/// the union of their alphabets.
+fn join(operands: &[Expr], alphabets: &[Alphabet], members: &[usize]) -> Component {
+    let expr = members
+        .iter()
+        .map(|&i| operands[i].clone())
+        .reduce(Expr::sync)
+        .expect("every group has at least one operand");
+    let alphabet = members.iter().fold(Alphabet::new(), |acc, &i| acc.union(&alphabets[i]));
+    Component { expr, alphabet }
 }
 
 /// Convenience wrapper: the component expressions of [`Partition::of`].

@@ -239,7 +239,6 @@ type OwnerGuards<'a> = Vec<(usize, MutexGuard<'a, Shard>)>;
 #[derive(Debug)]
 pub struct InteractionManager {
     expr: Expr,
-    alphabet: Alphabet,
     variant: ProtocolVariant,
     router: ShardRouter,
     shards: Vec<Mutex<Shard>>,
@@ -312,7 +311,6 @@ impl InteractionManager {
         }
         Ok(InteractionManager {
             expr: expr.clone(),
-            alphabet: expr.alphabet(),
             variant,
             router: ShardRouter::new(alphabets),
             shards,
@@ -662,9 +660,10 @@ impl InteractionManager {
     /// True if the manager's interaction expression mentions the action at
     /// all.  Actions outside the alphabet are unconstrained (the open-world
     /// assumption of the coupling operator, lifted to the deployment level):
-    /// clients do not need to ask about them.
+    /// clients do not need to ask about them.  The shard alphabets together
+    /// are the expression's, so this is "some shard owns it".
     pub fn controls(&self, action: &Action) -> bool {
-        self.alphabet.covers(action)
+        self.router.route(action).is_some()
     }
 
     /// True if the interaction state is final (every constraint could stop
@@ -692,7 +691,8 @@ impl InteractionManager {
                 false
             }
             [shard_id] => {
-                let key = self.abstract_key(*shard_id, action);
+                let alphabet = self.router.alphabet(*shard_id);
+                let key = alphabet.covering(action).unwrap_or(action).clone();
                 let mut shard = lock(&self.shards[*shard_id]);
                 let permitted = shard.engine.is_permitted(action);
                 shard.subscriptions.subscribe(client, action.clone(), key, permitted)
@@ -755,17 +755,6 @@ impl InteractionManager {
     pub fn subscription_count(&self) -> usize {
         let owned: usize = self.shards.iter().map(|s| lock(s).subscriptions.len()).sum();
         owned + lock(&self.cross_subscriptions).len() + lock(&self.orphan_subscriptions).len()
-    }
-
-    /// The abstract alphabet entry of a shard covering the action — the
-    /// index key of the shard's subscription registry.
-    fn abstract_key(&self, shard_id: usize, action: &Action) -> Action {
-        self.router
-            .alphabet(shard_id)
-            .actions()
-            .find(|a| a.matches_concrete(action))
-            .cloned()
-            .unwrap_or_else(|| action.clone())
     }
 
     /// The two-phase state transition for an action on its (already locked)
@@ -916,7 +905,6 @@ impl Clone for InteractionManager {
         drop(guards);
         InteractionManager {
             expr: self.expr.clone(),
-            alphabet: self.alphabet.clone(),
             variant: self.variant,
             router: self.router.clone(),
             shards,

@@ -686,7 +686,7 @@ enum TimerEvent {
 
 /// One immutable snapshot of the runtime's shard topology: the
 /// epoch-versioned router and the task-queue senders (index = shard id),
-/// plus the joined expression and alphabet the runtime currently enforces.
+/// plus the joined expression the runtime currently enforces.
 ///
 /// Submissions clone the current snapshot, classify against its router, and
 /// stamp their tasks with its epoch.  A repartition installs a *new*
@@ -711,7 +711,6 @@ struct Topology {
     /// wake without an extra indirection.
     pool: Arc<PoolCtl>,
     expr: Expr,
-    alphabet: Alphabet,
 }
 
 impl Topology {
@@ -2016,7 +2015,6 @@ fn spawn_runtime(
         bounded: options.queue_limit > 0,
         pool: Arc::clone(&pool),
         expr: expr.clone(),
-        alphabet: expr.alphabet(),
     })));
     let stats = SharedStats::default();
     stats.restore(globals.stats);
@@ -2226,9 +2224,11 @@ impl ManagerRuntime {
         read_topology(&self.topology).router.is_shared(action)
     }
 
-    /// True if the runtime's interaction expression mentions the action.
+    /// True if the runtime's interaction expression mentions the action —
+    /// some shard owns it, since the shard alphabets together are the
+    /// expression's.
     pub fn controls(&self, action: &Action) -> bool {
-        read_topology(&self.topology).alphabet.covers(action)
+        read_topology(&self.topology).router.route(action).is_some()
     }
 
     /// Statistics so far.
@@ -2688,12 +2688,7 @@ impl ManagerRuntime {
             debug_assert!(owners.iter().all(|&o| o >= old_len), "orphans were unowned");
             if let [owner] = owners.as_slice() {
                 let i = owner - old_len;
-                let key = new_router
-                    .alphabet(*owner)
-                    .actions()
-                    .find(|a| a.matches_concrete(&action))
-                    .cloned()
-                    .unwrap_or_else(|| action.clone());
+                let key = new_router.alphabet(*owner).covering(&action).unwrap_or(&action).clone();
                 for &client in &clients {
                     new_subscriptions[i].subscribe(client, action.clone(), key.clone(), cached);
                 }
@@ -2777,7 +2772,6 @@ impl ManagerRuntime {
             bounded: shared.queue_limit > 0,
             pool: Arc::clone(&topo.pool),
             expr: joined_expr.clone(),
-            alphabet: topo.alphabet.union(&constraint.alphabet()),
         });
         {
             let mut slot = self.topology.write().unwrap_or_else(|e| e.into_inner());

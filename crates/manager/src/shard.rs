@@ -237,7 +237,8 @@ pub(crate) struct ShardState {
     /// carried, truncated ones included.  Snapshotted with the shard;
     /// recovery sums the bases and the tails.
     pub(crate) stat_base: StatDelta,
-    /// The component's alphabet, whose entries index the subscriptions.
+    /// The component's alphabet, whose entries index the subscriptions (an
+    /// action is filed under the entry covering it).
     alphabet: Alphabet,
     /// Where the records go (`None` = durability off).  The shard's stream
     /// has this one writer.
@@ -415,7 +416,7 @@ impl ShardState {
             (Verdict::Status(permitted), Op::Subscribe { client, action })
                 if role == Role::Sole =>
             {
-                let key = self.abstract_key(action);
+                let key = self.alphabet.covering(action).unwrap_or(action).clone();
                 let permitted =
                     self.subscriptions.subscribe(*client, action.clone(), key, *permitted);
                 self.journal(&mut fx, || WalRecord::Subscribe {
@@ -482,7 +483,7 @@ impl ShardState {
                 self.reservations.remove(&id);
             }
             WalRecord::Subscribe { client, action, permitted } => {
-                let key = self.abstract_key(&action);
+                let key = self.alphabet.covering(&action).unwrap_or(&action).clone();
                 self.subscriptions.subscribe(client, action, key, permitted);
             }
             WalRecord::Unsubscribe { client, action } => {
@@ -541,16 +542,6 @@ impl ShardState {
             stat_base: self.stat_base,
             tier: self.engine.tier_tables(),
         })
-    }
-
-    /// The entry of the shard's alphabet that covers the action — the key
-    /// its subscriptions are indexed under.
-    fn abstract_key(&self, action: &Action) -> Action {
-        self.alphabet
-            .actions()
-            .find(|a| a.matches_concrete(action))
-            .cloned()
-            .unwrap_or_else(|| action.clone())
     }
 }
 

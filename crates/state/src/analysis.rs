@@ -151,7 +151,7 @@ fn body_completely_mentions(body: &Expr, p: Param) -> bool {
                     go(inner, p)
                 }
             }
-            _ => e.children().iter().all(|c| go(c, p)),
+            _ => e.iter_children().all(|c| go(c, p)),
         }
     }
     go(body, p)
@@ -215,7 +215,7 @@ pub fn contains_parallel_iteration(expr: &Expr) -> bool {
 /// The maximum quantifier nesting depth.
 pub fn quantifier_depth(expr: &Expr) -> u32 {
     fn go(e: &Expr) -> u32 {
-        let child_max = e.children().iter().map(|c| go(c)).max().unwrap_or(0);
+        let child_max = e.iter_children().map(go).max().unwrap_or(0);
         match e.kind() {
             ExprKind::SomeQ(..) | ExprKind::ParQ(..) | ExprKind::SyncQ(..) | ExprKind::AllQ(..) => {
                 child_max + 1

@@ -57,7 +57,7 @@ use crate::init::init;
 use crate::predicates::is_final;
 use crate::state::{Shared, State};
 use crate::trans::trans;
-use ix_core::{Action, Expr, ExprKind};
+use ix_core::{Action, Alphabet, Expr, ExprKind};
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -125,17 +125,17 @@ impl CompileBudget {
 /// has been visited, in a dense transition array.
 ///
 /// States are canonical [`Shared`] handles (value-identical to what the
-/// fused τ̂ computes), symbols are the subexpression's concrete atoms in
-/// sorted order, and the transition array stores `state × symbol → state`
-/// ids with [`DEAD`] marking `Null` successors.  A table from [`compile`]
-/// is *closed* (every cell filled, budget permitting); one taken from a
-/// running engine holds the cells its traffic has visited.
+/// fused τ̂ computes), symbols are the subexpression's alphabet (its
+/// concrete atoms, sorted), and the transition array stores
+/// `state × symbol → state` ids with [`DEAD`] marking `Null` successors.
+/// A table from [`compile`] is *closed* (every cell filled, budget
+/// permitting); one taken from a running engine holds the cells its traffic
+/// has visited.
 #[derive(Clone, Debug)]
 pub struct CompiledTable {
-    /// Sorted, deduplicated concrete atoms — the symbol axis.
-    pub(crate) symbols: Vec<Action>,
-    /// Symbol → column index.
-    symbol_index: HashMap<Action, u16>,
+    /// The subexpression's alphabet — its sorted, deduplicated concrete
+    /// atoms — is the symbol axis; a column is a binary search into it.
+    pub(crate) symbols: Alphabet,
     /// Interned canonical state handles; index = state id, id 0 = σ.
     pub(crate) states: Vec<Shared<State>>,
     /// Value → state id.
@@ -173,9 +173,7 @@ impl CompiledTable {
         if let Some(bail) = structural_bailout(expr) {
             return Err(bail);
         }
-        let mut symbols = expr.atoms();
-        symbols.sort();
-        symbols.dedup();
+        let symbols = expr.alphabet();
         if symbols.is_empty() || symbols.len() > u16::MAX as usize {
             return Err(CompileBailout::Invalid);
         }
@@ -183,14 +181,8 @@ impl CompiledTable {
             Ok(s) if !s.is_null() => Shared::new(s),
             _ => return Err(CompileBailout::Invalid),
         };
-        let mut table = CompiledTable::from_parts(TableParts {
-            symbols,
-            states: Vec::new(),
-            transitions: Vec::new(),
-            finals: Vec::new(),
-            permitted: Vec::new(),
-            fingerprint: 0,
-        });
+        let mut table =
+            CompiledTable::over(symbols, Vec::new(), Vec::new(), Vec::new(), Vec::new());
         table.max_states = budget.max_states;
         table.intern(start).expect("a positive budget holds σ");
         Ok(table)
@@ -213,7 +205,7 @@ impl CompiledTable {
 
     /// The symbol axis, sorted.
     pub fn symbols(&self) -> &[Action] {
-        &self.symbols
+        self.symbols.as_slice()
     }
 
     /// The canonical state value behind a state id.
@@ -225,7 +217,7 @@ impl CompiledTable {
     /// answer is `Null` in every state (the closed-alphabet argument in the
     /// module docs).
     pub(crate) fn column(&self, action: &Action) -> Option<usize> {
-        self.symbol_index.get(action).map(|&sym| sym as usize)
+        self.symbols.as_slice().binary_search(action).ok()
     }
 
     /// One table step: the successor id, or [`DEAD`] if the action is not
@@ -276,7 +268,7 @@ impl CompiledTable {
     /// table still records a dead or already-interned successor; any other
     /// comes back as `Err`, un-interned, and the cell stays unknown.
     pub(crate) fn fill(&mut self, state: u32, sym: usize) -> Result<u32, Shared<State>> {
-        let next = trans(&self.states[state as usize], &self.symbols[sym]);
+        let next = trans(&self.states[state as usize], &self.symbols()[sym]);
         let id = if next.is_null() { DEAD } else { self.intern(Shared::new(next))? };
         self.transitions[state as usize * self.symbols.len() + sym] = id;
         self.filled += 1;
@@ -346,12 +338,11 @@ impl CompiledTable {
     }
 
     /// Decomposes the table into its serializable parts, unknown cells
-    /// included.  The derived lookup maps (`symbol_index`, value→id `index`),
-    /// the budget and the epoch stamp are dropped —
-    /// [`CompiledTable::from_parts`] rebuilds the maps.
+    /// included.  The derived value→id `index`, the budget and the epoch
+    /// stamp are dropped — [`CompiledTable::from_parts`] rebuilds the index.
     pub fn to_parts(&self) -> TableParts {
         TableParts {
-            symbols: self.symbols.clone(),
+            symbols: self.symbols().to_vec(),
             states: self.states.clone(),
             transitions: self.transitions.clone(),
             finals: self.finals.clone(),
@@ -361,27 +352,39 @@ impl CompiledTable {
     }
 
     /// Reassembles a table from parts (the inverse of
-    /// [`CompiledTable::to_parts`]): rebuilds the symbol and state lookup
-    /// maps and counts the filled cells.  The table comes back at epoch 0
-    /// and capped at the states it has — the adopting tier stamps its own
-    /// epoch and budget on install, and goes on filling from there.
+    /// [`CompiledTable::to_parts`]): rebuilds the axis and the state index
+    /// and counts the filled cells.  The table comes back at epoch 0 and
+    /// capped at the states it has — the adopting tier stamps its own epoch
+    /// and budget on install, and goes on filling from there.
     pub fn from_parts(parts: TableParts) -> CompiledTable {
-        let symbol_index =
-            parts.symbols.iter().enumerate().map(|(i, a)| (a.clone(), i as u16)).collect();
+        let axis = Alphabet::from_actions(parts.symbols.iter().cloned());
+        // `to_parts` writes the axis sorted.  One that is not would permute
+        // the columns, so it is dropped and the table stands in for nothing.
+        let axis = if axis.as_slice() == parts.symbols { axis } else { Alphabet::new() };
+        CompiledTable::over(axis, parts.states, parts.transitions, parts.finals, parts.permitted)
+    }
+
+    /// A table over the axis `symbols` holding `states` and their arrays.
+    fn over(
+        symbols: Alphabet,
+        states: Vec<Shared<State>>,
+        transitions: Vec<u32>,
+        finals: Vec<u64>,
+        permitted: Vec<u64>,
+    ) -> CompiledTable {
         #[allow(clippy::mutable_key_type)]
         let index: HashMap<Shared<State>, u32> =
-            parts.states.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
+            states.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
         CompiledTable {
-            words_per_state: parts.symbols.len().div_ceil(64),
-            symbols: parts.symbols,
-            symbol_index,
-            max_states: parts.states.len(),
-            states: parts.states,
+            words_per_state: symbols.len().div_ceil(64),
+            symbols,
+            max_states: states.len(),
+            states,
             index,
-            filled: parts.transitions.iter().filter(|&&cell| cell != UNKNOWN).count(),
-            transitions: parts.transitions,
-            finals: parts.finals,
-            permitted: parts.permitted,
+            filled: transitions.iter().filter(|&&cell| cell != UNKNOWN).count(),
+            transitions,
+            finals,
+            permitted,
             epoch: 0,
         }
     }
@@ -509,7 +512,7 @@ pub(crate) fn for_each_resident<'s, F>(
         return;
     }
     *bailouts += 1;
-    for (i, child) in expr.children().into_iter().enumerate() {
+    for (i, child) in expr.iter_children().enumerate() {
         let runs = nodes.iter().flat_map(|n| operand_runs(n, i)).collect();
         for_each_resident(child, runs, bailouts, found);
     }

@@ -97,7 +97,7 @@ fn find_atom_not_mentioning(body: &Expr, p: Param) -> Option<String> {
                 }
             }
             _ => {
-                for c in e.children() {
+                for c in e.iter_children() {
                     go(c, p, shadowed, found);
                 }
             }

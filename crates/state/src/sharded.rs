@@ -76,15 +76,9 @@ impl ShardRouter {
 
     /// Builds a router at an explicit partition epoch.
     pub fn with_epoch(alphabets: Vec<Alphabet>, epoch: u64) -> ShardRouter {
-        let mut by_signature: BTreeMap<(Symbol, usize), Vec<usize>> = BTreeMap::new();
+        let mut by_signature = BTreeMap::new();
         for (shard, alphabet) in alphabets.iter().enumerate() {
-            for abstract_action in alphabet.actions() {
-                let key = (abstract_action.name(), abstract_action.arity());
-                let shards = by_signature.entry(key).or_default();
-                if !shards.contains(&shard) {
-                    shards.push(shard);
-                }
-            }
+            index_shard(&mut by_signature, shard, alphabet);
         }
         ShardRouter { by_signature, alphabets, epoch }
     }
@@ -103,18 +97,10 @@ impl ShardRouter {
     /// ascending by construction.
     pub fn extended(&self, new_alphabets: &[Alphabet]) -> ShardRouter {
         let mut by_signature = self.by_signature.clone();
-        let mut alphabets = self.alphabets.clone();
-        for alphabet in new_alphabets {
-            let shard = alphabets.len();
-            for abstract_action in alphabet.actions() {
-                let key = (abstract_action.name(), abstract_action.arity());
-                let shards = by_signature.entry(key).or_default();
-                if !shards.contains(&shard) {
-                    shards.push(shard);
-                }
-            }
-            alphabets.push(alphabet.clone());
+        for (shard, alphabet) in (self.alphabets.len()..).zip(new_alphabets) {
+            index_shard(&mut by_signature, shard, alphabet);
         }
+        let alphabets = self.alphabets.iter().chain(new_alphabets).cloned().collect();
         ShardRouter { by_signature, alphabets, epoch: self.epoch + 1 }
     }
 
@@ -134,13 +120,13 @@ impl ShardRouter {
     /// covers the action (such actions are outside the expression's
     /// language).
     pub fn owners_iter<'a>(&'a self, action: &'a Action) -> impl Iterator<Item = usize> + 'a {
-        // Candidate lists are built in ascending shard order.
-        self.by_signature
-            .get(&(action.name(), action.arity()))
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(move |&s| self.alphabets[s].covers(action))
+        self.candidates(action).iter().copied().filter(move |&s| self.alphabets[s].covers(action))
+    }
+
+    /// The shards whose alphabets have an entry of the action's name and
+    /// arity, ascending (the lists are built in shard order).
+    fn candidates(&self, action: &Action) -> &[usize] {
+        self.by_signature.get(&(action.name(), action.arity())).map_or(&[], Vec::as_slice)
     }
 
     /// The shards owning the action, collected sorted ascending — the
@@ -149,17 +135,15 @@ impl ShardRouter {
         self.owners_iter(action).collect()
     }
 
-    /// Classifies the action's ownership without allocating on the
-    /// single-owner fast path: submission front ends branch on the result
-    /// and only cross-shard actions materialize their owner list.
+    /// Classifies the action's ownership: one signature lookup, then one
+    /// alphabet probe per candidate shard, neither of which allocates.  A
+    /// single owner (or none) allocates nothing; a cross-shard action
+    /// allocates its owner list once, sized by the candidate list.
     ///
     /// An action unknown to every shard resolves to [`Route::None`] from the
-    /// signature index alone — no alphabet probe, no allocation — so callers
-    /// can deny it without touching any queue or lock.
+    /// signature index alone — no alphabet probe — so callers can deny it
+    /// without touching any queue or lock.
     pub fn classify(&self, action: &Action) -> Route {
-        if !self.by_signature.contains_key(&(action.name(), action.arity())) {
-            return Route::None;
-        }
         let mut iter = self.owners_iter(action);
         let Some(first) = iter.next() else {
             return Route::None;
@@ -167,7 +151,8 @@ impl ShardRouter {
         let Some(second) = iter.next() else {
             return Route::Single(first);
         };
-        let mut owners = vec![first, second];
+        let mut owners = Vec::with_capacity(self.candidates(action).len());
+        owners.extend([first, second]);
         owners.extend(iter);
         Route::Multi(owners)
     }
@@ -188,6 +173,22 @@ impl ShardRouter {
     /// The alphabet of a shard.
     pub fn alphabet(&self, shard: usize) -> &Alphabet {
         &self.alphabets[shard]
+    }
+}
+
+/// Enters `shard` into the candidate list of every signature its alphabet
+/// has.  Shards are indexed in ascending id order, so each list stays sorted
+/// and a repeat of the shard can only be its last entry.
+fn index_shard(
+    by_signature: &mut BTreeMap<(Symbol, usize), Vec<usize>>,
+    shard: usize,
+    alphabet: &Alphabet,
+) {
+    for action in alphabet.actions() {
+        let shards = by_signature.entry((action.name(), action.arity())).or_default();
+        if shards.last() != Some(&shard) {
+            shards.push(shard);
+        }
     }
 }
 

@@ -156,7 +156,7 @@ type CoverageKey = (Action, Option<(Param, Value)>);
 /// concrete action; they become concrete when the enclosing quantifier
 /// instantiates the state by substitution.
 ///
-/// Coverage queries are *symbol-indexed*: the alphabet's `BTreeSet` orders
+/// Coverage queries are *symbol-indexed*: the alphabet's sorted slice orders
 /// abstract actions by name first, so the candidates for a concrete action
 /// are a contiguous range instead of a full scan, and composite states
 /// sharing this scope (behind one [`Shared`] handle) additionally memoize
@@ -224,7 +224,8 @@ impl ScopedAlphabet {
     /// The symbol-indexed candidate atoms for a concrete action: same name,
     /// same arity.
     fn candidates<'a>(&'a self, concrete: &'a Action) -> impl Iterator<Item = &'a Action> + 'a {
-        self.alphabet.candidates(concrete.name()).filter(move |a| a.arity() == concrete.arity())
+        let candidates = self.alphabet.candidates(concrete.name());
+        candidates.iter().filter(move |a| a.arity() == concrete.arity())
     }
 
     /// True if the atom mentions a parameter of `blocked` (treating `skip`
@@ -236,10 +237,13 @@ impl ScopedAlphabet {
         })
     }
 
-    fn cached(&self, key: CoverageKey, compute: impl Fn() -> bool) -> bool {
+    /// The verdict of `compute` for `probe`, through the memo when the
+    /// alphabet is large enough to use one — and only then is the key built.
+    fn cached(&self, probe: (&Action, Option<(Param, Value)>), compute: impl Fn() -> bool) -> bool {
         if self.alphabet.len() < COVERAGE_CACHE_MIN_ALPHABET {
             return compute();
         }
+        let key: CoverageKey = (probe.0.clone(), probe.1);
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(&hit) = cache.get(&key) {
             return hit;
@@ -256,7 +260,7 @@ impl ScopedAlphabet {
     /// blocked parameters as never matching and all other parameters as
     /// wildcards.
     pub fn covers(&self, concrete: &Action) -> bool {
-        self.cached((concrete.clone(), None), || {
+        self.cached((concrete, None), || {
             self.candidates(concrete)
                 .any(|a| !self.mentions_blocked(a, None) && a.matches_concrete(concrete))
         })
@@ -282,7 +286,7 @@ impl ScopedAlphabet {
     /// Coverage for a specific instantiation of a parameter (used for
     /// quantifier branches): the parameter is substituted before matching.
     pub fn covers_with(&self, concrete: &Action, param: Param, value: Value) -> bool {
-        self.cached((concrete.clone(), Some((param, value))), || {
+        self.cached((concrete, Some((param, value))), || {
             self.candidates(concrete).any(|a| {
                 !self.mentions_blocked(a, Some(param))
                     && a.substitute(param, value).matches_concrete(concrete)

@@ -1,0 +1,186 @@
+//! Allocation counts that hold still: the routing path allocates nothing on
+//! a single owner, and one runtime set-up stays under a pinned number of
+//! allocations.  Timings on a small shared host spread too widely to gate;
+//! these counts are exact and seed-independent.
+//!
+//! A test binary of its own: the `#[global_allocator]` below counts every
+//! allocation, zeroed allocation and reallocation made *by the calling
+//! thread* (a thread-local counter, so tests running in parallel do not see
+//! each other).  Each measurement runs once first, untimed and uncounted,
+//! so one-time work — symbol interning, lazily built statics — stays out.
+//!
+//! The set-up bounds are the values measured when they were pinned
+//! (debug and release agree); the code before alphabets became sorted
+//! slices measured 360, 454 and 602.  A change that lowers a count should
+//! lower its bound with it.
+
+use ix_core::{parse, Action, Expr, Partition, Value};
+use ix_manager::{ManagerRuntime, ProtocolVariant, RuntimeOptions, Session};
+use ix_state::{Route, ScopedAlphabet, ShardRouter};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn tick() {
+    // `try_with`: a thread being torn down still allocates.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a const-initialised thread-local that itself never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tick();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tick();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tick();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` once to warm up, then again counting this thread's allocations.
+fn allocations<R>(mut f: impl FnMut() -> R) -> u64 {
+    drop(f());
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    let n = ALLOCATIONS.with(Cell::get) - before;
+    drop(out);
+    n
+}
+
+/// The router of `cross_chain`'s expression: four departments, each its
+/// own shard, all coupled by `audit`.
+fn chain_router() -> ShardRouter {
+    let partition = Partition::of(&parse(&chain_src()).unwrap());
+    ShardRouter::new(partition.components().iter().map(|c| c.alphabet.clone()).collect())
+}
+
+#[test]
+fn routing_a_single_owner_action_allocates_nothing() {
+    let router = chain_router();
+    let call = ix_wfms::coupled_call(2, 7);
+    assert_eq!(router.classify(&call), Route::Single(2));
+    assert_eq!(allocations(|| router.classify(&call)), 0);
+    assert_eq!(allocations(|| router.owners_iter(&call).count()), 0);
+
+    let alphabet = router.alphabet(2);
+    let pattern = alphabet.covering(&call).expect("call_dept2(p) covers call_dept2(7)").clone();
+    assert!(!pattern.is_concrete(), "the covering entry is parameterised");
+    assert_eq!(allocations(|| alphabet.covers(&call)), 0);
+    assert_eq!(allocations(|| alphabet.covering(&call).is_some()), 0);
+    assert_eq!(allocations(|| alphabet.overlaps_action(&pattern)), 0);
+}
+
+#[test]
+fn routing_a_cross_shard_action_allocates_its_owner_list_once() {
+    let router = chain_router();
+    let audit = ix_wfms::coupled_audit();
+    assert_eq!(router.classify(&audit), Route::Multi(vec![0, 1, 2, 3]));
+    assert!(allocations(|| router.classify(&audit)) <= 1);
+}
+
+#[test]
+fn scoped_coverage_allocates_nothing_with_or_without_its_memo() {
+    // Three actions answer without the memo, six through it.
+    for body in ["a(p) - b(p) - c(p)", "a(p) - b(p) - c(p) - d(p) - e(p) - f(p)"] {
+        let scope = ScopedAlphabet::of(&parse(&format!("some p {{ {body} }}")).unwrap());
+        let inside = Action::concrete("a", [Value::int(1)]);
+        let outside = Action::concrete("z", [Value::int(1)]);
+        assert!(scope.covers(&inside) && !scope.covers(&outside));
+        assert_eq!(allocations(|| scope.covers(&inside)), 0, "{body}");
+        assert_eq!(allocations(|| scope.covers(&outside)), 0, "{body}");
+    }
+}
+
+/// One set-up the way ixbench times it: parse, construct, compile the tiers
+/// where the workload runs from tables, open the sessions.
+fn set_up(src: &str, options: RuntimeOptions, clients: u64, compile: bool) -> Live {
+    let expr: Expr = parse(src).unwrap();
+    let runtime = ManagerRuntime::with_options(&expr, options).unwrap();
+    if compile {
+        runtime.compile_tiers();
+    }
+    let sessions = (1..=clients).map(|c| runtime.session(c)).collect();
+    Live { runtime: Some(runtime), sessions }
+}
+
+/// A set-up's runtime, shut down (uncounted) when it is dropped.
+struct Live {
+    runtime: Option<ManagerRuntime>,
+    sessions: Vec<Session>,
+}
+
+impl Drop for Live {
+    fn drop(&mut self) {
+        self.sessions.clear();
+        self.runtime.take().unwrap().shutdown().unwrap();
+    }
+}
+
+/// `local_sync`'s and `durable_commit`'s expression.
+fn cases_src() -> String {
+    let group = |k| format!("(some p {{ call_{k}(p) - perform_{k}(p) }})*");
+    (0..4).map(group).collect::<Vec<_>>().join(" @ ")
+}
+
+/// `local_pipelined`'s expression.
+fn rings_src() -> String {
+    let ring = |k| ["call", "prep", "perform", "report"].map(|s| format!("{s}_{k}")).join(" - ");
+    (0..4).map(|k| format!("({})*", ring(k))).collect::<Vec<_>>().join(" @ ")
+}
+
+/// `cross_chain`'s expression, `ix_wfms::coupled_ensemble_constraint(4)`.
+fn chain_src() -> String {
+    let group = |k| format!("((some p {{ call_dept{k}(p) - perform_dept{k}(p) }})* - audit)*");
+    (0..4).map(group).collect::<Vec<_>>().join(" @ ")
+}
+
+fn options(variant: ProtocolVariant) -> RuntimeOptions {
+    RuntimeOptions { variant, ..RuntimeOptions::default() }
+}
+
+#[test]
+fn a_set_up_stays_under_its_pinned_allocation_count() {
+    assert_eq!(parse(&chain_src()).unwrap(), ix_wfms::coupled_ensemble_constraint(4));
+    let cases = cases_src();
+    let chain = chain_src();
+    let rings = rings_src();
+    let measured = [
+        ("local_sync", allocations(|| set_up(&cases, options(ProtocolVariant::Simple), 1, false))),
+        (
+            "cross_chain",
+            allocations(|| set_up(&chain, options(ProtocolVariant::Combined), 1, false)),
+        ),
+        (
+            "local_pipelined",
+            allocations(|| set_up(&rings, options(ProtocolVariant::Combined), 2, true)),
+        ),
+    ];
+    let bounds = [171, 205, 264];
+    let over: Vec<String> = measured
+        .into_iter()
+        .zip(bounds)
+        .filter(|&((_, n), bound)| n > bound)
+        .map(|((workload, n), bound)| format!("{workload}: {n} allocations (bound {bound})"))
+        .collect();
+    assert!(over.is_empty(), "one set-up allocates more than pinned: {over:?}");
+}
