@@ -1,5 +1,5 @@
-//! Commit-chain cross-shard workload: conditional-vote cascading on vs off
-//! vs the blocking manager.
+//! Commit-chain cross-shard workload: the runtime's conditional-vote
+//! cascade vs the blocking manager.
 //!
 //! The workload stresses exactly the path BENCH_async.json flagged as the
 //! system's worst: chains of *consecutive* cross-shard commits.  Each client
@@ -11,14 +11,10 @@
 //! submissions that are audits), mirroring [`crate::contended`]'s ratio
 //! knob but with the audits adjacent instead of spread out.
 //!
-//! Under the old protocol every committing barrier in a chain costs a full
-//! rendezvous: a yes vote on an undecided predecessor holds all successor
-//! votes back, so a depth-`d` burst pays ~`d` parks per owner.  With
-//! conditional-vote cascading the successors' votes are deposited tagged
-//! with their assumptions, and the first barrier's commit cascades the
-//! whole burst to decided — the rendezvous-free decided path.  The bench
-//! reports all three surfaces on identical schedules so the cascade's
-//! effect is isolated: cascade-off shares every other runtime cost.
+//! In the runtime, the votes on a burst's later barriers are deposited
+//! tagged with their assumptions, and the first barrier's commit cascades the whole burst to decided — the
+//! rendezvous-free decided path.  The bench reports both surfaces on
+//! identical schedules, with the cascade counters of the runtime run.
 
 use crate::contended::{overlap_constraint, ContentionReport};
 use crate::pipelined::LatencyReport;
@@ -31,8 +27,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One measured configuration: identical schedules on the blocking manager,
-/// the runtime with cascading, and the runtime without.
+/// One measured configuration: identical schedules on the blocking manager
+/// and the runtime.
 #[derive(Clone, Debug)]
 pub struct CrossReport {
     /// Consecutive audits per burst (the commit-chain depth).
@@ -43,11 +39,9 @@ pub struct CrossReport {
     pub shards: usize,
     /// The blocking sharded manager.
     pub blocking: LatencyReport,
-    /// The session runtime with conditional-vote cascading (default).
-    pub cascade_on: LatencyReport,
-    /// The session runtime with `RuntimeOptions::cascade = false`.
-    pub cascade_off: LatencyReport,
-    /// Cascade counters of the cascade-on run — proof the fast path fired.
+    /// The session runtime.
+    pub runtime: LatencyReport,
+    /// Cascade counters of the runtime run — proof the fast path fired.
     pub cascade_stats: CascadeStats,
 }
 
@@ -183,14 +177,13 @@ fn collect(
     }
 }
 
-fn chain_runtime(shards: usize, overlap_percent: u32, cascade: bool) -> Arc<ManagerRuntime> {
+fn chain_runtime(shards: usize, overlap_percent: u32) -> Arc<ManagerRuntime> {
     let expr = overlap_constraint(shards, overlap_percent);
     Arc::new(
         ManagerRuntime::with_options(
             &expr,
             RuntimeOptions {
                 variant: ProtocolVariant::Combined,
-                cascade,
                 queue_metrics: true,
                 // This bench measures the cross-shard cascade protocol, so
                 // keep a dedicated worker per shard: with fewer workers the
@@ -204,7 +197,7 @@ fn chain_runtime(shards: usize, overlap_percent: u32, cascade: bool) -> Arc<Mana
     )
 }
 
-/// Runs one full configuration on all three surfaces.  One client per
+/// Runs one full configuration on both surfaces.  One client per
 /// shard, identical schedules on every surface.  Local pairs are
 /// conflict-free and always commit; an audit is denied iff it lands while
 /// another client is mid-pair ("mid-case anywhere vetoes the next audit"),
@@ -225,16 +218,12 @@ pub fn cross_chain_bench(
     );
     let blocking = run_chain_blocking(blocking_manager, threads, bursts, depth, overlap_percent);
 
-    let on = chain_runtime(shards, overlap_percent, true);
-    let cascade_on =
-        run_chain_runtime(Arc::clone(&on), threads, bursts, depth, overlap_percent, window);
-    let cascade_stats = on.cascade_stats();
-    drop(on);
+    let chains = chain_runtime(shards, overlap_percent);
+    let runtime =
+        run_chain_runtime(Arc::clone(&chains), threads, bursts, depth, overlap_percent, window);
+    let cascade_stats = chains.cascade_stats();
 
-    let off = chain_runtime(shards, overlap_percent, false);
-    let cascade_off = run_chain_runtime(off, threads, bursts, depth, overlap_percent, window);
-
-    CrossReport { depth, overlap_percent, shards, blocking, cascade_on, cascade_off, cascade_stats }
+    CrossReport { depth, overlap_percent, shards, blocking, runtime, cascade_stats }
 }
 
 #[cfg(test)]
@@ -253,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_surfaces_commit_the_conflict_free_work() {
+    fn both_surfaces_commit_the_conflict_free_work() {
         let report = cross_chain_bench(2, 4, 50, 3, 16);
         // 2 clients x 3 bursts x (2 pairs x 2 locals + 4 audits).  Locals
         // always commit; audits are denied iff they race another client's
@@ -261,11 +250,7 @@ mod tests {
         // and the full schedule on every surface.
         let locals = 2 * 3 * 4;
         let total = locals + 2 * 3 * 4;
-        for (name, surface) in [
-            ("blocking", &report.blocking),
-            ("cascade-on", &report.cascade_on),
-            ("cascade-off", &report.cascade_off),
-        ] {
+        for (name, surface) in [("blocking", &report.blocking), ("runtime", &report.runtime)] {
             let committed = surface.contention.committed;
             assert!(
                 (locals as u64..=total as u64).contains(&committed),

@@ -1045,6 +1045,7 @@ pub(crate) fn snap_blob(shard: usize) -> String {
 /// is not per-shard — the clock, the meta-stream statistics base and its
 /// covered offset, the allocator high-water marks, and the cross-shard /
 /// orphan subscription registries (checkpoint-resident soft state).
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct Manifest {
     pub(crate) clock: u64,
     pub(crate) meta_covered: u64,
@@ -1054,13 +1055,9 @@ pub(crate) struct Manifest {
     /// Cross-shard subscription entries.
     pub(crate) cross: Vec<CrossRow>,
     /// Orphaned subscriptions (actions outside the current alphabet).
+    /// The last field: the decoder ignores any bytes after it, such as the
+    /// worker-placement trailer earlier manifests carry.
     pub(crate) orphans: Vec<SubscriptionRow>,
-    /// The worker-pool placement table at checkpoint time
-    /// (`placement[shard]` = worker), so a recovery keeps hot shards
-    /// isolated.  Encoded as a trailer and decoded tolerantly: manifests
-    /// written before this field read back as empty (round-robin at spawn),
-    /// and a table that does not fit the recovered pool is discarded there.
-    pub(crate) placement: Vec<usize>,
 }
 
 pub(crate) const MANIFEST_BLOB: &str = "manifest";
@@ -1093,10 +1090,6 @@ pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
         w.bool(*permitted);
     }
     encode_subscription_rows(&mut w, &m.orphans);
-    w.len_prefix(m.placement.len());
-    for worker in &m.placement {
-        w.u64(*worker as u64);
-    }
     w.into_bytes()
 }
 
@@ -1134,28 +1127,9 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> ManagerResult<Manifest> {
             cross.push((action, owners, bits, clients, r.bool()?));
         }
         let orphans = decode_subscription_rows(&mut r)?;
-        // Tolerant trailer: a manifest written before the placement table
-        // existed simply ends here.
-        let placement = match r.len_prefix() {
-            Ok(n) => {
-                let mut table = Vec::with_capacity(n);
-                for _ in 0..n {
-                    table.push(r.u64()? as usize);
-                }
-                table
-            }
-            Err(_) => Vec::new(),
-        };
-        Ok(Manifest {
-            clock,
-            meta_covered,
-            meta_base,
-            log_seq,
-            next_reservation,
-            cross,
-            orphans,
-            placement,
-        })
+        // Whatever follows the orphan rows — the worker-placement trailer of
+        // earlier manifests — is ignored.
+        Ok(Manifest { clock, meta_covered, meta_base, log_seq, next_reservation, cross, orphans })
     })()
     .map_err(|e| codec_err("manifest", e))
 }
@@ -1268,10 +1242,6 @@ pub struct VaultInspection {
     pub queue_pending: u64,
     /// Queue-stream records past the queue checkpoint's covered offset.
     pub queue_tail: u64,
-    /// Worker-pool placement table the manifest captured (shard → worker;
-    /// empty without a manifest or for pre-placement vaults).  A recovery
-    /// seeds its placement from this table when the worker count matches.
-    pub placement: Vec<usize>,
     /// Per-shard snapshot and tail summary.
     pub shards: Vec<ShardInspection>,
 }
@@ -1295,7 +1265,6 @@ pub fn inspect_vault(vault: &Arc<dyn Vault>) -> ManagerResult<VaultInspection> {
         None => None,
     };
     let (meta_covered, clock) = manifest.as_ref().map_or((0, 0), |m| (m.meta_covered, m.clock));
-    let placement = manifest.as_ref().map_or_else(Vec::new, |m| m.placement.clone());
     let queue_covered = queue.as_ref().map_or(0, |q| q.covered);
     let mut shards = Vec::with_capacity(topo.components.len());
     for shard in 0..topo.components.len() {
@@ -1327,7 +1296,6 @@ pub fn inspect_vault(vault: &Arc<dyn Vault>) -> ManagerResult<VaultInspection> {
         meta_tail: vault.stream_len(META_STREAM).saturating_sub(meta_covered),
         queue_pending: queue.as_ref().map_or(0, |q| q.pending.len() as u64),
         queue_tail: vault.stream_len(QUEUE_STREAM).saturating_sub(queue_covered),
-        placement,
         shards,
     })
 }
@@ -1650,26 +1618,22 @@ mod tests {
             next_reservation: 31,
             cross: vec![(act("x"), vec![0, 2], vec![true, false], vec![1], false)],
             orphans: vec![(act("z"), act("z"), vec![3], true)],
-            placement: vec![0, 1, 0, 1],
         };
-        let decoded = decode_manifest(&encode_manifest(&manifest)).expect("manifest");
-        assert_eq!(decoded.clock, 11);
-        assert_eq!(decoded.meta_covered, 5);
-        assert_eq!(decoded.log_seq, 20);
-        assert_eq!(decoded.next_reservation, 31);
-        assert_eq!(decoded.cross, manifest.cross);
-        assert_eq!(decoded.orphans, manifest.orphans);
-        assert_eq!(decoded.placement, manifest.placement);
+        // The encoding ends at the orphan rows, as manifests written before
+        // the worker-placement trailer did.
+        let encoded = encode_manifest(&manifest);
+        assert_eq!(decode_manifest(&encoded).expect("manifest"), manifest);
 
-        // A manifest written before the placement trailer existed decodes
-        // with an empty table (spawn falls back to round-robin).
-        // The trailer is a varint length plus one varint per shard; every
-        // value here fits in a single byte.
-        let mut legacy = encode_manifest(&manifest);
-        legacy.truncate(legacy.len() - 5);
-        let decoded = decode_manifest(&legacy).expect("legacy manifest");
-        assert_eq!(decoded.orphans, manifest.orphans);
-        assert!(decoded.placement.is_empty());
+        // Manifests written with the trailer (a length prefix and one u64
+        // worker id per shard) still decode, the trailer ignored.
+        let mut trailer = Writer::new();
+        trailer.len_prefix(4);
+        for worker in [0u64, 1, 0, 1] {
+            trailer.u64(worker);
+        }
+        let mut with_trailer = encoded;
+        with_trailer.extend_from_slice(&trailer.into_bytes());
+        assert_eq!(decode_manifest(&with_trailer).expect("manifest with trailer"), manifest);
 
         let expr = parse("a | b").unwrap();
         let topo = TopologyCheckpoint {

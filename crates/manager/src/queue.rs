@@ -232,15 +232,14 @@ impl<T: Clone> DurableQueue<T> {
 // The runtime's per-shard task queues are *pool-visible*: instead of one OS
 // thread blocking on one shard's channel, a sized pool of workers each
 // drains the queues of a set of shards in bounded run-to-completion slices.
-// What makes that safe to enqueue against is the pair of types below — a
-// placement table naming, for every shard, the worker that drains its queue,
-// and a token parker per worker so an enqueue onto any of its queues wakes
-// exactly the right thread.  A worker's thread starts with the first wake-up
-// that has work behind it (`PoolCore::wake_worker`): a pool nothing was ever
-// queued on runs no thread at all.
+// Placement is a function, not a table: worker `w` serves the shards `s`
+// with `s % workers == w`.  A token parker per worker lets an enqueue onto
+// any of its queues wake exactly the right thread.  A worker's thread starts
+// with the first wake-up that has work behind it (`PoolCore::wake_worker`):
+// a pool nothing was ever queued on runs no thread at all.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -310,20 +309,17 @@ struct PoolThreads {
     handles: Vec<JoinHandle<()>>,
 }
 
-/// The scheduling core of the worker pool: the placement table (shard id →
-/// worker id — the work-finding artifact that replaced "thread = shard"),
-/// one [`WorkerParker`] per worker, the threads started so far, and the
-/// slot-liveness counter workers use to decide when the pool is finished.
-///
-/// The placement table is mutable *without* a topology-epoch bump: moving a
-/// shard between workers changes who drains its queue, never how tasks are
-/// routed into it, so the stale-route machinery is deliberately not
-/// involved.  Every mutation wakes both affected workers; every enqueue
-/// consults the table and wakes the placed worker.
+/// The scheduling core of the worker pool: the shard count the placement
+/// rule `shard % workers` ranges over, one [`WorkerParker`] per worker, the
+/// threads started so far, and the slot-liveness counter workers use to
+/// decide when the pool is finished.  Which worker serves a shard never
+/// changes, so an enqueue's wake-up is a modulo and takes no lock.
 pub(crate) struct PoolCore {
-    /// Shard id → worker id.  Grows by push when a repartition appends
-    /// shards; rewritten in place by the rebalancer.
-    placement: RwLock<Vec<usize>>,
+    /// Number of shards; grows when a repartition appends shards.  The
+    /// Release add in [`PoolCore::push_shard`] pairs with the Acquire load
+    /// in [`PoolCore::owned`]: a worker that walks up to a new shard id
+    /// also sees the `live` count that shard added.
+    shards: AtomicUsize,
     parkers: Vec<WorkerParker>,
     /// Whether worker `w`'s thread has been started.  Set under the
     /// `threads` lock (Release) after the thread exists; the Acquire load in
@@ -333,25 +329,17 @@ pub(crate) struct PoolCore {
     /// Shards whose slot has not yet finished (stop marker or disconnect).
     /// Workers exit when they own nothing and this reaches zero.
     pub(crate) live: AtomicUsize,
-    /// Number of placement rewrites the rebalancer performed.
-    pub(crate) rebalances: AtomicU64,
-    /// The shard most recently isolated onto its own worker
-    /// (`usize::MAX` = none yet).
-    pub(crate) last_isolated: AtomicUsize,
 }
 
 impl PoolCore {
-    pub(crate) fn new(workers: usize, placement: Vec<usize>) -> PoolCore {
+    pub(crate) fn new(workers: usize, shards: usize) -> PoolCore {
         debug_assert!(workers >= 1);
-        debug_assert!(placement.iter().all(|&w| w < workers));
         PoolCore {
-            live: AtomicUsize::new(placement.len()),
-            placement: RwLock::new(placement),
+            shards: AtomicUsize::new(shards),
+            live: AtomicUsize::new(shards),
             parkers: (0..workers).map(|_| WorkerParker::new()).collect(),
             started: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             threads: Mutex::new(PoolThreads::default()),
-            rebalances: AtomicU64::new(0),
-            last_isolated: AtomicUsize::new(usize::MAX),
         }
     }
 
@@ -402,49 +390,25 @@ impl PoolCore {
         (std::mem::take(&mut threads.handles), self.unstarted())
     }
 
-    /// A snapshot of the placement table.
-    pub(crate) fn placement(&self) -> Vec<usize> {
-        self.placement.read().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// The worker a shard is currently placed on.
+    /// The worker that serves `shard`.
     pub(crate) fn worker_of(&self, shard: usize) -> usize {
-        let table = self.placement.read().unwrap_or_else(|e| e.into_inner());
-        table.get(shard).copied().unwrap_or(0)
+        shard % self.workers()
     }
 
-    /// The shards currently placed on `worker`, in shard-id order (a
-    /// snapshot — the table may move on while the worker walks them, which
-    /// is fine: slot checkout is what enforces exclusivity, the table is a
-    /// work-finding hint).
-    pub(crate) fn owned(&self, worker: usize) -> Vec<usize> {
-        let table = self.placement.read().unwrap_or_else(|e| e.into_inner());
-        table.iter().enumerate().filter(|&(_, &w)| w == worker).map(|(shard, _)| shard).collect()
+    /// The shards `worker` serves, in shard-id order, up to the shard count
+    /// at the time of the call (a shard appended meanwhile is picked up on
+    /// the next walk).
+    pub(crate) fn owned(&self, worker: usize) -> impl Iterator<Item = usize> {
+        (worker..self.shards.load(Ordering::Acquire)).step_by(self.workers())
     }
 
-    /// Registers a newly appended shard on `worker` and returns its id.
-    pub(crate) fn push_shard(&self, worker: usize) {
-        let mut table = self.placement.write().unwrap_or_else(|e| e.into_inner());
-        table.push(worker.min(self.workers() - 1));
+    /// Registers a newly appended shard.
+    pub(crate) fn push_shard(&self) {
         self.live.fetch_add(1, Ordering::SeqCst);
+        self.shards.fetch_add(1, Ordering::Release);
     }
 
-    /// Moves `shard` to `worker`, waking both the old worker (to let go of
-    /// the shard) and the new one (to adopt it — started if need be: the
-    /// shard may come with a backlog).
-    pub(crate) fn assign(&self, shard: usize, worker: usize) {
-        let old = {
-            let mut table = self.placement.write().unwrap_or_else(|e| e.into_inner());
-            if shard >= table.len() || worker >= self.workers() {
-                return;
-            }
-            std::mem::replace(&mut table[shard], worker)
-        };
-        self.parkers[old].unpark();
-        self.wake_worker(worker);
-    }
-
-    /// Wakes the worker a shard is placed on — called after every enqueue
+    /// Wakes the worker that serves a shard — called after every enqueue
     /// onto the shard's queue.
     pub(crate) fn wake_shard(&self, shard: usize) {
         self.wake_worker(self.worker_of(shard));
@@ -632,7 +596,7 @@ mod tests {
 
     #[test]
     fn workers_start_at_their_first_wake_up_and_never_after_close() {
-        let core = PoolCore::new(2, vec![0, 1]);
+        let core = PoolCore::new(2, 2);
         let spawned = std::sync::Arc::new(AtomicUsize::new(0));
         let count = std::sync::Arc::clone(&spawned);
         core.set_spawner(Box::new(move |_| {
@@ -654,18 +618,18 @@ mod tests {
     }
 
     #[test]
-    fn pool_core_placement_moves_and_grows() {
-        let core = PoolCore::new(3, vec![0, 1, 2, 0]);
+    fn pool_core_placement_is_a_modulo_that_grows() {
+        let core = PoolCore::new(3, 4);
         assert_eq!(core.workers(), 3);
-        assert_eq!(core.worker_of(3), 0);
-        core.assign(3, 2);
-        assert_eq!(core.worker_of(3), 2);
-        core.push_shard(1);
-        assert_eq!(core.placement(), vec![0, 1, 2, 2, 1]);
+        assert_eq!((0..4).map(|s| core.worker_of(s)).collect::<Vec<_>>(), [0, 1, 2, 0]);
+        assert_eq!(core.owned(0).collect::<Vec<_>>(), [0, 3]);
+        assert_eq!(core.owned(2).collect::<Vec<_>>(), [2]);
+        core.push_shard();
+        assert_eq!(core.owned(1).collect::<Vec<_>>(), [1, 4]);
         assert_eq!(core.live.load(Ordering::SeqCst), 5);
-        // Out-of-range assignments are ignored rather than panicking.
-        core.assign(99, 0);
-        core.assign(0, 99);
-        assert_eq!(core.worker_of(0), 0);
+        // Every shard is served by exactly one worker.
+        let mut all: Vec<usize> = (0..3).flat_map(|w| core.owned(w)).collect();
+        all.sort_unstable();
+        assert_eq!(all, [0, 1, 2, 3, 4]);
     }
 }

@@ -10,7 +10,7 @@
 //!   reservation table, subscription registry and log segment are one
 //!   `ShardState` (the private `shard` module, the only code that changes
 //!   one), checked out by whoever serves the shard for as long as it does —
-//!   the worker the placement table names, or the submitting thread itself
+//!   worker `shard % workers`, or the submitting thread itself
 //!   when the shard is at rest and the operation has one owner (a *caller
 //!   frame*: a client that blocks on each reply, as the paper's WfMS does,
 //!   is served without a thread hop and without a worker thread).  The
@@ -124,15 +124,6 @@ pub struct RuntimeOptions {
     /// whichever thread decides, and stops growing at the budget; migrations
     /// invalidate the tables of every affected shard.
     pub tier_budget: usize,
-    /// Conditional-vote cascading on the coalesced cross-shard execute
-    /// rendezvous (default on): a voter whose speculative chain runs through
-    /// still-undecided predecessors deposits a *conditional* vote tagged
-    /// with its assumptions instead of holding the vote back, so an
-    /// all-commit chain cascades to decided without one rendezvous park per
-    /// barrier.  Off reproduces the PR-4 unconditional-votes-only protocol
-    /// exactly; the lockstep property tests prove the two modes (and the
-    /// blocking manager) decide identically.
-    pub cascade: bool,
     /// Record a queueing-delay sample per completed execute — the time a
     /// task waited in its shard queue vs the time the worker spent serving
     /// it.  Drained via [`ManagerRuntime::drain_queue_samples`]; off by
@@ -155,22 +146,13 @@ pub struct RuntimeOptions {
     /// Size of the pool of workers draining the shard queues (0 = one per
     /// available hardware thread; the host is asked once per process, so a
     /// cgroup limit changed later is not seen).  Shards are decoupled from
-    /// OS threads: each worker drains the queues of the *set* of shards the
-    /// placement table assigns it, in bounded run-to-completion slices, so a
+    /// OS threads: worker `w` drains the queues of the shards `s` with
+    /// `s % workers == w`, in bounded run-to-completion slices, so a
     /// 64-shard partition on an 8-core host runs at most 8 threads, not 64.
     /// A worker's thread starts with the first task queued for it; what a
     /// client submits while its shard is at rest is decided on the client's
     /// own thread and queues nothing.
     pub worker_threads: usize,
-    /// Load-driven placement: with `Some(period)`, a background rebalancer
-    /// samples the per-shard load signal every `period` and, when one shard
-    /// runs sustained-hot against the mean, isolates it onto its own worker
-    /// and co-locates the cold shards elsewhere.  Placement moves are
-    /// ownership transfers only — no history replay, no topology epoch
-    /// bump.  `None` (the default) keeps placement static;
-    /// [`ManagerRuntime::rebalance_now`] runs one pass on demand either
-    /// way.
-    pub rebalance_every: Option<Duration>,
     /// Automatic checkpointing period in logical clock ticks (0 = off).
     /// Arms a timer-wheel entry that triggers a full
     /// [`ManagerRuntime::checkpoint`] every `checkpoint_every` ticks —
@@ -187,12 +169,10 @@ impl Default for RuntimeOptions {
             durable: false,
             clock: ClockMode::Virtual,
             tier_budget: DEFAULT_TIER_BUDGET,
-            cascade: true,
             queue_metrics: false,
             fsync: FsyncPolicy::Never,
             queue_limit: 0,
             worker_threads: 0,
-            rebalance_every: None,
             checkpoint_every: 0,
         }
     }
@@ -292,9 +272,8 @@ struct ShardGate {
     service_ewma_ns: AtomicU64,
     /// EWMA (α = 1/8) of queue depth in task units, sampled at every
     /// completed task by whoever served it.  Drives the watermark scaling of
-    /// [`class_cap`] and the sustained-hot detection
-    /// of the placement rebalancer — a transient burst barely moves it, a
-    /// queue that *stays* deep saturates it.
+    /// [`class_cap`] — a transient burst barely moves it, a queue that
+    /// *stays* deep saturates it.
     depth_ewma: AtomicU64,
     /// Entries of the shard's commit log, how many of them a checkpoint has
     /// archived, and the bytes of the resident ones; published after every
@@ -393,12 +372,6 @@ impl ShardGate {
         self.depth_ewma.store(ewma - ewma / 8 + depth * 2, Ordering::Relaxed);
     }
 
-    /// The instantaneous queued depth in task units (0 on unbounded gates,
-    /// which never charge credits).
-    fn queued_depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed).max(0) as usize
-    }
-
     /// The sustained depth pressure: the depth EWMA as a percentage of the
     /// limit (0 on unbounded gates).
     fn pressure_pct(&self) -> usize {
@@ -458,7 +431,7 @@ pub struct ShardLoad {
     /// EWMA of per-task service time, nanoseconds.
     pub service_ewma_ns: u64,
     /// EWMA of queue depth in task units — the sustained-pressure signal
-    /// behind adaptive watermark scaling and hot-shard rebalancing.
+    /// behind adaptive watermark scaling.
     pub depth_ewma: usize,
     /// Confirmed actions in the shard's commit log (a multi-owner action
     /// counts on its primary owner only).
@@ -521,13 +494,6 @@ pub struct SchedStats {
     /// the first task queued for it, so a runtime whose clients block on
     /// each reply — every decision taken on the caller's frame — reads 0.
     pub started: usize,
-    /// The placement table: `placement[shard]` is the worker currently
-    /// serving that shard.
-    pub placement: Vec<usize>,
-    /// Hot-shard isolations the rebalancer has performed.
-    pub rebalances: u64,
-    /// The most recently isolated shard, if any isolation ever ran.
-    pub last_isolated: Option<usize>,
     /// Checkpoints cut automatically by the timer wheel
     /// ([`RuntimeOptions::checkpoint_every`]).
     pub auto_checkpoints: u64,
@@ -705,8 +671,8 @@ struct Topology {
     /// Whether any gate enforces a limit — the one-branch fast path that
     /// keeps unbounded runtimes free of admission work.
     bounded: bool,
-    /// The worker pool (placement table + parkers): every enqueue wakes the
-    /// worker the placement table names for the target shard.  Shared with
+    /// The worker pool: every enqueue wakes the worker that serves the
+    /// target shard.  Shared with
     /// [`RuntimeShared`]; carried on the topology so the enqueue layer can
     /// wake without an extra indirection.
     pool: Arc<PoolCtl>,
@@ -832,14 +798,12 @@ struct RuntimeShared {
     next_reservation: AtomicU64,
     stats: SharedStats,
     repart: RepartCounters,
-    /// Conditional-vote cascading enabled (see [`RuntimeOptions::cascade`]).
-    cascade: bool,
     /// Per-shard published reservation fingerprints: updated by the owning
     /// worker after every reservation mutation, read by whoever verifies a
     /// conditional vote's validity tag.  Absent shard = empty table.
     reservation_fps: Mutex<HashMap<usize, u64>>,
     /// Counters of the cascading machinery (not part of the protocol stats —
-    /// cascade-on and cascade-off runs produce identical [`ManagerStats`]).
+    /// they describe how decisions were reached, not what was decided).
     cascade_counters: CascadeCounters,
     /// Queueing-delay sampling enabled (see [`RuntimeOptions::queue_metrics`]).
     queue_metrics: bool,
@@ -849,10 +813,9 @@ struct RuntimeShared {
     /// Per-shard admission limit (see [`RuntimeOptions::queue_limit`]) —
     /// kept here so repartitions gate their new shards identically.
     queue_limit: usize,
-    /// The worker pool: placement table, parkers, the slot bench, and the
-    /// rebalancer state.  Shards are scheduling units; workers are the OS
-    /// threads that serve them (see the worker-pool section of
-    /// ARCHITECTURE.md).
+    /// The worker pool: parkers and the slot bench.  Shards are scheduling
+    /// units; workers are the OS threads that serve them (see the
+    /// worker-pool section of ARCHITECTURE.md).
     pool: Arc<PoolCtl>,
     /// Automatic checkpoint period in logical ticks (0 = off); mirrors
     /// [`RuntimeOptions::checkpoint_every`].
@@ -901,20 +864,18 @@ pub struct CascadeStats {
 // The worker pool: shards are scheduling units, workers are OS threads.
 //
 // A `PoolCtl` owns one `ShardSlot` per shard (the *bench*) plus the
-// placement table and parkers of `PoolCore`.  A worker pass walks the
-// shards the placement table assigns it and serves each in a bounded
-// run-to-completion slice: it *checks the shard state out* of its slot
+// parkers of `PoolCore`.  Worker `w` serves the shards `s` with
+// `s % workers == w`: a pass walks them and serves each in a bounded
+// run-to-completion slice — it *checks the shard state out* of its slot
 // (phase Live → Busy), drains up to `SLICE_BUDGET` tasks in queue order,
 // and checks it back in.  Exclusivity is a slot-phase property, not a
 // thread identity: exactly one thread can hold a slot Busy, so a shard's
-// tasks still execute in queue order, one at a time, even while the
-// placement table is being rewritten under it — a rebalance is a table
-// write, and the new worker simply finds the slot Live on its next pass.
+// tasks execute in queue order, one at a time, whoever serves them.
 // Who may hold a slot Busy: a worker serving a slice (or the outer frame of
 // its help-while-waiting excursion), the thread that shuts the runtime down
 // (for workers that never started), and a *caller frame* — a control
 // request or a single-owner operation run on the thread that asked for it,
-// while the shard is at rest (`caller_frame`).  The placement table only
+// while the shard is at rest (`caller_frame`).  The placement rule only
 // says which worker looks for work where, and a worker's thread starts
 // with the first task queued for it.
 // ---------------------------------------------------------------------------
@@ -922,8 +883,8 @@ pub struct CascadeStats {
 /// Where one shard's serving state currently is, from the pool's point of
 /// view.
 enum SlotPhase {
-    /// At rest on the bench, ready to be served by whoever the placement
-    /// table names.
+    /// At rest on the bench, ready to be served by the shard's worker or a
+    /// caller frame.
     Live(Box<ShardState>),
     /// Checked out — by a worker actively serving a slice, by the outer
     /// frame of a help-while-waiting excursion, or by a caller frame
@@ -965,27 +926,12 @@ struct ShardSlot {
     serve: Mutex<SlotServe>,
 }
 
-/// Scratch state of the hot-shard rebalancer.
-#[derive(Default)]
-struct RebalanceState {
-    /// Per-shard backlog EWMA (×16 fixed point, α = 1/4) of the sampled
-    /// signal — gate depth when admission is bounded, raw channel length
-    /// otherwise.
-    ewma: Vec<u64>,
-    /// Consecutive passes `candidate` ran at ≥ 2× the mean backlog.
-    streak: usize,
-    /// The shard the streak is tracking.
-    candidate: usize,
-}
-
-/// Everything the worker pool shares: the placement table and parkers
-/// ([`PoolCore`]), the slot bench, the rebalancer state, and the harvested
-/// final shard states.
+/// Everything the worker pool shares: the parkers and threads
+/// ([`PoolCore`]), the slot bench, and the harvested final shard states.
 struct PoolCtl {
     core: PoolCore,
     /// The bench, indexed by shard id; append-only (repartitions push).
     slots: RwLock<Vec<Arc<ShardSlot>>>,
-    rebalance: Mutex<RebalanceState>,
     /// Final shard states of finished slots, collected by
     /// [`ManagerRuntime::shutdown`] for the merged log.
     finished: Mutex<Vec<ShardState>>,
@@ -1263,7 +1209,7 @@ struct CrossTask {
 ///   only through *known* outcomes — counts toward the commit; the vote
 ///   that completes the count decides `Commit` and assigns the log
 ///   sequence number;
-/// * a **conditional yes** ([`Vote::Conditional`], cascade mode only) —
+/// * a **conditional yes** ([`Vote::Conditional`]) —
 ///   deposited when the chain has advanced through still-undecided
 ///   predecessors on the *assumption* that they commit.  The vote carries a
 ///   [`ValidityTag`] naming exactly those assumptions plus the epoch and
@@ -1285,9 +1231,7 @@ struct CrossTask {
 ///   self-fulfilling *given the voter's own prefix assumptions* — which
 ///   later conditional-yes tags carry anyway.
 ///
-/// In cascade-off mode every conditional deposit is simply withheld and the
-/// protocol degenerates to the strictly-ordered unconditional one.  Either
-/// way each vote that decides a task was computed against that task's true
+/// Each vote that decides a task was computed against that task's true
 /// predecessor state (promotion verifies exactly this), so per-action
 /// outcomes, the merged log and the statistics are identical to an
 /// unbatched rendezvous; what changes is that owners park only on
@@ -1461,9 +1405,9 @@ pub struct ManagerRuntime {
     /// The live (epoch-versioned) partition; the mutex also serializes
     /// repartitions — at most one migration is in flight at a time.
     partition: Mutex<Partition>,
-    /// Service threads: the wall-clock ticker and/or the rebalancer, both
-    /// stopped by `ticker_stop`.
-    ticker: Mutex<Vec<JoinHandle<()>>>,
+    /// The wall-clock ticker ([`ClockMode::Wall`]), stopped by
+    /// `ticker_stop`.
+    ticker: Mutex<Option<JoinHandle<()>>>,
     ticker_stop: Arc<AtomicBool>,
 }
 
@@ -1598,7 +1542,6 @@ fn recover_runtime(
             next_reservation: 1,
             cross: Vec::new(),
             orphans: Vec::new(),
-            placement: Vec::new(),
         },
     };
 
@@ -1878,7 +1821,6 @@ fn recover_runtime(
         cross_subscriptions,
         orphan_subscriptions,
         queue_pending,
-        placement: manifest.placement,
     };
     hub.vault().sync();
     spawn_runtime(&expr, partition, options, Some(hub), seeds, globals)
@@ -1896,10 +1838,6 @@ struct RecoveredGlobals {
     cross_subscriptions: CrossSubscriptions,
     orphan_subscriptions: SubscriptionRegistry,
     queue_pending: VecDeque<SubmissionRecord>,
-    /// The checkpointed placement table (`placement[shard]` = worker), so a
-    /// hot shard isolated before the crash stays isolated after it.  Empty
-    /// or malformed tables fall back to round-robin at spawn.
-    placement: Vec<usize>,
 }
 
 impl Default for RecoveredGlobals {
@@ -1914,7 +1852,6 @@ impl Default for RecoveredGlobals {
             cross_subscriptions: CrossSubscriptions::default(),
             orphan_subscriptions: SubscriptionRegistry::new(),
             queue_pending: VecDeque::new(),
-            placement: Vec::new(),
         }
     }
 }
@@ -1968,21 +1905,12 @@ fn spawn_runtime(
     let gates: Vec<Arc<ShardGate>> =
         (0..senders.len()).map(|_| Arc::new(ShardGate::new(options.queue_limit))).collect();
 
-    // ---- The worker pool: size, placement, and the slot bench. ----
+    // ---- The worker pool: size and the slot bench. ----
     let workers_n = match options.worker_threads {
         0 => host_parallelism(),
         n => n,
     };
     let shards_n = seeds.len();
-    // Recovery seeds placement (a hot shard isolated before a crash stays
-    // isolated after it); anything malformed falls back to round-robin.
-    let placement: Vec<usize> = if globals.placement.len() == shards_n
-        && globals.placement.iter().all(|&w| w < workers_n)
-    {
-        globals.placement.clone()
-    } else {
-        (0..shards_n).map(|s| s % workers_n).collect()
-    };
     let cells: Vec<Arc<ShardSlot>> = seeds
         .into_iter()
         .zip(receivers)
@@ -2001,9 +1929,8 @@ fn spawn_runtime(
         })
         .collect();
     let pool = Arc::new(PoolCtl {
-        core: PoolCore::new(workers_n, placement),
+        core: PoolCore::new(workers_n, shards_n),
         slots: RwLock::new(cells),
-        rebalance: Mutex::new(RebalanceState::default()),
         finished: Mutex::new(Vec::new()),
         seq: AtomicU64::new(0),
     });
@@ -2046,7 +1973,6 @@ fn spawn_runtime(
         next_reservation: AtomicU64::new(globals.next_reservation),
         stats,
         repart: RepartCounters::default(),
-        cascade: options.cascade,
         reservation_fps: Mutex::new(HashMap::new()),
         cascade_counters: CascadeCounters::default(),
         queue_metrics: options.queue_metrics,
@@ -2080,36 +2006,25 @@ fn spawn_runtime(
         Some(std::thread::spawn(move || pool_worker(shared, me)))
     }));
     let ticker_stop = Arc::new(AtomicBool::new(false));
-    let mut service = Vec::new();
-    if let ClockMode::Wall { tick } = options.clock {
-        let shared = Arc::clone(&shared);
-        let topology = Arc::clone(&topology);
-        let stop = Arc::clone(&ticker_stop);
-        service.push(std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(tick);
-                advance_clock(&shared, &topology, 1);
-            }
-        }));
-    }
-    if let Some(every) = options.rebalance_every {
-        let shared = Arc::clone(&shared);
-        let stop = Arc::clone(&ticker_stop);
-        service.push(std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(every);
-                if stop.load(Ordering::Relaxed) {
-                    break;
+    let ticker = match options.clock {
+        ClockMode::Wall { tick } => {
+            let shared = Arc::clone(&shared);
+            let topology = Arc::clone(&topology);
+            let stop = Arc::clone(&ticker_stop);
+            Some(std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::thread::sleep(tick);
+                    advance_clock(&shared, &topology, 1);
                 }
-                rebalance_pass(&shared);
-            }
-        }));
-    }
+            }))
+        }
+        ClockMode::Virtual => None,
+    };
     Ok(ManagerRuntime {
         shared,
         topology,
         partition: Mutex::new(partition),
-        ticker: Mutex::new(service),
+        ticker: Mutex::new(ticker),
         ticker_stop,
     })
 }
@@ -2237,10 +2152,10 @@ impl ManagerRuntime {
     }
 
     /// Counters of the conditional-vote cascade.  Kept outside
-    /// [`ManagerStats`] deliberately: cascade-on and cascade-off runs must
-    /// produce *identical* manager statistics (the lockstep equivalence the
-    /// property tests check); these counters describe how the decisions
-    /// were reached, not what was decided.
+    /// [`ManagerStats`] deliberately: the runtime's manager statistics must
+    /// equal the blocking manager's (the lockstep equivalence the property
+    /// tests check); these counters describe how the decisions were
+    /// reached, not what was decided.
     pub fn cascade_stats(&self) -> CascadeStats {
         let c = &self.shared.cascade_counters;
         CascadeStats {
@@ -2273,43 +2188,16 @@ impl ManagerRuntime {
         }
     }
 
-    /// Scheduling counters of the worker pool: pool size, the current
-    /// placement table, and what the rebalancer has done so far.
+    /// Scheduling counters of the worker pool: pool size, started threads,
+    /// and automatic checkpoints.  Worker `w` serves the shards `s` with
+    /// `s % workers == w`.
     pub fn sched_stats(&self) -> SchedStats {
         let core = &self.shared.pool.core;
-        let last = core.last_isolated.load(Ordering::Relaxed);
         SchedStats {
             workers: core.workers(),
             started: core.started(),
-            placement: core.placement(),
-            rebalances: core.rebalances.load(Ordering::Relaxed),
-            last_isolated: (last != usize::MAX).then_some(last),
             auto_checkpoints: self.shared.auto_checkpoints.load(Ordering::Relaxed),
         }
-    }
-
-    /// Runs one rebalancer sampling pass right now (the same pass
-    /// [`RuntimeOptions::rebalance_every`] runs on a timer): fold current
-    /// backlogs into the EWMAs and isolate the hottest shard if it has been
-    /// sustained-hot for three consecutive passes.  Returns whether an
-    /// isolation happened.
-    pub fn rebalance_now(&self) -> bool {
-        rebalance_pass(&self.shared)
-    }
-
-    /// Moves `shard` onto `worker` in the placement table — the manual
-    /// override behind the rebalancer (operational pinning, tests).  The
-    /// move is purely a table write: the shard's queue and state stay put,
-    /// the old owner finishes any slice in progress, and the new owner
-    /// picks the slot up on its next pass.  Returns false if either index
-    /// is out of range.
-    pub fn place_shard(&self, shard: usize, worker: usize) -> bool {
-        let core = &self.shared.pool.core;
-        if worker >= core.workers() || shard >= core.placement().len() {
-            return false;
-        }
-        core.assign(shard, worker);
-        true
     }
 
     /// Counters of the repartitioning machinery.  Test suites use
@@ -2705,11 +2593,10 @@ impl ManagerRuntime {
             flips.extend(registry.refresh(|a| engine.is_permitted(a)));
         }
 
-        // ---- Assemble the new shards: slot cells on the bench plus
-        // placement-table entries.  No threads spawn — the pool workers the
-        // placement names pick the new shards up on their next pass.  The
-        // slots register *before* the topology installs, so no enqueue can
-        // ever race a missing slot.
+        // ---- Assemble the new shards: slot cells on the bench.  No threads
+        // spawn — worker `shard % workers` picks a new shard up on its next
+        // pass.  The slots register *before* the topology installs, so no
+        // enqueue can ever race a missing slot.
         let mut new_senders = Vec::with_capacity(new_engines.len());
         let mut new_gates = Vec::with_capacity(new_engines.len());
         {
@@ -2751,7 +2638,7 @@ impl ManagerRuntime {
                     debug_assert_eq!(slots.len(), idx, "new shard slots register in id order");
                     slots.push(cell);
                 }
-                pool.core.push_shard(idx % pool.core.workers());
+                pool.core.push_shard();
             }
         }
 
@@ -2959,7 +2846,7 @@ impl ManagerRuntime {
     /// sessions before shutting down (`wait_timeout`/`poll` never panic).
     pub fn shutdown(self) -> ManagerResult<RuntimeReport> {
         self.ticker_stop.store(true, Ordering::Relaxed);
-        for handle in std::mem::take(&mut *lock(&self.ticker)) {
+        if let Some(handle) = lock(&self.ticker).take() {
             let _ = handle.join();
         }
         let (workers, unstarted) = {
@@ -3005,9 +2892,9 @@ impl ManagerRuntime {
 
 impl Drop for ManagerRuntime {
     /// Dropping without [`ManagerRuntime::shutdown`] must not leak threads:
-    /// stopping the service threads releases their clones of the queue
-    /// senders, so once the sessions are gone too the channels disconnect
-    /// and every running pool worker retires its shards and exits — a
+    /// stopping the ticker releases its clone of the queue senders, so once
+    /// the sessions are gone too the channels disconnect and every running
+    /// pool worker retires its shards and exits — a
     /// parked worker re-polls within [`IDLE_PARK`], the wake below just
     /// shortens that.  The shards of workers that never started are retired
     /// by the ones that did (see [`pool_worker`]); if none did, there is no
@@ -3787,7 +3674,6 @@ fn run_checkpoint(
         next_reservation: shared.next_reservation.load(Ordering::Relaxed),
         cross: export_cross(&lock(&shared.cross_subscriptions)),
         orphans: lock(&shared.orphan_subscriptions).export(),
-        placement: shared.pool.core.placement(),
     };
     hub.vault().save_blob(durability::MANIFEST_BLOB, &durability::encode_manifest(&manifest));
     // Queue checkpoint under the journal lock: the backend appends
@@ -3829,85 +3715,6 @@ fn run_checkpoint(
         archived_entries: persisted.archived_entries,
         history_bytes: persisted.history_bytes,
     })
-}
-
-/// One pass of the hot-shard rebalancer: sample every shard's backlog into
-/// the EWMA table and, when the hottest shard has run at ≥ 2× the mean for
-/// three consecutive passes, isolate it onto its own worker.  Returns
-/// whether an isolation happened.
-fn rebalance_pass(shared: &RuntimeShared) -> bool {
-    let pool = &shared.pool;
-    let slots = pool.slot_snapshot();
-    if slots.len() < 2 || pool.core.workers() < 2 {
-        return false;
-    }
-    let mut rb = lock(&pool.rebalance);
-    rb.ewma.resize(slots.len(), 0);
-    for (i, slot) in slots.iter().enumerate() {
-        // The backlog signal: admitted queue units when the gate is
-        // bounded, raw channel length otherwise — whichever is larger.
-        let depth = slot.gate.queued_depth().max(slot.rx.len()) as u64;
-        let e = rb.ewma[i];
-        rb.ewma[i] = e - e / 4 + depth * 4;
-    }
-    let (hot, hot_ewma) =
-        rb.ewma.iter().copied().enumerate().max_by_key(|&(_, e)| e).expect("at least two shards");
-    let mean = rb.ewma.iter().sum::<u64>() / rb.ewma.len() as u64;
-    // Sustained-hot test: a real backlog (≥ 2 tasks smoothed) running at
-    // twice the fleet mean.
-    if hot_ewma < 2 * 16 || hot_ewma < mean.saturating_mul(2) {
-        rb.streak = 0;
-        return false;
-    }
-    if rb.candidate != hot {
-        rb.candidate = hot;
-        rb.streak = 0;
-    }
-    rb.streak += 1;
-    if rb.streak < 3 {
-        return false;
-    }
-    rb.streak = 0;
-    drop(rb);
-    isolate_shard(pool, hot)
-}
-
-/// Isolates `hot` onto its own worker by moving every co-located shard to
-/// the *other* workers, round-robin.  The hot shard itself never moves —
-/// its queue, gate, and slot stay put, so the migration is a placement-
-/// table write plus wakeups: no history replay, no epoch bump, no task ever
-/// in flight between workers (exclusivity lives in the slot phase, not the
-/// table).  Returns whether any shard actually moved.
-fn isolate_shard(pool: &PoolCtl, hot: usize) -> bool {
-    let placement = pool.core.placement();
-    let workers = pool.core.workers();
-    if workers < 2 {
-        return false;
-    }
-    let Some(&hot_worker) = placement.get(hot) else { return false };
-    let siblings: Vec<usize> = placement
-        .iter()
-        .enumerate()
-        .filter(|&(s, &w)| w == hot_worker && s != hot)
-        .map(|(s, _)| s)
-        .collect();
-    if siblings.is_empty() {
-        // Already isolated.
-        pool.core.last_isolated.store(hot, Ordering::Relaxed);
-        return false;
-    }
-    let mut target = (hot_worker + 1) % workers;
-    for s in siblings {
-        pool.core.assign(s, target);
-        target = (target + 1) % workers;
-        if target == hot_worker {
-            target = (target + 1) % workers;
-        }
-    }
-    pool.core.rebalances.fetch_add(1, Ordering::Relaxed);
-    pool.core.last_isolated.store(hot, Ordering::Relaxed);
-    pool.core.wake_all();
-    true
 }
 
 /// Installs a promoted (previously shard-local) subscription as a
@@ -4006,7 +3813,8 @@ fn advance_clock(shared: &Arc<RuntimeShared>, slot: &TopologySlot, delta: u64) -
 }
 
 // ---------------------------------------------------------------------------
-// The worker: one pool thread serving the shard slots placement assigns it.
+// The worker: one pool thread serving the shard slots `shard % workers`
+// assigns it.
 // ---------------------------------------------------------------------------
 
 /// The host's hardware-thread count, read once per process: the standard
@@ -4036,9 +3844,9 @@ const SLICE_BUDGET: usize = 128;
 /// (those wake the worker parker, not the barrier).
 const HELP_PARK: Duration = Duration::from_micros(200);
 
-/// Idle-worker park backstop.  Wakeups route through the placement table;
-/// events that bypass it (a queue disconnecting on runtime drop, a
-/// placement write racing a park) are caught by this periodic re-poll.
+/// Idle-worker park backstop.  Wakeups route through the placement rule;
+/// events that bypass it (a queue disconnecting on runtime drop) are caught
+/// by this periodic re-poll.
 const IDLE_PARK: Duration = Duration::from_millis(10);
 
 /// Per-drain context a shard worker threads through its task processing:
@@ -4124,7 +3932,7 @@ fn fulfil(ticket: TicketIssuer<Completion>, value: Completion, cx: &mut WorkerCt
 }
 
 /// The help-while-waiting context a worker threads into its rendezvous
-/// waits: which worker it is, and the pool whose placement table names its
+/// waits: which worker it is, and the pool whose placement rule names its
 /// other shards.
 struct Help<'a> {
     pool: &'a Arc<PoolCtl>,
@@ -4173,7 +3981,7 @@ fn retire_unstarted(shared: &Arc<RuntimeShared>, unstarted: &[usize]) {
     cx.flush(shared);
 }
 
-/// The pool worker loop: walk the shards the placement table assigns this
+/// The pool worker loop: walk the shards the placement rule assigns this
 /// worker, serve each a bounded slice, park when a full pass makes no
 /// progress, exit when every shard has finished.
 fn pool_worker(shared: Arc<RuntimeShared>, me: usize) {
@@ -4197,7 +4005,7 @@ fn pool_worker(shared: Arc<RuntimeShared>, me: usize) {
         // started are then retired by the ones that did: nobody else will,
         // after a drop, and `live` reaches zero only when every slot is.
         // (Should such a worker start this moment, the slot phase keeps the
-        // two of them apart, as it does across a placement write.)
+        // two of them apart, as it does a worker and a caller frame.)
         if closing {
             for shard in pool.core.unstarted().into_iter().flat_map(|w| pool.core.owned(w)) {
                 serve_slice(&shared, &pool, me, shard, &mut cx, SLICE_BUDGET, u64::MAX);
@@ -4308,7 +4116,7 @@ fn serve_slice(
                         {
                             cx.gate.release(1);
                             if exec_is_live(shared, &next, &mut divert_below) {
-                                batch.push_exec(shared, next)
+                                batch.push_exec(next)
                             }
                         }
                         Ok(Task::Single(single)) if matches!(single.op, Op::Execute { .. }) => {
@@ -4673,12 +4481,8 @@ const MAX_BATCH: usize = 128;
 
 /// Publishes the shard's current reservation-table fingerprint, against
 /// which conditional votes prove their probes still hold at promotion time.
-/// Called after every mutation of `st.reservations` (cascade mode only —
-/// nothing reads the table otherwise).
+/// Called after every mutation of `st.reservations`.
 fn publish_reservation_fp(shared: &RuntimeShared, st: &ShardState) {
-    if !shared.cascade {
-        return;
-    }
     lock(&shared.reservation_fps).insert(st.id, st.reservation_fingerprint());
 }
 
@@ -4727,7 +4531,7 @@ fn try_decide_exec(
     if sync.decision.is_some() {
         return None;
     }
-    if shared.cascade && sync.yes_votes < task.owners.len() {
+    if sync.yes_votes < task.owners.len() {
         // Promotion can only complete a decision once *every* slot holds a
         // yes or a tagged yes — with any slot still pending the commit is
         // short regardless, so verifying tags early is pure waste that the
@@ -4796,8 +4600,7 @@ fn deposit_unconditional_vote(
     }
 }
 
-/// Deposits this owner's *conditional* yes vote (cascade mode only): the
-/// chain advanced through still-undecided predecessors, and `tag` names
+/// Deposits this owner's *conditional* yes vote: the chain advanced through still-undecided predecessors, and `tag` names
 /// exactly the assumptions the probe ran under.  The deposit itself runs a
 /// decide attempt — the assumptions may already have resolved between the
 /// probe and this lock acquisition.
@@ -4877,9 +4680,6 @@ fn invalidate_downstream(shared: &RuntimeShared, denied: &Arc<ExecTask>) {
 /// no rendezvous lock held — the walks lock forward along the chain.
 fn propagate_decisions(shared: &RuntimeShared, decided: &mut Vec<(Arc<ExecTask>, ExecDecision)>) {
     for (task, decision) in decided.drain(..) {
-        if !shared.cascade {
-            continue;
-        }
         match decision {
             ExecDecision::Commit { .. } => cascade_from(shared, &task),
             ExecDecision::Deny => invalidate_downstream(shared, &task),
@@ -4917,20 +4717,18 @@ impl Batch {
         }
     }
 
-    fn push_exec(&mut self, shared: &RuntimeShared, task: Arc<ExecTask>) {
-        if shared.cascade {
-            // Link the queue-order predecessor to this task.  Every owner
-            // coalesces the identical queue run (enqueue order = lock
-            // order), so each sets the same link; the first write wins and
-            // the rest are no-ops.
-            if let Some(prev) = self.kinds.iter().rev().find_map(|k| match k {
-                BatchKind::Exec(t) => Some(t),
-                BatchKind::Local(_) => None,
-            }) {
-                let mut sync = lock(&prev.sync);
-                if sync.cascade_next.is_none() {
-                    sync.cascade_next = Some(Arc::clone(&task));
-                }
+    fn push_exec(&mut self, task: Arc<ExecTask>) {
+        // Link the queue-order predecessor to this task.  Every owner
+        // coalesces the identical queue run (enqueue order = lock order),
+        // so each sets the same link; the first write wins and the rest are
+        // no-ops.
+        if let Some(prev) = self.kinds.iter().rev().find_map(|k| match k {
+            BatchKind::Exec(t) => Some(t),
+            BatchKind::Local(_) => None,
+        }) {
+            let mut sync = lock(&prev.sync);
+            if sync.cascade_next.is_none() {
+                sync.cascade_next = Some(Arc::clone(&task));
             }
         }
         self.ops.push(Op::Execute { action: task.action.clone() });
@@ -4961,21 +4759,6 @@ enum Spec {
     Done,
 }
 
-/// The speculative pass over `batch[from..]` on this shard.
-///
-/// Walks the items in queue order maintaining a chain of tentative
-/// successors.  As long as the chain is *unconditional* — every multi-owner
-/// execute so far was already decided, insta-denied by this shard's own no
-/// vote, or committed by this shard's completing yes vote — votes are
-/// deposited (and tasks decided) on the spot.  The first yes vote that
-/// leaves a task undecided makes the rest of the chain conditional: in
-/// cascade mode later yes votes are still deposited, as
-/// [`Vote::Conditional`] tagged with the exact assumptions the chain ran
-/// through, so the prefix resolving all-commit decides the whole chain with
-/// no further rendezvous; with cascading off they are withheld and the
-/// resolution pass deposits them in order, recomputing if an assumption
-/// failed.  Decisions made along the way are pushed onto `decided` for the
-/// caller to propagate along the cascade links once no lock is held.
 /// Scratch state shared between the speculative and resolution passes of
 /// [`process_batch`]: the per-item verdicts and the decisions reached while
 /// a rendezvous lock was held (propagated along the cascade links once no
@@ -4985,6 +4768,19 @@ struct SpecPass {
     decided: Vec<(Arc<ExecTask>, ExecDecision)>,
 }
 
+/// The speculative pass over `batch[from..]` on this shard.
+///
+/// Walks the items in queue order maintaining a chain of tentative
+/// successors.  As long as the chain is *unconditional* — every multi-owner
+/// execute so far was already decided, insta-denied by this shard's own no
+/// vote, or committed by this shard's completing yes vote — votes are
+/// deposited (and tasks decided) on the spot.  The first yes vote that
+/// leaves a task undecided makes the rest of the chain conditional: later
+/// yes votes are still deposited, as [`Vote::Conditional`] tagged with the
+/// exact assumptions the chain ran through, so the prefix resolving
+/// all-commit decides the whole chain with no further rendezvous.
+/// Decisions made along the way are pushed onto `decided` for the caller
+/// to propagate along the cascade links once no lock is held.
 fn compute_specs(
     shared: &RuntimeShared,
     st: &ShardState,
@@ -5048,7 +4844,7 @@ fn compute_specs(
                                 ) {
                                     decided.push((Arc::clone(task), decision));
                                 }
-                            } else if shared.cascade && next.is_some() {
+                            } else if next.is_some() {
                                 // A yes on a conditional chain: deposit it
                                 // tagged with the assumptions instead of
                                 // holding it back.  (A conditional *no*

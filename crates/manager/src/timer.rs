@@ -17,8 +17,8 @@
 //!
 //! The payload is opaque to the wheel.  The runtime files two kinds of
 //! entries: per-lease expiries, whose release tasks are enqueued to the
-//! owning shard's queue and served by whichever *pool worker* the placement
-//! table currently assigns that shard (the ticker targets workers, not
+//! owning shard's queue and served by the *pool worker* that serves that
+//! shard (the ticker targets workers, not
 //! shards — there is no per-shard thread to interrupt), and the periodic
 //! checkpoint entry ([`crate::RuntimeOptions::checkpoint_every`]), which
 //! re-arms itself each time it fires.

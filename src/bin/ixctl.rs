@@ -143,17 +143,6 @@ fn snapshot_inspect(dir: &str) -> ExitCode {
     } else {
         println!("manifest   : none (no checkpoint yet)");
     }
-    if inspection.placement.is_empty() {
-        println!("placement  : none recorded");
-    } else {
-        let workers = inspection.placement.iter().max().map_or(0, |w| w + 1);
-        println!(
-            "placement  : {} shards over {} workers {:?}",
-            inspection.placement.len(),
-            workers,
-            inspection.placement
-        );
-    }
     println!("meta tail  : {} records", inspection.meta_tail);
     println!(
         "queue      : {} pending in blob, {} tail records",
@@ -232,7 +221,7 @@ fn recover(dir: &str) -> ExitCode {
     };
     println!("recovered  : {dir}");
     println!("shards     : {}", report.shards);
-    println!("placement  : {:?} over {} workers", sched.placement, sched.workers);
+    println!("workers    : {} (shard s on worker s % {})", sched.workers, sched.workers);
     println!("clock      : {}", report.clock);
     println!("log        : {} committed actions", report.log.len());
     for action in report.log.iter().rev().take(5).rev() {

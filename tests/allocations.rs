@@ -175,7 +175,7 @@ fn a_set_up_stays_under_its_pinned_allocation_count() {
             allocations(|| set_up(&rings, options(ProtocolVariant::Combined), 2, true)),
         ),
     ];
-    let bounds = [171, 205, 264];
+    let bounds = [170, 204, 263];
     let over: Vec<String> = measured
         .into_iter()
         .zip(bounds)

@@ -218,7 +218,6 @@ fn mid_chain_denial_invalidates_downstream_conditional_votes() {
         &expr,
         RuntimeOptions {
             variant: ProtocolVariant::Combined,
-            cascade: true,
             // The invalidation path needs both owners building speculative
             // chains concurrently: give every shard its own worker (the
             // thread-per-shard shape) regardless of host core count.
@@ -283,7 +282,6 @@ fn cascading_chains_racing_a_repartition_are_diverted_and_retried() {
             &expr,
             RuntimeOptions {
                 variant: ProtocolVariant::Combined,
-                cascade: true,
                 // Concurrent per-shard workers, as above: the race this
                 // test drives needs chains built on both owners at once.
                 worker_threads: 8,
@@ -374,15 +372,8 @@ fn lease_expiry_on_a_conditionally_voted_reservation_aborts_the_chain_cleanly() 
          @ ((some p { call1(p) - perform1(p) })* - audit)",
     )
     .unwrap();
-    let runtime = ManagerRuntime::with_options(
-        &expr,
-        RuntimeOptions {
-            variant: ProtocolVariant::Leased { lease: 3 },
-            cascade: true,
-            ..RuntimeOptions::default()
-        },
-    )
-    .unwrap();
+    let runtime =
+        ManagerRuntime::with_protocol(&expr, ProtocolVariant::Leased { lease: 3 }).unwrap();
     let session = runtime.session(1);
     // Head of the chain: the terminal audit reservation, held but never
     // confirmed.  Everything pipelined behind it votes against its

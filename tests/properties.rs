@@ -9,9 +9,7 @@
 //! words) the paper uses.
 
 use ix_core::{parse, simplify, Expr, Value};
-use ix_manager::{
-    Completion, InteractionManager, ManagerError, ManagerRuntime, ProtocolVariant, RuntimeOptions,
-};
+use ix_manager::{Completion, InteractionManager, ManagerError, ManagerRuntime, ProtocolVariant};
 use ix_semantics::{equivalent, Universe};
 use ix_state::{sharded_word_problem, word_problem, Engine, ShardedEngine};
 use proptest::prelude::*;
@@ -872,16 +870,15 @@ fn chain_ops(departments: usize) -> impl Strategy<Value = Vec<ChainOp>> {
 }
 
 /// The lockstep contract of conditional-vote cascading: one submission
-/// stream, pipelined `window` actions at a time, decided by the runtime
-/// with cascading, by the runtime with `cascade = false`, and by the
-/// blocking manager executing the same schedule synchronously.  A single
-/// stream makes the queue order — and therefore, by the enqueue-order =
-/// commit-order contract, every verdict — deterministic, so the three
-/// surfaces must agree action by action even though the cascading runtime
+/// stream, pipelined `window` actions at a time, decided by the runtime and
+/// by the blocking manager executing the same schedule synchronously.  A
+/// single stream makes the queue order — and therefore, by the
+/// enqueue-order = commit-order contract, every verdict — deterministic, so
+/// the two surfaces must agree action by action even though the runtime
 /// decides whole audit chains from promoted conditional votes while the
-/// others rendezvous per barrier.  Mid-pair audits are deterministically
-/// denied, forcing invalidation and recompute mid-chain on the cascading
-/// surface.
+/// blocking manager decides barrier by barrier.  Mid-pair audits are
+/// deterministically denied, forcing invalidation and recompute mid-chain
+/// on the runtime.
 fn assert_cascade_lockstep_equivalence(
     departments: usize,
     ops: &[ChainOp],
@@ -919,70 +916,57 @@ fn assert_cascade_lockstep_equivalence(
     let blocking = InteractionManager::with_protocol(&x, ProtocolVariant::Combined).unwrap();
     let blocking_verdicts: Vec<bool> =
         schedule.iter().map(|action| blocking.try_execute(1, action).unwrap().is_some()).collect();
-    for cascade in [true, false] {
-        let runtime = ManagerRuntime::with_options(
-            &x,
-            RuntimeOptions {
-                variant: ProtocolVariant::Combined,
-                cascade,
-                ..RuntimeOptions::default()
-            },
-        )
-        .unwrap();
-        let session = runtime.session(1);
-        let mut verdicts = Vec::with_capacity(schedule.len());
-        for chunk in schedule.chunks(window) {
-            for ticket in session.submit_batch(chunk) {
-                verdicts.push(matches!(ticket.wait(), Completion::Executed { .. }));
-            }
+    let runtime = ManagerRuntime::with_protocol(&x, ProtocolVariant::Combined).unwrap();
+    let session = runtime.session(1);
+    let mut verdicts = Vec::with_capacity(schedule.len());
+    for chunk in schedule.chunks(window) {
+        for ticket in session.submit_batch(chunk) {
+            verdicts.push(matches!(ticket.wait(), Completion::Executed { .. }));
         }
-        prop_assert_eq!(
-            &verdicts,
-            &blocking_verdicts,
-            "verdicts diverge from the blocking manager (cascade = {}) on {} departments",
-            cascade,
-            departments
-        );
-        // Pipelining may legally interleave independent locals of *different*
-        // departments, so the merged logs need not match verbatim.  What the
-        // enqueue-order = commit-order contract does fix is each shard's
-        // projection: its own pairs and every audit, in submission order.
-        for k in 0..departments {
-            let project = |log: Vec<ix_core::Action>| -> Vec<String> {
-                log.iter()
-                    .map(|a| a.to_string())
-                    .filter(|a| {
-                        a == "audit"
-                            || a.starts_with(&format!("call{k}("))
-                            || a.starts_with(&format!("perform{k}("))
-                    })
-                    .collect()
-            };
-            prop_assert_eq!(
-                project(runtime.log()),
-                project(blocking.log()),
-                "shard {}'s log projection diverges (cascade = {})",
-                k,
-                cascade
-            );
-        }
-        // And the merged log is still a legal linearization: it replays
-        // verbatim on a fresh monolithic manager.
-        let replay = InteractionManager::monolithic(&x, ProtocolVariant::Combined).unwrap();
-        for action in runtime.log() {
-            prop_assert!(
-                replay.try_execute(9, &action).unwrap().is_some(),
-                "runtime log replay rejected {} (cascade = {}) — not a legal word",
-                action,
-                cascade
-            );
-        }
-        let (rs, bs) = (runtime.stats(), blocking.stats());
-        prop_assert_eq!(rs.confirmations, bs.confirmations, "cascade = {}", cascade);
-        prop_assert_eq!(rs.denials, bs.denials, "cascade = {}", cascade);
-        prop_assert_eq!(rs.asks, bs.asks);
-        prop_assert_eq!(rs.grants, bs.grants);
     }
+    prop_assert_eq!(
+        &verdicts,
+        &blocking_verdicts,
+        "verdicts diverge from the blocking manager on {} departments",
+        departments
+    );
+    // Pipelining may legally interleave independent locals of *different*
+    // departments, so the merged logs need not match verbatim.  What the
+    // enqueue-order = commit-order contract does fix is each shard's
+    // projection: its own pairs and every audit, in submission order.
+    for k in 0..departments {
+        let project = |log: Vec<ix_core::Action>| -> Vec<String> {
+            log.iter()
+                .map(|a| a.to_string())
+                .filter(|a| {
+                    a == "audit"
+                        || a.starts_with(&format!("call{k}("))
+                        || a.starts_with(&format!("perform{k}("))
+                })
+                .collect()
+        };
+        prop_assert_eq!(
+            project(runtime.log()),
+            project(blocking.log()),
+            "shard {}'s log projection diverges",
+            k
+        );
+    }
+    // And the merged log is still a legal linearization: it replays
+    // verbatim on a fresh monolithic manager.
+    let replay = InteractionManager::monolithic(&x, ProtocolVariant::Combined).unwrap();
+    for action in runtime.log() {
+        prop_assert!(
+            replay.try_execute(9, &action).unwrap().is_some(),
+            "runtime log replay rejected {} — not a legal word",
+            action
+        );
+    }
+    let (rs, bs) = (runtime.stats(), blocking.stats());
+    prop_assert_eq!(rs.confirmations, bs.confirmations);
+    prop_assert_eq!(rs.denials, bs.denials);
+    prop_assert_eq!(rs.asks, bs.asks);
+    prop_assert_eq!(rs.grants, bs.grants);
     // The shared log is a legal linearization: it replays verbatim on a
     // fresh monolithic manager.
     let replay = InteractionManager::monolithic(&x, ProtocolVariant::Combined).unwrap();
@@ -1000,7 +984,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn cascading_runtime_stays_in_lockstep_with_cascade_off_and_blocking(
+    fn cascading_runtime_stays_in_lockstep_with_blocking(
         departments in 2usize..5,
         ops in chain_ops(4),
         window in prop_oneof![Just(4usize), Just(8), Just(16)],

@@ -1,14 +1,13 @@
 //! Integration tests of worker-pool scheduling: shards decoupled from OS
-//! threads behind a placement table, with load-driven hot-shard
-//! rebalancing.
+//! threads, worker `w` serving the shards `s` with `s % workers == w`.
 //!
 //! The correctness contract has two halves.  First, the pool size is
 //! *semantically invisible*: a runtime with one worker, a small pool, or a
 //! worker per shard (the historical thread-per-shard layout) must produce
 //! the same verdicts, the same merged log, and the same statistics as the
 //! blocking manager on the same word — pinned here as a lockstep property
-//! over random workloads.  Second, placement moves are *lossless*: while
-//! the rebalancer isolates a hot shard mid-traffic, no task may be lost,
+//! over random workloads.  Second, shared workers are *lossless*: under a
+//! skewed flood of shards that share workers, no task may be lost,
 //! reordered against its session's submission order, or applied twice.
 
 use ix_core::{parse, Action, Expr, Value};
@@ -18,7 +17,6 @@ use ix_manager::{
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Three departments coupled through a cross-shard `audit` barrier: the
@@ -136,45 +134,45 @@ proptest! {
     }
 }
 
-/// Placement moves are pure table writes, visible in the scheduling stats.
+/// ROADMAP item 2's repro: on `(a + b) | (c + s)* @ (e(1) + s)*` the
+/// blocking manager logs the schedule `c, s, a` in commit order, but the
+/// runtime's merged log reads `[c, a, s]` — a single-owner commit on a
+/// shard that never applied a cross-shard commit sorts before every
+/// cross-shard commit.
 #[test]
-fn place_shard_updates_the_placement_table() {
-    let runtime = ManagerRuntime::with_options(&pools_constraint(4), pool_options(2)).unwrap();
-    let before = runtime.sched_stats();
-    assert_eq!(before.workers, 2);
-    assert_eq!(before.placement.len(), 4);
-    // Out-of-range moves are rejected without touching the table.
-    assert!(!runtime.place_shard(4, 0));
-    assert!(!runtime.place_shard(0, 2));
-    assert_eq!(runtime.sched_stats().placement, before.placement);
-    // A valid move lands exactly where asked.
-    let target = 1 - before.placement[0];
-    assert!(runtime.place_shard(0, target));
-    assert_eq!(runtime.sched_stats().placement[0], target);
+#[ignore = "ROADMAP item 2"]
+fn the_merged_log_keeps_a_single_after_the_cross_commit_before_it() {
+    let x = parse("(a + b) | (c + s)* @ (e(1) + s)*").unwrap();
+    let schedule: Vec<Action> = ["c", "s", "a"].into_iter().map(Action::nullary).collect();
+    let blocking = InteractionManager::new(&x).unwrap();
+    let runtime = ManagerRuntime::new(&x).unwrap();
+    let session = runtime.session(1);
+    for action in &schedule {
+        assert!(blocking.try_execute(1, action).unwrap().is_some(), "blocking denied {action}");
+        assert!(session.execute_blocking(action).unwrap().is_some(), "runtime denied {action}");
+    }
+    assert_eq!(blocking.log(), schedule);
+    assert_eq!(runtime.log(), blocking.log(), "the merged log reorders commits");
     runtime.shutdown().unwrap();
 }
 
-/// Rebalance during traffic: two sessions flood eight shards on a
-/// two-worker pool with heavy skew onto shard 0 while the main thread
-/// drives rebalancer passes and manual placement moves.  The rebalancer
-/// must isolate the hottest shard — shard 0, by construction — and the
-/// migration must lose, reorder, or double-apply nothing: every session's
-/// per-shard submission sequence reappears verbatim as a subsequence of
-/// the merged log.
+/// A skewed flood over shared workers: two sessions flood eight shards on a
+/// two-worker pool, 80% of the traffic onto shard 0, so every worker serves
+/// four shards and one of them is hot.  Nothing may be lost, reordered, or
+/// double-applied: every session's per-shard submission sequence reappears
+/// verbatim as a subsequence of the merged log.
 #[test]
-fn rebalance_during_traffic_loses_and_reorders_nothing() {
+fn a_skewed_flood_on_shared_workers_loses_and_reorders_nothing() {
     let shards = 8usize;
     let sessions = 2usize;
     let per_session = 3_000usize;
-    let runtime =
-        Arc::new(ManagerRuntime::with_options(&pools_constraint(shards), pool_options(2)).unwrap());
-    let done = AtomicUsize::new(0);
+    let runtime = ManagerRuntime::with_options(&pools_constraint(shards), pool_options(2)).unwrap();
+    assert_eq!(runtime.sched_stats().workers, 2);
     let mut submitted: Vec<Vec<Vec<Action>>> = vec![vec![Vec::new(); shards]; sessions];
     std::thread::scope(|scope| {
         let mut flooders = Vec::new();
         for (s, plan) in submitted.iter_mut().enumerate() {
-            let runtime = Arc::clone(&runtime);
-            let done = &done;
+            let runtime = &runtime;
             flooders.push(scope.spawn(move || {
                 let session = runtime.session(1 + s as u64);
                 let mut tickets: Vec<Ticket<Completion>> = Vec::new();
@@ -188,41 +186,20 @@ fn rebalance_during_traffic_loses_and_reorders_nothing() {
                         std::thread::yield_now();
                     }
                 }
-                let committed = tickets
+                tickets
                     .into_iter()
                     .filter(|t| matches!(t.wait(), Completion::Executed { .. }))
-                    .count();
-                done.fetch_add(1, Ordering::Release);
-                committed
+                    .count()
             }));
         }
-        // Drive the rebalancer by hand while the flood is in flight, and
-        // keep nudging a cold shard between the workers so migrations race
-        // live traffic in both directions.
-        let mut toggle = 0usize;
-        while done.load(Ordering::Acquire) < sessions {
-            runtime.rebalance_now();
-            runtime.place_shard(3, toggle);
-            toggle = 1 - toggle;
-            std::thread::sleep(std::time::Duration::from_micros(500));
-        }
         let committed: usize = flooders.into_iter().map(|f| f.join().unwrap()).sum();
-        assert_eq!(committed, sessions * per_session, "tasks lost during rebalancing");
+        assert_eq!(committed, sessions * per_session, "tasks lost on shared workers");
     });
-    let stats = runtime.sched_stats();
-    assert!(
-        stats.rebalances > 0,
-        "sustained 80% skew onto shard 0 must trigger an isolation: {stats:?}"
-    );
-    assert_eq!(
-        stats.last_isolated,
-        Some(0),
-        "the rebalancer must target the hottest shard: {stats:?}"
-    );
     // Loss/reorder/duplication audit: the merged log filtered down to one
     // session's submissions on one shard must equal that submission
     // sequence exactly — same multiset (nothing lost or double-applied)
-    // and same order (enqueue order is lock order, migrations included).
+    // and same order (a shard's tasks run in enqueue order, whoever serves
+    // them).
     let log = runtime.log();
     assert_eq!(log.len(), sessions * per_session);
     for (s, plan) in submitted.iter().enumerate() {
@@ -236,14 +213,14 @@ fn rebalance_during_traffic_loses_and_reorders_nothing() {
             );
         }
     }
-    Arc::try_unwrap(runtime).expect("flooders joined").shutdown().unwrap();
+    runtime.shutdown().unwrap();
 }
 
 /// `checkpoint_every` arms the timer wheel: the virtual clock drives
 /// periodic checkpoints, and a crash-recovery from those checkpoints
-/// restores both the log and the placement table the manifest captured.
+/// restores the log.
 #[test]
-fn periodic_checkpoints_fire_and_recovery_seeds_placement() {
+fn periodic_checkpoints_fire_and_recovery_restores_the_log() {
     let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
     let options = RuntimeOptions {
         durable: true,
@@ -263,20 +240,14 @@ fn periodic_checkpoints_fire_and_recovery_seeds_placement() {
     }
     let auto = runtime.sched_stats().auto_checkpoints;
     assert!(auto >= 3, "four periods elapsed but only {auto} automatic checkpoints fired");
-    // Move a shard, let one more period capture the new table, then crash.
-    assert!(runtime.place_shard(3, 0));
+    // Commit past the last cut, let one more period capture it, then crash.
+    session.execute_blocking(&work(3, 1)).unwrap();
     runtime.advance_time(5);
     assert!(runtime.sched_stats().auto_checkpoints > auto);
-    let placement = runtime.sched_stats().placement;
     let log = runtime.log();
     runtime.shutdown().unwrap();
 
     let recovered = ManagerRuntime::recover(vault, options).unwrap();
     assert_eq!(recovered.log(), log, "recovery from periodic checkpoints lost commits");
-    assert_eq!(
-        recovered.sched_stats().placement,
-        placement,
-        "recovery must seed the placement table from the checkpoint manifest"
-    );
     recovered.shutdown().unwrap();
 }
