@@ -7,7 +7,7 @@
 //! sequential/parallel iteration, disjunction/conjunction) together with
 //! parameters and quantifiers, and most of them restrict how their operators
 //! may be nested.  [`render_matrix`] reproduces that comparison as a text
-//! table; the `reproduce fig2` command of `ix-bench` prints it.
+//! table; `cargo run --example paper_figures fig2` prints it.
 //!
 //! The comparison has a second, quantitative axis: which of the concrete
 //! [`crate::scenarios`] stay within a *finite-state* formalism at all.

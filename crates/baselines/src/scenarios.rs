@@ -3,8 +3,8 @@
 //! Each scenario is a concrete coordination requirement from the paper's
 //! motivation (Sec. 1–2), expressed as an interaction expression, together
 //! with the set of baseline formalisms that can express it at all.  The
-//! scenarios drive the `formalism_matrix` benchmark and the `reproduce fig2`
-//! report; the per-scenario tests double as behavioural documentation.
+//! scenarios drive the Fig. 2 section of the `paper_figures` example; the
+//! per-scenario tests double as behavioural documentation.
 
 use crate::matrix::Formalism;
 use ix_core::{parse, Expr};

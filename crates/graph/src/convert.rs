@@ -164,8 +164,8 @@ pub fn normalize_via_graph(expr: &Expr) -> CoreResult<Expr> {
     to_expr(&graph, &TemplateRegistry::new())
 }
 
-/// Converts a textual expression directly into a graph (convenience for the
-/// examples and the `reproduce` binary).
+/// Converts a textual expression directly into a graph (convenience for
+/// callers that start from source text).
 pub fn parse_to_graph(src: &str, registry: &TemplateRegistry) -> CoreResult<InteractionGraph> {
     let expr = ix_core::parse_with(src, registry)?;
     Ok(InteractionGraph::new(src, from_expr(&expr)))

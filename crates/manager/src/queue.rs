@@ -185,7 +185,7 @@ impl<T: Clone> DurableQueue<T> {
 
     /// The log length implied by the lifetime counters
     /// (`enqueued - acknowledged`).  Always equal to [`DurableQueue::len`]
-    /// — the consistency check `reproduce recover` gates on, and the size a
+    /// — the consistency check this module's tests assert, and the size a
     /// storage backend's journal must replay to.
     pub fn sync_len(&self) -> u64 {
         self.enqueued - self.acknowledged

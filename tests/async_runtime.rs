@@ -13,10 +13,12 @@
 
 use ix_core::{parse, Action, Expr, Value};
 use ix_manager::{
-    ClockMode, Completion, InteractionManager, ManagerError, ManagerRuntime, ProtocolVariant,
-    RuntimeOptions, Ticket,
+    ClockMode, Completion, InteractionManager, ManagerError, ManagerRuntime, MemVault,
+    ProtocolVariant, RuntimeOptions, Ticket, Vault,
 };
-use std::sync::Arc;
+use ix_state::{word_problem, WordStatus};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn coupled_constraint(departments: usize) -> Expr {
     let group = |k: usize| format!("((some p {{ call{k}(p) - perform{k}(p) }})* - audit)*");
@@ -266,6 +268,119 @@ fn mid_chain_denial_invalidates_downstream_conditional_votes() {
     let replay = InteractionManager::monolithic(&expr, ProtocolVariant::Combined).unwrap();
     for action in runtime.log() {
         assert!(replay.try_execute(9, &action).unwrap().is_some(), "log replay rejected {action}");
+    }
+}
+
+/// A memory vault whose appends wait until it is opened: a worker deciding
+/// a commit stops at its write-ahead record, so whatever is queued behind
+/// it stays queued for as long as the test needs.
+#[derive(Default)]
+struct GatedVault {
+    inner: MemVault,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl GatedVault {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl Vault for GatedVault {
+    fn append(&self, stream: u32, payload: &[u8]) -> u64 {
+        let open = self.open.lock().unwrap();
+        drop(self.opened.wait_while(open, |open| !*open).unwrap());
+        self.inner.append(stream, payload)
+    }
+    fn stream_len(&self, stream: u32) -> u64 {
+        self.inner.stream_len(stream)
+    }
+    fn read_from(&self, stream: u32, from: u64) -> Vec<(u64, Vec<u8>)> {
+        self.inner.read_from(stream, from)
+    }
+    fn truncate(&self, stream: u32, covered: u64) {
+        self.inner.truncate(stream, covered)
+    }
+    fn save_blob(&self, name: &str, bytes: &[u8]) {
+        self.inner.save_blob(name, bytes)
+    }
+    fn load_blob(&self, name: &str) -> Option<Vec<u8>> {
+        self.inner.load_blob(name)
+    }
+    fn streams(&self) -> Vec<u32> {
+        self.inner.streams()
+    }
+    fn sync(&self) {}
+}
+
+/// The decided path of the cascade fires on an all-commit chain: eight
+/// consecutive audits owned by all four shards, submitted in one window.
+/// Every worker starts on its own department's call and stops at that
+/// call's write-ahead record until the whole window is queued, so each
+/// owner coalesces the full chain into one speculative batch.  The owners
+/// that vote on the first audit before it is decided vote on the rest
+/// conditionally; the first audit's commit promotes those votes and
+/// cascades the chain to decided.
+#[test]
+fn an_all_commit_audit_chain_decides_through_promoted_conditional_votes() {
+    let departments = 4;
+    let expr = coupled_constraint(departments);
+    let vault = Arc::new(GatedVault::default());
+    let options = RuntimeOptions {
+        variant: ProtocolVariant::Combined,
+        // One worker per owner, so no owner resolves the chain in order
+        // while helping another shard.
+        worker_threads: departments,
+        ..RuntimeOptions::default()
+    };
+    let runtime = ManagerRuntime::with_durability(&expr, options, vault.clone()).unwrap();
+    let mut window: Vec<Action> =
+        (0..departments).flat_map(|k| [call(k, 1), perform(k, 1)]).collect();
+    window.extend(std::iter::repeat_n(audit(), 8));
+    let tickets = runtime.session(1).submit_batch(&window);
+    vault.open();
+    for (ticket, action) in tickets.iter().zip(&window) {
+        assert!(matches!(ticket.wait(), Completion::Executed { .. }), "{action} must commit");
+    }
+    let stats = runtime.cascade_stats();
+    assert!(stats.conditional_votes >= 1, "{stats:?}");
+    assert!(stats.promoted_votes >= 1, "{stats:?}");
+    assert!(stats.cascaded_commits >= 1, "{stats:?}");
+    assert_eq!(stats.invalidated_votes, 0, "nothing was denied: {stats:?}");
+    let log = runtime.log();
+    assert_eq!(log.len(), window.len());
+    assert_eq!(word_problem(&expr, &log).unwrap(), WordStatus::Complete, "{log:?}");
+}
+
+/// `RuntimeOptions::queue_metrics` records one (enqueue wait, service)
+/// sample per queued execute, and none with the flag off.
+#[test]
+fn queue_metrics_sample_each_queued_execute_only_when_enabled() {
+    let expr = coupled_constraint(2);
+    let window: Vec<Action> =
+        (0..16i64).flat_map(|p| [call(p as usize % 2, p), perform(p as usize % 2, p)]).collect();
+    for queue_metrics in [true, false] {
+        let options = RuntimeOptions { queue_metrics, ..RuntimeOptions::default() };
+        let runtime = ManagerRuntime::with_options(&expr, options).unwrap();
+        for ticket in runtime.session(1).submit_batch(&window) {
+            assert!(matches!(ticket.wait(), Completion::Executed { .. }));
+        }
+        // A worker publishes its samples when it goes idle, which may be
+        // just after it completed the last ticket.
+        let expected = if queue_metrics { window.len() } else { 0 };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut samples = runtime.drain_queue_samples();
+        while samples.len() < expected && Instant::now() < deadline {
+            std::thread::yield_now();
+            samples.extend(runtime.drain_queue_samples());
+        }
+        assert_eq!(samples.len(), expected, "queue_metrics = {queue_metrics}");
+        if queue_metrics {
+            assert!(samples.iter().any(|&(_, service)| service > 0), "{samples:?}");
+        }
+        assert!(runtime.drain_queue_samples().is_empty(), "a drain takes every sample");
     }
 }
 

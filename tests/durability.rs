@@ -193,55 +193,67 @@ proptest! {
 /// sequence, with the runtime still live afterwards.  No torn cross-shard
 /// chain may be half-applied: prefix equality over the merged log rules
 /// that out, because a half-applied audit would commit out of order on one
-/// shard's segment.
+/// shard's segment.  The workload is written twice: as leased ask/confirm
+/// cycles, and as combined executes (decided on the caller's frame when
+/// the shard is at rest).
 #[test]
 fn fault_injected_crash_points_recover_to_acknowledged_prefix() {
     use ix_durable::{FaultPlan, FaultVault};
 
-    let fault = Arc::new(FaultVault::new());
-    let vault: Arc<dyn Vault> = Arc::clone(&fault) as Arc<dyn Vault>;
-    let runtime =
-        ManagerRuntime::with_durability(&coupled_constraint(), leased_options(), vault).unwrap();
-    let session = runtime.session(1);
-    let mut committed = Vec::new();
-    for i in 0..12i64 {
-        for kind in ["call", "perform"] {
-            let action = dept(kind, (i % 3) as usize, 1 + i % 2);
-            if let Some(r) = session.ask_blocking(&action).unwrap() {
-                session.confirm_blocking(r).unwrap();
-                committed.push(action);
+    let combined =
+        RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
+    for (execute, options) in [(false, leased_options()), (true, combined)] {
+        let fault = Arc::new(FaultVault::new());
+        let vault: Arc<dyn Vault> = Arc::clone(&fault) as Arc<dyn Vault>;
+        let runtime =
+            ManagerRuntime::with_durability(&coupled_constraint(), options, vault).unwrap();
+        let session = runtime.session(1);
+        let commit = |action: &Action| {
+            if execute {
+                return matches!(session.execute(action).wait(), Completion::Executed { .. });
+            }
+            let granted = session.ask_blocking(action).unwrap();
+            granted.map(|r| session.confirm_blocking(r).unwrap()).is_some()
+        };
+        let mut committed = Vec::new();
+        for i in 0..12i64 {
+            for kind in ["call", "perform"] {
+                let action = dept(kind, (i % 3) as usize, 1 + i % 2);
+                if commit(&action) {
+                    committed.push(action);
+                }
+            }
+            if i % 4 == 3 {
+                // The cross-shard barrier plus a checkpoint: blob saves and
+                // stream truncations land in the fault journal too.
+                if commit(&audit()) {
+                    committed.push(audit());
+                }
+                runtime.checkpoint().unwrap();
             }
         }
-        if i % 4 == 3 {
-            // The cross-shard barrier plus a checkpoint: blob saves and
-            // stream truncations land in the fault journal too.
-            if let Some(r) = session.ask_blocking(&audit()).unwrap() {
-                session.confirm_blocking(r).unwrap();
-                committed.push(audit());
-            }
-            runtime.checkpoint().unwrap();
-        }
-    }
-    assert_eq!(runtime.log(), committed);
-    runtime.shutdown().unwrap();
+        assert_eq!(committed.len(), 27, "every pair and audit commits");
+        assert_eq!(runtime.log(), committed);
+        runtime.shutdown().unwrap();
 
-    let max_ops = fault.ops();
-    assert!(max_ops > 40, "workload must journal enough mutations to drill ({max_ops})");
-    for seed in 0..48u64 {
-        let plan = FaultPlan::seeded(seed, max_ops);
-        let disk: Arc<dyn Vault> = Arc::new(fault.surviving(&plan));
-        let recovered = ManagerRuntime::recover(disk, leased_options())
-            .unwrap_or_else(|e| panic!("recovery failed under {plan:?}: {e}"));
-        let log = recovered.log();
-        assert!(
-            log.len() <= committed.len() && log == committed[..log.len()],
-            "recovered log is not a prefix of the acknowledged commits under {plan:?}:\n\
-             recovered: {log:?}"
-        );
-        // The survivor still serves: a fresh decision completes.
-        let probe = recovered.session(7);
-        probe.ask_blocking(&dept("call", 0, 5)).unwrap();
-        recovered.shutdown().unwrap();
+        let max_ops = fault.ops();
+        assert!(max_ops > 40, "workload must journal enough mutations to drill ({max_ops})");
+        for seed in 0..64u64 {
+            let plan = FaultPlan::seeded(seed, max_ops);
+            let disk: Arc<dyn Vault> = Arc::new(fault.surviving(&plan));
+            let recovered = ManagerRuntime::recover(disk, options)
+                .unwrap_or_else(|e| panic!("recovery failed under {plan:?}: {e}"));
+            let log = recovered.log();
+            assert!(
+                log.len() <= committed.len() && log == committed[..log.len()],
+                "recovered log is not a prefix of the acknowledged commits under {plan:?} \
+                 (execute = {execute}):\nrecovered: {log:?}"
+            );
+            // The survivor still serves: a fresh decision completes.
+            let probe = recovered.session(7);
+            probe.ask_blocking(&dept("call", 0, 5)).unwrap();
+            recovered.shutdown().unwrap();
+        }
     }
 }
 
@@ -459,6 +471,10 @@ fn residency_and_checkpoint_cost_follow_the_delta() {
     assert_eq!(durable.log(), full);
     let cut = durable.checkpoint().unwrap();
     assert_eq!(cut.archived_entries, 4 * 80);
+    // A cut archives the delta and snapshots state: after 80 commits per
+    // shard it writes at most half of what the cut after a whole round wrote.
+    let (delta, round) = (cut.bytes + cut.history_bytes, last.bytes + last.history_bytes);
+    assert!(2 * delta <= round, "{delta} bytes after {round}");
     assert_eq!(durable.log(), full);
     assert_eq!(durable.shutdown().unwrap().log, full);
     assert_eq!(twin.shutdown().unwrap().log, full);
@@ -662,16 +678,28 @@ fn checkpoint_truncates_the_covered_log_prefix() {
     let busy = cut.shards.iter().find(|s| s.covered > 0).expect("the loaded shard rolled over");
     assert_eq!(busy.log_entries, 38);
 
-    // Post-checkpoint traffic grows only the tail.
+    // Post-checkpoint traffic grows only the tail, by one record per commit
+    // and owner: the tail holds exactly the commits the cut did not cover.
+    for p in 20..23 {
+        for kind in ["call", "perform"] {
+            assert!(matches!(
+                session.execute(&dept(kind, 0, p)).wait(),
+                Completion::Executed { .. }
+            ));
+        }
+    }
     assert!(matches!(session.execute(&audit()).wait(), Completion::Executed { .. }));
     let after = inspect_vault(&vault).unwrap();
-    assert!(after.shards.iter().all(|s| s.tail_records >= 1), "audit echoed on every owner");
+    for shard in &after.shards {
+        let uncovered = if shard.shard == busy.shard { 7 } else { 1 };
+        assert_eq!(shard.tail_records, uncovered, "tail of shard {}", shard.shard);
+    }
     runtime.shutdown().unwrap();
 
     let options =
         RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
     let recovered = ManagerRuntime::recover(vault, options).unwrap();
-    assert_eq!(recovered.log().len(), 39, "snapshot state plus the replayed tail");
+    assert_eq!(recovered.log().len(), 45, "snapshot state plus the replayed tail");
     recovered.shutdown().unwrap();
 }
 

@@ -4,11 +4,26 @@
 //! the topology change are retried through the new epoch, never lost or
 //! misdelivered.
 
-use ix_bench::{component_call, component_perform, disjoint_components_constraint};
-use ix_core::{parse, Action, Expr};
+use ix_core::{parse, Action, Expr, Value};
 use ix_manager::{Completion, ManagerRuntime, ProtocolVariant};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The ⊗-coupling of `components` independent groups, each enforcing "every
+/// case is called before it is performed" over its own action names: one
+/// shard per component.
+fn disjoint_components_constraint(components: usize) -> Expr {
+    let group = |k: usize| format!("(some p {{ call_{k}(p) - perform_{k}(p) }})*");
+    parse(&(0..components).map(group).collect::<Vec<_>>().join(" @ ")).unwrap()
+}
+
+fn component_call(k: usize, p: i64) -> Action {
+    Action::concrete(&format!("call_{k}"), [Value::int(p)])
+}
+
+fn component_perform(k: usize, p: i64) -> Action {
+    Action::concrete(&format!("perform_{k}"), [Value::int(p)])
+}
 
 /// Pre-commits `pairs` call/perform pairs on component 0, so a later
 /// coupling onto `call_0` has a real history to replay (a migration window
