@@ -23,9 +23,17 @@
 //! instead of poisoning recovery, and segment files that a snapshot fully
 //! covers are deleted — the `ContinueAsNew`-style rollover that keeps cyclic
 //! workflows from accreting unbounded history.
+//!
+//! A file vault pays for durability at **barriers** — a stream fsync (by
+//! policy or on rotation), [`Vault::sync`], [`Vault::truncate`] and
+//! [`Vault::save_blob`].  Whatever the vault created or renamed since the
+//! previous barrier — directory entries, and the first blob of a vault opened
+//! empty — is fsynced by the next one before it does its own work.  So are
+//! the blobs a reopened vault finds: their writer may have stopped before its
+//! first barrier.
 
 use crate::codec::crc32;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write as IoWrite};
 use std::path::{Path, PathBuf};
@@ -49,6 +57,11 @@ pub fn history_stream(shard: usize) -> u32 {
 }
 
 /// When a [`FileVault`] flushes appended records to stable storage.
+///
+/// Every stream fsync is a barrier (see [`Vault::save_blob`]): before it, the
+/// vault fsyncs the blob and the directory entries no barrier has covered
+/// yet, so a record is never durable ahead of the topology it was journaled
+/// against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Fsync after every appended record (maximum durability, slowest).
@@ -56,9 +69,8 @@ pub enum FsyncPolicy {
     /// Fsync every n-th append on each stream; a crash loses at most the
     /// last n records of a stream (they fall off the replayed tail).
     Interval(u32),
-    /// Never fsync on append; only [`Vault::sync`] (called by checkpoints)
-    /// reaches the disk.  The bench default — measures codec and replay
-    /// cost, not the disk.
+    /// Never fsync on append; only [`Vault::sync`] (called by checkpoints
+    /// and by a runtime's shutdown) reaches the disk.
     Never,
 }
 
@@ -77,15 +89,33 @@ pub trait Vault: Send + Sync {
     fn read_from(&self, stream: u32, from: u64) -> Vec<(u64, Vec<u8>)>;
     /// Releases storage for records with index < `covered` (best effort —
     /// a file-backed stream frees whole segments, so some covered records
-    /// may survive; indices never shift).
+    /// may survive; indices never shift).  A barrier: the blobs saved
+    /// before it (the snapshot that covers the records) are durable before
+    /// any storage is released.
     fn truncate(&self, stream: u32, covered: u64);
     /// Atomically replaces a named blob.
+    ///
+    /// **The barrier rule.**  A blob is durable once a *barrier* follows
+    /// it: a stream fsync (by [`FsyncPolicy`] or on segment rotation),
+    /// [`Vault::sync`], [`Vault::truncate`], or the next `save_blob`.  Each
+    /// barrier first fsyncs what earlier blob saves left unsynced.  A blob
+    /// is fsynced before its rename, so a crash leaves the old bytes or the
+    /// new ones, never a mixture — except the first blob of a file vault
+    /// opened on an empty directory, which is renamed into place unsynced.
+    /// A file vault opened on existing files owes its first barrier the
+    /// fsync of every blob it found, in case their writer passed none.
+    /// The runtime writes its topology first, so the topology is durable
+    /// before anything journaled against it is durable, replaced or
+    /// deleted: a vault whose topology is missing or torn never passed a
+    /// barrier, and no commit in it was promised durable.
     fn save_blob(&self, name: &str, bytes: &[u8]);
     /// Reads a named blob.
     fn load_blob(&self, name: &str) -> Option<Vec<u8>>;
     /// The stream ids that currently hold data.
     fn streams(&self) -> Vec<u32>;
-    /// Flushes everything to stable storage (no-op for memory vaults).
+    /// Flushes everything to stable storage (no-op for memory vaults).  A
+    /// barrier: every record appended and every blob saved before it is
+    /// durable when it returns.
     fn sync(&self);
 }
 
@@ -253,6 +283,7 @@ fn scan_records(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
 
 struct OpenSegment {
     file: File,
+    path: PathBuf,
     bytes: u64,
 }
 
@@ -289,6 +320,20 @@ impl FileStream {
     }
 }
 
+/// What the next barrier owes the disk before its own work.
+#[derive(Default)]
+struct Debt {
+    /// The vault was opened on an empty directory and has saved no blob
+    /// yet: the first blob is renamed into place without an fsync.
+    defer_first_blob: bool,
+    /// Blobs in place but not yet fsynced: that first blob, or every blob a
+    /// reopened vault found (its writer may have stopped before a barrier).
+    blobs: Vec<PathBuf>,
+    /// Directories with an entry (a created file or directory, a renamed
+    /// blob) that no fsync has covered yet.
+    dirs: BTreeSet<PathBuf>,
+}
+
 /// The file-backed [`Vault`]: one directory per stream under `wal/`, each a
 /// series of segment files rotated by size, plus atomically renamed blob
 /// files under `blobs/`.
@@ -297,6 +342,11 @@ pub struct FileVault {
     fsync: FsyncPolicy,
     segment_bytes: u64,
     inner: Mutex<HashMap<u32, FileStream>>,
+    /// Locked after `inner` when both are held.
+    debt: Mutex<Debt>,
+    /// Every path fsynced, relative to the root, in order.
+    #[cfg(test)]
+    synced: Mutex<Vec<PathBuf>>,
 }
 
 impl std::fmt::Debug for FileVault {
@@ -343,7 +393,31 @@ impl FileVault {
             }
             streams.insert(id, stream);
         }
-        Ok(FileVault { root, fsync, segment_bytes, inner: Mutex::new(streams) })
+        // `blobs/` and `wal/` may be entries no fsync has covered yet.
+        let mut debt = Debt { dirs: BTreeSet::from([root.clone()]), ..Debt::default() };
+        let blobs: Vec<PathBuf> = fs::read_dir(root.join("blobs"))?
+            .flatten()
+            .filter(|entry| !entry.file_name().to_string_lossy().starts_with(".tmp-"))
+            .map(|entry| entry.path())
+            .collect();
+        if streams.is_empty() && blobs.is_empty() {
+            debt.defer_first_blob = true;
+        } else {
+            // The writer that left these files may have stopped before its
+            // first barrier, leaving them in the page cache only: the next
+            // barrier makes them durable before anything is journaled on top.
+            debt.blobs = blobs;
+            debt.dirs.extend([root.join("blobs"), root.join("wal")]);
+        }
+        Ok(FileVault {
+            root,
+            fsync,
+            segment_bytes,
+            inner: Mutex::new(streams),
+            debt: Mutex::new(debt),
+            #[cfg(test)]
+            synced: Mutex::default(),
+        })
     }
 
     /// The vault's root directory.
@@ -355,6 +429,36 @@ impl FileVault {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         f(&mut inner)
     }
+
+    fn debt(&self) -> std::sync::MutexGuard<'_, Debt> {
+        self.debt.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// `sync_all` on an open file or directory.
+    #[cfg_attr(not(test), allow(unused_variables))]
+    fn fsync(&self, file: &File, path: &Path) -> std::io::Result<()> {
+        #[cfg(test)]
+        self.synced
+            .lock()
+            .unwrap()
+            .push(path.strip_prefix(&self.root).expect("a path inside the vault").to_path_buf());
+        file.sync_all()
+    }
+
+    /// The start of every barrier: fsyncs the blobs still unsynced, then
+    /// every directory holding an unsynced entry.
+    fn barrier(&self) {
+        let mut debt = self.debt();
+        for path in std::mem::take(&mut debt.blobs) {
+            let file = File::open(&path).expect("open an unsynced blob");
+            self.fsync(&file, &path).expect("sync an unsynced blob");
+        }
+        for dir in std::mem::take(&mut debt.dirs) {
+            if let Ok(handle) = File::open(&dir) {
+                let _ = self.fsync(&handle, &dir);
+            }
+        }
+    }
 }
 
 impl Vault for FileVault {
@@ -363,15 +467,18 @@ impl Vault for FileVault {
             // A stream gets its directory when it gets its entry; entries
             // read back at open have theirs already.
             let s = streams.entry(stream).or_insert_with(|| {
-                let dir = self.root.join("wal").join(stream_dir_name(stream));
+                let wal = self.root.join("wal");
+                let dir = wal.join(stream_dir_name(stream));
                 fs::create_dir_all(&dir).expect("create stream directory");
+                self.debt().dirs.insert(wal);
                 FileStream::new(dir)
             });
             // Rotate (or open) the append segment.
             let rotate = s.open.as_ref().is_some_and(|o| o.bytes >= self.segment_bytes);
             if s.open.is_none() || rotate {
                 if let Some(o) = s.open.take() {
-                    let _ = o.file.sync_all();
+                    self.barrier();
+                    let _ = self.fsync(&o.file, &o.path);
                 }
                 let (path, bytes) = match (rotate, s.segments().into_iter().last()) {
                     // Re-open the existing last segment (fresh handle after
@@ -380,11 +487,14 @@ impl Vault for FileVault {
                         let bytes = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
                         (path, bytes)
                     }
-                    _ => (s.dir.join(segment_file_name(s.next_index)), 0),
+                    _ => {
+                        self.debt().dirs.insert(s.dir.clone());
+                        (s.dir.join(segment_file_name(s.next_index)), 0)
+                    }
                 };
                 let file =
-                    OpenOptions::new().create(true).append(true).open(path).expect("open segment");
-                s.open = Some(OpenSegment { file, bytes });
+                    OpenOptions::new().create(true).append(true).open(&path).expect("open segment");
+                s.open = Some(OpenSegment { file, path, bytes });
             }
             let open = s.open.as_mut().expect("segment just opened");
             let frame = &mut s.frame;
@@ -405,7 +515,8 @@ impl Vault for FileVault {
                 FsyncPolicy::Never => false,
             };
             if flush {
-                let _ = open.file.sync_all();
+                self.barrier();
+                let _ = self.fsync(&open.file, &open.path);
                 s.unsynced = 0;
             }
             index
@@ -418,13 +529,11 @@ impl Vault for FileVault {
 
     fn read_from(&self, stream: u32, from: u64) -> Vec<(u64, Vec<u8>)> {
         self.with_inner(|streams| {
-            let Some(s) = streams.get_mut(&stream) else {
+            // Appends are unbuffered `write_all`s: the scan reads them from
+            // the page cache, no fsync needed.
+            let Some(s) = streams.get(&stream) else {
                 return Vec::new();
             };
-            // Flush buffered writes so the scan sees them.
-            if let Some(o) = &s.open {
-                let _ = o.file.sync_data();
-            }
             let mut out = Vec::new();
             for (first, path) in s.segments() {
                 let Ok(bytes) = fs::read(&path) else { break };
@@ -446,6 +555,7 @@ impl Vault for FileVault {
     }
 
     fn truncate(&self, stream: u32, covered: u64) {
+        self.barrier();
         self.with_inner(|streams| {
             let Some(s) = streams.get_mut(&stream) else {
                 return;
@@ -465,12 +575,26 @@ impl Vault for FileVault {
     }
 
     fn save_blob(&self, name: &str, bytes: &[u8]) {
-        let tmp = self.root.join("blobs").join(format!(".tmp-{name}"));
-        let path = self.root.join("blobs").join(name);
+        let blobs = self.root.join("blobs");
+        let tmp = blobs.join(format!(".tmp-{name}"));
+        let path = blobs.join(name);
         let mut f = File::create(&tmp).expect("create blob temp file");
         f.write_all(bytes).expect("write blob");
-        f.sync_all().expect("sync blob");
+        {
+            // The first blob of a vault opened empty replaces nothing, and
+            // nothing durable depends on it yet: the next barrier fsyncs it.
+            let mut debt = self.debt();
+            if std::mem::take(&mut debt.defer_first_blob) {
+                fs::rename(&tmp, &path).expect("rename the first blob into place");
+                debt.blobs.push(path);
+                debt.dirs.insert(blobs);
+                return;
+            }
+        }
+        self.barrier();
+        self.fsync(&f, &tmp).expect("sync blob");
         fs::rename(&tmp, &path).expect("atomically replace blob");
+        self.debt().dirs.insert(blobs);
     }
 
     fn load_blob(&self, name: &str) -> Option<Vec<u8>> {
@@ -494,9 +618,10 @@ impl Vault for FileVault {
 
     fn sync(&self) {
         self.with_inner(|streams| {
+            self.barrier();
             for s in streams.values_mut() {
                 if let Some(o) = &s.open {
-                    let _ = o.file.sync_all();
+                    let _ = self.fsync(&o.file, &o.path);
                 }
                 s.unsynced = 0;
             }
@@ -613,6 +738,113 @@ mod tests {
         let survivors: Vec<u64> = v.read_from(0, 3).into_iter().map(|(i, _)| i).collect();
         assert_eq!(survivors, vec![3, 4]);
         assert_eq!(v.stream_len(0), 5);
+    }
+
+    impl FileVault {
+        /// The paths fsynced since the last call, relative to the root.
+        fn take_synced(&self) -> Vec<PathBuf> {
+            std::mem::take(&mut *self.synced.lock().unwrap())
+        }
+    }
+
+    /// A vault opened empty renames its first blob into place unsynced; the
+    /// first barrier of any kind fsyncs it and `blobs/` once, ahead of its
+    /// own fsync.  So does the first barrier of a vault reopened after a
+    /// writer that passed none.  A reopened vault, and every later blob,
+    /// fsyncs the blob before the rename.
+    #[test]
+    fn the_first_barrier_makes_the_first_blob_durable() {
+        let seg = |n: u64| Path::new("wal/shard-0").join(segment_file_name(n));
+        type Barrier = fn(&FileVault);
+        let kinds: [(&str, FsyncPolicy, u64, Barrier, Option<PathBuf>); 5] = [
+            (
+                "stream fsync by policy",
+                FsyncPolicy::Always,
+                1 << 20,
+                |v| {
+                    v.append(0, b"r");
+                },
+                Some(seg(0)),
+            ),
+            (
+                "stream fsync on rotation",
+                FsyncPolicy::Never,
+                1,
+                |v| {
+                    v.append(0, b"r");
+                    assert!(v.take_synced().is_empty(), "an append under Never fsyncs nothing");
+                    v.append(0, b"s");
+                },
+                Some(seg(0)),
+            ),
+            (
+                "sync",
+                FsyncPolicy::Never,
+                1 << 20,
+                |v| {
+                    v.append(0, b"r");
+                    v.sync();
+                },
+                Some(seg(0)),
+            ),
+            ("truncate", FsyncPolicy::Never, 1 << 20, |v| v.truncate(0, 0), None),
+            (
+                "save_blob",
+                FsyncPolicy::Never,
+                1 << 20,
+                |v| v.save_blob("manifest", b"m"),
+                Some(PathBuf::from("blobs/.tmp-manifest")),
+            ),
+        ];
+        let (first, blobs) = (Path::new("blobs/topology"), Path::new("blobs"));
+        for ((kind, policy, segment_bytes, barrier, own), reopened) in
+            kinds.into_iter().flat_map(|k| [(k.clone(), false), (k, true)])
+        {
+            let dir = temp_dir("barrier");
+            let open = || FileVault::open_with_segment_bytes(&dir, policy, segment_bytes).unwrap();
+            let mut v = open();
+            v.save_blob("topology", b"t");
+            assert_eq!(v.take_synced(), Vec::<PathBuf>::new(), "{kind}: the first blob waits");
+            if reopened {
+                // The writer stops before its first barrier; the vault
+                // reopened on its files owes their fsync instead.
+                drop(v);
+                v = open();
+                assert_eq!(v.take_synced(), Vec::<PathBuf>::new(), "{kind}: reopen waits");
+            }
+            let kind = format!("{kind}{}", if reopened { " (reopened)" } else { "" });
+            barrier(&v);
+            let synced = v.take_synced();
+            let at = |p: &Path| synced.iter().position(|s| s == p);
+            for owed in [first, blobs] {
+                let count = synced.iter().filter(|s| *s == owed).count();
+                assert_eq!(count, 1, "{kind}: {owed:?} fsynced once: {synced:?}");
+            }
+            if let Some(own) = &own {
+                assert_eq!(synced.last(), Some(own), "{kind}: its own fsync is last");
+                assert!(at(first) < at(own) && at(blobs) < at(own), "{kind}: {synced:?}");
+            }
+            if own == Some(seg(0)) {
+                let entry = Path::new("wal/shard-0");
+                let ordered = at(entry).is_some() && at(entry) < at(&seg(0));
+                assert!(ordered, "{kind}: a new segment's entry: {synced:?}");
+            }
+            // The debt is paid: no later barrier fsyncs the first blob again.
+            v.sync();
+            assert!(!v.take_synced().iter().any(|s| s == first), "{kind}");
+            // A replacement is fsynced before it is renamed into place.
+            v.save_blob("topology", b"t2");
+            assert_eq!(v.take_synced(), [PathBuf::from("blobs/.tmp-topology")], "{kind}");
+            // A reopened vault defers no blob: it pays the debt it found,
+            // then fsyncs the replacement before its rename.
+            drop(v);
+            let v = open();
+            v.save_blob("topology", b"t3");
+            let synced = v.take_synced();
+            assert!(synced.iter().any(|s| s == first), "{kind}: {synced:?}");
+            assert_eq!(synced.last(), Some(&PathBuf::from("blobs/.tmp-topology")), "{kind}");
+            assert_eq!(v.load_blob("topology").unwrap(), b"t3");
+        }
     }
 
     #[test]

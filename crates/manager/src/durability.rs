@@ -1165,24 +1165,56 @@ pub(crate) fn encode_topology(t: &TopologyCheckpoint) -> Vec<u8> {
     w.into_bytes()
 }
 
-pub(crate) fn decode_topology(bytes: &[u8]) -> ManagerResult<TopologyCheckpoint> {
+fn decode_topology(bytes: &[u8]) -> Result<TopologyCheckpoint, CodecError> {
     let mut r = Reader::new(bytes);
-    (|| -> Result<TopologyCheckpoint, CodecError> {
-        let version = r.u8()?;
-        if version != FORMAT_VERSION {
-            return Err(CodecError::BadVersion { version });
-        }
-        let epoch = r.u64()?;
+    let version = r.u8()?;
+    if version != FORMAT_VERSION {
+        return Err(CodecError::BadVersion { version });
+    }
+    let epoch = r.u64()?;
+    let expr = r.str()?;
+    let n = r.len_prefix()?;
+    let mut components = Vec::with_capacity(n);
+    for _ in 0..n {
         let expr = r.str()?;
-        let n = r.len_prefix()?;
-        let mut components = Vec::with_capacity(n);
-        for _ in 0..n {
-            let expr = r.str()?;
-            components.push((expr, decode_alphabet(&mut r)?));
-        }
-        Ok(TopologyCheckpoint { epoch, expr, components })
-    })()
-    .map_err(|e| codec_err("topology", e))
+        components.push((expr, decode_alphabet(&mut r)?));
+    }
+    Ok(TopologyCheckpoint { epoch, expr, components })
+}
+
+/// Reads the vault's topology, the first thing every recovery needs.  A
+/// topology that is missing or torn in a vault that journaled records but
+/// holds no other blob — what a crash before the vault's first barrier
+/// leaves ([`Vault::save_blob`]) — is reported as what it means: no commit
+/// in the vault was ever promised durable.  Any other unreadable topology
+/// is a plain durability error; one of another format version is a codec
+/// error like any other.
+pub(crate) fn load_topology(vault: &dyn Vault) -> ManagerResult<TopologyCheckpoint> {
+    let state = match vault.load_blob(TOPOLOGY_BLOB) {
+        None => "missing".to_string(),
+        Some(blob) => match decode_topology(&blob) {
+            Ok(topo) => return Ok(topo),
+            // A torn file can read back as zeros; version 0 was never written.
+            Err(e @ CodecError::BadVersion { version }) if version != 0 => {
+                return Err(codec_err("topology", e));
+            }
+            Err(e) => format!("torn ({e})"),
+        },
+    };
+    // Every other blob is saved after the topology, and a save is a barrier.
+    // Records are no such proof: the page cache may have written them back.
+    let barrier_passed = [snap_blob(0).as_str(), MANIFEST_BLOB, QUEUE_BLOB]
+        .into_iter()
+        .any(|name| vault.load_blob(name).is_some());
+    if barrier_passed || vault.streams().is_empty() {
+        return Err(durability_err(format!(
+            "the vault holds no readable topology blob: it is {state}"
+        )));
+    }
+    Err(durability_err(format!(
+        "the topology blob is {state}: the vault never passed its first barrier, \
+         so no commit in it was promised durable"
+    )))
 }
 
 // ---------------------------------------------------------------------------
@@ -1248,14 +1280,11 @@ pub struct VaultInspection {
 
 /// Summarizes a vault without recovering from it: the persisted topology,
 /// the checkpoint manifest, and each shard's snapshot plus the log tail a
-/// recovery would replay.  Fails when the vault holds no topology blob, or
-/// when a shard's history stream does not hold every entry its snapshot
-/// counts archived.
+/// recovery would replay.  Fails when the vault holds no readable topology
+/// blob, or when a shard's history stream does not hold every entry its
+/// snapshot counts archived.
 pub fn inspect_vault(vault: &Arc<dyn Vault>) -> ManagerResult<VaultInspection> {
-    let topo = match vault.load_blob(TOPOLOGY_BLOB) {
-        Some(blob) => decode_topology(&blob)?,
-        None => return Err(durability_err("vault has no topology blob — nothing to inspect")),
-    };
+    let topo = load_topology(vault.as_ref())?;
     let manifest = match vault.load_blob(MANIFEST_BLOB) {
         Some(blob) => Some(decode_manifest(&blob)?),
         None => None,

@@ -1515,11 +1515,7 @@ fn recover_runtime(
     options: RuntimeOptions,
 ) -> ManagerResult<ManagerRuntime> {
     let hub = DurabilityHub::new(vault);
-    let topo_blob = hub
-        .vault()
-        .load_blob(durability::TOPOLOGY_BLOB)
-        .ok_or_else(|| durability_err("vault has no topology blob — nothing to recover"))?;
-    let topo = durability::decode_topology(&topo_blob)?;
+    let topo = durability::load_topology(hub.vault().as_ref())?;
     let expr = parse(&topo.expr)
         .map_err(|e| durability_err(format!("stored expression does not parse: {e}")))?;
     let mut components = Vec::with_capacity(topo.components.len());
@@ -2068,9 +2064,9 @@ impl ManagerRuntime {
         let partition = Partition::of(expr);
         // Persist the topology before anything journals against it: the log
         // streams are meaningless without the component table that routed
-        // them.
+        // them.  It is durable at the vault's first barrier, ahead of every
+        // record journaled against it (`Vault::save_blob`).
         write_topology_blob(&hub, expr, &partition);
-        hub.vault().sync();
         let seeds = fresh_seeds(&partition, &options, Some(&hub))?;
         spawn_runtime(expr, partition, options, Some(hub), seeds, RecoveredGlobals::default())
     }
@@ -2881,6 +2877,12 @@ impl ManagerRuntime {
         let mut finished = std::mem::take(&mut *lock(&self.shared.pool.finished));
         finished.sort_by_key(|state| state.id);
         let vault = self.shared.vault();
+        // The workers are joined, so every record is appended: the records
+        // no fsync policy has flushed yet, and a topology no barrier has,
+        // reach the disk before the runtime reports itself shut down.
+        if let Some(vault) = vault {
+            vault.sync();
+        }
         Ok(RuntimeReport {
             log: durability::merged_log(vault, finished.iter().map(|st| (st.id, &st.log)))?,
             stats: self.shared.stats.snapshot(),
@@ -6400,12 +6402,20 @@ mod tests {
 
     /// A memory vault whose next append can be held open from outside: the
     /// one step of a decision a test can stretch, with the decision's thread
-    /// inside the shard kernel and the slot Busy.
+    /// inside the shard kernel and the slot Busy.  It counts its `sync`
+    /// calls.
     #[derive(Default)]
     struct HeldVault {
         inner: ix_durable::MemVault,
         /// Taken by the next append: it reports in, then waits to be let go.
         hold: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+        syncs: std::sync::atomic::AtomicUsize,
+    }
+
+    impl HeldVault {
+        fn syncs(&self) -> usize {
+            self.syncs.load(Ordering::Relaxed)
+        }
     }
 
     impl Vault for HeldVault {
@@ -6434,7 +6444,9 @@ mod tests {
         fn streams(&self) -> Vec<u32> {
             self.inner.streams()
         }
-        fn sync(&self) {}
+        fn sync(&self) {
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// [`a_caller_frame_repeats_the_wake_up_it_swallowed`] for the frames
@@ -6621,5 +6633,40 @@ mod tests {
         let shared = Arc::clone(&runtime.shared);
         drop(runtime);
         assert_eq!((Arc::strong_count(&shared), shared.pool.core.started()), (1, 0));
+    }
+
+    /// A durable runtime's set-up waits on no disk: its topology becomes
+    /// durable at the vault's first barrier.  A clean shutdown ends with one
+    /// `sync`, whether the commits were decided on frames or by a worker, so
+    /// nothing it acknowledged is left in the page cache.
+    #[test]
+    fn a_durable_runtime_syncs_once_at_shutdown_and_not_in_set_up() {
+        for queued in [false, true] {
+            let vault = Arc::new(HeldVault::default());
+            let expr = parse("(a_0 - b_0)* @ (a_1 - b_1)*").unwrap();
+            let options = RuntimeOptions {
+                variant: ProtocolVariant::Combined,
+                worker_threads: 2,
+                ..RuntimeOptions::default()
+            };
+            let runtime = ManagerRuntime::with_durability(&expr, options, vault.clone()).unwrap();
+            assert_eq!(vault.syncs(), 0, "set-up synced the vault");
+            let session = runtime.session(1);
+            let word = ring_word(2, 10);
+            if queued {
+                for ticket in session.submit_batch(&word) {
+                    assert!(matches!(ticket.wait(), Completion::Executed { .. }));
+                }
+            } else {
+                for action in &word {
+                    assert!(matches!(session.execute(action).wait(), Completion::Executed { .. }));
+                }
+            }
+            assert_eq!(runtime.log().len(), word.len());
+            assert_eq!(vault.syncs(), 0, "commits and log() sync nothing");
+            drop(session);
+            assert_eq!(runtime.shutdown().unwrap().log.len(), word.len());
+            assert_eq!(vault.syncs(), 1, "queued = {queued}");
+        }
     }
 }

@@ -760,6 +760,103 @@ fn file_backed_vault_survives_a_crash_and_a_rollover() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A file-vault runtime under `Interval(64)` that commits fewer than 64
+/// records and is dropped without `shutdown()` has passed no barrier: its
+/// topology and its records are in the page cache only.  Returns the vault
+/// directory, the commits and the options.
+fn drop_before_the_first_barrier() -> (std::path::PathBuf, Vec<Action>, RuntimeOptions) {
+    let dir = temp_vault_dir();
+    let options = RuntimeOptions {
+        variant: ProtocolVariant::Combined,
+        fsync: FsyncPolicy::Interval(64),
+        ..RuntimeOptions::default()
+    };
+    let runtime =
+        ManagerRuntime::with_durability_path(&coupled_constraint(), options, &dir).unwrap();
+    let session = runtime.session(1);
+    let mut committed = Vec::new();
+    for p in 1..5 {
+        for d in 0..3 {
+            for kind in ["call", "perform"] {
+                let action = dept(kind, d, p);
+                assert!(matches!(session.execute(&action).wait(), Completion::Executed { .. }));
+                committed.push(action);
+            }
+        }
+    }
+    assert!(matches!(session.execute(&audit()).wait(), Completion::Executed { .. }));
+    committed.push(audit());
+    drop(session);
+    drop(runtime);
+    (dir, committed, options)
+}
+
+/// Without an OS crash the page cache reaches the files: a runtime dropped
+/// before its vault's first barrier recovers every commit.
+#[test]
+fn a_runtime_dropped_before_the_first_barrier_recovers_every_commit() {
+    let (dir, committed, options) = drop_before_the_first_barrier();
+    let recovered = ManagerRuntime::recover_path(&dir, options).unwrap();
+    assert_eq!(recovered.log(), committed);
+    recovered.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An OS crash before the first barrier may leave the topology torn, since
+/// its fsync was deferred to that barrier.  Recovery reports a vault in
+/// which no commit was promised durable, not a codec error, and does not
+/// panic.
+#[test]
+fn a_torn_topology_recovers_to_an_error_that_nothing_was_durable() {
+    let (dir, _, options) = drop_before_the_first_barrier();
+    let topology = std::fs::OpenOptions::new().write(true).open(dir.join("blobs/topology"));
+    topology.unwrap().set_len(0).unwrap();
+    match ManagerRuntime::recover_path(&dir, options) {
+        Err(ix_manager::ManagerError::Durability { detail }) => assert!(
+            detail.contains("never passed its first barrier") && detail.contains("torn"),
+            "{detail}"
+        ),
+        Err(other) => panic!("recovery failed with {other}"),
+        Ok(_) => panic!("recovered from a vault without a topology"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Only a vault that journaled records and holds no blob but its topology
+/// is diagnosed as never durable.  An empty vault (a mistyped path) holds
+/// nothing to recover, and a checkpoint's blobs prove a barrier passed:
+/// both get a plain error.  A topology of zeros, as a torn file can read
+/// back, is torn, not another format version.
+#[test]
+fn only_a_journal_beside_a_lone_topology_is_diagnosed_as_never_durable() {
+    let detail = |vault: Arc<MemVault>| match ManagerRuntime::recover(vault, leased_options()) {
+        Err(ix_manager::ManagerError::Durability { detail }) => detail,
+        Err(other) => panic!("recovery failed with {other}"),
+        Ok(_) => panic!("recovered from a vault without a readable topology"),
+    };
+    let empty = detail(Arc::new(MemVault::new()));
+    assert!(empty.contains("no readable topology") && empty.contains("missing"), "{empty}");
+    for checkpointed in [false, true] {
+        let vault = Arc::new(MemVault::new());
+        let runtime =
+            ManagerRuntime::with_durability(&coupled_constraint(), leased_options(), vault.clone())
+                .unwrap();
+        let session = runtime.session(1);
+        assert!(matches!(session.execute(&dept("call", 0, 1)).wait(), Completion::Executed { .. }));
+        if checkpointed {
+            runtime.checkpoint().unwrap();
+        }
+        drop(session);
+        drop(runtime);
+        let zeros = vec![0; vault.load_blob("topology").unwrap().len()];
+        vault.save_blob("topology", &zeros);
+        let torn = detail(vault);
+        assert!(torn.contains("torn"), "{torn}");
+        let diagnosed = torn.contains("never passed its first barrier");
+        assert_eq!(diagnosed, !checkpointed, "{torn}");
+    }
+}
+
 /// The on-disk format did not move with the in-memory log representation:
 /// `tests/fixtures/vault_pr11/vault` was written by commit 96d8399 (the
 /// parent of the packed commit log) — three coupled departments with
