@@ -39,6 +39,4 @@ pub use snapshot::{
     decode_action, decode_alphabet, decode_value, encode_action, encode_alphabet, encode_value,
     StateTableBuilder, StateTableReader,
 };
-pub use vault::{
-    history_stream, FileVault, FsyncPolicy, MemVault, Vault, META_STREAM, QUEUE_STREAM,
-};
+pub use vault::{history_stream, FileVault, FsyncPolicy, MemVault, Vault, META_STREAM};

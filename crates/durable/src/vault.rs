@@ -3,12 +3,11 @@
 //! A [`Vault`] holds two kinds of data:
 //!
 //! * numbered append-only **streams** of records — the per-shard write-ahead
-//!   logs, the per-shard history streams ([`history_stream`]), the meta
-//!   stream ([`META_STREAM`]) and the submission-queue stream
-//!   ([`QUEUE_STREAM`]).  Records are addressed by a monotonically growing
-//!   index that never resets: truncation deletes covered storage but keeps
-//!   the indices of the surviving records, so "replay the tail after offset
-//!   n" means the same thing before and after a rollover.
+//!   logs, the per-shard history streams ([`history_stream`]) and the meta
+//!   stream ([`META_STREAM`]).  Records are addressed by a monotonically
+//!   growing index that never resets: truncation deletes covered storage but
+//!   keeps the indices of the surviving records, so "replay the tail after
+//!   offset n" means the same thing before and after a rollover.
 //! * named **blobs** replaced atomically — snapshots, the topology record,
 //!   and the checkpoint manifest.  A blob write is all-or-nothing, which is
 //!   what makes the checkpoint protocol crash-safe in every interleaving:
@@ -42,9 +41,6 @@ use std::sync::Mutex;
 /// Stream id of the runtime's meta stream (clock ticks, off-shard stat
 /// events).  Shard streams use their shard id, counting from 0.
 pub const META_STREAM: u32 = u32::MAX;
-
-/// Stream id of the durable submission queue's journal.
-pub const QUEUE_STREAM: u32 = u32::MAX - 1;
 
 /// First id of the history streams: shard `k` archives its confirmed actions
 /// on stream `HISTORY_STREAM_BASE + k`.  Shard ids stay below it.
@@ -231,7 +227,6 @@ const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
 fn stream_dir_name(stream: u32) -> String {
     match stream {
         META_STREAM => "meta".to_string(),
-        QUEUE_STREAM => "queue".to_string(),
         id if id >= HISTORY_STREAM_BASE => format!("history-{}", id - HISTORY_STREAM_BASE),
         id => format!("shard-{id}"),
     }
@@ -240,7 +235,6 @@ fn stream_dir_name(stream: u32) -> String {
 fn parse_stream_dir(name: &str) -> Option<u32> {
     match name {
         "meta" => Some(META_STREAM),
-        "queue" => Some(QUEUE_STREAM),
         other => match other.strip_prefix("history-") {
             Some(shard) => shard.parse::<u32>().ok()?.checked_add(HISTORY_STREAM_BASE),
             None => other.strip_prefix("shard-")?.parse().ok(),

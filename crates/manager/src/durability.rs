@@ -29,7 +29,7 @@
 //!   snapshot plus the stream tail — no history; roll torn multi-owner
 //!   records forward (a record present on at least one owner's stream is
 //!   completed on all of them); rebuild the derived structures (reservation
-//!   index, timer wheel, submission queue) from what was recovered.
+//!   index, timer wheel) from what was recovered.
 //! * **Reading the log** ([`visit_log`]): who needs every confirmed action —
 //!   `log()`, `shutdown()`, the replay of a live repartition, the vault
 //!   inspection — chains a shard's history stream before the entries still
@@ -43,13 +43,11 @@
 use crate::error::{ManagerError, ManagerResult};
 use crate::log::{LogKey, ShardLog};
 use crate::manager::{ManagerStats, Reservation};
-use crate::queue::QueueBackend;
-use crate::runtime::{DurableOp, SubmissionRecord};
 use crate::subscription::{ClientId, SubscriptionRow};
 use ix_core::{Action, Alphabet};
 use ix_durable::{
     decode_action, decode_alphabet, encode_action, encode_alphabet, history_stream, CodecError,
-    Reader, StateTableBuilder, StateTableReader, Vault, Writer, META_STREAM, QUEUE_STREAM,
+    Reader, StateTableBuilder, StateTableReader, Vault, Writer, META_STREAM,
 };
 use ix_state::{CompiledTable, StateRef, TableParts};
 use std::cell::Cell;
@@ -376,157 +374,6 @@ impl DurabilityHub {
     pub(crate) fn log_meta(&self, record: &WalRecord) -> u64 {
         self.vault.append(ix_durable::META_STREAM, &record.encode())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Submission-queue journal
-// ---------------------------------------------------------------------------
-
-const QTAG_ENQUEUE: u8 = 1;
-const QTAG_ACK: u8 = 2;
-
-fn encode_submission(w: &mut Writer, rec: &SubmissionRecord) {
-    w.u64(rec.client);
-    match &rec.op {
-        DurableOp::Ask { action } => {
-            w.u8(1);
-            encode_action(w, action);
-        }
-        DurableOp::Execute { action } => {
-            w.u8(2);
-            encode_action(w, action);
-        }
-        DurableOp::Confirm { id } => {
-            w.u8(3);
-            w.u64(*id);
-        }
-        DurableOp::Abort { id } => {
-            w.u8(4);
-            w.u64(*id);
-        }
-    }
-}
-
-fn decode_submission(r: &mut Reader) -> Result<SubmissionRecord, CodecError> {
-    let client = r.u64()?;
-    let op = match r.u8()? {
-        1 => DurableOp::Ask { action: decode_action(r)? },
-        2 => DurableOp::Execute { action: decode_action(r)? },
-        3 => DurableOp::Confirm { id: r.u64()? },
-        4 => DurableOp::Abort { id: r.u64()? },
-        tag => return Err(CodecError::BadTag { tag }),
-    };
-    Ok(SubmissionRecord { client, op })
-}
-
-/// [`QueueBackend`] journaling the durable submission queue onto the
-/// vault's [`QUEUE_STREAM`]: one record per enqueue (carrying the
-/// submission) and one marker per acknowledgement.
-pub(crate) struct VaultQueueBackend {
-    vault: Arc<dyn Vault>,
-}
-
-impl VaultQueueBackend {
-    pub(crate) fn new(vault: Arc<dyn Vault>) -> VaultQueueBackend {
-        VaultQueueBackend { vault }
-    }
-}
-
-impl QueueBackend<SubmissionRecord> for VaultQueueBackend {
-    fn record_enqueue(&mut self, message: &SubmissionRecord) {
-        let mut w = Writer::new();
-        w.u8(FORMAT_VERSION);
-        w.u8(QTAG_ENQUEUE);
-        encode_submission(&mut w, message);
-        self.vault.append(QUEUE_STREAM, &w.into_bytes());
-    }
-
-    fn record_ack(&mut self) {
-        let mut w = Writer::new();
-        w.u8(FORMAT_VERSION);
-        w.u8(QTAG_ACK);
-        self.vault.append(QUEUE_STREAM, &w.into_bytes());
-    }
-
-    fn compact(&mut self, pending: &[SubmissionRecord]) -> bool {
-        // Same protocol as the checkpoint cut, driven from the queue
-        // itself: persist the pending set with the stream offset it covers,
-        // then release the stream prefix.  The caller holds the journal
-        // lock, so pending and stream length are a consistent pair; a crash
-        // between the two writes replays an empty tail onto the fresh blob.
-        let covered = self.vault.stream_len(QUEUE_STREAM);
-        let cp = QueueCheckpoint { covered, pending: pending.to_vec() };
-        self.vault.save_blob(QUEUE_BLOB, &encode_queue_checkpoint(&cp));
-        self.vault.truncate(QUEUE_STREAM, covered);
-        true
-    }
-}
-
-/// The pending submissions a checkpoint captured, plus the queue-stream
-/// offset the capture covers.
-pub(crate) struct QueueCheckpoint {
-    pub(crate) covered: u64,
-    pub(crate) pending: Vec<SubmissionRecord>,
-}
-
-pub(crate) fn encode_queue_checkpoint(cp: &QueueCheckpoint) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(FORMAT_VERSION);
-    w.u64(cp.covered);
-    w.len_prefix(cp.pending.len());
-    for rec in &cp.pending {
-        encode_submission(&mut w, rec);
-    }
-    w.into_bytes()
-}
-
-pub(crate) fn decode_queue_checkpoint(bytes: &[u8]) -> ManagerResult<QueueCheckpoint> {
-    let mut r = Reader::new(bytes);
-    (|| -> Result<QueueCheckpoint, CodecError> {
-        let version = r.u8()?;
-        if version != FORMAT_VERSION {
-            return Err(CodecError::BadVersion { version });
-        }
-        let covered = r.u64()?;
-        let n = r.len_prefix()?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push(decode_submission(&mut r)?);
-        }
-        Ok(QueueCheckpoint { covered, pending })
-    })()
-    .map_err(|e| codec_err("queue checkpoint", e))
-}
-
-/// Replays the queue-stream tail after `covered` onto the captured pending
-/// list: enqueue records append, acknowledgement markers pop the front.
-pub(crate) fn replay_queue_tail(
-    pending: &mut std::collections::VecDeque<SubmissionRecord>,
-    vault: &Arc<dyn Vault>,
-    covered: u64,
-) -> ManagerResult<()> {
-    for (index, payload) in vault.read_from(QUEUE_STREAM, covered) {
-        let mut r = Reader::new(&payload);
-        (|| -> Result<(), CodecError> {
-            let version = r.u8()?;
-            if version != FORMAT_VERSION {
-                return Err(CodecError::BadVersion { version });
-            }
-            match r.u8()? {
-                QTAG_ENQUEUE => {
-                    pending.push_back(decode_submission(&mut r)?);
-                    Ok(())
-                }
-                QTAG_ACK => {
-                    pending.pop_front();
-                    Ok(())
-                }
-                tag => Err(CodecError::BadTag { tag }),
-            }
-        })()
-        .map_err(|e| codec_err(&format!("queue record {index}"), e))?;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1062,7 +909,6 @@ pub(crate) struct Manifest {
 
 pub(crate) const MANIFEST_BLOB: &str = "manifest";
 pub(crate) const TOPOLOGY_BLOB: &str = "topology";
-pub(crate) const QUEUE_BLOB: &str = "queue";
 
 pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
     let mut w = Writer::new();
@@ -1203,7 +1049,8 @@ pub(crate) fn load_topology(vault: &dyn Vault) -> ManagerResult<TopologyCheckpoi
     };
     // Every other blob is saved after the topology, and a save is a barrier.
     // Records are no such proof: the page cache may have written them back.
-    let barrier_passed = [snap_blob(0).as_str(), MANIFEST_BLOB, QUEUE_BLOB]
+    // "queue": an earlier runtime's submission queue saved it after the topology.
+    let barrier_passed = [snap_blob(0).as_str(), MANIFEST_BLOB, "queue"]
         .into_iter()
         .any(|name| vault.load_blob(name).is_some());
     if barrier_passed || vault.streams().is_empty() {
@@ -1270,10 +1117,6 @@ pub struct VaultInspection {
     pub manifest: bool,
     /// Meta-stream records past the manifest's covered offset.
     pub meta_tail: u64,
-    /// Durable submissions pending in the queue checkpoint.
-    pub queue_pending: u64,
-    /// Queue-stream records past the queue checkpoint's covered offset.
-    pub queue_tail: u64,
     /// Per-shard snapshot and tail summary.
     pub shards: Vec<ShardInspection>,
 }
@@ -1289,12 +1132,7 @@ pub fn inspect_vault(vault: &Arc<dyn Vault>) -> ManagerResult<VaultInspection> {
         Some(blob) => Some(decode_manifest(&blob)?),
         None => None,
     };
-    let queue = match vault.load_blob(QUEUE_BLOB) {
-        Some(blob) => Some(decode_queue_checkpoint(&blob)?),
-        None => None,
-    };
     let (meta_covered, clock) = manifest.as_ref().map_or((0, 0), |m| (m.meta_covered, m.clock));
-    let queue_covered = queue.as_ref().map_or(0, |q| q.covered);
     let mut shards = Vec::with_capacity(topo.components.len());
     for shard in 0..topo.components.len() {
         let stream = DurabilityHub::shard_stream(shard);
@@ -1323,57 +1161,7 @@ pub fn inspect_vault(vault: &Arc<dyn Vault>) -> ManagerResult<VaultInspection> {
         clock,
         manifest: manifest.is_some(),
         meta_tail: vault.stream_len(META_STREAM).saturating_sub(meta_covered),
-        queue_pending: queue.as_ref().map_or(0, |q| q.pending.len() as u64),
-        queue_tail: vault.stream_len(QUEUE_STREAM).saturating_sub(queue_covered),
         shards,
-    })
-}
-
-/// One pending durable submission surfaced by [`inspect_queue`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QueueEntry {
-    /// The submitting client.
-    pub client: u64,
-    /// Human-readable rendering of the journaled operation.
-    pub op: String,
-}
-
-/// A read-only summary of the durable submission queue — what
-/// `ixctl queue` prints.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct QueueInspection {
-    /// Queue-stream offset the queue checkpoint covers.
-    pub covered: u64,
-    /// Queue-stream records past the covered offset.
-    pub tail_records: u64,
-    /// Submissions still unacknowledged (checkpoint plus replayed tail),
-    /// in redelivery order.
-    pub pending: Vec<QueueEntry>,
-}
-
-/// Reconstructs the pending durable submissions without recovering the
-/// runtime: the queue checkpoint's captured list plus a replay of the
-/// stream tail (enqueues append, acknowledgement markers pop).  This is
-/// exactly the redelivery set a recovery would hand back.
-pub fn inspect_queue(vault: &Arc<dyn Vault>) -> ManagerResult<QueueInspection> {
-    let queue = match vault.load_blob(QUEUE_BLOB) {
-        Some(blob) => Some(decode_queue_checkpoint(&blob)?),
-        None => None,
-    };
-    let covered = queue.as_ref().map_or(0, |q| q.covered);
-    let mut pending: std::collections::VecDeque<SubmissionRecord> =
-        queue.map_or_else(Default::default, |q| q.pending.into());
-    replay_queue_tail(&mut pending, vault, covered)?;
-    let render = |rec: &SubmissionRecord| match &rec.op {
-        DurableOp::Ask { action } => format!("ask {action}"),
-        DurableOp::Execute { action } => format!("execute {action}"),
-        DurableOp::Confirm { id } => format!("confirm #{id}"),
-        DurableOp::Abort { id } => format!("abort #{id}"),
-    };
-    Ok(QueueInspection {
-        covered,
-        tail_records: vault.stream_len(QUEUE_STREAM).saturating_sub(covered),
-        pending: pending.iter().map(|r| QueueEntry { client: r.client, op: render(r) }).collect(),
     })
 }
 
@@ -1676,52 +1464,5 @@ mod tests {
         assert_eq!(decoded.components.len(), 1);
         assert_eq!(parse(&decoded.components[0].0).unwrap(), expr);
         assert_eq!(decoded.components[0].1, expr.alphabet());
-    }
-
-    #[test]
-    fn queue_checkpoint_and_tail_replay() {
-        use ix_durable::MemVault;
-        let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
-        let mut backend = VaultQueueBackend::new(Arc::clone(&vault));
-        let rec = |client, name: &str| SubmissionRecord {
-            client,
-            op: DurableOp::Execute { action: act(name) },
-        };
-        backend.record_enqueue(&rec(1, "a"));
-        backend.record_enqueue(&rec(2, "b"));
-        backend.record_ack();
-        backend.record_enqueue(&rec(3, "c"));
-
-        let mut pending = std::collections::VecDeque::new();
-        replay_queue_tail(&mut pending, &vault, 0).expect("replay");
-        let clients: Vec<u64> = pending.iter().map(|r| r.client).collect();
-        assert_eq!(clients, vec![2, 3], "first enqueue was acknowledged");
-
-        // A checkpoint of the rebuilt pending list replays identically.
-        let cp =
-            QueueCheckpoint { covered: vault.stream_len(QUEUE_STREAM), pending: pending.into() };
-        let decoded = decode_queue_checkpoint(&encode_queue_checkpoint(&cp)).expect("decode");
-        assert_eq!(decoded.covered, 4);
-        assert_eq!(decoded.pending.len(), 2);
-    }
-
-    #[test]
-    fn inspect_queue_surfaces_the_redelivery_set() {
-        use ix_durable::MemVault;
-        let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
-        let mut backend = VaultQueueBackend::new(Arc::clone(&vault));
-        backend.record_enqueue(&SubmissionRecord {
-            client: 4,
-            op: DurableOp::Ask { action: act("open") },
-        });
-        backend.record_enqueue(&SubmissionRecord { client: 4, op: DurableOp::Confirm { id: 9 } });
-        backend.record_ack();
-
-        let inspection = inspect_queue(&vault).expect("inspect");
-        assert_eq!(inspection.covered, 0, "no queue checkpoint was cut");
-        assert_eq!(inspection.tail_records, 3);
-        let rendered: Vec<(u64, &str)> =
-            inspection.pending.iter().map(|e| (e.client, e.op.as_str())).collect();
-        assert_eq!(rendered, vec![(4, "confirm #9")], "the acknowledged ask is gone");
     }
 }

@@ -31,21 +31,17 @@ pub mod error;
 mod log;
 mod lz;
 pub mod manager;
-pub mod queue;
+mod pool;
 pub mod runtime;
 mod shard;
 pub mod subscription;
 pub mod ticket;
 pub mod timer;
 
-pub use durability::{
-    inspect_queue, inspect_vault, QueueEntry, QueueInspection, ShardInspection, StatDelta,
-    VaultInspection,
-};
+pub use durability::{inspect_vault, ShardInspection, StatDelta, VaultInspection};
 pub use error::{ManagerError, ManagerResult, SubmitError};
 pub use ix_durable::{FileVault, FsyncPolicy, MemVault, Vault};
 pub use manager::{BatchResult, InteractionManager, ManagerStats, ProtocolVariant, Reservation};
-pub use queue::{DurableQueue, QueueBackend};
 pub use runtime::{
     CascadeStats, CheckpointReport, ClockMode, Completion, LoadReport, ManagerRuntime,
     RepartitionReport, RepartitionStats, RuntimeOptions, RuntimeReport, SchedStats, Session,

@@ -40,11 +40,6 @@
 //!   ([`ManagerRuntime::advance_time`]), which keeps deterministic tests
 //!   deterministic; [`ClockMode::Wall`] drives the same wheel from a ticker
 //!   thread;
-//! * **optional durable submissions** ([`RuntimeOptions::durable`]): every
-//!   session submission is journaled in a [`DurableQueue`] before dispatch
-//!   and removed only when the client acknowledges the completion, so a
-//!   simulated crash redelivers unacknowledged submissions — at-least-once,
-//!   exactly the persistent-queue contract the paper cites;
 //! * **dynamic repartitioning** ([`ManagerRuntime::add_constraint`],
 //!   [`ManagerRuntime::couple`]): workflow ensembles grow at runtime, so the
 //!   partition is a *versioned* artifact rather than a construct-time one.
@@ -68,27 +63,24 @@
 //! equivalence property tests).
 
 use crate::durability::{
-    self, durability_err, DurabilityHub, Gaps, Manifest, QueueCheckpoint, ShardCapture, StatDelta,
-    TopologyCheckpoint, VaultQueueBackend, WalRecord,
+    self, durability_err, DurabilityHub, Gaps, Manifest, ShardCapture, StatDelta,
+    TopologyCheckpoint, WalRecord,
 };
 use crate::error::{ManagerError, ManagerResult, SubmitError};
 use crate::log::{LogKey, ShardLog};
 use crate::manager::{
     CrossEntry, CrossSubscriptions, ManagerStats, ProtocolVariant, Reservation, SharedStats,
 };
-use crate::queue::{DurableQueue, PoolCore, QueueBackend};
+use crate::pool::PoolCore;
 use crate::shard::{CrossBit, Effects, LocalVote, Op, Role, ShardState, Verdict, DENIED};
 use crate::subscription::{ClientId, Notification, SubscriptionRegistry};
 use crate::ticket::{completed, ticket, Ticket, TicketIssuer, WakeBatch};
 use crate::timer::TimerWheel;
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender, TryRecvError};
 use ix_core::{parse, Action, Alphabet, Component, Expr, Partition};
-use ix_durable::{FileVault, FsyncPolicy, Vault, META_STREAM, QUEUE_STREAM};
-use ix_state::{
-    empty_reservation_fingerprint, Engine, Route, ShardRouter, StateRef, TierStats,
-    DEFAULT_TIER_BUDGET,
-};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use ix_durable::{FileVault, FsyncPolicy, Vault, META_STREAM};
+use ix_state::{empty_reservation_fingerprint, Engine, Route, ShardRouter, StateRef, TierStats};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, Weak};
@@ -114,16 +106,8 @@ pub enum ClockMode {
 pub struct RuntimeOptions {
     /// The coordination-protocol variant (as for [`InteractionManager`]).
     pub variant: ProtocolVariant,
-    /// Journal submissions in a [`DurableQueue`] and redeliver
-    /// unacknowledged ones after a simulated crash.
-    pub durable: bool,
     /// Clock mode for lease expiry.
     pub clock: ClockMode,
-    /// Per-table state budget of the shard engines' execution tier (0
-    /// disables tiering).  A table fills as decisions visit its cells, on
-    /// whichever thread decides, and stops growing at the budget; migrations
-    /// invalidate the tables of every affected shard.
-    pub tier_budget: usize,
     /// Record a queueing-delay sample per completed execute — the time a
     /// task waited in its shard queue vs the time the worker spent serving
     /// it.  Drained via [`ManagerRuntime::drain_queue_samples`]; off by
@@ -166,9 +150,7 @@ impl Default for RuntimeOptions {
     fn default() -> RuntimeOptions {
         RuntimeOptions {
             variant: ProtocolVariant::Simple,
-            durable: false,
             clock: ClockMode::Virtual,
-            tier_budget: DEFAULT_TIER_BUDGET,
             queue_metrics: false,
             fsync: FsyncPolicy::Never,
             queue_limit: 0,
@@ -212,7 +194,7 @@ fn class_cap(class: AdmitClass, limit: usize, pressure_pct: usize) -> usize {
 /// Admission class of a submission: the graceful-degradation ladder of the
 /// bounded-admission gate.  Classes are shed in this order as a shard queue
 /// fills ([`class_cap`]), so committed workflow progress survives longest.
-/// Releases (confirm / abort / expiry / redelivery) are never shed.
+/// Releases (confirm / abort / expiry) are never shed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum AdmitClass {
     /// `is_permitted` queries and subscription registrations, shed first: a
@@ -230,12 +212,12 @@ enum AdmitClass {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Credit {
     /// The session path reserved the credits through
-    /// [`ShardGate::try_admit`] before journaling/dispatching.
+    /// [`ShardGate::try_admit`] before dispatching.
     Held,
-    /// Forced traffic — confirm/abort/expiry, durable redelivery, and
-    /// stale-route re-dispatch — charges unconditionally at enqueue and is
-    /// never shed: shedding a release would leak reservations, and shedding
-    /// a re-dispatch would drop an already-accepted submission.
+    /// Forced traffic — confirm/abort/expiry and stale-route re-dispatch —
+    /// charges unconditionally at enqueue and is never shed: shedding a
+    /// release would leak reservations, and shedding a re-dispatch would
+    /// drop an already-accepted submission.
     Charge,
 }
 
@@ -249,8 +231,7 @@ enum Credit {
 /// fast path is one `fetch_add` on admission and one on release; there is
 /// no lock anywhere on the credit path.  Because forced traffic charges
 /// unconditionally, `depth` may transiently exceed `limit` under heavy
-/// confirm/abort/redelivery load — admitted (sheddable) load alone never
-/// does.
+/// confirm/abort load — admitted (sheddable) load alone never does.
 struct ShardGate {
     /// Queue-depth limit in task units (0 = gate inert).
     limit: usize,
@@ -616,22 +597,6 @@ pub enum Completion {
     },
 }
 
-/// Journal record of a durable submission.
-#[derive(Clone, Debug)]
-pub(crate) struct SubmissionRecord {
-    pub(crate) client: ClientId,
-    pub(crate) op: DurableOp,
-}
-
-/// The operation a durable submission journals.
-#[derive(Clone, Debug)]
-pub(crate) enum DurableOp {
-    Ask { action: Action },
-    Execute { action: Action },
-    Confirm { id: u64 },
-    Abort { id: u64 },
-}
-
 /// A lease-expiry timer payload: which reservation to expire, on which
 /// owners.
 #[derive(Clone, Debug)]
@@ -784,10 +749,6 @@ struct RuntimeShared {
     /// the registry lock entirely while this is zero (the common case).
     cross_entry_count: AtomicU64,
     timers: Mutex<TimerWheel<TimerEvent>>,
-    /// Tier budget handed to every shard engine — including the ones a
-    /// repartition spawns after construction.
-    tier_budget: usize,
-    durable: Option<Mutex<DurableQueue<SubmissionRecord>>>,
     /// The write-ahead vault behind the durable runtime (`None` = the
     /// in-memory runtime).  Every shard state journals its own stream
     /// through its own clone; this handle serves the meta-stream events and
@@ -1558,10 +1519,6 @@ fn recover_runtime(
             engine = Engine::restore(&component.expr, cp.state.clone(), cp.accepted, cp.rejected)
                 .map_err(ManagerError::State)?;
         }
-        // The budget must be set before adoption: `set_tier_budget`
-        // invalidates an installed tier, which would drop the adopted
-        // tables again.
-        engine.set_tier_budget(options.tier_budget);
         let mut seed = ShardState::new(id, engine, component.alphabet.clone(), Some(hub.clone()));
         let mut covered = 0;
         if let Some(cp) = snapshot {
@@ -1794,19 +1751,6 @@ fn recover_runtime(
         reservation_index.insert(*rid, owners);
     }
 
-    // The durable submission journal: checkpointed pending list plus the
-    // queue-stream tail.
-    let mut queue_pending = VecDeque::new();
-    if options.durable {
-        let mut covered = 0;
-        if let Some(blob) = hub.vault().load_blob(durability::QUEUE_BLOB) {
-            let cp = durability::decode_queue_checkpoint(&blob)?;
-            queue_pending = cp.pending.into();
-            covered = cp.covered;
-        }
-        durability::replay_queue_tail(&mut queue_pending, hub.vault(), covered)?;
-    }
-
     let globals = RecoveredGlobals {
         clock,
         log_seq: next_seq,
@@ -1816,7 +1760,6 @@ fn recover_runtime(
         timers,
         cross_subscriptions,
         orphan_subscriptions,
-        queue_pending,
     };
     hub.vault().sync();
     spawn_runtime(&expr, partition, options, Some(hub), seeds, globals)
@@ -1833,7 +1776,6 @@ struct RecoveredGlobals {
     timers: TimerWheel<TimerEvent>,
     cross_subscriptions: CrossSubscriptions,
     orphan_subscriptions: SubscriptionRegistry,
-    queue_pending: VecDeque<SubmissionRecord>,
 }
 
 impl Default for RecoveredGlobals {
@@ -1847,7 +1789,6 @@ impl Default for RecoveredGlobals {
             timers: TimerWheel::new(0),
             cross_subscriptions: CrossSubscriptions::default(),
             orphan_subscriptions: SubscriptionRegistry::new(),
-            queue_pending: VecDeque::new(),
         }
     }
 }
@@ -1856,13 +1797,11 @@ impl Default for RecoveredGlobals {
 /// shard-local state.
 fn fresh_seeds(
     partition: &Partition,
-    options: &RuntimeOptions,
     hub: Option<&DurabilityHub>,
 ) -> ManagerResult<Vec<ShardState>> {
     let mut seeds = Vec::with_capacity(partition.len());
     for (id, component) in partition.components().iter().enumerate() {
-        let mut engine = Engine::new(&component.expr).map_err(ManagerError::State)?;
-        engine.set_tier_budget(options.tier_budget);
+        let engine = Engine::new(&component.expr).map_err(ManagerError::State)?;
         seeds.push(ShardState::new(id, engine, component.alphabet.clone(), hub.cloned()));
     }
     Ok(seeds)
@@ -1942,13 +1881,6 @@ fn spawn_runtime(
     let stats = SharedStats::default();
     stats.restore(globals.stats);
     let cross_entries = globals.cross_subscriptions.entries.len() as u64;
-    let durable = options.durable.then(|| {
-        let backend = hub.as_ref().map(|hub| {
-            Box::new(VaultQueueBackend::new(Arc::clone(hub.vault())))
-                as Box<dyn QueueBackend<SubmissionRecord>>
-        });
-        Mutex::new(DurableQueue::restore(globals.queue_pending.into(), backend))
-    });
     let shared = Arc::new(RuntimeShared {
         variant: options.variant,
         topology: Arc::downgrade(&topology),
@@ -1961,8 +1893,6 @@ fn spawn_runtime(
         notification_channels: Mutex::new(HashMap::new()),
         cross_entry_count: AtomicU64::new(cross_entries),
         timers: Mutex::new(globals.timers),
-        tier_budget: options.tier_budget,
-        durable,
         durability: hub,
         clock: AtomicU64::new(globals.clock),
         log_seq: AtomicU64::new(globals.log_seq),
@@ -2043,15 +1973,14 @@ impl ManagerRuntime {
     /// [`RuntimeOptions::worker_threads`] workers.
     pub fn with_options(expr: &Expr, options: RuntimeOptions) -> ManagerResult<ManagerRuntime> {
         let partition = Partition::of(expr);
-        let seeds = fresh_seeds(&partition, &options, None)?;
+        let seeds = fresh_seeds(&partition, None)?;
         spawn_runtime(expr, partition, options, None, seeds, RecoveredGlobals::default())
     }
 
     /// Creates a *durable* runtime journaling into the given vault: every
     /// commit, reservation grant, and release is written ahead to its owner
-    /// shard's log stream, statistics events go to the meta stream, and
-    /// durable submissions ([`RuntimeOptions::durable`]) are journaled in
-    /// the vault-backed queue stream.  [`ManagerRuntime::checkpoint`] cuts
+    /// shard's log stream, and statistics events go to the meta stream.
+    /// [`ManagerRuntime::checkpoint`] cuts
     /// sharded snapshots without stopping the world, and
     /// [`ManagerRuntime::recover`] rebuilds an equivalent runtime from the
     /// latest snapshots plus the log tails.
@@ -2067,7 +1996,7 @@ impl ManagerRuntime {
         // them.  It is durable at the vault's first barrier, ahead of every
         // record journaled against it (`Vault::save_blob`).
         write_topology_blob(&hub, expr, &partition);
-        let seeds = fresh_seeds(&partition, &options, Some(&hub))?;
+        let seeds = fresh_seeds(&partition, Some(&hub))?;
         spawn_runtime(expr, partition, options, Some(hub), seeds, RecoveredGlobals::default())
     }
 
@@ -2359,8 +2288,7 @@ impl ManagerRuntime {
         let mut new_engines: Vec<(usize, Engine, Alphabet)> = Vec::with_capacity(delta.added.len());
         for &idx in &delta.added {
             let component = &new_partition.components()[idx];
-            let mut engine = Engine::new(&component.expr).map_err(ManagerError::State)?;
-            engine.set_tier_budget(shared.tier_budget);
+            let engine = Engine::new(&component.expr).map_err(ManagerError::State)?;
             new_engines.push((idx, engine, component.alphabet.clone()));
         }
         let new_alphabets: Vec<Alphabet> = new_engines.iter().map(|(_, _, a)| a.clone()).collect();
@@ -2727,57 +2655,6 @@ impl ManagerRuntime {
         Ok(report)
     }
 
-    /// Acknowledges the oldest processed durable submission (the client has
-    /// durably recorded its completion).  Returns false when durability is
-    /// off or nothing is unacknowledged.
-    pub fn acknowledge_submission(&self) -> bool {
-        match &self.shared.durable {
-            Some(d) => lock(d).acknowledge(),
-            None => false,
-        }
-    }
-
-    /// Number of journaled submissions not yet acknowledged.
-    pub fn unacknowledged_submissions(&self) -> usize {
-        match &self.shared.durable {
-            Some(d) => lock(d).len(),
-            None => 0,
-        }
-    }
-
-    /// Simulates a crash of the submission path: the volatile delivery
-    /// cursor of the durable journal is lost, and every unacknowledged
-    /// submission is delivered *again* (at-least-once).  Returns the
-    /// completion tickets of the redelivered submissions.
-    pub fn crash_redeliver(&self) -> Vec<Ticket<Completion>> {
-        let Some(durable) = &self.shared.durable else {
-            return Vec::new();
-        };
-        let records = {
-            let mut journal = lock(durable);
-            journal.crash_recover();
-            let mut out = Vec::new();
-            while let Some(record) = journal.dequeue() {
-                out.push(record);
-            }
-            out
-        };
-        let topo = read_topology(&self.topology);
-        records
-            .into_iter()
-            .map(|record| match record.op {
-                DurableOp::Ask { ref action } => {
-                    submit_ask(&self.shared, &topo, record.client, action, Credit::Charge)
-                }
-                DurableOp::Execute { ref action } => {
-                    submit_execute(&self.shared, &topo, action, Credit::Charge)
-                }
-                DurableOp::Confirm { id } => submit_confirm(&self.shared, &self.topology, id),
-                DurableOp::Abort { id } => submit_abort(&self.shared, &self.topology, id),
-            })
-            .collect()
-    }
-
     /// The write-ahead vault of a durable runtime (`None` when the runtime
     /// was built without one).
     pub fn vault(&self) -> Option<Arc<dyn Vault>> {
@@ -2788,10 +2665,10 @@ impl ManagerRuntime {
     /// captures its CoW state handle plus the log offset the capture covers
     /// at one of its own task boundaries (a `Checkpoint` task, ordinary
     /// queue order — no global barrier, unaffected shards keep serving),
-    /// and the coordinator encodes the captures, writes the snapshot blobs,
-    /// the manifest, and the queue checkpoint, then truncates the covered
-    /// log prefixes — the `ContinueAsNew`-style rollover that keeps
-    /// recovery time proportional to the log *tail*, not the history.
+    /// and the coordinator encodes the captures, writes the snapshot blobs
+    /// and the manifest, then truncates the covered log prefixes — the
+    /// `ContinueAsNew`-style rollover that keeps recovery time proportional
+    /// to the log *tail*, not the history.
     ///
     /// Crash-safe in every interleaving: snapshot blobs are atomic and
     /// self-describing (each carries the offset it covers), the manifest is
@@ -2811,10 +2688,8 @@ impl ManagerRuntime {
     /// visible release completes; anything ambiguous is dropped everywhere,
     /// equivalent to an immediate lease expiry).  Leases still pending
     /// rejoin the timer wheel, overdue ones fire on the next clock advance.
-    ///
-    /// Durable submissions recovered as unacknowledged are *not* redelivered
-    /// automatically — call [`ManagerRuntime::crash_redeliver`] to redeliver
-    /// them and collect fresh completion tickets.
+    /// A submission that was not decided before the crash is lost, and its
+    /// ticket fails.
     pub fn recover(
         vault: Arc<dyn Vault>,
         options: RuntimeOptions,
@@ -2960,8 +2835,7 @@ impl Session {
         if let Err(e) = admit_submission(&topo, action, AdmitClass::Commit, AdmitClass::Commit) {
             return completed(Completion::Failed { error: e.into() });
         }
-        self.journal(|| DurableOp::Ask { action: action.clone() });
-        submit_ask(&self.shared, &topo, self.client, action, Credit::Held)
+        submit_ask(&self.shared, &topo, self.client, action)
     }
 
     /// The combined ask-and-execute round trip.  Resolves to
@@ -2973,7 +2847,7 @@ impl Session {
     /// decided before the call returns.
     pub fn execute(&self, action: &Action) -> Ticket<Completion> {
         match self.admit_execute(action) {
-            Ok(topo) => submit_execute(&self.shared, &topo, action, Credit::Held),
+            Ok(topo) => submit_execute(&self.shared, &topo, action),
             Err(e) => completed(Completion::Failed { error: e.into() }),
         }
     }
@@ -2981,9 +2855,8 @@ impl Session {
     /// The typed submission path of bounded admission: like
     /// [`Session::execute`], but a shed submission returns the
     /// [`SubmitError::Overloaded`] backpressure ticket directly — nothing
-    /// was journaled or enqueued anywhere, and the submission is safe to
-    /// retry after the hinted backoff.  On unbounded runtimes this never
-    /// errs.
+    /// was enqueued anywhere, and the submission is safe to retry after the
+    /// hinted backoff.  On unbounded runtimes this never errs.
     ///
     /// This is the pipelining call, with [`Session::submit_batch`]: it
     /// returns once the submission is *queued*, never having decided it.
@@ -3002,16 +2875,15 @@ impl Session {
             }
             // Several owners always rendezvous through their queues; no
             // owner, or no concrete action, is answered without one.
-            _ => submit_execute(&self.shared, &topo, action, Credit::Held),
+            _ => submit_execute(&self.shared, &topo, action),
         })
     }
 
-    /// Admission and journal of one combined execute, under the topology
-    /// snapshot it is then routed by.
+    /// Admission of one combined execute, under the topology snapshot it is
+    /// then routed by.
     fn admit_execute(&self, action: &Action) -> Result<Arc<Topology>, SubmitError> {
         let topo = self.snapshot();
         admit_submission(&topo, action, AdmitClass::Commit, AdmitClass::Speculative)?;
-        self.journal(|| DurableOp::Execute { action: action.clone() });
         Ok(topo)
     }
 
@@ -3031,10 +2903,10 @@ impl Session {
         let topo = self.snapshot();
         let mut out = Vec::with_capacity(actions.len());
         // Plan phase: classify lock-free; inline the denials.  On a bounded
-        // runtime each action passes admission *before* it is journaled —
-        // a shed action resolves inline to `Overloaded`, leaves no journal
-        // entry, and holds no credit; an admitted one holds one credit on
-        // each owning shard until its worker dequeues it.
+        // runtime each action passes admission first — a shed action
+        // resolves inline to `Overloaded` and holds no credit; an admitted
+        // one holds one credit on each owning shard until its worker
+        // dequeues it.
         let mut pending: Vec<(Action, Route, TicketIssuer<Completion>)> = Vec::new();
         for action in actions {
             let route = action.is_concrete().then(|| topo.router.classify(action));
@@ -3051,7 +2923,6 @@ impl Session {
                 }
             }
             shared.stats.asks.fetch_add(1, Ordering::Relaxed);
-            self.journal(|| DurableOp::Execute { action: action.clone() });
             match route {
                 None => out.push(completed(non_concrete(shared, action))),
                 Some(Route::None) => {
@@ -3102,14 +2973,12 @@ impl Session {
     /// Step 4/5: confirm a granted reservation.  Resolves to
     /// [`Completion::Confirmed`] or [`Completion::Failed`].
     pub fn confirm(&self, reservation: u64) -> Ticket<Completion> {
-        self.journal(|| DurableOp::Confirm { id: reservation });
-        submit_confirm(&self.shared, &self.topology, reservation)
+        submit_release(&self.shared, &self.topology, reservation, Op::Confirm { id: reservation })
     }
 
     /// Explicitly releases a granted reservation without executing it.
     pub fn abort(&self, reservation: u64) -> Ticket<Completion> {
-        self.journal(|| DurableOp::Abort { id: reservation });
-        submit_abort(&self.shared, &self.topology, reservation)
+        submit_release(&self.shared, &self.topology, reservation, Op::Abort { id: reservation })
     }
 
     /// Subscribes to permissibility changes of an action; the completion
@@ -3219,22 +3088,10 @@ impl Session {
     pub fn is_permitted_blocking(&self, action: &Action) -> bool {
         matches!(self.is_permitted(action).wait(), Completion::Status { permitted: true })
     }
-
-    /// Journals a submission on a runtime that keeps the durable submission
-    /// queue; any other never builds the record (an `Action` clone).
-    fn journal(&self, op: impl FnOnce() -> DurableOp) {
-        if let Some(durable) = &self.shared.durable {
-            let mut journal = lock(durable);
-            journal.enqueue(SubmissionRecord { client: self.client, op: op() });
-            // The runtime delivers the submission immediately; the journal
-            // entry stays until the client acknowledges the completion.
-            let _ = journal.dequeue();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Submission paths (shared by sessions and durable redelivery).
+// Submission paths.
 // ---------------------------------------------------------------------------
 
 /// What an ask or an execute of a non-concrete action comes to, counted as
@@ -3282,21 +3139,19 @@ fn submit_ask(
     topo: &Arc<Topology>,
     client: ClientId,
     action: &Action,
-    credit: Credit,
 ) -> Ticket<Completion> {
     shared.stats.asks.fetch_add(1, Ordering::Relaxed);
     if !action.is_concrete() {
         return completed(non_concrete(shared, action));
     }
     let op = Op::Ask { client, action: action.clone() };
-    dispatch(shared, topo, topo.router.classify(action), op, credit)
+    dispatch(shared, topo, topo.router.classify(action), op, Credit::Held)
 }
 
 fn submit_execute(
     shared: &Arc<RuntimeShared>,
     topo: &Arc<Topology>,
     action: &Action,
-    credit: Credit,
 ) -> Ticket<Completion> {
     shared.stats.asks.fetch_add(1, Ordering::Relaxed);
     if !action.is_concrete() {
@@ -3307,14 +3162,23 @@ fn submit_execute(
             let (issuer, t) = ticket();
             let submitted = stamp_submitted(shared);
             let _guard = lock(&shared.cross_enqueue);
-            enqueue_exec(topo, owners, action.clone(), issuer, submitted, credit);
+            enqueue_exec(topo, owners, action.clone(), issuer, submitted, Credit::Held);
             t
         }
-        route => dispatch(shared, topo, route, Op::Execute { action: action.clone() }, credit),
+        route => {
+            dispatch(shared, topo, route, Op::Execute { action: action.clone() }, Credit::Held)
+        }
     }
 }
 
-fn submit_confirm(shared: &Arc<RuntimeShared>, slot: &TopologySlot, id: u64) -> Ticket<Completion> {
+/// A confirm or an abort of reservation `id`, sent to the owners the
+/// reservation index holds for it.
+fn submit_release(
+    shared: &Arc<RuntimeShared>,
+    slot: &TopologySlot,
+    id: u64,
+    op: Op,
+) -> Ticket<Completion> {
     let owners = match lock(&shared.reservation_index).get(&id) {
         Some(owners) => owners.clone(),
         None => {
@@ -3322,18 +3186,7 @@ fn submit_confirm(shared: &Arc<RuntimeShared>, slot: &TopologySlot, id: u64) -> 
         }
     };
     let topo = covering_topology(slot, &owners);
-    dispatch_owners(shared, &topo, owners, Op::Confirm { id })
-}
-
-fn submit_abort(shared: &Arc<RuntimeShared>, slot: &TopologySlot, id: u64) -> Ticket<Completion> {
-    let owners = match lock(&shared.reservation_index).get(&id) {
-        Some(owners) => owners.clone(),
-        None => {
-            return completed(Completion::Failed { error: ManagerError::UnknownReservation { id } })
-        }
-    };
-    let topo = covering_topology(slot, &owners);
-    dispatch_owners(shared, &topo, owners, Op::Abort { id })
+    dispatch_owners(shared, &topo, owners, op)
 }
 
 /// Removes a cross-shard subscription from the runtime-level registry (no
@@ -3678,17 +3531,6 @@ fn run_checkpoint(
         orphans: lock(&shared.orphan_subscriptions).export(),
     };
     hub.vault().save_blob(durability::MANIFEST_BLOB, &durability::encode_manifest(&manifest));
-    // Queue checkpoint under the journal lock: the backend appends
-    // before the in-memory push, so pending list and stream length are
-    // consistent exactly while the lock is held.
-    if let Some(durable) = &shared.durable {
-        let journal = lock(durable);
-        let covered = hub.vault().stream_len(QUEUE_STREAM);
-        let cp = QueueCheckpoint { covered, pending: journal.pending() };
-        hub.vault().save_blob(durability::QUEUE_BLOB, &durability::encode_queue_checkpoint(&cp));
-        drop(journal);
-        hub.vault().truncate(QUEUE_STREAM, covered);
-    }
     for cap in &captures {
         hub.vault().truncate(DurabilityHub::shard_stream(cap.shard), cap.covered);
     }
@@ -5662,47 +5504,12 @@ mod tests {
     }
 
     #[test]
-    fn durable_submissions_are_redelivered_after_a_crash() {
-        let runtime = ManagerRuntime::with_options(
-            &patient_constraint(),
-            RuntimeOptions {
-                variant: ProtocolVariant::Combined,
-                durable: true,
-                clock: ClockMode::Virtual,
-                ..RuntimeOptions::default()
-            },
-        )
-        .unwrap();
-        let session = runtime.session(1);
-        // First submission: completed AND acknowledged.
-        assert!(session.execute_blocking(&call(1, "sono")).unwrap().is_some());
-        assert!(runtime.acknowledge_submission());
-        // Second submission: completed but the client "crashes" before
-        // acknowledging the completion.
-        assert!(session.execute_blocking(&perform(1, "sono")).unwrap().is_some());
-        assert_eq!(runtime.unacknowledged_submissions(), 1);
-        // Redelivery executes it again — at-least-once: this time the
-        // perform is denied (already committed), and the log is unchanged.
-        let redelivered = runtime.crash_redeliver();
-        assert_eq!(redelivered.len(), 1);
-        assert_eq!(redelivered[0].wait(), Completion::Denied);
-        assert_eq!(runtime.log(), vec![call(1, "sono"), perform(1, "sono")]);
-        assert_eq!(runtime.stats().asks, 3, "the redelivery is a real submission");
-        // The redelivered completion is acknowledged now; the journal
-        // drains.
-        assert!(runtime.acknowledge_submission());
-        assert_eq!(runtime.unacknowledged_submissions(), 0);
-        assert!(runtime.crash_redeliver().is_empty());
-    }
-
-    #[test]
     fn wall_clock_mode_expires_leases_without_explicit_ticks() {
         let expr = parse("mult 1 { (some p { call(p, sono) - perform(p, sono) })* }").unwrap();
         let runtime = ManagerRuntime::with_options(
             &expr,
             RuntimeOptions {
                 variant: ProtocolVariant::Leased { lease: 2 },
-                durable: false,
                 clock: ClockMode::Wall { tick: Duration::from_millis(2) },
                 ..RuntimeOptions::default()
             },

@@ -65,7 +65,6 @@ fn main() {
         &capacity_one,
         RuntimeOptions {
             variant: ProtocolVariant::Leased { lease: 10 },
-            durable: false,
             clock: ClockMode::Virtual,
             ..RuntimeOptions::default()
         },

@@ -7,7 +7,6 @@
 //! ixctl word     '<expression>' a b(1) …   solve the word problem for the given actions
 //! ixctl run      '<expression>'            action problem: read one action per stdin line
 //! ixctl snapshot inspect <vault-dir>       describe a durability vault without opening it
-//! ixctl queue    <vault-dir>               list the pending durable submissions
 //! ixctl recover  <vault-dir>               crash-recover a vault and report the state
 //! ```
 //!
@@ -20,9 +19,7 @@
 
 use ix_core::{parse_with, Action, CoreResult, Expr, ExprKind, TemplateRegistry};
 use ix_graph::{from_expr, to_dot, InteractionGraph};
-use ix_manager::{
-    inspect_queue, inspect_vault, FileVault, FsyncPolicy, ManagerRuntime, RuntimeOptions, Vault,
-};
+use ix_manager::{inspect_vault, FileVault, FsyncPolicy, ManagerRuntime, RuntimeOptions, Vault};
 use ix_state::{classify, validate, Engine, WordStatus};
 use std::io::BufRead;
 use std::process::ExitCode;
@@ -43,7 +40,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: ixctl <check|simplify|dot|word|run> '<expression>' [actions...]\n\
                  \x20      ixctl snapshot inspect <vault-dir>\n\
-                 \x20      ixctl queue <vault-dir>\n\
                  \x20      ixctl recover <vault-dir>";
     let (command, rest) = match args.split_first() {
         Some((c, rest)) => (c.as_str(), rest),
@@ -63,13 +59,6 @@ fn main() -> ExitCode {
                 }
             };
             return snapshot_inspect(dir);
-        }
-        "queue" => {
-            let [dir] = rest else {
-                eprintln!("usage: ixctl queue <vault-dir>");
-                return ExitCode::from(2);
-            };
-            return queue(dir);
         }
         "recover" => {
             let [dir] = rest else {
@@ -144,10 +133,6 @@ fn snapshot_inspect(dir: &str) -> ExitCode {
         println!("manifest   : none (no checkpoint yet)");
     }
     println!("meta tail  : {} records", inspection.meta_tail);
-    println!(
-        "queue      : {} pending in blob, {} tail records",
-        inspection.queue_pending, inspection.queue_tail
-    );
     for s in &inspection.shards {
         let snapshot = if s.snapshot {
             format!("snapshot {} B (log epoch {})", s.snapshot_bytes, s.epoch)
@@ -170,36 +155,6 @@ fn snapshot_inspect(dir: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `ixctl queue <dir>` — lists the durable submissions a recovery would
-/// redeliver: the queue checkpoint's pending list plus a replay of the
-/// stream tail, without recovering the runtime.
-fn queue(dir: &str) -> ExitCode {
-    let vault: Arc<dyn Vault> = match FileVault::open(dir, FsyncPolicy::Never) {
-        Ok(v) => Arc::new(v),
-        Err(e) => {
-            eprintln!("error: cannot open vault at `{dir}`: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let inspection = match inspect_queue(&vault) {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    println!("vault      : {dir}");
-    println!(
-        "queue      : {} covered records, {} tail records",
-        inspection.covered, inspection.tail_records
-    );
-    println!("pending    : {} unacknowledged submissions", inspection.pending.len());
-    for entry in &inspection.pending {
-        println!("             client {:>4}  {}", entry.client, entry.op);
-    }
-    ExitCode::SUCCESS
-}
-
 /// `ixctl recover <dir>` — crash-recovers the vault, reports the recovered
 /// state, and shuts the runtime back down (journaling nothing new).
 fn recover(dir: &str) -> ExitCode {
@@ -210,7 +165,6 @@ fn recover(dir: &str) -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let pending = runtime.unacknowledged_submissions();
     let sched = runtime.sched_stats();
     let report = match runtime.shutdown() {
         Ok(r) => r,
@@ -228,7 +182,6 @@ fn recover(dir: &str) -> ExitCode {
         println!("             … {action}");
     }
     println!("stats      : {:?}", report.stats);
-    println!("queue      : {pending} unacknowledged durable submissions");
     ExitCode::SUCCESS
 }
 

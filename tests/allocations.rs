@@ -1,7 +1,8 @@
 //! Allocation counts that hold still: the routing path allocates nothing on
-//! a single owner, and one runtime set-up stays under a pinned number of
-//! allocations.  Timings on a small shared host spread too widely to gate;
-//! these counts are exact and seed-independent.
+//! a single owner, one runtime set-up stays under a pinned number of
+//! allocations, and so does one decision on the caller's frame.  Timings on
+//! a small shared host spread too widely to gate; these counts are exact
+//! and seed-independent.
 //!
 //! A test binary of its own: the `#[global_allocator]` below counts every
 //! allocation, zeroed allocation and reallocation made *by the calling
@@ -15,7 +16,7 @@
 //! lower its bound with it.
 
 use ix_core::{parse, Action, Expr, Partition, Value};
-use ix_manager::{ManagerRuntime, ProtocolVariant, RuntimeOptions, Session};
+use ix_manager::{Completion, ManagerRuntime, ProtocolVariant, RuntimeOptions, Session};
 use ix_state::{Route, ScopedAlphabet, ShardRouter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -183,4 +184,63 @@ fn a_set_up_stays_under_its_pinned_allocation_count() {
         .map(|((workload, n), bound)| format!("{workload}: {n} allocations (bound {bound})"))
         .collect();
     assert!(over.is_empty(), "one set-up allocates more than pinned: {over:?}");
+}
+
+/// Counts what one warm framed decision allocates on the calling thread,
+/// three times over: an `execute` of `cycle[0]` then of `cycle[1]`, and an
+/// `ask`+`confirm` of `cycle[0]`.  The rest of the cycle executes uncounted
+/// after each, so every count starts from the same state.  Asserts every
+/// decision ran in a caller frame: the pool never started a worker.
+fn framed_decisions(src: &str, cycle: &[Action]) -> [(u64, u64); 3] {
+    let live = set_up(src, options(ProtocolVariant::Simple), 1, true);
+    let session = &live.sessions[0];
+    let execute = |action: &Action| {
+        assert!(matches!(session.execute(action).wait(), Completion::Executed { .. }));
+    };
+    let ask_confirm = |action: &Action| {
+        let Completion::Granted { reservation } = session.ask(action).wait() else {
+            panic!("{action} denied")
+        };
+        assert!(matches!(session.confirm(reservation).wait(), Completion::Confirmed { .. }));
+    };
+    let counted = |f: &dyn Fn()| {
+        let before = ALLOCATIONS.with(Cell::get);
+        f();
+        ALLOCATIONS.with(Cell::get) - before
+    };
+    let run = || {
+        let executes = counted(&|| cycle[..2].iter().for_each(execute));
+        cycle[2..].iter().for_each(execute);
+        let asked = counted(&|| ask_confirm(&cycle[0]));
+        cycle[1..].iter().for_each(execute);
+        (executes, asked)
+    };
+    // Warm up: every table cell and memo entry the counted runs step through.
+    run();
+    let runs = [(); 3].map(|()| run());
+    assert_eq!(live.runtime.as_ref().unwrap().sched_stats().started, 0);
+    runs
+}
+
+/// ROADMAP item 13(i): one framed decision on a tier hit, `local_pipelined`'s
+/// rings with the shard at rest.  The counts repeat exactly: one allocation
+/// per `execute` (its ticket, born complete) and four per `ask`+`confirm`.
+#[test]
+fn a_framed_tier_hit_allocates_a_pinned_count() {
+    let ring = ["call_0", "prep_0", "perform_0", "report_0"].map(Action::nullary);
+    assert_eq!(framed_decisions(&rings_src(), &ring), [(2, 4); 3]);
+}
+
+/// The same on `local_sync`'s expression.  Its components are quantified,
+/// so the tier bails (ROADMAP item 9) and each decision is a copy-on-write
+/// step through the transition memo.  A CoW step yields a fresh state, so
+/// every step inserts a memo entry, and the memo's map and FIFO grow by
+/// doubling until the memo is full: a run that crosses a growth step
+/// allocates one more.  Hence upper bounds: 31 per `execute` pair and 23
+/// per `ask`+`confirm`, one more in the runs that grow the memo.
+#[test]
+fn a_framed_copy_on_write_decision_stays_under_its_bound() {
+    let case = ["call_0", "perform_0"].map(|name| Action::concrete(name, [Value::int(1)]));
+    let runs = framed_decisions(&cases_src(), &case);
+    assert!(runs.iter().all(|&(executes, asked)| executes <= 32 && asked <= 24), "{runs:?}");
 }

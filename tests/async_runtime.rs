@@ -1,7 +1,6 @@
 //! Integration tests of the session runtime: pipelined cross-shard
 //! submissions must never deadlock or double-commit, lease expiry runs
-//! through the timer wheel on every owner, and durable submissions are
-//! redelivered at least once after a simulated crash.
+//! through the timer wheel on every owner.
 //!
 //! The deadlock-freedom argument under test: every multi-owner submission is
 //! enqueued onto all of its owners' queues in ascending shard-id order under
@@ -13,8 +12,8 @@
 
 use ix_core::{parse, Action, Expr, Value};
 use ix_manager::{
-    ClockMode, Completion, InteractionManager, ManagerError, ManagerRuntime, MemVault,
-    ProtocolVariant, RuntimeOptions, Ticket, Vault,
+    Completion, InteractionManager, ManagerError, ManagerRuntime, MemVault, ProtocolVariant,
+    RuntimeOptions, Ticket, Vault,
 };
 use ix_state::{word_problem, WordStatus};
 use std::sync::{Arc, Condvar, Mutex};
@@ -170,42 +169,6 @@ fn cross_shard_leases_expire_on_every_owner_via_the_timer_wheel() {
     let r2 = session.ask_blocking(&call(1, 1)).unwrap();
     assert!(r2.is_some(), "owner 1 released");
     assert!(matches!(session.confirm_blocking(id), Err(ManagerError::UnknownReservation { .. })));
-}
-
-/// Durable ask/confirm submissions survive a simulated crash: the
-/// unacknowledged confirm is redelivered and observed at least once.
-#[test]
-fn durable_ask_confirm_redelivery_is_at_least_once() {
-    let expr = parse("all p { (some x { call(p, x) - perform(p, x) })* }").unwrap();
-    let runtime = ManagerRuntime::with_options(
-        &expr,
-        RuntimeOptions {
-            variant: ProtocolVariant::Simple,
-            durable: true,
-            clock: ClockMode::Virtual,
-            ..RuntimeOptions::default()
-        },
-    )
-    .unwrap();
-    let session = runtime.session(1);
-    let c = Action::concrete("call", [Value::int(1), Value::sym("sono")]);
-    let r = session.ask_blocking(&c).unwrap().expect("granted");
-    runtime.acknowledge_submission();
-    session.confirm_blocking(r).unwrap();
-    // The confirm completed but was never acknowledged: a crash redelivers
-    // it.  The duplicate observes UnknownReservation — at-least-once
-    // delivery with an idempotency-visible duplicate, exactly the contract
-    // of the paper's persistent queues.
-    assert_eq!(runtime.unacknowledged_submissions(), 1);
-    let redelivered = runtime.crash_redeliver();
-    assert_eq!(redelivered.len(), 1);
-    assert!(matches!(
-        redelivered[0].wait(),
-        Completion::Failed { error: ManagerError::UnknownReservation { .. } }
-    ));
-    assert_eq!(runtime.log(), vec![c], "the duplicate did not double-commit");
-    runtime.acknowledge_submission();
-    assert_eq!(runtime.unacknowledged_submissions(), 0);
 }
 
 /// A denial mid-chain invalidates the conditional votes of its downstream

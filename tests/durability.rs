@@ -484,46 +484,6 @@ fn residency_and_checkpoint_cost_follow_the_delta() {
     recovered.shutdown().unwrap();
 }
 
-/// A long-lived runtime that keeps acknowledging its durable submissions
-/// must not retain the whole journal: the queue stream compacts to
-/// O(unacknowledged), and recovery from the compacted vault still works.
-#[test]
-fn queue_journal_stays_bounded_by_unacknowledged() {
-    use ix_durable::QUEUE_STREAM;
-
-    let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
-    let options = RuntimeOptions { durable: true, ..leased_options() };
-    let runtime =
-        ManagerRuntime::with_durability(&coupled_constraint(), options, Arc::clone(&vault))
-            .unwrap();
-    let session = runtime.session(1);
-    for i in 0..400u64 {
-        let p = 1 + (i % 3) as i64;
-        for kind in ["call", "perform"] {
-            if let Some(r) = session.ask_blocking(&dept(kind, 0, p)).unwrap() {
-                session.confirm_blocking(r).unwrap();
-            }
-        }
-        // The client durably recorded the completions: trim the journal.
-        while runtime.acknowledge_submission() {}
-    }
-    assert_eq!(runtime.unacknowledged_submissions(), 0);
-    let appended = vault.stream_len(QUEUE_STREAM);
-    let surviving = vault.read_from(QUEUE_STREAM, 0).len() as u64;
-    assert!(appended >= 3000, "workload journaled real traffic ({appended} records)");
-    assert!(
-        surviving < 700,
-        "queue stream must compact to O(unacknowledged): {surviving} of {appended} retained"
-    );
-
-    // The compacted vault is still a complete recovery source.
-    let log = runtime.log();
-    runtime.shutdown().unwrap();
-    let recovered = ManagerRuntime::recover(vault, options).unwrap();
-    assert_eq!(recovered.log(), log);
-    recovered.shutdown().unwrap();
-}
-
 /// A lease granted before the crash re-arms on the recovered timer wheel:
 /// it still blocks conflicting asks, and firing it frees the slot.
 #[test]
@@ -824,8 +784,9 @@ fn a_torn_topology_recovers_to_an_error_that_nothing_was_durable() {
 
 /// Only a vault that journaled records and holds no blob but its topology
 /// is diagnosed as never durable.  An empty vault (a mistyped path) holds
-/// nothing to recover, and a checkpoint's blobs prove a barrier passed:
-/// both get a plain error.  A topology of zeros, as a torn file can read
+/// nothing to recover, and a checkpoint's blobs, like the `queue` blob an
+/// earlier runtime's submission queue saved, prove a barrier passed: each
+/// gets a plain error.  A topology of zeros, as a torn file can read
 /// back, is torn, not another format version.
 #[test]
 fn only_a_journal_beside_a_lone_topology_is_diagnosed_as_never_durable() {
@@ -836,7 +797,7 @@ fn only_a_journal_beside_a_lone_topology_is_diagnosed_as_never_durable() {
     };
     let empty = detail(Arc::new(MemVault::new()));
     assert!(empty.contains("no readable topology") && empty.contains("missing"), "{empty}");
-    for checkpointed in [false, true] {
+    for (checkpointed, queue_blob) in [(false, false), (true, false), (false, true)] {
         let vault = Arc::new(MemVault::new());
         let runtime =
             ManagerRuntime::with_durability(&coupled_constraint(), leased_options(), vault.clone())
@@ -848,13 +809,91 @@ fn only_a_journal_beside_a_lone_topology_is_diagnosed_as_never_durable() {
         }
         drop(session);
         drop(runtime);
+        if queue_blob {
+            vault.save_blob("queue", &retired_queue_blob());
+        }
         let zeros = vec![0; vault.load_blob("topology").unwrap().len()];
         vault.save_blob("topology", &zeros);
         let torn = detail(vault);
         assert!(torn.contains("torn"), "{torn}");
         let diagnosed = torn.contains("never passed its first barrier");
-        assert_eq!(diagnosed, !checkpointed, "{torn}");
+        assert_eq!(diagnosed, !checkpointed && !queue_blob, "{torn}");
     }
+}
+
+/// Writes what a runtime with the retired durable submission queue left in
+/// its vault directory: the queue's stream, holding one framed enqueue record
+/// of the old format, and the blob the queue compacted into.
+fn leave_a_retired_submission_queue(dir: &std::path::Path) {
+    use ix_durable::{crc32, encode_action, Writer};
+    // Format version 1, enqueue tag 1, client 1, execute tag 2, the action.
+    let mut record = Writer::new();
+    record.u8(1);
+    record.u8(1);
+    record.u64(1);
+    record.u8(2);
+    encode_action(&mut record, &audit());
+    let payload = record.into_bytes();
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    std::fs::create_dir_all(dir.join("wal/queue")).unwrap();
+    std::fs::write(dir.join("wal/queue/seg-00000000000000000000.log"), frame).unwrap();
+    std::fs::write(dir.join("blobs/queue"), retired_queue_blob()).unwrap();
+}
+
+/// The retired submission queue's blob: format version, the stream offset
+/// it covers, no pending submission.
+fn retired_queue_blob() -> Vec<u8> {
+    let mut blob = ix_durable::Writer::new();
+    blob.u8(1);
+    blob.u64(1);
+    blob.len_prefix(0);
+    blob.into_bytes()
+}
+
+/// Old vaults keep recovering: the stream and the blob of the retired
+/// submission queue are ignored, so a vault holding them recovers the same
+/// log and statistics as one without, and still inspects.
+#[test]
+fn a_vault_left_with_a_retired_submission_queue_recovers_the_same() {
+    let options =
+        RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
+    let run = |with_queue: bool| {
+        let dir = temp_vault_dir();
+        let runtime =
+            ManagerRuntime::with_durability_path(&coupled_constraint(), options, &dir).unwrap();
+        let session = runtime.session(1);
+        for p in 1..4 {
+            for d in 0..3 {
+                for kind in ["call", "perform"] {
+                    let executed = session.execute(&dept(kind, d, p)).wait();
+                    assert!(matches!(executed, Completion::Executed { .. }));
+                }
+            }
+        }
+        runtime.checkpoint().unwrap();
+        for action in [audit(), dept("call", 0, 9)] {
+            assert!(matches!(session.execute(&action).wait(), Completion::Executed { .. }));
+        }
+        drop(session);
+        runtime.shutdown().unwrap();
+        if with_queue {
+            leave_a_retired_submission_queue(&dir);
+        }
+        let vault: Arc<dyn Vault> =
+            Arc::new(ix_manager::FileVault::open(&dir, FsyncPolicy::Never).unwrap());
+        let inspection = inspect_vault(&vault).unwrap();
+        drop(vault);
+        let recovered = ManagerRuntime::recover_path(&dir, options).unwrap();
+        let seen = (recovered.log(), recovered.stats(), inspection);
+        recovered.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        seen
+    };
+    let (log, stats, inspection) = run(false);
+    assert_eq!(log.len(), 20);
+    assert_eq!(run(true), (log, stats, inspection));
 }
 
 /// The on-disk format did not move with the in-memory log representation:
@@ -948,43 +987,6 @@ fn a_vault_written_before_the_packed_log_recovers() {
         .iter()
         .all(|s| s.history_records == u64::from(s.archived_entries > 0)));
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Durable submissions pending at the crash are recovered into the queue
-/// and redelivered (at least once) by `crash_redeliver`.
-#[test]
-fn recovered_durable_queue_redelivers_unacknowledged_submissions() {
-    let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
-    let options = RuntimeOptions {
-        variant: ProtocolVariant::Combined,
-        durable: true,
-        ..RuntimeOptions::default()
-    };
-    let runtime =
-        ManagerRuntime::with_durability(&coupled_constraint(), options, Arc::clone(&vault))
-            .unwrap();
-    let session = runtime.session(1);
-    assert!(matches!(session.execute(&dept("call", 0, 1)).wait(), Completion::Executed { .. }));
-    assert!(matches!(session.execute(&dept("perform", 0, 1)).wait(), Completion::Executed { .. }));
-    // Acknowledge one, leave one in the durable journal.
-    assert!(runtime.acknowledge_submission());
-    assert_eq!(runtime.unacknowledged_submissions(), 1);
-    runtime.shutdown().unwrap();
-
-    let options = RuntimeOptions {
-        variant: ProtocolVariant::Combined,
-        durable: true,
-        ..RuntimeOptions::default()
-    };
-    let recovered = ManagerRuntime::recover(vault, options).unwrap();
-    assert_eq!(recovered.unacknowledged_submissions(), 1, "pending submission survived");
-    let tickets = recovered.crash_redeliver();
-    assert_eq!(tickets.len(), 1);
-    // Redelivery of the already-committed perform is denied by the engine
-    // (the pair is complete) — at-least-once delivery, exactly-once effect.
-    assert!(matches!(tickets[0].wait(), Completion::Denied));
-    assert_eq!(recovered.log().len(), 2, "no double commit");
-    recovered.shutdown().unwrap();
 }
 
 /// Subscriptions — shard-local and cross-shard — survive recovery, and a

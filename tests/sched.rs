@@ -222,12 +222,8 @@ fn a_skewed_flood_on_shared_workers_loses_and_reorders_nothing() {
 #[test]
 fn periodic_checkpoints_fire_and_recovery_restores_the_log() {
     let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
-    let options = RuntimeOptions {
-        durable: true,
-        clock: ClockMode::Virtual,
-        checkpoint_every: 5,
-        ..pool_options(2)
-    };
+    let options =
+        RuntimeOptions { clock: ClockMode::Virtual, checkpoint_every: 5, ..pool_options(2) };
     let runtime =
         ManagerRuntime::with_durability(&pools_constraint(4), options, Arc::clone(&vault)).unwrap();
     let session = runtime.session(1);
