@@ -55,7 +55,7 @@ pub struct FaultPlan {
     /// The global operation ordinal the fault strikes at (≥ 1, so the very
     /// first mutation — typically the topology blob — always survives).
     /// That models a vault that has passed its first barrier: a file vault
-    /// defers its first blob's fsync until then (see [`Vault::save_blob`]),
+    /// fsyncs its first blob only then (see [`Vault::save_blob`]),
     /// and a crash before it leaves nothing promised durable to drill.
     pub at: u64,
 }

@@ -27,9 +27,12 @@
 //! policy or on rotation), [`Vault::sync`], [`Vault::truncate`] and
 //! [`Vault::save_blob`].  Whatever the vault created or renamed since the
 //! previous barrier — directory entries, and the first blob of a vault opened
-//! empty — is fsynced by the next one before it does its own work.  So are
-//! the blobs a reopened vault finds: their writer may have stopped before its
-//! first barrier.
+//! on a missing or empty directory — is fsynced by the next one before it
+//! does its own work.  So are the blobs a reopened vault finds: their writer
+//! may have stopped before its first barrier.  A fresh vault touches no disk
+//! until its first write: open reads the root once and creates nothing, and
+//! the first blob waits in memory until the first append of a new stream or
+//! the first barrier writes it in place.
 
 use crate::codec::crc32;
 use std::collections::{BTreeSet, HashMap};
@@ -97,9 +100,12 @@ pub trait Vault: Send + Sync {
     /// barrier first fsyncs what earlier blob saves left unsynced.  A blob
     /// is fsynced before its rename, so a crash leaves the old bytes or the
     /// new ones, never a mixture — except the first blob of a file vault
-    /// opened on an empty directory, which is renamed into place unsynced.
-    /// A file vault opened on existing files owes its first barrier the
-    /// fsync of every blob it found, in case their writer passed none.
+    /// opened on a missing or empty directory, which replaces nothing: it
+    /// is held in memory (and read back from there) until the vault's first
+    /// append of a new stream or first barrier, or its drop, writes it
+    /// straight into place, unsynced until a barrier.  A file vault opened on
+    /// existing files owes its first barrier the fsync of every blob it
+    /// found, in case their writer passed none.
     /// The runtime writes its topology first, so the topology is durable
     /// before anything journaled against it is durable, replaced or
     /// deleted: a vault whose topology is missing or torn never passed a
@@ -250,11 +256,11 @@ fn parse_segment_file(name: &str) -> Option<u64> {
     name.strip_prefix("seg-")?.strip_suffix(".log")?.parse().ok()
 }
 
-/// Splits a segment's bytes into CRC-validated payloads; returns the
-/// payloads of the valid prefix and its byte length (everything after it is
-/// a torn or corrupt tail).
-fn scan_records(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
-    let mut records = Vec::new();
+/// Walks a segment's CRC-validated frames, handing each payload to `visit`;
+/// returns the number of records in the valid prefix and its byte length
+/// (everything after it is a torn or corrupt tail).
+fn walk_frames(bytes: &[u8], mut visit: impl FnMut(&[u8])) -> (u64, usize) {
+    let mut count = 0u64;
     let mut pos = 0usize;
     while bytes.len() - pos >= FRAME_HEADER {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
@@ -269,10 +275,11 @@ fn scan_records(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
         if crc32(payload) != crc {
             break;
         }
-        records.push(payload.to_vec());
+        visit(payload);
+        count += 1;
         pos = end;
     }
-    (records, pos)
+    (count, pos)
 }
 
 struct OpenSegment {
@@ -317,15 +324,37 @@ impl FileStream {
 /// What the next barrier owes the disk before its own work.
 #[derive(Default)]
 struct Debt {
-    /// The vault was opened on an empty directory and has saved no blob
-    /// yet: the first blob is renamed into place without an fsync.
-    defer_first_blob: bool,
-    /// Blobs in place but not yet fsynced: that first blob, or every blob a
-    /// reopened vault found (its writer may have stopped before a barrier).
+    /// The vault was opened on a missing or empty directory and has saved no
+    /// blob yet: the first `save_blob` only fills `first_blob`.
+    hold_first_blob: bool,
+    /// That first blob, `(name, bytes)`, until the vault's first write or
+    /// barrier writes it out.
+    first_blob: Option<(String, Vec<u8>)>,
+    /// Blobs in place but not yet fsynced: that first blob once written, or
+    /// every blob a reopened vault found (its writer may have stopped before
+    /// a barrier).
     blobs: Vec<PathBuf>,
     /// Directories with an entry (a created file or directory, a renamed
     /// blob) that no fsync has covered yet.
     dirs: BTreeSet<PathBuf>,
+}
+
+impl Debt {
+    /// Writes a held first blob straight to `blobs/<name>` — it replaces
+    /// nothing, so it needs no temp file and no rename — and leaves its
+    /// fsync and the new directory entries to the next barrier.
+    fn write_first_blob(&mut self, root: &Path) -> std::io::Result<()> {
+        let Some((name, bytes)) = self.first_blob.take() else {
+            return Ok(());
+        };
+        let blobs = root.join("blobs");
+        fs::create_dir_all(&blobs)?;
+        let path = blobs.join(name);
+        fs::write(&path, bytes)?;
+        self.blobs.push(path);
+        self.dirs.extend([root.to_path_buf(), blobs]);
+        Ok(())
+    }
 }
 
 /// The file-backed [`Vault`]: one directory per stream under `wal/`, each a
@@ -349,11 +378,22 @@ impl std::fmt::Debug for FileVault {
     }
 }
 
+impl Drop for FileVault {
+    /// A vault dropped before its first write still leaves its first blob on
+    /// disk, unsynced like any blob no barrier followed.  Best effort: a
+    /// failed write is dropped, never a panic.
+    fn drop(&mut self) {
+        let debt = self.debt.get_mut().unwrap_or_else(|e| e.into_inner());
+        let _ = debt.write_first_blob(&self.root);
+    }
+}
+
 impl FileVault {
-    /// Opens (or creates) a vault rooted at `root`, recovering every
-    /// stream's append position from the segment files on disk.  A torn
-    /// record at the end of a stream's last segment is discarded (the write
-    /// it belonged to never completed).
+    /// Opens a vault rooted at `root`, recovering every stream's append
+    /// position from the segment files on disk.  A torn record at the end of
+    /// a stream's last segment is discarded (the write it belonged to never
+    /// completed).  A missing or empty `root` is a fresh vault: open creates
+    /// nothing, and the directories appear with the vault's first write.
     pub fn open(root: impl AsRef<Path>, fsync: FsyncPolicy) -> std::io::Result<FileVault> {
         FileVault::open_with_segment_bytes(root, fsync, DEFAULT_SEGMENT_BYTES)
     }
@@ -366,36 +406,46 @@ impl FileVault {
         segment_bytes: u64,
     ) -> std::io::Result<FileVault> {
         let root = root.as_ref().to_path_buf();
-        fs::create_dir_all(root.join("blobs"))?;
-        fs::create_dir_all(root.join("wal"))?;
+        // A missing or empty root holds nothing to read back.
+        let fresh = match fs::read_dir(&root) {
+            Ok(mut entries) => entries.next().is_none(),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
+            Err(e) => return Err(e),
+        };
         let mut streams = HashMap::new();
-        for entry in fs::read_dir(root.join("wal"))?.flatten() {
-            let Some(id) = entry.file_name().to_str().and_then(parse_stream_dir) else {
-                continue;
-            };
-            let mut stream = FileStream::new(entry.path());
-            if let Some((first, path)) = stream.segments().into_iter().last() {
-                let bytes = fs::read(&path)?;
-                let (records, valid) = scan_records(&bytes);
-                if valid < bytes.len() {
-                    // Drop the torn tail so later appends start clean.
-                    let f = OpenOptions::new().write(true).open(&path)?;
-                    f.set_len(valid as u64)?;
-                    f.sync_all()?;
+        let mut blobs = Vec::new();
+        if !fresh {
+            fs::create_dir_all(root.join("blobs"))?;
+            fs::create_dir_all(root.join("wal"))?;
+            for entry in fs::read_dir(root.join("wal"))?.flatten() {
+                let Some(id) = entry.file_name().to_str().and_then(parse_stream_dir) else {
+                    continue;
+                };
+                let mut stream = FileStream::new(entry.path());
+                if let Some((first, path)) = stream.segments().into_iter().last() {
+                    let bytes = fs::read(&path)?;
+                    let (count, valid) = walk_frames(&bytes, |_| {});
+                    if valid < bytes.len() {
+                        // Drop the torn tail so later appends start clean.
+                        let f = OpenOptions::new().write(true).open(&path)?;
+                        f.set_len(valid as u64)?;
+                        f.sync_all()?;
+                    }
+                    stream.next_index = first + count;
                 }
-                stream.next_index = first + records.len() as u64;
+                streams.insert(id, stream);
             }
-            streams.insert(id, stream);
+            blobs = fs::read_dir(root.join("blobs"))?
+                .flatten()
+                .filter(|entry| !entry.file_name().to_string_lossy().starts_with(".tmp-"))
+                .map(|entry| entry.path())
+                .collect();
         }
-        // `blobs/` and `wal/` may be entries no fsync has covered yet.
+        // The root's `blobs/` and `wal/`, made here or by the first write,
+        // may be entries no fsync has covered yet.
         let mut debt = Debt { dirs: BTreeSet::from([root.clone()]), ..Debt::default() };
-        let blobs: Vec<PathBuf> = fs::read_dir(root.join("blobs"))?
-            .flatten()
-            .filter(|entry| !entry.file_name().to_string_lossy().starts_with(".tmp-"))
-            .map(|entry| entry.path())
-            .collect();
         if streams.is_empty() && blobs.is_empty() {
-            debt.defer_first_blob = true;
+            debt.hold_first_blob = true;
         } else {
             // The writer that left these files may have stopped before its
             // first barrier, leaving them in the page cache only: the next
@@ -439,10 +489,11 @@ impl FileVault {
         file.sync_all()
     }
 
-    /// The start of every barrier: fsyncs the blobs still unsynced, then
-    /// every directory holding an unsynced entry.
+    /// The start of every barrier: writes out a held first blob, fsyncs the
+    /// blobs still unsynced, then every directory holding an unsynced entry.
     fn barrier(&self) {
         let mut debt = self.debt();
+        debt.write_first_blob(&self.root).expect("write the first blob");
         for path in std::mem::take(&mut debt.blobs) {
             let file = File::open(&path).expect("open an unsynced blob");
             self.fsync(&file, &path).expect("sync an unsynced blob");
@@ -458,13 +509,21 @@ impl FileVault {
 impl Vault for FileVault {
     fn append(&self, stream: u32, payload: &[u8]) -> u64 {
         self.with_inner(|streams| {
+            // The vault's first stream may create `wal/` in the root too.
+            let first_stream = streams.is_empty();
             // A stream gets its directory when it gets its entry; entries
             // read back at open have theirs already.
             let s = streams.entry(stream).or_insert_with(|| {
+                let mut debt = self.debt();
+                // A held first blob reaches the disk ahead of any record.
+                debt.write_first_blob(&self.root).expect("write the first blob");
                 let wal = self.root.join("wal");
                 let dir = wal.join(stream_dir_name(stream));
                 fs::create_dir_all(&dir).expect("create stream directory");
-                self.debt().dirs.insert(wal);
+                if first_stream {
+                    debt.dirs.insert(self.root.clone());
+                }
+                debt.dirs.insert(wal);
                 FileStream::new(dir)
             });
             // Rotate (or open) the append segment.
@@ -531,15 +590,14 @@ impl Vault for FileVault {
             let mut out = Vec::new();
             for (first, path) in s.segments() {
                 let Ok(bytes) = fs::read(&path) else { break };
-                let (records, valid) = scan_records(&bytes);
-                let torn = valid < bytes.len();
-                for (i, payload) in records.into_iter().enumerate() {
-                    let index = first + i as u64;
+                let mut index = first;
+                let (_, valid) = walk_frames(&bytes, |payload| {
                     if index >= from {
-                        out.push((index, payload));
+                        out.push((index, payload.to_vec()));
                     }
-                }
-                if torn {
+                    index += 1;
+                });
+                if valid < bytes.len() {
                     // Everything after a torn record is unreadable.
                     break;
                 }
@@ -569,29 +627,33 @@ impl Vault for FileVault {
     }
 
     fn save_blob(&self, name: &str, bytes: &[u8]) {
+        {
+            // The first blob of a fresh vault replaces nothing, and nothing
+            // durable depends on it yet: it waits in memory for the vault's
+            // first write or barrier.
+            let mut debt = self.debt();
+            if std::mem::take(&mut debt.hold_first_blob) {
+                debt.first_blob = Some((name.to_string(), bytes.to_vec()));
+                return;
+            }
+        }
+        self.barrier();
         let blobs = self.root.join("blobs");
         let tmp = blobs.join(format!(".tmp-{name}"));
         let path = blobs.join(name);
         let mut f = File::create(&tmp).expect("create blob temp file");
         f.write_all(bytes).expect("write blob");
-        {
-            // The first blob of a vault opened empty replaces nothing, and
-            // nothing durable depends on it yet: the next barrier fsyncs it.
-            let mut debt = self.debt();
-            if std::mem::take(&mut debt.defer_first_blob) {
-                fs::rename(&tmp, &path).expect("rename the first blob into place");
-                debt.blobs.push(path);
-                debt.dirs.insert(blobs);
-                return;
-            }
-        }
-        self.barrier();
         self.fsync(&f, &tmp).expect("sync blob");
         fs::rename(&tmp, &path).expect("atomically replace blob");
         self.debt().dirs.insert(blobs);
     }
 
     fn load_blob(&self, name: &str) -> Option<Vec<u8>> {
+        let held =
+            self.debt().first_blob.as_ref().filter(|(n, _)| n == name).map(|(_, b)| b.clone());
+        if held.is_some() {
+            return held;
+        }
         let mut bytes = Vec::new();
         File::open(self.root.join("blobs").join(name)).ok()?.read_to_end(&mut bytes).ok()?;
         Some(bytes)
@@ -741,9 +803,68 @@ mod tests {
         }
     }
 
-    /// A vault opened empty renames its first blob into place unsynced; the
-    /// first barrier of any kind fsyncs it and `blobs/` once, ahead of its
-    /// own fsync.  So does the first barrier of a vault reopened after a
+    /// A missing root is not created by opening, reading or syncing the
+    /// vault; an empty one stays empty while the first blob is held, and the
+    /// held bytes are what `load_blob` reads back.
+    #[test]
+    fn a_fresh_vault_holds_its_first_blob_in_memory() {
+        let missing = temp_dir("missing").join("vault");
+        let v = FileVault::open(&missing, FsyncPolicy::Always).unwrap();
+        assert_eq!(
+            (v.load_blob("topology"), v.streams(), v.read_from(0, 0)),
+            (None, vec![], vec![])
+        );
+        v.sync();
+        drop(v);
+        assert!(!missing.exists(), "a vault that wrote nothing creates nothing");
+
+        let dir = temp_dir("held");
+        let v = FileVault::open(&dir, FsyncPolicy::Always).unwrap();
+        v.save_blob("topology", b"t");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "the first blob waits in memory");
+        assert_eq!(v.load_blob("topology").unwrap(), b"t");
+        assert_eq!(v.load_blob("manifest"), None);
+        assert!(v.take_synced().is_empty());
+    }
+
+    /// The first append of a new stream writes the held blob before it makes
+    /// the stream's directory: an append that cannot make it (a file stands
+    /// where `wal/` belongs) fails with the blob already in place.
+    #[test]
+    fn the_first_append_writes_the_held_blob_before_its_segment() {
+        let dir = temp_dir("first-append");
+        let v = FileVault::open(&dir, FsyncPolicy::Never).unwrap();
+        v.save_blob("topology", b"t");
+        fs::write(dir.join("wal"), b"").unwrap();
+        let append = std::panic::AssertUnwindSafe(|| v.append(0, b"r"));
+        assert!(std::panic::catch_unwind(append).is_err(), "wal/ is a file");
+        assert_eq!(fs::read(dir.join("blobs/topology")).unwrap(), b"t");
+        assert!(!dir.join("wal/shard-0").exists());
+
+        fs::remove_file(dir.join("wal")).unwrap();
+        assert_eq!(v.append(0, b"r"), 0);
+        assert!(dir.join("wal/shard-0").join(segment_file_name(0)).exists());
+        assert!(v.take_synced().is_empty(), "a write under Never, not a barrier");
+        assert_eq!(v.load_blob("topology").unwrap(), b"t", "read back from the disk");
+    }
+
+    /// A vault dropped before any write or barrier still leaves its first
+    /// blob on disk, and no `wal/` for a vault that never journaled.
+    #[test]
+    fn a_dropped_vault_leaves_its_held_blob_on_disk() {
+        let dir = temp_dir("dropped");
+        let v = FileVault::open(&dir, FsyncPolicy::Always).unwrap();
+        v.save_blob("topology", b"t");
+        drop(v);
+        assert_eq!(fs::read(dir.join("blobs/topology")).unwrap(), b"t");
+        assert!(!dir.join("wal").exists());
+        let v = FileVault::open(&dir, FsyncPolicy::Always).unwrap();
+        assert_eq!(v.load_blob("topology").unwrap(), b"t");
+    }
+
+    /// A fresh vault holds its first blob in memory; its first barrier of
+    /// any kind writes it in place and fsyncs it and `blobs/` once, ahead of
+    /// its own fsync.  So does the first barrier of a vault reopened after a
     /// writer that passed none.  A reopened vault, and every later blob,
     /// fsyncs the blob before the rename.
     #[test]
@@ -799,6 +920,7 @@ mod tests {
             let mut v = open();
             v.save_blob("topology", b"t");
             assert_eq!(v.take_synced(), Vec::<PathBuf>::new(), "{kind}: the first blob waits");
+            assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "{kind}: in memory");
             if reopened {
                 // The writer stops before its first barrier; the vault
                 // reopened on its files owes their fsync instead.

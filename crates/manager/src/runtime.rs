@@ -1993,8 +1993,9 @@ impl ManagerRuntime {
         let partition = Partition::of(expr);
         // Persist the topology before anything journals against it: the log
         // streams are meaningless without the component table that routed
-        // them.  It is durable at the vault's first barrier, ahead of every
-        // record journaled against it (`Vault::save_blob`).
+        // them.  A fresh file vault writes it with its first record and
+        // makes it durable at its first barrier, ahead of every record
+        // journaled against it (`Vault::save_blob`).
         write_topology_blob(&hub, expr, &partition);
         let seeds = fresh_seeds(&partition, Some(&hub))?;
         spawn_runtime(expr, partition, options, Some(hub), seeds, RecoveredGlobals::default())
@@ -6442,7 +6443,7 @@ mod tests {
         assert_eq!((Arc::strong_count(&shared), shared.pool.core.started()), (1, 0));
     }
 
-    /// A durable runtime's set-up waits on no disk: its topology becomes
+    /// A durable runtime's set-up syncs nothing: its topology becomes
     /// durable at the vault's first barrier.  A clean shutdown ends with one
     /// `sync`, whether the commits were decided on frames or by a worker, so
     /// nothing it acknowledged is left in the page cache.

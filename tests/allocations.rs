@@ -16,10 +16,14 @@
 //! lower its bound with it.
 
 use ix_core::{parse, Action, Expr, Partition, Value};
-use ix_manager::{Completion, ManagerRuntime, ProtocolVariant, RuntimeOptions, Session};
+use ix_manager::{
+    Completion, FileVault, FsyncPolicy, ManagerRuntime, MemVault, ProtocolVariant, RuntimeOptions,
+    Session, Vault,
+};
 use ix_state::{Route, ScopedAlphabet, ShardRouter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct Counting;
 
@@ -112,11 +116,22 @@ fn scoped_coverage_allocates_nothing_with_or_without_its_memo() {
     }
 }
 
-/// One set-up the way ixbench times it: parse, construct, compile the tiers
-/// where the workload runs from tables, open the sessions.
-fn set_up(src: &str, options: RuntimeOptions, clients: u64, compile: bool) -> Live {
+/// One set-up the way ixbench times it: parse, construct (journaling into
+/// `vault` when there is one), compile the tiers where the workload runs
+/// from tables, open the sessions.
+fn set_up(
+    src: &str,
+    options: RuntimeOptions,
+    clients: u64,
+    compile: bool,
+    vault: Option<Arc<dyn Vault>>,
+) -> Live {
     let expr: Expr = parse(src).unwrap();
-    let runtime = ManagerRuntime::with_options(&expr, options).unwrap();
+    let runtime = match vault {
+        Some(vault) => ManagerRuntime::with_durability(&expr, options, vault),
+        None => ManagerRuntime::with_options(&expr, options),
+    }
+    .unwrap();
     if compile {
         runtime.compile_tiers();
     }
@@ -166,14 +181,17 @@ fn a_set_up_stays_under_its_pinned_allocation_count() {
     let chain = chain_src();
     let rings = rings_src();
     let measured = [
-        ("local_sync", allocations(|| set_up(&cases, options(ProtocolVariant::Simple), 1, false))),
+        (
+            "local_sync",
+            allocations(|| set_up(&cases, options(ProtocolVariant::Simple), 1, false, None)),
+        ),
         (
             "cross_chain",
-            allocations(|| set_up(&chain, options(ProtocolVariant::Combined), 1, false)),
+            allocations(|| set_up(&chain, options(ProtocolVariant::Combined), 1, false, None)),
         ),
         (
             "local_pipelined",
-            allocations(|| set_up(&rings, options(ProtocolVariant::Combined), 2, true)),
+            allocations(|| set_up(&rings, options(ProtocolVariant::Combined), 2, true, None)),
         ),
     ];
     let bounds = [170, 204, 263];
@@ -190,9 +208,10 @@ fn a_set_up_stays_under_its_pinned_allocation_count() {
 /// three times over: an `execute` of `cycle[0]` then of `cycle[1]`, and an
 /// `ask`+`confirm` of `cycle[0]`.  The rest of the cycle executes uncounted
 /// after each, so every count starts from the same state.  Asserts every
-/// decision ran in a caller frame: the pool never started a worker.
-fn framed_decisions(src: &str, cycle: &[Action]) -> [(u64, u64); 3] {
-    let live = set_up(src, options(ProtocolVariant::Simple), 1, true);
+/// decision ran in a caller frame: the pool never started a worker.  With a
+/// vault, every decision also journals its commit there.
+fn framed_decisions(src: &str, cycle: &[Action], vault: Option<Arc<dyn Vault>>) -> [(u64, u64); 3] {
+    let live = set_up(src, options(ProtocolVariant::Simple), 1, true, vault);
     let session = &live.sessions[0];
     let execute = |action: &Action| {
         assert!(matches!(session.execute(action).wait(), Completion::Executed { .. }));
@@ -228,7 +247,7 @@ fn framed_decisions(src: &str, cycle: &[Action]) -> [(u64, u64); 3] {
 #[test]
 fn a_framed_tier_hit_allocates_a_pinned_count() {
     let ring = ["call_0", "prep_0", "perform_0", "report_0"].map(Action::nullary);
-    assert_eq!(framed_decisions(&rings_src(), &ring), [(2, 4); 3]);
+    assert_eq!(framed_decisions(&rings_src(), &ring, None), [(2, 4); 3]);
 }
 
 /// The same on `local_sync`'s expression.  Its components are quantified,
@@ -241,6 +260,31 @@ fn a_framed_tier_hit_allocates_a_pinned_count() {
 #[test]
 fn a_framed_copy_on_write_decision_stays_under_its_bound() {
     let case = ["call_0", "perform_0"].map(|name| Action::concrete(name, [Value::int(1)]));
-    let runs = framed_decisions(&cases_src(), &case);
+    let runs = framed_decisions(&cases_src(), &case, None);
     assert!(runs.iter().all(|&(executes, asked)| executes <= 32 && asked <= 24), "{runs:?}");
+}
+
+/// ROADMAP item 13(v): the same `execute` pair on `local_sync`'s cases,
+/// journaled the way `durable_commit` journals it.  The totals move with the
+/// memo like the plain pair's, so they are bounds: ≤ 40 on a `MemVault`, ≤ 38
+/// on a `FileVault` under `FsyncPolicy::Never`.  What the journal adds is
+/// exact, run by run: 3 allocations per commit record for its encoding (a
+/// fresh `Writer` growing by doubling), plus the `MemVault`'s copy of the
+/// record; a warm `FileVault::append` allocates nothing (it frames into a
+/// kept buffer).
+#[test]
+fn a_framed_durable_commit_journals_a_pinned_count() {
+    let case = ["call_0", "perform_0"].map(|name| Action::concrete(name, [Value::int(1)]));
+    let executes = |vault| framed_decisions(&cases_src(), &case, vault).map(|(pair, _)| pair);
+    let plain = executes(None);
+    let dir = std::env::temp_dir().join(format!("ix-allocations-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let file = Arc::new(FileVault::open(&dir, FsyncPolicy::Never).unwrap());
+    let on_file = executes(Some(file.clone()));
+    let on_mem = executes(Some(Arc::new(MemVault::new())));
+    let journal = |runs: [u64; 3]| [0, 1, 2].map(|i| runs[i] - plain[i]);
+    assert_eq!((journal(on_mem), journal(on_file)), ([8; 3], [6; 3]), "{plain:?}");
+    assert!(on_mem.iter().all(|&n| n <= 40) && on_file.iter().all(|&n| n <= 38));
+    assert_eq!(allocations(|| file.append(0, &[7; 35])), 0);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -821,6 +821,49 @@ fn only_a_journal_beside_a_lone_topology_is_diagnosed_as_never_durable() {
     }
 }
 
+/// A mistyped vault path is reported, not created: recovering or
+/// inspecting a missing directory fails with the plain "no readable
+/// topology" error, and the path is still missing afterwards.
+#[test]
+fn a_missing_vault_directory_is_reported_and_left_missing() {
+    let dir = temp_vault_dir();
+    let plain =
+        |detail: &str| detail.contains("no readable topology") && detail.contains("missing");
+    match ManagerRuntime::recover_path(&dir, leased_options()) {
+        Err(ix_manager::ManagerError::Durability { detail }) => assert!(plain(&detail), "{detail}"),
+        Err(other) => panic!("recovery failed with {other}"),
+        Ok(_) => panic!("recovered from a missing directory"),
+    }
+    assert!(!dir.exists(), "recover_path created {dir:?}");
+    let vault: Arc<dyn Vault> =
+        Arc::new(ix_manager::FileVault::open(&dir, FsyncPolicy::Never).unwrap());
+    match inspect_vault(&vault) {
+        Err(ix_manager::ManagerError::Durability { detail }) => assert!(plain(&detail), "{detail}"),
+        other => panic!("inspected a missing directory: {other:?}"),
+    }
+    drop(vault);
+    assert!(!dir.exists(), "FileVault::open or inspect_vault created {dir:?}");
+}
+
+/// A durable set-up touches no disk: the vault directory stays empty until
+/// the first commit or barrier.  The barrier of a clean `shutdown()` writes
+/// the topology, so a runtime that committed nothing recovers to an empty
+/// log.
+#[test]
+fn a_durable_set_up_leaves_its_directory_empty() {
+    let dir = temp_vault_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let runtime =
+        ManagerRuntime::with_durability_path(&coupled_constraint(), leased_options(), &dir)
+            .unwrap();
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "set-up wrote to {dir:?}");
+    runtime.shutdown().unwrap();
+    let recovered = ManagerRuntime::recover_path(&dir, leased_options()).unwrap();
+    assert_eq!(recovered.log(), Vec::<Action>::new());
+    recovered.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Writes what a runtime with the retired durable submission queue left in
 /// its vault directory: the queue's stream, holding one framed enqueue record
 /// of the old format, and the blob the queue compacted into.
