@@ -43,9 +43,8 @@ pub use error::{ManagerError, ManagerResult, SubmitError};
 pub use ix_durable::{FileVault, FsyncPolicy, MemVault, Vault};
 pub use manager::{BatchResult, InteractionManager, ManagerStats, ProtocolVariant, Reservation};
 pub use runtime::{
-    CascadeStats, CheckpointReport, ClockMode, Completion, LoadReport, ManagerRuntime,
-    RepartitionReport, RepartitionStats, RuntimeOptions, RuntimeReport, SchedStats, Session,
-    ShardLoad,
+    CascadeStats, CheckpointReport, Completion, LoadReport, ManagerRuntime, RepartitionReport,
+    RepartitionStats, RuntimeOptions, RuntimeReport, SchedStats, Session, ShardLoad,
 };
 pub use subscription::{ClientId, Notification, SubscriptionRegistry};
 pub use ticket::{Ticket, TicketIssuer};

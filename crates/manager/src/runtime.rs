@@ -16,9 +16,9 @@
 //!   is served without a thread hop and without a worker thread).  The
 //!   per-shard mutexes of [`InteractionManager`] are gone, and nothing
 //!   inside the state is locked.  This file is the *drivers* of that
-//!   kernel: the single-owner path, the rendezvous of several owners, the
-//!   coalesced execute cascade and crash recovery all vote, conclude, apply
-//!   and finish through the same four steps;
+//!   kernel: the single-owner path, the one rendezvous of several owners
+//!   (whose executes coalesce into a cascade) and crash recovery all vote,
+//!   conclude, apply and finish through the same four steps;
 //! * **an ordered task queue per shard**: submissions become tasks; a shard
 //!   executes its tasks strictly in queue order;
 //! * **completion tickets**: every submission returns a [`Ticket`]
@@ -36,10 +36,9 @@
 //! * **a hierarchical timer wheel** ([`crate::timer::TimerWheel`]) owns
 //!   lease expiry: every leased grant schedules one timer, and advancing the
 //!   clock fires exactly the due leases instead of scanning the reservation
-//!   index.  The default *virtual clock* is advanced explicitly
-//!   ([`ManagerRuntime::advance_time`]), which keeps deterministic tests
-//!   deterministic; [`ClockMode::Wall`] drives the same wheel from a ticker
-//!   thread;
+//!   index.  The clock is logical and moves only when somebody calls
+//!   [`ManagerRuntime::advance_time`], which keeps deterministic tests
+//!   deterministic;
 //! * **dynamic repartitioning** ([`ManagerRuntime::add_constraint`],
 //!   [`ManagerRuntime::couple`]): workflow ensembles grow at runtime, so the
 //!   partition is a *versioned* artifact rather than a construct-time one.
@@ -82,32 +81,15 @@ use ix_durable::{FileVault, FsyncPolicy, Vault, META_STREAM};
 use ix_state::{empty_reservation_fingerprint, Engine, Route, ShardRouter, StateRef, TierStats};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, Weak};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How the runtime's logical clock advances.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClockMode {
-    /// The clock only moves when [`ManagerRuntime::advance_time`] is called —
-    /// fully deterministic, the mode every test uses.
-    Virtual,
-    /// A ticker thread advances the clock by one logical unit per `tick` of
-    /// wall time, so leases expire without anybody calling `advance_time`.
-    Wall {
-        /// Wall-clock duration of one logical time unit.
-        tick: Duration,
-    },
-}
 
 /// Construction options of a [`ManagerRuntime`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RuntimeOptions {
     /// The coordination-protocol variant (as for [`InteractionManager`]).
     pub variant: ProtocolVariant,
-    /// Clock mode for lease expiry.
-    pub clock: ClockMode,
     /// Record a queueing-delay sample per completed execute — the time a
     /// task waited in its shard queue vs the time the worker spent serving
     /// it.  Drained via [`ManagerRuntime::drain_queue_samples`]; off by
@@ -137,25 +119,16 @@ pub struct RuntimeOptions {
     /// client submits while its shard is at rest is decided on the client's
     /// own thread and queues nothing.
     pub worker_threads: usize,
-    /// Automatic checkpointing period in logical clock ticks (0 = off).
-    /// Arms a timer-wheel entry that triggers a full
-    /// [`ManagerRuntime::checkpoint`] every `checkpoint_every` ticks —
-    /// under [`ClockMode::Wall`] that is wall time, under the virtual
-    /// clock it follows [`ManagerRuntime::advance_time`].  Ignored on
-    /// non-durable runtimes.
-    pub checkpoint_every: u64,
 }
 
 impl Default for RuntimeOptions {
     fn default() -> RuntimeOptions {
         RuntimeOptions {
             variant: ProtocolVariant::Simple,
-            clock: ClockMode::Virtual,
             queue_metrics: false,
             fsync: FsyncPolicy::Never,
             queue_limit: 0,
             worker_threads: 0,
-            checkpoint_every: 0,
         }
     }
 }
@@ -475,9 +448,6 @@ pub struct SchedStats {
     /// the first task queued for it, so a runtime whose clients block on
     /// each reply — every decision taken on the caller's frame — reads 0.
     pub started: usize,
-    /// Checkpoints cut automatically by the timer wheel
-    /// ([`RuntimeOptions::checkpoint_every`]).
-    pub auto_checkpoints: u64,
 }
 
 /// Queued client task units a channel message represents — the unit of the
@@ -486,7 +456,7 @@ pub struct SchedStats {
 /// never admitted.
 fn task_units(task: &Task) -> usize {
     match task {
-        Task::Single(_) | Task::Cross(_) | Task::Exec(_) => 1,
+        Task::Single(_) | Task::Multi(_) => 1,
         Task::Batch(tasks) => tasks.len(),
         Task::Pause(_) | Task::Control(_) | Task::Stop => 0,
     }
@@ -497,8 +467,7 @@ fn task_units(task: &Task) -> usize {
 /// another shard, so they are unordered (always serveable).
 fn task_seq(task: &Task) -> u64 {
     match task {
-        Task::Cross(task) => task.seq,
-        Task::Exec(task) => task.seq,
+        Task::Multi(task) => task.seq,
         _ => 0,
     }
 }
@@ -597,22 +566,12 @@ pub enum Completion {
     },
 }
 
-/// A lease-expiry timer payload: which reservation to expire, on which
-/// owners.
+/// What the runtime's timer wheel fires: a lease ran out — which
+/// reservation to expire, on which owners.
 #[derive(Clone, Debug)]
 struct ExpiryEvent {
     id: u64,
     owners: Vec<usize>,
-}
-
-/// Everything the runtime's timer wheel can fire.
-#[derive(Clone, Debug)]
-enum TimerEvent {
-    /// A lease ran out.
-    Expiry(ExpiryEvent),
-    /// The periodic checkpoint timer ([`RuntimeOptions::checkpoint_every`])
-    /// came due: cut a checkpoint and re-arm.
-    Checkpoint,
 }
 
 /// One immutable snapshot of the runtime's shard topology: the
@@ -650,8 +609,8 @@ impl Topology {
     }
 }
 
-/// The swappable topology slot.  Held strongly by the runtime handle, its
-/// sessions, and the wall-clock ticker; workers reach it through the
+/// The swappable topology slot.  Held strongly by the runtime handle and
+/// its sessions; workers reach it through the
 /// [`Weak`] in [`RuntimeShared`], so dropping every strong handle still
 /// drops the queue senders, disconnects the channels, and lets the workers
 /// exit — exactly the pre-repartitioning shutdown semantics.
@@ -748,7 +707,7 @@ struct RuntimeShared {
     /// Number of registered cross-shard subscription entries — commits skip
     /// the registry lock entirely while this is zero (the common case).
     cross_entry_count: AtomicU64,
-    timers: Mutex<TimerWheel<TimerEvent>>,
+    timers: Mutex<TimerWheel<ExpiryEvent>>,
     /// The write-ahead vault behind the durable runtime (`None` = the
     /// in-memory runtime).  Every shard state journals its own stream
     /// through its own clone; this handle serves the meta-stream events and
@@ -778,11 +737,6 @@ struct RuntimeShared {
     /// units; workers are the OS threads that serve them (see the
     /// worker-pool section of ARCHITECTURE.md).
     pool: Arc<PoolCtl>,
-    /// Automatic checkpoint period in logical ticks (0 = off); mirrors
-    /// [`RuntimeOptions::checkpoint_every`].
-    checkpoint_every: u64,
-    /// Checkpoints cut by the timer wheel (diagnostics).
-    auto_checkpoints: AtomicU64,
 }
 
 /// Enqueue-instant stamp of a submission: taken when queueing-delay
@@ -1110,8 +1064,8 @@ enum Task {
     /// A session-side submission window: consecutive same-shard executes
     /// batched into one channel send (see [`Session::submit_batch`]).
     Batch(Vec<SingleTask>),
-    Cross(Arc<CrossTask>),
-    Exec(Arc<ExecTask>),
+    /// An operation several shards own, on each owner's queue.
+    Multi(Arc<MultiTask>),
     /// A quiescence barrier of a live migration: the worker hands its whole
     /// shard state to the coordinator and blocks until it is returned.
     Pause(PauseTask),
@@ -1137,30 +1091,18 @@ struct SingleTask {
     submitted: Option<Instant>,
 }
 
-/// A multi-owner task: enqueued onto every owner's queue (in ascending
-/// order, under the enqueue lock); the owners rendezvous on `sync` to vote,
-/// conclude, and apply — the queue-based incarnation of the two-phase
-/// commit.  Executes have a rendezvous of their own ([`ExecTask`]), and an
-/// unsubscribe touches no shard, so `op` is never one of those.
-struct CrossTask {
-    /// The topology epoch the submission was routed under.
-    epoch: u64,
-    /// Global rendezvous sequence ([`PoolCtl::seq`]) — the help-while-
-    /// waiting ordering bound.
-    seq: u64,
-    owners: Vec<usize>,
-    op: Op,
-    sync: Mutex<CrossSync>,
-    barrier: Condvar,
-}
-
-/// A multi-owner combined execute — the hot cross-shard task, carried by its
-/// own rendezvous object so that *consecutive runs* of them coalesce.
+/// An operation several shards own: enqueued onto every owner's queue (in
+/// ascending order, under the enqueue lock); the owners rendezvous on `sync`
+/// to vote, conclude and apply — the queue-based incarnation of the
+/// two-phase commit.  An unsubscribe touches no shard, so `op` is never one.
 ///
-/// A worker that dequeues one drains the whole already-queued run of
-/// same-owner-set executes (plus the single-owner executes interleaved
-/// between them) and walks it in one speculative pass, maintaining a chain
-/// of tentative successor states.  Votes come in two strengths:
+/// Every operation but an execute deposits one unconditional vote per owner,
+/// and the last owner to vote concludes ([`process_multi`]).  Executes — the
+/// hot cross-shard operation — *coalesce*: a worker that dequeues one drains
+/// the whole already-queued run of same-owner-set executes (plus the
+/// single-owner executes interleaved between them) and walks it in one
+/// speculative pass, maintaining a chain of tentative successor states
+/// ([`process_batch`]).  Their votes come in strengths:
 ///
 /// * an **unconditional no** decides the task as denied on the spot — the
 ///   conjunction is already false, no rendezvous happens at all, and a
@@ -1197,40 +1139,40 @@ struct CrossTask {
 /// outcomes, the merged log and the statistics are identical to an
 /// unbatched rendezvous; what changes is that owners park only on
 /// commit-pending tasks whose outcome genuinely awaits another shard's
-/// *first* vote, instead of once per barrier in a chain.
-struct ExecTask {
+/// *first* vote, instead of once per barrier in a chain.  Whatever the
+/// operation, owners wait for the verdict in [`await_verdict`] and the last
+/// one to apply it finishes ([`apply_multi`]).
+struct MultiTask {
     /// The topology epoch the submission was routed under.
     epoch: u64,
     /// Global rendezvous sequence ([`PoolCtl::seq`]) — the help-while-
     /// waiting ordering bound.
     seq: u64,
     owners: Vec<usize>,
-    action: Action,
+    op: Op,
     /// Submission instant (queue-metrics mode only).
     submitted: Option<Instant>,
-    /// Lock-free mirror of the decision (`EXEC_UNDECIDED` /
-    /// `EXEC_COMMITTED` / `EXEC_DENIED`), written under the `sync` lock when
-    /// the decision is made.  Tag verification reads it without taking the
-    /// predecessor's lock — promotion only ever locks *forward* along the
-    /// chain, so the cascade cannot deadlock with a voter walking the same
-    /// chain.
-    decided: AtomicU8,
-    sync: Mutex<ExecSync>,
+    /// Lock-free mirror of a commit verdict, written under the `sync` lock
+    /// when the verdict is reached.  Tag verification reads it without
+    /// taking the predecessor's lock — promotion only ever locks *forward*
+    /// along the chain, so the cascade cannot deadlock with a voter walking
+    /// the same chain.
+    committed: AtomicBool,
+    sync: Mutex<MultiSync>,
     barrier: Condvar,
 }
 
-/// `ExecTask::decided` values.
-const EXEC_UNDECIDED: u8 = 0;
-const EXEC_COMMITTED: u8 = 1;
-const EXEC_DENIED: u8 = 2;
-
-/// One owner's vote on an [`ExecTask`].
+/// One owner's vote on a [`MultiTask`].
 enum Vote {
     /// Not deposited yet.
     Pending,
     /// Unconditional yes (deposited, or promoted from a verified
     /// conditional vote).
     Yes,
+    /// Unconditional no.  It settles an execute as denied on the spot; the
+    /// other operations conclude once every owner voted, and read the
+    /// per-owner bits (a shared subscription starts from them).
+    No,
     /// Yes, assuming the tag's prefix outcomes — counts only once promoted.
     Conditional(ValidityTag),
 }
@@ -1267,7 +1209,7 @@ struct ValidityTag {
 /// per owner, which dominated the cascade's cost on deep batches.
 struct AssumedLink {
     /// The assumed-committed predecessor.
-    task: std::sync::Weak<ExecTask>,
+    task: std::sync::Weak<MultiTask>,
     /// The assumptions made before it, in reverse queue order.
     prev: Option<Arc<AssumedLink>>,
 }
@@ -1275,7 +1217,7 @@ struct AssumedLink {
 /// Iterates a tag's assumed-commit prefix (most recent assumption first).
 fn assumed_iter(
     head: &Option<Arc<AssumedLink>>,
-) -> impl Iterator<Item = &std::sync::Weak<ExecTask>> {
+) -> impl Iterator<Item = &std::sync::Weak<MultiTask>> {
     let mut cursor = head.as_ref();
     std::iter::from_fn(move || {
         let link = cursor?;
@@ -1284,18 +1226,16 @@ fn assumed_iter(
     })
 }
 
-struct ExecSync {
+struct MultiSync {
     /// Stale-route verdict, recorded by the first owner that examines an
     /// epoch-stale task; the other owners follow it so the rendezvous can
     /// never be half-retried.  `Some(true)` means the owner set widened and
     /// the task was re-dispatched through the current topology.
     stale: Option<bool>,
-    /// Per-owner votes, aligned with `owners`.  No-votes are never stored —
-    /// an unconditional no decides the task as denied immediately, a
-    /// conditional no is withheld entirely.
+    /// Per-owner votes, aligned with `owners`.
     votes: Vec<Vote>,
-    /// Number of unconditional (deposited or promoted) yes votes; the task
-    /// commits at `owners.len()`.
+    /// Number of unconditional (deposited or promoted) yes votes; an
+    /// execute commits at `owners.len()`.
     yes_votes: usize,
     /// Whether any vote was ever promoted from a conditional — a commit
     /// with this set counts as a cascaded commit in the diagnostics.
@@ -1305,55 +1245,30 @@ struct ExecSync {
     /// identical on every shared queue, so the links agree).  Forward Arcs
     /// only — the backward references of the validity tags are Weak, so the
     /// chain is cycle-free.
-    cascade_next: Option<Arc<ExecTask>>,
-    /// The verdict, set exactly once (mirrored in [`ExecTask::decided`]).
-    decision: Option<ExecDecision>,
-    /// Owners that have applied a commit decision so far.
-    applied: usize,
-    /// What those of them that had anything left for [`finish`], tagged with
-    /// the owner position.
-    effects: Vec<(usize, Effects)>,
-    ticket: Option<TicketIssuer<Completion>>,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ExecDecision {
-    /// All owners voted yes: install the prepared successors under sequence
-    /// number `seq`.
-    Commit {
-        /// The global log sequence number of the commit.
-        seq: u64,
-    },
-    /// Some owner voted an unconditional no.
-    Deny,
-}
-
-struct CrossSync {
-    /// Stale-route verdict (see [`ExecSync::stale`]).
-    stale: Option<bool>,
-    ticket: Option<TicketIssuer<Completion>>,
-    /// Owners that have voted so far.
-    votes: usize,
-    tally: Tally,
-    /// The verdict, set exactly once by the last voter.
+    cascade_next: Option<Arc<MultiTask>>,
+    /// The reservation a confirm, abort or expiry removed (identical copies
+    /// on every owner that held it).
+    removed: Option<Reservation>,
+    /// The verdict, set exactly once (a commit mirrored in
+    /// [`MultiTask::committed`]).
     verdict: Option<Verdict>,
     /// Owners that have applied the verdict so far.
     applied: usize,
     /// What those of them that had anything left for [`finish`], tagged with
     /// the owner position.
     effects: Vec<(usize, Effects)>,
+    ticket: Option<TicketIssuer<Completion>>,
 }
 
 /// The owners' votes on one operation, added up: what [`conclude`] reads.
-struct Tally {
+struct Tally<'a> {
     /// Conjunction of the votes.
     ok: bool,
-    /// The reservation a confirm, abort or expiry removed (identical copies
-    /// on every owner that held it).
-    removed: Option<Reservation>,
+    /// The reservation a confirm, abort or expiry removed.
+    removed: Option<&'a Reservation>,
     /// The votes one by one, aligned with the owners — the per-owner status
-    /// bits a shared subscription starts from.
-    bits: Vec<bool>,
+    /// bits a shared subscription starts from (empty for a single owner).
+    votes: &'a [Vote],
 }
 
 /// The session-oriented runtime.  Create it once, hand [`Session`]s to
@@ -1366,10 +1281,6 @@ pub struct ManagerRuntime {
     /// The live (epoch-versioned) partition; the mutex also serializes
     /// repartitions — at most one migration is in flight at a time.
     partition: Mutex<Partition>,
-    /// The wall-clock ticker ([`ClockMode::Wall`]), stopped by
-    /// `ticker_stop`.
-    ticker: Mutex<Option<JoinHandle<()>>>,
-    ticker_stop: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for ManagerRuntime {
@@ -1745,8 +1656,7 @@ fn recover_runtime(
         }
         if reservation.expires_at != u64::MAX {
             let at = reservation.expires_at.max(clock + 1);
-            timers
-                .schedule(at, TimerEvent::Expiry(ExpiryEvent { id: *rid, owners: owners.clone() }));
+            timers.schedule(at, ExpiryEvent { id: *rid, owners: owners.clone() });
         }
         reservation_index.insert(*rid, owners);
     }
@@ -1773,7 +1683,7 @@ struct RecoveredGlobals {
     next_reservation: u64,
     stats: ManagerStats,
     reservation_index: HashMap<u64, Vec<usize>>,
-    timers: TimerWheel<TimerEvent>,
+    timers: TimerWheel<ExpiryEvent>,
     cross_subscriptions: CrossSubscriptions,
     orphan_subscriptions: SubscriptionRegistry,
 }
@@ -1905,8 +1815,6 @@ fn spawn_runtime(
         queue_samples: Mutex::new(Vec::new()),
         queue_limit: options.queue_limit,
         pool: Arc::clone(&pool),
-        checkpoint_every: options.checkpoint_every,
-        auto_checkpoints: AtomicU64::new(0),
     });
     // Conditional-vote verification reads the published fingerprints, so
     // recovered reservation tables must be visible before any worker serves
@@ -1915,12 +1823,6 @@ fn spawn_runtime(
         if let SlotPhase::Live(state) = &lock(&cell.serve).phase {
             publish_reservation_fp(&shared, state);
         }
-    }
-    // Arm the periodic checkpoint timer (durable runtimes only — a
-    // checkpoint without a vault has nowhere to go).
-    if options.checkpoint_every > 0 && shared.durability.is_some() {
-        let now = shared.clock.load(Ordering::Relaxed);
-        lock(&shared.timers).schedule(now + options.checkpoint_every, TimerEvent::Checkpoint);
     }
     // No worker thread starts here: each starts with the first task queued
     // for it.  The pool outlives the runtime handle inside `shared`, hence
@@ -1931,28 +1833,7 @@ fn spawn_runtime(
         let shared = weak.upgrade()?;
         Some(std::thread::spawn(move || pool_worker(shared, me)))
     }));
-    let ticker_stop = Arc::new(AtomicBool::new(false));
-    let ticker = match options.clock {
-        ClockMode::Wall { tick } => {
-            let shared = Arc::clone(&shared);
-            let topology = Arc::clone(&topology);
-            let stop = Arc::clone(&ticker_stop);
-            Some(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    advance_clock(&shared, &topology, 1);
-                }
-            }))
-        }
-        ClockMode::Virtual => None,
-    };
-    Ok(ManagerRuntime {
-        shared,
-        topology,
-        partition: Mutex::new(partition),
-        ticker: Mutex::new(ticker),
-        ticker_stop,
-    })
+    Ok(ManagerRuntime { shared, topology, partition: Mutex::new(partition) })
 }
 
 impl ManagerRuntime {
@@ -2114,16 +1995,11 @@ impl ManagerRuntime {
         }
     }
 
-    /// Scheduling counters of the worker pool: pool size, started threads,
-    /// and automatic checkpoints.  Worker `w` serves the shards `s` with
-    /// `s % workers == w`.
+    /// Scheduling counters of the worker pool: pool size and started
+    /// threads.  Worker `w` serves the shards `s` with `s % workers == w`.
     pub fn sched_stats(&self) -> SchedStats {
         let core = &self.shared.pool.core;
-        SchedStats {
-            workers: core.workers(),
-            started: core.started(),
-            auto_checkpoints: self.shared.auto_checkpoints.load(Ordering::Relaxed),
-        }
+        SchedStats { workers: core.workers(), started: core.started() }
     }
 
     /// Counters of the repartitioning machinery.  Test suites use
@@ -2708,8 +2584,8 @@ impl ManagerRuntime {
         ManagerRuntime::recover(Arc::new(vault), options)
     }
 
-    /// Stops the ticker (if any), lets every worker drain its queue, joins
-    /// them, and returns the merged log plus final statistics.  Submissions
+    /// Lets every worker drain its queue, joins them, and returns the
+    /// merged log plus final statistics.  Submissions
     /// racing the shutdown complete with [`ManagerError::Disconnected`] —
     /// either failed inline (queue already closed) or failed during the
     /// worker's final drain.  A submission that lands in the narrow window
@@ -2717,10 +2593,6 @@ impl ManagerRuntime {
     /// a `wait()` on its ticket panics; callers should quiesce their
     /// sessions before shutting down (`wait_timeout`/`poll` never panic).
     pub fn shutdown(self) -> ManagerResult<RuntimeReport> {
-        self.ticker_stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = lock(&self.ticker).take() {
-            let _ = handle.join();
-        }
         let (workers, unstarted) = {
             // The enqueue lock makes the Stop markers atomic w.r.t.
             // cross-shard enqueues: a cross task is ordered either before
@@ -2770,16 +2642,14 @@ impl ManagerRuntime {
 
 impl Drop for ManagerRuntime {
     /// Dropping without [`ManagerRuntime::shutdown`] must not leak threads:
-    /// stopping the ticker releases its clone of the queue senders, so once
-    /// the sessions are gone too the channels disconnect and every running
-    /// pool worker retires its shards and exits — a
+    /// once the sessions are gone too the channels disconnect and every
+    /// running pool worker retires its shards and exits — a
     /// parked worker re-polls within [`IDLE_PARK`], the wake below just
     /// shortens that.  The shards of workers that never started are retired
     /// by the ones that did (see [`pool_worker`]); if none did, there is no
     /// thread to leak and the shards go with the last handle onto the
     /// shared block.
     fn drop(&mut self) {
-        self.ticker_stop.store(true, Ordering::Relaxed);
         self.shared.pool.core.wake_all();
     }
 }
@@ -2963,7 +2833,8 @@ impl Session {
                 }
                 Route::Multi(owners) => {
                     flush_run(&topo, run_shard, &mut run);
-                    enqueue_exec(&topo, owners, action, issuer, submitted, Credit::Held);
+                    let op = Op::Execute { action };
+                    enqueue_multi(&topo, owners, op, issuer, submitted, Credit::Held);
                 }
             }
         }
@@ -3158,18 +3029,8 @@ fn submit_execute(
     if !action.is_concrete() {
         return completed(non_concrete(shared, action));
     }
-    match topo.router.classify(action) {
-        Route::Multi(owners) => {
-            let (issuer, t) = ticket();
-            let submitted = stamp_submitted(shared);
-            let _guard = lock(&shared.cross_enqueue);
-            enqueue_exec(topo, owners, action.clone(), issuer, submitted, Credit::Held);
-            t
-        }
-        route => {
-            dispatch(shared, topo, route, Op::Execute { action: action.clone() }, Credit::Held)
-        }
-    }
+    let op = Op::Execute { action: action.clone() };
+    dispatch(shared, topo, topo.router.classify(action), op, Credit::Held)
 }
 
 /// A confirm or an abort of reservation `id`, sent to the owners the
@@ -3310,7 +3171,7 @@ fn dispatch(
     match route {
         Route::None => completed(settle_unowned(shared, op)),
         Route::Single(shard) => dispatch_single(shared, topo, shard, op, credit),
-        Route::Multi(owners) => dispatch_cross(shared, topo, owners, op, credit),
+        Route::Multi(owners) => dispatch_multi(shared, topo, owners, op, credit),
     }
 }
 
@@ -3324,7 +3185,7 @@ fn dispatch_owners(
 ) -> Ticket<Completion> {
     match owners.as_slice() {
         [shard] => dispatch_single(shared, topo, *shard, op, Credit::Charge),
-        _ => dispatch_cross(shared, topo, owners, op, Credit::Charge),
+        _ => dispatch_multi(shared, topo, owners, op, Credit::Charge),
     }
 }
 
@@ -3348,15 +3209,15 @@ fn flush_run(topo: &Topology, shard: usize, run: &mut Vec<SingleTask>) {
     run.clear();
 }
 
-/// Enqueues a multi-owner combined execute onto every owner's queue in
-/// ascending order.  The caller must hold the cross-enqueue lock; the task
-/// (rendezvous state, ticket, action) is built entirely outside of it in
-/// the dispatch wrappers — the critical section is exactly the send loop
-/// that fixes the task's relative order.
-fn enqueue_exec(
+/// Enqueues an already-issued operation onto every owner's queue in
+/// ascending order.  The caller must hold the cross-enqueue lock — the
+/// ordered-enqueue incarnation of the 2PC lock order: under it the task
+/// draws its rendezvous sequence, and the sends fix its relative order in
+/// every queue it shares.
+fn enqueue_multi(
     topo: &Topology,
     owners: Vec<usize>,
-    action: Action,
+    op: Op,
     issuer: TicketIssuer<Completion>,
     submitted: Option<Instant>,
     credit: Credit,
@@ -3366,94 +3227,44 @@ fn enqueue_exec(
             topo.gates[owner].charge(1);
         }
     }
-    let n = owners.len();
-    let task = Arc::new(ExecTask {
-        epoch: topo.epoch(),
-        seq: topo.pool.seq.fetch_add(1, Ordering::Relaxed) + 1,
-        owners,
-        action,
-        submitted,
-        decided: AtomicU8::new(EXEC_UNDECIDED),
-        sync: Mutex::new(ExecSync {
-            stale: None,
-            votes: (0..n).map(|_| Vote::Pending).collect(),
-            yes_votes: 0,
-            promoted_any: false,
-            cascade_next: None,
-            decision: None,
-            applied: 0,
-            effects: Vec::new(),
-            ticket: Some(issuer),
-        }),
-        barrier: Condvar::new(),
-    });
-    let mut failed = false;
-    for &owner in &task.owners {
-        if topo.queues[owner].send(Task::Exec(Arc::clone(&task))).is_err() {
-            failed = true;
-            break;
-        }
-        topo.pool.core.wake_shard(owner);
-    }
-    if failed {
-        // Queues only disconnect when the runtime is gone; nobody will ever
-        // rendezvous, so fail the ticket here.
-        if let Some(issuer) = lock(&task.sync).ticket.take() {
-            issuer.complete(Completion::Failed { error: ManagerError::Disconnected });
-        }
-    }
-}
-
-/// Enqueues an already-issued cross-shard task onto every owner's queue in
-/// ascending order.  The caller must hold the cross-enqueue lock — the
-/// ordered-enqueue incarnation of the 2PC lock order.
-fn enqueue_cross(
-    topo: &Topology,
-    owners: Vec<usize>,
-    op: Op,
-    issuer: TicketIssuer<Completion>,
-    credit: Credit,
-) {
-    if credit == Credit::Charge {
-        for &owner in &owners {
-            topo.gates[owner].charge(1);
-        }
-    }
-    let n = owners.len();
-    let task = Arc::new(CrossTask {
+    let votes = owners.iter().map(|_| Vote::Pending).collect();
+    let task = Arc::new(MultiTask {
         epoch: topo.epoch(),
         seq: topo.pool.seq.fetch_add(1, Ordering::Relaxed) + 1,
         owners,
         op,
-        sync: Mutex::new(CrossSync {
+        submitted,
+        committed: AtomicBool::new(false),
+        sync: Mutex::new(MultiSync {
             stale: None,
-            ticket: Some(issuer),
-            votes: 0,
-            tally: Tally { ok: true, removed: None, bits: vec![false; n] },
+            votes,
+            yes_votes: 0,
+            promoted_any: false,
+            cascade_next: None,
+            removed: None,
             verdict: None,
             applied: 0,
             effects: Vec::new(),
+            ticket: Some(issuer),
         }),
         barrier: Condvar::new(),
     });
-    let mut failed = false;
     for &owner in &task.owners {
-        if topo.queues[owner].send(Task::Cross(Arc::clone(&task))).is_err() {
-            failed = true;
-            break;
+        if topo.queues[owner].send(Task::Multi(Arc::clone(&task))).is_err() {
+            // Queues only disconnect when the runtime is gone; nobody will
+            // ever rendezvous, so fail the ticket here.
+            if let Some(issuer) = lock(&task.sync).ticket.take() {
+                issuer.complete(Completion::Failed { error: ManagerError::Disconnected });
+            }
+            return;
         }
         topo.pool.core.wake_shard(owner);
     }
-    if failed {
-        if let Some(issuer) = lock(&task.sync).ticket.take() {
-            issuer.complete(Completion::Failed { error: ManagerError::Disconnected });
-        }
-    }
 }
 
-/// Enqueues a cross-shard task under the enqueue lock and returns its
-/// ticket.
-fn dispatch_cross(
+/// Enqueues an operation several shards own under the enqueue lock and
+/// returns its ticket.
+fn dispatch_multi(
     shared: &RuntimeShared,
     topo: &Topology,
     owners: Vec<usize>,
@@ -3461,8 +3272,9 @@ fn dispatch_cross(
     credit: Credit,
 ) -> Ticket<Completion> {
     let (issuer, t) = ticket();
+    let submitted = stamp_submitted(shared);
     let _guard = lock(&shared.cross_enqueue);
-    enqueue_cross(topo, owners, op, issuer, credit);
+    enqueue_multi(topo, owners, op, issuer, submitted, credit);
     t
 }
 
@@ -3478,14 +3290,8 @@ fn resume_paused(pool: &PoolCtl, paused: Vec<(usize, ShardState, Sender<ShardSta
     pool.core.wake_all();
 }
 
-/// The checkpoint cut ([`ManagerRuntime::checkpoint`]); also invoked by the
-/// timer wheel when [`RuntimeOptions::checkpoint_every`] arms the periodic
-/// entry, which is why it is a free function over the shared block rather
-/// than a method on the runtime handle.
-fn run_checkpoint(
-    shared: &Arc<RuntimeShared>,
-    slot: &TopologySlot,
-) -> ManagerResult<CheckpointReport> {
+/// The checkpoint cut ([`ManagerRuntime::checkpoint`]).
+fn run_checkpoint(shared: &RuntimeShared, slot: &TopologySlot) -> ManagerResult<CheckpointReport> {
     let hub = shared
         .durability
         .as_ref()
@@ -3612,49 +3418,28 @@ fn promote_subscription(
 /// authoritative owner set therefore comes from the reservation index at
 /// fire time — this is how a scheduled lease *re-arms* across a
 /// repartition without rewriting wheel entries.
-fn advance_clock(shared: &Arc<RuntimeShared>, slot: &TopologySlot, delta: u64) -> Vec<Reservation> {
+fn advance_clock(shared: &RuntimeShared, slot: &TopologySlot, delta: u64) -> Vec<Reservation> {
     let now = shared.clock.fetch_add(delta, Ordering::Relaxed) + delta;
     if let Some(hub) = &shared.durability {
         hub.log_meta(&WalRecord::Clock { now });
     }
     let events = lock(&shared.timers).advance(now);
-    let mut checkpoint_due = false;
     let tickets: Vec<Ticket<Completion>> = events
         .into_iter()
-        .filter_map(|event| {
-            let event = match event {
-                TimerEvent::Expiry(event) => event,
-                TimerEvent::Checkpoint => {
-                    // Coalesce however many periods `delta` skipped over
-                    // into one cut, taken after the expiries dispatch.
-                    checkpoint_due = true;
-                    return None;
-                }
-            };
+        .map(|event| {
             let owners =
                 lock(&shared.reservation_index).get(&event.id).cloned().unwrap_or(event.owners);
             let topo = covering_topology(slot, &owners);
-            Some(dispatch_owners(shared, &topo, owners, Op::Expire { id: event.id, now }))
+            dispatch_owners(shared, &topo, owners, Op::Expire { id: event.id, now })
         })
         .collect();
-    let expired = tickets
+    tickets
         .into_iter()
         .filter_map(|t| match t.wait() {
             Completion::Expired { reservation } => reservation,
             _ => None,
         })
-        .collect();
-    if checkpoint_due {
-        // Re-arm first: a failed cut (e.g. vault error) must not disarm the
-        // period.  The caller is the ticker or a session advancing virtual
-        // time — never a pool worker — so waiting on the capture tickets
-        // inside run_checkpoint cannot self-deadlock.
-        lock(&shared.timers).schedule(now + shared.checkpoint_every, TimerEvent::Checkpoint);
-        if run_checkpoint(shared, slot).is_ok() {
-            shared.auto_checkpoints.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    expired
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -3738,9 +3523,9 @@ impl WorkerCtx {
         }
     }
 
-    /// Records one completed execute: how long it sat in the queue before
+    /// Records one completed task: how long it sat in the queue before
     /// this worker picked it up vs how long the worker spent on it.  For a
-    /// cross-shard execute the recording owner's own drain boundary is the
+    /// multi-owner task the recording owner's own drain boundary is the
     /// reference — the honest per-shard view of the rendezvous cost.
     fn record(&mut self, submitted: Option<Instant>) {
         if !self.timing() {
@@ -3936,54 +3721,29 @@ fn serve_slice(
                     process_single(shared, &mut st, task, cx)
                 }
             }
+            // A window's items are checked one by one: once one is diverted,
+            // the watermark diverts every later one, in order.
             Task::Batch(tasks) => {
-                process_batch_window(shared, &mut st, tasks, cx, &mut divert_below)
-            }
-            Task::Cross(task) => {
-                if cross_is_live(shared, &task, &mut divert_below) {
-                    cx.flush(shared);
-                    process_cross(shared, &mut st, &task, &help, cx)
+                for task in tasks {
+                    if let Some(task) =
+                        ensure_single_route(shared, &st, task, cx, &mut divert_below)
+                    {
+                        process_single(shared, &mut st, task, cx)
+                    }
                 }
             }
-            Task::Exec(task) => {
-                if !exec_is_live(shared, &task, &mut divert_below) {
+            Task::Multi(task) => {
+                if !multi_is_live(shared, &task, &mut divert_below) {
                     continue;
                 }
-                // Coalesce the already-queued consecutive run of same-owner-
-                // set executes — plus the single-owner executes interleaved
-                // between them — into one speculative batch: the rendezvous
-                // votes once per batch instead of once per action.
-                let mut batch = Batch::new(task);
-                loop {
-                    match slot.rx.try_recv() {
-                        Ok(Task::Exec(next))
-                            if next.owners == batch.owners && next.seq <= limit =>
-                        {
-                            cx.gate.release(1);
-                            if exec_is_live(shared, &next, &mut divert_below) {
-                                batch.push_exec(next)
-                            }
-                        }
-                        Ok(Task::Single(single)) if matches!(single.op, Op::Execute { .. }) => {
-                            cx.gate.release(1);
-                            if let Some(single) =
-                                ensure_single_route(shared, &st, single, cx, &mut divert_below)
-                            {
-                                batch.push_local(single)
-                            }
-                        }
-                        Ok(other) => {
-                            cx.gate.release(task_units(&other));
-                            pushback = Some(other);
-                            break;
-                        }
-                        Err(_) => break,
-                    }
-                    if batch.ops.len() >= MAX_BATCH {
-                        break;
-                    }
+                if matches!(task.op, Op::Execute { .. }) {
+                    let (batch, ended_by) =
+                        coalesce(shared, &slot, &st, task, limit, cx, &mut divert_below);
+                    pushback = ended_by;
+                    process_batch(shared, &mut st, batch, &help, cx);
+                } else {
+                    process_multi(shared, &mut st, &task, &help, cx);
                 }
-                process_batch(shared, &mut st, batch, &help, cx);
             }
             Task::Pause(pause) => {
                 // Quiescence point of a live migration: deliver the banked
@@ -4035,6 +3795,49 @@ fn serve_slice(
     outcome
 }
 
+/// Coalesces the already-queued consecutive run of same-owner-set executes
+/// behind `first` — plus the single-owner executes interleaved between them
+/// — into one speculative batch: the rendezvous votes once per batch instead
+/// of once per action.  Also returns the task that ended the run, if one was
+/// received (its queue credit returned already).
+fn coalesce(
+    shared: &Arc<RuntimeShared>,
+    slot: &ShardSlot,
+    st: &ShardState,
+    first: Arc<MultiTask>,
+    limit: u64,
+    cx: &mut WorkerCtx,
+    divert_below: &mut u64,
+) -> (Batch, Option<Task>) {
+    let mut batch = Batch::new(first);
+    while batch.items.len() < MAX_BATCH {
+        match slot.rx.try_recv() {
+            Ok(Task::Multi(next))
+                if next.owners == batch.owners
+                    && next.seq <= limit
+                    && matches!(next.op, Op::Execute { .. }) =>
+            {
+                cx.gate.release(1);
+                if multi_is_live(shared, &next, divert_below) {
+                    batch.push_exec(next)
+                }
+            }
+            Ok(Task::Single(single)) if matches!(single.op, Op::Execute { .. }) => {
+                cx.gate.release(1);
+                if let Some(single) = ensure_single_route(shared, st, single, cx, divert_below) {
+                    batch.push_local(single)
+                }
+            }
+            Ok(other) => {
+                cx.gate.release(task_units(&other));
+                return (batch, Some(other));
+            }
+            Err(_) => break,
+        }
+    }
+    (batch, None)
+}
+
 fn fail_task(task: Task) {
     let disconnected = || Completion::Failed { error: ManagerError::Disconnected };
     match task {
@@ -4044,12 +3847,7 @@ fn fail_task(task: Task) {
                 task.ticket.complete(disconnected());
             }
         }
-        Task::Cross(task) => {
-            if let Some(issuer) = lock(&task.sync).ticket.take() {
-                issuer.complete(disconnected());
-            }
-        }
-        Task::Exec(task) => {
+        Task::Multi(task) => {
             if let Some(issuer) = lock(&task.sync).ticket.take() {
                 issuer.complete(disconnected());
             }
@@ -4118,7 +3916,8 @@ fn ensure_single_route(
                     shared.repart.rerouted_tasks.fetch_add(1, Ordering::Relaxed);
                     *divert_below = topo.epoch();
                     let _guard = lock(&shared.cross_enqueue);
-                    enqueue_cross(&topo, owners, task.op, task.ticket, Credit::Charge);
+                    let SingleTask { op, ticket, submitted, .. } = task;
+                    enqueue_multi(&topo, owners, op, ticket, submitted, Credit::Charge);
                     None
                 }
             }
@@ -4142,86 +3941,32 @@ fn redispatch_single(
         (op, Route::Single(shard)) => {
             enqueue_single(topo, shard, op, issuer, submitted, Credit::Charge)
         }
-        (Op::Execute { action }, Route::Multi(owners)) => {
-            enqueue_exec(topo, owners, action, issuer, submitted, Credit::Charge);
-        }
         (Op::Unsubscribe { client, action }, Route::Multi(_)) => {
             // The migration promoted the registration to the cross-shard
             // registry; remove it there.
             cross_unsubscribe(shared, client, &action);
             fulfil(issuer, Completion::Unsubscribed, cx);
         }
-        (op, Route::Multi(owners)) => enqueue_cross(topo, owners, op, issuer, Credit::Charge),
+        (op, Route::Multi(owners)) => {
+            enqueue_multi(topo, owners, op, issuer, submitted, Credit::Charge)
+        }
         // Owner sets never shrink; complete with the outcome an unknown
         // action gets on the submission path.
         (op, Route::None) => fulfil(issuer, settle_unowned(shared, op), cx),
     }
 }
 
-/// Processes one submission window ([`Task::Batch`]).  On the fast path
-/// (epochs match) every item runs inline.  The moment one item's route is
-/// found stale, the item *and every remaining item of the window* are
-/// re-enqueued through the current topology in order — processing a
-/// later same-window item inline while an earlier one sits re-queued
-/// would invert the window's program order.
-fn process_batch_window(
+/// Decides whether an epoch-stale multi-owner task is still correctly
+/// routed.  The verdict is recorded in the task's rendezvous state by the
+/// **first** owner that examines it, and every other owner follows that
+/// record — a rendezvous is either processed by all of its owners or
+/// re-dispatched by exactly one and skipped by the rest, never half/half.
+/// (The pause barriers guarantee that a task whose owner set actually
+/// widened is seen by *all* of its owners only after the migration, so a
+/// recorded verdict can never contradict an already-deposited vote.)
+fn multi_is_live(
     shared: &Arc<RuntimeShared>,
-    st: &mut ShardState,
-    tasks: Vec<SingleTask>,
-    cx: &mut WorkerCtx,
-    divert_below: &mut u64,
-) {
-    let mut iter = tasks.into_iter();
-    while let Some(task) = iter.next() {
-        if task.epoch == shared.epoch.load(Ordering::Acquire) {
-            process_single(shared, st, task, cx);
-            continue;
-        }
-        // Stale stamp: check this item's route; if it moved (or it is
-        // ordered behind an already-diverted task), divert it and the
-        // whole remainder of the window in order.
-        let Some(slot) = shared.topology.upgrade() else {
-            fulfil(task.ticket, Completion::Failed { error: ManagerError::Disconnected }, cx);
-            for task in iter {
-                fulfil(task.ticket, Completion::Failed { error: ManagerError::Disconnected }, cx);
-            }
-            return;
-        };
-        let topo = read_topology(&slot);
-        let Op::Execute { action } = &task.op else {
-            unreachable!("submission windows carry executes only");
-        };
-        if task.epoch >= *divert_below
-            && matches!(topo.router.classify(action), Route::Single(shard) if shard == st.id)
-        {
-            process_single(shared, st, task, cx);
-            continue;
-        }
-        *divert_below = topo.epoch();
-        let _guard = lock(&shared.cross_enqueue);
-        for task in std::iter::once(task).chain(iter) {
-            shared.repart.rerouted_tasks.fetch_add(1, Ordering::Relaxed);
-            let Op::Execute { action } = &task.op else {
-                unreachable!("submission windows carry executes only");
-            };
-            let route = topo.router.classify(action);
-            redispatch_single(shared, &topo, task, route, cx);
-        }
-        return;
-    }
-}
-
-/// Decides whether an epoch-stale cross task is still correctly routed.
-/// The verdict is recorded in the task's rendezvous state by the **first**
-/// owner that examines it, and every other owner follows that record — a
-/// rendezvous is either processed by all of its owners or re-dispatched by
-/// exactly one and skipped by the rest, never half/half.  (The pause
-/// barriers guarantee that a task whose owner set actually widened is seen
-/// by *all* of its owners only after the migration, so a recorded verdict
-/// can never contradict an already-deposited vote.)
-fn cross_is_live(
-    shared: &Arc<RuntimeShared>,
-    task: &Arc<CrossTask>,
+    task: &Arc<MultiTask>,
     divert_below: &mut u64,
 ) -> bool {
     if task.epoch == shared.epoch.load(Ordering::Acquire) {
@@ -4237,9 +3982,10 @@ fn cross_is_live(
         }
         return !stale;
     }
-    if sync.votes > 0 {
-        // Somebody already voted under the old epoch, so the owner set
-        // cannot have changed (its owners could not straddle a migration).
+    if sync.votes.iter().any(|v| !matches!(v, Vote::Pending)) || sync.verdict.is_some() {
+        // Somebody already voted (even conditionally) under the old epoch,
+        // so the owner set cannot have changed (its owners could not
+        // straddle a migration).
         sync.stale = Some(false);
         return true;
     }
@@ -4272,46 +4018,8 @@ fn cross_is_live(
     if let (Some(topo), Some(issuer)) = (current, issuer) {
         *divert_below = topo.epoch();
         let _guard = lock(&shared.cross_enqueue);
-        enqueue_cross(&topo, owners, task.op.clone(), issuer, Credit::Charge);
-    }
-    false
-}
-
-/// The [`cross_is_live`] analogue for coalesced multi-owner executes.
-fn exec_is_live(shared: &Arc<RuntimeShared>, task: &Arc<ExecTask>, divert_below: &mut u64) -> bool {
-    if task.epoch == shared.epoch.load(Ordering::Acquire) {
-        return true;
-    }
-    let mut sync = lock(&task.sync);
-    if let Some(stale) = sync.stale {
-        if stale {
-            *divert_below = (*divert_below).max(shared.epoch.load(Ordering::Acquire));
-        }
-        return !stale;
-    }
-    if sync.votes.iter().any(|v| !matches!(v, Vote::Pending)) || sync.decision.is_some() {
-        // Somebody already voted (even conditionally) under the old epoch,
-        // so the owner set cannot have changed.
-        sync.stale = Some(false);
-        return true;
-    }
-    let current = shared.topology.upgrade().map(|slot| read_topology(&slot));
-    let owners = current.as_ref().map(|topo| topo.router.owners(&task.action));
-    let (stale, owners) = match owners {
-        Some(owners) if owners != task.owners => (true, owners),
-        _ => (false, Vec::new()),
-    };
-    sync.stale = Some(stale);
-    if !stale {
-        return true;
-    }
-    // Held-lock re-dispatch, as in `cross_is_live`.
-    shared.repart.rerouted_tasks.fetch_add(1, Ordering::Relaxed);
-    let issuer = sync.ticket.take();
-    if let (Some(topo), Some(issuer)) = (current, issuer) {
-        *divert_below = topo.epoch();
-        let _guard = lock(&shared.cross_enqueue);
-        enqueue_exec(&topo, owners, task.action.clone(), issuer, task.submitted, Credit::Charge);
+        let op = task.op.clone();
+        enqueue_multi(&topo, owners, op, issuer, task.submitted, Credit::Charge);
     }
     false
 }
@@ -4331,16 +4039,13 @@ fn publish_reservation_fp(shared: &RuntimeShared, st: &ShardState) {
     lock(&shared.reservation_fps).insert(st.id, st.reservation_fingerprint());
 }
 
-/// Records the verdict: the single place `ExecSync::decision` is set.
-/// Mirrors it into the lock-free [`ExecTask::decided`] atomic (read by tag
-/// verification without taking this task's lock) and wakes parked owners.
-fn set_exec_decision(task: &ExecTask, sync: &mut ExecSync, decision: ExecDecision) {
-    sync.decision = Some(decision);
-    let mirror = match decision {
-        ExecDecision::Commit { .. } => EXEC_COMMITTED,
-        ExecDecision::Deny => EXEC_DENIED,
-    };
-    task.decided.store(mirror, Ordering::Release);
+/// Records the verdict: the single place `MultiSync::verdict` is set.
+/// Mirrors a commit into the lock-free [`MultiTask::committed`] flag (read
+/// by tag verification without taking this task's lock) and wakes parked
+/// owners.
+fn set_verdict(task: &MultiTask, sync: &mut MultiSync, verdict: Verdict) {
+    task.committed.store(matches!(verdict, Verdict::Commit { .. }), Ordering::Release);
+    sync.verdict = Some(verdict);
     task.barrier.notify_all();
 }
 
@@ -4361,20 +4066,16 @@ fn tag_valid(shared: &RuntimeShared, tag: &ValidityTag) -> bool {
         return false;
     }
     assumed_iter(&tag.assumed)
-        .all(|w| w.upgrade().is_some_and(|t| t.decided.load(Ordering::Acquire) == EXEC_COMMITTED))
+        .all(|w| w.upgrade().is_some_and(|t| t.committed.load(Ordering::Acquire)))
 }
 
 /// Promotes every conditional vote whose tag verifies and, when the
 /// unconditional count reaches the owner count, decides `Commit`.  Returns
-/// the decision *this call* made, if any — the caller propagates it along
-/// the cascade links once the lock is dropped.
-fn try_decide_exec(
-    shared: &RuntimeShared,
-    task: &ExecTask,
-    sync: &mut ExecSync,
-) -> Option<ExecDecision> {
-    if sync.decision.is_some() {
-        return None;
+/// whether *this call* decided — the caller propagates the commit along the
+/// cascade links once the lock is dropped.
+fn try_decide_exec(shared: &RuntimeShared, task: &MultiTask, sync: &mut MultiSync) -> bool {
+    if sync.verdict.is_some() {
+        return false;
     }
     if sync.yes_votes < task.owners.len() {
         // Promotion can only complete a decision once *every* slot holds a
@@ -4404,60 +4105,58 @@ fn try_decide_exec(
         if sync.promoted_any {
             shared.cascade_counters.cascaded_commits.fetch_add(1, Ordering::Relaxed);
         }
-        let decision = ExecDecision::Commit { seq: shared.log_seq.fetch_add(1, Ordering::Relaxed) };
-        set_exec_decision(task, sync, decision);
-        return Some(decision);
+        let order = shared.log_seq.fetch_add(1, Ordering::Relaxed);
+        set_verdict(task, sync, Verdict::Commit { order, granted: true });
+        return true;
     }
-    None
+    false
 }
 
-/// Deposits this owner's *unconditional* vote and decides the task when the
-/// vote settles it: a no decides `Deny` immediately (the conjunction is
-/// false), while a yes triggers promotion of any verifiable conditional
-/// votes and decides `Commit` when the count completes.  Must only be
-/// called when the outcome of every same-owner-set predecessor is known to
-/// the caller and reflected in the vote's base state.  Supersedes this
-/// owner's own earlier conditional vote, never an unconditional one.
+/// Deposits this owner's *unconditional* vote on an execute and decides the
+/// task when the vote settles it: a no decides `Deny` immediately (the
+/// conjunction is false) and finishes it, while a yes triggers promotion of
+/// any verifiable conditional votes and decides `Commit` when the count
+/// completes.  Returns whether this call decided.  Must only be called when
+/// the outcome of every same-owner-set predecessor is known to the caller
+/// and reflected in the vote's base state.  Supersedes this owner's own
+/// earlier conditional vote, never an unconditional one.
 fn deposit_unconditional_vote(
     shared: &RuntimeShared,
-    task: &ExecTask,
-    sync: &mut ExecSync,
+    task: &MultiTask,
+    sync: &mut MultiSync,
     pos: usize,
     yes: bool,
     cx: &mut WorkerCtx,
-) -> Option<ExecDecision> {
-    if sync.decision.is_some() || matches!(sync.votes[pos], Vote::Yes) {
-        return None;
+) -> bool {
+    if sync.verdict.is_some() || matches!(sync.votes[pos], Vote::Yes) {
+        return false;
     }
     if yes {
         sync.votes[pos] = Vote::Yes;
         sync.yes_votes += 1;
         try_decide_exec(shared, task, sync)
     } else {
-        sync.votes[pos] = Vote::Pending;
-        account(shared, DENIED, StatDelta::ZERO);
-        if let Some(issuer) = sync.ticket.take() {
-            fulfil(issuer, Completion::Denied, cx);
-        }
-        cx.record(task.submitted);
-        set_exec_decision(task, sync, ExecDecision::Deny);
-        Some(ExecDecision::Deny)
+        sync.votes[pos] = Vote::No;
+        finish_multi(shared, task, sync, &Verdict::Deny, cx);
+        set_verdict(task, sync, Verdict::Deny);
+        true
     }
 }
 
-/// Deposits this owner's *conditional* yes vote: the chain advanced through still-undecided predecessors, and `tag` names
-/// exactly the assumptions the probe ran under.  The deposit itself runs a
-/// decide attempt — the assumptions may already have resolved between the
-/// probe and this lock acquisition.
+/// Deposits this owner's *conditional* yes vote: the chain advanced through
+/// still-undecided predecessors, and `tag` names exactly the assumptions the
+/// probe ran under.  The deposit itself runs a decide attempt — the
+/// assumptions may already have resolved between the probe and this lock
+/// acquisition.
 fn deposit_conditional_vote(
     shared: &RuntimeShared,
-    task: &ExecTask,
-    sync: &mut ExecSync,
+    task: &MultiTask,
+    sync: &mut MultiSync,
     pos: usize,
     tag: ValidityTag,
-) -> Option<ExecDecision> {
-    if sync.decision.is_some() || matches!(sync.votes[pos], Vote::Yes) {
-        return None;
+) -> bool {
+    if sync.verdict.is_some() || matches!(sync.votes[pos], Vote::Yes) {
+        return false;
     }
     shared.cascade_counters.conditional_votes.fetch_add(1, Ordering::Relaxed);
     sync.votes[pos] = Vote::Conditional(tag);
@@ -4470,19 +4169,15 @@ fn deposit_conditional_vote(
 /// undecided: its missing votes await a genuinely unresolved owner, not
 /// this commit.  Locks strictly forward along the chain, so it cannot
 /// deadlock with a voter holding an earlier task's lock.
-fn cascade_from(shared: &RuntimeShared, task: &Arc<ExecTask>) {
+fn cascade_from(shared: &RuntimeShared, task: &Arc<MultiTask>) {
     let mut cur = Arc::clone(task);
     loop {
         let next = lock(&cur.sync).cascade_next.clone();
         let Some(next) = next else { break };
-        let decision = {
-            let mut sync = lock(&next.sync);
-            try_decide_exec(shared, &next, &mut sync)
-        };
-        match decision {
-            Some(ExecDecision::Commit { .. }) => cur = next,
-            _ => break,
+        if !try_decide_exec(shared, &next, &mut lock(&next.sync)) {
+            break;
         }
+        cur = next;
     }
 }
 
@@ -4492,7 +4187,7 @@ fn cascade_from(shared: &RuntimeShared, task: &Arc<ExecTask>) {
 /// verify again — but eager clearing spares every later decide attempt the
 /// doomed verification, and the voters re-deposit from the recomputed true
 /// state when their in-order resolution passes reach the tasks.
-fn invalidate_downstream(shared: &RuntimeShared, denied: &Arc<ExecTask>) {
+fn invalidate_downstream(shared: &RuntimeShared, denied: &Arc<MultiTask>) {
     let denied_ptr = Arc::as_ptr(denied);
     let mut cur = Arc::clone(denied);
     loop {
@@ -4500,7 +4195,7 @@ fn invalidate_downstream(shared: &RuntimeShared, denied: &Arc<ExecTask>) {
         let Some(next) = next else { break };
         {
             let mut sync = lock(&next.sync);
-            if sync.decision.is_none() {
+            if sync.verdict.is_none() {
                 let mut cleared = 0u64;
                 for vote in sync.votes.iter_mut() {
                     if let Vote::Conditional(tag) = vote {
@@ -4520,14 +4215,15 @@ fn invalidate_downstream(shared: &RuntimeShared, denied: &Arc<ExecTask>) {
     }
 }
 
-/// Cascades or invalidates along the chain links for every decision the
-/// caller made while holding a task's rendezvous lock.  Must be called with
-/// no rendezvous lock held — the walks lock forward along the chain.
-fn propagate_decisions(shared: &RuntimeShared, decided: &mut Vec<(Arc<ExecTask>, ExecDecision)>) {
-    for (task, decision) in decided.drain(..) {
-        match decision {
-            ExecDecision::Commit { .. } => cascade_from(shared, &task),
-            ExecDecision::Deny => invalidate_downstream(shared, &task),
+/// Cascades or invalidates along the chain links for every task the caller
+/// decided while holding its rendezvous lock.  Must be called with no
+/// rendezvous lock held — the walks lock forward along the chain.
+fn propagate_decisions(shared: &RuntimeShared, decided: &mut Vec<Arc<MultiTask>>) {
+    for task in decided.drain(..) {
+        if task.committed.load(Ordering::Acquire) {
+            cascade_from(shared, &task);
+        } else {
+            invalidate_downstream(shared, &task);
         }
     }
 }
@@ -4537,54 +4233,54 @@ fn propagate_decisions(shared: &RuntimeShared, decided: &mut Vec<(Arc<ExecTask>,
 /// them, in queue order.
 struct Batch {
     owners: Vec<usize>,
-    /// The items, every one an [`Op::Execute`].
-    ops: Vec<Op>,
-    kinds: Vec<BatchKind>,
-    /// Per-item submission instants (queue-metrics mode only), aligned with
-    /// `kinds`.
-    submitted: Vec<Option<Instant>>,
+    items: Vec<BatchItem>,
 }
 
-enum BatchKind {
+enum BatchItem {
     /// A multi-owner execute (rendezvous task).
-    Exec(Arc<ExecTask>),
-    /// A single-owner execute; the issuer is taken when the item resolves.
-    Local(Option<TicketIssuer<Completion>>),
+    Exec(Arc<MultiTask>),
+    /// A single-owner execute, taken when the item resolves.
+    Local(Option<SingleTask>),
+}
+
+impl BatchItem {
+    /// The executed action of an item not resolved yet.
+    fn action(&self) -> &Action {
+        let op = match self {
+            BatchItem::Exec(task) => &task.op,
+            BatchItem::Local(task) => &task.as_ref().expect("an unresolved item").op,
+        };
+        let Op::Execute { action } = op else {
+            unreachable!("only execute tasks join a batch");
+        };
+        action
+    }
 }
 
 impl Batch {
-    fn new(first: Arc<ExecTask>) -> Batch {
-        Batch {
-            owners: first.owners.clone(),
-            ops: vec![Op::Execute { action: first.action.clone() }],
-            submitted: vec![first.submitted],
-            kinds: vec![BatchKind::Exec(first)],
-        }
+    fn new(first: Arc<MultiTask>) -> Batch {
+        Batch { owners: first.owners.clone(), items: vec![BatchItem::Exec(first)] }
     }
 
-    fn push_exec(&mut self, task: Arc<ExecTask>) {
+    fn push_exec(&mut self, task: Arc<MultiTask>) {
         // Link the queue-order predecessor to this task.  Every owner
         // coalesces the identical queue run (enqueue order = lock order),
         // so each sets the same link; the first write wins and the rest are
         // no-ops.
-        if let Some(prev) = self.kinds.iter().rev().find_map(|k| match k {
-            BatchKind::Exec(t) => Some(t),
-            BatchKind::Local(_) => None,
+        if let Some(prev) = self.items.iter().rev().find_map(|item| match item {
+            BatchItem::Exec(t) => Some(t),
+            BatchItem::Local(_) => None,
         }) {
             let mut sync = lock(&prev.sync);
             if sync.cascade_next.is_none() {
                 sync.cascade_next = Some(Arc::clone(&task));
             }
         }
-        self.ops.push(Op::Execute { action: task.action.clone() });
-        self.submitted.push(task.submitted);
-        self.kinds.push(BatchKind::Exec(task));
+        self.items.push(BatchItem::Exec(task));
     }
 
     fn push_local(&mut self, task: SingleTask) {
-        self.ops.push(task.op);
-        self.submitted.push(task.submitted);
-        self.kinds.push(BatchKind::Local(Some(task.ticket)));
+        self.items.push(BatchItem::Local(Some(task)));
     }
 }
 
@@ -4605,12 +4301,12 @@ enum Spec {
 }
 
 /// Scratch state shared between the speculative and resolution passes of
-/// [`process_batch`]: the per-item verdicts and the decisions reached while
-/// a rendezvous lock was held (propagated along the cascade links once no
+/// [`process_batch`]: the per-item verdicts and the tasks decided while a
+/// rendezvous lock was held (propagated along the cascade links once no
 /// lock is held).
 struct SpecPass {
     specs: Vec<Spec>,
-    decided: Vec<(Arc<ExecTask>, ExecDecision)>,
+    decided: Vec<Arc<MultiTask>>,
 }
 
 /// The speculative pass over `batch[from..]` on this shard.
@@ -4624,7 +4320,7 @@ struct SpecPass {
 /// yes votes are still deposited, as [`Vote::Conditional`] tagged with the
 /// exact assumptions the chain ran through, so the prefix resolving
 /// all-commit decides the whole chain with no further rendezvous.
-/// Decisions made along the way are pushed onto `decided` for the caller
+/// Tasks decided along the way are pushed onto `decided` for the caller
 /// to propagate along the cascade links once no lock is held.
 fn compute_specs(
     shared: &RuntimeShared,
@@ -4643,13 +4339,10 @@ fn compute_specs(
     // The assumed-commit prefix of the conditional chain — a persistent
     // cons list every later conditional vote's tag snapshots in O(1).
     let mut assumed_commits: Option<Arc<AssumedLink>> = None;
-    for (op, kind) in batch.ops[from..].iter().zip(&batch.kinds[from..]) {
-        let Op::Execute { action } = op else {
-            unreachable!("only execute tasks join a batch");
-        };
-        let (next, reservation_fp) = st.probe(chain.as_ref(), action);
-        match kind {
-            BatchKind::Local(_) => {
+    for item in &batch.items[from..] {
+        let (next, reservation_fp) = st.probe(chain.as_ref(), item.action());
+        match item {
+            BatchItem::Local(_) => {
                 // A single-owner execute: decided by this shard alone, but
                 // only *applied* at resolution, in queue order.
                 match next {
@@ -4660,15 +4353,12 @@ fn compute_specs(
                     None => specs.push(Spec::Deny),
                 }
             }
-            BatchKind::Exec(task) => {
+            BatchItem::Exec(task) => {
                 let mut assumed = false;
                 {
                     let mut sync = lock(&task.sync);
-                    match sync.decision {
-                        Some(ExecDecision::Deny) => {
-                            // Outcome already known: the chain skips it.
-                        }
-                        Some(ExecDecision::Commit { .. }) => {
+                    match &sync.verdict {
+                        Some(Verdict::Commit { .. }) => {
                             // A commit requires this shard's vote, which is
                             // deposited at most once per task — so a commit
                             // observed here carries our earlier yes, and
@@ -4677,17 +4367,16 @@ fn compute_specs(
                                 chain = Some(nx.clone());
                             }
                         }
+                        Some(_) => {
+                            // Denied, an outcome already known: the chain
+                            // skips it.
+                        }
                         None => {
                             if unconditional {
-                                if let Some(decision) = deposit_unconditional_vote(
-                                    shared,
-                                    task,
-                                    &mut sync,
-                                    pos,
-                                    next.is_some(),
-                                    cx,
-                                ) {
-                                    decided.push((Arc::clone(task), decision));
+                                let yes = next.is_some();
+                                if deposit_unconditional_vote(shared, task, &mut sync, pos, yes, cx)
+                                {
+                                    decided.push(Arc::clone(task));
                                 }
                             } else if next.is_some() {
                                 // A yes on a conditional chain: deposit it
@@ -4701,20 +4390,18 @@ fn compute_specs(
                                     reservation_fp,
                                     assumed: assumed_commits.clone(),
                                 };
-                                if let Some(decision) =
-                                    deposit_conditional_vote(shared, task, &mut sync, pos, tag)
-                                {
-                                    decided.push((Arc::clone(task), decision));
+                                if deposit_conditional_vote(shared, task, &mut sync, pos, tag) {
+                                    decided.push(Arc::clone(task));
                                 }
                             }
-                            match (&sync.decision, &next) {
-                                (Some(ExecDecision::Commit { .. }), Some(nx)) => {
+                            match (&sync.verdict, &next) {
+                                (Some(Verdict::Commit { .. }), Some(nx)) => {
                                     // Our yes completed the commit (possibly
                                     // by promoting the other owners' tagged
                                     // votes): outcome known, chain advances.
                                     chain = Some(nx.clone());
                                 }
-                                (Some(ExecDecision::Deny), _) | (_, None) => {
+                                (Some(_), _) | (_, None) => {
                                     // Insta-denied by our no, or a (possibly
                                     // conditional) no vote: the chain skips
                                     // it either way.  (A commit can never
@@ -4765,12 +4452,12 @@ fn process_batch(
         .owners
         .iter()
         .position(|&o| o == st.id)
-        .expect("exec task routed to a non-owner shard");
+        .expect("multi-owner task routed to a non-owner shard");
 
     // ---- Speculative pass: one chain over the whole batch. ----
     let mut pass = SpecPass {
-        specs: Vec::with_capacity(batch.ops.len()),
-        // Decisions made while holding a rendezvous lock, propagated along
+        specs: Vec::with_capacity(batch.items.len()),
+        // Tasks decided while holding a rendezvous lock, propagated along
         // the cascade links as soon as the lock is dropped.
         decided: Vec::new(),
     };
@@ -4781,7 +4468,7 @@ fn process_batch(
     // True while the outcomes observed so far match the assumptions the
     // current `specs` tail was computed under.
     let mut valid = true;
-    for i in 0..batch.kinds.len() {
+    for i in 0..batch.items.len() {
         if !valid {
             // A commit assumption failed at an earlier item: rebuild the
             // tail from the true committed state.  The chain is
@@ -4790,122 +4477,53 @@ fn process_batch(
             propagate_decisions(shared, &mut pass.decided);
             valid = true;
         }
-        match std::mem::replace(&mut pass.specs[i], Spec::Done) {
-            Spec::Accept(next) => {
-                let BatchKind::Local(ticket) = &mut batch.kinds[i] else {
-                    unreachable!("local spec on a cross item");
+        let spec = std::mem::replace(&mut pass.specs[i], Spec::Done);
+        let task = match &mut batch.items[i] {
+            BatchItem::Exec(task) => Arc::clone(task),
+            BatchItem::Local(task) => {
+                let SingleTask { op, ticket, submitted, .. } =
+                    task.take().expect("local resolved once");
+                let completion = match spec {
+                    Spec::Accept(next) => {
+                        let vote = LocalVote { ok: true, prepared: Some(next), removed: None };
+                        settle_single(shared, st, &op, vote)
+                    }
+                    Spec::Deny => {
+                        account(shared, DENIED, StatDelta::ZERO);
+                        Completion::Denied
+                    }
+                    _ => unreachable!("a local item resolves once, on its own spec"),
                 };
-                let ticket = ticket.take().expect("local resolved once");
-                let vote = LocalVote { ok: true, prepared: Some(next), removed: None };
-                fulfil(ticket, settle_single(shared, st, &batch.ops[i], vote), cx);
-                cx.record(batch.submitted[i]);
+                fulfil(ticket, completion, cx);
+                cx.record(submitted);
+                continue;
             }
-            Spec::Deny => {
-                let BatchKind::Local(ticket) = &mut batch.kinds[i] else {
-                    unreachable!("local spec on a cross item");
-                };
-                let ticket = ticket.take().expect("local resolved once");
-                account(shared, DENIED, StatDelta::ZERO);
-                fulfil(ticket, Completion::Denied, cx);
-                cx.record(batch.submitted[i]);
+        };
+        let Spec::Vote { prepared, assumed } = spec else {
+            unreachable!("a multi-owner item resolves once, on its vote");
+        };
+        // Reaching this item in order means every predecessor's outcome is
+        // known and reflected in `specs`: the vote is unconditional now,
+        // superseding a tagged one deposited by the speculative pass.  (A
+        // vote that decides leaves nothing to wait for.)
+        let mut sync = lock(&task.sync);
+        let yes = prepared.is_some();
+        if deposit_unconditional_vote(shared, &task, &mut sync, pos, yes, cx) {
+            pass.decided.push(Arc::clone(&task));
+        }
+        let verdict = await_verdict(shared, &task, sync, help, cx);
+        propagate_decisions(shared, &mut pass.decided);
+        match verdict {
+            // A commit requires this shard's yes vote, and with it the
+            // prepare `apply` installs.
+            Verdict::Commit { .. } => {
+                let vote = LocalVote { ok: true, prepared, removed: None };
+                apply_multi(shared, st, &task, pos, vote, &verdict, cx);
             }
-            Spec::Vote { prepared, assumed } => {
-                let BatchKind::Exec(task) = &batch.kinds[i] else {
-                    unreachable!("vote spec on a local item");
-                };
-                let task = Arc::clone(task);
-                let decision = {
-                    let mut sync = lock(&task.sync);
-                    // Reaching this item in order means every predecessor's
-                    // outcome is known and reflected in `specs`: the vote is
-                    // unconditional now, superseding a tagged one deposited
-                    // by the speculative pass.
-                    if let Some(decision) = deposit_unconditional_vote(
-                        shared,
-                        &task,
-                        &mut sync,
-                        pos,
-                        prepared.is_some(),
-                        cx,
-                    ) {
-                        pass.decided.push((Arc::clone(&task), decision));
-                    }
-                    let mut flushed = false;
-                    loop {
-                        if let Some(decision) = sync.decision {
-                            break decision;
-                        }
-                        if !flushed {
-                            // About to wait at the rendezvous: deliver the
-                            // banked wakeups first so no client sleeps
-                            // through the wait, and propagate our own fresh
-                            // decisions so no chain stalls on them.
-                            flushed = true;
-                            drop(sync);
-                            cx.flush(shared);
-                            propagate_decisions(shared, &mut pass.decided);
-                            sync = lock(&task.sync);
-                            continue;
-                        }
-                        // Help-while-waiting: the co-owner whose vote we
-                        // need may be queued behind another shard this same
-                        // worker owns.  Serve one such task; park briefly
-                        // only when nothing helps.
-                        drop(sync);
-                        let helped = help_one(shared, help, cx, task.seq);
-                        sync = lock(&task.sync);
-                        if sync.decision.is_none() && !helped {
-                            drop(sync);
-                            cx.flush(shared);
-                            sync = lock(&task.sync);
-                            if sync.decision.is_none() {
-                                sync = task
-                                    .barrier
-                                    .wait_timeout(sync, HELP_PARK)
-                                    .unwrap_or_else(|e| e.into_inner())
-                                    .0;
-                            }
-                        }
-                    }
-                };
-                propagate_decisions(shared, &mut pass.decided);
-                match decision {
-                    ExecDecision::Commit { seq } => {
-                        // A commit requires this shard's yes vote, and with
-                        // it the prepare `apply` installs.
-                        let op = &batch.ops[i];
-                        let vote = LocalVote { ok: true, prepared, removed: None };
-                        let verdict = Verdict::Commit { order: seq, granted: true };
-                        let fx = apply_local(shared, st, op, vote, &verdict, Role::at(pos));
-                        let mut sync = lock(&task.sync);
-                        sync.applied += 1;
-                        if !fx.is_empty() {
-                            sync.effects.push((pos, fx));
-                        }
-                        if sync.applied == task.owners.len() {
-                            let completion = finish(
-                                shared,
-                                op,
-                                &task.owners,
-                                &verdict,
-                                Effects::merged(&mut sync.effects),
-                            );
-                            if let Some(issuer) = sync.ticket.take() {
-                                fulfil(issuer, completion, cx);
-                            }
-                            cx.record(task.submitted);
-                        }
-                    }
-                    ExecDecision::Deny => {
-                        if assumed {
-                            // The chain assumed this commit; the tail must
-                            // be recomputed against the true state.
-                            valid = false;
-                        }
-                    }
-                }
-            }
-            Spec::Done => unreachable!("batch items resolve exactly once"),
+            // The chain assumed this commit; the tail must be recomputed
+            // against the true state.
+            _ if assumed => valid = false,
+            _ => {}
         }
     }
     propagate_decisions(shared, &mut pass.decided);
@@ -4916,8 +4534,9 @@ fn process_batch(
 // `ShardState::vote` on each owner, one `conclude`, `ShardState::apply` on
 // each owner, one `finish` — and the paths differ only in how the owners
 // meet: a single owner takes all four inline, several owners rendezvous
-// after the first and the third, and the coalesced executes bring their own
-// votes and verdicts (the cascade above) and join at `apply`.
+// after the first and the third (`await_verdict`, `apply_multi`), and the
+// coalesced executes bring their own votes and verdicts (the cascade above)
+// and join at the same rendezvous.
 // ---------------------------------------------------------------------------
 
 /// Phase 1 on the shard this worker holds.
@@ -4967,7 +4586,7 @@ fn conclude(shared: &RuntimeShared, op: &Op, owners: &[usize], tally: &Tally) ->
             lock(&shared.reservation_index).remove(id);
         }
         Op::Subscribe { client, action } if owners.len() > 1 => {
-            return Verdict::Status(subscribe_cross(shared, *client, action, owners, &tally.bits));
+            return Verdict::Status(subscribe_cross(shared, *client, action, owners, tally.votes));
         }
         _ => {}
     }
@@ -4975,22 +4594,22 @@ fn conclude(shared: &RuntimeShared, op: &Op, owners: &[usize], tally: &Tally) ->
         op,
         shared.variant,
         tally.ok,
-        tally.removed.as_ref(),
+        tally.removed,
         || shared.log_seq.fetch_add(1, Ordering::Relaxed),
         |client, action| shared.new_reservation(client, action),
     )
 }
 
 /// Registers a subscription several owners share and returns its status.
-/// The other owners are parked at the rendezvous, so `bits` is a consistent
-/// snapshot — the same guarantee the blocking manager gets from holding all
-/// owner locks while registering.
+/// The other owners are parked at the rendezvous, so `votes` — a yes where
+/// the action is permitted — are a consistent snapshot: the same guarantee
+/// the blocking manager gets from holding all owner locks while registering.
 fn subscribe_cross(
     shared: &RuntimeShared,
     client: ClientId,
     action: &Action,
     owners: &[usize],
-    bits: &[bool],
+    votes: &[Vote],
 ) -> bool {
     let mut cross = lock(&shared.cross_subscriptions);
     for &owner in owners {
@@ -4998,11 +4617,12 @@ fn subscribe_cross(
     }
     let entry = cross.entries.entry(action.clone()).or_insert_with(|| {
         shared.cross_entry_count.fetch_add(1, Ordering::Relaxed);
+        let bits: Vec<bool> = votes.iter().map(|v| matches!(v, Vote::Yes)).collect();
         CrossEntry {
             owners: owners.to_vec(),
-            bits: bits.to_vec(),
-            clients: Vec::new(),
             permitted: bits.iter().all(|b| *b),
+            bits,
+            clients: Vec::new(),
         }
     });
     if !entry.clients.contains(&client) {
@@ -5050,7 +4670,7 @@ fn finish(
             if reservation.expires_at != u64::MAX {
                 lock(&shared.timers).schedule(
                     reservation.expires_at,
-                    TimerEvent::Expiry(ExpiryEvent { id: reservation.id, owners: owners.to_vec() }),
+                    ExpiryEvent { id: reservation.id, owners: owners.to_vec() },
                 );
             }
             Completion::Granted { reservation: reservation.id }
@@ -5108,7 +4728,7 @@ fn settle_single(
     vote: LocalVote,
 ) -> Completion {
     let owners = [st.id];
-    let tally = Tally { ok: vote.ok, removed: vote.removed.clone(), bits: Vec::new() };
+    let tally = Tally { ok: vote.ok, removed: vote.removed.as_ref(), votes: &[] };
     let verdict = conclude(shared, op, &owners, &tally);
     let fx = apply_local(shared, st, op, vote, &verdict, Role::Sole);
     finish(shared, op, &owners, &verdict, fx)
@@ -5126,10 +4746,15 @@ fn process_single(
     cx.record(submitted);
 }
 
-fn process_cross(
+/// A multi-owner operation other than an execute, on one of its owners:
+/// deposit this owner's unconditional vote — the last owner to vote
+/// concludes — then wait for the verdict and apply it.  While any owner is
+/// parked here its engine cannot move: the rendezvous is the queue-based
+/// equivalent of holding all owner locks.
+fn process_multi(
     shared: &Arc<RuntimeShared>,
     st: &mut ShardState,
-    task: &CrossTask,
+    task: &MultiTask,
     help: &Help<'_>,
     cx: &mut WorkerCtx,
 ) {
@@ -5137,80 +4762,104 @@ fn process_cross(
         .owners
         .iter()
         .position(|&o| o == st.id)
-        .expect("cross task routed to a non-owner shard");
-    let n = task.owners.len();
+        .expect("multi-owner task routed to a non-owner shard");
     let vote = vote_local(shared, st, &task.op);
-
-    // ---- Rendezvous: deposit the vote; the last voter concludes.  While
-    // any owner is parked here its engine cannot move — the rendezvous is
-    // the queue-based equivalent of holding all owner locks. ----
-    let verdict = {
-        let mut sync = lock(&task.sync);
-        sync.votes += 1;
-        sync.tally.ok &= vote.ok;
-        sync.tally.bits[pos] = vote.ok;
-        if sync.tally.removed.is_none() {
-            sync.tally.removed.clone_from(&vote.removed);
+    let mut sync = lock(&task.sync);
+    sync.votes[pos] = if vote.ok { Vote::Yes } else { Vote::No };
+    if sync.removed.is_none() {
+        sync.removed.clone_from(&vote.removed);
+    }
+    if sync.votes.iter().all(|v| !matches!(v, Vote::Pending)) {
+        let ok = sync.votes.iter().all(|v| matches!(v, Vote::Yes));
+        let tally = Tally { ok, removed: sync.removed.as_ref(), votes: &sync.votes };
+        let verdict = conclude(shared, &task.op, &task.owners, &tally);
+        if !verdict.applies() {
+            // Nothing to apply anywhere: the others only need to see the
+            // verdict and move on.
+            finish_multi(shared, task, &mut sync, &verdict, cx);
         }
-        if sync.votes == n {
-            let verdict = conclude(shared, &task.op, &task.owners, &sync.tally);
-            if !verdict.applies() {
-                // Nothing to apply anywhere: the others only need to see
-                // the verdict and move on.
-                finish_cross(shared, task, &mut sync, &verdict);
-            }
-            sync.verdict = Some(verdict);
-            task.barrier.notify_all();
-        } else {
-            // Help-while-waiting: a co-owner's vote may be queued behind
-            // another shard this same worker owns — with fewer workers than
-            // shards, parking unconditionally here would deadlock the
-            // rendezvous.  Serve one task from an owned sibling shard per
-            // round; park briefly only when nothing helps (a vote deposit
-            // wakes the barrier immediately, the timeout just bounds how
-            // long we can miss fresh enqueues on sibling shards).
-            while sync.verdict.is_none() {
-                drop(sync);
-                let helped = help_one(shared, help, cx, task.seq);
-                sync = lock(&task.sync);
-                if sync.verdict.is_none() && !helped {
-                    drop(sync);
-                    cx.flush(shared);
-                    sync = lock(&task.sync);
-                    if sync.verdict.is_none() {
-                        sync = task
-                            .barrier
-                            .wait_timeout(sync, HELP_PARK)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                    }
-                }
-            }
-        }
-        sync.verdict.clone().expect("concluded above")
-    };
-
-    // ---- Phase 2: every owner applies; the last one finishes. ----
+        set_verdict(task, &mut sync, verdict);
+    }
+    let verdict = await_verdict(shared, task, sync, help, cx);
     if verdict.applies() {
-        let fx = apply_local(shared, st, &task.op, vote, &verdict, Role::at(pos));
-        let mut sync = lock(&task.sync);
-        sync.applied += 1;
-        if !fx.is_empty() {
-            sync.effects.push((pos, fx));
-        }
-        if sync.applied == n {
-            finish_cross(shared, task, &mut sync, &verdict);
-        }
+        apply_multi(shared, st, task, pos, vote, &verdict, cx);
     }
 }
 
-/// [`finish`] for a rendezvous, completing its ticket.
-fn finish_cross(shared: &RuntimeShared, task: &CrossTask, sync: &mut CrossSync, verdict: &Verdict) {
+/// Waits at a multi-owner task's rendezvous until its verdict is in, and
+/// returns it.  Help-while-waiting: a co-owner's vote may be queued behind
+/// another shard this same worker owns — with fewer workers than shards,
+/// parking unconditionally here would deadlock the rendezvous.  So each
+/// round serves one task from an owned sibling shard ([`help_one`], bounded
+/// by this task's sequence), and parks briefly only when nothing helps (a
+/// verdict wakes the barrier at once; the timeout just bounds how long
+/// fresh enqueues on sibling shards go unseen).  Before the first round the
+/// banked wakeups are delivered, so no client sleeps through the wait.
+fn await_verdict<'a>(
+    shared: &Arc<RuntimeShared>,
+    task: &'a MultiTask,
+    mut sync: MutexGuard<'a, MultiSync>,
+    help: &Help<'_>,
+    cx: &mut WorkerCtx,
+) -> Verdict {
+    let mut flushed = false;
+    loop {
+        if let Some(verdict) = &sync.verdict {
+            return verdict.clone();
+        }
+        drop(sync);
+        if !flushed {
+            flushed = true;
+            cx.flush(shared);
+        } else if !help_one(shared, help, cx, task.seq) {
+            cx.flush(shared);
+            sync = lock(&task.sync);
+            if sync.verdict.is_none() {
+                sync =
+                    task.barrier.wait_timeout(sync, HELP_PARK).unwrap_or_else(|e| e.into_inner()).0;
+            }
+            continue;
+        }
+        sync = lock(&task.sync);
+    }
+}
+
+/// Phase 2 of a multi-owner operation on this owner; the last owner to
+/// apply finishes it.
+fn apply_multi(
+    shared: &RuntimeShared,
+    st: &mut ShardState,
+    task: &MultiTask,
+    pos: usize,
+    vote: LocalVote,
+    verdict: &Verdict,
+    cx: &mut WorkerCtx,
+) {
+    let fx = apply_local(shared, st, &task.op, vote, verdict, Role::at(pos));
+    let mut sync = lock(&task.sync);
+    sync.applied += 1;
+    if !fx.is_empty() {
+        sync.effects.push((pos, fx));
+    }
+    if sync.applied == task.owners.len() {
+        finish_multi(shared, task, &mut sync, verdict, cx);
+    }
+}
+
+/// [`finish`] for a multi-owner operation, completing its ticket.
+fn finish_multi(
+    shared: &RuntimeShared,
+    task: &MultiTask,
+    sync: &mut MultiSync,
+    verdict: &Verdict,
+    cx: &mut WorkerCtx,
+) {
     let fx = Effects::merged(&mut sync.effects);
     let completion = finish(shared, &task.op, &task.owners, verdict, fx);
     if let Some(issuer) = sync.ticket.take() {
-        issuer.complete(completion);
+        fulfil(issuer, completion, cx);
     }
+    cx.record(task.submitted);
 }
 
 /// Writes deposited per-owner bits into the cross-subscription registry and
@@ -5502,35 +5151,6 @@ mod tests {
             Err(ManagerError::UnknownReservation { id: 99 })
         ));
         assert_eq!(runtime.stats().denials, 2);
-    }
-
-    #[test]
-    fn wall_clock_mode_expires_leases_without_explicit_ticks() {
-        let expr = parse("mult 1 { (some p { call(p, sono) - perform(p, sono) })* }").unwrap();
-        let runtime = ManagerRuntime::with_options(
-            &expr,
-            RuntimeOptions {
-                variant: ProtocolVariant::Leased { lease: 2 },
-                clock: ClockMode::Wall { tick: Duration::from_millis(2) },
-                ..RuntimeOptions::default()
-            },
-        )
-        .unwrap();
-        let session = runtime.session(1);
-        let _r = session.ask_blocking(&call(1, "sono")).unwrap().unwrap();
-        // The ticker advances the clock; within a generous window the lease
-        // must expire and release the slot.
-        let mut freed = false;
-        for _ in 0..500 {
-            if session.ask_blocking(&call(2, "sono")).unwrap().is_some() {
-                freed = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(freed, "wall-clock ticker never expired the lease");
-        assert_eq!(runtime.stats().expired_reservations, 1);
-        runtime.shutdown().unwrap();
     }
 
     #[test]

@@ -10,18 +10,13 @@
 //! and are refiled when the horizon reaches them.
 //!
 //! The wheel is driven explicitly (`advance`), which is what makes the
-//! runtime's *virtual clock* mode deterministic: tests advance logical time
-//! and observe exactly the expirations that became due, in deadline order.
-//! The wall-clock mode of the runtime simply calls `advance` from a ticker
-//! thread — the wheel itself never reads a real clock.
+//! runtime's logical clock deterministic: tests advance logical time and
+//! observe exactly the expirations that became due, in deadline order.  The
+//! wheel never reads a real clock.
 //!
-//! The payload is opaque to the wheel.  The runtime files two kinds of
-//! entries: per-lease expiries, whose release tasks are enqueued to the
-//! owning shard's queue and served by the *pool worker* that serves that
-//! shard (the ticker targets workers, not
-//! shards — there is no per-shard thread to interrupt), and the periodic
-//! checkpoint entry ([`crate::RuntimeOptions::checkpoint_every`]), which
-//! re-arms itself each time it fires.
+//! The payload is opaque to the wheel.  The runtime files one kind of
+//! entry: per-lease expiries, whose release tasks are enqueued to the
+//! owning shards' queues and served by whoever serves those shards.
 
 use std::collections::BTreeMap;
 

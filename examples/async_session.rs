@@ -5,7 +5,7 @@
 //! Run with `cargo run --example async_session`.
 
 use ix_core::{parse, Action, Value};
-use ix_manager::{ClockMode, Completion, ManagerRuntime, ProtocolVariant, RuntimeOptions};
+use ix_manager::{Completion, ManagerRuntime, ProtocolVariant, RuntimeOptions};
 
 fn call(k: usize, p: i64) -> Action {
     Action::concrete(&format!("call{k}"), [Value::int(p)])
@@ -65,7 +65,6 @@ fn main() {
         &capacity_one,
         RuntimeOptions {
             variant: ProtocolVariant::Leased { lease: 10 },
-            clock: ClockMode::Virtual,
             ..RuntimeOptions::default()
         },
     )

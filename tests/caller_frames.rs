@@ -18,8 +18,8 @@
 use ix_core::{parse, Action, Value};
 use ix_durable::{FaultMode, FaultPlan, FaultVault};
 use ix_manager::{
-    ClockMode, Completion, InteractionManager, ManagerError, ManagerRuntime, MemVault,
-    Notification, ProtocolVariant, RuntimeOptions, Session, Ticket, Vault,
+    Completion, InteractionManager, ManagerError, ManagerRuntime, MemVault, Notification,
+    ProtocolVariant, RuntimeOptions, Session, Ticket, Vault,
 };
 use ix_wfms::{coupled_audit, coupled_call, coupled_ensemble_constraint, coupled_perform};
 use proptest::prelude::*;
@@ -33,7 +33,6 @@ const LEASE: u64 = 4;
 fn options(workers: usize) -> RuntimeOptions {
     RuntimeOptions {
         variant: ProtocolVariant::Leased { lease: LEASE },
-        clock: ClockMode::Virtual,
         worker_threads: workers,
         ..RuntimeOptions::default()
     }

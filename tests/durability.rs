@@ -11,7 +11,7 @@
 
 use ix_core::{parse, Action, Expr, Value};
 use ix_manager::{
-    inspect_vault, ClockMode, Completion, FsyncPolicy, ManagerRuntime, MemVault, ProtocolVariant,
+    inspect_vault, Completion, FsyncPolicy, ManagerRuntime, MemVault, ProtocolVariant,
     RuntimeOptions, Vault,
 };
 use proptest::prelude::*;
@@ -37,11 +37,7 @@ fn audit() -> Action {
 }
 
 fn leased_options() -> RuntimeOptions {
-    RuntimeOptions {
-        variant: ProtocolVariant::Leased { lease: 6 },
-        clock: ClockMode::Virtual,
-        ..RuntimeOptions::default()
-    }
+    RuntimeOptions { variant: ProtocolVariant::Leased { lease: 6 }, ..RuntimeOptions::default() }
 }
 
 /// One step of the randomized workload.  Every variant is deterministic

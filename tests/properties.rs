@@ -857,6 +857,22 @@ enum ChainOp {
     /// and is *deterministically denied*, invalidating any downstream
     /// conditional votes mid-chain.
     MidPairAudit(usize),
+    /// `call(k, p)`, an `is_permitted(audit)` probe, `perform(k, p)`, a
+    /// second probe: multi-owner tasks that are not executes, queued between
+    /// windows of coalesced audit chains.  The first finds department `k`
+    /// mid-pair (no), the second finds it done (yes).
+    Probe(usize),
+    /// The same with a cross-shard `ask(audit)`, which `Combined` denies
+    /// mid-pair and commits on the spot after it.
+    Ask(usize),
+}
+
+/// One step of a chain schedule, as both surfaces take it.
+#[derive(Clone, Debug)]
+enum ChainStep {
+    Execute(ix_core::Action),
+    Probe,
+    Ask,
 }
 
 /// Random commit-heavy chain schedules over `departments` coupled groups.
@@ -865,6 +881,8 @@ fn chain_ops(departments: usize) -> impl Strategy<Value = Vec<ChainOp>> {
         (0..departments).prop_map(ChainOp::Pair),
         (1usize..6).prop_map(ChainOp::Burst),
         (0..departments).prop_map(ChainOp::MidPairAudit),
+        (0..departments).prop_map(ChainOp::Probe),
+        (0..departments).prop_map(ChainOp::Ask),
     ];
     proptest::collection::vec(op, 1..20)
 }
@@ -878,7 +896,9 @@ fn chain_ops(departments: usize) -> impl Strategy<Value = Vec<ChainOp>> {
 /// decides whole audit chains from promoted conditional votes while the
 /// blocking manager decides barrier by barrier.  Mid-pair audits are
 /// deterministically denied, forcing invalidation and recompute mid-chain
-/// on the runtime.
+/// on the runtime.  Probes and asks of `audit` go in between the windows,
+/// all of it submitted before any ticket is awaited, so a multi-owner task
+/// that is not an execute sits in every owner's queue between two chains.
 fn assert_cascade_lockstep_equivalence(
     departments: usize,
     ops: &[ChainOp],
@@ -898,32 +918,70 @@ fn assert_cascade_lockstep_equivalence(
             ChainOp::Pair(k) => {
                 let p = next_case[k];
                 next_case[k] += 1;
-                schedule.push(call(k, p));
-                schedule.push(perform(k, p));
+                schedule.push(ChainStep::Execute(call(k, p)));
+                schedule.push(ChainStep::Execute(perform(k, p)));
             }
             ChainOp::Burst(n) => {
-                schedule.extend(std::iter::repeat_n(audit.clone(), n));
+                schedule.extend(std::iter::repeat_n(ChainStep::Execute(audit.clone()), n));
             }
             ChainOp::MidPairAudit(k) => {
                 let p = next_case[k];
                 next_case[k] += 1;
-                schedule.push(call(k, p));
-                schedule.push(audit.clone());
-                schedule.push(perform(k, p));
+                schedule.push(ChainStep::Execute(call(k, p)));
+                schedule.push(ChainStep::Execute(audit.clone()));
+                schedule.push(ChainStep::Execute(perform(k, p)));
+            }
+            ChainOp::Probe(k) | ChainOp::Ask(k) => {
+                let p = next_case[k];
+                next_case[k] += 1;
+                let step =
+                    if matches!(op, ChainOp::Probe(_)) { ChainStep::Probe } else { ChainStep::Ask };
+                schedule.push(ChainStep::Execute(call(k, p)));
+                schedule.push(step.clone());
+                schedule.push(ChainStep::Execute(perform(k, p)));
+                schedule.push(step);
             }
         }
     }
     let blocking = InteractionManager::with_protocol(&x, ProtocolVariant::Combined).unwrap();
-    let blocking_verdicts: Vec<bool> =
-        schedule.iter().map(|action| blocking.try_execute(1, action).unwrap().is_some()).collect();
+    let blocking_verdicts: Vec<bool> = schedule
+        .iter()
+        .map(|step| match step {
+            ChainStep::Execute(action) => blocking.try_execute(1, action).unwrap().is_some(),
+            ChainStep::Probe => blocking.is_permitted(&audit),
+            ChainStep::Ask => blocking.ask(1, &audit).unwrap().is_some(),
+        })
+        .collect();
     let runtime = ManagerRuntime::with_protocol(&x, ProtocolVariant::Combined).unwrap();
     let session = runtime.session(1);
-    let mut verdicts = Vec::with_capacity(schedule.len());
-    for chunk in schedule.chunks(window) {
-        for ticket in session.submit_batch(chunk) {
-            verdicts.push(matches!(ticket.wait(), Completion::Executed { .. }));
+    let mut tickets = Vec::with_capacity(schedule.len());
+    let mut pending: Vec<ix_core::Action> = Vec::new();
+    for step in &schedule {
+        if let ChainStep::Execute(action) = step {
+            pending.push(action.clone());
+            if pending.len() == window {
+                tickets.extend(session.submit_batch(&std::mem::take(&mut pending)));
+            }
+            continue;
         }
+        tickets.extend(session.submit_batch(&std::mem::take(&mut pending)));
+        tickets.push(match step {
+            ChainStep::Probe => session.is_permitted(&audit),
+            _ => session.ask(&audit),
+        });
     }
+    tickets.extend(session.submit_batch(&pending));
+    let verdicts: Vec<bool> = tickets
+        .iter()
+        .map(|ticket| {
+            matches!(
+                ticket.wait(),
+                Completion::Executed { .. }
+                    | Completion::Status { permitted: true }
+                    | Completion::Granted { .. }
+            )
+        })
+        .collect();
     prop_assert_eq!(
         &verdicts,
         &blocking_verdicts,
@@ -995,6 +1053,8 @@ proptest! {
             .map(|op| match op {
                 ChainOp::Pair(k) => ChainOp::Pair(k % departments),
                 ChainOp::MidPairAudit(k) => ChainOp::MidPairAudit(k % departments),
+                ChainOp::Probe(k) => ChainOp::Probe(k % departments),
+                ChainOp::Ask(k) => ChainOp::Ask(k % departments),
                 burst => burst,
             })
             .collect();

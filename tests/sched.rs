@@ -12,12 +12,10 @@
 
 use ix_core::{parse, Action, Expr, Value};
 use ix_manager::{
-    ClockMode, Completion, InteractionManager, ManagerRuntime, MemVault, ProtocolVariant,
-    RuntimeOptions, Ticket, Vault,
+    Completion, InteractionManager, ManagerRuntime, ProtocolVariant, RuntimeOptions, Ticket,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Three departments coupled through a cross-shard `audit` barrier: the
 /// same shape the durability suite drives, chosen because a random word
@@ -214,36 +212,4 @@ fn a_skewed_flood_on_shared_workers_loses_and_reorders_nothing() {
         }
     }
     runtime.shutdown().unwrap();
-}
-
-/// `checkpoint_every` arms the timer wheel: the virtual clock drives
-/// periodic checkpoints, and a crash-recovery from those checkpoints
-/// restores the log.
-#[test]
-fn periodic_checkpoints_fire_and_recovery_restores_the_log() {
-    let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
-    let options =
-        RuntimeOptions { clock: ClockMode::Virtual, checkpoint_every: 5, ..pool_options(2) };
-    let runtime =
-        ManagerRuntime::with_durability(&pools_constraint(4), options, Arc::clone(&vault)).unwrap();
-    let session = runtime.session(1);
-    for p in 1..=20 {
-        session.execute_blocking(&work(0, p)).unwrap();
-    }
-    assert_eq!(runtime.sched_stats().auto_checkpoints, 0, "nothing fires before the clock moves");
-    for _ in 0..4 {
-        runtime.advance_time(5);
-    }
-    let auto = runtime.sched_stats().auto_checkpoints;
-    assert!(auto >= 3, "four periods elapsed but only {auto} automatic checkpoints fired");
-    // Commit past the last cut, let one more period capture it, then crash.
-    session.execute_blocking(&work(3, 1)).unwrap();
-    runtime.advance_time(5);
-    assert!(runtime.sched_stats().auto_checkpoints > auto);
-    let log = runtime.log();
-    runtime.shutdown().unwrap();
-
-    let recovered = ManagerRuntime::recover(vault, options).unwrap();
-    assert_eq!(recovered.log(), log, "recovery from periodic checkpoints lost commits");
-    recovered.shutdown().unwrap();
 }
