@@ -1,8 +1,8 @@
 //! # ix-baselines — formalisms based on extended regular expressions
 //!
 //! Implementations of the baseline formalisms the paper compares against in
-//! Fig. 2 — plain regular expressions, path expressions [2], synchronization
-//! expressions [10], and event/flow expressions [22, 23] — each compiled into
+//! Fig. 2 — plain regular expressions, path expressions \[2\], synchronization
+//! expressions \[10\], and event/flow expressions [22, 23] — each compiled into
 //! interaction expressions so that they can be executed by the same
 //! operational engine, plus the operator matrix and the synchronization
 //! scenarios used for the expressiveness comparison.

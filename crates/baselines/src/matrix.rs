@@ -28,13 +28,13 @@ use std::fmt;
 pub enum Formalism {
     /// Plain regular expressions.
     Regular,
-    /// Path expressions [2].
+    /// Path expressions \[2\].
     Path,
-    /// Synchronization expressions [10].
+    /// Synchronization expressions \[10\].
     Synchronization,
     /// Event and flow expressions [22, 23].
     Flow,
-    /// CoCoA execution rules [9].
+    /// CoCoA execution rules \[9\].
     CoCoA,
     /// Interaction expressions (this paper).
     Interaction,

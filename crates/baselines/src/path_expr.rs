@@ -1,4 +1,4 @@
-//! Path expressions [Campbell & Habermann 1974] — reference [2] of the
+//! Path expressions [Campbell & Habermann 1974] — reference \[2\] of the
 //! paper.
 //!
 //! A path expression `path E end` cyclically repeats its body; the body is

@@ -1,4 +1,4 @@
-//! Synchronization expressions [Guo, Salomaa & Yu 1996] — reference [10] of
+//! Synchronization expressions [Guo, Salomaa & Yu 1996] — reference \[10\] of
 //! the paper.
 //!
 //! Synchronization expressions extend regular expressions with intersection

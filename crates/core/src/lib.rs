@@ -50,9 +50,7 @@ pub use error::{CoreError, CoreResult};
 pub use expr::{Expr, ExprKind};
 pub use normalize::simplify;
 pub use parser::{parse, parse_with};
-pub use partition::{
-    sync_components, Component, MergeGroup, OwnershipMap, Partition, PartitionDelta,
-};
+pub use partition::{Component, OwnershipMap, Partition, PartitionDelta};
 pub use symbol::Symbol;
 pub use template::{TemplateDef, TemplateRegistry};
 pub use value::{Param, Term, Value};

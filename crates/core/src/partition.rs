@@ -11,23 +11,19 @@
 //! "each operand sees its own projection" — the coupling and the shuffle
 //! coincide.
 //!
-//! This module computes the maximal flattening: the top-level chain of
+//! [`Partition::of`] computes the maximal flattening: the top-level chain of
 //! splittable composition points (every ⊗, and every ‖ whose operand
 //! alphabets are disjoint) is broken into its operands, and **every operand
 //! becomes its own component** — even when operand alphabets overlap.
-//! Overlap is recorded in the [`OwnershipMap`] instead of being merged away:
-//! each abstract action maps to the set of components whose alphabets may
-//! cover a common concrete instantiation (conservative matching for
-//! parameterized actions, see [`Action::may_overlap`]).  An execution engine
-//! runs the components as parallel shards and executes a multi-owner action
-//! as an atomic step across all of its owners — see
-//! `ix_state::ShardedEngine` and the two-phase commit of the sharded
-//! interaction manager in `ix-manager`.
-//!
-//! The previous behaviour — union-finding overlapping operands into one
-//! coarse component so that component alphabets are pairwise disjoint — is
-//! still available as [`Partition::coalesced`] for consumers that cannot
-//! tolerate shared actions.
+//! Components are never merged: overlap is recorded in the [`OwnershipMap`],
+//! which maps each abstract action to the set of components whose alphabets
+//! may cover a common concrete instantiation (conservative matching for
+//! parameterized actions, see [`Action::may_overlap`]).  The interaction
+//! managers of `ix-manager` run each component as a shard and execute a
+//! multi-owner action as one atomic step across all of its owners, so a
+//! shared action couples its owners through that step instead of collapsing
+//! them into one component.  [`Partition::extend`] grows a partition live by
+//! appending the operands of new constraints.
 
 use crate::action::Action;
 use crate::alphabet::Alphabet;
@@ -39,13 +35,10 @@ use std::collections::BTreeMap;
 ///
 /// A partition is *versioned*: it can be updated incrementally as a workflow
 /// ensemble grows at runtime.  [`Partition::extend`] appends the operands of
-/// new constraints as fresh components and [`Partition::recouple`] does the
-/// same for constraints that deliberately share actions with existing
-/// components; both diff the new [`OwnershipMap`] against the existing one
-/// and emit a [`PartitionDelta`] naming exactly the shards to create, the
-/// owner sets to widen, and (for coalesced partitions) the components to
-/// merge — the input of the sharded engine's and the manager runtime's live
-/// migration machinery.
+/// new constraints as fresh components, diffs the new [`OwnershipMap`]
+/// against the existing one and emits a [`PartitionDelta`] naming exactly
+/// the shards to create and the owner sets to widen — the input of the
+/// manager runtime's live migration machinery.
 #[derive(Clone, Debug)]
 pub struct Partition {
     components: Vec<Component>,
@@ -68,41 +61,25 @@ pub struct PartitionDelta {
     /// a disjoint addition — the zero-migration pure-append case in which no
     /// existing shard is affected and no state moves.
     pub widened: Vec<(Action, Vec<usize>)>,
-    /// Groups of *old* component indices collapsed into one new component
-    /// (ascending sources, paired with the new component's index).  Only
-    /// coalesced partitions merge; fine-grained updates record overlap in
-    /// `widened` instead.
-    pub merges: Vec<MergeGroup>,
-}
-
-/// One merge of a coalesced update: the old components folded into a new
-/// one.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MergeGroup {
-    /// Old component indices merged together, ascending.
-    pub sources: Vec<usize>,
-    /// Index of the merged component in the new partition.
-    pub target: usize,
 }
 
 impl PartitionDelta {
     /// True if the update touches no existing component: only fresh shards
-    /// are created, no owner set widens, nothing merges.  Engines apply such
-    /// deltas as a pure shard-append with zero migration.
+    /// are created and no owner set widens.  Engines apply such deltas as a
+    /// pure shard-append with zero migration.
     pub fn is_pure_append(&self) -> bool {
-        self.widened.is_empty() && self.merges.is_empty()
+        self.widened.is_empty()
     }
 
     /// The existing components affected by the update (owners below
-    /// `old_len` appearing in a widened owner set or a merge group), sorted
-    /// ascending — the shards a live migration must quiesce.
+    /// `old_len` appearing in a widened owner set), sorted ascending — the
+    /// shards a live migration must quiesce.
     pub fn affected_existing(&self, old_len: usize) -> Vec<usize> {
         let mut out: Vec<usize> = self
             .widened
             .iter()
             .flat_map(|(_, owners)| owners.iter().copied())
             .filter(|&o| o < old_len)
-            .chain(self.merges.iter().flat_map(|m| m.sources.iter().copied()))
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -113,12 +90,10 @@ impl PartitionDelta {
 /// One sync-component: a sub-expression together with its alphabet.
 #[derive(Clone, Debug)]
 pub struct Component {
-    /// The component expression (one operand of the flattened ⊗-chain, or a
-    /// ⊗-join of several operands for [`Partition::coalesced`]).
+    /// The component expression: one operand of the flattened ⊗-chain.
     pub expr: Expr,
-    /// The component's alphabet.  Components of [`Partition::of`] may share
-    /// actions (the [`OwnershipMap`] records which); components of
-    /// [`Partition::coalesced`] have pairwise disjoint alphabets.
+    /// The component's alphabet.  Components may share actions (the
+    /// [`OwnershipMap`] records which).
     pub alphabet: Alphabet,
 }
 
@@ -196,24 +171,6 @@ impl Partition {
         Partition::from_components(components, 0)
     }
 
-    /// Computes the coarse partition with pairwise disjoint component
-    /// alphabets: operands whose alphabets may cover a common concrete
-    /// action are merged with a union–find and re-joined with ⊗ (sound
-    /// because ⊗ is associative and commutative and the flattened chain is
-    /// semantically a single large ⊗).  Every action then has exactly one
-    /// owner, at the price of one shared action collapsing otherwise
-    /// independent operands into a single component.
-    pub fn coalesced(expr: &Expr) -> Partition {
-        let mut operands = Vec::new();
-        flatten(expr, &mut operands);
-        let alphabets: Vec<Alphabet> = operands.iter().map(|e| e.alphabet()).collect();
-        let components = overlap_groups(&alphabets)
-            .iter()
-            .map(|members| join(&operands, &alphabets, members))
-            .collect();
-        Partition::from_components(components, 0)
-    }
-
     /// Reassembles a partition from serialized components and a stored
     /// epoch — the deserialization counterpart of [`Partition::components`]
     /// / [`Partition::epoch`].  The ownership map is recomputed from the
@@ -224,8 +181,7 @@ impl Partition {
     }
 
     /// The partition's version: 0 at construction, incremented by every
-    /// incremental update ([`Partition::extend`], [`Partition::recouple`],
-    /// [`Partition::extend_coalesced`]).
+    /// incremental update ([`Partition::extend`]).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -262,75 +218,7 @@ impl Partition {
             .map(|(action, owners)| (action.clone(), owners.to_vec()))
             .collect();
         let added = (old_len..extended.len()).collect();
-        (extended, PartitionDelta { added, widened, merges: Vec::new() })
-    }
-
-    /// Extends the partition with one *coupling* constraint — a new operand
-    /// whose alphabet deliberately intersects existing components (a shared
-    /// audit step, a new inter-workflow ordering rule).  Identical to
-    /// [`Partition::extend`] except that the returned delta is guaranteed to
-    /// widen at least one owner set; passing a fully disjoint constraint is
-    /// almost certainly a mistake (use `extend`), so the widened list being
-    /// empty is reported as `None`.
-    pub fn recouple(&self, coupling: &Expr) -> Option<(Partition, PartitionDelta)> {
-        let (partition, delta) = self.extend(std::slice::from_ref(coupling));
-        if delta.widened.is_empty() {
-            return None;
-        }
-        Some((partition, delta))
-    }
-
-    /// Extends a **coalesced** partition (pairwise disjoint component
-    /// alphabets, see [`Partition::coalesced`]) while preserving
-    /// disjointness: new operands overlapping existing components force a
-    /// union–find merge, re-joining the group members with ⊗.  The delta's
-    /// [`PartitionDelta::merges`] names every group of old components that
-    /// collapsed — the coarse-partition analogue of an owner-set widening,
-    /// and the case in which a migration genuinely has to move and combine
-    /// shard states.
-    pub fn extend_coalesced(&self, new_operands: &[Expr]) -> (Partition, PartitionDelta) {
-        let old_len = self.components.len();
-        let mut operands: Vec<Expr> = self.components.iter().map(|c| c.expr.clone()).collect();
-        let mut alphabets: Vec<Alphabet> =
-            self.components.iter().map(|c| c.alphabet.clone()).collect();
-        for operand in new_operands {
-            let mut flat = Vec::new();
-            flatten(operand, &mut flat);
-            for e in flat {
-                alphabets.push(e.alphabet());
-                operands.push(e);
-            }
-        }
-
-        let mut added = Vec::new();
-        let mut merges = Vec::new();
-        let components = overlap_groups(&alphabets)
-            .iter()
-            .enumerate()
-            .map(|(target, members)| {
-                let old_members: Vec<usize> =
-                    members.iter().copied().filter(|&i| i < old_len).collect();
-                if old_members.is_empty() {
-                    added.push(target);
-                } else if old_members.len() > 1 || members.len() > old_members.len() {
-                    merges.push(MergeGroup { sources: old_members, target });
-                }
-                join(&operands, &alphabets, members)
-            })
-            .collect();
-        let delta = PartitionDelta { added, widened: Vec::new(), merges };
-        (Partition::from_components(components, self.epoch + 1), delta)
-    }
-
-    /// Re-joins the component expressions with ⊗ — the monolithic
-    /// expression the partition currently represents (semantically equal to
-    /// the original expression extended by every update applied so far).
-    pub fn joined_expr(&self) -> Expr {
-        self.components
-            .iter()
-            .map(|c| c.expr.clone())
-            .reduce(Expr::sync)
-            .unwrap_or_else(Expr::empty)
+        (extended, PartitionDelta { added, widened })
     }
 
     /// The components, in the order their operand appears in the original
@@ -400,63 +288,13 @@ fn flatten(expr: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
-/// The operand indices grouped by transitive alphabet overlap (a union–find
-/// over pairwise [`Alphabet::is_disjoint`]), preserving the original
-/// operand order both across and within groups.
-fn overlap_groups(alphabets: &[Alphabet]) -> Vec<Vec<usize>> {
-    fn find(parent: &mut [usize], i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
-    }
-    let mut parent: Vec<usize> = (0..alphabets.len()).collect();
-    for i in 0..alphabets.len() {
-        for j in i + 1..alphabets.len() {
-            if !alphabets[i].is_disjoint(&alphabets[j]) {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[rj] = ri;
-                }
-            }
-        }
-    }
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for i in 0..alphabets.len() {
-        let root = find(&mut parent, i);
-        match groups.iter_mut().find(|(r, _)| *r == root) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((root, vec![i])),
-        }
-    }
-    groups.into_iter().map(|(_, members)| members).collect()
-}
-
-/// One coalesced component: the members' operands re-joined with ⊗, over
-/// the union of their alphabets.
-fn join(operands: &[Expr], alphabets: &[Alphabet], members: &[usize]) -> Component {
-    let expr = members
-        .iter()
-        .map(|&i| operands[i].clone())
-        .reduce(Expr::sync)
-        .expect("every group has at least one operand");
-    let alphabet = members.iter().fold(Alphabet::new(), |acc, &i| acc.union(&alphabets[i]));
-    Component { expr, alphabet }
-}
-
-/// Convenience wrapper: the component expressions of [`Partition::of`].
-pub fn sync_components(expr: &Expr) -> Vec<Expr> {
-    Partition::of(expr).exprs().cloned().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
 
     fn components(src: &str) -> Vec<String> {
-        sync_components(&parse(src).unwrap()).iter().map(|e| e.to_string()).collect()
+        Partition::of(&parse(src).unwrap()).exprs().map(|e| e.to_string()).collect()
     }
 
     #[test]
@@ -497,41 +335,13 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_partition_merges_overlapping_operands() {
-        // The pre-multi-owner behaviour: overlap forces a merge.
-        let p = Partition::coalesced(&parse("(a - b)* @ (b - c)*").unwrap());
-        assert_eq!(p.len(), 1);
-        assert!(p.ownership().is_exclusive());
-        // a-b and b-c overlap; x-y is independent.
-        let p = Partition::coalesced(&parse("(a - b)* @ (x - y)* @ (b - c)*").unwrap());
-        assert_eq!(p.len(), 2);
-        assert!(p.is_sharded());
-        let merged = p
-            .components()
-            .iter()
-            .find(|c| c.alphabet.contains_abstract(&Action::nullary("a")))
-            .unwrap();
-        assert!(merged.alphabet.contains_abstract(&Action::nullary("c")));
-        assert!(!merged.alphabet.contains_abstract(&Action::nullary("x")));
-        // Coalesced components have pairwise disjoint alphabets.
-        for (i, ci) in p.components().iter().enumerate() {
-            for cj in p.components().iter().skip(i + 1) {
-                assert!(ci.alphabet.is_disjoint(&cj.alphabet));
-            }
-        }
-    }
-
-    #[test]
     fn one_coupled_action_no_longer_collapses_the_ensemble() {
-        // Four otherwise-independent groups share a global `audit` action.
-        // The coalesced partition collapses to one component; the
-        // fine-grained partition keeps all four and reports `audit` as the
-        // single interaction channel.
+        // Four otherwise-independent groups share a global `audit` action:
+        // the partition keeps all four and reports `audit` as the single
+        // interaction channel.
         let src = "((a1 - b1)* - audit)* @ ((a2 - b2)* - audit)* \
                    @ ((a3 - b3)* - audit)* @ ((a4 - b4)* - audit)*";
-        let expr = parse(src).unwrap();
-        assert_eq!(Partition::coalesced(&expr).len(), 1);
-        let p = Partition::of(&expr);
+        let p = Partition::of(&parse(src).unwrap());
         assert_eq!(p.len(), 4);
         assert_eq!(p.owners_of(&Action::nullary("audit")), vec![0, 1, 2, 3]);
         assert_eq!(p.owners_of(&Action::nullary("a3")), vec![2]);
@@ -604,9 +414,11 @@ mod tests {
 
     #[test]
     fn disjoint_extend_is_a_pure_append() {
-        let p = Partition::of(&parse("(a - b)* @ (c - d)*").unwrap());
+        let base = parse("(a - b)* @ (c - d)*").unwrap();
+        let addition = parse("(e - f)*").unwrap();
+        let p = Partition::of(&base);
         assert_eq!(p.epoch(), 0);
-        let (q, delta) = p.extend(&[parse("(e - f)*").unwrap()]);
+        let (q, delta) = p.extend(std::slice::from_ref(&addition));
         assert_eq!(q.len(), 3);
         assert_eq!(q.epoch(), 1);
         assert_eq!(delta.added, vec![2]);
@@ -615,7 +427,7 @@ mod tests {
         assert_eq!(q.owners_of(&Action::nullary("e")), vec![2]);
         // The extended partition equals the from-scratch partition of the
         // joined expression.
-        let scratch = Partition::of(&q.joined_expr());
+        let scratch = Partition::of(&Expr::sync(base, addition));
         assert_eq!(scratch.len(), q.len());
         for (a, owners) in q.ownership().entries() {
             assert_eq!(scratch.ownership().owners_of_abstract(a), owners);
@@ -649,16 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn recouple_requires_overlap() {
-        let p = Partition::of(&parse("(a - b)* @ (c - d)*").unwrap());
-        assert!(p.recouple(&parse("(x - y)*").unwrap()).is_none(), "disjoint: use extend");
-        let (q, delta) = p.recouple(&parse("((a - b)* - audit)*").unwrap()).unwrap();
-        assert_eq!(q.len(), 3);
-        assert_eq!(delta.widened.len(), 2, "a and b both widen");
-        assert_eq!(delta.affected_existing(p.len()), vec![0]);
-    }
-
-    #[test]
     fn extend_with_parameterized_overlap_is_conservative() {
         let p = Partition::of(&parse("(call(1, sono) - done)*").unwrap());
         let (q, delta) = p.extend(&[parse("(some p { call(p, sono) })*").unwrap()]);
@@ -670,31 +472,6 @@ mod tests {
             [crate::value::Value::int(1), crate::value::Value::sym("sono")],
         );
         assert_eq!(q.owners_of(&concrete), vec![0, 1]);
-    }
-
-    #[test]
-    fn coalesced_extend_reports_merges() {
-        let p = Partition::coalesced(&parse("(a - b)* @ (c - d)* @ (e - f)*").unwrap());
-        assert_eq!(p.len(), 3);
-        // A bridge over a and c collapses components 0 and 1 into one.
-        let (q, delta) = p.extend_coalesced(&[parse("(a - c)*").unwrap()]);
-        assert_eq!(q.len(), 2);
-        assert!(delta.added.is_empty());
-        assert_eq!(delta.merges.len(), 1);
-        assert_eq!(delta.merges[0].sources, vec![0, 1]);
-        assert_eq!(delta.affected_existing(p.len()), vec![0, 1]);
-        assert!(q.ownership().is_exclusive(), "coalesced partitions stay exclusive");
-        for (i, ci) in q.components().iter().enumerate() {
-            for cj in q.components().iter().skip(i + 1) {
-                assert!(ci.alphabet.is_disjoint(&cj.alphabet));
-            }
-        }
-        // A disjoint addition stays a pure append even when coalesced.
-        let (r, delta) = q.extend_coalesced(&[parse("(x - y)*").unwrap()]);
-        assert_eq!(r.len(), 3);
-        assert_eq!(delta.added.len(), 1);
-        assert!(delta.is_pure_append());
-        assert_eq!(r.epoch(), 2);
     }
 
     #[test]

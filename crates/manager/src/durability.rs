@@ -3,7 +3,7 @@
 //! The durability design has three pieces, all built on the storage
 //! vocabulary of `ix-durable` ([`Vault`] streams and blobs):
 //!
-//! * **Write-ahead records** ([`WalRecord`]): every shard worker *echoes*
+//! * **Write-ahead records** (`WalRecord`): every shard worker *echoes*
 //!   each state mutation it applies — commits, reservation grants,
 //!   reservation removals — onto **its own** stream, in apply order.  A
 //!   multi-owner commit therefore appears on every owner's stream, which is
@@ -14,14 +14,14 @@
 //!   deterministically attributed deltas on the shard records (carried by
 //!   the commit's *primary* owner), order-independent ones as `Event`
 //!   records on the meta stream, so recovered counters equal the live ones.
-//! * **Checkpoints** ([`ShardCheckpoint`], [`Manifest`]): each shard is
+//! * **Checkpoints** (`ShardCheckpoint`, `Manifest`): each shard is
 //!   snapshotted at a task boundary of its own worker — no stop-the-world.
 //!   The CoW state is serialized through the pointer-deduplicating
 //!   state-table codec, sharing one node pool between the engine state and
 //!   the states of its compiled DFA tiles (keyed by fingerprint), so
 //!   recovery re-attaches the tiles instead of recompiling them.  A
 //!   snapshot carries the state that decides the next action and *not* the
-//!   history of confirmed actions: [`persist_shards`] first **archives** the
+//!   history of confirmed actions: `persist_shards` first **archives** the
 //!   entries committed since the shard's last checkpoint on the shard's
 //!   history stream ([`ix_durable::history_stream`]) and the snapshot only
 //!   counts them, so a checkpoint writes O(new commits).
@@ -30,12 +30,12 @@
 //!   records forward (a record present on at least one owner's stream is
 //!   completed on all of them); rebuild the derived structures (reservation
 //!   index, timer wheel) from what was recovered.
-//! * **Reading the log** ([`visit_log`]): who needs every confirmed action —
+//! * **Reading the log** (`visit_log`): who needs every confirmed action —
 //!   `log()`, `shutdown()`, the replay of a live repartition, the vault
 //!   inspection — chains a shard's history stream before the entries still
-//!   resident in its [`ShardLog`].
+//!   resident in its `ShardLog`.
 //!
-//! This module holds the record and blob codecs plus the [`DurabilityHub`]
+//! This module holds the record and blob codecs plus the `DurabilityHub`
 //! the runtime journals through; the checkpoint coordinator and the
 //! recovery driver live in `runtime.rs` next to the structures they
 //! capture and rebuild.

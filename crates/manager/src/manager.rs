@@ -59,7 +59,7 @@ use crate::error::{ManagerError, ManagerResult};
 use crate::log::ShardLog;
 use crate::subscription::{ClientId, Notification, SubscriptionRegistry};
 use ix_core::{Action, Alphabet, Expr, Partition};
-use ix_state::{Engine, ShardRouter, StateMetrics};
+use ix_state::{Engine, ShardRouter};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -360,15 +360,6 @@ impl InteractionManager {
     /// Statistics so far.
     pub fn stats(&self) -> ManagerStats {
         self.stats.snapshot()
-    }
-
-    /// Metrics of the current interaction state, aggregated over the shards.
-    pub fn state_metrics(&self) -> StateMetrics {
-        let mut total = StateMetrics::default();
-        for shard in &self.shards {
-            total.accumulate(lock(shard).engine.metrics());
-        }
-        total
     }
 
     /// The log of confirmed actions (the manager's recovery source), in

@@ -14,11 +14,12 @@
 //!   when the shard is at rest and the operation has one owner (a *caller
 //!   frame*: a client that blocks on each reply, as the paper's WfMS does,
 //!   is served without a thread hop and without a worker thread).  The
-//!   per-shard mutexes of [`InteractionManager`] are gone, and nothing
-//!   inside the state is locked.  This file is the *drivers* of that
-//!   kernel: the single-owner path, the one rendezvous of several owners
-//!   (whose executes coalesce into a cascade) and crash recovery all vote,
-//!   conclude, apply and finish through the same four steps;
+//!   per-shard mutexes of [`InteractionManager`](crate::InteractionManager)
+//!   are gone, and nothing inside the state is locked.  This file is the
+//!   *drivers* of that kernel: the single-owner path, the one rendezvous of
+//!   several owners (whose executes coalesce into a cascade) and crash
+//!   recovery all vote, conclude, apply and finish through the same four
+//!   steps;
 //! * **an ordered task queue per shard**: submissions become tasks; a shard
 //!   executes its tasks strictly in queue order;
 //! * **completion tickets**: every submission returns a [`Ticket`]
@@ -56,7 +57,8 @@
 //!   the next topology epoch, and resumes the paused workers — while every
 //!   unaffected shard keeps serving.
 //!
-//! The execution semantics are those of the blocking [`InteractionManager`]:
+//! The execution semantics are those of the blocking
+//! [`InteractionManager`](crate::InteractionManager):
 //! per-action outcomes, the merged log, and the statistics counters agree
 //! with the blocking manager on any sequentially submitted workload (see the
 //! equivalence property tests).
@@ -88,7 +90,8 @@ use std::time::{Duration, Instant};
 /// Construction options of a [`ManagerRuntime`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RuntimeOptions {
-    /// The coordination-protocol variant (as for [`InteractionManager`]).
+    /// The coordination-protocol variant (as for
+    /// [`InteractionManager`](crate::InteractionManager)).
     pub variant: ProtocolVariant,
     /// Record a queueing-delay sample per completed execute — the time a
     /// task waited in its shard queue vs the time the worker spent serving
@@ -409,9 +412,9 @@ impl ShardLoad {
 
 /// Per-shard load snapshot ([`ManagerRuntime::load_report`]): queue depths,
 /// high-water marks, shed counts, and the wait/service EWMAs the
-/// retry-after hints are derived from.  The same signal feeds hot-shard
-/// detection: [`LoadReport::hottest`] names the shard a
-/// [`ManagerRuntime::couple`]-style repartition should split next.
+/// retry-after hints are derived from.  [`LoadReport::hottest`] reports the
+/// deepest queue for an operator to look at; nothing in the runtime acts on
+/// it (placement is static, and `couple` appends shards, never splits one).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LoadReport {
     /// The configured per-shard depth limit (0 = unbounded).
@@ -1985,8 +1988,8 @@ impl ManagerRuntime {
     /// counters, and the wait/service EWMAs behind the retry-after hints.
     /// Cheap (a handful of relaxed loads per shard) and meaningful on
     /// bounded runtimes; on unbounded ones depths read 0 — the gates are
-    /// inert.  [`LoadReport::hottest`] is the hot-shard detector the
-    /// repartitioning machinery keys off.
+    /// inert.  [`LoadReport::hottest`] names the deepest queue, for an
+    /// operator.
     pub fn load_report(&self) -> LoadReport {
         let topo = read_topology(&self.topology);
         LoadReport {
@@ -2644,9 +2647,9 @@ impl Drop for ManagerRuntime {
     /// Dropping without [`ManagerRuntime::shutdown`] must not leak threads:
     /// once the sessions are gone too the channels disconnect and every
     /// running pool worker retires its shards and exits — a
-    /// parked worker re-polls within [`IDLE_PARK`], the wake below just
+    /// parked worker re-polls within `IDLE_PARK`, the wake below just
     /// shortens that.  The shards of workers that never started are retired
-    /// by the ones that did (see [`pool_worker`]); if none did, there is no
+    /// by the ones that did (see `pool_worker`); if none did, there is no
     /// thread to leak and the shards go with the last handle onto the
     /// shared block.
     fn drop(&mut self) {

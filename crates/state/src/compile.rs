@@ -15,9 +15,9 @@
 //! state 0 — and every cell starts *unknown*.  The first step through a
 //! cell computes the one fused τ̂ the tree walk would have computed anyway,
 //! interns the successor by value and records its id; from the second visit
-//! on, the step is an array lookup.  [`compile`], [`compile_all`] and
-//! `Engine::close_tier` are the same path run to the end: install, then
-//! fill every cell breadth-first.
+//! on, the step is an array lookup.  [`compile()`] and `Engine::close_tier`
+//! are the same path run to the end: install, then fill every cell
+//! breadth-first.
 //!
 //! Eligibility is structural ([`CompileBailout`]): no quantifier, no `#`,
 //! no hole, concrete atoms only.  The *maximal* eligible subtrees of an
@@ -459,29 +459,6 @@ pub fn compile(expr: &Expr, budget: CompileBudget) -> Result<CompiledTable, Comp
     Ok(table)
 }
 
-/// The result of a recursive compilation pass over a whole expression.
-#[derive(Clone, Debug, Default)]
-pub struct CompileOutcome {
-    /// Tables for the maximal table-resident subtrees, outermost first.
-    pub tables: Vec<CompiledTable>,
-    /// Number of subtrees that bailed out (per bailed node, before
-    /// descending into its operands).
-    pub bailouts: u64,
-}
-
-/// Compiles the *maximal* table-resident subtrees of an expression to
-/// closed tables: tries the root; where a subtree is not eligible, descends
-/// into its operands and tries again.
-pub fn compile_all(expr: &Expr, budget: CompileBudget) -> CompileOutcome {
-    let CompileOutcome { mut tables, mut bailouts } = CompileOutcome::default();
-    if budget.max_states > 0 {
-        for_each_resident(expr, Vec::new(), &mut bailouts, &mut |sub, _| {
-            compile(sub, budget).map(|table| tables.push(table)).is_ok()
-        });
-    }
-    CompileOutcome { tables, bailouts }
-}
-
 /// The structural search for the maximal table-eligible subtrees of `expr`,
 /// outermost first: `found` is called on each with the live sub-states
 /// that run it and says whether it took the subtree; where it did not (or
@@ -765,18 +742,25 @@ mod tests {
     }
 
     #[test]
-    fn compile_all_extracts_maximal_resident_subtrees() {
+    fn the_resident_search_compiles_maximal_subtrees() {
+        // The tier's install search, compiling every subtree it finds.
+        let resident = |e: &Expr| {
+            let (mut tables, mut bailouts) = (Vec::new(), 0);
+            for_each_resident(e, Vec::new(), &mut bailouts, &mut |sub, _| {
+                compile(sub, budget(64)).map(|table| tables.push(table)).is_ok()
+            });
+            (tables, bailouts)
+        };
         // A quantified spine over two finite operands: the root bails, the
         // operands compile.
-        let e = parse("((a - b)* @ (c - d)*) @ all p { e(p)# }").unwrap();
-        let outcome = compile_all(&e, budget(64));
-        assert!(outcome.bailouts >= 1, "the quantified spine must bail");
-        assert_eq!(outcome.tables.len(), 1, "the ⊗ of the two finite loops is one tile");
-        assert_eq!(outcome.tables[0].state_count(), 9);
+        let (tables, bailouts) =
+            resident(&parse("((a - b)* @ (c - d)*) @ all p { e(p)# }").unwrap());
+        assert!(bailouts >= 1, "the quantified spine must bail");
+        assert_eq!(tables.len(), 1, "the ⊗ of the two finite loops is one tile");
+        assert_eq!(tables[0].state_count(), 9);
         // Fully finite root: exactly one table, no bailouts.
-        let fin = parse("(a - b)* @ (c - d)*").unwrap();
-        let outcome = compile_all(&fin, budget(64));
-        assert_eq!((outcome.tables.len(), outcome.bailouts), (1, 0));
+        let (tables, bailouts) = resident(&parse("(a - b)* @ (c - d)*").unwrap());
+        assert_eq!((tables.len(), bailouts), (1, 0));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::error::StateResult;
 use crate::init::init;
 use crate::predicates::{is_final, is_valid};
 use crate::state::{null_state, Shared, State, StateMetrics};
-use crate::trans::{fused, trans_with, TierLookup, TransitionOptions};
+use crate::trans::{fused, trans, TierLookup};
 use ix_core::{Action, Expr};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -69,7 +69,7 @@ impl WordStatus {
 pub fn word_problem(expr: &Expr, word: &[Action]) -> StateResult<WordStatus> {
     let mut state = init(expr)?;
     for action in word {
-        state = trans_with(&state, action, TransitionOptions::default());
+        state = trans(&state, action);
         if state.is_null() {
             return Ok(WordStatus::Illegal);
         }
@@ -346,7 +346,6 @@ impl TierLookup for Tier {
 pub struct Engine {
     expr: Expr,
     state: Shared<State>,
-    options: TransitionOptions,
     memo: RefCell<TransMemo>,
     tier: Tier,
     accepted: u64,
@@ -354,17 +353,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine with the default (optimizing) transition options.
+    /// Creates an engine at the initial state σ of `expr`.
     pub fn new(expr: &Expr) -> StateResult<Engine> {
-        Engine::with_options(expr, TransitionOptions::default())
-    }
-
-    /// Creates an engine with explicit transition options.
-    pub fn with_options(expr: &Expr, options: TransitionOptions) -> StateResult<Engine> {
         Ok(Engine {
             expr: expr.clone(),
             state: Shared::new(init(expr)?),
-            options,
             memo: RefCell::new(TransMemo::with_capacity(DEFAULT_MEMO_CAPACITY)),
             tier: Tier::new(DEFAULT_TIER_BUDGET),
             accepted: 0,
@@ -427,7 +420,8 @@ impl Engine {
     /// allocation identity plus the concrete action, and entries pin their
     /// key state alive), then the tree walk — which itself consults the
     /// tier at every shared child, so table-resident subtrees under a CoW
-    /// spine still answer in O(1).
+    /// spine still answer in O(1).  Every path keeps the fused τ̂'s
+    /// invariant "invalid ⇔ null", so ψ of a successor is a null check.
     fn transition(&self, base: &Shared<State>, action: &Action) -> Shared<State> {
         let tier_on = self.tier_ready();
         if tier_on {
@@ -445,7 +439,7 @@ impl Engine {
             self.tier.fallbacks.set(self.tier.fallbacks.get() + 1);
             fused(base, action, &self.tier)
         } else {
-            trans_with(base, action, self.options)
+            trans(base, action)
         };
         let next = match next {
             State::Null => null_state(),
@@ -462,9 +456,6 @@ impl Engine {
     /// before the tables existed is cleared so the tier takes over from its
     /// pointer-keyed entries.
     fn tier_ready(&self) -> bool {
-        if !self.options.optimize {
-            return false;
-        }
         if !self.tier.installed.get() {
             self.tier.install(&self.expr, &self.state, Vec::new());
             if self.tier.has_tables() {
@@ -472,18 +463,6 @@ impl Engine {
             }
         }
         self.tier.has_tables()
-    }
-
-    /// Whether a successor state counts as valid.  On the optimized path
-    /// the fused τ̂ maintains "invalid ⇔ null", so ψ is a constant-time
-    /// check; the unoptimized ablation path falls back to the full
-    /// predicate.
-    fn successor_valid(&self, next: &State) -> bool {
-        if self.options.optimize {
-            !next.is_null()
-        } else {
-            is_valid(next)
-        }
     }
 
     /// Metrics of the current state (size, alternatives).
@@ -495,7 +474,7 @@ impl Engine {
     /// (Always true unless the engine was constructed from an unsatisfiable
     /// state or fed through [`Engine::force_execute`].)
     pub fn is_valid(&self) -> bool {
-        self.successor_valid(&self.state)
+        !self.state.is_null()
     }
 
     /// True if the action sequence committed so far is a complete word.
@@ -521,7 +500,7 @@ impl Engine {
             return false;
         }
         let next = self.transition(&self.state, action);
-        self.successor_valid(&next)
+        !next.is_null()
     }
 
     /// Filters the permitted actions out of a candidate list (used to keep
@@ -568,7 +547,7 @@ impl Engine {
             }
             let base = speculative.as_ref().unwrap_or(&self.state);
             let next = self.transition(base, r);
-            if self.successor_valid(&next) {
+            if !next.is_null() {
                 speculative = Some(next);
             }
         }
@@ -577,14 +556,14 @@ impl Engine {
         }
         let base = speculative.as_ref().unwrap_or(&self.state);
         let next = self.transition(base, action);
-        self.successor_valid(&next)
+        !next.is_null()
     }
 
     /// Content fingerprint of a reservation table: a stable hash over the
     /// reserved actions in iteration order (callers iterate their
     /// reservation maps in key order, so equal tables produce equal
     /// fingerprints).  The empty table hashes to
-    /// [`EMPTY_RESERVATION_FINGERPRINT`].
+    /// [`empty_reservation_fingerprint`].
     pub fn reservation_fingerprint<'a, I>(reserved: I) -> u64
     where
         I: IntoIterator<Item = &'a Action>,
@@ -622,7 +601,7 @@ impl Engine {
             return None;
         }
         let next = self.transition(base.unwrap_or(&self.state), action);
-        if self.successor_valid(&next) {
+        if !next.is_null() {
             Some(next)
         } else {
             None
@@ -719,7 +698,7 @@ impl Engine {
     }
 
     /// Installs the tier and fills every cell of every table breadth-first
-    /// — the closed tables [`crate::compile`] returns, for callers that want
+    /// — the closed tables [`crate::compile()`] returns, for callers that want
     /// the whole reachable graph up front (exhaustive checks, benches that
     /// time pure lookups).  Cells a full table cannot intern a successor
     /// for stay unknown and keep being answered by the tree walk.
@@ -760,7 +739,7 @@ impl Engine {
     /// Adopted tables leave the `compiles` counter untouched — recovery
     /// re-attaching tiles is observably not a compile.
     pub fn adopt_tier(&mut self, parts: Vec<TableParts>) {
-        if parts.is_empty() || !self.options.optimize {
+        if parts.is_empty() {
             return;
         }
         let tables = parts.into_iter().map(|p| Arc::new(CompiledTable::from_parts(p))).collect();

@@ -31,15 +31,6 @@ pub enum StateError {
     /// A multiplier with count zero was encountered (the textual parser
     /// already rejects this, but expressions can also be built directly).
     ZeroMultiplier,
-    /// A live extension was rejected because the new constraint does not
-    /// accept the projection of the already-committed history onto its
-    /// alphabet — accepting it would break the invariant that the committed
-    /// log replays on the grown expression.
-    IncompatibleHistory {
-        /// Display form of the first historical action the new constraint
-        /// rejected.
-        action: String,
-    },
 }
 
 impl fmt::Display for StateError {
@@ -64,9 +55,6 @@ impl fmt::Display for StateError {
                  atomic action `{offending_atom}` does not mention `{param}`"
             ),
             StateError::ZeroMultiplier => write!(f, "multiplier count must be at least 1"),
-            StateError::IncompatibleHistory { action } => {
-                write!(f, "new constraint rejects the committed history at action `{action}`")
-            }
         }
     }
 }

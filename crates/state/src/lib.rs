@@ -4,11 +4,17 @@
 //! Process Synchronization with Interaction Expressions and Graphs"*
 //! (Heinlein, ICDE 2001), Secs. 4–6:
 //!
-//! * [`init`] — the initial-state function σ,
-//! * [`trans`] — the optimized transition function τ̂ = ρ ∘ τ,
+//! * [`init()`] — the initial-state function σ,
+//! * [`trans()`] — the optimized transition function τ̂ = ρ ∘ τ, computed in
+//!   one fused copy-on-write pass ([`trans_reference`] is the two-pass ρ ∘
+//!   [`step`] the property suites compare it against),
 //! * [`is_valid`] / [`is_final`] — the predicates ψ and ϕ,
-//! * [`optimize`] — the optimization function ρ,
-//! * [`Engine`] / [`word_problem`] — the action and word problems of Fig. 9,
+//! * [`optimize()`] — the optimization function ρ,
+//! * [`Engine`] / [`word_problem`] — the action and word problems of Fig. 9:
+//!   one engine steps through the fused τ̂ behind its table tier and
+//!   transition memo,
+//! * [`ShardRouter`] — the action → owning components table over an
+//!   `ix_core::Partition`, through which the interaction managers route,
 //! * [`analysis`] — the complexity classification of Sec. 6 (harmless /
 //!   benign / potentially malignant).
 //!
@@ -48,8 +54,8 @@ pub mod trans;
 
 pub use analysis::{classify, Benignity, Classification};
 pub use compile::{
-    compile, compile_all, CompileBailout, CompileBudget, CompileOutcome, CompiledTable, TableParts,
-    TierStats, DEAD, DEFAULT_TIER_BUDGET,
+    compile, CompileBailout, CompileBudget, CompiledTable, TableParts, TierStats, DEAD,
+    DEFAULT_TIER_BUDGET,
 };
 pub use engine::{
     empty_reservation_fingerprint, word_problem, Engine, WordStatus, DEFAULT_MEMO_CAPACITY,
@@ -58,9 +64,9 @@ pub use error::{StateError, StateResult};
 pub use init::{init, initial_state, validate};
 pub use optimize::optimize;
 pub use predicates::{is_final, is_valid};
-pub use sharded::{sharded_word_problem, Route, ShardRouter, ShardedEngine};
+pub use sharded::{Route, ShardRouter};
 pub use state::{fresh_nodes, null_state, QuantState, ScopedAlphabet, Shared, State, StateMetrics};
-pub use trans::{step, trans, trans_reference, trans_with, TransitionOptions};
+pub use trans::{step, trans, trans_reference};
 
 /// A shared handle on a state — the value [`Engine::prepare`] returns and
 /// [`Engine::commit_prepared`] installs.

@@ -13,9 +13,8 @@
 //! the copy-on-write rebuild — it never calls this standalone pass.  This
 //! module remains as the reference ρ: composed with the pure τ it forms
 //! [`crate::trans::trans_reference`], the implementation the property suites
-//! compare the fused function against, and the ablation experiments switch
-//! it off (see [`crate::trans::TransitionOptions`]) to reproduce the
-//! worst-case state growth of Sec. 6.
+//! compare the fused function against; the pure τ without it
+//! ([`crate::trans::step`]) shows the worst-case state growth of Sec. 6.
 
 use crate::predicates::is_valid;
 use crate::state::{QuantState, Shared, State};

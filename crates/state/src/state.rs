@@ -661,15 +661,6 @@ impl StateMetrics {
             is_null: state.is_null(),
         }
     }
-
-    /// Folds another state's metrics into this one (sizes and alternative
-    /// counts add up; a compound state is null iff some part is null).  Used
-    /// to aggregate per-shard metrics.
-    pub fn accumulate(&mut self, other: StateMetrics) {
-        self.size += other.size;
-        self.alternatives += other.alternatives;
-        self.is_null |= other.is_null;
-    }
 }
 
 /// Counts the nodes of `next` that are *not* shared (by allocation) with

@@ -17,8 +17,8 @@
 //! * [`step`] + [`crate::optimize::optimize`] — the textbook two-pass
 //!   pipeline (pure τ, then ρ).  [`trans_reference`] composes them; it is
 //!   the reference implementation the property suites compare the fused
-//!   function against, and [`trans_with`] with `optimize: false` exposes the
-//!   raw τ for the state-growth ablation of Sec. 6.
+//!   function against, and [`step`] alone is the raw τ whose unbounded state
+//!   growth Sec. 6 analyses.
 //!
 //! Both produce identical state *values*: `trans(s, a) == trans_reference(s, a)`
 //! for every reachable state (exercised by the workspace property tests).
@@ -28,34 +28,10 @@ use crate::predicates::is_final;
 use crate::state::{null_state, QuantState, Shared, State};
 use ix_core::{Action, Value};
 
-/// Options controlling the transition function.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TransitionOptions {
-    /// Apply the optimization function ρ after every transition (the
-    /// default).  Switching this off reproduces the unbounded state growth
-    /// analysed in Sec. 6.
-    pub optimize: bool,
-}
-
-impl Default for TransitionOptions {
-    fn default() -> Self {
-        TransitionOptions { optimize: true }
-    }
-}
-
 /// The optimized state transition function τ̂(s, a) = ρ(τ(s, a)), computed in
 /// one fused copy-on-write pass.
 pub fn trans(state: &State, action: &Action) -> State {
     fused(state, action, &NoTier)
-}
-
-/// State transition with explicit options.
-pub fn trans_with(state: &State, action: &Action, opts: TransitionOptions) -> State {
-    if opts.optimize {
-        fused(state, action, &NoTier)
-    } else {
-        step(state, action)
-    }
 }
 
 /// A hook the fused walk consults at every shared child: a tiered engine
@@ -876,7 +852,7 @@ mod tests {
                 let mut raw = init(&e).unwrap();
                 for n in *word {
                     opt = trans(&opt, &a(n));
-                    raw = trans_with(&raw, &a(n), TransitionOptions { optimize: false });
+                    raw = step(&raw, &a(n));
                 }
                 assert_eq!(is_valid(&opt), is_valid(&raw), "ψ for {src} on {word:?}");
                 assert_eq!(is_final(&opt), is_final(&raw), "ϕ for {src} on {word:?}");

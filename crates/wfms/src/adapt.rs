@@ -16,9 +16,9 @@
 //!   modifying the engine.
 //!
 //! Both adaptations talk to the manager through the [`CoordinationPort`]
-//! trait, whose default implementation wraps an in-process
-//! [`InteractionManager`] and counts protocol messages so the benchmark
-//! `adaptation_overhead` can compare the two architectures.
+//! trait, whose default implementation [`ManagerPort`] wraps an in-process
+//! [`ManagerRuntime`] and counts protocol messages, so the message cost of
+//! the two architectures can be compared.
 
 use crate::engine::{EngineError, WorkflowEngine, WorklistItem};
 use crate::model::{ActivityId, CaseData, WorkflowDefinition};

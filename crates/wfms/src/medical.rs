@@ -84,11 +84,10 @@ pub fn ensemble_constraint() -> Expr {
 /// names, and a hospital-wide audit may only run when *every* department is
 /// at a round boundary (no case mid-flight anywhere).
 ///
-/// This is the workload shape the cross-shard refactor targets: the
-/// fine-grained partition keeps one shard per department — `audit` is a
-/// multi-owner action executed by two-phase commit across all of them —
-/// whereas the coarse (coalesced) partition would collapse the whole
-/// ensemble into a single critical region because of that one shared action.
+/// The partition keeps one shard per department — `audit` is a multi-owner
+/// action executed by two-phase commit across all of them — rather than
+/// collapsing the whole ensemble into a single critical region because of
+/// that one shared action.
 pub fn coupled_ensemble_constraint(departments: usize) -> Expr {
     assert!(departments >= 1);
     let group =

@@ -307,12 +307,12 @@ proptest! {
 
     #[test]
     fn optimization_never_changes_the_verdict(expr in expr_strategy(), word in word_strategy()) {
-        use ix_state::{init, is_final, is_valid, trans_with, TransitionOptions};
+        use ix_state::{init, is_final, is_valid, step, trans};
         let mut optimized = init(&expr).unwrap();
         let mut raw = init(&expr).unwrap();
         for action in &word {
-            optimized = trans_with(&optimized, action, TransitionOptions { optimize: true });
-            raw = trans_with(&raw, action, TransitionOptions { optimize: false });
+            optimized = trans(&optimized, action);
+            raw = step(&raw, action);
         }
         prop_assert_eq!(is_valid(&optimized), is_valid(&raw));
         prop_assert_eq!(is_final(&optimized), is_final(&raw));

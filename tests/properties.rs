@@ -11,7 +11,7 @@
 use ix_core::{parse, simplify, Expr, Value};
 use ix_manager::{Completion, InteractionManager, ManagerError, ManagerRuntime, ProtocolVariant};
 use ix_semantics::{equivalent, Universe};
-use ix_state::{sharded_word_problem, word_problem, Engine, ShardedEngine};
+use ix_state::Engine;
 use proptest::prelude::*;
 
 fn universe() -> Universe {
@@ -259,47 +259,6 @@ fn word_strategy() -> impl Strategy<Value = Vec<ix_core::Action>> {
         Just(ix_core::Action::nullary("s")),
     ];
     proptest::collection::vec(action, 0..8)
-}
-
-/// Drives the same word through the monolithic [`Engine`] and the
-/// [`ShardedEngine`] and asserts identical observable behaviour at every
-/// step — the correctness contract of the alphabet-partitioned kernel.
-fn assert_shard_monolith_equivalence(
-    x: &Expr,
-    word: &[ix_core::Action],
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    let mut mono = Engine::new(x).unwrap();
-    let mut sharded = ShardedEngine::new(x).unwrap();
-    for action in word {
-        prop_assert_eq!(
-            sharded.is_permitted(action),
-            mono.is_permitted(action),
-            "is_permitted disagrees on `{}` for {}",
-            x,
-            action
-        );
-        prop_assert_eq!(
-            sharded.try_execute(action),
-            mono.try_execute(action),
-            "try_execute disagrees on `{}` for {}",
-            x,
-            action
-        );
-        prop_assert_eq!(sharded.is_valid(), mono.is_valid());
-        prop_assert_eq!(sharded.is_final(), mono.is_final());
-    }
-    prop_assert_eq!(sharded.accepted(), mono.accepted());
-    prop_assert_eq!(sharded.rejected(), mono.rejected());
-    // The word problem agrees as well (including illegal words, which the
-    // engines above never commit).
-    prop_assert_eq!(
-        sharded_word_problem(x, word).unwrap(),
-        word_problem(x, word).unwrap(),
-        "word status disagrees on `{}` and {}",
-        x,
-        ix_core::display_word(word)
-    );
-    Ok(())
 }
 
 /// Drives the same word through the cross-shard [`InteractionManager`] and
@@ -715,30 +674,6 @@ proptest! {
     }
 
     #[test]
-    fn sharded_engine_matches_monolithic_on_shardable_expressions(
-        x in shardable_expr(),
-        word in word_strategy(),
-    ) {
-        assert_shard_monolith_equivalence(&x, &word)?;
-    }
-
-    #[test]
-    fn sharded_engine_matches_monolithic_on_arbitrary_expressions(
-        x in small_expr(),
-        word in word_strategy(),
-    ) {
-        assert_shard_monolith_equivalence(&x, &word)?;
-    }
-
-    #[test]
-    fn sharded_engine_matches_monolithic_on_overlapping_expressions(
-        x in overlapping_expr(),
-        word in word_strategy(),
-    ) {
-        assert_shard_monolith_equivalence(&x, &word)?;
-    }
-
-    #[test]
     fn cross_shard_manager_matches_monolithic_on_overlapping_expressions(
         x in overlapping_expr(),
         word in word_strategy(),
@@ -749,6 +684,14 @@ proptest! {
     #[test]
     fn cross_shard_manager_matches_monolithic_on_shardable_expressions(
         x in shardable_expr(),
+        word in word_strategy(),
+    ) {
+        assert_manager_monolith_equivalence(&x, &word)?;
+    }
+
+    #[test]
+    fn cross_shard_manager_matches_monolithic_on_arbitrary_expressions(
+        x in small_expr(),
         word in word_strategy(),
     ) {
         assert_manager_monolith_equivalence(&x, &word)?;
