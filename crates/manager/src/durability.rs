@@ -29,7 +29,7 @@
 //!   snapshot plus the stream tail — no history; roll torn multi-owner
 //!   records forward (a record present on at least one owner's stream is
 //!   completed on all of them); rebuild the derived structures (reservation
-//!   index, timer wheel) from what was recovered.
+//!   index, lease timers) from what was recovered.
 //! * **Reading the log** (`visit_log`): who needs every confirmed action —
 //!   `log()`, `shutdown()`, the replay of a live repartition, the vault
 //!   inspection — chains a shard's history stream before the entries still
@@ -43,7 +43,7 @@
 use crate::error::{ManagerError, ManagerResult};
 use crate::log::{LogKey, ShardLog};
 use crate::manager::{ManagerStats, Reservation};
-use crate::subscription::{ClientId, SubscriptionRow};
+use crate::subscription::{ClientId, CrossRow, SubscriptionRow};
 use ix_core::{Action, Alphabet};
 use ix_durable::{
     decode_action, decode_alphabet, encode_action, encode_alphabet, history_stream, CodecError,
@@ -72,10 +72,6 @@ pub(crate) fn codec_err(what: &str, e: CodecError) -> ManagerError {
 pub(crate) fn durability_err(detail: impl Into<String>) -> ManagerError {
     ManagerError::Durability { detail: detail.into() }
 }
-
-/// The manifest form of one cross-shard subscription entry:
-/// `(action, owners, per-owner permissibility bits, clients, cached status)`.
-pub(crate) type CrossRow = (Action, Vec<usize>, Vec<bool>, Vec<ClientId>, bool);
 
 // ---------------------------------------------------------------------------
 // Statistics deltas

@@ -38,6 +38,12 @@ pub mod subscription;
 pub mod ticket;
 pub mod timer;
 
+/// Locks a mutex, swallowing poisoning: a panicking client thread must not
+/// wedge the manager (shard state is only mutated after validation).
+fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 pub use durability::{inspect_vault, ShardInspection, StatDelta, VaultInspection};
 pub use error::{ManagerError, ManagerResult, SubmitError};
 pub use ix_durable::{FileVault, FsyncPolicy, MemVault, Vault};
@@ -48,4 +54,4 @@ pub use runtime::{
 };
 pub use subscription::{ClientId, Notification, SubscriptionRegistry};
 pub use ticket::{Ticket, TicketIssuer};
-pub use timer::{TimerId, TimerWheel};
+pub use timer::{TimerId, Timers};

@@ -56,11 +56,15 @@
 //! shard, which reproduces the paper's central scheduler exactly.
 
 use crate::error::{ManagerError, ManagerResult};
+use crate::lock;
 use crate::log::ShardLog;
-use crate::subscription::{ClientId, Notification, SubscriptionRegistry};
+use crate::subscription::{
+    ClientId, CrossBit, CrossSubscriptions, Notification, SubscriptionRegistry,
+};
+use crate::timer::Timers;
 use ix_core::{Action, Alphabet, Expr, Partition};
 use ix_state::{Engine, ShardRouter};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -160,39 +164,6 @@ impl Shard {
     }
 }
 
-/// A subscription to a cross-shard (multi-owner) action, kept at the manager
-/// level: its permissibility is the conjunction of the owners' votes, so no
-/// single shard can report it alone.  The entry caches one status bit per
-/// owner; a commit touching a subset of the owners refreshes exactly those
-/// bits (the other owners' engines did not move) and notifies when the
-/// conjunction flips.
-#[derive(Clone, Debug)]
-pub(crate) struct CrossEntry {
-    /// Owning shards, ascending.
-    pub(crate) owners: Vec<usize>,
-    /// Last observed per-owner permissibility, aligned with `owners`.
-    pub(crate) bits: Vec<bool>,
-    /// Subscribed clients (sorted, deduplicated).
-    pub(crate) clients: Vec<ClientId>,
-    /// Cached conjunction of `bits` — the last status reported to clients.
-    pub(crate) permitted: bool,
-}
-
-/// Registry of cross-shard subscriptions, indexed by owning shard so a
-/// commit probes only the entries co-owned by a shard it touched.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CrossSubscriptions {
-    pub(crate) entries: BTreeMap<Action, CrossEntry>,
-    /// shard -> cross-subscribed actions the shard co-owns.
-    pub(crate) by_shard: BTreeMap<usize, BTreeSet<Action>>,
-}
-
-impl CrossSubscriptions {
-    pub(crate) fn len(&self) -> usize {
-        self.entries.values().map(|e| e.clients.len()).sum()
-    }
-}
-
 /// Lock-free running counters behind [`ManagerStats`].
 #[derive(Debug, Default)]
 pub(crate) struct SharedStats {
@@ -245,6 +216,8 @@ pub struct InteractionManager {
     /// Which shards hold which outstanding reservation (advisory index; the
     /// shards' own tables are authoritative, see `confirm`).
     reservation_index: Mutex<HashMap<u64, Vec<usize>>>,
+    /// One timer per leased reservation, firing its id.
+    timers: Mutex<Timers<u64>>,
     /// Subscriptions to cross-shard (multi-owner) actions.
     cross_subscriptions: Mutex<CrossSubscriptions>,
     /// Subscriptions to actions no shard owns: such actions are never
@@ -315,6 +288,7 @@ impl InteractionManager {
             router: ShardRouter::new(alphabets),
             shards,
             reservation_index: Mutex::new(HashMap::new()),
+            timers: Mutex::new(Timers::new(0)),
             cross_subscriptions: Mutex::new(CrossSubscriptions::default()),
             orphan_subscriptions: Mutex::new(SubscriptionRegistry::new()),
             log_seq: AtomicU64::new(0),
@@ -388,23 +362,15 @@ impl InteractionManager {
     /// Advances logical time, expiring leased reservations that ran out.
     /// A multi-owner reservation is removed from *all* of its owners under
     /// their locks, so the owners never disagree about an outstanding grant.
-    /// Returns the rolled-back reservations.
+    /// Returns the rolled-back reservations, in deadline order.
     pub fn advance_time(&self, delta: u64) -> Vec<Reservation> {
         let now = self.clock.fetch_add(delta, Ordering::Relaxed) + delta;
-        let candidates: Vec<(u64, Vec<usize>)> = lock(&self.reservation_index)
-            .iter()
-            .map(|(id, owners)| (*id, owners.clone()))
-            .collect();
+        let due = lock(&self.timers).advance(now);
         let mut out = Vec::new();
-        for (id, owners) in candidates {
+        for id in due {
+            // A reservation confirmed or aborted since its grant is gone.
+            let Some(owners) = lock(&self.reservation_index).get(&id).cloned() else { continue };
             let mut guards = self.lock_owners(&owners);
-            let expired = guards
-                .first()
-                .and_then(|(_, s)| s.reservations.get(&id))
-                .is_some_and(|r| r.expires_at <= now);
-            if !expired {
-                continue;
-            }
             let mut reservation = None;
             for (_, shard) in guards.iter_mut() {
                 if let Some(r) = shard.reservations.remove(&id) {
@@ -480,6 +446,9 @@ impl InteractionManager {
             shard.reservations.insert(id, reservation.clone());
         }
         lock(&self.reservation_index).insert(id, owners);
+        if expires_at != u64::MAX {
+            lock(&self.timers).schedule(expires_at, id);
+        }
         Ok(Some(id))
     }
 
@@ -694,24 +663,9 @@ impl InteractionManager {
                 // entry (lock order: shards ascending, then the cross
                 // registry — the same order the commit path uses).
                 let guards = self.lock_owners(&owners);
-                let bits: Vec<bool> =
-                    guards.iter().map(|(_, s)| s.engine.is_permitted(action)).collect();
-                let permitted = bits.iter().all(|b| *b);
-                let mut cross = lock(&self.cross_subscriptions);
-                for &owner in &owners {
-                    cross.by_shard.entry(owner).or_default().insert(action.clone());
-                }
-                let entry = cross.entries.entry(action.clone()).or_insert(CrossEntry {
-                    owners: owners.clone(),
-                    bits,
-                    clients: Vec::new(),
-                    permitted,
-                });
-                if !entry.clients.contains(&client) {
-                    entry.clients.push(client);
-                    entry.clients.sort_unstable();
-                }
-                entry.permitted
+                lock(&self.cross_subscriptions).subscribe(client, action, &owners, || {
+                    guards.iter().map(|(_, s)| s.engine.is_permitted(action)).collect()
+                })
             }
         }
     }
@@ -722,23 +676,7 @@ impl InteractionManager {
         match owners.as_slice() {
             [] => lock(&self.orphan_subscriptions).unsubscribe(client, action),
             [shard_id] => lock(&self.shards[*shard_id]).subscriptions.unsubscribe(client, action),
-            _ => {
-                let mut cross = lock(&self.cross_subscriptions);
-                let remove = match cross.entries.get_mut(action) {
-                    Some(entry) => {
-                        entry.clients.retain(|c| *c != client);
-                        entry.clients.is_empty()
-                    }
-                    None => false,
-                };
-                if remove {
-                    cross.entries.remove(action);
-                    for actions in cross.by_shard.values_mut() {
-                        actions.remove(action);
-                    }
-                    cross.by_shard.retain(|_, actions| !actions.is_empty());
-                }
-            }
+            _ => lock(&self.cross_subscriptions).unsubscribe(client, action),
         }
     }
 
@@ -798,36 +736,16 @@ impl InteractionManager {
         guards: &[(usize, MutexGuard<'_, Shard>)],
     ) -> Vec<Notification> {
         let mut cross = lock(&self.cross_subscriptions);
-        if cross.entries.is_empty() {
+        if cross.action_count() == 0 {
             return Vec::new();
         }
-        let mut affected: BTreeSet<Action> = BTreeSet::new();
-        for (shard_id, _) in guards {
-            if let Some(actions) = cross.by_shard.get(shard_id) {
-                affected.extend(actions.iter().cloned());
-            }
-        }
-        let mut out = Vec::new();
-        for action in affected {
-            let Some(entry) = cross.entries.get_mut(&action) else { continue };
-            for (pos, owner) in entry.owners.iter().enumerate() {
-                if let Some((_, shard)) = guards.iter().find(|(s, _)| s == owner) {
-                    entry.bits[pos] = shard.engine.is_permitted(&action);
-                }
-            }
-            let now = entry.bits.iter().all(|b| *b);
-            if now != entry.permitted {
-                entry.permitted = now;
-                for client in &entry.clients {
-                    out.push(Notification {
-                        client: *client,
-                        action: action.clone(),
-                        permitted: now,
-                    });
-                }
-            }
-        }
-        out
+        let deposits: Vec<CrossBit> = guards
+            .iter()
+            .flat_map(|(id, shard)| {
+                cross.watched(*id).map(move |a| (a.clone(), *id, shard.engine.is_permitted(a)))
+            })
+            .collect();
+        cross.merge(&deposits)
     }
 
     /// Rebuilds a manager from an expression and a log of confirmed actions
@@ -853,79 +771,6 @@ impl InteractionManager {
         manager.stats.confirmations.store(log.len() as u64, Ordering::Relaxed);
         Ok(manager)
     }
-}
-
-impl Clone for InteractionManager {
-    /// Deep copy: the clone gets its own engines, reservations and log (used
-    /// by the federation; a clone does not alias the original).  *All* shard
-    /// locks are held — in the canonical ascending order — for the duration
-    /// of the copy, so the clone is a consistent snapshot: a cross-shard
-    /// commit or reservation racing the clone is either fully visible in
-    /// every owner's copied table or in none of them (a torn copy could
-    /// otherwise leave a multi-owner reservation confirmable on a subset of
-    /// its owners, breaking the all-or-nothing commit).
-    fn clone(&self) -> InteractionManager {
-        let guards: Vec<MutexGuard<'_, Shard>> = self.shards.iter().map(lock).collect();
-        let shards: Vec<Mutex<Shard>> = guards
-            .iter()
-            .map(|guard| {
-                Mutex::new(Shard {
-                    engine: guard.engine.clone(),
-                    reservations: guard.reservations.clone(),
-                    subscriptions: guard.subscriptions.clone(),
-                    log: guard.log.clone(),
-                })
-            })
-            .collect();
-        // Rebuild the reservation index from the copied tables instead of
-        // copying the original's index: a confirm racing with the clone
-        // could otherwise leave the clone holding a reservation its index
-        // does not know, which would be unconfirmable forever.  A
-        // multi-owner reservation contributes one owner entry per shard
-        // table it appears in.
-        let mut reservation_index: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (shard_id, guard) in guards.iter().enumerate() {
-            for id in guard.reservations.keys() {
-                reservation_index.entry(*id).or_default().push(shard_id);
-            }
-        }
-        // Cross-shard subscription bits are snapshotted while the shard
-        // locks are still held (shards before the cross registry, as on the
-        // commit path), so the cached bits match the copied engines.
-        let cross_subscriptions = lock(&self.cross_subscriptions).clone();
-        drop(guards);
-        InteractionManager {
-            expr: self.expr.clone(),
-            variant: self.variant,
-            router: self.router.clone(),
-            shards,
-            reservation_index: Mutex::new(reservation_index),
-            cross_subscriptions: Mutex::new(cross_subscriptions),
-            orphan_subscriptions: Mutex::new(lock(&self.orphan_subscriptions).clone()),
-            log_seq: AtomicU64::new(self.log_seq.load(Ordering::Relaxed)),
-            next_reservation: AtomicU64::new(self.next_reservation.load(Ordering::Relaxed)),
-            clock: AtomicU64::new(self.now()),
-            stats: SharedStats {
-                asks: AtomicU64::new(self.stats.asks.load(Ordering::Relaxed)),
-                grants: AtomicU64::new(self.stats.grants.load(Ordering::Relaxed)),
-                denials: AtomicU64::new(self.stats.denials.load(Ordering::Relaxed)),
-                confirmations: AtomicU64::new(self.stats.confirmations.load(Ordering::Relaxed)),
-                expired_reservations: AtomicU64::new(
-                    self.stats.expired_reservations.load(Ordering::Relaxed),
-                ),
-                aborted_reservations: AtomicU64::new(
-                    self.stats.aborted_reservations.load(Ordering::Relaxed),
-                ),
-                notifications: AtomicU64::new(self.stats.notifications.load(Ordering::Relaxed)),
-            },
-        }
-    }
-}
-
-/// Locks a mutex, swallowing poisoning (a panicking client thread must not
-/// wedge the scheduler; shard state is only mutated after validation).
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -1192,6 +1037,24 @@ mod tests {
     }
 
     #[test]
+    fn leases_expire_in_deadline_order_unless_released_first() {
+        let m = InteractionManager::with_protocol(
+            &sharded_constraint(),
+            ProtocolVariant::Leased { lease: 5 },
+        )
+        .unwrap();
+        let early = m.ask(1, &dept_action("call", 'c', 1)).unwrap().unwrap();
+        m.advance_time(2);
+        let late = m.ask(1, &dept_action("call", 'a', 1)).unwrap().unwrap();
+        let confirmed = m.ask(1, &dept_action("call", 'b', 1)).unwrap().unwrap();
+        m.confirm(confirmed).unwrap();
+        assert!(m.advance_time(2).is_empty(), "t = 4: nothing is due");
+        let expired: Vec<u64> = m.advance_time(10).iter().map(|r| r.id).collect();
+        assert_eq!(expired, vec![early, late], "deadline order; the confirmed lease is gone");
+        assert_eq!(m.stats().expired_reservations, 2);
+    }
+
+    #[test]
     fn expired_cross_shard_leases_release_every_owner() {
         let m = InteractionManager::with_protocol(
             &terminal_coupled_constraint(),
@@ -1372,29 +1235,6 @@ mod tests {
     }
 
     #[test]
-    fn cloned_managers_can_confirm_inherited_reservations() {
-        let m = InteractionManager::new(&patient_constraint()).unwrap();
-        let r = m.ask(1, &call(1, "sono")).unwrap().expect("granted");
-        let copy = m.clone();
-        // The clone's reservation index is rebuilt from its shard tables, so
-        // the inherited reservation is confirmable on the copy too.
-        copy.confirm(r).unwrap();
-        assert_eq!(copy.log().len(), 1);
-        m.confirm(r).unwrap();
-        assert_eq!(m.log().len(), 1);
-    }
-
-    #[test]
-    fn cloned_managers_inherit_cross_shard_reservations() {
-        let m = InteractionManager::new(&coupled_constraint()).unwrap();
-        let r = m.ask(1, &audit()).unwrap().expect("granted");
-        let copy = m.clone();
-        copy.confirm(r).unwrap();
-        assert_eq!(copy.log(), vec![audit()]);
-        assert_eq!(m.log().len(), 0, "the original is untouched");
-    }
-
-    #[test]
     fn batch_notifications_reach_subscribers() {
         let m = InteractionManager::new(&sharded_constraint()).unwrap();
         assert!(!m.subscribe(5, &dept_action("perform", 'b', 3)));
@@ -1406,17 +1246,6 @@ mod tests {
             .notifications
             .iter()
             .any(|n| n.client == 5 && n.permitted && n.action == dept_action("perform", 'b', 3)));
-    }
-
-    #[test]
-    fn deep_clone_does_not_alias() {
-        let m = InteractionManager::with_protocol(&sharded_constraint(), ProtocolVariant::Combined)
-            .unwrap();
-        m.try_execute(1, &dept_action("call", 'a', 1)).unwrap().unwrap();
-        let copy = m.clone();
-        copy.try_execute(1, &dept_action("call", 'b', 1)).unwrap().unwrap();
-        assert_eq!(m.log().len(), 1, "the original does not see the clone's commit");
-        assert_eq!(copy.log().len(), 2);
     }
 
     #[test]

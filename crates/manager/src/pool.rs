@@ -9,6 +9,7 @@
 //! with the first wake-up that has work behind it (`PoolCore::wake_worker`):
 //! a pool nothing was ever queued on runs no thread at all.
 
+use crate::lock;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -39,7 +40,7 @@ impl WorkerParker {
     /// waiting — so the token cannot be set with a sleeper unaware of it.
     pub(crate) fn unpark(&self) {
         if !self.token.swap(true, Ordering::AcqRel) {
-            let _guard = self.mutex.lock().unwrap_or_else(|e| e.into_inner());
+            let _guard = lock(&self.mutex);
             self.cv.notify_all();
         }
     }
@@ -52,7 +53,7 @@ impl WorkerParker {
             return;
         }
         let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.mutex.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = lock(&self.mutex);
         loop {
             if self.token.swap(false, Ordering::AcqRel) {
                 return;
@@ -123,7 +124,7 @@ impl PoolCore {
     /// Installs the way worker threads are started.  Until then, and after
     /// [`PoolCore::close`], a wake-up starts nothing.
     pub(crate) fn set_spawner(&self, spawner: WorkerSpawner) {
-        self.threads.lock().unwrap_or_else(|e| e.into_inner()).spawner = Some(spawner);
+        lock(&self.threads).spawner = Some(spawner);
     }
 
     /// Number of workers whose thread has been started.
@@ -141,7 +142,7 @@ impl PoolCore {
     /// start one thread.
     #[cold]
     fn start(&self, worker: usize) {
-        let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
+        let mut threads = lock(&self.threads);
         if self.started[worker].load(Ordering::Relaxed) {
             return;
         }
@@ -156,7 +157,7 @@ impl PoolCore {
     /// of the workers that never were — whoever shuts down serves what is
     /// left in their queues itself.
     pub(crate) fn close(&self) -> (Vec<JoinHandle<()>>, Vec<usize>) {
-        let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
+        let mut threads = lock(&self.threads);
         threads.spawner = None;
         (std::mem::take(&mut threads.handles), self.unstarted())
     }

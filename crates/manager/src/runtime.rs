@@ -1,5 +1,5 @@
 //! The session-oriented async runtime — per-shard task queues, completion
-//! tickets, and a timer wheel.
+//! tickets, and lease timers.
 //!
 //! Sec. 7 of the paper frames the interaction manager as a *message-based
 //! coordination service*: clients talk to it asynchronously over (persistent)
@@ -34,7 +34,7 @@
 //!   the same relative order in every queue they share, so the rendezvous in
 //!   which the owners vote and commit can never cycle — deadlock-freedom
 //!   carries over from the blocking design by construction;
-//! * **a hierarchical timer wheel** ([`crate::timer::TimerWheel`]) owns
+//! * **lease timers in an ordered map** ([`crate::timer::Timers`]) own
 //!   lease expiry: every leased grant schedules one timer, and advancing the
 //!   clock fires exactly the due leases instead of scanning the reservation
 //!   index.  The clock is logical and moves only when somebody calls
@@ -68,15 +68,14 @@ use crate::durability::{
     TopologyCheckpoint, WalRecord,
 };
 use crate::error::{ManagerError, ManagerResult, SubmitError};
+use crate::lock;
 use crate::log::{LogKey, ShardLog};
-use crate::manager::{
-    CrossEntry, CrossSubscriptions, ManagerStats, ProtocolVariant, Reservation, SharedStats,
-};
+use crate::manager::{ManagerStats, ProtocolVariant, Reservation, SharedStats};
 use crate::pool::PoolCore;
-use crate::shard::{CrossBit, Effects, LocalVote, Op, Role, ShardState, Verdict, DENIED};
-use crate::subscription::{ClientId, Notification, SubscriptionRegistry};
-use crate::ticket::{completed, ticket, Ticket, TicketIssuer, WakeBatch};
-use crate::timer::TimerWheel;
+use crate::shard::{Effects, LocalVote, Op, Role, ShardState, Verdict, DENIED};
+use crate::subscription::{ClientId, CrossSubscriptions, Notification, SubscriptionRegistry};
+use crate::ticket::{completed, ticket, Ticket, TicketIssuer};
+use crate::timer::Timers;
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender, TryRecvError};
 use ix_core::{parse, Action, Alphabet, Component, Expr, Partition};
 use ix_durable::{FileVault, FsyncPolicy, Vault, META_STREAM};
@@ -569,7 +568,7 @@ pub enum Completion {
     },
 }
 
-/// What the runtime's timer wheel fires: a lease ran out — which
+/// What the runtime's lease timers fire: a lease ran out — which
 /// reservation to expire, on which owners.
 #[derive(Clone, Debug)]
 struct ExpiryEvent {
@@ -710,7 +709,7 @@ struct RuntimeShared {
     /// Number of registered cross-shard subscription entries — commits skip
     /// the registry lock entirely while this is zero (the common case).
     cross_entry_count: AtomicU64,
-    timers: Mutex<TimerWheel<ExpiryEvent>>,
+    timers: Mutex<Timers<ExpiryEvent>>,
     /// The write-ahead vault behind the durable runtime (`None` = the
     /// in-memory runtime).  Every shard state journals its own stream
     /// through its own clone; this handle serves the meta-stream events and
@@ -1353,29 +1352,6 @@ pub struct CheckpointReport {
     pub history_bytes: u64,
 }
 
-/// Serializes the cross-shard subscription registry into manifest rows.
-fn export_cross(cross: &CrossSubscriptions) -> Vec<durability::CrossRow> {
-    cross
-        .entries
-        .iter()
-        .map(|(action, e)| {
-            (action.clone(), e.owners.clone(), e.bits.clone(), e.clients.clone(), e.permitted)
-        })
-        .collect()
-}
-
-/// Rebuilds the cross-shard subscription registry from manifest rows.
-fn import_cross(rows: Vec<durability::CrossRow>) -> CrossSubscriptions {
-    let mut cross = CrossSubscriptions::default();
-    for (action, owners, bits, clients, permitted) in rows {
-        for &owner in &owners {
-            cross.by_shard.entry(owner).or_default().insert(action.clone());
-        }
-        cross.entries.insert(action, CrossEntry { owners, bits, clients, permitted });
-    }
-    cross
-}
-
 /// One cross-shard commit seen while replaying the log tails: which owners'
 /// streams already carry its echo record.
 struct TailCommit {
@@ -1558,7 +1534,7 @@ fn recover_runtime(
     // through the recovered router.
     let mut clock = manifest.clock;
     let mut stat_total = manifest.meta_base;
-    let mut cross_subscriptions = import_cross(manifest.cross);
+    let mut cross_subscriptions = CrossSubscriptions::import(manifest.cross);
     let mut orphan_subscriptions = SubscriptionRegistry::import(manifest.orphans);
     for (index, payload) in hub.vault().read_from(META_STREAM, manifest.meta_covered) {
         let record =
@@ -1568,31 +1544,9 @@ fn recover_runtime(
             WalRecord::Clock { now } => clock = clock.max(now),
             WalRecord::Subscribe { client, action, permitted } => match router.classify(&action) {
                 Route::Multi(owners) => {
-                    for &owner in &owners {
-                        cross_subscriptions
-                            .by_shard
-                            .entry(owner)
-                            .or_default()
-                            .insert(action.clone());
-                    }
-                    let entry =
-                        cross_subscriptions.entries.entry(action.clone()).or_insert_with(|| {
-                            let bits: Vec<bool> = owners
-                                .iter()
-                                .map(|&o| seeds[o].engine.is_permitted(&action))
-                                .collect();
-                            let permitted = bits.iter().all(|b| *b);
-                            crate::manager::CrossEntry {
-                                owners: owners.clone(),
-                                bits,
-                                clients: Vec::new(),
-                                permitted,
-                            }
-                        });
-                    if !entry.clients.contains(&client) {
-                        entry.clients.push(client);
-                        entry.clients.sort_unstable();
-                    }
+                    cross_subscriptions.subscribe(client, &action, &owners, || {
+                        owners.iter().map(|&o| seeds[o].engine.is_permitted(&action)).collect()
+                    });
                 }
                 Route::Single(owner) => {
                     seeds[owner].replay(WalRecord::Subscribe { client, action, permitted })?;
@@ -1602,22 +1556,7 @@ fn recover_runtime(
                 }
             },
             WalRecord::Unsubscribe { client, action } => match router.classify(&action) {
-                Route::Multi(_) => {
-                    let remove = match cross_subscriptions.entries.get_mut(&action) {
-                        Some(entry) => {
-                            entry.clients.retain(|c| *c != client);
-                            entry.clients.is_empty()
-                        }
-                        None => false,
-                    };
-                    if remove {
-                        cross_subscriptions.entries.remove(&action);
-                        for actions in cross_subscriptions.by_shard.values_mut() {
-                            actions.remove(&action);
-                        }
-                        cross_subscriptions.by_shard.retain(|_, actions| !actions.is_empty());
-                    }
-                }
+                Route::Multi(_) => cross_subscriptions.unsubscribe(client, &action),
                 Route::Single(owner) => {
                     seeds[owner].replay(WalRecord::Unsubscribe { client, action })?;
                 }
@@ -1641,17 +1580,12 @@ fn recover_runtime(
     for seed in seeds.iter_mut() {
         seed.settle_subscriptions();
     }
-    for (action, entry) in cross_subscriptions.entries.iter_mut() {
-        for (pos, &owner) in entry.owners.iter().enumerate() {
-            entry.bits[pos] = seeds[owner].engine.is_permitted(action);
-        }
-        entry.permitted = entry.bits.iter().all(|b| *b);
-    }
+    cross_subscriptions.settle(|owner, action| seeds[owner].engine.is_permitted(action));
 
-    // Reservation index + timer wheel: every surviving lease re-arms; an
+    // Reservation index + lease timers: every surviving lease re-arms; an
     // already-overdue one fires on the first clock advance.
     let mut reservation_index = HashMap::new();
-    let mut timers = TimerWheel::new(clock);
+    let mut timers = Timers::new(clock);
     for (rid, (reservation, _)) in &holder_map {
         let owners = router.owners(&reservation.action);
         if owners.is_empty() || !seeds[owners[0]].reservations.contains_key(rid) {
@@ -1686,7 +1620,7 @@ struct RecoveredGlobals {
     next_reservation: u64,
     stats: ManagerStats,
     reservation_index: HashMap<u64, Vec<usize>>,
-    timers: TimerWheel<ExpiryEvent>,
+    timers: Timers<ExpiryEvent>,
     cross_subscriptions: CrossSubscriptions,
     orphan_subscriptions: SubscriptionRegistry,
 }
@@ -1699,7 +1633,7 @@ impl Default for RecoveredGlobals {
             next_reservation: 1,
             stats: ManagerStats::default(),
             reservation_index: HashMap::new(),
-            timers: TimerWheel::new(0),
+            timers: Timers::new(0),
             cross_subscriptions: CrossSubscriptions::default(),
             orphan_subscriptions: SubscriptionRegistry::new(),
         }
@@ -1793,7 +1727,7 @@ fn spawn_runtime(
     })));
     let stats = SharedStats::default();
     stats.restore(globals.stats);
-    let cross_entries = globals.cross_subscriptions.entries.len() as u64;
+    let cross_entries = globals.cross_subscriptions.action_count() as u64;
     let shared = Arc::new(RuntimeShared {
         variant: options.variant,
         topology: Arc::downgrade(&topology),
@@ -2313,56 +2247,24 @@ impl ManagerRuntime {
                         })
                         .collect();
                     migrated_subscriptions += clients.len();
-                    flips.extend(promote_subscription(
-                        shared, &action, owners, bits, clients, cached,
-                    ));
+                    flips.extend(
+                        shared.with_cross(|cross| {
+                            cross.promote(&action, owners, bits, clients, cached)
+                        }),
+                    );
                 }
             }
 
             // ---- Widen existing cross-shard entries whose action gained
             // owners: append the new owners' bits and re-evaluate the
             // conjunction.
-            {
-                let mut cross = lock(&shared.cross_subscriptions);
-                let widened: Vec<Action> = cross
-                    .entries
-                    .keys()
-                    .filter(|a| new_router.owners(a) != topo.router.owners(a))
-                    .cloned()
-                    .collect();
-                for action in widened {
-                    let owners = new_router.owners(&action);
-                    let entry = cross.entries.get_mut(&action).expect("key just listed");
-                    let bits: Vec<bool> = owners
-                        .iter()
-                        .map(|&o| match entry.owners.iter().position(|&x| x == o) {
-                            // Existing owners' engines did not move during
-                            // the migration; their cached bits stand.
-                            Some(pos) => entry.bits[pos],
-                            None => {
-                                debug_assert!(o >= old_len, "owner sets only widen");
-                                new_engines[o - old_len].1.is_permitted(&action)
-                            }
-                        })
-                        .collect();
-                    entry.owners = owners.clone();
-                    entry.bits = bits;
-                    let now = entry.bits.iter().all(|b| *b);
-                    if now != entry.permitted {
-                        entry.permitted = now;
-                        for client in &entry.clients {
-                            flips.push(Notification {
-                                client: *client,
-                                action: action.clone(),
-                                permitted: now,
-                            });
-                        }
-                    }
-                    for o in owners {
-                        cross.by_shard.entry(o).or_default().insert(action.clone());
-                    }
-                }
-            }
+            flips.extend(lock(&shared.cross_subscriptions).widen(
+                |action| new_router.owners(action),
+                |owner, action| {
+                    debug_assert!(owner >= old_len, "owner sets only widen");
+                    new_engines[owner - old_len].1.is_permitted(action)
+                },
+            ));
         }
 
         // ---- Re-home orphan subscriptions the new constraint makes live.
@@ -2389,7 +2291,10 @@ impl ManagerRuntime {
                     .iter()
                     .map(|&o| new_engines[o - old_len].1.is_permitted(&action))
                     .collect();
-                flips.extend(promote_subscription(shared, &action, owners, bits, clients, cached));
+                flips.extend(
+                    shared
+                        .with_cross(|cross| cross.promote(&action, owners, bits, clients, cached)),
+                );
             }
         }
         for (i, registry) in new_subscriptions.iter_mut().enumerate() {
@@ -2497,7 +2402,7 @@ impl ManagerRuntime {
             write_topology_blob(hub, &joined_expr, &new_partition);
             if let Some(blob) = hub.vault().load_blob(durability::MANIFEST_BLOB) {
                 let mut manifest = durability::decode_manifest(&blob)?;
-                manifest.cross = export_cross(&lock(&shared.cross_subscriptions));
+                manifest.cross = lock(&shared.cross_subscriptions).export();
                 manifest.orphans = lock(&shared.orphan_subscriptions).export();
                 hub.vault()
                     .save_blob(durability::MANIFEST_BLOB, &durability::encode_manifest(&manifest));
@@ -2567,7 +2472,7 @@ impl ManagerRuntime {
     /// of their owner set are resolved conservatively (a torn grant with no
     /// visible release completes; anything ambiguous is dropped everywhere,
     /// equivalent to an immediate lease expiry).  Leases still pending
-    /// rejoin the timer wheel, overdue ones fire on the next clock advance.
+    /// rejoin the lease timers, overdue ones fire on the next clock advance.
     /// A submission that was not decided before the crash is lost, and its
     /// ticket fails.
     pub fn recover(
@@ -3060,22 +2965,7 @@ fn cross_unsubscribe(shared: &RuntimeShared, client: ClientId, action: &Action) 
     if let Some(hub) = &shared.durability {
         hub.log_meta(&WalRecord::Unsubscribe { client, action: action.clone() });
     }
-    let mut cross = lock(&shared.cross_subscriptions);
-    let remove = match cross.entries.get_mut(action) {
-        Some(entry) => {
-            entry.clients.retain(|c| *c != client);
-            entry.clients.is_empty()
-        }
-        None => false,
-    };
-    if remove {
-        cross.entries.remove(action);
-        shared.cross_entry_count.fetch_sub(1, Ordering::Relaxed);
-        for actions in cross.by_shard.values_mut() {
-            actions.remove(action);
-        }
-        cross.by_shard.retain(|_, actions| !actions.is_empty());
-    }
+    shared.with_cross(|cross| cross.unsubscribe(client, action));
 }
 
 /// Enqueues an already-issued task on one shard's queue.  `Credit::Charge`
@@ -3337,7 +3227,7 @@ fn run_checkpoint(shared: &RuntimeShared, slot: &TopologySlot) -> ManagerResult<
         meta_base,
         log_seq: shared.log_seq.load(Ordering::Relaxed),
         next_reservation: shared.next_reservation.load(Ordering::Relaxed),
-        cross: export_cross(&lock(&shared.cross_subscriptions)),
+        cross: lock(&shared.cross_subscriptions).export(),
         orphans: lock(&shared.orphan_subscriptions).export(),
     };
     hub.vault().save_blob(durability::MANIFEST_BLOB, &durability::encode_manifest(&manifest));
@@ -3369,49 +3259,6 @@ fn run_checkpoint(shared: &RuntimeShared, slot: &TopologySlot) -> ManagerResult<
         archived_entries: persisted.archived_entries,
         history_bytes: persisted.history_bytes,
     })
-}
-
-/// Installs a promoted (previously shard-local) subscription as a
-/// cross-shard entry and returns the flip notifications if the conjunction
-/// disagrees with the shard-local cached status.
-fn promote_subscription(
-    shared: &RuntimeShared,
-    action: &Action,
-    owners: Vec<usize>,
-    bits: Vec<bool>,
-    clients: Vec<ClientId>,
-    cached: bool,
-) -> Vec<Notification> {
-    let permitted = bits.iter().all(|b| *b);
-    let mut cross = lock(&shared.cross_subscriptions);
-    for &owner in &owners {
-        cross.by_shard.entry(owner).or_default().insert(action.clone());
-    }
-    let entry = cross.entries.entry(action.clone()).or_insert_with(|| {
-        shared.cross_entry_count.fetch_add(1, Ordering::Relaxed);
-        crate::manager::CrossEntry {
-            owners: owners.clone(),
-            bits: bits.clone(),
-            clients: Vec::new(),
-            permitted: cached,
-        }
-    });
-    entry.owners = owners;
-    entry.bits = bits;
-    for client in clients {
-        if !entry.clients.contains(&client) {
-            entry.clients.push(client);
-        }
-    }
-    entry.clients.sort_unstable();
-    let mut out = Vec::new();
-    if permitted != entry.permitted {
-        entry.permitted = permitted;
-        for client in &entry.clients {
-            out.push(Notification { client: *client, action: action.clone(), permitted });
-        }
-    }
-    out
 }
 
 /// Advances the clock and runs the due lease expirations as shard tasks.
@@ -3458,14 +3305,6 @@ fn host_parallelism() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// True on hosts with a single hardware thread.  One worker policy flips
-/// there: ticket wakeups are deferred and flushed in batches so a
-/// client/worker pair context-switches per drained queue instead of per
-/// completion.
-fn single_core() -> bool {
-    host_parallelism() == 1
-}
-
 /// Tasks a worker serves from one shard before moving to the next — the
 /// bounded run-to-completion slice that keeps a hot shard from starving its
 /// co-located siblings.
@@ -3483,13 +3322,9 @@ const HELP_PARK: Duration = Duration::from_micros(200);
 const IDLE_PARK: Duration = Duration::from_millis(10);
 
 /// Per-drain context a shard worker threads through its task processing:
-/// the deferred ticket-wakeup batch (single-core hosts) plus, when enabled,
-/// the queueing-delay samples of the drain.
+/// the shard's admission gate and, when enabled, the queueing-delay samples
+/// of the drain.
 struct WorkerCtx {
-    /// Deferred ticket wakeups — flushed before every park and on exit, so
-    /// waiters are never stranded, and a whole queue drain costs one
-    /// client/worker context-switch round instead of one per completion.
-    wakes: WakeBatch,
     /// Queueing-delay sampling enabled ([`RuntimeOptions::queue_metrics`]).
     metrics: bool,
     /// This shard's admission gate; completed executes feed its
@@ -3505,13 +3340,7 @@ struct WorkerCtx {
 
 impl WorkerCtx {
     fn new(metrics: bool, gate: Arc<ShardGate>) -> WorkerCtx {
-        WorkerCtx {
-            wakes: WakeBatch::new(),
-            metrics,
-            gate,
-            dequeued: Instant::now(),
-            samples: Vec::new(),
-        }
+        WorkerCtx { metrics, gate, dequeued: Instant::now(), samples: Vec::new() }
     }
 
     /// Whether completed tasks are timed at all (sampling or gate EWMAs).
@@ -3543,24 +3372,11 @@ impl WorkerCtx {
         }
     }
 
-    /// Delivers every deferred wakeup and publishes the drain's samples.
+    /// Publishes the drain's samples.
     fn flush(&mut self, shared: &RuntimeShared) {
-        self.wakes.flush();
         if !self.samples.is_empty() {
             lock(&shared.queue_samples).append(&mut self.samples);
         }
-    }
-}
-
-/// Fulfils a completion ticket from a shard worker.  On single-core hosts
-/// the waiter wakeup is deferred into the drain's wake batch (flushed
-/// before every park and on worker exit); elsewhere the completion wakes
-/// immediately.
-fn fulfil(ticket: TicketIssuer<Completion>, value: Completion, cx: &mut WorkerCtx) {
-    if single_core() {
-        cx.wakes.push(ticket.complete_deferred(value));
-    } else {
-        ticket.complete(value);
     }
 }
 
@@ -3648,9 +3464,7 @@ fn pool_worker(shared: Arc<RuntimeShared>, me: usize) {
             break;
         }
         if !progressed {
-            // Going idle: deliver the banked wakeups first — the woken
-            // clients are exactly who refills the queues — and only then
-            // park.
+            // Going idle: publish the drain's samples, then park.
             cx.flush(&shared);
             pool.core.park(me, IDLE_PARK);
         }
@@ -3720,7 +3534,7 @@ fn serve_slice(
         served += 1;
         match task {
             Task::Single(task) => {
-                if let Some(task) = ensure_single_route(shared, &st, task, cx, &mut divert_below) {
+                if let Some(task) = ensure_single_route(shared, &st, task, &mut divert_below) {
                     process_single(shared, &mut st, task, cx)
                 }
             }
@@ -3728,9 +3542,7 @@ fn serve_slice(
             // the watermark diverts every later one, in order.
             Task::Batch(tasks) => {
                 for task in tasks {
-                    if let Some(task) =
-                        ensure_single_route(shared, &st, task, cx, &mut divert_below)
-                    {
+                    if let Some(task) = ensure_single_route(shared, &st, task, &mut divert_below) {
                         process_single(shared, &mut st, task, cx)
                     }
                 }
@@ -3749,8 +3561,8 @@ fn serve_slice(
                 }
             }
             Task::Pause(pause) => {
-                // Quiescence point of a live migration: deliver the banked
-                // wakeups and hand the entire shard state (engine, tables,
+                // Quiescence point of a live migration: publish the drain's
+                // samples and hand the entire shard state (engine, tables,
                 // log segment) to the coordinator.  Unlike the old
                 // thread-per-shard worker this frame does NOT block for the
                 // state's return — the slot goes Suspended and the receiver
@@ -3789,9 +3601,6 @@ fn serve_slice(
             }
         }
         slot.gate.publish_log(&st.log);
-        if cx.wakes.len() >= 256 {
-            cx.flush(shared);
-        }
     };
     checkin(&slot, st, pushback, divert_below);
     cx.gate = prev_gate;
@@ -3827,7 +3636,7 @@ fn coalesce(
             }
             Ok(Task::Single(single)) if matches!(single.op, Op::Execute { .. }) => {
                 cx.gate.release(1);
-                if let Some(single) = ensure_single_route(shared, st, single, cx, divert_below) {
+                if let Some(single) = ensure_single_route(shared, st, single, divert_below) {
                     batch.push_local(single)
                 }
             }
@@ -3879,14 +3688,13 @@ fn ensure_single_route(
     shared: &Arc<RuntimeShared>,
     st: &ShardState,
     task: SingleTask,
-    cx: &mut WorkerCtx,
     divert_below: &mut u64,
 ) -> Option<SingleTask> {
     if task.epoch == shared.epoch.load(Ordering::Acquire) {
         return Some(task);
     }
     let Some(slot) = shared.topology.upgrade() else {
-        fulfil(task.ticket, Completion::Failed { error: ManagerError::Disconnected }, cx);
+        task.ticket.complete(Completion::Failed { error: ManagerError::Disconnected });
         return None;
     };
     let topo = read_topology(&slot);
@@ -3902,7 +3710,7 @@ fn ensure_single_route(
                 shared.repart.rerouted_tasks.fetch_add(1, Ordering::Relaxed);
                 *divert_below = topo.epoch();
                 let _guard = lock(&shared.cross_enqueue);
-                redispatch_single(shared, &topo, task, route, cx);
+                redispatch_single(shared, &topo, task, route);
                 None
             }
         },
@@ -3937,7 +3745,6 @@ fn redispatch_single(
     topo: &Arc<Topology>,
     task: SingleTask,
     route: Route,
-    cx: &mut WorkerCtx,
 ) {
     let SingleTask { op, ticket: issuer, submitted, .. } = task;
     match (op, route) {
@@ -3948,14 +3755,14 @@ fn redispatch_single(
             // The migration promoted the registration to the cross-shard
             // registry; remove it there.
             cross_unsubscribe(shared, client, &action);
-            fulfil(issuer, Completion::Unsubscribed, cx);
+            issuer.complete(Completion::Unsubscribed);
         }
         (op, Route::Multi(owners)) => {
             enqueue_multi(topo, owners, op, issuer, submitted, Credit::Charge)
         }
         // Owner sets never shrink; complete with the outcome an unknown
         // action gets on the submission path.
-        (op, Route::None) => fulfil(issuer, settle_unowned(shared, op), cx),
+        (op, Route::None) => issuer.complete(settle_unowned(shared, op)),
     }
 }
 
@@ -4497,7 +4304,7 @@ fn process_batch(
                     }
                     _ => unreachable!("a local item resolves once, on its own spec"),
                 };
-                fulfil(ticket, completion, cx);
+                ticket.complete(completion);
                 cx.record(submitted);
                 continue;
             }
@@ -4565,12 +4372,13 @@ fn apply_local(
     // common case).
     let commits = matches!(verdict, Verdict::Commit { .. });
     let watched: Vec<Action> = if commits && shared.cross_entry_count.load(Ordering::Relaxed) > 0 {
-        let cross = lock(&shared.cross_subscriptions);
-        cross.by_shard.get(&st.id).map(|a| a.iter().cloned().collect()).unwrap_or_default()
+        lock(&shared.cross_subscriptions).watched(st.id).cloned().collect()
     } else {
         Vec::new()
     };
-    let fx = st.apply(op, vote, verdict, role, &watched, |bits| merge_cross_bits(shared, bits));
+    let fx = st.apply(op, vote, verdict, role, &watched, |bits| {
+        lock(&shared.cross_subscriptions).merge(bits)
+    });
     if matches!(verdict, Verdict::Reserve(_)) {
         publish_reservation_fp(shared, st);
     }
@@ -4614,26 +4422,11 @@ fn subscribe_cross(
     owners: &[usize],
     votes: &[Vote],
 ) -> bool {
-    let mut cross = lock(&shared.cross_subscriptions);
-    for &owner in owners {
-        cross.by_shard.entry(owner).or_default().insert(action.clone());
-    }
-    let entry = cross.entries.entry(action.clone()).or_insert_with(|| {
-        shared.cross_entry_count.fetch_add(1, Ordering::Relaxed);
-        let bits: Vec<bool> = votes.iter().map(|v| matches!(v, Vote::Yes)).collect();
-        CrossEntry {
-            owners: owners.to_vec(),
-            permitted: bits.iter().all(|b| *b),
-            bits,
-            clients: Vec::new(),
-        }
+    let permitted = shared.with_cross(|cross| {
+        cross.subscribe(client, action, owners, || {
+            votes.iter().map(|v| matches!(v, Vote::Yes)).collect()
+        })
     });
-    if !entry.clients.contains(&client) {
-        entry.clients.push(client);
-        entry.clients.sort_unstable();
-    }
-    let permitted = entry.permitted;
-    drop(cross);
     if let Some(hub) = &shared.durability {
         hub.log_meta(&WalRecord::Subscribe { client, action: action.clone(), permitted });
     }
@@ -4654,7 +4447,7 @@ fn finish(
 ) -> Completion {
     let mut notes = fx.notes;
     if !fx.cross_bits.is_empty() {
-        notes.extend(merge_cross_bits(shared, &fx.cross_bits));
+        notes.extend(lock(&shared.cross_subscriptions).merge(&fx.cross_bits));
     }
     let mut total = verdict.total(op);
     total.notifications = notes.len() as u64;
@@ -4745,7 +4538,7 @@ fn process_single(
 ) {
     let SingleTask { op, ticket, submitted, .. } = task;
     let vote = vote_local(shared, st, &op);
-    fulfil(ticket, settle_single(shared, st, &op, vote), cx);
+    ticket.complete(settle_single(shared, st, &op, vote));
     cx.record(submitted);
 }
 
@@ -4796,8 +4589,7 @@ fn process_multi(
 /// round serves one task from an owned sibling shard ([`help_one`], bounded
 /// by this task's sequence), and parks briefly only when nothing helps (a
 /// verdict wakes the barrier at once; the timeout just bounds how long
-/// fresh enqueues on sibling shards go unseen).  Before the first round the
-/// banked wakeups are delivered, so no client sleeps through the wait.
+/// fresh enqueues on sibling shards go unseen).
 fn await_verdict<'a>(
     shared: &Arc<RuntimeShared>,
     task: &'a MultiTask,
@@ -4805,16 +4597,12 @@ fn await_verdict<'a>(
     help: &Help<'_>,
     cx: &mut WorkerCtx,
 ) -> Verdict {
-    let mut flushed = false;
     loop {
         if let Some(verdict) = &sync.verdict {
             return verdict.clone();
         }
         drop(sync);
-        if !flushed {
-            flushed = true;
-            cx.flush(shared);
-        } else if !help_one(shared, help, cx, task.seq) {
+        if !help_one(shared, help, cx, task.seq) {
             cx.flush(shared);
             sync = lock(&task.sync);
             if sync.verdict.is_none() {
@@ -4860,37 +4648,9 @@ fn finish_multi(
     let fx = Effects::merged(&mut sync.effects);
     let completion = finish(shared, &task.op, &task.owners, verdict, fx);
     if let Some(issuer) = sync.ticket.take() {
-        fulfil(issuer, completion, cx);
+        issuer.complete(completion);
     }
     cx.record(task.submitted);
-}
-
-/// Writes deposited per-owner bits into the cross-subscription registry and
-/// returns notifications for entries whose conjunction flipped.
-fn merge_cross_bits(shared: &RuntimeShared, deposits: &[CrossBit]) -> Vec<Notification> {
-    let mut cross = lock(&shared.cross_subscriptions);
-    for (action, owner, bit) in deposits {
-        if let Some(entry) = cross.entries.get_mut(action) {
-            if let Some(pos) = entry.owners.iter().position(|o| o == owner) {
-                entry.bits[pos] = *bit;
-            }
-        }
-    }
-    let mut touched: Vec<Action> = deposits.iter().map(|(a, _, _)| a.clone()).collect();
-    touched.sort();
-    touched.dedup();
-    let mut out = Vec::new();
-    for action in touched {
-        let Some(entry) = cross.entries.get_mut(&action) else { continue };
-        let now = entry.bits.iter().all(|b| *b);
-        if now != entry.permitted {
-            entry.permitted = now;
-            for client in &entry.clients {
-                out.push(Notification { client: *client, action: action.clone(), permitted: now });
-            }
-        }
-    }
-    out
 }
 
 /// Sends notifications to the registered per-client channels.
@@ -4907,6 +4667,15 @@ fn deliver(shared: &RuntimeShared, notes: &[Notification]) {
 }
 
 impl RuntimeShared {
+    /// Changes the registry of subscriptions several owners share, keeping
+    /// the entry count commits read without its lock in step.
+    fn with_cross<R>(&self, change: impl FnOnce(&mut CrossSubscriptions) -> R) -> R {
+        let mut cross = lock(&self.cross_subscriptions);
+        let out = change(&mut cross);
+        self.cross_entry_count.store(cross.action_count() as u64, Ordering::Relaxed);
+        out
+    }
+
     /// The vault the checkpoints archive the commit log in, if any: where
     /// readers of the whole log find what the shards released.
     fn vault(&self) -> Option<&dyn Vault> {
@@ -4928,10 +4697,6 @@ impl RuntimeShared {
             expires_at,
         }
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -5585,7 +5350,7 @@ mod tests {
         // Reservation 71 was dropped everywhere: confirming it fails.
         assert!(session.confirm_blocking(71).is_err(), "torn release must drop the lease");
         // Reservation 70 completed everywhere: its lease re-armed on the
-        // recovered timer wheel and fires once the clock passes it.
+        // recovered lease timers and fires once the clock passes it.
         let expired = recovered.advance_time(60);
         assert_eq!(expired.len(), 1, "only lease 70 survived recovery");
         assert_eq!(expired[0].id, 70);

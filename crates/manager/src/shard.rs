@@ -34,7 +34,7 @@ use crate::durability::{durability_err, DurabilityHub, ShardCapture, StatDelta, 
 use crate::error::ManagerResult;
 use crate::log::ShardLog;
 use crate::manager::{ProtocolVariant, Reservation};
-use crate::subscription::{ClientId, Notification, SubscriptionRegistry};
+use crate::subscription::{ClientId, CrossBit, Notification, SubscriptionRegistry};
 use ix_core::{Action, Alphabet};
 use ix_state::{Engine, StateRef};
 use std::collections::BTreeMap;
@@ -175,10 +175,6 @@ impl Verdict {
         }
     }
 }
-
-/// `(action, shard, permitted there now)`: one owner's bit of a subscription
-/// several owners share.
-pub(crate) type CrossBit = (Action, usize, bool);
 
 /// What one owner's [`ShardState::apply`] leaves for the driver.
 #[derive(Debug, Default)]

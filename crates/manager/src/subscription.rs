@@ -23,9 +23,15 @@
 //! lever is the fine-grained partition: registries live per shard, and
 //! [`SubscriptionRegistry::refresh`] runs only on the shards a commit
 //! actually touched — the finer the partition, the fewer entries per probe.
+//!
+//! An action several shards own has no single registry to live in: its
+//! status is the conjunction of the owners' votes.  Such subscriptions live
+//! in one manager-wide `CrossSubscriptions`, the same for the blocking
+//! manager and the runtime, which caches one bit per owner and merges the
+//! bits a commit's owners report.
 
 use ix_core::Action;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifier of an interaction client.
 pub type ClientId = u64;
@@ -129,25 +135,6 @@ impl SubscriptionRegistry {
         self.by_abstract.is_empty()
     }
 
-    /// The subscribed (concrete) actions.
-    pub fn actions(&self) -> impl Iterator<Item = &Action> {
-        self.by_abstract.values().flat_map(|e| e.keys())
-    }
-
-    /// Number of abstract-action groups in the index.
-    pub fn group_count(&self) -> usize {
-        self.by_abstract.len()
-    }
-
-    /// The cached status of a subscribed action, if it is subscribed.
-    /// Resolved through the abstract index (name/arity narrowed).
-    pub fn status(&self, action: &Action) -> Option<bool> {
-        self.by_abstract
-            .iter()
-            .filter(|(key, _)| key.name() == action.name() && key.arity() == action.arity())
-            .find_map(|(_, e)| e.get(action).map(|entry| entry.permitted))
-    }
-
     /// Removes and returns every entry whose concrete action satisfies the
     /// predicate: `(action, clients, cached status)`.  Used by the live
     /// migration to promote subscriptions of actions whose owner set
@@ -226,6 +213,241 @@ impl SubscriptionRegistry {
     }
 }
 
+/// The snapshot form of one [`CrossSubscriptions`] entry:
+/// `(action, owners, per-owner permissibility bits, clients, cached status)`.
+pub(crate) type CrossRow = (Action, Vec<usize>, Vec<bool>, Vec<ClientId>, bool);
+
+/// `(action, shard, permitted there now)`: one owner's bit of a subscription
+/// several owners share.
+pub(crate) type CrossBit = (Action, usize, bool);
+
+/// A subscription to an action several shards own.  Its permissibility is the
+/// conjunction of the owners' votes, so no single shard can report it alone:
+/// the entry caches one status bit per owner, and a commit touching a subset
+/// of the owners refreshes exactly those bits (the other owners' engines did
+/// not move).
+#[derive(Debug)]
+struct CrossEntry {
+    /// Owning shards, ascending.
+    owners: Vec<usize>,
+    /// Last observed per-owner permissibility, aligned with `owners`.
+    bits: Vec<bool>,
+    /// Subscribed clients (sorted, deduplicated).
+    clients: Vec<ClientId>,
+    /// Cached conjunction of `bits` — the last status reported to clients.
+    permitted: bool,
+}
+
+impl CrossEntry {
+    /// Re-evaluates the conjunction and, if it flipped, notifies every
+    /// client.
+    fn report(&mut self, action: &Action, out: &mut Vec<Notification>) {
+        let now = self.bits.iter().all(|b| *b);
+        if now != self.permitted {
+            self.permitted = now;
+            out.extend(self.clients.iter().map(|&client| Notification {
+                client,
+                action: action.clone(),
+                permitted: now,
+            }));
+        }
+    }
+
+    fn add_client(&mut self, client: ClientId) {
+        if let Err(at) = self.clients.binary_search(&client) {
+            self.clients.insert(at, client);
+        }
+    }
+}
+
+/// The registry of subscriptions to actions several shards own — one per
+/// manager, whichever manager drives the shards — indexed by owning shard
+/// so that a commit probes only the entries co-owned by a shard it touched.
+#[derive(Debug, Default)]
+pub(crate) struct CrossSubscriptions {
+    entries: BTreeMap<Action, CrossEntry>,
+    /// shard -> subscribed actions the shard co-owns.
+    by_shard: BTreeMap<usize, BTreeSet<Action>>,
+}
+
+impl CrossSubscriptions {
+    /// Number of (action, client) subscription pairs.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.values().map(|e| e.clients.len()).sum()
+    }
+
+    /// Number of subscribed actions.
+    pub(crate) fn action_count(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The subscribed actions `shard` co-owns: those whose bit a commit on
+    /// `shard` reports.
+    pub(crate) fn watched(&self, shard: usize) -> impl Iterator<Item = &Action> {
+        self.by_shard.get(&shard).into_iter().flatten()
+    }
+
+    /// The entry of `action`, created from `fresh` — `(bits, cached status)`
+    /// — if there is none, and indexed under every one of `owners`.
+    fn entry(
+        &mut self,
+        action: &Action,
+        owners: &[usize],
+        fresh: impl FnOnce() -> (Vec<bool>, bool),
+    ) -> &mut CrossEntry {
+        for &owner in owners {
+            self.by_shard.entry(owner).or_default().insert(action.clone());
+        }
+        self.entries.entry(action.clone()).or_insert_with(|| {
+            let (bits, permitted) = fresh();
+            CrossEntry { owners: owners.to_vec(), bits, clients: Vec::new(), permitted }
+        })
+    }
+
+    /// Adds a subscription (idempotent).  `bits` — the owners' votes, taken
+    /// while none of them can move — is asked for only by a new entry; an
+    /// existing entry keeps its cache.  Returns the entry's cached status.
+    pub(crate) fn subscribe(
+        &mut self,
+        client: ClientId,
+        action: &Action,
+        owners: &[usize],
+        bits: impl FnOnce() -> Vec<bool>,
+    ) -> bool {
+        let entry = self.entry(action, owners, || {
+            let bits = bits();
+            let permitted = bits.iter().all(|b| *b);
+            (bits, permitted)
+        });
+        entry.add_client(client);
+        entry.permitted
+    }
+
+    /// Removes a subscription; the entry goes with its last client.
+    pub(crate) fn unsubscribe(&mut self, client: ClientId, action: &Action) {
+        let Some(entry) = self.entries.get_mut(action) else { return };
+        entry.clients.retain(|c| *c != client);
+        if !entry.clients.is_empty() {
+            return;
+        }
+        let entry = self.entries.remove(action).expect("entry just found");
+        for owner in entry.owners {
+            if let Some(actions) = self.by_shard.get_mut(&owner) {
+                actions.remove(action);
+                if actions.is_empty() {
+                    self.by_shard.remove(&owner);
+                }
+            }
+        }
+    }
+
+    /// Installs subscriptions whose action gained owners — a shard-local
+    /// entry whose action a repartition shared out, or an orphan the grown
+    /// partition covers — with the owners' `bits`.  `cached` is the status
+    /// the clients were last told; a conjunction that disagrees notifies.
+    pub(crate) fn promote(
+        &mut self,
+        action: &Action,
+        owners: Vec<usize>,
+        bits: Vec<bool>,
+        clients: Vec<ClientId>,
+        cached: bool,
+    ) -> Vec<Notification> {
+        let entry = self.entry(action, &owners, || (Vec::new(), cached));
+        entry.owners = owners;
+        entry.bits = bits;
+        for client in clients {
+            entry.add_client(client);
+        }
+        let mut out = Vec::new();
+        entry.report(action, &mut out);
+        out
+    }
+
+    /// Re-owns every entry whose owner set `owners_of` widened.  An owner
+    /// the entry had keeps its cached bit (its engine did not move); a new
+    /// owner's comes from `bit`.  Returns the notifications of the
+    /// conjunctions that flipped.
+    pub(crate) fn widen(
+        &mut self,
+        owners_of: impl Fn(&Action) -> Vec<usize>,
+        bit: impl Fn(usize, &Action) -> bool,
+    ) -> Vec<Notification> {
+        let mut out = Vec::new();
+        for (action, entry) in self.entries.iter_mut() {
+            let owners = owners_of(action);
+            if owners == entry.owners {
+                continue;
+            }
+            entry.bits = owners
+                .iter()
+                .map(|&o| match entry.owners.iter().position(|&x| x == o) {
+                    Some(pos) => entry.bits[pos],
+                    None => bit(o, action),
+                })
+                .collect();
+            for &owner in &owners {
+                self.by_shard.entry(owner).or_default().insert(action.clone());
+            }
+            entry.owners = owners;
+            entry.report(action, &mut out);
+        }
+        out
+    }
+
+    /// Writes the owners' deposited bits and returns notifications for the
+    /// entries whose conjunction flipped, in action order.
+    pub(crate) fn merge(&mut self, deposits: &[CrossBit]) -> Vec<Notification> {
+        for (action, owner, bit) in deposits {
+            if let Some(entry) = self.entries.get_mut(action) {
+                if let Some(pos) = entry.owners.iter().position(|o| o == owner) {
+                    entry.bits[pos] = *bit;
+                }
+            }
+        }
+        let mut touched: Vec<&Action> = deposits.iter().map(|(a, _, _)| a).collect();
+        touched.sort();
+        touched.dedup();
+        let mut out = Vec::new();
+        for action in touched {
+            if let Some(entry) = self.entries.get_mut(action) {
+                entry.report(action, &mut out);
+            }
+        }
+        out
+    }
+
+    /// Recomputes every bit from `bit` and every cached status from the
+    /// bits, without notifying: recovery restores the caches a crash
+    /// interrupted, which the clients were already told about.
+    pub(crate) fn settle(&mut self, bit: impl Fn(usize, &Action) -> bool) {
+        for (action, entry) in self.entries.iter_mut() {
+            entry.bits = entry.owners.iter().map(|&o| bit(o, action)).collect();
+            entry.permitted = entry.bits.iter().all(|b| *b);
+        }
+    }
+
+    /// The registry as manifest rows, in action order.
+    pub(crate) fn export(&self) -> Vec<CrossRow> {
+        self.entries
+            .iter()
+            .map(|(action, e)| {
+                (action.clone(), e.owners.clone(), e.bits.clone(), e.clients.clone(), e.permitted)
+            })
+            .collect()
+    }
+
+    /// Rebuilds a registry from rows produced by
+    /// [`CrossSubscriptions::export`].
+    pub(crate) fn import(rows: Vec<CrossRow>) -> CrossSubscriptions {
+        let mut cross = CrossSubscriptions::default();
+        for (action, owners, bits, clients, permitted) in rows {
+            cross.entry(&action, &owners, || (bits, permitted)).clients = clients;
+        }
+        cross
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,6 +458,11 @@ mod tests {
 
     fn sub(reg: &mut SubscriptionRegistry, client: ClientId, name: &str, permitted: bool) -> bool {
         reg.subscribe(client, a(name), a(name), permitted)
+    }
+
+    /// The cached status of a subscribed action, read off the snapshot rows.
+    fn status(reg: &SubscriptionRegistry, action: &Action) -> Option<bool> {
+        reg.export().into_iter().find(|(_, a, _, _)| a == action).map(|(_, _, _, p)| p)
     }
 
     #[test]
@@ -290,10 +517,14 @@ mod tests {
         reg.subscribe(7, call1.clone(), key.clone(), true);
         reg.subscribe(7, call2.clone(), key.clone(), false);
         assert_eq!(reg.len(), 2);
-        assert_eq!(reg.group_count(), 1, "both concrete calls share one abstract group");
-        assert_eq!(reg.status(&call1), Some(true));
-        assert_eq!(reg.status(&call2), Some(false));
-        assert_eq!(reg.actions().count(), 2);
+        let rows = reg.export();
+        assert!(
+            rows.iter().all(|(k, ..)| *k == key),
+            "both concrete calls share one abstract group"
+        );
+        assert_eq!(status(&reg, &call1), Some(true));
+        assert_eq!(status(&reg, &call2), Some(false));
+        assert_eq!(rows.len(), 2);
     }
 
     #[test]
@@ -302,6 +533,48 @@ mod tests {
         assert!(sub(&mut reg, 1, "x", true));
         // A second subscriber sees the cached status, not its own guess.
         assert!(sub(&mut reg, 2, "x", false));
-        assert_eq!(reg.status(&a("x")), Some(true));
+        assert_eq!(status(&reg, &a("x")), Some(true));
+    }
+
+    fn bit(action: &str, owner: usize, permitted: bool) -> CrossBit {
+        (a(action), owner, permitted)
+    }
+
+    #[test]
+    fn cross_entries_notify_when_the_conjunction_flips() {
+        let mut cross = CrossSubscriptions::default();
+        assert!(cross.subscribe(1, &a("x"), &[0, 1], || vec![true, true]));
+        assert!(cross.subscribe(2, &a("x"), &[0, 1], || unreachable!("the entry exists")));
+        assert_eq!((cross.len(), cross.action_count()), (2, 1));
+        assert_eq!(cross.watched(1).collect::<Vec<_>>(), vec![&a("x")]);
+        let notes = cross.merge(&[bit("x", 0, false)]);
+        assert_eq!(notes.len(), 2, "both clients hear the flip");
+        assert!(notes.iter().all(|n| !n.permitted));
+        assert!(cross.merge(&[bit("x", 1, false)]).is_empty(), "still off");
+        let notes = cross.merge(&[bit("x", 0, true), bit("x", 1, true)]);
+        assert!(notes.len() == 2 && notes.iter().all(|n| n.permitted));
+        cross.unsubscribe(1, &a("x"));
+        cross.unsubscribe(2, &a("x"));
+        assert_eq!((cross.len(), cross.action_count()), (0, 0));
+        assert_eq!(cross.watched(0).count(), 0, "the index forgets the entry");
+    }
+
+    #[test]
+    fn cross_entries_widen_promote_settle_and_round_trip() {
+        let mut cross = CrossSubscriptions::default();
+        cross.subscribe(1, &a("x"), &[0, 1], || vec![true, true]);
+        // A repartition gives `x` a third owner that says no.
+        let notes = cross.widen(|_| vec![0, 1, 2], |owner, _| owner != 2);
+        assert_eq!(notes, vec![Notification { client: 1, action: a("x"), permitted: false }]);
+        assert_eq!(cross.watched(2).count(), 1);
+        // A shard-local subscription promoted with a stale cached status.
+        let notes = cross.promote(&a("y"), vec![1, 2], vec![true, false], vec![3], true);
+        assert_eq!(notes, vec![Notification { client: 3, action: a("y"), permitted: false }]);
+        let rows = cross.export();
+        assert_eq!(CrossSubscriptions::import(rows.clone()).export(), rows);
+        // Recovery recomputes every bit silently.
+        cross.settle(|_, _| true);
+        let all_on = |(_, _, bits, _, permitted): &CrossRow| *permitted && !bits.contains(&false);
+        assert!(cross.export().iter().all(all_on));
     }
 }

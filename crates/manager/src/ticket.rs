@@ -19,8 +19,9 @@
 //! channel surface — a mutex-guarded slot plus a condvar, no async runtime —
 //! so tickets are `Send + Sync`, cheap to clone, and never spin.
 
+use crate::lock;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type Callback<T> = Box<dyn FnOnce(T) + Send + 'static>;
 
@@ -98,21 +99,17 @@ impl<T: Clone> Ticket<T> {
     /// the runtime completes every accepted submission, so an abandoned
     /// ticket marks a bug, not an operational condition.
     pub fn wait(&self) -> T {
-        let mut slot = lock(&self.inner.slot);
-        loop {
-            if let Some(v) = slot.value.as_ref() {
-                return v.clone();
-            }
-            assert!(!slot.abandoned, "completion ticket abandoned by the runtime");
-            slot.waiters += 1;
-            slot = self.inner.ready.wait(slot).unwrap_or_else(|e| e.into_inner());
-            slot.waiters -= 1;
-        }
+        self.wait_until(None).expect("completion ticket abandoned by the runtime")
     }
 
     /// Blocks up to `timeout` for the completion; `None` on timeout.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
+        self.wait_until(Some(Instant::now() + timeout))
+    }
+
+    /// The one waiting loop: parks until the ticket is fulfilled (the
+    /// completion), abandoned or past `deadline` (`None`).
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<T> {
         let mut slot = lock(&self.inner.slot);
         loop {
             if let Some(v) = slot.value.as_ref() {
@@ -121,15 +118,18 @@ impl<T: Clone> Ticket<T> {
             if slot.abandoned {
                 return None;
             }
-            let left = deadline.checked_duration_since(std::time::Instant::now())?;
+            let left = match deadline {
+                Some(deadline) => Some(deadline.checked_duration_since(Instant::now())?),
+                None => None,
+            };
             slot.waiters += 1;
-            let (guard, result) =
-                self.inner.ready.wait_timeout(slot, left).unwrap_or_else(|e| e.into_inner());
-            slot = guard;
+            slot = match left {
+                Some(left) => {
+                    self.inner.ready.wait_timeout(slot, left).unwrap_or_else(|e| e.into_inner()).0
+                }
+                None => self.inner.ready.wait(slot).unwrap_or_else(|e| e.into_inner()),
+            };
             slot.waiters -= 1;
-            if result.timed_out() && slot.value.is_none() {
-                return None;
-            }
         }
     }
 
@@ -147,18 +147,13 @@ impl<T: Clone> Ticket<T> {
     /// calling thread) if the ticket is already fulfilled, otherwise on the
     /// worker thread that fulfils it.
     pub fn then<F: FnOnce(T) + Send + 'static>(&self, f: F) {
-        let ready = {
-            let mut slot = lock(&self.inner.slot);
-            match slot.value.as_ref() {
-                Some(v) => Some(v.clone()),
-                None => {
-                    slot.callbacks.push(Box::new(f));
-                    return;
-                }
+        let mut slot = lock(&self.inner.slot);
+        match slot.value.clone() {
+            Some(v) => {
+                drop(slot);
+                f(v);
             }
-        };
-        if let Some(v) = ready {
-            f(v);
+            None => slot.callbacks.push(Box::new(f)),
         }
     }
 }
@@ -179,119 +174,6 @@ impl<T: Clone> TicketIssuer<T> {
             cb(value.clone());
         }
     }
-
-    /// Fulfils the ticket like [`TicketIssuer::complete`] but *defers* the
-    /// waiter wakeup: the returned handle (present only when somebody is
-    /// actually parked) must be [`DeferredWake::wake`]d later.  Pollers see
-    /// the value immediately; parked waiters sleep until the wake.  Shard
-    /// workers on single-hardware-thread hosts use this to flush a whole
-    /// batch of wakeups at once instead of context-switching per completion.
-    pub fn complete_deferred(self, value: T) -> Option<DeferredWake>
-    where
-        T: Send + 'static,
-    {
-        let (callbacks, waiting) = {
-            let mut slot = lock(&self.inner.slot);
-            slot.value = Some(value.clone());
-            (std::mem::take(&mut slot.callbacks), slot.waiters > 0)
-        };
-        for cb in callbacks {
-            cb(value.clone());
-        }
-        // Waiters only park while the value is absent, so no new waiter can
-        // appear after fulfilment: `waiting` is final.
-        if waiting {
-            let inner: Arc<dyn Notify + Send + Sync> = Arc::clone(&self.inner) as _;
-            Some(DeferredWake(inner))
-        } else {
-            None
-        }
-    }
-}
-
-/// The pending wakeup of a fulfilled ticket with parked waiters (see
-/// [`TicketIssuer::complete_deferred`]).  Dropping it without waking would
-/// strand the waiters; the runtime flushes its deferred wakes before every
-/// park and on exit.
-pub struct DeferredWake(Arc<dyn Notify + Send + Sync>);
-
-impl DeferredWake {
-    /// Delivers the deferred wakeup.
-    pub fn wake(self) {
-        self.0.notify();
-    }
-}
-
-impl std::fmt::Debug for DeferredWake {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("DeferredWake(..)")
-    }
-}
-
-/// A drain-scoped batch of deferred ticket wakeups.
-///
-/// Shard workers bank every completion wakeup of one queue drain in here —
-/// locals, denials, and cascaded cross-shard commits alike — and deliver
-/// them in a single flush before the next park.  On a host where producer
-/// and consumer share a hardware thread this turns one context switch per
-/// completion into one per drain; anywhere else it merely moves the
-/// `notify_all` calls off the decision path.
-#[derive(Debug, Default)]
-pub struct WakeBatch {
-    wakes: Vec<DeferredWake>,
-}
-
-impl WakeBatch {
-    /// Creates an empty batch.
-    pub fn new() -> WakeBatch {
-        WakeBatch::default()
-    }
-
-    /// Banks one deferred wakeup (a `None` — no parked waiter — is a no-op).
-    pub fn push(&mut self, wake: Option<DeferredWake>) {
-        if let Some(wake) = wake {
-            self.wakes.push(wake);
-        }
-    }
-
-    /// Number of banked wakeups.
-    pub fn len(&self) -> usize {
-        self.wakes.len()
-    }
-
-    /// True when no wakeups are banked.
-    pub fn is_empty(&self) -> bool {
-        self.wakes.is_empty()
-    }
-
-    /// Delivers every banked wakeup.
-    pub fn flush(&mut self) {
-        for wake in self.wakes.drain(..) {
-            wake.wake();
-        }
-    }
-}
-
-impl Drop for WakeBatch {
-    fn drop(&mut self) {
-        // Dropping banked wakes would strand parked waiters.
-        self.flush();
-    }
-}
-
-trait Notify {
-    fn notify(&self);
-}
-
-impl<T> Notify for Inner<T> {
-    fn notify(&self) {
-        // Re-acquire the slot lock so the notification cannot race a waiter
-        // between its value check and its park.
-        let slot = lock(&self.slot);
-        if slot.waiters > 0 {
-            self.ready.notify_all();
-        }
-    }
 }
 
 impl<T> Drop for TicketIssuer<T> {
@@ -304,10 +186,6 @@ impl<T> Drop for TicketIssuer<T> {
             }
         }
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -363,25 +241,6 @@ mod tests {
         assert_eq!(t.wait_timeout(Duration::from_millis(5)), None);
         issuer.complete(1u8);
         assert_eq!(t.wait_timeout(Duration::from_millis(5)), Some(1));
-    }
-
-    #[test]
-    fn deferred_completion_wakes_on_flush() {
-        let (issuer, t) = ticket::<u32>();
-        let waiter = {
-            let t = t.clone();
-            std::thread::spawn(move || t.wait())
-        };
-        // Let the waiter park, then fulfil without waking.
-        std::thread::sleep(Duration::from_millis(10));
-        let wake = issuer.complete_deferred(9).expect("a waiter is parked");
-        assert_eq!(t.poll(), Some(9), "pollers see the value before the wake");
-        wake.wake();
-        assert_eq!(waiter.join().unwrap(), 9);
-        // Without waiters there is nothing to defer.
-        let (issuer, t) = ticket::<u32>();
-        assert!(issuer.complete_deferred(1).is_none());
-        assert_eq!(t.wait(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The session runtime: pipelined submissions, completion tickets, and
-//! timer-wheel lease expiry — the asynchronous coordination service of
-//! Sec. 7, replacing the blocking per-call surface.
+//! lease expiry through ordered timers — the asynchronous coordination
+//! service of Sec. 7, replacing the blocking per-call surface.
 //!
 //! Run with `cargo run --example async_session`.
 
@@ -59,7 +59,7 @@ fn main() {
     t.then(|c| println!("callback saw completion: {c:?}"));
     t.wait();
 
-    // --- leases and the timer wheel ---------------------------------------
+    // --- leases and their timers ------------------------------------------
     let capacity_one = parse("mult 1 { (some p { call(p) - perform(p) })* }").unwrap();
     let leased = ManagerRuntime::with_options(
         &capacity_one,
@@ -76,7 +76,7 @@ fn main() {
     println!("\nclient 7 holds reservation {granted:?} and crashes before confirming");
     println!("client 8 asks: {:?}", healthy.ask_blocking(&c(2)).unwrap());
     let expired = leased.advance_time(11);
-    println!("timer wheel fired {} expiry at t={}", expired.len(), leased.now());
+    println!("lease timers fired {} expiry at t={}", expired.len(), leased.now());
     println!("client 8 asks again: {:?}", healthy.ask_blocking(&c(2)).unwrap().map(|_| "granted"));
 
     let report = runtime.shutdown().unwrap();

@@ -1,6 +1,6 @@
 //! Integration tests of the session runtime: pipelined cross-shard
 //! submissions must never deadlock or double-commit, lease expiry runs
-//! through the timer wheel on every owner.
+//! through the lease timers on every owner.
 //!
 //! The deadlock-freedom argument under test: every multi-owner submission is
 //! enqueued onto all of its owners' queues in ascending shard-id order under
@@ -141,7 +141,7 @@ fn pipelined_ask_confirm_cycles_commit_in_order() {
     ));
 }
 
-/// A leased cross-shard reservation expires through the timer wheel and is
+/// A leased cross-shard reservation expires through the lease timers and is
 /// released on *every* owner.
 #[test]
 fn cross_shard_leases_expire_on_every_owner_via_the_timer_wheel() {
@@ -442,7 +442,7 @@ fn cascading_chains_racing_a_repartition_are_diverted_and_retried() {
 /// Lease expiry on a conditionally-voted reservation aborts the dependent
 /// chain cleanly: asks pipelined behind a leased terminal reservation are
 /// denied against its published fingerprint, the expiry releases every
-/// owner through the timer wheel, and nothing ghost-commits.
+/// owner through the lease timers, and nothing ghost-commits.
 #[test]
 fn lease_expiry_on_a_conditionally_voted_reservation_aborts_the_chain_cleanly() {
     let expr = parse(
@@ -470,7 +470,7 @@ fn lease_expiry_on_a_conditionally_voted_reservation_aborts_the_chain_cleanly() 
         );
     }
     // The lease runs out before the head ever confirms: the whole chain's
-    // assumption dies through the timer wheel, on every owner.
+    // assumption dies through the lease timers, on every owner.
     let expired = runtime.advance_time(4);
     assert_eq!(expired.len(), 1, "one expiry for the whole multi-owner reservation");
     assert_eq!(expired[0].id, id);

@@ -480,7 +480,7 @@ fn residency_and_checkpoint_cost_follow_the_delta() {
     recovered.shutdown().unwrap();
 }
 
-/// A lease granted before the crash re-arms on the recovered timer wheel:
+/// A lease granted before the crash re-arms on the recovered lease timers:
 /// it still blocks conflicting asks, and firing it frees the slot.
 #[test]
 fn recovered_lease_still_blocks_and_then_expires() {
