@@ -4245,8 +4245,8 @@ fn compute_specs(
 /// often outright decides) the whole run without parking; the resolution
 /// pass then walks the batch strictly in queue order, applying every item
 /// against its true predecessor state — when a commit assumption turns out
-/// wrong, the tail of the speculation is recomputed (through the transition
-/// memo) before the next vote is deposited.
+/// wrong, the tail of the speculation is recomputed before the next vote is
+/// deposited.
 ///
 /// Per-action outcomes, the merged log and the statistics are identical to
 /// unbatched queue processing; what changes is that owners park only on

@@ -953,7 +953,7 @@ mod tests {
     #[test]
     fn an_execute_without_open_reservations_walks_the_state_once() {
         // One shard holds two rings, compiled: every transition is a table
-        // hit or a counted fallback, never an uncounted memo hit.
+        // hit or a counted fallback, never an uncounted list hit.
         let expr = parse("(a - b)* @ (c - d)*").unwrap();
         let mut engine = Engine::new(&expr).unwrap();
         assert!(engine.compile_tier().tables > 0);

@@ -13,19 +13,19 @@
 //! wraps; it also records the per-transition state metrics used by the
 //! complexity experiments.
 //!
-//! # The transition memo
+//! # The successor list
 //!
-//! Every coordination protocol runs the *same* transition more than once:
-//! an `ask` probes τ(s, a) and the matching `confirm` recomputes it; a
-//! `permitted_after` probe replays the reservation table and the next probe
-//! replays it again; a subscription refresh re-probes each watched action
-//! until the state moves.  Since states are immutable behind [`Shared`]
-//! handles, `(state identity, action)` is an exact memo key: the engine
-//! keeps a small bounded map from that key to the successor, and the
-//! entry's key handle keeps the state alive, so the pointer can never be
-//! reused while the entry exists.  The memo is invisible semantically — τ̂
-//! is pure — and `set_memo_capacity(0)` disables it (the equivalence
-//! property tests drive memo-on and memo-off engines in lockstep).
+//! The paper's protocol (Sec. 7, Fig. 10) runs one transition twice: an
+//! `ask` computes τ̂(s, a) from the committed state s, and the matching
+//! `confirm` needs the same successor again.  The engine keeps a short list
+//! of `(action, successor)` pairs for its *committed* state only: a step
+//! from the committed state reads it (after the tier has missed) and fills
+//! it, a step from any speculative base neither reads nor fills it, and
+//! every assignment to the committed state empties it.  Since the engine
+//! holds the committed state, pointer equality with it identifies the state
+//! the list belongs to, and no dead state is kept alive.  The list is
+//! invisible semantically — τ̂ is pure — and the lockstep property tests
+//! compare the engine against the plain `trans` fold.
 
 use crate::compile::{for_each_resident, CompileBudget, CompiledTable, TableParts, TierStats};
 use crate::compile::{DEAD, DEFAULT_TIER_BUDGET, UNKNOWN};
@@ -36,7 +36,7 @@ use crate::state::{null_state, Shared, State, StateMetrics};
 use crate::trans::{fused, trans, TierLookup};
 use ix_core::{Action, Expr};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -83,8 +83,10 @@ pub fn word_problem(expr: &Expr, word: &[Action]) -> StateResult<WordStatus> {
     })
 }
 
-/// Default number of `(state, action)` entries the transition memo retains.
-pub const DEFAULT_MEMO_CAPACITY: usize = 256;
+/// Length bound of the engine's successor list; reaching it clears the list
+/// (an ask is confirmed before the next commit, so the working set is one
+/// or two entries — the bound only guards against probe churn).
+const SUCCESSOR_LIMIT: usize = 16;
 
 /// [`Engine::reservation_fingerprint`] of an empty reservation table — the
 /// hasher's initial state, a process-stable constant (the std default
@@ -100,61 +102,11 @@ fn fingerprint_hasher() -> std::collections::hash_map::DefaultHasher {
     std::collections::hash_map::DefaultHasher::new()
 }
 
-type MemoKey = (usize, Action);
-
-/// The bounded transition memo: FIFO eviction, exact pointer-identity keys.
-#[derive(Clone, Debug, Default)]
-struct TransMemo {
-    map: HashMap<MemoKey, (Shared<State>, Shared<State>)>,
-    order: VecDeque<MemoKey>,
-    capacity: usize,
-}
-
-impl TransMemo {
-    fn with_capacity(capacity: usize) -> TransMemo {
-        TransMemo { map: HashMap::new(), order: VecDeque::new(), capacity }
-    }
-
-    fn lookup(&self, base: &Shared<State>, action: &Action) -> Option<Shared<State>> {
-        let key = (Shared::as_ptr(base) as usize, action.clone());
-        match self.map.get(&key) {
-            // The stored key handle keeps its allocation alive, so equal
-            // addresses imply the same state; the ptr_eq check is cheap
-            // insurance, not a correctness requirement.
-            Some((stored, next)) if Shared::ptr_eq(stored, base) => Some(next.clone()),
-            _ => None,
-        }
-    }
-
-    fn insert(&mut self, base: &Shared<State>, action: &Action, next: Shared<State>) {
-        if self.capacity == 0 {
-            return;
-        }
-        while self.map.len() >= self.capacity {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                }
-                None => break,
-            }
-        }
-        let key = (Shared::as_ptr(base) as usize, action.clone());
-        if self.map.insert(key.clone(), (base.clone(), next)).is_none() {
-            self.order.push_back(key);
-        }
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-}
-
 /// One entry of the tier's pointer-keyed attach map: the keyed allocation
 /// is state `state` of table `table`.  `pin` keeps it alive, so the pointer
-/// key can never be reused while the entry exists (the same argument the
-/// transition memo makes).  An allocation without an entry is no table
-/// state the tier knows of, and is answered by the tree walk.
+/// key can never be reused while the entry exists.  An allocation without
+/// an entry is no table state the tier knows of, and is answered by the
+/// tree walk.
 #[derive(Clone, Debug)]
 struct Attached {
     pin: Shared<State>,
@@ -346,7 +298,8 @@ impl TierLookup for Tier {
 pub struct Engine {
     expr: Expr,
     state: Shared<State>,
-    memo: RefCell<TransMemo>,
+    /// Successors of `state` by action, see the module docs.
+    successors: RefCell<Vec<(Action, Shared<State>)>>,
     tier: Tier,
     accepted: u64,
     rejected: u64,
@@ -358,7 +311,7 @@ impl Engine {
         Ok(Engine {
             expr: expr.clone(),
             state: Shared::new(init(expr)?),
-            memo: RefCell::new(TransMemo::with_capacity(DEFAULT_MEMO_CAPACITY)),
+            successors: RefCell::new(Vec::new()),
             tier: Tier::new(DEFAULT_TIER_BUDGET),
             accepted: 0,
             rejected: 0,
@@ -368,8 +321,8 @@ impl Engine {
     /// Reconstructs an engine from checkpointed pieces: the expression, a
     /// decoded state, and the accept/reject counters.  The expression is
     /// re-validated (σ must exist) exactly as in [`Engine::new`]; the decoded
-    /// state then replaces σ.  The memo starts cold and the tier is not
-    /// installed yet — recovery hands it the checkpointed tables via
+    /// state then replaces σ.  The successor list starts empty and the tier
+    /// is not installed yet — recovery hands it the checkpointed tables via
     /// [`Engine::adopt_tier`]; without them the first transition installs
     /// fresh ones around the decoded state.
     pub fn restore(
@@ -395,33 +348,18 @@ impl Engine {
         &self.state
     }
 
-    /// The current state as a shared handle (cheap to clone, stable
-    /// identity for memo keys).
+    /// The current state as a shared handle (cheap to clone).
     pub fn state_handle(&self) -> &Shared<State> {
         &self.state
     }
 
-    /// The transition memo's capacity (0 = disabled).
-    pub fn memo_capacity(&self) -> usize {
-        self.memo.borrow().capacity
-    }
-
-    /// Resizes (and clears) the transition memo; 0 disables memoization —
-    /// used by the memo-on/memo-off equivalence property tests.
-    pub fn set_memo_capacity(&mut self, capacity: usize) {
-        let mut memo = self.memo.borrow_mut();
-        memo.clear();
-        memo.capacity = capacity;
-    }
-
-    /// The tiered, memoized transition τ̂ from an explicit base state.
-    /// Order: the table tier (exact cell by cell, filling the cell on its
-    /// first visit), then the memo (exact: the key is the base state's
-    /// allocation identity plus the concrete action, and entries pin their
-    /// key state alive), then the tree walk — which itself consults the
-    /// tier at every shared child, so table-resident subtrees under a CoW
-    /// spine still answer in O(1).  Every path keeps the fused τ̂'s
-    /// invariant "invalid ⇔ null", so ψ of a successor is a null check.
+    /// The tiered transition τ̂ from an explicit base state.  Order: the
+    /// table tier (exact cell by cell, filling the cell on its first
+    /// visit), then — from the committed state only — the successor list,
+    /// then the tree walk, which itself consults the tier at every shared
+    /// child, so table-resident subtrees under a CoW spine still answer in
+    /// O(1).  Every path keeps the fused τ̂'s invariant "invalid ⇔ null",
+    /// so ψ of a successor is a null check.
     fn transition(&self, base: &Shared<State>, action: &Action) -> Shared<State> {
         let tier_on = self.tier_ready();
         if tier_on {
@@ -429,10 +367,11 @@ impl Engine {
                 return next;
             }
         }
-        {
-            let memo = self.memo.borrow();
-            if let Some(hit) = memo.lookup(base, action) {
-                return hit;
+        let committed = Shared::ptr_eq(base, &self.state);
+        if committed {
+            let successors = self.successors.borrow();
+            if let Some((_, next)) = successors.iter().find(|(done, _)| done == action) {
+                return next.clone();
             }
         }
         let next = if tier_on {
@@ -445,21 +384,26 @@ impl Engine {
             State::Null => null_state(),
             other => Shared::new(other),
         };
-        self.memo.borrow_mut().insert(base, action, next.clone());
+        if committed {
+            let mut successors = self.successors.borrow_mut();
+            if successors.len() >= SUCCESSOR_LIMIT {
+                successors.clear();
+            }
+            successors.push((action.clone(), next.clone()));
+        }
         next
     }
 
     /// Installs the tier on first use (idempotent until the next
     /// invalidation) and says whether there is a table to consult.  Which
     /// subtrees are resident is read off the expression's shape, so this
-    /// costs O(|expression|) and computes no transition; a memo filled
-    /// before the tables existed is cleared so the tier takes over from its
-    /// pointer-keyed entries.
+    /// costs O(|expression|) and computes no transition; a successor list
+    /// filled before the tables existed is emptied so the tier takes over.
     fn tier_ready(&self) -> bool {
         if !self.tier.installed.get() {
             self.tier.install(&self.expr, &self.state, Vec::new());
             if self.tier.has_tables() {
-                self.memo.borrow_mut().clear();
+                self.successors.borrow_mut().clear();
             }
         }
         self.tier.has_tables()
@@ -518,8 +462,9 @@ impl Engine {
     /// outstanding reservation as well.
     ///
     /// The engine itself is untouched — only a speculative state walk is
-    /// performed, and every transition of the walk goes through the memo, so
-    /// repeated probes of a stable reservation table replay from cache.
+    /// performed.  A step of the walk from the committed state goes through
+    /// the successor list; a step from a speculative state is computed
+    /// afresh (or answered by the tier) and not kept.
     pub fn permitted_after<'a, I>(&self, reserved: I, action: &Action) -> bool
     where
         I: IntoIterator<Item = &'a Action>,
@@ -583,8 +528,10 @@ impl Engine {
     /// of the cross-shard two-phase commit: a multi-owner action is prepared
     /// on every owning engine and committed only if all of them voted yes.
     ///
-    /// An `ask` probe and its later `confirm` compute the same transition;
-    /// the memo makes the second one a lookup.
+    /// An `ask` probe and its later `confirm` compute the same transition
+    /// from the same committed state; the successor list makes the second
+    /// one a lookup.  A step from a speculative base ([`Engine::prepare_from`]
+    /// with `Some`) is never kept.
     pub fn prepare(&self, action: &Action) -> Option<Shared<State>> {
         self.prepare_from(None, action)
     }
@@ -615,6 +562,7 @@ impl Engine {
     /// shard's lock).
     pub fn commit_prepared(&mut self, next: Shared<State>) {
         self.state = next;
+        self.successors.get_mut().clear();
         self.accepted += 1;
     }
 
@@ -640,6 +588,7 @@ impl Engine {
     /// coordination protocol.
     pub fn force_execute(&mut self, action: &Action) {
         self.state = self.transition(&self.state, action);
+        self.successors.get_mut().clear();
         self.accepted += 1;
     }
 
@@ -660,7 +609,7 @@ impl Engine {
     /// Resets the engine to the initial state of its expression.
     pub fn reset(&mut self) {
         self.state = Shared::new(init(&self.expr).expect("expression validated at construction"));
-        self.memo.borrow_mut().clear();
+        self.successors.get_mut().clear();
         if self.tier.has_tables() {
             // Installed tables stay valid (the expression is unchanged);
             // re-attach them, cells and all, to the fresh σ allocations.
@@ -719,7 +668,7 @@ impl Engine {
         self.tier.invalidate();
     }
 
-    /// The tier's counter surface (mirrors the memo stats).
+    /// The tier's counter surface.
     pub fn tier_stats(&self) -> TierStats {
         self.tier.stats()
     }
@@ -821,38 +770,95 @@ mod tests {
         );
     }
 
-    #[test]
-    fn memo_off_engine_behaves_identically() {
-        let e = parse("mult 2 { (some p { call(p) - perform(p) })* }").unwrap();
-        let mut on = Engine::new(&e).unwrap();
-        let mut off = Engine::new(&e).unwrap();
-        off.set_memo_capacity(0);
-        assert_eq!(off.memo_capacity(), 0);
-        let call = |p: i64| Action::concrete("call", [Value::int(p)]);
-        let perform = |p: i64| Action::concrete("perform", [Value::int(p)]);
-        for action in
-            [call(1), call(2), call(3), perform(1), call(3), perform(2), perform(3), call(9)]
-        {
-            assert_eq!(on.is_permitted(&action), off.is_permitted(&action));
-            assert_eq!(on.try_execute(&action), off.try_execute(&action), "on {action}");
-        }
-        assert_eq!(on.state(), off.state());
-        assert_eq!(on.accepted(), off.accepted());
-        assert_eq!(on.rejected(), off.rejected());
+    fn call(p: i64) -> Action {
+        Action::concrete("call", [Value::int(p)])
+    }
+
+    fn perform(p: i64) -> Action {
+        Action::concrete("perform", [Value::int(p)])
+    }
+
+    /// The actions the successor list holds, in the order they were kept.
+    fn kept(eng: &Engine) -> Vec<Action> {
+        eng.successors.borrow().iter().map(|(action, _)| action.clone()).collect()
     }
 
     #[test]
-    fn memo_capacity_is_bounded() {
-        let e = parse("(a + b + c)*").unwrap();
+    fn memo_off_engine_behaves_identically() {
+        // The engine against the plain `trans` fold from the same base,
+        // reservation chains included.
+        let e = parse("mult 2 { (some p { call(p) - perform(p) })* }").unwrap();
         let mut eng = Engine::new(&e).unwrap();
-        eng.set_memo_capacity(2);
-        for _ in 0..8 {
-            for n in ["a", "b", "c", "zzz"] {
-                let _ = eng.is_permitted(&a(n));
+        let mut state = init(&e).unwrap();
+        let reserved = [call(1), perform(1)];
+        let (mut accepted, mut rejected) = (0, 0);
+        for action in
+            [call(1), call(2), call(3), perform(1), call(3), perform(2), perform(3), call(9)]
+        {
+            let next = trans(&state, &action);
+            let mut chained = state.clone();
+            for r in &reserved {
+                let step = trans(&chained, r);
+                if !step.is_null() {
+                    chained = step;
+                }
             }
-            assert!(eng.memo.borrow().map.len() <= 2, "memo exceeded its bound");
-            assert!(eng.try_execute(&a("a")));
+            let after = !trans(&chained, &action).is_null();
+            assert_eq!(eng.is_permitted(&action), !next.is_null(), "ψ on {action}");
+            assert_eq!(eng.permitted_after(reserved.iter(), &action), after, "probe on {action}");
+            assert_eq!(eng.try_execute(&action), !next.is_null(), "τ̂ on {action}");
+            if next.is_null() {
+                rejected += 1;
+            } else {
+                accepted += 1;
+                state = next;
+            }
+            assert_eq!(eng.state(), &state, "state after {action}");
         }
+        assert_eq!((eng.accepted(), eng.rejected()), (accepted, rejected));
+    }
+
+    #[test]
+    fn the_successor_list_is_bounded() {
+        // Quantified, so the tier bails and every probe goes to the list.
+        let e = parse("(some p { call(p) - perform(p) })*").unwrap();
+        let mut eng = Engine::new(&e).unwrap();
+        for round in 0..4 {
+            for p in 0..3 * SUCCESSOR_LIMIT as i64 {
+                let _ = eng.is_permitted(&call(p));
+                assert!(eng.successors.borrow().len() <= SUCCESSOR_LIMIT, "list over its bound");
+            }
+            assert!(!kept(&eng).is_empty());
+            assert!(eng.try_execute(&call(round)) && eng.try_execute(&perform(round)));
+        }
+    }
+
+    #[test]
+    fn only_steps_from_the_committed_state_are_kept() {
+        let e = parse("mult 2 { (some p { call(p) - perform(p) })* }").unwrap();
+        let mut eng = Engine::new(&e).unwrap();
+        assert!(eng.is_permitted(&call(1)) && !eng.is_permitted(&perform(1)));
+        assert_eq!(kept(&eng), [call(1), perform(1)]);
+        // A commit empties the list, whichever way it installs a state.
+        let next = eng.prepare(&call(1)).expect("permitted");
+        eng.commit_prepared(next);
+        assert!(kept(&eng).is_empty(), "commit_prepared");
+        // A step from a speculative base is never kept.
+        let spare = eng.prepare(&call(2)).expect("permitted");
+        assert!(eng.prepare_from(Some(&spare), &call(3)).is_none(), "capacity two");
+        assert!(eng.prepare_from(Some(&spare), &perform(2)).is_some());
+        assert_eq!(kept(&eng), [call(2)]);
+        assert!(eng.prepare_from(Some(eng.state_handle()), &perform(1)).is_some());
+        assert_eq!(kept(&eng), [call(2), perform(1)], "the committed state as the base");
+        // A reservation chain keeps its first step only.
+        assert!(eng.permitted_after([call(5), perform(5)].iter(), &call(6)));
+        assert_eq!(kept(&eng), [call(2), perform(1), call(5)]);
+        eng.force_execute(&perform(1));
+        assert!(kept(&eng).is_empty(), "force_execute");
+        assert!(eng.is_permitted(&call(7)));
+        eng.reset();
+        assert!(kept(&eng).is_empty(), "reset");
+        assert_eq!(eng.accepted(), 0);
     }
 
     #[test]
@@ -943,7 +949,6 @@ mod tests {
     fn tier_installs_on_first_use_and_serves_hits() {
         let e = parse("((r0 - r1) + (w0 - w1))*").unwrap();
         let mut eng = Engine::new(&e).unwrap();
-        eng.set_memo_capacity(0); // force every step through the tier path
         assert_eq!(eng.tier_stats().tables, 0, "Engine::new does no tier work");
         for _ in 0..100 {
             assert!(eng.try_execute(&a("r0")));
@@ -962,7 +967,6 @@ mod tests {
         let e = parse("((r0 - r1) + (w0 - w1))*").unwrap();
         let mut eng = Engine::new(&e).unwrap();
         eng.set_tier_budget(0);
-        eng.set_memo_capacity(0);
         for _ in 0..100 {
             assert!(eng.try_execute(&a("r0")));
             assert!(eng.try_execute(&a("r1")));
@@ -978,8 +982,6 @@ mod tests {
         let e = parse("((r0 - r1) + (w0 - w1))* @ (some p { r0 - go(p) })*").unwrap();
         let mut tiered = Engine::new(&e).unwrap();
         let mut plain = Engine::new(&e).unwrap();
-        tiered.set_memo_capacity(0);
-        plain.set_memo_capacity(0);
         plain.set_tier_budget(0);
         let stats = tiered.compile_tier();
         assert_eq!((stats.tables, stats.states, stats.fills), (1, 1, 0), "{stats:?}");
@@ -1007,7 +1009,6 @@ mod tests {
     fn tier_prepare_commit_goes_through_the_table() {
         let e = parse("(a - b)*").unwrap();
         let mut eng = Engine::new(&e).unwrap();
-        eng.set_memo_capacity(0);
         let stats = eng.compile_tier();
         assert!(stats.tables >= 1);
         let prepared = eng.prepare(&a("a")).expect("permitted");
@@ -1034,7 +1035,6 @@ mod tests {
             // Closing again computes nothing, and a closed table never
             // falls back.
             assert_eq!(eng.close_tier(), closed);
-            eng.set_memo_capacity(0);
             for name in ["s0", "a", "c", "s1", "b", "d", "zzz"] {
                 eng.try_execute(&a(name));
             }
@@ -1053,8 +1053,6 @@ mod tests {
         let e = mutex_product();
         let mut starved = Engine::new(&e).unwrap();
         let mut plain = Engine::new(&e).unwrap();
-        starved.set_memo_capacity(0);
-        plain.set_memo_capacity(0);
         starved.set_tier_budget(2);
         plain.set_tier_budget(0);
         let word = ["a0", "a0", "a1", "b0", "zzz", "a2", "b1", "a0", "b2", "b0"];
@@ -1086,7 +1084,6 @@ mod tests {
         // to the un-internable "after b" on `b`, every time by the tree.
         let e = parse("(a + b)*").unwrap();
         let mut eng = Engine::new(&e).unwrap();
-        eng.set_memo_capacity(0);
         eng.set_tier_budget(2);
         assert!(eng.try_execute(&a("a")) && eng.try_execute(&a("a")) && eng.try_execute(&a("a")));
         let stats = eng.tier_stats();
@@ -1102,7 +1099,6 @@ mod tests {
         // the table, and the engine keeps answering from the tree.
         let e = parse("(a - b)* | (c - d)*").unwrap();
         let mut eng = Engine::new(&e).unwrap();
-        eng.set_memo_capacity(0);
         eng.set_tier_budget(1);
         let stats = eng.compile_tier();
         assert_eq!((stats.tables, stats.states), (1, 1), "σ is all that fits: {stats:?}");
@@ -1122,8 +1118,6 @@ mod tests {
         let e = parse("(s0 - s1 - s2 - s3)*").unwrap();
         let mut tiered = Engine::new(&e).unwrap();
         let mut plain = Engine::new(&e).unwrap();
-        tiered.set_memo_capacity(0);
-        plain.set_memo_capacity(0);
         plain.set_tier_budget(0);
         let script = ["s0", "s1", "s2", "s3", "s0", "s1"];
         for (k, step) in script.iter().enumerate() {
@@ -1150,7 +1144,6 @@ mod tests {
     fn invalidation_drops_tables_and_allows_recompilation() {
         let e = parse("(a - b)*").unwrap();
         let mut eng = Engine::new(&e).unwrap();
-        eng.set_memo_capacity(0);
         assert!(eng.compile_tier().tables >= 1);
         assert!(eng.try_execute(&a("a")));
         assert!(eng.tier_stats().hits > 0);
@@ -1170,7 +1163,6 @@ mod tests {
     fn a_cloned_engine_fills_its_own_copy_of_a_shared_table() {
         let e = parse("(s0 - s1 - s2 - s3)*").unwrap();
         let mut left = Engine::new(&e).unwrap();
-        left.set_memo_capacity(0);
         assert!(left.try_execute(&a("s0")));
         let mut right = left.clone();
         let shared = left.tier_tables();

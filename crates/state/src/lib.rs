@@ -11,8 +11,9 @@
 //! * [`is_valid`] / [`is_final`] — the predicates ψ and ϕ,
 //! * [`optimize()`] — the optimization function ρ,
 //! * [`Engine`] / [`word_problem`] — the action and word problems of Fig. 9:
-//!   one engine steps through the fused τ̂ behind its table tier and
-//!   transition memo,
+//!   one engine steps through the fused τ̂ behind its table tier, and keeps
+//!   the successors of its committed state for the confirm that follows an
+//!   ask,
 //! * [`ShardRouter`] — the action → owning components table over an
 //!   `ix_core::Partition`, through which the interaction managers route,
 //! * [`analysis`] — the complexity classification of Sec. 6 (harmless /
@@ -57,9 +58,7 @@ pub use compile::{
     compile, CompileBailout, CompileBudget, CompiledTable, TableParts, TierStats, DEAD,
     DEFAULT_TIER_BUDGET,
 };
-pub use engine::{
-    empty_reservation_fingerprint, word_problem, Engine, WordStatus, DEFAULT_MEMO_CAPACITY,
-};
+pub use engine::{empty_reservation_fingerprint, word_problem, Engine, WordStatus};
 pub use error::{StateError, StateResult};
 pub use init::{init, initial_state, validate};
 pub use optimize::optimize;

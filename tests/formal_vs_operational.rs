@@ -36,7 +36,6 @@ fn universe() -> Universe {
 /// the tables closed up front, or filled by this very walk.
 fn tiered_word_problem(expr: &Expr, word: &[Action], close: bool) -> WordStatus {
     let mut engine = Engine::new(expr).expect("state model");
-    engine.set_memo_capacity(0);
     if close {
         engine.close_tier();
     }

@@ -399,46 +399,63 @@ fn assert_cow_reference_equivalence(
     Ok(())
 }
 
-/// Drives the same word through a memoizing engine and a memo-disabled
-/// engine, asserting identical outcomes, states and counters — the
-/// correctness contract of the transition memo.
+/// The plain `trans` fold's answer for one action: its successor, or `None`
+/// when the action is abstract or not permitted.
+fn fold_step(state: &ix_state::State, action: &ix_core::Action) -> Option<ix_state::State> {
+    let next = action.is_concrete().then(|| ix_state::trans(state, action))?;
+    (!next.is_null()).then_some(next)
+}
+
+/// Drives a word through an engine and through the plain `trans` fold from
+/// the same base, asserting identical verdicts, reservation-chain probes,
+/// states and counters — the correctness contract of the engine's successor
+/// list, which serves some of these steps from the committed state.
 fn assert_memo_equivalence(
     x: &Expr,
     word: &[ix_core::Action],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let mut memo_on = Engine::new(x).unwrap();
-    let mut memo_off = Engine::new(x).unwrap();
-    memo_off.set_memo_capacity(0);
+    let mut engine = Engine::new(x).unwrap();
+    let mut state = ix_state::init(x).unwrap();
+    let (mut accepted, mut rejected) = (0, 0);
+    // A two-step reservation chain: its second step and the probe start at
+    // speculative states.
+    let reserved: Vec<_> = word.iter().take(2).cloned().collect();
     for action in word {
+        let next = fold_step(&state, action);
+        let chained = reserved.iter().fold(state.clone(), |s, r| fold_step(&s, r).unwrap_or(s));
         prop_assert_eq!(
-            memo_on.is_permitted(action),
-            memo_off.is_permitted(action),
-            "is_permitted diverges with the memo on `{}` for {}",
-            x,
-            action
-        );
-        // Interleave reservation-aware probes so the memoized speculative
-        // chains are exercised as well.
-        let reserved = [word.first().cloned().unwrap_or_else(|| action.clone())];
-        prop_assert_eq!(
-            memo_on.permitted_after(reserved.iter(), action),
-            memo_off.permitted_after(reserved.iter(), action),
-            "permitted_after diverges with the memo on `{}` for {}",
+            engine.is_permitted(action),
+            next.is_some(),
+            "is_permitted diverges from the fold on `{}` for {}",
             x,
             action
         );
         prop_assert_eq!(
-            memo_on.try_execute(action),
-            memo_off.try_execute(action),
-            "try_execute diverges with the memo on `{}` for {}",
+            engine.permitted_after(reserved.iter(), action),
+            fold_step(&chained, action).is_some(),
+            "permitted_after diverges from the fold on `{}` for {}",
             x,
             action
         );
-        prop_assert_eq!(memo_on.state(), memo_off.state(), "states diverge on `{}`", x);
+        prop_assert_eq!(
+            engine.try_execute(action),
+            next.is_some(),
+            "try_execute diverges from the fold on `{}` for {}",
+            x,
+            action
+        );
+        match next {
+            Some(next) => {
+                accepted += 1;
+                state = next;
+            }
+            None => rejected += 1,
+        }
+        prop_assert_eq!(engine.state(), &state, "states diverge on `{}`", x);
     }
-    prop_assert_eq!(memo_on.accepted(), memo_off.accepted());
-    prop_assert_eq!(memo_on.rejected(), memo_off.rejected());
-    prop_assert_eq!(memo_on.is_final(), memo_off.is_final());
+    prop_assert_eq!(engine.accepted(), accepted);
+    prop_assert_eq!(engine.rejected(), rejected);
+    prop_assert_eq!(engine.is_final(), ix_state::is_final(&state));
     Ok(())
 }
 
@@ -455,11 +472,8 @@ fn assert_tier_equivalence(
     x: &Expr,
     word: &[ix_core::Action],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    // Memoization off on every side: each step goes through the tier (or
-    // its fallback) rather than the memo.
     let engine = |budget: Option<usize>| {
         let mut engine = Engine::new(x).unwrap();
-        engine.set_memo_capacity(0);
         if let Some(budget) = budget {
             engine.set_tier_budget(budget);
         }
