@@ -299,6 +299,53 @@ fn a_framed_copy_on_write_decision_allocates_a_pinned_count() {
     assert_eq!(framed_decisions(&cases_src(), &case, None), [(31, 23); 3]);
 }
 
+/// ROADMAP item 13(ii): a copy-on-write step on the paper's Fig. 7, at the
+/// `Engine` (its `call`/`perform` belong to both shards, so no framed route
+/// exists).  After ixbench's prologue — every patient prepared once at every
+/// department, in order — one examination of a seeded patient at a seeded
+/// department: `is_permitted` + `try_execute` of its first two steps, then
+/// of its last two, which leaves the patient idle again.  From the fourth
+/// examination on the counts repeat exactly: 1 461 for the calls and 1 284
+/// for the performs — every step rebuilds a path through 32 patients' and
+/// 4 departments' quantified instances, where a tier hit allocates nothing.
+#[test]
+fn a_fig7_copy_on_write_step_allocates_a_pinned_count() {
+    let departments = ["sono", "endo", "xray", "ct"];
+    let action =
+        |name: &str, p: i64, dept: &str| Action::concrete(name, [Value::int(p), Value::sym(dept)]);
+    let mut engine = Engine::new(&ix_graph::figures::fig7_expr()).unwrap();
+    for p in 0..32 {
+        for dept in departments {
+            for name in ["prepare_patient_start", "prepare_patient_end"] {
+                assert!(engine.try_execute(&action(name, p, dept)), "{name}({p}, {dept})");
+            }
+        }
+    }
+    let seed = 7u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let (p, dept) = ((seed >> 40) as i64 % 32, departments[(seed >> 20) as usize % 4]);
+    let exam = [
+        "call_patient_start",
+        "call_patient_end",
+        "perform_examination_start",
+        "perform_examination_end",
+    ]
+    .map(|name| action(name, p, dept));
+    let mut step = |actions: &[Action]| {
+        let before = ALLOCATIONS.with(Cell::get);
+        for action in actions {
+            assert!(engine.is_permitted(action) && engine.try_execute(action), "{action}");
+        }
+        ALLOCATIONS.with(Cell::get) - before
+    };
+    let mut run = || (step(&exam[..2]), step(&exam[2..]));
+    // The first examinations still grow the state: 1175/1046, 1193/1134,
+    // 1347/1284.
+    for _ in 0..3 {
+        run();
+    }
+    assert_eq!([(); 3].map(|()| run()), [(1461, 1284); 3]);
+}
+
 /// ROADMAP item 13(v): the same `execute` pair on `local_sync`'s cases,
 /// journaled the way `durable_commit` journals it: exactly 39 on a
 /// `MemVault` and 37 on a `FileVault` under `FsyncPolicy::Never`.  What the
