@@ -61,7 +61,7 @@ pub fn history_stream(shard: usize) -> u32 {
 /// vault fsyncs the blob and the directory entries no barrier has covered
 /// yet, so a record is never durable ahead of the topology it was journaled
 /// against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Fsync after every appended record (maximum durability, slowest).
     Always,
@@ -70,6 +70,7 @@ pub enum FsyncPolicy {
     Interval(u32),
     /// Never fsync on append; only [`Vault::sync`] (called by checkpoints
     /// and by a runtime's shutdown) reaches the disk.
+    #[default]
     Never,
 }
 

@@ -31,7 +31,6 @@ pub mod error;
 mod log;
 mod lz;
 pub mod manager;
-mod pool;
 pub mod runtime;
 mod shard;
 pub mod subscription;

@@ -71,10 +71,11 @@ use std::sync::{Mutex, MutexGuard};
 /// The coordination-protocol variant used by a manager (Sec. 7 mentions
 /// "several alternative coordination protocols, possessing different
 /// complexity and particular advantages and disadvantages").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ProtocolVariant {
     /// Ask / reply / confirm with an unbounded reservation: simple, but a
     /// crashed client leaves its shard's slot reserved forever.
+    #[default]
     Simple,
     /// Ask / reply / confirm where every grant carries a lease measured in
     /// logical time units; expired reservations are rolled back.

@@ -3,7 +3,7 @@
 //!
 //! The paper's manager (Sec. 7) is one deterministic machine per expression:
 //! permitted? → reserve → confirm or abort → notify the subscribers.  What
-//! `runtime.rs` builds around it — queues, the rendezvous, the cascade, the
+//! `runtime` builds around it — queues, the rendezvous, the cascade, the
 //! write-ahead log, recovery — only *schedules* that machine.  So the machine
 //! lives here, and nothing a scheduler is made of appears in its signatures:
 //! no lock, no shared-ownership handle, no completion handle, no channel.  A
@@ -31,11 +31,11 @@
 //! stream.
 
 use crate::durability::{durability_err, DurabilityHub, ShardCapture, StatDelta, WalRecord};
-use crate::error::ManagerResult;
-use crate::log::ShardLog;
+use crate::error::{ManagerError, ManagerResult};
+use crate::log::{LogKey, ShardLog};
 use crate::manager::{ProtocolVariant, Reservation};
 use crate::subscription::{ClientId, CrossBit, Notification, SubscriptionRegistry};
-use ix_core::{Action, Alphabet};
+use ix_core::{Action, Alphabet, Component};
 use ix_state::{Engine, StateRef};
 use std::collections::BTreeMap;
 
@@ -262,6 +262,16 @@ impl ShardState {
         }
     }
 
+    /// A shard of `component` in its expression's initial state.
+    pub(crate) fn of(
+        id: usize,
+        component: &Component,
+        wal: Option<DurabilityHub>,
+    ) -> ManagerResult<ShardState> {
+        let engine = Engine::new(&component.expr).map_err(ManagerError::State)?;
+        Ok(ShardState::new(id, engine, component.alphabet.clone(), wal))
+    }
+
     fn reserved(&self) -> impl Iterator<Item = &Action> {
         self.reservations.values().map(|r| &r.action)
     }
@@ -454,17 +464,16 @@ impl ShardState {
         self.stat_base.add(&record.delta());
         match record {
             WalRecord::Commit { key, action, is_primary, .. } => {
-                let Some(next) = self.engine.prepare(&action) else {
-                    return Err(durability_err(format!(
-                        "commit {} does not replay on shard {}: {action}",
-                        key.0, self.id
-                    )));
-                };
-                self.engine.commit_prepared(next);
                 // A cross-shard commit is an epoch boundary.  Epochs only
                 // grow: a commit recovery completes late must not take the
                 // shard back behind one it applied since.
                 let epoch = self.log.epoch().max(key.0);
+                if !self.redo(&action) {
+                    return Err(durability_err(format!(
+                        "commit {} does not replay on shard {}: {action}",
+                        key.0, self.id
+                    )));
+                }
                 if is_primary {
                     self.log.push_keyed(key, &action);
                 }
@@ -493,6 +502,22 @@ impl ShardState {
             }
         }
         Ok(())
+    }
+
+    /// Redoes one entry of the history a repartition hands this new shard:
+    /// another shard logged it, so this one steps and moves into its epoch,
+    /// behind which its own commits sort.  False if the step is rejected.
+    pub(crate) fn replay_covered(&mut self, key: LogKey, action: &Action) -> bool {
+        let stepped = self.redo(action);
+        self.log.set_epoch(self.log.epoch().max(key.0));
+        stepped
+    }
+
+    /// Steps the engine through an action the history already decided.
+    fn redo(&mut self, action: &Action) -> bool {
+        let Some(next) = self.engine.prepare(action) else { return false };
+        self.engine.commit_prepared(next);
+        true
     }
 
     /// [`ShardState::replay`] of a record the stream does *not* hold — a

@@ -411,3 +411,68 @@ fn a_queued_multi_owner_operation_allocates_a_pinned_count() {
     let per_window = 4 * WINDOW as u64 + 8;
     assert_eq!(runs, [(per_window, per_window); 3]);
 }
+
+/// ROADMAP item 13(iii): a queued `submit_batch` window of 64 executes on
+/// `local_pipelined`'s rings, the way one of its clients submits: the rings
+/// of its two departments, here a full ring cycle on each in turn, so each
+/// window is 16 runs of 4 and queues one message per run.  What the calling
+/// thread allocates per window: each operation's ticket (64), the window's
+/// ticket list and its planned routes (1 + 5, the list of routes growing by
+/// doubling to 64), and one buffer per run (16).  The channel blocks come on
+/// top: one block per 31 messages per shard, so a group of 31 windows adds
+/// exactly 8 blocks on each of the two shards.  Counted over such groups,
+/// after one uncounted window that also starts the worker.
+#[test]
+fn a_queued_submit_batch_window_allocates_a_pinned_count() {
+    let live = set_up(&rings_src(), options(ProtocolVariant::Combined), 1, true, None);
+    let session = &live.sessions[0];
+    let ring = |k: usize| ["call", "prep", "perform", "report"].map(|s| format!("{s}_{k}"));
+    let window: Vec<Action> =
+        (0..16).flat_map(|run| ring(run % 2)).map(|name| Action::nullary(&*name)).collect();
+    let submit = || {
+        let tickets = session.submit_batch(&window);
+        assert!(tickets.iter().all(|t| matches!(t.wait(), Completion::Executed { .. })));
+    };
+    let group = || {
+        let before = ALLOCATIONS.with(Cell::get);
+        (0..31).for_each(|_| submit());
+        ALLOCATIONS.with(Cell::get) - before
+    };
+    submit();
+    let per_window = 64 + 1 + 5 + 16;
+    assert_eq!([(); 3].map(|()| group()), [31 * per_window + 2 * 8; 3]);
+}
+
+/// ROADMAP item 13(vi): one framed lease expiry, on `local_sync`'s cases
+/// under `Leased`, with the shard at rest throughout, so that no worker
+/// starts.  The granted `ask` makes exactly 3: its ticket, born complete,
+/// the owner list of its reservation-index entry, and the owner list of the
+/// one `timer::Timers` entry a leased grant schedules (the insert itself
+/// allocates nothing once the map has a root).  The `advance_time` past its
+/// deadline, which expires it on the caller's frame, makes exactly 5: the
+/// timers' split at the clock (the map of those still pending and the list
+/// of the due ones), the owner list read back from the index, the expiry's
+/// ticket and the list of expired reservations.
+#[test]
+fn a_framed_lease_expiry_allocates_a_pinned_count() {
+    let variant = ProtocolVariant::Leased { lease: 10 };
+    let live = set_up(&cases_src(), options(variant), 1, true, None);
+    let session = &live.sessions[0];
+    let runtime = live.runtime.as_ref().unwrap();
+    let call = Action::concrete("call_0", [Value::int(1)]);
+    let expiry = || {
+        let before = ALLOCATIONS.with(Cell::get);
+        let Completion::Granted { reservation } = session.ask(&call).wait() else {
+            panic!("{call} denied")
+        };
+        let granted = ALLOCATIONS.with(Cell::get) - before;
+        let expired = runtime.advance_time(11);
+        let n = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(expired.iter().map(|r| r.id).collect::<Vec<_>>(), [reservation]);
+        (granted, n - granted)
+    };
+    expiry();
+    let runs = [(); 3].map(|()| expiry());
+    assert_eq!(runtime.sched_stats().started, 0);
+    assert_eq!(runs, [(3, 5); 3]);
+}

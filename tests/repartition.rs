@@ -287,3 +287,24 @@ fn a_stale_tile_can_never_serve_a_post_migration_step() {
     }
     assert!(runtime.tier_stats().hits > hits, "fresh tiles serve post-migration traffic");
 }
+
+/// ROADMAP item 22's repro: on `(a - b) | c`, coupling `b - a` leaves the
+/// `{a, b}` component no way to a final state — `a` waits for `b` and `b`
+/// for `a` — while `c` keeps running.  Today `couple` returns `Ok`, and
+/// afterwards `a` and `b` are never permitted again.  Ignored until item 22
+/// refuses such a change and leaves the runtime exactly as it was.
+#[test]
+#[ignore = "ROADMAP item 22"]
+fn a_coupling_that_strands_a_workflow_is_refused() {
+    let runtime = ManagerRuntime::new(&parse("(a - b) | c").unwrap()).unwrap();
+    let session = runtime.session(1);
+    let [a, b, c] = ["a", "b", "c"].map(Action::nullary);
+    assert!(session.is_permitted_blocking(&a));
+    let coupled = runtime.couple(&parse("b - a").unwrap());
+    assert!(coupled.is_err(), "a coupling that strands {{a, b}} was installed: {coupled:?}");
+    assert_eq!(runtime.epoch(), 0);
+    for action in [a, b, c] {
+        assert!(session.execute_blocking(&action).unwrap().is_some(), "{action} denied");
+    }
+    runtime.shutdown().unwrap();
+}
