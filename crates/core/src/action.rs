@@ -144,7 +144,7 @@ impl Action {
     /// the same concrete action: equal names and arities, and every argument
     /// position is either compatible (equal values) or instantiable (at
     /// least one side is a parameter).  This is the conservative overlap
-    /// test the partition analysis and the ownership map use — a false
+    /// test the partition analysis uses for abstract owner sets — a false
     /// positive merely widens an owner set, never loses an owner.
     pub fn may_overlap(&self, other: &Action) -> bool {
         if self.name != other.name || self.args.len() != other.args.len() {

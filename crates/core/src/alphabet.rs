@@ -133,8 +133,8 @@ impl Alphabet {
     }
 
     /// True if some member of the alphabet could be instantiated to the same
-    /// concrete action as `action` ([`Action::may_overlap`]).  The ownership
-    /// map uses this to decide which components co-own an abstract action.
+    /// concrete action as `action` ([`Action::may_overlap`]).  A partition
+    /// uses this to decide which components co-own an abstract action.
     /// Overlap requires equal names, so the symbol index applies here too.
     pub fn overlaps_action(&self, action: &Action) -> bool {
         self.candidates(action.name()).iter().any(|a| a.may_overlap(action))

@@ -5,7 +5,10 @@
 //! ICDE 2001): actions over values and parameters, the interaction-expression
 //! AST with all operators of Table 8, parameter substitution (concretion),
 //! alphabets and alphabet complements, user-defined operators (templates),
-//! and a textual notation with parser and pretty printer.
+//! a textual notation with parser and pretty printer, and the
+//! [`Partition`] of an expression into sync-components — also the one table
+//! that routes an action to the components owning it ([`Partition::classify`]),
+//! built once and extended live under one epoch.
 //!
 //! The formal semantics Φ/Ψ lives in `ix-semantics`, the operational
 //! semantics (state model, word and action problems) in `ix-state`, the
@@ -50,7 +53,7 @@ pub use error::{CoreError, CoreResult};
 pub use expr::{Expr, ExprKind};
 pub use normalize::simplify;
 pub use parser::{parse, parse_with};
-pub use partition::{Component, OwnershipMap, Partition, PartitionDelta};
+pub use partition::{Component, Partition, PartitionDelta, Route};
 pub use symbol::Symbol;
 pub use template::{TemplateDef, TemplateRegistry};
 pub use value::{Param, Term, Value};

@@ -1,5 +1,6 @@
 //! Alphabet-connectivity analysis: the partition of an expression into
-//! fine-grained *sync-components* plus the action-ownership map.
+//! fine-grained *sync-components*, and the one table that routes an action
+//! to the components owning it.
 //!
 //! The synchronization operator y ⊗ z lets each operand constrain only the
 //! actions of its own alphabet (Sec. 5, Fig. 7).  An action covered by both
@@ -15,38 +16,58 @@
 //! splittable composition points (every ⊗, and every ‖ whose operand
 //! alphabets are disjoint) is broken into its operands, and **every operand
 //! becomes its own component** — even when operand alphabets overlap.
-//! Components are never merged: overlap is recorded in the [`OwnershipMap`],
-//! which maps each abstract action to the set of components whose alphabets
-//! may cover a common concrete instantiation (conservative matching for
-//! parameterized actions, see [`Action::may_overlap`]).  The interaction
-//! managers of `ix-manager` run each component as a shard and execute a
-//! multi-owner action as one atomic step across all of its owners, so a
-//! shared action couples its owners through that step instead of collapsing
-//! them into one component.  [`Partition::extend`] grows a partition live by
-//! appending the operands of new constraints.
+//! Components are never merged: an action covered by several component
+//! alphabets is *owned* by all of them, and [`Partition::classify`] says
+//! which.  The interaction managers of `ix-manager` run each component as a
+//! shard and route every action through its partition: a single-owner
+//! action is decided on one shard, a multi-owner action runs as one atomic
+//! step across all of its owners (so a shared action couples its owners
+//! instead of collapsing them into one component), and an action no
+//! component owns is outside α(x) and is rejected.  [`Partition::extend`]
+//! grows a partition live by appending the operands of new constraints.
 
 use crate::action::Action;
 use crate::alphabet::Alphabet;
 use crate::expr::{Expr, ExprKind};
-use std::collections::BTreeMap;
+use crate::symbol::Symbol;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// The decomposition of an expression into sync-components together with the
-/// ownership map of its actions.
+/// The decomposition of an expression into sync-components together with
+/// the dispatch table of its actions.
 ///
-/// A partition is *versioned*: it can be updated incrementally as a workflow
-/// ensemble grows at runtime.  [`Partition::extend`] appends the operands of
-/// new constraints as fresh components, diffs the new [`OwnershipMap`]
-/// against the existing one and emits a [`PartitionDelta`] naming exactly
-/// the shards to create and the owner sets to widen — the input of the
-/// manager runtime's live migration machinery.
+/// Candidate components are indexed by an action's name and arity; the final
+/// membership test is alphabet coverage (which handles parameterized
+/// abstract actions).  Owner lists are sorted ascending — the canonical
+/// locking order of a cross-shard two-phase commit.
+///
+/// A partition is *versioned*: [`Partition::extend`] appends the operands
+/// of new constraints as fresh components, extends the index by the new
+/// alphabets alone, bumps the epoch, and emits a [`PartitionDelta`] naming
+/// exactly the shards to create and the owner sets to widen — the input of
+/// the manager runtime's live migration machinery.  A routing decision
+/// taken against an old epoch is thereby distinguishable from one taken
+/// against the current one, which is how the runtime retries stale routes
+/// instead of misdelivering them.
 #[derive(Clone, Debug)]
 pub struct Partition {
     components: Vec<Component>,
-    ownership: OwnershipMap,
+    /// `(name, arity)` → the components whose alphabet has an entry of that
+    /// signature, ascending.
+    by_signature: BTreeMap<(Symbol, usize), Vec<usize>>,
     /// Monotone version counter: 0 at construction, +1 per incremental
-    /// update.  Routers built from a partition carry this epoch so stale
-    /// routing decisions are detectable.
+    /// update.
     epoch: u64,
+}
+
+/// Ownership classification of an action (see [`Partition::classify`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// No component's alphabet covers the action — it is outside α(x).
+    None,
+    /// Exactly one owning component: the local fast path.
+    Single(usize),
+    /// Several owners, ascending (the 2PC lock / enqueue order).
+    Multi(Vec<usize>),
 }
 
 /// The diff between a partition and its incremental update — what an
@@ -92,92 +113,48 @@ impl PartitionDelta {
 pub struct Component {
     /// The component expression: one operand of the flattened ⊗-chain.
     pub expr: Expr,
-    /// The component's alphabet.  Components may share actions (the
-    /// [`OwnershipMap`] records which).
+    /// The component's alphabet.  Components may share actions.
     pub alphabet: Alphabet,
-}
-
-/// The map from abstract actions to the components owning them.
-///
-/// An action is *owned* by every component whose alphabet may cover one of
-/// its concrete instantiations.  Actions with a single owner can be executed
-/// on that component alone; actions with several owners require an atomic
-/// step across all of them (the multi-owner routing of the sharded kernel).
-/// The map is conservative for parameterized actions: `call(p, x)` and
-/// `call(1, sono)` count as overlapping because some instantiation
-/// coincides.
-#[derive(Clone, Debug, Default)]
-pub struct OwnershipMap {
-    /// abstract action -> sorted component indices owning it.
-    owners: BTreeMap<Action, Vec<usize>>,
-}
-
-impl OwnershipMap {
-    /// Builds the ownership map for the given component alphabets.
-    pub fn of(alphabets: &[Alphabet]) -> OwnershipMap {
-        let mut owners: BTreeMap<Action, Vec<usize>> = BTreeMap::new();
-        for alphabet in alphabets {
-            for action in alphabet.actions() {
-                owners.entry(action.clone()).or_insert_with(|| {
-                    (0..alphabets.len()).filter(|&j| alphabets[j].overlaps_action(action)).collect()
-                });
-            }
-        }
-        OwnershipMap { owners }
-    }
-
-    /// The owning components of an abstract action from some component
-    /// alphabet (empty for actions outside every alphabet).
-    pub fn owners_of_abstract(&self, action: &Action) -> &[usize] {
-        self.owners.get(action).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The abstract actions owned by more than one component, with their
-    /// owner sets — the "interaction channels" between shards.
-    pub fn shared(&self) -> impl Iterator<Item = (&Action, &[usize])> {
-        self.owners.iter().filter(|(_, o)| o.len() > 1).map(|(a, o)| (a, o.as_slice()))
-    }
-
-    /// Number of abstract actions owned by more than one component.
-    pub fn shared_count(&self) -> usize {
-        self.shared().count()
-    }
-
-    /// True if every action has exactly one owner (the perfectly disjoint
-    /// regime in which no cross-shard coordination is ever needed).
-    pub fn is_exclusive(&self) -> bool {
-        self.owners.values().all(|o| o.len() == 1)
-    }
-
-    /// All (abstract action, owner set) entries.
-    pub fn entries(&self) -> impl Iterator<Item = (&Action, &[usize])> {
-        self.owners.iter().map(|(a, o)| (a, o.as_slice()))
-    }
 }
 
 impl Partition {
     /// Computes the fine-grained partition of `expr`: every operand of the
     /// maximal splittable top-level chain becomes a component, and
-    /// overlapping alphabets are recorded in the ownership map instead of
-    /// forcing a merge.
+    /// overlapping alphabets make multi-owner actions instead of forcing a
+    /// merge.
     ///
     /// The result always has at least one component; an expression that does
     /// not decompose yields the trivial partition `[expr]`.
     pub fn of(expr: &Expr) -> Partition {
-        let mut operands = Vec::new();
-        flatten(expr, &mut operands);
-        let components =
-            operands.into_iter().map(|e| Component { alphabet: e.alphabet(), expr: e }).collect();
-        Partition::from_components(components, 0)
+        Partition::from_components(operands(expr), 0)
     }
 
     /// Reassembles a partition from serialized components and a stored
     /// epoch — the deserialization counterpart of [`Partition::components`]
-    /// / [`Partition::epoch`].  The ownership map is recomputed from the
+    /// / [`Partition::epoch`].  The signature index is rebuilt from the
     /// component alphabets (it is derived data and is not persisted).
     pub fn from_components(components: Vec<Component>, epoch: u64) -> Partition {
-        let alphabets: Vec<Alphabet> = components.iter().map(|c| c.alphabet.clone()).collect();
-        Partition { components, ownership: OwnershipMap::of(&alphabets), epoch }
+        let mut partition =
+            Partition { components: Vec::new(), by_signature: BTreeMap::new(), epoch };
+        partition.append(components);
+        partition
+    }
+
+    /// Appends components, entering each into the candidate list of every
+    /// signature its alphabet has.  Appended ids are larger than every
+    /// existing id, so each list stays sorted ascending and a repeat of a
+    /// component can only be its last entry.
+    fn append(&mut self, components: impl IntoIterator<Item = Component>) {
+        for component in components {
+            let id = self.components.len();
+            for action in component.alphabet.actions() {
+                let ids = self.by_signature.entry((action.name(), action.arity())).or_default();
+                if ids.last() != Some(&id) {
+                    ids.push(id);
+                }
+            }
+            self.components.push(component);
+        }
     }
 
     /// The partition's version: 0 at construction, incremented by every
@@ -193,32 +170,49 @@ impl Partition {
     /// because ⊗ is associative and commutative and the extended ensemble is
     /// semantically `old ⊗ new₁ ⊗ … ⊗ newₙ`.
     ///
-    /// Overlap between new and existing alphabets is recorded in the
-    /// rebuilt [`OwnershipMap`]; the returned [`PartitionDelta`] diffs the
-    /// new map against the old one.  A disjoint addition yields a
-    /// pure-append delta (no widened owner sets); a coupling constraint
+    /// Cost is one clone of the existing index plus insertion work
+    /// proportional to the *new* alphabets — no existing alphabet is
+    /// re-indexed.  The returned [`PartitionDelta`] lists the actions whose
+    /// owner set gained a new component and already had an existing one: a
+    /// disjoint addition yields a pure-append delta, a coupling constraint
     /// widens exactly the owner sets of the actions it shares.
     pub fn extend(&self, new_operands: &[Expr]) -> (Partition, PartitionDelta) {
-        let mut components = self.components.clone();
-        let old_len = components.len();
+        let old_len = self.len();
+        let mut extended = self.clone();
+        extended.epoch += 1;
         for operand in new_operands {
-            let mut flat = Vec::new();
-            flatten(operand, &mut flat);
-            components
-                .extend(flat.into_iter().map(|e| Component { alphabet: e.alphabet(), expr: e }));
+            extended.append(operands(operand));
         }
-        let extended = Partition::from_components(components, self.epoch + 1);
         let widened = extended
-            .ownership
-            .entries()
-            .filter(|(action, owners)| {
-                owners.iter().any(|&o| o < old_len)
-                    && *owners != self.ownership.owners_of_abstract(action)
+            .overlap_owners()
+            .filter(|(_, owners)| {
+                owners.first().is_some_and(|&o| o < old_len)
+                    && owners.last().is_some_and(|&o| o >= old_len)
             })
-            .map(|(action, owners)| (action.clone(), owners.to_vec()))
             .collect();
         let added = (old_len..extended.len()).collect();
         (extended, PartitionDelta { added, widened })
+    }
+
+    /// Every abstract action of some component alphabet, ascending, with
+    /// the components whose alphabets may cover a common concrete
+    /// instantiation of it ([`Alphabet::overlaps_action`]; conservative for
+    /// parameterized actions, so `call(p, x)` co-owns with `call(1, sono)`).
+    /// Computed on demand: O(Σ|α| · components).
+    fn overlap_owners(&self) -> impl Iterator<Item = (Action, Vec<usize>)> + '_ {
+        let actions: BTreeSet<&Action> =
+            self.components.iter().flat_map(|c| c.alphabet.actions()).collect();
+        actions.into_iter().map(|action| {
+            let owners =
+                (0..self.len()).filter(|&i| self.components[i].alphabet.overlaps_action(action));
+            (action.clone(), owners.collect())
+        })
+    }
+
+    /// The abstract actions several components own, with their owner sets —
+    /// the "interaction channels" between shards.
+    pub fn shared_actions(&self) -> Vec<(Action, Vec<usize>)> {
+        self.overlap_owners().filter(|(_, owners)| owners.len() > 1).collect()
     }
 
     /// The components, in the order their operand appears in the original
@@ -227,17 +221,61 @@ impl Partition {
         &self.components
     }
 
-    /// The ownership map: which components own which abstract actions.
-    pub fn ownership(&self) -> &OwnershipMap {
-        &self.ownership
+    /// The components owning the action, in ascending order, without
+    /// materializing them — the allocation-free fast path for probes that
+    /// only need to walk or count the owners.  Empty iff no component's
+    /// alphabet covers the action (such actions are outside the
+    /// expression's language).
+    pub fn owners_iter<'a>(&'a self, action: &'a Action) -> impl Iterator<Item = usize> + 'a {
+        let candidates = self.candidates(action).iter().copied();
+        candidates.filter(move |&i| self.components[i].alphabet.covers(action))
     }
 
-    /// The components owning a concrete action (sorted ascending; empty for
-    /// actions outside every component alphabet).
-    pub fn owners_of(&self, concrete: &Action) -> Vec<usize> {
-        (0..self.components.len())
-            .filter(|&i| self.components[i].alphabet.covers(concrete))
-            .collect()
+    /// The components whose alphabets have an entry of the action's name and
+    /// arity, ascending.
+    fn candidates(&self, action: &Action) -> &[usize] {
+        self.by_signature.get(&(action.name(), action.arity())).map_or(&[], Vec::as_slice)
+    }
+
+    /// The components owning the action, collected sorted ascending — the
+    /// canonical locking order of the cross-shard two-phase commit.
+    pub fn owners_of(&self, action: &Action) -> Vec<usize> {
+        self.owners_iter(action).collect()
+    }
+
+    /// Classifies the action's ownership: one signature lookup, then one
+    /// alphabet probe per candidate component, neither of which allocates.
+    /// A single owner (or none) allocates nothing; a cross-shard action
+    /// allocates its owner list once, sized by the candidate list.
+    ///
+    /// An action unknown to every component resolves to [`Route::None`] from
+    /// the signature index alone — no alphabet probe — so callers can deny
+    /// it without touching any queue or lock.
+    pub fn classify(&self, action: &Action) -> Route {
+        let mut iter = self.owners_iter(action);
+        let Some(first) = iter.next() else {
+            return Route::None;
+        };
+        let Some(second) = iter.next() else {
+            return Route::Single(first);
+        };
+        let mut owners = Vec::with_capacity(self.candidates(action).len());
+        owners.extend([first, second]);
+        owners.extend(iter);
+        Route::Multi(owners)
+    }
+
+    /// The primary (lowest-id) owning component of the action, or `None` if
+    /// no component covers it.  The primary owner holds the action's log
+    /// entries in the sharded manager.
+    pub fn route(&self, action: &Action) -> Option<usize> {
+        self.owners_iter(action).next()
+    }
+
+    /// True if more than one component owns the action (a cross-shard
+    /// action requiring two-phase commit).
+    pub fn is_shared(&self, action: &Action) -> bool {
+        self.owners_iter(action).nth(1).is_some()
     }
 
     /// Number of components.
@@ -262,12 +300,19 @@ impl Partition {
     }
 }
 
+/// The operands of `expr`'s maximal splittable top-level chain, as
+/// components.
+fn operands(expr: &Expr) -> Vec<Component> {
+    let mut operands = Vec::new();
+    flatten(expr, &mut operands);
+    operands.into_iter().map(|e| Component { alphabet: e.alphabet(), expr: e }).collect()
+}
+
 /// Flattens the maximal top-level chain of splittable composition points.
 ///
 /// * `Sync(l, r)` is always a composition point (⊗ is associative and
 ///   commutative, so regrouping its operands is sound whether or not their
-///   alphabets overlap — shared actions become multi-owner entries of the
-///   ownership map).
+///   alphabets overlap — shared actions become multi-owner actions).
 /// * `Par(l, r)` is a composition point only when the operand alphabets are
 ///   disjoint — then ‖ coincides with ⊗ and joins the chain; otherwise the
 ///   shuffle constraint is real and the node is an indivisible operand.
@@ -292,9 +337,18 @@ fn flatten(expr: &Expr, out: &mut Vec<Expr>) {
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use crate::value::Value;
 
     fn components(src: &str) -> Vec<String> {
         Partition::of(&parse(src).unwrap()).exprs().map(|e| e.to_string()).collect()
+    }
+
+    fn partition(src: &str) -> Partition {
+        Partition::of(&parse(src).unwrap())
+    }
+
+    fn a(name: &str) -> Action {
+        Action::nullary(name)
     }
 
     #[test]
@@ -318,20 +372,19 @@ mod tests {
     #[test]
     fn overlapping_sync_operands_stay_separate_with_shared_owners() {
         // b occurs on both sides: two components, b owned by both.
-        let p = Partition::of(&parse("(a - b)* @ (b - c)*").unwrap());
+        let p = partition("(a - b)* @ (b - c)*");
         assert_eq!(p.len(), 2);
-        assert_eq!(p.owners_of(&Action::nullary("b")), vec![0, 1]);
-        assert_eq!(p.owners_of(&Action::nullary("a")), vec![0]);
-        assert_eq!(p.owners_of(&Action::nullary("c")), vec![1]);
-        assert_eq!(p.ownership().shared_count(), 1);
-        assert!(!p.ownership().is_exclusive());
+        assert_eq!(p.owners_of(&a("b")), vec![0, 1]);
+        assert_eq!(p.owners_of(&a("a")), vec![0]);
+        assert_eq!(p.owners_of(&a("c")), vec![1]);
+        assert_eq!(p.shared_actions(), vec![(a("b"), vec![0, 1])]);
         // Chain of three where the middle overlaps both ends: three
         // components, each boundary action with two owners.
-        let p = Partition::of(&parse("(a - b)* @ (b - c)* @ (c - d)*").unwrap());
+        let p = partition("(a - b)* @ (b - c)* @ (c - d)*");
         assert_eq!(p.len(), 3);
-        assert_eq!(p.owners_of(&Action::nullary("b")), vec![0, 1]);
-        assert_eq!(p.owners_of(&Action::nullary("c")), vec![1, 2]);
-        assert_eq!(p.ownership().shared_count(), 2);
+        assert_eq!(p.owners_of(&a("b")), vec![0, 1]);
+        assert_eq!(p.owners_of(&a("c")), vec![1, 2]);
+        assert_eq!(p.shared_actions().len(), 2);
     }
 
     #[test]
@@ -339,15 +392,14 @@ mod tests {
         // Four otherwise-independent groups share a global `audit` action:
         // the partition keeps all four and reports `audit` as the single
         // interaction channel.
-        let src = "((a1 - b1)* - audit)* @ ((a2 - b2)* - audit)* \
-                   @ ((a3 - b3)* - audit)* @ ((a4 - b4)* - audit)*";
-        let p = Partition::of(&parse(src).unwrap());
+        let p = partition(
+            "((a1 - b1)* - audit)* @ ((a2 - b2)* - audit)* \
+             @ ((a3 - b3)* - audit)* @ ((a4 - b4)* - audit)*",
+        );
         assert_eq!(p.len(), 4);
-        assert_eq!(p.owners_of(&Action::nullary("audit")), vec![0, 1, 2, 3]);
-        assert_eq!(p.owners_of(&Action::nullary("a3")), vec![2]);
-        let shared: Vec<_> = p.ownership().shared().collect();
-        assert_eq!(shared.len(), 1);
-        assert_eq!(shared[0].0, &Action::nullary("audit"));
+        assert_eq!(p.owners_of(&a("audit")), vec![0, 1, 2, 3]);
+        assert_eq!(p.owners_of(&a("a3")), vec![2]);
+        assert_eq!(p.shared_actions(), vec![(a("audit"), vec![0, 1, 2, 3])]);
     }
 
     #[test]
@@ -366,23 +418,17 @@ mod tests {
     fn parameterized_alphabets_use_conservative_overlap() {
         // call(p, x) may instantiate to call(1, sono): conservative
         // multi-owner entry instead of a merge.
-        let p =
-            Partition::of(&parse("(some p { call(p, sono) })* @ (call(1, sono) - done)*").unwrap());
+        let p = partition("(some p { call(p, sono) })* @ (call(1, sono) - done)*");
         assert_eq!(p.len(), 2);
-        let concrete = Action::concrete(
-            "call",
-            [crate::value::Value::int(1), crate::value::Value::sym("sono")],
-        );
+        let concrete = Action::concrete("call", [Value::int(1), Value::sym("sono")]);
         assert_eq!(p.owners_of(&concrete), vec![0, 1]);
-        let other = Action::concrete(
-            "call",
-            [crate::value::Value::int(2), crate::value::Value::sym("sono")],
-        );
+        let other = Action::concrete("call", [Value::int(2), Value::sym("sono")]);
         assert_eq!(p.owners_of(&other), vec![0], "call(2, sono) only matches call(p, sono)");
+        assert_eq!(p.shared_actions().len(), 2, "both entries overlap both alphabets");
         // Distinct action names never overlap.
-        let p = Partition::of(&parse("(some p { call(p) })* @ (some p { perform(p) })*").unwrap());
+        let p = partition("(some p { call(p) })* @ (some p { perform(p) })*");
         assert_eq!(p.len(), 2);
-        assert!(p.ownership().is_exclusive());
+        assert!(p.shared_actions().is_empty());
     }
 
     #[test]
@@ -393,9 +439,9 @@ mod tests {
 
     #[test]
     fn disjoint_component_alphabets_are_pairwise_disjoint() {
-        let p = Partition::of(&parse("(a - b)* @ (c - d)* @ (e - f)* @ (g - h)*").unwrap());
+        let p = partition("(a - b)* @ (c - d)* @ (e - f)* @ (g - h)*");
         assert_eq!(p.len(), 4);
-        assert!(p.ownership().is_exclusive());
+        assert!(p.shared_actions().is_empty());
         for (i, ci) in p.components().iter().enumerate() {
             for cj in p.components().iter().skip(i + 1) {
                 assert!(ci.alphabet.is_disjoint(&cj.alphabet));
@@ -405,11 +451,9 @@ mod tests {
 
     #[test]
     fn ownership_map_entries_cover_every_abstract_action() {
-        let p = Partition::of(&parse("(a - b)* @ (b - c)*").unwrap());
-        let entries: Vec<_> = p.ownership().entries().collect();
-        assert_eq!(entries.len(), 3, "a, b, c");
-        assert_eq!(p.ownership().owners_of_abstract(&Action::nullary("b")), &[0, 1]);
-        assert!(p.ownership().owners_of_abstract(&Action::nullary("z")).is_empty());
+        let p = partition("(a - b)* @ (b - c)*");
+        let owners: Vec<_> = ["a", "b", "c", "z"].map(|n| p.owners_of(&a(n))).into();
+        assert_eq!(owners, [vec![0], vec![0, 1], vec![1], vec![]]);
     }
 
     #[test]
@@ -424,19 +468,19 @@ mod tests {
         assert_eq!(delta.added, vec![2]);
         assert!(delta.is_pure_append(), "disjoint additions widen nothing");
         assert!(delta.affected_existing(p.len()).is_empty());
-        assert_eq!(q.owners_of(&Action::nullary("e")), vec![2]);
-        // The extended partition equals the from-scratch partition of the
-        // joined expression.
+        assert_eq!(q.owners_of(&a("e")), vec![2]);
+        // The extended partition routes like the from-scratch partition of
+        // the joined expression.
         let scratch = Partition::of(&Expr::sync(base, addition));
         assert_eq!(scratch.len(), q.len());
-        for (a, owners) in q.ownership().entries() {
-            assert_eq!(scratch.ownership().owners_of_abstract(a), owners);
+        for name in ["a", "b", "c", "d", "e", "f", "z"] {
+            assert_eq!(scratch.classify(&a(name)), q.classify(&a(name)), "{name}");
         }
     }
 
     #[test]
     fn extend_flattens_multi_operand_constraints() {
-        let p = Partition::of(&parse("(a - b)*").unwrap());
+        let p = partition("(a - b)*");
         let (q, delta) = p.extend(&[parse("(c - d)* @ (e - f)*").unwrap()]);
         assert_eq!(q.len(), 3, "the new constraint's own chain is flattened");
         assert_eq!(delta.added, vec![1, 2]);
@@ -446,31 +490,27 @@ mod tests {
 
     #[test]
     fn coupling_extend_widens_exactly_the_shared_owner_sets() {
-        let p = Partition::of(&parse("(a - b)* @ (c - d)*").unwrap());
+        let p = partition("(a - b)* @ (c - d)*");
         // The coupling shares `a` with component 0 and nothing else.
         let (q, delta) = p.extend(&[parse("(a* - audit)*").unwrap()]);
         assert_eq!(q.len(), 3);
         assert_eq!(delta.added, vec![2]);
         assert!(!delta.is_pure_append());
         assert_eq!(delta.affected_existing(p.len()), vec![0]);
-        let widened: Vec<_> = delta.widened.iter().map(|(a, o)| (a.clone(), o.clone())).collect();
-        assert_eq!(widened, vec![(Action::nullary("a"), vec![0, 2])]);
-        assert_eq!(q.owners_of(&Action::nullary("a")), vec![0, 2]);
-        assert_eq!(q.owners_of(&Action::nullary("audit")), vec![2]);
-        assert_eq!(q.owners_of(&Action::nullary("c")), vec![1], "unrelated owners untouched");
+        assert_eq!(delta.widened, vec![(a("a"), vec![0, 2])]);
+        assert_eq!(q.owners_of(&a("a")), vec![0, 2]);
+        assert_eq!(q.owners_of(&a("audit")), vec![2]);
+        assert_eq!(q.owners_of(&a("c")), vec![1], "unrelated owners untouched");
     }
 
     #[test]
     fn extend_with_parameterized_overlap_is_conservative() {
-        let p = Partition::of(&parse("(call(1, sono) - done)*").unwrap());
+        let p = partition("(call(1, sono) - done)*");
         let (q, delta) = p.extend(&[parse("(some p { call(p, sono) })*").unwrap()]);
         assert_eq!(q.len(), 2);
         assert!(!delta.is_pure_append(), "call(p, sono) may instantiate to call(1, sono)");
         assert_eq!(delta.affected_existing(p.len()), vec![0]);
-        let concrete = Action::concrete(
-            "call",
-            [crate::value::Value::int(1), crate::value::Value::sym("sono")],
-        );
+        let concrete = Action::concrete("call", [Value::int(1), Value::sym("sono")]);
         assert_eq!(q.owners_of(&concrete), vec![0, 1]);
     }
 
@@ -480,6 +520,81 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert!(!p.is_sharded());
         assert!(!p.is_empty());
-        assert!(p.ownership().is_exclusive());
+        assert!(p.shared_actions().is_empty());
+    }
+
+    #[test]
+    fn disjoint_coupling_yields_one_shard_per_operand() {
+        let p = partition("(a - b)* @ (c - d)* @ (e - f)*");
+        assert_eq!(p.len(), 3);
+        assert_eq!(p.route(&a("a")), p.route(&a("b")));
+        assert_ne!(p.route(&a("a")), p.route(&a("c")));
+        assert_eq!(p.route(&a("z")), None);
+        assert!(p.owners_of(&a("z")).is_empty());
+    }
+
+    #[test]
+    fn overlapping_coupling_shards_with_multi_owner_actions() {
+        // Four groups coupled through one global `audit` barrier stay four
+        // shards, with `audit` owned by all of them.
+        let p = partition(
+            "((a1 - b1)* - audit)* @ ((a2 - b2)* - audit)* \
+             @ ((a3 - b3)* - audit)* @ ((a4 - b4)* - audit)*",
+        );
+        assert_eq!(p.classify(&a("audit")), Route::Multi(vec![0, 1, 2, 3]));
+        assert!(p.is_shared(&a("audit")));
+        assert!(!p.is_shared(&a("a1")));
+        assert_eq!(p.classify(&a("b3")), Route::Single(2));
+    }
+
+    #[test]
+    fn monolithic_fallback_for_undecomposable_expressions() {
+        let p = partition("(a - b)* & (a* - b*)");
+        assert_eq!(p.len(), 1);
+        assert_eq!(p.route(&a("a")), Some(0));
+        assert_eq!(p.classify(&a("c")), Route::None);
+    }
+
+    #[test]
+    fn quantified_components_shard_when_action_names_differ() {
+        let p = partition("(some p { call(p) - perform(p) })* @ (some q { ship(q) - bill(q) })*");
+        assert_eq!(p.len(), 2);
+        let call = Action::concrete("call", [Value::int(1)]);
+        let ship = Action::concrete("ship", [Value::int(7)]);
+        assert_eq!(p.classify(&call), Route::Single(0));
+        assert_eq!(p.classify(&ship), Route::Single(1));
+    }
+
+    #[test]
+    fn router_extension_bumps_the_epoch_and_appends_shards() {
+        let p = partition("(a - b)* @ (c - d)*");
+        let (q, _) = p.extend(&[parse("(a* - audit)*").unwrap()]);
+        assert_eq!((q.epoch(), q.len()), (1, 3));
+        assert_eq!(q.owners_of(&a("a")), vec![0, 2], "owner set widened, ascending");
+        assert_eq!(q.owners_of(&a("audit")), vec![2]);
+        // The old partition still answers with its own epoch's view.
+        assert_eq!(p.owners_of(&a("a")), vec![0]);
+        assert_eq!(p.epoch(), 0);
+    }
+
+    #[test]
+    fn classify_denies_unknown_signatures_without_probing() {
+        let p = partition("(a - b)* @ (c - d)*");
+        assert_eq!(p.classify(&a("zzz")), Route::None);
+        // Known name, wrong arity: also a signature-level miss.
+        let wrong_arity = Action::concrete("a", [Value::int(1)]);
+        assert_eq!(p.classify(&wrong_arity), Route::None);
+        assert!(p.candidates(&wrong_arity).is_empty(), "no alphabet is probed");
+        assert!(!p.is_shared(&a("zzz")));
+    }
+
+    #[test]
+    fn disjoint_extension_is_a_pure_append() {
+        let p = partition("(a - b)* @ (c - d)*");
+        let (q, delta) = p.extend(&[parse("(e - f)*").unwrap()]);
+        assert!(delta.is_pure_append());
+        assert_eq!((q.len(), q.epoch()), (3, 1));
+        assert_eq!(q.owners_of(&a("e")), vec![2]);
+        assert_eq!(q.owners_of(&a("a")), p.owners_of(&a("a")), "no owner set widens");
     }
 }

@@ -126,7 +126,7 @@ pub(crate) enum WalRecord {
     /// A subscription registered after the covering checkpoint.  Echoed on
     /// the owning shard's stream (shard-local registrations) or the meta
     /// stream (cross-shard and orphan registrations, replayed through the
-    /// recovered router); `permitted` is the cached status at registration
+    /// recovered partition); `permitted` is the cached status at registration
     /// time, the baseline the first post-recovery refresh diffs against.
     Subscribe { client: ClientId, action: Action, permitted: bool },
     /// A subscription removed after the covering checkpoint (same stream

@@ -15,9 +15,9 @@ use crate::runtime::{
 use crate::shard::ShardState;
 use crate::subscription::{CrossSubscriptions, SubscriptionRegistry};
 use crate::timer::Timers;
-use ix_core::{parse, Action, Alphabet, Component, Partition};
+use ix_core::{parse, Action, Component, Partition, Route};
 use ix_durable::{history_stream, Vault, META_STREAM};
-use ix_state::{Engine, Route, ShardRouter};
+use ix_state::Engine;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -139,9 +139,6 @@ pub(crate) fn recover_runtime(
         components.push(Component { expr: component, alphabet });
     }
     let partition = Partition::from_components(components, topo.epoch);
-    let alphabets: Vec<Alphabet> =
-        partition.components().iter().map(|c| c.alphabet.clone()).collect();
-    let router = ShardRouter::with_epoch(alphabets, partition.epoch());
     let manifest = load_manifest(hub.vault().as_ref())?.unwrap_or(Manifest {
         clock: 0,
         meta_covered: 0,
@@ -222,7 +219,7 @@ pub(crate) fn recover_runtime(
     // rendezvous parks owners until the decision), so applying it at the
     // shard's tail is exactly the order the crash interrupted.
     for commit in tail_commits.values() {
-        let owners = router.owners(&commit.action);
+        let owners = partition.owners_of(&commit.action);
         for (pos, &owner) in owners.iter().enumerate() {
             if commit.present.contains(&owner) {
                 continue;
@@ -265,7 +262,7 @@ pub(crate) fn recover_runtime(
         }
     }
     for (rid, (reservation, holding)) in &holder_map {
-        let owners = router.owners(&reservation.action);
+        let owners = partition.owners_of(&reservation.action);
         if owners.iter().all(|o| holding.contains(o)) {
             continue;
         }
@@ -285,7 +282,7 @@ pub(crate) fn recover_runtime(
 
     // Meta-stream tail: order-independent statistics events, the clock
     // high-water mark, and cross-shard/orphan subscription echoes routed
-    // through the recovered router.
+    // through the recovered partition.
     let mut clock = manifest.clock;
     let mut stat_total = manifest.meta_base;
     let mut cross_subscriptions = CrossSubscriptions::import(manifest.cross);
@@ -295,7 +292,8 @@ pub(crate) fn recover_runtime(
         match record {
             WalRecord::Event { delta } => stat_total.add(&delta),
             WalRecord::Clock { now } => clock = clock.max(now),
-            WalRecord::Subscribe { client, action, permitted } => match router.classify(&action) {
+            WalRecord::Subscribe { client, action, permitted } => match partition.classify(&action)
+            {
                 Route::Multi(owners) => {
                     cross_subscriptions.subscribe(client, &action, &owners, || {
                         owners.iter().map(|&o| seeds[o].engine.is_permitted(&action)).collect()
@@ -308,7 +306,7 @@ pub(crate) fn recover_runtime(
                     orphan_subscriptions.subscribe(client, action.clone(), action, false);
                 }
             },
-            WalRecord::Unsubscribe { client, action } => match router.classify(&action) {
+            WalRecord::Unsubscribe { client, action } => match partition.classify(&action) {
                 Route::Multi(_) => cross_subscriptions.unsubscribe(client, &action),
                 Route::Single(owner) => {
                     seeds[owner].replay(WalRecord::Unsubscribe { client, action })?;
@@ -340,7 +338,7 @@ pub(crate) fn recover_runtime(
     let mut reservation_index = HashMap::new();
     let mut timers = Timers::new(clock);
     for (rid, (reservation, _)) in &holder_map {
-        let owners = router.owners(&reservation.action);
+        let owners = partition.owners_of(&reservation.action);
         if owners.is_empty() || !seeds[owners[0]].reservations.contains_key(rid) {
             continue;
         }

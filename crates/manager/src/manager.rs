@@ -28,7 +28,7 @@
 //! its fine-grained sync-components (`ix_core::Partition`) and keeps one
 //! *shard* — engine, reservation table, subscription registry — per
 //! component, each behind its own lock.  Component alphabets may overlap, so
-//! an action is owned by a *set* of shards (`ix_state::ShardRouter`):
+//! an action is owned by a *set* of shards, which the partition names:
 //!
 //! * a **single-owner** action locks and commits on one shard — ask/confirm
 //!   cycles touching different components never contend;
@@ -62,8 +62,8 @@ use crate::subscription::{
     ClientId, CrossBit, CrossSubscriptions, Notification, SubscriptionRegistry,
 };
 use crate::timer::Timers;
-use ix_core::{Action, Alphabet, Expr, Partition};
-use ix_state::{Engine, ShardRouter};
+use ix_core::{Action, Component, Expr, Partition};
+use ix_state::Engine;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -212,7 +212,7 @@ type OwnerGuards<'a> = Vec<(usize, MutexGuard<'a, Shard>)>;
 pub struct InteractionManager {
     expr: Expr,
     variant: ProtocolVariant,
-    router: ShardRouter,
+    partition: Partition,
     shards: Vec<Mutex<Shard>>,
     /// Which shards hold which outstanding reservation (advisory index; the
     /// shards' own tables are authoritative, see `confirm`).
@@ -247,46 +247,40 @@ impl InteractionManager {
         expr: &Expr,
         variant: ProtocolVariant,
     ) -> ManagerResult<InteractionManager> {
-        InteractionManager::from_components(
-            expr,
-            variant,
-            Partition::of(expr)
-                .components()
-                .iter()
-                .map(|c| (c.expr.clone(), c.alphabet.clone()))
-                .collect(),
-        )
+        InteractionManager::from_partition(expr, variant, Partition::of(expr))
     }
 
     /// Creates a manager that keeps the whole expression in a single shard —
-    /// the paper's central scheduler with one critical region.  Exists for
-    /// the sharding benchmarks; [`InteractionManager::with_protocol`] is
-    /// strictly better whenever the expression decomposes.
+    /// the paper's central scheduler with one critical region.  Exists as
+    /// the single-shard reference the lockstep properties of
+    /// `tests/properties.rs` check the sharded layouts against;
+    /// [`InteractionManager::with_protocol`] is strictly better whenever the
+    /// expression decomposes.
     pub fn monolithic(expr: &Expr, variant: ProtocolVariant) -> ManagerResult<InteractionManager> {
-        InteractionManager::from_components(expr, variant, vec![(expr.clone(), expr.alphabet())])
+        let whole = Component { expr: expr.clone(), alphabet: expr.alphabet() };
+        let partition = Partition::from_components(vec![whole], 0);
+        InteractionManager::from_partition(expr, variant, partition)
     }
 
-    fn from_components(
+    fn from_partition(
         expr: &Expr,
         variant: ProtocolVariant,
-        components: Vec<(Expr, Alphabet)>,
+        partition: Partition,
     ) -> ManagerResult<InteractionManager> {
-        let mut shards = Vec::with_capacity(components.len());
-        let mut alphabets = Vec::with_capacity(components.len());
-        for (component, alphabet) in components {
-            let engine = Engine::new(&component).map_err(ManagerError::State)?;
+        let mut shards = Vec::with_capacity(partition.len());
+        for component in partition.components() {
+            let engine = Engine::new(&component.expr).map_err(ManagerError::State)?;
             shards.push(Mutex::new(Shard {
                 engine,
                 reservations: BTreeMap::new(),
                 subscriptions: SubscriptionRegistry::new(),
                 log: ShardLog::new(),
             }));
-            alphabets.push(alphabet);
         }
         Ok(InteractionManager {
             expr: expr.clone(),
             variant,
-            router: ShardRouter::new(alphabets),
+            partition,
             shards,
             reservation_index: Mutex::new(HashMap::new()),
             timers: Mutex::new(Timers::new(0)),
@@ -317,19 +311,19 @@ impl InteractionManager {
 
     /// The primary (lowest-id) shard an action is routed to, if any.
     pub fn shard_of(&self, action: &Action) -> Option<usize> {
-        self.router.route(action)
+        self.partition.route(action)
     }
 
     /// All shards owning an action, ascending.  Empty for actions outside
     /// every shard alphabet; more than one entry marks a cross-shard action.
     pub fn owners_of(&self, action: &Action) -> Vec<usize> {
-        self.router.owners(action)
+        self.partition.owners_of(action)
     }
 
     /// True if the action is owned by more than one shard (executed via
     /// two-phase commit).
     pub fn is_cross_shard(&self, action: &Action) -> bool {
-        self.router.is_shared(action)
+        self.partition.is_shared(action)
     }
 
     /// Statistics so far.
@@ -407,7 +401,7 @@ impl InteractionManager {
         if !action.is_concrete() {
             return Err(ManagerError::NonConcreteAction { action: action.to_string() });
         }
-        let owners = self.router.owners(action);
+        let owners = self.partition.owners_of(action);
         if owners.is_empty() {
             self.stats.denials.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
@@ -513,7 +507,7 @@ impl InteractionManager {
             return Err(ManagerError::NonConcreteAction { action: action.to_string() });
         }
         let _ = client;
-        let owners = self.router.owners(action);
+        let owners = self.partition.owners_of(action);
         if owners.is_empty() {
             self.stats.denials.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
@@ -564,7 +558,7 @@ impl InteractionManager {
             if !action.is_concrete() {
                 return Err(ManagerError::NonConcreteAction { action: action.to_string() });
             }
-            owner_sets.push(self.router.owners(action));
+            owner_sets.push(self.partition.owners_of(action));
         }
         let mut held: Vec<usize> = Vec::new();
         let mut guards: OwnerGuards<'_> = Vec::new();
@@ -610,7 +604,7 @@ impl InteractionManager {
     /// reservations) — the "status" the subscription protocol reports: the
     /// conjunction of the owning shards' votes, evaluated under their locks.
     pub fn is_permitted(&self, action: &Action) -> bool {
-        let owners = self.router.owners(action);
+        let owners = self.partition.owners_of(action);
         if owners.is_empty() {
             return false;
         }
@@ -624,7 +618,7 @@ impl InteractionManager {
     /// clients do not need to ask about them.  The shard alphabets together
     /// are the expression's, so this is "some shard owns it".
     pub fn controls(&self, action: &Action) -> bool {
-        self.router.route(action).is_some()
+        self.partition.route(action).is_some()
     }
 
     /// True if the interaction state is final (every constraint could stop
@@ -640,7 +634,7 @@ impl InteractionManager {
     /// action; a cross-shard subscription lives in the manager-level
     /// registry, which caches one status bit per owner.
     pub fn subscribe(&self, client: ClientId, action: &Action) -> bool {
-        let owners = self.router.owners(action);
+        let owners = self.partition.owners_of(action);
         match owners.as_slice() {
             [] => {
                 lock(&self.orphan_subscriptions).subscribe(
@@ -652,7 +646,7 @@ impl InteractionManager {
                 false
             }
             [shard_id] => {
-                let alphabet = self.router.alphabet(*shard_id);
+                let alphabet = &self.partition.components()[*shard_id].alphabet;
                 let key = alphabet.covering(action).unwrap_or(action).clone();
                 let mut shard = lock(&self.shards[*shard_id]);
                 let permitted = shard.engine.is_permitted(action);
@@ -673,7 +667,7 @@ impl InteractionManager {
 
     /// Removes a subscription.
     pub fn unsubscribe(&self, client: ClientId, action: &Action) {
-        let owners = self.router.owners(action);
+        let owners = self.partition.owners_of(action);
         match owners.as_slice() {
             [] => lock(&self.orphan_subscriptions).unsubscribe(client, action),
             [shard_id] => lock(&self.shards[*shard_id]).subscriptions.unsubscribe(client, action),
@@ -758,7 +752,7 @@ impl InteractionManager {
     ) -> ManagerResult<InteractionManager> {
         let manager = InteractionManager::with_protocol(expr, variant)?;
         for action in log {
-            let owners = manager.router.owners(action);
+            let owners = manager.partition.owners_of(action);
             if owners.is_empty() {
                 return Err(ManagerError::CorruptLog { action: action.to_string() });
             }

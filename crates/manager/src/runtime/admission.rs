@@ -4,8 +4,7 @@
 use super::Topology;
 use crate::error::SubmitError;
 use crate::log::ShardLog;
-use ix_core::Action;
-use ix_state::Route;
+use ix_core::{Action, Route};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -343,5 +342,5 @@ pub(super) fn admit_submission(
     if !topo.bounded || !action.is_concrete() {
         return Ok(());
     }
-    admit_route(topo, &topo.router.classify(action), single, multi)
+    admit_route(topo, &topo.partition.classify(action), single, multi)
 }

@@ -371,7 +371,7 @@ pub(super) fn multi_is_live(
         | Op::Ask { action, .. }
         | Op::Subscribe { action, .. }
         | Op::Unsubscribe { action, .. }
-        | Op::Query { action } => Some(topo.router.owners(action)),
+        | Op::Query { action } => Some(topo.partition.owners_of(action)),
     });
     let (stale, owners) = match owners {
         Some(owners) if owners != task.owners => (true, owners),

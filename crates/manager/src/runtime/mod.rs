@@ -43,7 +43,7 @@
 //! * **dynamic repartitioning** ([`ManagerRuntime::add_constraint`],
 //!   [`ManagerRuntime::couple`]): workflow ensembles grow at runtime, so the
 //!   partition is a *versioned* artifact rather than a construct-time one.
-//!   The shard topology (router + queues) lives behind an epoch-versioned
+//!   The shard topology (partition + queues) lives behind an epoch-versioned
 //!   swappable snapshot; every task is stamped with the epoch it was routed
 //!   under, and a worker that dequeues a stale-stamped task re-checks the
 //!   route and *retries* it through the current topology instead of
@@ -91,9 +91,9 @@ use crate::timer::Timers;
 use admission::ShardGate;
 use cross::CascadeCounters;
 use crossbeam::channel::{unbounded, Sender};
-use ix_core::{Action, Alphabet, Expr, Partition};
+use ix_core::{Action, Expr, Partition};
 use ix_durable::{FileVault, FsyncPolicy, Vault};
-use ix_state::{ShardRouter, TierStats};
+use ix_state::TierStats;
 use session::advance_clock;
 use slots::{host_parallelism, pool_worker, retire_unstarted, seat_shard, PoolCtl, Task};
 use std::collections::HashMap;
@@ -210,17 +210,18 @@ pub(crate) struct ExpiryEvent {
 }
 
 /// One immutable snapshot of the runtime's shard topology: the
-/// epoch-versioned router and the task-queue senders (index = shard id),
-/// plus the joined expression the runtime currently enforces.
+/// epoch-versioned partition that routes every action, and the task-queue
+/// senders (index = shard id), plus the joined expression the runtime
+/// currently enforces.
 ///
-/// Submissions clone the current snapshot, classify against its router, and
+/// Submissions clone the current snapshot, classify against its partition, and
 /// stamp their tasks with its epoch.  A repartition installs a *new*
 /// snapshot (existing queues keep their senders — shard ids are stable, new
 /// shards append), so a worker that dequeues a task stamped with an older
 /// epoch knows the routing decision may be stale and re-checks it against
 /// the current topology instead of misdelivering the task.
 pub(crate) struct Topology {
-    router: ShardRouter,
+    partition: Partition,
     queues: Vec<Sender<Task>>,
     /// Per-shard admission gates, aligned with `queues`.  Shared by [`Arc`]
     /// across topology snapshots — a repartition carries the gates of
@@ -240,7 +241,7 @@ pub(crate) struct Topology {
 
 impl Topology {
     fn epoch(&self) -> u64 {
-        self.router.epoch()
+        self.partition.epoch()
     }
 }
 
@@ -331,9 +332,6 @@ pub(crate) struct RuntimeShared {
 pub struct ManagerRuntime {
     shared: Arc<RuntimeShared>,
     topology: Arc<TopologySlot>,
-    /// The live (epoch-versioned) partition; the mutex also serializes
-    /// repartitions — at most one migration is in flight at a time.
-    partition: Mutex<Partition>,
 }
 
 impl std::fmt::Debug for ManagerRuntime {
@@ -419,8 +417,6 @@ pub(crate) fn spawn_runtime(
     seeds: Vec<ShardState>,
     globals: RecoveredGlobals,
 ) -> ManagerResult<ManagerRuntime> {
-    let alphabets: Vec<Alphabet> =
-        partition.components().iter().map(|c| c.alphabet.clone()).collect();
     let epoch = partition.epoch();
     let workers = match options.worker_threads {
         0 => host_parallelism(),
@@ -434,7 +430,7 @@ pub(crate) fn spawn_runtime(
     let (queues, gates) =
         seeds.into_iter().map(|st| seat_shard(&pool, st, options.queue_limit)).unzip();
     let topology = Arc::new(RwLock::new(Arc::new(Topology {
-        router: ShardRouter::with_epoch(alphabets, epoch),
+        partition,
         queues,
         gates,
         bounded: options.queue_limit > 0,
@@ -478,7 +474,7 @@ pub(crate) fn spawn_runtime(
         let shared = weak.upgrade()?;
         Some(std::thread::spawn(move || pool_worker(shared, me)))
     }));
-    Ok(ManagerRuntime { shared, topology, partition: Mutex::new(partition) })
+    Ok(ManagerRuntime { shared, topology })
 }
 
 /// A runtime in the expression's initial state: one fresh shard per
@@ -588,25 +584,25 @@ impl ManagerRuntime {
 
     /// The primary (lowest-id) shard an action is routed to, if any.
     pub fn shard_of(&self, action: &Action) -> Option<usize> {
-        self.topo().router.route(action)
+        self.topo().partition.route(action)
     }
 
     /// All shards owning an action, ascending (the enqueue order of a
     /// cross-shard task).
     pub fn owners_of(&self, action: &Action) -> Vec<usize> {
-        self.topo().router.owners(action)
+        self.topo().partition.owners_of(action)
     }
 
     /// True if the action is owned by more than one shard.
     pub fn is_cross_shard(&self, action: &Action) -> bool {
-        self.topo().router.is_shared(action)
+        self.topo().partition.is_shared(action)
     }
 
     /// True if the runtime's interaction expression mentions the action —
     /// some shard owns it, since the shard alphabets together are the
     /// expression's.
     pub fn controls(&self, action: &Action) -> bool {
-        self.topo().router.route(action).is_some()
+        self.topo().partition.route(action).is_some()
     }
 
     /// Statistics so far.

@@ -16,8 +16,7 @@ use crate::lock;
 use crate::shard::{Op, ShardState};
 use crate::subscription::Notification;
 use crossbeam::channel::{unbounded, Sender};
-use ix_core::{Alphabet, Expr};
-use ix_state::Route;
+use ix_core::{Expr, Route};
 use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -74,16 +73,17 @@ impl ManagerRuntime {
         require_overlap: bool,
     ) -> ManagerResult<RepartitionReport> {
         let shared = &self.shared;
-        // Serializes migrations and guards the live partition.
-        let mut partition = lock(&self.partition);
+        // Serializes migrations, and only a migration installs a topology:
+        // the snapshot read under this lock is the one this call extends.
         let _persisting = lock(&shared.persisting);
-        let old_len = partition.len();
-        let (new_partition, delta) = partition.extend(std::slice::from_ref(constraint));
+        let topo = read_topology(&self.topology);
+        let old_len = topo.partition.len();
+        let (new_partition, delta) = topo.partition.extend(std::slice::from_ref(constraint));
         if require_overlap && delta.widened.is_empty() {
-            // The overlap test runs on the delta *under the partition
-            // lock*, so a `couple` serialized behind a concurrent
-            // `add_constraint` judges the ensemble it will actually
-            // extend — no topology-snapshot TOCTOU.
+            // The overlap test runs on the delta *under that lock*, so a
+            // `couple` serialized behind a concurrent `add_constraint`
+            // judges the ensemble it will actually extend — no
+            // topology-snapshot TOCTOU.
             return Err(ManagerError::DisjointCoupling);
         }
         let affected = delta.affected_existing(old_len);
@@ -96,14 +96,7 @@ impl ManagerRuntime {
             let component = &new_partition.components()[idx];
             new_shards.push(ShardState::of(idx, component, shared.durability.clone())?);
         }
-        let new_alphabets: Vec<Alphabet> = delta
-            .added
-            .iter()
-            .map(|&idx| new_partition.components()[idx].alphabet.clone())
-            .collect();
-
-        let topo = read_topology(&self.topology);
-        let new_router = topo.router.extended(&new_alphabets);
+        let new_alphabets = || new_partition.components()[old_len..].iter().map(|c| &c.alphabet);
         let mut replayed = 0usize;
         let mut migrated_reservations = 0usize;
         let mut migrated_subscriptions = 0usize;
@@ -155,7 +148,7 @@ impl ManagerRuntime {
             let mut rejected = None;
             let logs = paused.iter().map(|(s, st, _)| (*s, &st.log));
             let read = visit_log(shared.vault(), logs, Gaps::Refuse, |key, action| {
-                for (st, alphabet) in new_shards.iter_mut().zip(&new_alphabets) {
+                for (st, alphabet) in new_shards.iter_mut().zip(new_alphabets()) {
                     if !alphabet.covers(&action) {
                         continue;
                     }
@@ -189,7 +182,7 @@ impl ManagerRuntime {
                 let mut index = lock(&shared.reservation_index);
                 for (_, st, _) in &paused {
                     for reservation in st.reservations.values() {
-                        for (new, alphabet) in new_shards.iter_mut().zip(&new_alphabets) {
+                        for (new, alphabet) in new_shards.iter_mut().zip(new_alphabets()) {
                             if alphabet.covers(&reservation.action)
                                 && !new.reservations.contains_key(&reservation.id)
                             {
@@ -213,16 +206,14 @@ impl ManagerRuntime {
             // so the per-owner bits are a consistent snapshot — the same
             // guarantee a cross-shard subscribe gets from its rendezvous.
             for (sid, st, _) in &mut paused {
-                let router = &new_router;
-                let old_router = &topo.router;
-                let moved = st
-                    .subscriptions
-                    .extract(|action| router.owners(action) != old_router.owners(action));
+                let moved = st.subscriptions.extract(|action| {
+                    new_partition.owners_of(action) != topo.partition.owners_of(action)
+                });
                 for (action, clients, cached) in moved {
                     // A shard-local subscription exists only for actions the
                     // shard owned alone, so the widened owner set is this
                     // shard plus new shards.
-                    let owners = new_router.owners(&action);
+                    let owners = new_partition.owners_of(&action);
                     let bits: Vec<bool> = owners
                         .iter()
                         .map(|&o| {
@@ -247,7 +238,7 @@ impl ManagerRuntime {
             // owners: append the new owners' bits and re-evaluate the
             // conjunction.
             flips.extend(lock(&shared.cross_subscriptions).widen(
-                |action| new_router.owners(action),
+                |action| new_partition.owners_of(action),
                 |owner, action| {
                     debug_assert!(owner >= old_len, "owner sets only widen");
                     new_shards[owner - old_len].engine.is_permitted(action)
@@ -262,12 +253,13 @@ impl ManagerRuntime {
         // subscription now — its owners can only be new shards, because
         // existing alphabets did not change.  A status flip notifies.
         let rehomed = lock(&shared.orphan_subscriptions)
-            .extract(|action| !new_router.owners(action).is_empty());
+            .extract(|action| new_partition.route(action).is_some());
         for (action, clients, cached) in rehomed {
-            let owners = new_router.owners(&action);
+            let owners = new_partition.owners_of(&action);
             debug_assert!(owners.iter().all(|&o| o >= old_len), "orphans were unowned");
             if let [owner] = owners.as_slice() {
-                let key = new_router.alphabet(*owner).covering(&action).unwrap_or(&action).clone();
+                let alphabet = &new_partition.components()[*owner].alphabet;
+                let key = alphabet.covering(&action).unwrap_or(&action).clone();
                 for &client in &clients {
                     let registry = &mut new_shards[owner - old_len].subscriptions;
                     registry.subscribe(client, action.clone(), key.clone(), cached);
@@ -306,19 +298,18 @@ impl ManagerRuntime {
         // happens before any paused worker resumes, and every task routed
         // to a widened action targets a still-paused shard, so no worker
         // can act on a stale route between the swap and the resume.
-        let epoch = new_router.epoch();
-        let joined_expr = Expr::sync(topo.expr.clone(), constraint.clone());
+        let epoch = new_partition.epoch();
         let new_topology = Arc::new(Topology {
-            router: new_router,
+            partition: new_partition,
             queues,
             gates,
             bounded: shared.queue_limit > 0,
             pool: Arc::clone(&topo.pool),
-            expr: joined_expr.clone(),
+            expr: Expr::sync(topo.expr.clone(), constraint.clone()),
         });
         {
             let mut slot = self.topology.write().unwrap_or_else(|e| e.into_inner());
-            *slot = new_topology;
+            *slot = Arc::clone(&new_topology);
             shared.epoch.store(epoch, Ordering::Release);
         }
 
@@ -336,7 +327,8 @@ impl ManagerRuntime {
                 paused.iter().filter_map(|(_, state, _)| state.capture()).collect();
             let cross = lock(&shared.cross_subscriptions).export();
             let orphans = lock(&shared.orphan_subscriptions).export();
-            persist_repartition(vault, &captures, &joined_expr, &new_partition, cross, orphans)?;
+            let (expr, partition) = (&new_topology.expr, &new_topology.partition);
+            persist_repartition(vault, &captures, expr, partition, cross, orphans)?;
             // The coordinator holds the paused states: it releases what it
             // just archived itself.
             for (_, state, _) in paused.iter_mut() {
@@ -367,7 +359,6 @@ impl ManagerRuntime {
             migrated_reservations,
             migrated_subscriptions,
         };
-        *partition = new_partition;
         Ok(report)
     }
 }
@@ -410,7 +401,7 @@ pub(super) fn ensure_single_route(
         | Op::Ask { action, .. }
         | Op::Subscribe { action, .. }
         | Op::Unsubscribe { action, .. }
-        | Op::Query { action } => match topo.router.classify(action) {
+        | Op::Query { action } => match topo.partition.classify(action) {
             Route::Single(shard) if shard == st.id && !behind_divert => Some(task),
             route => {
                 lock(&shared.repart).rerouted_tasks += 1;

@@ -15,8 +15,7 @@ use crate::shard::{Op, DENIED};
 use crate::subscription::{ClientId, Notification};
 use crate::ticket::{completed, ticket, Ticket, TicketIssuer};
 use crossbeam::channel::Receiver;
-use ix_core::Action;
-use ix_state::Route;
+use ix_core::{Action, Route};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,7 +106,7 @@ impl Session {
     /// that waits on each ticket wants [`Session::execute`].
     pub fn submit(&self, action: &Action) -> Result<Ticket<Completion>, SubmitError> {
         let topo = self.admit_execute(action)?;
-        Ok(match topo.router.classify(action) {
+        Ok(match topo.partition.classify(action) {
             Route::Single(shard) if action.is_concrete() => {
                 self.shared.stats.asks.fetch_add(1, Ordering::Relaxed);
                 let op = Op::Execute { action: action.clone() };
@@ -149,7 +148,7 @@ impl Session {
         // dequeues it.
         let mut pending: Vec<(Action, Route, TicketIssuer<Completion>)> = Vec::new();
         for action in actions {
-            let route = action.is_concrete().then(|| topo.router.classify(action));
+            let route = action.is_concrete().then(|| topo.partition.classify(action));
             if topo.bounded {
                 if let Some(route) = &route {
                     let (single, multi) = (AdmitClass::Commit, AdmitClass::Speculative);
@@ -231,7 +230,7 @@ impl Session {
     pub fn unsubscribe(&self, action: &Action) -> Ticket<Completion> {
         let shared = &self.shared;
         let topo = self.snapshot();
-        match topo.router.classify(action) {
+        match topo.partition.classify(action) {
             Route::Multi(_) => {
                 cross_unsubscribe(shared, self.client, action);
                 completed(Completion::Unsubscribed)
@@ -258,7 +257,7 @@ impl Session {
         if let Err(e) = admit_submission(&topo, action, AdmitClass::Probe, AdmitClass::Probe) {
             return completed(Completion::Failed { error: e.into() });
         }
-        dispatch(&self.shared, &topo, topo.router.classify(action), op, Credit::Held)
+        dispatch(&self.shared, &topo, topo.partition.classify(action), op, Credit::Held)
     }
 
     /// Drains the subscription notifications received so far.
@@ -380,7 +379,7 @@ fn submit_decision(
     if !action.is_concrete() {
         return completed(non_concrete(shared, action));
     }
-    dispatch(shared, topo, topo.router.classify(action), op(action.clone()), Credit::Held)
+    dispatch(shared, topo, topo.partition.classify(action), op(action.clone()), Credit::Held)
 }
 
 /// A confirm or an abort of reservation `id`, sent to the owners the

@@ -415,8 +415,8 @@ impl Engine {
     }
 
     /// True if the action sequence committed so far is a partial word.
-    /// (Always true unless the engine was constructed from an unsatisfiable
-    /// state or fed through [`Engine::force_execute`].)
+    /// (Always true unless the engine was restored from an unsatisfiable
+    /// state.)
     pub fn is_valid(&self) -> bool {
         !self.state.is_null()
     }
@@ -581,15 +581,6 @@ impl Engine {
                 false
             }
         }
-    }
-
-    /// Commits the action unconditionally, even if it invalidates the state.
-    /// Used by failure-injection tests to model clients that bypass the
-    /// coordination protocol.
-    pub fn force_execute(&mut self, action: &Action) {
-        self.state = self.transition(&self.state, action);
-        self.successors.get_mut().clear();
-        self.accepted += 1;
     }
 
     /// Feeds a whole word, stopping at the first rejected action.  Returns
@@ -853,8 +844,6 @@ mod tests {
         // A reservation chain keeps its first step only.
         assert!(eng.permitted_after([call(5), perform(5)].iter(), &call(6)));
         assert_eq!(kept(&eng), [call(2), perform(1), call(5)]);
-        eng.force_execute(&perform(1));
-        assert!(kept(&eng).is_empty(), "force_execute");
         assert!(eng.is_permitted(&call(7)));
         eng.reset();
         assert!(kept(&eng).is_empty(), "reset");
@@ -909,10 +898,8 @@ mod tests {
     }
 
     #[test]
-    fn force_execute_can_invalidate_the_state() {
-        let e = parse("a").unwrap();
-        let mut eng = Engine::new(&e).unwrap();
-        eng.force_execute(&a("z"));
+    fn nothing_is_permitted_in_the_null_state() {
+        let mut eng = Engine::restore(&parse("a").unwrap(), null_state(), 1, 0).unwrap();
         assert!(!eng.is_valid());
         assert!(!eng.try_execute(&a("a")), "nothing is permitted in the null state");
     }

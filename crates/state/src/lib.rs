@@ -14,10 +14,13 @@
 //!   one engine steps through the fused τ̂ behind its table tier, and keeps
 //!   the successors of its committed state for the confirm that follows an
 //!   ask,
-//! * [`ShardRouter`] — the action → owning components table over an
-//!   `ix_core::Partition`, through which the interaction managers route,
 //! * [`analysis`] — the complexity classification of Sec. 6 (harmless /
 //!   benign / potentially malignant).
+//!
+//! An engine runs one expression.  Which components of a partitioned
+//! expression own an action is answered by `ix_core::Partition`, through
+//! which the interaction managers of `ix-manager` route to one engine per
+//! component.
 //!
 //! The correctness of the state model with respect to the formal semantics
 //! (`w ∈ Ψ(x) ⇔ ψ(σ_w(x))`, `w ∈ Φ(x) ⇔ ϕ(σ_w(x))`) is exercised by the
@@ -49,7 +52,6 @@ pub mod error;
 pub mod init;
 pub mod optimize;
 pub mod predicates;
-pub mod sharded;
 pub mod state;
 pub mod trans;
 
@@ -63,7 +65,6 @@ pub use error::{StateError, StateResult};
 pub use init::{init, initial_state, validate};
 pub use optimize::optimize;
 pub use predicates::{is_final, is_valid};
-pub use sharded::{Route, ShardRouter};
 pub use state::{fresh_nodes, null_state, QuantState, ScopedAlphabet, Shared, State, StateMetrics};
 pub use trans::{step, trans, trans_reference};
 

@@ -18,7 +18,7 @@ fn main() {
     // reports the audit as the single interaction channel between them.
     let partition = Partition::of(&constraint);
     println!("the coupled constraint decomposes into {} sync-components", partition.len());
-    for (action, owners) in partition.ownership().shared() {
+    for (action, owners) in partition.shared_actions() {
         println!("    cross-shard action {action} owned by shards {owners:?}");
     }
 

@@ -16,12 +16,12 @@
 //! slices measured 360, 454 and 602.  A change that lowers a count should
 //! lower its bound with it.
 
-use ix_core::{parse, Action, Expr, Partition, Value};
+use ix_core::{parse, Action, Expr, Partition, Route, Value};
 use ix_manager::{
     Completion, FileVault, FsyncPolicy, ManagerRuntime, MemVault, ProtocolVariant, RuntimeOptions,
     Session, Ticket, Vault,
 };
-use ix_state::{Engine, Route, ScopedAlphabet, ShardRouter};
+use ix_state::{Engine, ScopedAlphabet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -83,11 +83,10 @@ fn allocations<R>(mut f: impl FnMut() -> R) -> u64 {
     n
 }
 
-/// The router of `cross_chain`'s expression: four departments, each its
-/// own shard, all coupled by `audit`.
-fn chain_router() -> ShardRouter {
-    let partition = Partition::of(&parse(&chain_src()).unwrap());
-    ShardRouter::new(partition.components().iter().map(|c| c.alphabet.clone()).collect())
+/// The partition of `cross_chain`'s expression, which routes its actions:
+/// four departments, each its own shard, all coupled by `audit`.
+fn chain_router() -> Partition {
+    Partition::of(&parse(&chain_src()).unwrap())
 }
 
 #[test]
@@ -98,7 +97,7 @@ fn routing_a_single_owner_action_allocates_nothing() {
     assert_eq!(allocations(|| router.classify(&call)), 0);
     assert_eq!(allocations(|| router.owners_iter(&call).count()), 0);
 
-    let alphabet = router.alphabet(2);
+    let alphabet = &router.components()[2].alphabet;
     let pattern = alphabet.covering(&call).expect("call_dept2(p) covers call_dept2(7)").clone();
     assert!(!pattern.is_concrete(), "the covering entry is parameterised");
     assert_eq!(allocations(|| alphabet.covers(&call)), 0);

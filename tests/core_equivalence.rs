@@ -1,15 +1,18 @@
 //! Equivalence tests for the representations `ix-core` builds once and then
 //! only reads: alphabets against a `BTreeSet<Action>` model (iteration
 //! order, queries, set algebra, and `Eq`/`Ord`/`Hash` — what keeps every
-//! encoding that walks or hashes an alphabet byte-identical), the parser
+//! encoding that walks or hashes an alphabet byte-identical), a partition's
+//! routing table against a scan of its component alphabets, the parser
 //! against the printer over every operator, and the parser's error
 //! positions and messages on malformed input.
 
-use ix_core::{parse, Action, Alphabet, CoreError, Expr, Param, Symbol, Term, Value};
+use ix_core::{
+    parse, Action, Alphabet, CoreError, Expr, Param, Partition, Route, Symbol, Term, Value,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
 const NAMES: [&str; 4] = ["a", "b", "c", "d"];
@@ -108,6 +111,85 @@ fn check_against_model(
     Ok(())
 }
 
+/// One operand of a chain: an iterated sequence of one to three atoms over
+/// the shared name pool, so operands of one chain overlap often, with its
+/// parameters bound by `some`.
+fn operand() -> impl Strategy<Value = Expr> {
+    proptest::collection::vec(abstract_action(), 1..4).prop_map(|atoms| {
+        let body = atoms.into_iter().map(Expr::atom).reduce(Expr::seq).unwrap();
+        let e = Expr::seq_iter(body);
+        e.free_params().into_iter().fold(e, |e, p| Expr::some_q(p, e))
+    })
+}
+
+/// A chain of one to four operands joined by ⊗, or by ‖ one time in four
+/// (which splits only where the operands are disjoint).
+fn chain() -> impl Strategy<Value = Expr> {
+    proptest::collection::vec((operand(), 0usize..4), 1..5).prop_map(|operands| {
+        let mut operands = operands.into_iter();
+        let (first, _) = operands.next().unwrap();
+        operands
+            .fold(first, |e, (x, join)| if join == 0 { Expr::par(e, x) } else { Expr::sync(e, x) })
+    })
+}
+
+/// The overlap owner sets as the partition once kept them, in a map built
+/// whole: every abstract action of some alphabet, with the alphabets that
+/// may cover a common instantiation of it.
+fn overlap_owner_sets(alphabets: &[Alphabet]) -> BTreeMap<Action, Vec<usize>> {
+    let mut owners = BTreeMap::new();
+    for alphabet in alphabets {
+        for action in alphabet.actions() {
+            owners.entry(action.clone()).or_insert_with(|| {
+                (0..alphabets.len()).filter(|&j| alphabets[j].overlaps_action(action)).collect()
+            });
+        }
+    }
+    owners
+}
+
+fn alphabets(partition: &Partition) -> Vec<Alphabet> {
+    partition.components().iter().map(|c| c.alphabet.clone()).collect()
+}
+
+/// Probes for a partition: the random `extra` actions, every alphabet entry
+/// as it stands, instantiated (each parameter bound to 1), and with one
+/// argument too many, plus a name no alphabet has.
+fn probes(partition: &Partition, extra: &[Action]) -> Vec<Action> {
+    let mut out = extra.to_vec();
+    for entry in partition.components().iter().flat_map(|c| c.alphabet.actions()) {
+        let bound = entry.args().iter().map(|t| Term::Value(t.as_value().unwrap_or(Value::int(1))));
+        let longer = entry.args().iter().cloned().chain([Term::Value(Value::int(0))]);
+        out.extend([
+            entry.clone(),
+            Action::new(entry.name(), bound),
+            Action::new(entry.name(), longer),
+        ]);
+    }
+    out.push(Action::nullary("unknown"));
+    out
+}
+
+/// Every routing answer of the partition against the scan of its component
+/// alphabets.
+fn check_routes(partition: &Partition, probes: &[Action]) -> Result<(), TestCaseError> {
+    for action in probes {
+        let scan: Vec<usize> = (0..partition.len())
+            .filter(|&i| partition.components()[i].alphabet.covers(action))
+            .collect();
+        let route = match scan.as_slice() {
+            [] => Route::None,
+            [one] => Route::Single(*one),
+            _ => Route::Multi(scan.clone()),
+        };
+        prop_assert_eq!(partition.classify(action), route, "classify {}", action);
+        prop_assert_eq!(partition.owners_of(action), scan.clone(), "owners_of {}", action);
+        prop_assert_eq!(partition.route(action), scan.first().copied(), "route {}", action);
+        prop_assert_eq!(partition.is_shared(action), scan.len() > 1, "is_shared {}", action);
+    }
+    Ok(())
+}
+
 /// Well-scoped expressions over every operator: atoms with integer, symbol
 /// and parameter arguments, holes, `empty`, all binary and postfix
 /// operators, the four quantifiers and the multiplier.  Parameters left
@@ -176,6 +258,37 @@ proptest! {
         let ys: Vec<Action> = xs.iter().take(xs.len() / 2).chain(&shared).cloned().collect();
         check_against_model(xs.clone(), xs.clone(), &shared, &concrete_probes)?;
         check_against_model(xs, ys, &shared, &concrete_probes)?;
+    }
+
+    #[test]
+    fn a_partition_routes_like_the_scan_of_its_alphabets(
+        base in chain(),
+        addition in chain(),
+        extra in proptest::collection::vec(concrete_action(), 1..8),
+    ) {
+        let partition = Partition::of(&base);
+        check_routes(&partition, &probes(&partition, &extra))?;
+
+        let (grown, delta) = partition.extend(std::slice::from_ref(&addition));
+        let old_len = partition.len();
+        prop_assert_eq!(delta.added, (old_len..grown.len()).collect::<Vec<_>>());
+        prop_assert!(grown.len() > old_len, "every constraint adds a component");
+        prop_assert_eq!(grown.epoch(), partition.epoch() + 1);
+        let rebuilt = Partition::from_components(grown.components().to_vec(), grown.epoch());
+        let probes = probes(&grown, &extra);
+        check_routes(&grown, &probes)?;
+        for action in &probes {
+            prop_assert_eq!(grown.classify(action), rebuilt.classify(action), "{}", action);
+        }
+
+        let before = overlap_owner_sets(&alphabets(&partition));
+        let widened: Vec<(Action, Vec<usize>)> = overlap_owner_sets(&alphabets(&grown))
+            .into_iter()
+            .filter(|(action, owners)| {
+                owners.iter().any(|&o| o < old_len) && before.get(action) != Some(owners)
+            })
+            .collect();
+        prop_assert_eq!(delta.widened, widened);
     }
 
     #[test]
