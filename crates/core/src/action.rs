@@ -96,11 +96,6 @@ impl Action {
         self.args.iter().any(|t| matches!(t, Term::Param(q) if *q == p))
     }
 
-    /// True if the value `v` occurs among the arguments.
-    pub fn mentions_value(&self, v: Value) -> bool {
-        self.args.iter().any(|t| matches!(t, Term::Value(w) if *w == v))
-    }
-
     /// Substitutes `value` for every occurrence of `param`, returning a new
     /// action.  Returns a cheap clone when the parameter does not occur.
     pub fn substitute(&self, param: Param, value: Value) -> Action {
@@ -289,7 +284,7 @@ mod tests {
         let a = Action::new("a", [Term::Param(p("p")), Term::Value(Value::int(5))]);
         assert!(a.mentions_param(p("p")));
         assert!(!a.mentions_param(p("q")));
-        assert!(a.mentions_value(Value::int(5)));
-        assert!(!a.mentions_value(Value::int(6)));
+        assert!(a.args().contains(&Term::Value(Value::int(5))));
+        assert!(!a.args().contains(&Term::Value(Value::int(6))));
     }
 }

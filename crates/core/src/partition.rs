@@ -289,11 +289,6 @@ impl Partition {
         self.components.is_empty()
     }
 
-    /// True if the expression decomposed into more than one component.
-    pub fn is_sharded(&self) -> bool {
-        self.components.len() > 1
-    }
-
     /// The component expressions.
     pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
         self.components.iter().map(|c| &c.expr)
@@ -518,7 +513,6 @@ mod tests {
     fn empty_expression_is_a_trivial_component() {
         let p = Partition::of(&Expr::empty());
         assert_eq!(p.len(), 1);
-        assert!(!p.is_sharded());
         assert!(!p.is_empty());
         assert!(p.shared_actions().is_empty());
     }

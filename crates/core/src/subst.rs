@@ -70,15 +70,6 @@ impl Expr {
             ExprKind::Mult(n, y) => Expr::mult(*n, y.substitute(param, value)),
         }
     }
-
-    /// Applies several substitutions in order.
-    pub fn substitute_all(&self, bindings: &[(Param, Value)]) -> Expr {
-        let mut e = self.clone();
-        for (p, v) in bindings {
-            e = e.substitute(*p, *v);
-        }
-        e
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +135,7 @@ mod tests {
     #[test]
     fn substitute_all_applies_in_order() {
         let e = atom_params("call", &["p", "x"]);
-        let s = e.substitute_all(&[(p("p"), Value::int(1)), (p("x"), Value::sym("endo"))]);
+        let s = e.substitute(p("p"), Value::int(1)).substitute(p("x"), Value::sym("endo"));
         assert_eq!(s, Expr::atom(Action::concrete("call", [Value::int(1), Value::sym("endo")])));
     }
 

@@ -155,11 +155,6 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    /// True once every byte has been consumed.
-    pub fn is_at_end(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         let b = *self.buf.get(self.pos).ok_or(CodecError::Truncated)?;
@@ -265,7 +260,7 @@ mod tests {
         for &v in &values {
             assert_eq!(r.u64().unwrap(), v);
         }
-        assert!(r.is_at_end());
+        assert_eq!(r.u8(), Err(CodecError::Truncated), "every byte was consumed");
     }
 
     #[test]

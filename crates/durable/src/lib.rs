@@ -22,8 +22,7 @@
 //!   every [`ix_state::Shared`] allocation appears exactly once, so the
 //!   structural sharing that makes in-memory capture a ref-count bump also
 //!   makes the serialized form proportional to the number of *distinct*
-//!   nodes.  The table holds multiple roots, so an engine state and the
-//!   states of its compiled DFA tiles share one pool.
+//!   nodes.  The table holds multiple roots in one pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,10 +16,9 @@
 //! Nodes are emitted in post-order, so every child index refers backwards;
 //! the decoder builds the table in one forward pass.  [`ScopedAlphabet`]s
 //! (shared between `Sync` states and quantifier scopes) get their own
-//! deduplicated table.  The table holds *multiple roots*: an engine's
-//! current state and the states of its compiled DFA tiles are encoded into
-//! one pool, so the sharing between them (tile states pin live subtrees)
-//! survives serialization too.
+//! deduplicated table.  The table holds *multiple roots* in one pool, so
+//! sharing between them survives serialization too; a shard snapshot
+//! writes one, the engine's current state.
 
 use crate::codec::{CodecError, Reader, Writer};
 use ix_core::{Action, Alphabet, Param, Symbol, Term, Value};

@@ -19,7 +19,7 @@ use ix_durable::{
     decode_action, decode_alphabet, encode_action, encode_alphabet, history_stream, CodecError,
     Reader, StateTableBuilder, StateTableReader, Vault, Writer, META_STREAM,
 };
-use ix_state::{CompiledTable, StateRef, TableParts};
+use ix_state::StateRef;
 use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
@@ -47,7 +47,6 @@ pub(crate) struct ShardCapture {
     /// Cumulative statistics delta of every record this shard's stream ever
     /// carried up to `covered`.
     pub(crate) stat_base: StatDelta,
-    pub(crate) tier: Vec<Arc<CompiledTable>>,
 }
 
 /// A decoded shard snapshot.
@@ -64,7 +63,6 @@ pub(crate) struct ShardCheckpoint {
     pub(crate) reservations: Vec<Reservation>,
     pub(crate) subscriptions: Vec<SubscriptionRow>,
     pub(crate) stat_base: StatDelta,
-    pub(crate) tier: Vec<TableParts>,
 }
 
 fn encode_subscription_rows(w: &mut Writer, rows: &[SubscriptionRow]) {
@@ -80,22 +78,15 @@ fn decode_subscription_rows(r: &mut Reader) -> Result<Vec<SubscriptionRow>, Code
     get_seq(r, |r| Ok((decode_action(r)?, decode_action(r)?, get_seq(r, Reader::u64)?, r.bool()?)))
 }
 
-/// Serializes one shard capture.  The engine state and every DFA-tile state
-/// share one pointer-deduplicated node pool, so structural sharing between
-/// the live state and the pinned tile states costs nothing twice.  A tile
-/// goes in as far as it is filled: a cell not computed yet is the raw
-/// `u32::MAX - 1` its transition array holds, a `permitted` bit says
-/// "filled and live", and a complete table from an older snapshot is a
-/// lazy table with nothing left to fill.  Of the log
-/// only the entry count and the key high-water mark go in: the caller
-/// ([`persist_shards`]) has archived the entries themselves.
+/// Serializes one shard capture: the state that decides the next action,
+/// through the pointer-deduplicating node pool, and none of the engine's
+/// tier tables, which are a cache the recovered engine refills — the table
+/// sequence the format keeps is written empty.  Of the log only the entry
+/// count and the key high-water mark go in: the caller ([`persist_shards`])
+/// has archived the entries themselves.
 pub(super) fn encode_shard_checkpoint(cap: &ShardCapture) -> Vec<u8> {
-    let parts: Vec<TableParts> = cap.tier.iter().map(|t| t.to_parts()).collect();
     let mut pool = StateTableBuilder::new();
     let root = pool.add_root(&cap.state);
-    let tier_state_ids: Vec<Vec<u32>> =
-        parts.iter().map(|p| p.states.iter().map(|s| pool.add_root(s)).collect()).collect();
-
     let mut w = Writer::new();
     w.u8(SNAPSHOT_VERSION);
     w.u64(cap.covered);
@@ -105,18 +96,7 @@ pub(super) fn encode_shard_checkpoint(cap: &ShardCapture) -> Vec<u8> {
     encode_delta(&mut w, &cap.stat_base);
     pool.finish(&mut w);
     w.u32(root);
-    w.len_prefix(parts.len());
-    for (p, ids) in parts.iter().zip(&tier_state_ids) {
-        put_seq(&mut w, &p.symbols, encode_action);
-        put_seq(&mut w, ids, |w, id| w.u32(*id));
-        put_seq(&mut w, &p.transitions, |w, t| w.u32(*t));
-        put_seq(&mut w, &p.finals, |w, f| w.u64(*f));
-        put_seq(&mut w, &p.permitted, |w, v| w.u64(*v));
-        w.u64(p.fingerprint);
-        // Where the explorer's wall-clock cost used to go; the format keeps
-        // the word.
-        w.u64(0);
-    }
+    w.len_prefix(0); // no tier tables
     w.len_prefix(cap.log.len());
     w.u64(cap.log.max_seq().unwrap_or(0));
     put_seq(&mut w, &cap.reservations, encode_reservation);
@@ -138,15 +118,17 @@ pub(crate) fn decode_shard_checkpoint(bytes: &[u8]) -> ManagerResult<ShardCheckp
         let stat_base = decode_delta(&mut r)?;
         let pool = StateTableReader::read(&mut r)?;
         let state = pool.node(r.u32()?)?;
-        let tier = get_seq(&mut r, |r| {
-            let symbols = get_seq(r, decode_action)?;
-            let states = get_seq(r, |r| pool.node(r.u32()?))?;
-            let transitions = get_seq(r, Reader::u32)?;
-            let finals = get_seq(r, Reader::u64)?;
-            let permitted = get_seq(r, Reader::u64)?;
-            let fingerprint = r.u64()?;
-            r.u64()?; // compile time, from snapshots that recorded one
-            Ok(TableParts { symbols, states, transitions, finals, permitted, fingerprint })
+        // The tier tables older snapshots carry (axis, state ids, cells, two
+        // bitsets, a fingerprint, a spare word) are read past: a recovered
+        // engine installs its own.
+        get_seq(&mut r, |r| {
+            get_seq(r, decode_action)?;
+            get_seq(r, Reader::u32)?;
+            get_seq(r, Reader::u32)?;
+            get_seq(r, Reader::u64)?;
+            get_seq(r, Reader::u64)?;
+            r.u64()?;
+            r.u64()
         })?;
         let entries = r.len_prefix()?;
         let log = if version == SNAPSHOT_VERSION {
@@ -174,7 +156,6 @@ pub(crate) fn decode_shard_checkpoint(bytes: &[u8]) -> ManagerResult<ShardCheckp
             reservations,
             subscriptions,
             stat_base,
-            tier,
         })
     })()
     .map_err(|e| codec_err("shard checkpoint", e))

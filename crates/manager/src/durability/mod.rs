@@ -17,10 +17,10 @@
 //! * **Checkpoints** (`ShardCheckpoint`, `Manifest`): each shard is
 //!   snapshotted at a task boundary of its own worker — no stop-the-world.
 //!   The CoW state is serialized through the pointer-deduplicating
-//!   state-table codec, sharing one node pool between the engine state and
-//!   the states of its compiled DFA tiles (keyed by fingerprint), so
-//!   recovery re-attaches the tiles instead of recompiling them.  A
-//!   snapshot carries the state that decides the next action and *not* the
+//!   state-table codec.  The engine's DFA tiles are a cache of τ̂ and are
+//!   not persisted: a recovered engine installs its tier around the decoded
+//!   state on first use, as a fresh one does.  A snapshot carries the state
+//!   that decides the next action and *not* the
 //!   history of confirmed actions: `persist_shards` first **archives** the
 //!   entries committed since the shard's last checkpoint on the shard's
 //!   history stream ([`ix_durable::history_stream`]) and the snapshot only
@@ -105,7 +105,7 @@ mod tests {
     use crate::log::ShardLog;
     use crate::manager::Reservation;
     use ix_core::{parse, Action};
-    use ix_durable::{encode_action, history_stream, Vault, Writer};
+    use ix_durable::{encode_action, history_stream, Reader, Vault, Writer};
     use ix_state::Engine;
     use std::cell::Cell;
 
@@ -150,13 +150,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_checkpoint_round_trips_state_and_tables() {
-        // A ring caught mid-lap: two of its cells filled, three states.
+    fn shard_checkpoint_round_trips_state_and_writes_no_table() {
+        // A ring caught mid-lap, running from a table with two cells filled.
         let expr = parse("(a - b - c)*").unwrap();
         let mut engine = Engine::new(&expr).unwrap();
         assert!(engine.try_execute(&act("a")) && engine.try_execute(&act("b")));
-        let at_capture = engine.tier_stats();
-        assert_eq!((at_capture.states, at_capture.fills), (3, 2));
+        assert_eq!(engine.tier_stats().tables, 1);
         let cap = ShardCapture {
             shard: 0,
             covered: 17,
@@ -178,9 +177,19 @@ mod tests {
             }],
             subscriptions: vec![(act("b"), act("b"), vec![7, 8], true)],
             stat_base: StatDelta { asks: 2, grants: 1, denials: 1, ..StatDelta::ZERO },
-            tier: engine.tier_tables(),
         };
-        let decoded = decode_shard_checkpoint(&encode_shard_checkpoint(&cap)).expect("decode");
+        let bytes = encode_shard_checkpoint(&cap);
+        // The table sequence follows the state's root id, and is empty.
+        let mut r = Reader::new(&bytes);
+        r.u8().unwrap();
+        for _ in 0..4 {
+            r.u64().unwrap();
+        }
+        decode_delta(&mut r).unwrap();
+        ix_durable::StateTableReader::read(&mut r).unwrap();
+        r.u32().unwrap();
+        assert_eq!(r.len_prefix().unwrap(), 0, "a snapshot holds no tier table");
+        let decoded = decode_shard_checkpoint(&bytes).expect("decode");
         assert_eq!(decoded.covered, 17);
         assert_eq!(decoded.epoch, 3);
         assert_eq!(decoded.accepted, cap.accepted);
@@ -195,26 +204,33 @@ mod tests {
             ix_state::Shared::ptr_eq(&decoded.state, engine.state_handle())
                 || decoded.state == *engine.state_handle()
         );
-        assert_eq!(decoded.tier.len(), cap.tier.len());
-        // A cell the shard fills after the capture goes into the engine's own
-        // copy of the table, not into the one the capture holds.
-        assert!(!engine.is_permitted(&act("a")));
-        assert_eq!(engine.tier_stats().fills, 3);
-        let unknown = u32::MAX - 1;
-        let held = [1, unknown, unknown, unknown, 2, unknown, unknown, unknown, unknown];
-        assert_eq!(cap.tier[0].to_parts().transitions, held);
-        // Re-attach the decoded tables on a restored engine: not a compile,
-        // the cells filled before the capture are there, and the rest of
-        // the lap fills the rest — each cell computed once.
+        // A restored engine installs its tier around the decoded state on
+        // first use, as a fresh one does, and finishes the lap from tables.
         let mut restored =
             Engine::restore(&expr, decoded.state, decoded.accepted, decoded.rejected).unwrap();
-        restored.adopt_tier(decoded.tier);
-        let adopted = restored.tier_stats();
-        assert_eq!((adopted.compiles, adopted.states, adopted.fills), (0, 3, 2), "{adopted:?}");
+        assert_eq!(restored.tier_stats().tables, 0);
         assert!(restored.try_execute(&act("c")));
         assert!(restored.try_execute(&act("a")) && restored.try_execute(&act("b")));
         let lap = restored.tier_stats();
-        assert_eq!((lap.states, lap.fills, lap.hits, lap.fallbacks), (4, 4, 3, 0), "{lap:?}");
+        assert_eq!((lap.tables, lap.compiles, lap.hits, lap.fallbacks), (1, 1, 3, 0), "{lap:?}");
+    }
+
+    /// A shard snapshot written while snapshots still carried the engine's
+    /// tier tables: the ward-round shard of the golden runtime, its table
+    /// half filled, cut after `ward_open ward_round`.  It decodes, the
+    /// tables are dropped, and an engine restored from its state goes on.
+    #[test]
+    fn a_snapshot_with_tables_decodes_to_its_state() {
+        let bytes = include_bytes!("../../../../tests/fixtures/ward_round_snapshot");
+        let decoded = decode_shard_checkpoint(bytes).expect("decode");
+        assert_eq!((decoded.accepted, decoded.rejected), (2, 0));
+        let expr = parse("(ward_open - ward_round - ward_close)*").unwrap();
+        let mut engine =
+            Engine::restore(&expr, decoded.state, decoded.accepted, decoded.rejected).unwrap();
+        let steps = ["ward_close", "ward_open", "ward_round"].map(act);
+        let permitted: Vec<&Action> = steps.iter().filter(|a| engine.is_permitted(a)).collect();
+        assert_eq!(permitted, [&act("ward_close")]);
+        assert!(steps.iter().all(|a| engine.try_execute(a)), "the round closes and reopens");
     }
 
     /// A history record as [`archive`] writes it, entry `i` keyed
@@ -322,7 +338,6 @@ mod tests {
             reservations: Vec::new(),
             subscriptions: Vec::new(),
             stat_base: StatDelta::ZERO,
-            tier: Vec::new(),
         };
         let mut log = ShardLog::new();
         let mut expected = Vec::new();

@@ -9,9 +9,7 @@ use super::{codec_err, durability_err};
 use crate::error::{ManagerError, ManagerResult};
 use crate::log::LogKey;
 use crate::manager::Reservation;
-use crate::runtime::{
-    spawn_runtime, ExpiryEvent, ManagerRuntime, RecoveredGlobals, RuntimeOptions,
-};
+use crate::runtime::{spawn_runtime, ManagerRuntime, RecoveredGlobals, RuntimeOptions};
 use crate::shard::ShardState;
 use crate::subscription::{CrossSubscriptions, SubscriptionRegistry};
 use crate::timer::Timers;
@@ -46,8 +44,6 @@ pub struct ShardInspection {
     pub history_records: u64,
     /// Reservations pending inside the snapshot.
     pub reservations: u64,
-    /// Compiled DFA tables checkpointed alongside the CoW state.
-    pub tier_tables: u64,
     /// Log-key epoch the snapshot was cut under (cross-shard commits are
     /// the epoch boundaries of the merged-log sort key, not topology
     /// versions).
@@ -97,7 +93,6 @@ pub fn inspect_vault(vault: &Arc<dyn Vault>) -> ManagerResult<VaultInspection> {
             let history = ShardHistory::load(Some(vault.as_ref()), shard, cp.log.archived())?;
             history.check_complete()?;
             row.reservations = cp.reservations.len() as u64;
-            row.tier_tables = cp.tier.len() as u64;
             row.epoch = cp.epoch;
         }
         row.tail_records = vault.stream_len(stream).saturating_sub(row.covered);
@@ -163,10 +158,6 @@ pub(crate) fn recover_runtime(
             let cp = decode_shard_checkpoint(&blob)?;
             seed.engine = Engine::restore(&component.expr, cp.state, cp.accepted, cp.rejected)
                 .map_err(ManagerError::State)?;
-            // DFA tiles re-attach from the snapshot with the cells they
-            // had filled — each checked against the subtree it tabulates,
-            // counted as zero compiles.
-            seed.engine.adopt_tier(cp.tier);
             seed.reservations = cp.reservations.into_iter().map(|r| (r.id, r)).collect();
             seed.subscriptions = SubscriptionRegistry::import(cp.subscriptions);
             seed.log = cp.log;
@@ -344,7 +335,7 @@ pub(crate) fn recover_runtime(
         }
         if reservation.expires_at != u64::MAX {
             let at = reservation.expires_at.max(clock + 1);
-            timers.schedule(at, ExpiryEvent { id: *rid, owners: owners.clone() });
+            timers.schedule(at, *rid);
         }
         reservation_index.insert(*rid, owners);
     }

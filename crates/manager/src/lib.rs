@@ -53,4 +53,4 @@ pub use runtime::{
 };
 pub use subscription::{ClientId, Notification, SubscriptionRegistry};
 pub use ticket::{Ticket, TicketIssuer};
-pub use timer::{TimerId, Timers};
+pub use timer::Timers;

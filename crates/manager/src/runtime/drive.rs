@@ -8,7 +8,7 @@
 
 use super::cross::Vote;
 use super::slots::{SingleTask, WorkerCtx};
-use super::{Completion, ExpiryEvent, RuntimeShared};
+use super::{Completion, RuntimeShared};
 use crate::durability::StatDelta;
 use crate::error::ManagerError;
 use crate::lock;
@@ -156,10 +156,7 @@ pub(super) fn finish(
         (Verdict::Reserve(reservation), _) => {
             lock(&shared.reservation_index).insert(reservation.id, owners.to_vec());
             if reservation.expires_at != u64::MAX {
-                lock(&shared.timers).schedule(
-                    reservation.expires_at,
-                    ExpiryEvent { id: reservation.id, owners: owners.to_vec() },
-                );
+                lock(&shared.timers).schedule(reservation.expires_at, reservation.id);
             }
             Completion::Granted { reservation: reservation.id }
         }

@@ -201,14 +201,6 @@ pub enum Completion {
     },
 }
 
-/// What the runtime's lease timers fire: a lease ran out — which
-/// reservation to expire, on which owners.
-#[derive(Clone, Debug)]
-pub(crate) struct ExpiryEvent {
-    pub(crate) id: u64,
-    pub(crate) owners: Vec<usize>,
-}
-
 /// One immutable snapshot of the runtime's shard topology: the
 /// epoch-versioned partition that routes every action, and the task-queue
 /// senders (index = shard id), plus the joined expression the runtime
@@ -292,7 +284,7 @@ pub(crate) struct RuntimeShared {
     /// Number of registered cross-shard subscription entries — commits skip
     /// the registry lock entirely while this is zero (the common case).
     cross_entry_count: AtomicU64,
-    timers: Mutex<Timers<ExpiryEvent>>,
+    timers: Mutex<Timers<u64>>,
     /// The write-ahead vault behind the durable runtime (`None` = the
     /// in-memory runtime).  Every shard state journals its own stream
     /// through its own clone; this handle serves the meta-stream events and
@@ -386,7 +378,7 @@ pub(crate) struct RecoveredGlobals {
     pub(crate) next_reservation: u64,
     pub(crate) stats: ManagerStats,
     pub(crate) reservation_index: HashMap<u64, Vec<usize>>,
-    pub(crate) timers: Timers<ExpiryEvent>,
+    pub(crate) timers: Timers<u64>,
     pub(crate) cross_subscriptions: CrossSubscriptions,
     pub(crate) orphan_subscriptions: SubscriptionRegistry,
 }

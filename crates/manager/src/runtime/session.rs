@@ -566,11 +566,12 @@ fn dispatch_multi(
 
 /// Advances the clock and runs the due lease expirations as shard tasks.
 ///
-/// The timer payload's owner list is the one recorded at grant time; a
-/// migration may since have widened the reservation onto new shards.  The
-/// authoritative owner set therefore comes from the reservation index at
-/// fire time — this is how a scheduled lease *re-arms* across a
-/// repartition without rewriting wheel entries.
+/// A timer files a reservation id, as the blocking manager's do.  The owner
+/// set comes from the reservation index at fire time, so a lease re-arms
+/// across a repartition that widened its reservation onto new shards
+/// without rewriting its timer, and a lease whose reservation was released
+/// since its grant (confirmed, aborted or expired) has no entry and
+/// dispatches nothing.
 pub(super) fn advance_clock(
     shared: &RuntimeShared,
     slot: &TopologySlot,
@@ -580,13 +581,12 @@ pub(super) fn advance_clock(
     if let Some(hub) = &shared.durability {
         hub.log_clock(now);
     }
-    let events = lock(&shared.timers).advance(now);
-    let tickets: Vec<Ticket<Completion>> = events
+    let due = lock(&shared.timers).advance(now);
+    let tickets: Vec<Ticket<Completion>> = due
         .into_iter()
-        .map(|event| {
-            let owners =
-                lock(&shared.reservation_index).get(&event.id).cloned().unwrap_or(event.owners);
-            dispatch_owners(shared, slot, owners, Op::Expire { id: event.id, now })
+        .filter_map(|id| {
+            let owners = lock(&shared.reservation_index).get(&id).cloned()?;
+            Some(dispatch_owners(shared, slot, owners, Op::Expire { id, now }))
         })
         .collect();
     tickets

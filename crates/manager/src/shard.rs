@@ -542,12 +542,10 @@ impl ShardState {
     }
 
     /// The checkpoint capture of this shard: the CoW state handle, the
-    /// tables, and the stream offset the snapshot covers — taken between two
-    /// operations, so state and offset are exactly consistent.  The tables
-    /// are captured as `Arc` handles on the cells filled so far; the shard
-    /// goes on deciding while the capture is encoded, and a cell it fills
-    /// meanwhile goes through `Arc::make_mut` — into the engine's own copy,
-    /// never into the one held here.
+    /// reservation and subscription tables, and the stream offset the
+    /// snapshot covers — taken between two operations, so state and offset
+    /// are exactly consistent.  The engine's tier tables are not captured:
+    /// they are a cache of τ̂, and a recovered engine refills them.
     pub(crate) fn capture(&self) -> Option<ShardCapture> {
         let hub = self.wal.as_ref()?;
         Some(ShardCapture {
@@ -561,7 +559,6 @@ impl ShardState {
             reservations: self.reservations.values().cloned().collect(),
             subscriptions: self.subscriptions.export(),
             stat_base: self.stat_base,
-            tier: self.engine.tier_tables(),
         })
     }
 }

@@ -1,29 +1,26 @@
 //! Lease timers over the manager's logical clock.
 //!
 //! Both managers schedule one timer per leased grant in an ordered map keyed
-//! by `(deadline, schedule order)`: scheduling and cancelling cost
-//! O(log n), and `advance_time` splits off exactly the due prefix — never a
-//! walk over the outstanding leases.
+//! by `(deadline, schedule order)`: scheduling costs O(log n), and
+//! `advance_time` splits off exactly the due prefix — never a walk over the
+//! outstanding leases.
 //!
 //! The timers are driven explicitly (`advance`), which is what makes the
 //! runtime's logical clock deterministic: tests advance logical time and
 //! observe exactly the expirations that became due, in deadline order.  No
 //! real clock is ever read.
 //!
-//! The payload is opaque: the blocking manager files reservation ids, the
-//! runtime per-lease expiries whose release tasks are enqueued to the owning
-//! shards' queues.
+//! Both managers file reservation ids.  A timer is never cancelled: when
+//! it fires, the manager looks the id up in its reservation index, and a
+//! reservation released since its grant is simply no longer there.
 
 use std::collections::BTreeMap;
-
-/// Identifier of a scheduled timer (for cancellation): its deadline and its
-/// place in schedule order.
-pub type TimerId = (u64, u64);
 
 /// Payloads that fire at logical-time deadlines, in deadline order.
 #[derive(Debug)]
 pub struct Timers<T> {
-    due: BTreeMap<TimerId, T>,
+    /// Keyed by deadline, then schedule order.
+    due: BTreeMap<(u64, u64), T>,
     now: u64,
     scheduled: u64,
 }
@@ -34,24 +31,16 @@ impl<T> Timers<T> {
         Timers { due: BTreeMap::new(), now, scheduled: 0 }
     }
 
-    /// Number of scheduled, not yet fired or cancelled timers.
+    /// Number of scheduled, not yet fired timers.
     pub fn pending(&self) -> usize {
         self.due.len()
     }
 
     /// Schedules `payload` to fire when the clock advances to `deadline`
     /// (a deadline at or before the current time fires on the next advance).
-    pub fn schedule(&mut self, deadline: u64, payload: T) -> TimerId {
-        let id = (deadline, self.scheduled);
+    pub fn schedule(&mut self, deadline: u64, payload: T) {
+        self.due.insert((deadline, self.scheduled), payload);
         self.scheduled += 1;
-        self.due.insert(id, payload);
-        id
-    }
-
-    /// Cancels a scheduled timer.  Returns the payload if the timer was
-    /// still pending.
-    pub fn cancel(&mut self, id: TimerId) -> Option<T> {
-        self.due.remove(&id)
     }
 
     /// Advances the clock to `to`, returning every payload whose deadline
@@ -116,20 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_firing() {
-        let mut timers = Timers::new(0);
-        let a = timers.schedule(10, "a");
-        let b = timers.schedule(10_000, "b");
-        let c = timers.schedule(FAR + 5, "c");
-        assert_eq!(timers.cancel(a), Some("a"));
-        assert_eq!(timers.cancel(b), Some("b"));
-        assert_eq!(timers.cancel(c), Some("c"));
-        assert_eq!(timers.cancel(a), None, "already cancelled");
-        assert_eq!(timers.pending(), 0);
-        assert!(timers.advance(FAR * 2).is_empty());
-    }
-
-    #[test]
     fn overflow_map_holds_many_deadlines_beyond_the_horizon() {
         // Far deadlines neither fire early nor lose their order, including
         // entries sharing one deadline (schedule order breaks the tie).
@@ -143,30 +118,6 @@ mod tests {
         assert_eq!(timers.pending(), 4, "kept, not dropped");
         assert_eq!(timers.advance(FAR + 10), vec!["a", "b1", "b2"]);
         assert_eq!(timers.advance(FAR * 4), vec!["far"]);
-        assert_eq!(timers.pending(), 0);
-    }
-
-    #[test]
-    fn cancel_from_the_overflow_map_keeps_same_deadline_siblings() {
-        let mut timers = Timers::new(0);
-        let a = timers.schedule(FAR + 7, "a");
-        let b = timers.schedule(FAR + 7, "b");
-        assert_eq!(timers.cancel(a), Some("a"));
-        assert_eq!(timers.pending(), 1);
-        // The sibling with the same deadline still fires.
-        assert_eq!(timers.advance(FAR + 7), vec!["b"]);
-        assert_eq!(timers.cancel(b), None, "already fired");
-    }
-
-    #[test]
-    fn overflow_entries_remain_cancellable_after_refiling_into_the_wheel() {
-        let mut timers = Timers::new(0);
-        let id = timers.schedule(FAR + 100, "lease");
-        // An advance that fires nothing leaves the timer cancellable.
-        assert!(timers.advance(200).is_empty());
-        assert_eq!(timers.pending(), 1);
-        assert_eq!(timers.cancel(id), Some("lease"));
-        assert!(timers.advance(FAR * 2).is_empty());
         assert_eq!(timers.pending(), 0);
     }
 

@@ -27,8 +27,13 @@
 //! whose successor is dead or already interned, and hands any other
 //! successor back un-interned — from there the walk leaves the table and
 //! the tree walk answers, exactly.  A state that left is not hashed back
-//! in on the per-transition path (nothing is hashed there); only install,
-//! adoption and `reset` look at the live state again.
+//! in on the per-transition path (nothing is hashed there); only install
+//! and `reset` look at the live state again.
+//!
+//! A table is a cache, never state: snapshots carry the engine's state and
+//! none of its tables, and a recovered engine installs its tier around the
+//! decoded state on first use, as a fresh one does (ARCHITECTURE.md,
+//! "Sharing, snapshots and epoch invalidation").
 //!
 //! # Why a cell is exact
 //!
@@ -58,9 +63,8 @@ use crate::predicates::is_final;
 use crate::state::{Shared, State};
 use crate::trans::trans;
 use ix_core::{Action, Alphabet, Expr, ExprKind};
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::iter::once;
 
 /// Default state-count budget of an engine's tier (0 disables tiering).
@@ -70,8 +74,7 @@ pub const DEFAULT_TIER_BUDGET: usize = 512;
 /// `Null` (the action is not permitted in that state).
 pub const DEAD: u32 = u32::MAX;
 
-/// The cell has not been computed yet.  Snapshots store it as the raw `u32`
-/// it is, so a half-filled table round-trips without a format of its own.
+/// The cell has not been computed yet.
 pub(crate) const UNKNOWN: u32 = u32::MAX - 1;
 
 /// Why a subexpression gets no table.
@@ -181,9 +184,18 @@ impl CompiledTable {
             Ok(s) if !s.is_null() => Shared::new(s),
             _ => return Err(CompileBailout::Invalid),
         };
-        let mut table =
-            CompiledTable::over(symbols, Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        table.max_states = budget.max_states;
+        let mut table = CompiledTable {
+            words_per_state: symbols.len().div_ceil(64),
+            symbols,
+            states: Vec::new(),
+            index: HashMap::new(),
+            transitions: Vec::new(),
+            finals: Vec::new(),
+            permitted: Vec::new(),
+            epoch: 0,
+            max_states: budget.max_states,
+            filled: 0,
+        };
         table.intern(start).expect("a positive budget holds σ");
         Ok(table)
     }
@@ -308,15 +320,6 @@ impl CompiledTable {
         })
     }
 
-    /// Fingerprint of the source sub-state σ and the symbol axis — a cheap
-    /// identity to report beside a table.
-    pub fn fingerprint(&self) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        self.states[0].hash(&mut hasher);
-        self.symbols.hash(&mut hasher);
-        hasher.finish()
-    }
-
     /// Tier epoch the table was installed under.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -336,95 +339,6 @@ impl CompiledTable {
         }
         Some(id)
     }
-
-    /// Decomposes the table into its serializable parts, unknown cells
-    /// included.  The derived value→id `index`, the budget and the epoch
-    /// stamp are dropped — [`CompiledTable::from_parts`] rebuilds the index.
-    pub fn to_parts(&self) -> TableParts {
-        TableParts {
-            symbols: self.symbols().to_vec(),
-            states: self.states.clone(),
-            transitions: self.transitions.clone(),
-            finals: self.finals.clone(),
-            permitted: self.permitted.clone(),
-            fingerprint: self.fingerprint(),
-        }
-    }
-
-    /// Reassembles a table from parts (the inverse of
-    /// [`CompiledTable::to_parts`]): rebuilds the axis and the state index
-    /// and counts the filled cells.  The table comes back at epoch 0 and
-    /// capped at the states it has — the adopting tier stamps its own epoch
-    /// and budget on install, and goes on filling from there.
-    pub fn from_parts(parts: TableParts) -> CompiledTable {
-        let axis = Alphabet::from_actions(parts.symbols.iter().cloned());
-        // `to_parts` writes the axis sorted.  One that is not would permute
-        // the columns, so it is dropped and the table stands in for nothing.
-        let axis = if axis.as_slice() == parts.symbols { axis } else { Alphabet::new() };
-        CompiledTable::over(axis, parts.states, parts.transitions, parts.finals, parts.permitted)
-    }
-
-    /// A table over the axis `symbols` holding `states` and their arrays.
-    fn over(
-        symbols: Alphabet,
-        states: Vec<Shared<State>>,
-        transitions: Vec<u32>,
-        finals: Vec<u64>,
-        permitted: Vec<u64>,
-    ) -> CompiledTable {
-        #[allow(clippy::mutable_key_type)]
-        let index: HashMap<Shared<State>, u32> =
-            states.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
-        CompiledTable {
-            words_per_state: symbols.len().div_ceil(64),
-            symbols,
-            max_states: states.len(),
-            states,
-            index,
-            filled: transitions.iter().filter(|&&cell| cell != UNKNOWN).count(),
-            transitions,
-            finals,
-            permitted,
-            epoch: 0,
-        }
-    }
-
-    /// Whether this table tabulates `fresh`'s subexpression (same σ, same
-    /// axis) and its arrays have the shape the accessors index by — what an
-    /// engine checks of a table that came out of a snapshot before it
-    /// adopts it in place of `fresh`.
-    pub(crate) fn stands_in_for(&self, fresh: &CompiledTable) -> bool {
-        let states = self.states.len();
-        self.symbols == fresh.symbols
-            && self.states.first() == fresh.states.first()
-            && self.index.len() == states
-            && self.transitions.len() == states * self.symbols.len()
-            && self.finals.len() == states.div_ceil(64)
-            && self.permitted.len() == states * self.words_per_state
-            && self.transitions.iter().all(|&c| c >= UNKNOWN || (c as usize) < states)
-    }
-}
-
-/// The serializable decomposition of a [`CompiledTable`]: everything a
-/// checkpoint must persist so recovery can re-attach the tile, filled cells
-/// and all, instead of starting it over.  Derived lookup maps are rebuilt on
-/// [`CompiledTable::from_parts`].
-#[derive(Clone, Debug)]
-pub struct TableParts {
-    /// Sorted, deduplicated concrete atoms — the symbol axis.
-    pub symbols: Vec<Action>,
-    /// Interned canonical state handles; index = state id, id 0 = σ.
-    pub states: Vec<Shared<State>>,
-    /// Dense `states.len() × symbols.len()` successor array; a cell not yet
-    /// computed holds `u32::MAX - 1`.
-    pub transitions: Vec<u32>,
-    /// ϕ bitset over state ids.
-    pub finals: Vec<u64>,
-    /// Per-state bitsets of the cells filled and live.
-    pub permitted: Vec<u64>,
-    /// Hash of the source sub-state σ and the symbol axis (informational;
-    /// adoption compares σ and the axis themselves).
-    pub fingerprint: u64,
 }
 
 /// Structural reasons a subexpression can never be table-resident.
@@ -537,10 +451,9 @@ pub struct TierStats {
     /// Transitions computed by the tree walk while tables were installed.
     pub fallbacks: u64,
     /// Cells computed so far across installed tables — each by one τ̂, once.
-    /// A property of the tables, so it survives a checkpoint with them.
     pub fills: u64,
-    /// Tables this engine installed itself over its lifetime (adopting one
-    /// from a snapshot is not a compile).
+    /// Tables this engine installed over its lifetime (re-attaching its own
+    /// on `reset` or `close_tier` is not a compile).
     pub compiles: u64,
     /// Subtrees that bailed out during install passes.
     pub bailouts: u64,
@@ -688,28 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn parts_round_trip_a_half_filled_table() {
-        let e = parse("(s0 - s1 - s2 - s3)*").unwrap();
-        let mut t = CompiledTable::install(&e, budget(64)).unwrap();
-        run_filling(&mut t, &[a("s0"), a("s1")]).unwrap();
-        let mut back = CompiledTable::from_parts(t.to_parts());
-        assert!(back.stands_in_for(&CompiledTable::install(&e, budget(64)).unwrap()));
-        assert_eq!((back.state_count(), back.filled), (3, 2));
-        assert_eq!(back.max_states, 3, "capped at what it holds until a tier adopts it");
-        back.max_states = 64;
-        let end = run_filling(&mut back, &[a("s0"), a("s1"), a("s2"), a("s3")]).unwrap();
-        assert_eq!((back.state_count(), back.filled), (5, 4), "the first two cells were kept");
-        assert!(back.is_final_state(end));
-        // A table over another expression, or with a short array, is not
-        // adopted in a fresh one's place.
-        let other = CompiledTable::install(&parse("(s0 - s1 - s2 - s4)*").unwrap(), budget(64));
-        assert!(!back.stands_in_for(&other.unwrap()));
-        let mut parts = t.to_parts();
-        parts.transitions.pop();
-        assert!(!CompiledTable::from_parts(parts).stands_in_for(&t));
-    }
-
-    #[test]
     fn bailouts_are_reported_structurally() {
         let quant = parse("all p { (call(p) - perform(p))* }").unwrap();
         assert_eq!(compile(&quant, budget(64)).unwrap_err(), CompileBailout::Quantifier);
@@ -761,15 +652,6 @@ mod tests {
         // Fully finite root: exactly one table, no bailouts.
         let (tables, bailouts) = resident(&parse("(a - b)* @ (c - d)*").unwrap());
         assert_eq!((tables.len(), bailouts), (1, 0));
-    }
-
-    #[test]
-    fn fingerprints_distinguish_sources() {
-        let t1 = compile(&parse("(a - b)*").unwrap(), budget(64)).unwrap();
-        let t2 = compile(&parse("(a - c)*").unwrap(), budget(64)).unwrap();
-        let t1_again = compile(&parse("(a - b)*").unwrap(), budget(64)).unwrap();
-        assert_ne!(t1.fingerprint(), t2.fingerprint());
-        assert_eq!(t1.fingerprint(), t1_again.fingerprint());
     }
 
     #[test]

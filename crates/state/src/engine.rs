@@ -27,7 +27,7 @@
 //! invisible semantically — τ̂ is pure — and the lockstep property tests
 //! compare the engine against the plain `trans` fold.
 
-use crate::compile::{for_each_resident, CompileBudget, CompiledTable, TableParts, TierStats};
+use crate::compile::{for_each_resident, CompileBudget, CompiledTable, TierStats};
 use crate::compile::{DEAD, DEFAULT_TIER_BUDGET, UNKNOWN};
 use crate::error::StateResult;
 use crate::init::init;
@@ -126,9 +126,9 @@ fn pin(attach: &mut HashMap<usize, Attached>, handle: &Shared<State>, table: usi
 ///
 /// All fields are interior-mutable so the tier can be consulted (and can
 /// fill a cell) through the `&self` methods of the fused walk; the engine
-/// still owns the tier exclusively.  Tables sit behind `Arc` so a checkpoint
-/// capture or a cloned engine can hold one: a fill goes through
-/// `Arc::make_mut`, so whoever else holds the table keeps the cells it saw.
+/// still owns the tier exclusively.  Tables sit behind `Arc` so a cloned
+/// engine can share one: a fill goes through `Arc::make_mut`, so whoever
+/// else holds the table keeps the cells it saw.
 #[derive(Clone, Debug)]
 struct Tier {
     /// State-count budget per table (0 = tiering disabled).
@@ -173,33 +173,30 @@ impl Tier {
     /// stamped with the tier's epoch and budget, and the attach map rebuilt
     /// around them.
     ///
-    /// A table is the next of `adopted` if that one tabulates this very
-    /// subtree (a snapshot's tables on recovery, the tier's own on `reset`
-    /// and `close_tier`), else a fresh one holding σ and nothing more.
-    /// Every table state is pinned, and so are the sub-states of the live
-    /// `state` that run a resident subtree — interned by value, once each,
-    /// here and never on the per-transition path — so a tier installed
-    /// mid-word picks the walk up where it stands.
-    fn install(&self, expr: &Expr, state: &Shared<State>, adopted: Vec<Arc<CompiledTable>>) {
+    /// A table is the next of `own` — the tier's own tables, re-attached
+    /// on `reset` and `close_tier`, which the same search found over the
+    /// same expression and budget, so they cover the same subtrees in the
+    /// same order — else a fresh one holding σ and nothing more.  Every
+    /// table state is pinned, and so are the sub-states of the live `state`
+    /// that run a resident subtree — interned by value, once each, here and
+    /// never on the per-transition path — so a tier installed mid-word
+    /// picks the walk up where it stands.
+    fn install(&self, expr: &Expr, state: &Shared<State>, own: Vec<Arc<CompiledTable>>) {
         self.installed.set(true);
         let budget = CompileBudget::with_states(self.budget.get());
-        let mut adopted = adopted.into_iter();
+        let mut own = own.into_iter();
         let mut tables: Vec<Arc<CompiledTable>> = Vec::new();
         let mut attach = HashMap::new();
         let (mut compiles, mut bailouts) = (0, 0);
         if budget.max_states > 0 {
             for_each_resident(expr, vec![state], &mut bailouts, &mut |sub, nodes| {
                 let Ok(fresh) = CompiledTable::install(sub, budget) else { return false };
-                let mut table = match adopted.next() {
-                    Some(old) if old.stands_in_for(&fresh) => old,
-                    _ => {
-                        compiles += 1;
-                        Arc::new(fresh)
-                    }
-                };
+                let mut table = own.next().unwrap_or_else(|| {
+                    compiles += 1;
+                    Arc::new(fresh)
+                });
                 let tile = Arc::make_mut(&mut table);
                 tile.epoch = self.epoch.get();
-                tile.max_states = budget.max_states;
                 for node in nodes.iter().filter(|n| !n.is_null()) {
                     if let Ok(id) = tile.intern((*node).clone()) {
                         pin(&mut attach, node, tables.len(), id as usize);
@@ -322,9 +319,9 @@ impl Engine {
     /// decoded state, and the accept/reject counters.  The expression is
     /// re-validated (σ must exist) exactly as in [`Engine::new`]; the decoded
     /// state then replaces σ.  The successor list starts empty and the tier
-    /// is not installed yet — recovery hands it the checkpointed tables via
-    /// [`Engine::adopt_tier`]; without them the first transition installs
-    /// fresh ones around the decoded state.
+    /// is not installed yet: a snapshot carries no tables, and the first
+    /// transition installs fresh ones around the decoded state, as it does
+    /// on a new engine.
     pub fn restore(
         expr: &Expr,
         state: Shared<State>,
@@ -663,28 +660,6 @@ impl Engine {
     pub fn tier_stats(&self) -> TierStats {
         self.tier.stats()
     }
-
-    /// The currently installed tables (empty before first use), holding the
-    /// cells filled so far.  Checkpoints persist these via
-    /// [`CompiledTable::to_parts`] so recovery can re-attach them.
-    pub fn tier_tables(&self) -> Vec<Arc<CompiledTable>> {
-        self.tier.tables.borrow().clone()
-    }
-
-    /// Installs the tier from checkpointed tables: each part that
-    /// tabulates the resident subtree at its position (same σ, same symbol
-    /// axis, well-formed arrays) is reassembled, stamped with the tier's
-    /// current epoch and budget, re-attached to the live state, and goes on
-    /// filling where it stood; any other is replaced by a fresh table.
-    /// Adopted tables leave the `compiles` counter untouched — recovery
-    /// re-attaching tiles is observably not a compile.
-    pub fn adopt_tier(&mut self, parts: Vec<TableParts>) {
-        if parts.is_empty() {
-            return;
-        }
-        let tables = parts.into_iter().map(|p| Arc::new(CompiledTable::from_parts(p))).collect();
-        self.tier.install(&self.expr, &self.state, tables);
-    }
 }
 
 #[cfg(test)]
@@ -1016,7 +991,7 @@ mod tests {
             assert_eq!((closed.states, closed.fills), (states, states as u64 * 4), "{src}");
             assert_eq!(closed.compiles, 1, "closing is not another install");
             let table = crate::compile::compile(&e, CompileBudget::with_states(64)).unwrap();
-            let mine = eng.tier_tables();
+            let mine = eng.tier.tables.borrow().clone();
             assert_eq!(mine[0].transitions, table.transitions, "{src}: same ids, same cells");
             assert_eq!(mine[0].states, table.states);
             // Closing again computes nothing, and a closed table never
@@ -1152,8 +1127,11 @@ mod tests {
         let mut left = Engine::new(&e).unwrap();
         assert!(left.try_execute(&a("s0")));
         let mut right = left.clone();
-        let shared = left.tier_tables();
-        assert!(Arc::ptr_eq(&shared[0], &right.tier_tables()[0]), "a clone shares the table");
+        let shared = left.tier.tables.borrow().clone();
+        assert!(
+            Arc::ptr_eq(&shared[0], &right.tier.tables.borrow()[0]),
+            "a clone shares the table"
+        );
         let seen = shared[0].transitions.clone();
         // Left walks on, right probes denials: each fills cells the other
         // never sees, and what either saw before stays what it was.

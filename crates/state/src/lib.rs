@@ -57,8 +57,7 @@ pub mod trans;
 
 pub use analysis::{classify, Benignity, Classification};
 pub use compile::{
-    compile, CompileBailout, CompileBudget, CompiledTable, TableParts, TierStats, DEAD,
-    DEFAULT_TIER_BUDGET,
+    compile, CompileBailout, CompileBudget, CompiledTable, TierStats, DEAD, DEFAULT_TIER_BUDGET,
 };
 pub use engine::{empty_reservation_fingerprint, word_problem, Engine, WordStatus};
 pub use error::{StateError, StateResult};

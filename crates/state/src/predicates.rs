@@ -11,7 +11,7 @@
 //!
 //! which the cross-crate test suite checks against the `ix-semantics` oracle.
 
-use crate::state::{QuantState, State};
+use crate::state::State;
 
 /// The validity predicate ψ: true iff the processed word is a partial word.
 ///
@@ -78,12 +78,6 @@ pub fn is_final(state: &State) -> bool {
                 && (threads.len() as u32 == *capacity || *body_accepts_epsilon)
         }),
     }
-}
-
-/// Validity of a quantifier alternative viewed in isolation (used by the
-/// optimization function).
-pub fn quant_branches_valid(q: &QuantState) -> bool {
-    is_valid(&q.template) && q.branches.values().all(|s| is_valid(s))
 }
 
 #[cfg(test)]

@@ -141,13 +141,12 @@ fn snapshot_inspect(dir: &str) -> ExitCode {
         };
         println!(
             "shard {:>4} : {snapshot}, {} log entries ({} archived in {} history records), \
-             {} reservations, {} tier tables, covered {} + {} tail records",
+             {} reservations, covered {} + {} tail records",
             s.shard,
             s.log_entries,
             s.archived_entries,
             s.history_records,
             s.reservations,
-            s.tier_tables,
             s.covered,
             s.tail_records
         );

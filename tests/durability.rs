@@ -511,93 +511,88 @@ fn recovered_lease_still_blocks_and_then_expires() {
     recovered.shutdown().unwrap();
 }
 
-/// Compiled DFA tiles checkpoint alongside the CoW snapshots and re-attach
-/// on recovery — re-attachment is not a compile.  The constraint is ground
-/// (quantified subtrees bail out of tier compilation).
-#[test]
-fn checkpointed_tiles_reattach_without_recompiling() {
-    let constraint = parse("((a - b)* - audit)* @ ((c - d)* - audit)*").unwrap();
-    let step = |name: &str| Action::nullary(name);
-    let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
-    let options =
-        RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
-    let runtime =
-        ManagerRuntime::with_durability(&constraint, options, Arc::clone(&vault)).unwrap();
-    let session = runtime.session(1);
-    for _ in 0..8 {
-        for name in ["a", "b"] {
-            assert!(matches!(session.execute(&step(name)).wait(), Completion::Executed { .. }));
-        }
-    }
-    let compiled = runtime.compile_tiers();
-    assert!(compiled.iter().any(|t| t.tables > 0), "workload must reach the table tier");
-    runtime.checkpoint().unwrap();
-    runtime.shutdown().unwrap();
-
-    let options =
-        RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
-    let recovered = ManagerRuntime::recover(vault, options).unwrap();
-    let tier = recovered.tier_stats();
-    assert!(tier.tables > 0, "tiles re-attached from the snapshot");
-    assert_eq!(tier.compiles, 0, "re-attachment must not count as a compile");
-    // The re-attached tables serve: more pairs on the same shard hit them.
-    let session = recovered.session(2);
-    for _ in 0..4 {
-        for name in ["a", "b"] {
-            assert!(matches!(session.execute(&step(name)).wait(), Completion::Executed { .. }));
-        }
-    }
-    assert!(recovered.tier_stats().hits > 0, "recovered tiles serve steps");
-    recovered.shutdown().unwrap();
+/// Executes `names` in order through one session; `true` for each commit.
+fn verdicts(session: &ix_manager::Session, names: &[&str]) -> Vec<bool> {
+    let commits = |name: &&str| session.execute(&Action::nullary(*name)).wait();
+    names.iter().map(|name| matches!(commits(name), Completion::Executed { .. })).collect()
 }
 
-/// A snapshot carries its tables as far as they are filled, and recovery
-/// goes on filling them: a checkpoint cut mid-lap, a crash, and the rest of
-/// the lap computes exactly the cells an uninterrupted lap would have —
-/// none of the recovered ones again.
+/// A snapshot carries the state and no DFA tile: a recovered runtime whose
+/// shards run from tables holds none until its first step, which installs
+/// the tier around the decoded state as on a fresh engine, and it decides,
+/// logs and counts as the run the crash did not interrupt.  The constraint
+/// is ground (quantified subtrees bail out of the tier).
 #[test]
-fn a_half_filled_table_keeps_filling_after_recovery() {
-    let constraint = parse("(s0 - s1 - s2 - s3)* @ (t0 - t1)*").unwrap();
-    let step = |name: &str| Action::nullary(name);
+fn a_recovered_runtime_installs_its_tables_on_first_use() {
+    let constraint = parse("((a - b)* - audit)* @ ((c - d)* - audit)*").unwrap();
     let options =
         RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
-    let lap = ["s0", "t0", "s1", "s2", "t1", "s3", "s0", "t0"];
-    let run = |session: &ix_manager::Session, names: &[&str]| {
-        for name in names {
-            assert!(matches!(session.execute(&step(name)).wait(), Completion::Executed { .. }));
-        }
-    };
+    let before: Vec<&str> = ["a", "b"].repeat(8);
+    let after = ["b", "a", "a", "b", "a", "b", "c", "d", "audit"];
 
     let uninterrupted = ManagerRuntime::with_options(&constraint, options).unwrap();
-    run(&uninterrupted.session(1), &lap);
-    let whole = uninterrupted.tier_stats();
-    assert_eq!((whole.tables, whole.states, whole.fills), (2, 8, 8), "{whole:?}");
+    let session = uninterrupted.session(1);
+    let expected = [verdicts(&session, &before), verdicts(&session, &after)];
+    let (log, stats) = (uninterrupted.log(), uninterrupted.stats());
+    drop(session);
     uninterrupted.shutdown().unwrap();
 
     let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
     let runtime =
         ManagerRuntime::with_durability(&constraint, options, Arc::clone(&vault)).unwrap();
-    run(&runtime.session(1), &lap[..3]);
-    let cut = runtime.tier_stats();
-    assert_eq!((cut.states, cut.fills), (5, 3), "{cut:?}");
+    assert_eq!(verdicts(&runtime.session(1), &before), expected[0]);
+    let compiled = runtime.compile_tiers();
+    assert!(compiled.iter().any(|t| t.tables > 0), "workload must reach the table tier");
     runtime.checkpoint().unwrap();
-    // One more commit lands in the log tail only: recovery replays it, and
-    // the replay fills its cell like any other step.
-    run(&runtime.session(1), &lap[3..4]);
     runtime.shutdown().unwrap();
 
     let recovered = ManagerRuntime::recover(vault, options).unwrap();
-    let adopted = recovered.tier_stats();
-    assert_eq!((adopted.tables, adopted.compiles), (2, 0), "re-attached, not re-installed");
-    assert_eq!(
-        (adopted.states, adopted.fills),
-        (6, 4),
-        "the cut's cells and the tail's: {adopted:?}"
-    );
-    run(&recovered.session(2), &lap[4..]);
+    assert_eq!(recovered.tier_stats().tables, 0, "the snapshot held no table");
+    assert_eq!(verdicts(&recovered.session(2), &after), expected[1]);
+    let tier = recovered.tier_stats();
+    assert!(tier.tables >= 1, "{tier:?}");
+    assert_eq!(tier.compiles, tier.tables as u64, "installed afresh: {tier:?}");
+    assert!(tier.hits > 0, "the installed tables serve steps: {tier:?}");
+    assert_eq!((recovered.log(), recovered.stats()), (log, stats));
+    recovered.shutdown().unwrap();
+}
+
+/// A checkpoint cut mid-lap, one commit in the log tail, a crash: the
+/// replayed commit is the recovered shard's first step, so it installs that
+/// shard's table around the decoded state, and every step after it is a
+/// table step too.  Verdicts, log and statistics are the uninterrupted
+/// lap's.
+#[test]
+fn a_table_cut_mid_lap_refills_after_recovery() {
+    let constraint = parse("(s0 - s1 - s2 - s3)* @ (t0 - t1)*").unwrap();
+    let options =
+        RuntimeOptions { variant: ProtocolVariant::Combined, ..RuntimeOptions::default() };
+    let lap = ["s0", "t0", "s1", "s2", "t1", "s3", "s0", "t0", "s2", "t0"];
+
+    let uninterrupted = ManagerRuntime::with_options(&constraint, options).unwrap();
+    let expected = verdicts(&uninterrupted.session(1), &lap);
+    let (log, stats) = (uninterrupted.log(), uninterrupted.stats());
+    uninterrupted.shutdown().unwrap();
+
+    let vault: Arc<dyn Vault> = Arc::new(MemVault::new());
+    let runtime =
+        ManagerRuntime::with_durability(&constraint, options, Arc::clone(&vault)).unwrap();
+    let mut seen = verdicts(&runtime.session(1), &lap[..3]);
+    assert_eq!(runtime.tier_stats().tables, 2, "both shards run from a table");
+    runtime.checkpoint().unwrap();
+    // One more commit lands in the log tail only: recovery replays it.
+    seen.extend(verdicts(&runtime.session(1), &lap[3..4]));
+    runtime.shutdown().unwrap();
+
+    let recovered = ManagerRuntime::recover(vault, options).unwrap();
+    let replayed = recovered.tier_stats();
+    assert_eq!((replayed.tables, replayed.compiles, replayed.hits), (1, 1, 1), "{replayed:?}");
+    seen.extend(verdicts(&recovered.session(2), &lap[4..]));
+    assert_eq!(seen, expected);
     let end = recovered.tier_stats();
-    assert_eq!((end.states, end.fills, end.fallbacks), (whole.states, whole.fills, 0), "{end:?}");
-    assert_eq!(end.hits, 5, "the replayed commit and the four after it, each a table step");
+    assert_eq!((end.tables, end.compiles, end.fallbacks), (2, 2, 0), "{end:?}");
+    assert_eq!(end.hits, 7, "the replayed commit and the six after it: {end:?}");
+    assert_eq!((recovered.log(), recovered.stats()), (log, stats));
     recovered.shutdown().unwrap();
 }
 

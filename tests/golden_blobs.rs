@@ -1,8 +1,11 @@
 //! Byte-exact persistence: the topology blob and the shard snapshots of one
 //! fixed runtime must encode exactly the bytes checked in under
 //! `tests/fixtures/golden_blobs/`.  Alphabets are written in their sorted
-//! order and table axes with their entries, so a change to how alphabets
-//! are held, ordered or hashed shows up here as a byte difference.
+//! order, so a change to how alphabets are held, ordered or hashed shows up
+//! here as a byte difference.  The ward round's shard runs from a table and
+//! its snapshot holds none: tables are a cache, not state.  The snapshot
+//! that shard wrote while tables were persisted is kept as
+//! `tests/fixtures/ward_round_snapshot`, which recovery still decodes.
 //!
 //! This file is a test binary of its own holding one test: symbols order by
 //! interning order, so the bytes are reproducible only in a process where
