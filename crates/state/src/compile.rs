@@ -11,13 +11,13 @@
 //!
 //! The table is a **lazy DFA**, the paper's on-demand τ̂ (Sec. 6, Fig. 9)
 //! with a cache in front.  Installing one costs O(|subexpression|) — the
-//! structural eligibility test, the sorted atom axis and σ, interned as
-//! state 0 — and every cell starts *unknown*.  The first step through a
-//! cell computes the one fused τ̂ the tree walk would have computed anyway,
-//! interns the successor by value and records its id; from the second visit
-//! on, the step is an array lookup.  [`compile()`] and `Engine::close_tier`
-//! are the same path run to the end: install, then fill every cell
-//! breadth-first.
+//! sorted atom axis and σ as state 0, an engine's own σ at its root table,
+//! hashed at the first lookup — and every cell starts *unknown*.  The first
+//! step through a cell computes the one fused τ̂ the tree walk would have
+//! computed anyway, interns the successor by value and records its id; from
+//! the second visit on, the step is an array lookup.  [`compile()`] and
+//! `Engine::close_tier` are the same path run to the end: install, then
+//! fill every cell breadth-first.
 //!
 //! Eligibility is structural ([`CompileBailout`]): no quantifier, no `#`,
 //! no hole, concrete atoms only.  The *maximal* eligible subtrees of an
@@ -136,12 +136,14 @@ impl CompileBudget {
 /// has visited.
 #[derive(Clone, Debug)]
 pub struct CompiledTable {
+    /// The subexpression the table runs.
+    pub(crate) expr: Expr,
     /// The subexpression's alphabet — its sorted, deduplicated concrete
     /// atoms — is the symbol axis; a column is a binary search into it.
     pub(crate) symbols: Alphabet,
     /// Interned canonical state handles; index = state id, id 0 = σ.
     pub(crate) states: Vec<Shared<State>>,
-    /// Value → state id.
+    /// Value → state id; σ is entered at the first lookup, not at install.
     // The interior-mutable coverage cache of `ScopedAlphabet` is excluded
     // from `Eq`/`Ord`/`Hash`, so state values are well-behaved map keys.
     #[allow(clippy::mutable_key_type)]
@@ -164,40 +166,30 @@ pub struct CompiledTable {
 }
 
 impl CompiledTable {
-    /// A table over `expr` with σ interned and every cell unknown, or the
-    /// reason `expr` cannot have one.
+    /// A table over the eligible `expr` holding `start`, its σ, as state 0
+    /// and every cell unknown, or the reason it cannot have one.
     pub(crate) fn install(
         expr: &Expr,
         budget: CompileBudget,
+        start: Shared<State>,
     ) -> Result<CompiledTable, CompileBailout> {
-        if budget.max_states == 0 {
-            return Err(CompileBailout::Disabled);
-        }
-        if let Some(bail) = structural_bailout(expr) {
-            return Err(bail);
-        }
         let symbols = expr.alphabet();
-        if symbols.is_empty() || symbols.len() > u16::MAX as usize {
+        if symbols.is_empty() || symbols.len() > u16::MAX as usize || start.is_null() {
             return Err(CompileBailout::Invalid);
         }
-        let start = match init(expr) {
-            Ok(s) if !s.is_null() => Shared::new(s),
-            _ => return Err(CompileBailout::Invalid),
-        };
-        let mut table = CompiledTable {
+        Ok(CompiledTable {
+            expr: expr.clone(),
             words_per_state: symbols.len().div_ceil(64),
+            transitions: vec![UNKNOWN; symbols.len()],
+            permitted: vec![0; symbols.len().div_ceil(64)],
             symbols,
-            states: Vec::new(),
+            finals: vec![is_final(&start) as u64],
+            states: vec![start],
             index: HashMap::new(),
-            transitions: Vec::new(),
-            finals: Vec::new(),
-            permitted: Vec::new(),
             epoch: 0,
             max_states: budget.max_states,
             filled: 0,
-        };
-        table.intern(start).expect("a positive budget holds σ");
-        Ok(table)
+        })
     }
 
     /// The initial state's id (always 0).
@@ -252,6 +244,9 @@ impl CompiledTable {
     /// Value-interns a state: its id if it is known, a new id while the
     /// budget allows one, the handle back when the table is full.
     pub(crate) fn intern(&mut self, handle: Shared<State>) -> Result<u32, Shared<State>> {
+        if self.index.is_empty() {
+            self.index.insert(self.states[0].clone(), 0);
+        }
         let id = self.states.len();
         match self.index.entry(handle) {
             Entry::Occupied(known) => Ok(*known.get()),
@@ -341,71 +336,85 @@ impl CompiledTable {
     }
 }
 
-/// Structural reasons a subexpression can never be table-resident.
-fn structural_bailout(expr: &Expr) -> Option<CompileBailout> {
-    let mut verdict = None;
-    expr.visit(&mut |e: &Expr| {
-        let found = match e.kind() {
-            ExprKind::SomeQ(..) | ExprKind::AllQ(..) | ExprKind::SyncQ(..) | ExprKind::ParQ(..) => {
-                Some(CompileBailout::Quantifier)
-            }
-            ExprKind::ParIter(_) => Some(CompileBailout::Unbounded),
-            ExprKind::Hole(_) => Some(CompileBailout::AbstractAlphabet),
-            ExprKind::Atom(a) if !a.is_concrete() => Some(CompileBailout::AbstractAlphabet),
-            _ => None,
-        };
-        if verdict.is_none() {
-            verdict = found;
+/// Why the node `e` itself keeps any subexpression containing it out of a
+/// table.
+fn node_bailout(e: &Expr) -> Option<CompileBailout> {
+    match e.kind() {
+        ExprKind::SomeQ(..) | ExprKind::AllQ(..) | ExprKind::SyncQ(..) | ExprKind::ParQ(..) => {
+            Some(CompileBailout::Quantifier)
         }
-    });
-    verdict
+        ExprKind::ParIter(_) => Some(CompileBailout::Unbounded),
+        ExprKind::Hole(_) => Some(CompileBailout::AbstractAlphabet),
+        ExprKind::Atom(a) if !a.is_concrete() => Some(CompileBailout::AbstractAlphabet),
+        _ => None,
+    }
 }
 
 /// Compiles one subexpression to a closed table, or reports why it cannot
-/// have one: installs the lazy table and fills every cell breadth-first
-/// with the production fused transition, interning successor states by
-/// *value* so the emitted ids are canonical.  Past `budget` states the
-/// table stops growing and the cells that would need a new state stay
-/// unfilled.
+/// have one: validates it, installs the lazy table and fills every cell
+/// breadth-first with the production fused transition, interning successor
+/// states by *value* so the emitted ids are canonical.  Past `budget` states
+/// the table stops growing and the cells needing a new state stay unfilled.
 pub fn compile(expr: &Expr, budget: CompileBudget) -> Result<CompiledTable, CompileBailout> {
-    let mut table = CompiledTable::install(expr, budget)?;
+    let mut bail = (budget.max_states == 0).then_some(CompileBailout::Disabled);
+    expr.visit(&mut |e: &Expr| bail = bail.or_else(|| node_bailout(e)));
+    bail.map_or(Ok(()), Err)?;
+    let start = init(expr).map_err(|_| CompileBailout::Invalid)?;
+    let mut table = CompiledTable::install(expr, budget, Shared::new(start))?;
     table.close();
     Ok(table)
+}
+
+/// Appends the size and structural eligibility of `expr` and of every node
+/// below it to `out`, in pre-order, computed bottom-up in one pass.
+pub(crate) fn survey(expr: &Expr, out: &mut Vec<(usize, bool)>) {
+    let at = out.len();
+    out.push((1, node_bailout(expr).is_none()));
+    for child in expr.iter_children() {
+        let first = out.len();
+        survey(child, out);
+        out[at] = (out[at].0 + out[first].0, out[at].1 && out[first].1);
+    }
 }
 
 /// The structural search for the maximal table-eligible subtrees of `expr`,
 /// outermost first: `found` is called on each with the live sub-states
 /// that run it and says whether it took the subtree; where it did not (or
 /// the subtree is not eligible), the search counts a bailout and descends.
+/// `surveys` is [`survey`] of `expr`, so the search is O(|expr|).
 ///
-/// `nodes` are the states at `expr`'s position in a live state tree (none,
-/// for a search without one).  τ̂ keeps a state's shape — every variant
-/// steps to itself or to `Null` — so walking the two trees side by side
-/// hands `found` exactly the reachable states of the subexpression, σ spawn
-/// templates included, without hashing anything on the way down.
+/// `nodes` are the distinct states at `expr`'s position in a live state
+/// tree (none, for a search without one).  τ̂ keeps a state's shape — every
+/// variant steps to itself or to `Null` — so walking the two trees side by
+/// side hands `found` exactly the reachable states of the subexpression, σ
+/// spawn templates included, without hashing anything on the way down.
 pub(crate) fn for_each_resident<'s, F>(
     expr: &Expr,
-    mut nodes: Vec<&'s Shared<State>>,
+    surveys: &[(usize, bool)],
+    nodes: &[&'s Shared<State>],
     bailouts: &mut u64,
     found: &mut F,
 ) where
     F: FnMut(&Expr, &[&'s Shared<State>]) -> bool,
 {
-    if expr.size() < 3 {
+    let (size, eligible) = surveys[0];
+    if size < 3 {
         // An atom or ε: the tree walk is already O(1); a tile would only
         // pollute the attach map.
         return;
     }
-    // A shared allocation (a σ template among the runs it spawned) once.
-    nodes.sort_unstable_by_key(|n| Shared::as_ptr(n));
-    nodes.dedup_by_key(|n| Shared::as_ptr(n));
-    if structural_bailout(expr).is_none() && found(expr, &nodes) {
+    if eligible && found(expr, nodes) {
         return;
     }
     *bailouts += 1;
+    let mut at = 1;
     for (i, child) in expr.iter_children().enumerate() {
-        let runs = nodes.iter().flat_map(|n| operand_runs(n, i)).collect();
-        for_each_resident(child, runs, bailouts, found);
+        let mut runs: Vec<_> = nodes.iter().flat_map(|n| operand_runs(n, i)).collect();
+        // A shared allocation (a σ template among the runs it spawned) once.
+        runs.sort_unstable_by_key(|n| Shared::as_ptr(n));
+        runs.dedup_by_key(|n| Shared::as_ptr(n));
+        for_each_resident(child, &surveys[at..], &runs, bailouts, found);
+        at += surveys[at].0;
     }
 }
 
@@ -479,6 +488,18 @@ mod tests {
         Action::nullary(name)
     }
 
+    fn surveys(e: &Expr) -> Vec<(usize, bool)> {
+        let mut out = Vec::new();
+        survey(e, &mut out);
+        assert_eq!(out[0].0, e.size());
+        out
+    }
+
+    /// A lazy table over `e`, σ its state 0 and no cell filled.
+    fn install(e: &Expr, budget: CompileBudget) -> CompiledTable {
+        CompiledTable::install(e, budget, Shared::new(init(e).unwrap())).unwrap()
+    }
+
     #[test]
     fn mutex_compiles_to_a_three_state_table() {
         let e = parse("((r0 - r1) + (w0 - w1))*").unwrap();
@@ -531,7 +552,7 @@ mod tests {
             let e = parse(src).unwrap();
             let t = compile(&e, budget(256)).unwrap();
             // The same table, filled by nothing but the walks below.
-            let mut lazy = CompiledTable::install(&e, budget(256)).unwrap();
+            let mut lazy = install(&e, budget(256));
             assert_eq!((lazy.state_count(), lazy.filled), (1, 0));
             let alphabet: Vec<Action> = t.symbols().to_vec();
             // Every word over the alphabet up to length 4.
@@ -581,7 +602,7 @@ mod tests {
     #[test]
     fn a_table_starts_at_sigma_and_fills_by_the_cell() {
         let e = parse("(s0 - s1 - s2 - s3)*").unwrap();
-        let mut t = CompiledTable::install(&e, budget(64)).unwrap();
+        let mut t = install(&e, budget(64));
         assert_eq!((t.state_count(), t.filled, t.symbol_count()), (1, 0, 4));
         assert!(t.transitions.iter().all(|&cell| cell == UNKNOWN));
         let lap: Vec<Action> = ["s0", "s1", "s2", "s3"].map(a).to_vec();
@@ -637,7 +658,7 @@ mod tests {
         // The tier's install search, compiling every subtree it finds.
         let resident = |e: &Expr| {
             let (mut tables, mut bailouts) = (Vec::new(), 0);
-            for_each_resident(e, Vec::new(), &mut bailouts, &mut |sub, _| {
+            for_each_resident(e, &surveys(e), &[], &mut bailouts, &mut |sub, _| {
                 compile(sub, budget(64)).map(|table| tables.push(table)).is_ok()
             });
             (tables, bailouts)
@@ -652,6 +673,46 @@ mod tests {
         // Fully finite root: exactly one table, no bailouts.
         let (tables, bailouts) = resident(&parse("(a - b)* @ (c - d)*").unwrap());
         assert_eq!((tables.len(), bailouts), (1, 0));
+    }
+
+    #[test]
+    fn the_one_pass_search_finds_and_counts_what_the_level_by_level_search_did() {
+        // The search as it was: size and eligibility recomputed over the
+        // whole subtree at every level of the descent.
+        fn level_by_level(expr: &Expr, bailouts: &mut u64, found: &mut Vec<Expr>) {
+            if expr.size() < 3 {
+                return;
+            }
+            let mut eligible = true;
+            expr.visit(&mut |e: &Expr| eligible &= node_bailout(e).is_none());
+            if eligible && compile(expr, budget(64)).is_ok() {
+                found.push(expr.clone());
+                return;
+            }
+            *bailouts += 1;
+            expr.iter_children().for_each(|child| level_by_level(child, bailouts, found));
+        }
+        for src in [
+            "(a - b)*",
+            "a - b",
+            "((a - b)* @ (c - d)*) @ all p { e(p)# }",
+            "(some p { x(p) }) - ((a - b) + (c - d)*) - (e | f)# - (g - h - i)",
+            "mult 2 { (all q { (a - y(q))* }) | ((b + c) - d)* } & (e - f)*",
+            "((a - b)# - (c - d) - (e - (f | g)))* @ (h + (some p { i(p) - j }))",
+        ] {
+            let e = parse(src).unwrap();
+            let (mut expected, mut theirs) = (Vec::new(), 0);
+            level_by_level(&e, &mut theirs, &mut expected);
+            let (mut subtrees, mut mine) = (Vec::new(), 0);
+            for_each_resident(&e, &surveys(&e), &[], &mut mine, &mut |sub, _| {
+                let taken = compile(sub, budget(64)).is_ok();
+                if taken {
+                    subtrees.push(sub.clone());
+                }
+                taken
+            });
+            assert_eq!((subtrees, mine), (expected, theirs), "{src}");
+        }
     }
 
     #[test]

@@ -23,14 +23,15 @@
 //! it, a step from any speculative base neither reads nor fills it, and
 //! every assignment to the committed state empties it.  Since the engine
 //! holds the committed state, pointer equality with it identifies the state
-//! the list belongs to, and no dead state is kept alive.  The list is
-//! invisible semantically — τ̂ is pure — and the lockstep property tests
-//! compare the engine against the plain `trans` fold.
+//! the list belongs to, and no dead state is kept alive: besides it, the
+//! engine holds only σ, which `reset` and the tier's root table reuse.  The
+//! list is invisible semantically — τ̂ is pure — and the lockstep property
+//! tests compare the engine against the plain `trans` fold.
 
-use crate::compile::{for_each_resident, CompileBudget, CompiledTable, TierStats};
+use crate::compile::{for_each_resident, survey, CompileBudget, CompiledTable, TierStats};
 use crate::compile::{DEAD, DEFAULT_TIER_BUDGET, UNKNOWN};
 use crate::error::StateResult;
-use crate::init::init;
+use crate::init::{init, initial_state};
 use crate::predicates::{is_final, is_valid};
 use crate::state::{null_state, Shared, State, StateMetrics};
 use crate::trans::{fused, trans, TierLookup};
@@ -173,37 +174,49 @@ impl Tier {
     /// stamped with the tier's epoch and budget, and the attach map rebuilt
     /// around them.
     ///
-    /// A table is the next of `own` — the tier's own tables, re-attached
-    /// on `reset` and `close_tier`, which the same search found over the
-    /// same expression and budget, so they cover the same subtrees in the
-    /// same order — else a fresh one holding σ and nothing more.  Every
-    /// table state is pinned, and so are the sub-states of the live `state`
-    /// that run a resident subtree — interned by value, once each, here and
-    /// never on the per-transition path — so a tier installed mid-word
-    /// picks the walk up where it stands.
-    fn install(&self, expr: &Expr, state: &Shared<State>, own: Vec<Arc<CompiledTable>>) {
+    /// A subtree keeps its table if the tier has one (`reset`, `close_tier`)
+    /// or gets one holding σ and nothing more: the engine's own `sigma` at
+    /// the root, below it σ of the subtree, unchecked (the engine validated
+    /// all of `expr`).  Every table state is pinned, and so are the
+    /// sub-states of the live `state` that run a resident subtree — interned
+    /// by value unless already a state of that table, once each, here and
+    /// never on the per-transition path — so a tier installed mid-word picks
+    /// the walk up where it stands.
+    fn install(&self, expr: &Expr, sigma: &Shared<State>, state: &Shared<State>) {
         self.installed.set(true);
         let budget = CompileBudget::with_states(self.budget.get());
-        let mut own = own.into_iter();
+        let mut own = self.tables.take().into_iter().peekable();
         let mut tables: Vec<Arc<CompiledTable>> = Vec::new();
         let mut attach = HashMap::new();
         let (mut compiles, mut bailouts) = (0, 0);
         if budget.max_states > 0 {
-            for_each_resident(expr, vec![state], &mut bailouts, &mut |sub, nodes| {
-                let Ok(fresh) = CompiledTable::install(sub, budget) else { return false };
-                let mut table = own.next().unwrap_or_else(|| {
-                    compiles += 1;
-                    Arc::new(fresh)
-                });
+            let mut surveys = Vec::with_capacity(expr.size());
+            survey(expr, &mut surveys);
+            for_each_resident(expr, &surveys, &[state], &mut bailouts, &mut |sub, nodes| {
+                let mut table = match own.next_if(|table| table.expr.ptr_eq(sub)) {
+                    Some(table) => table,
+                    None => {
+                        let root = sub.ptr_eq(expr);
+                        let start =
+                            if root { sigma.clone() } else { Shared::new(initial_state(sub)) };
+                        let Ok(fresh) = CompiledTable::install(sub, budget, start) else {
+                            return false;
+                        };
+                        compiles += 1;
+                        Arc::new(fresh)
+                    }
+                };
                 let tile = Arc::make_mut(&mut table);
                 tile.epoch = self.epoch.get();
-                for node in nodes.iter().filter(|n| !n.is_null()) {
-                    if let Ok(id) = tile.intern((*node).clone()) {
-                        pin(&mut attach, node, tables.len(), id as usize);
-                    }
-                }
                 for (id, handle) in tile.states.iter().enumerate() {
                     pin(&mut attach, handle, tables.len(), id);
+                }
+                for node in nodes.iter().filter(|n| !n.is_null()) {
+                    let known = attach.get(&(Shared::as_ptr(node) as usize));
+                    let unknown = known.is_none_or(|known| known.table as usize != tables.len());
+                    if let Some(Ok(id)) = unknown.then(|| tile.intern((*node).clone())) {
+                        pin(&mut attach, node, tables.len(), id as usize);
+                    }
                 }
                 tables.push(table);
                 true
@@ -294,6 +307,8 @@ impl TierLookup for Tier {
 #[derive(Clone, Debug)]
 pub struct Engine {
     expr: Expr,
+    /// σ, built once: `reset` and the tier's root table reuse it.
+    sigma: Shared<State>,
     state: Shared<State>,
     /// Successors of `state` by action, see the module docs.
     successors: RefCell<Vec<(Action, Shared<State>)>>,
@@ -305,9 +320,11 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine at the initial state σ of `expr`.
     pub fn new(expr: &Expr) -> StateResult<Engine> {
+        let sigma = Shared::new(init(expr)?);
         Ok(Engine {
             expr: expr.clone(),
-            state: Shared::new(init(expr)?),
+            state: sigma.clone(),
+            sigma,
             successors: RefCell::new(Vec::new()),
             tier: Tier::new(DEFAULT_TIER_BUDGET),
             accepted: 0,
@@ -317,8 +334,8 @@ impl Engine {
 
     /// Reconstructs an engine from checkpointed pieces: the expression, a
     /// decoded state, and the accept/reject counters.  The expression is
-    /// re-validated (σ must exist) exactly as in [`Engine::new`]; the decoded
-    /// state then replaces σ.  The successor list starts empty and the tier
+    /// re-validated and σ built exactly as in [`Engine::new`]; the decoded
+    /// state is the current one.  The successor list starts empty and the tier
     /// is not installed yet: a snapshot carries no tables, and the first
     /// transition installs fresh ones around the decoded state, as it does
     /// on a new engine.
@@ -398,7 +415,7 @@ impl Engine {
     /// filled before the tables existed is emptied so the tier takes over.
     fn tier_ready(&self) -> bool {
         if !self.tier.installed.get() {
-            self.tier.install(&self.expr, &self.state, Vec::new());
+            self.tier.install(&self.expr, &self.sigma, &self.state);
             if self.tier.has_tables() {
                 self.successors.borrow_mut().clear();
             }
@@ -596,13 +613,12 @@ impl Engine {
 
     /// Resets the engine to the initial state of its expression.
     pub fn reset(&mut self) {
-        self.state = Shared::new(init(&self.expr).expect("expression validated at construction"));
+        self.state = self.sigma.clone();
         self.successors.get_mut().clear();
         if self.tier.has_tables() {
             // Installed tables stay valid (the expression is unchanged);
-            // re-attach them, cells and all, to the fresh σ allocations.
-            let tables = self.tier.tables.take();
-            self.tier.install(&self.expr, &self.state, tables);
+            // re-attach them, cells and all, around σ.
+            self.tier.install(&self.expr, &self.sigma, &self.state);
         }
         self.accepted = 0;
         self.rejected = 0;
@@ -641,9 +657,8 @@ impl Engine {
     /// for stay unknown and keep being answered by the tree walk.
     pub fn close_tier(&mut self) -> TierStats {
         if self.tier_ready() {
-            let mut tables = self.tier.tables.take();
-            tables.iter_mut().for_each(|table| Arc::make_mut(table).close());
-            self.tier.install(&self.expr, &self.state, tables);
+            self.tier.tables.borrow_mut().iter_mut().for_each(|t| Arc::make_mut(t).close());
+            self.tier.install(&self.expr, &self.sigma, &self.state);
         }
         self.tier.stats()
     }
@@ -948,6 +963,19 @@ mod tests {
         let stats = tiered.compile_tier();
         assert_eq!((stats.tables, stats.states, stats.fills), (1, 1, 0), "{stats:?}");
         assert!(stats.bailouts >= 1, "the quantified spine is not eligible: {stats:?}");
+        // The mutex tile is a proper subtree: its σ is built unchecked, and
+        // it is the σ the validating `init` builds.
+        let mutex = parse("((r0 - r1) + (w0 - w1))*").unwrap();
+        let mut subtrees = Vec::new();
+        let mut surveys = Vec::new();
+        crate::compile::survey(&e, &mut surveys);
+        for_each_resident(&e, &surveys, &[], &mut 0, &mut |sub, _| {
+            assert_eq!(initial_state(sub), init(sub).unwrap(), "σ of {sub}");
+            subtrees.push(sub.clone());
+            true
+        });
+        assert_eq!(subtrees, std::slice::from_ref(&mutex));
+        assert_eq!(*tiered.tier.tables.borrow()[0].states[0], init(&mutex).unwrap());
         let go = |p: i64| Action::concrete("go", [Value::int(p)]);
         let script =
             [a("r0"), go(1), a("r1"), a("w0"), a("r0"), a("w1"), a("r0"), go(2), a("r1"), a("zzz")];
@@ -1100,6 +1128,41 @@ mod tests {
         let after = tiered.tier_stats();
         assert_eq!(after.hits, 7, "tables survive a reset");
         assert_eq!((after.fills, after.compiles), (stats.fills + 1, stats.compiles));
+    }
+
+    #[test]
+    fn the_root_table_starts_from_the_engine_sigma() {
+        let e = parse("(s0 - s1 - s2 - s3)*").unwrap();
+        let mut eng = Engine::new(&e).unwrap();
+        let sigma = eng.state_handle().clone();
+        let state_zero = |eng: &Engine| eng.tier.tables.borrow()[0].states[0].clone();
+        eng.compile_tier();
+        assert!(Shared::ptr_eq(&state_zero(&eng), &sigma), "σ is not built a second time");
+        // A reset returns to that allocation, and the table knows it: the
+        // next step is a hit on the cell the first lap filled.
+        assert!(eng.try_execute(&a("s0")) && eng.try_execute(&a("s1")));
+        eng.reset();
+        assert!(Shared::ptr_eq(eng.state_handle(), &sigma));
+        let before = eng.tier_stats();
+        assert!(eng.try_execute(&a("s0")));
+        let after = eng.tier_stats();
+        assert_eq!(
+            (after.hits, after.fills, after.compiles, after.fallbacks),
+            (before.hits + 1, before.fills, before.compiles, before.fallbacks)
+        );
+        // Installed mid-word, the table still starts from σ's allocation,
+        // and the state in flight is interned by value beside it.
+        assert!(eng.try_execute(&a("s1")));
+        let in_flight = eng.state_handle().clone();
+        eng.invalidate_tier();
+        let stats = eng.compile_tier();
+        assert_eq!((stats.tables, stats.states, stats.fills), (1, 2, 0), "{stats:?}");
+        assert!(Shared::ptr_eq(&state_zero(&eng), &sigma));
+        assert_eq!(*eng.tier.tables.borrow()[0].states[1], *in_flight);
+        eng.reset();
+        assert!(Shared::ptr_eq(eng.state_handle(), &sigma));
+        assert!(eng.try_execute(&a("s0")));
+        assert_eq!(eng.tier_stats().compiles, stats.compiles, "a reset re-attaches");
     }
 
     #[test]
