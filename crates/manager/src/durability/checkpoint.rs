@@ -3,17 +3,17 @@
 
 use super::journal::{
     decode_delta, decode_key, decode_reservation, encode_delta, encode_key, encode_reservation,
-    DurabilityHub, StatDelta, WalRecord,
+    DurabilityHub, WalRecord,
 };
 use super::{codec_err, durability_err, get_seq, put_seq, FORMAT_VERSION, SNAPSHOT_VERSION};
 use crate::error::{ManagerError, ManagerResult};
 use crate::lock;
 use crate::log::{LogKey, ShardLog};
-use crate::manager::Reservation;
 use crate::runtime::{
     ask_shards, control, read_topology, Answer, CheckpointReport, RuntimeShared, TopologySlot,
 };
 use crate::subscription::{CrossRow, SubscriptionRow};
+use crate::{ManagerStats, Reservation};
 use ix_core::{Action, Alphabet, Expr, Partition};
 use ix_durable::{
     decode_action, decode_alphabet, encode_action, encode_alphabet, history_stream, CodecError,
@@ -46,7 +46,7 @@ pub(crate) struct ShardCapture {
     pub(crate) subscriptions: Vec<SubscriptionRow>,
     /// Cumulative statistics delta of every record this shard's stream ever
     /// carried up to `covered`.
-    pub(crate) stat_base: StatDelta,
+    pub(crate) stat_base: ManagerStats,
 }
 
 /// A decoded shard snapshot.
@@ -62,7 +62,7 @@ pub(crate) struct ShardCheckpoint {
     pub(crate) log: ShardLog,
     pub(crate) reservations: Vec<Reservation>,
     pub(crate) subscriptions: Vec<SubscriptionRow>,
-    pub(crate) stat_base: StatDelta,
+    pub(crate) stat_base: ManagerStats,
 }
 
 fn encode_subscription_rows(w: &mut Writer, rows: &[SubscriptionRow]) {
@@ -359,7 +359,7 @@ pub(crate) enum Gaps {
 /// order, until `visit` breaks: per shard the entries its log released — read
 /// from the shard's history stream in `vault` — chained before the resident
 /// ones, the shards merged by key.  Without released entries (no vault, or
-/// no checkpoint yet) this is [`ShardLog::merge`] and touches no vault.
+/// no checkpoint yet) this merges the resident segments and touches no vault.
 pub(crate) fn visit_log<'a>(
     vault: Option<&dyn Vault>,
     logs: impl IntoIterator<Item = (usize, &'a ShardLog)>,
@@ -458,7 +458,7 @@ pub(crate) fn snap_blob(shard: usize) -> String {
 pub(crate) struct Manifest {
     pub(crate) clock: u64,
     pub(crate) meta_covered: u64,
-    pub(crate) meta_base: StatDelta,
+    pub(crate) meta_base: ManagerStats,
     pub(crate) log_seq: u64,
     pub(crate) next_reservation: u64,
     /// Cross-shard subscription entries.
@@ -619,7 +619,7 @@ pub(crate) fn run_checkpoint(
     // >= `meta_len`, survive the truncation, and replay as tail — the
     // event deltas are order-independent, so the cut is race-free.
     let (mut meta_base, old_covered) =
-        load_manifest(vault)?.map_or((StatDelta::ZERO, 0), |m| (m.meta_base, m.meta_covered));
+        load_manifest(vault)?.map_or((ManagerStats::ZERO, 0), |m| (m.meta_base, m.meta_covered));
     let meta_len = vault.stream_len(META_STREAM);
     let mut clock = shared.clock.load(Ordering::Relaxed);
     for (index, payload) in vault.read_from(META_STREAM, old_covered) {

@@ -3,101 +3,30 @@
 
 use super::FORMAT_VERSION;
 use crate::log::LogKey;
-use crate::manager::{ManagerStats, Reservation};
 use crate::subscription::ClientId;
+use crate::{ManagerStats, Reservation};
 use ix_core::Action;
 use ix_durable::{decode_action, encode_action, CodecError, Reader, Vault, Writer, META_STREAM};
 use std::sync::Arc;
 
-/// The statistics contribution of one write-ahead record.  Mirrors
-/// [`ManagerStats`]; recovered counters are the sum of every shard's
-/// snapshot base plus its tail deltas plus the meta stream's base and tail.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatDelta {
-    /// Ask/execute requests whose verdict this record carries.
-    pub asks: u64,
-    /// Grants.
-    pub grants: u64,
-    /// Denials.
-    pub denials: u64,
-    /// Confirmed executions.
-    pub confirmations: u64,
-    /// Lease expiries.
-    pub expired: u64,
-    /// Explicit aborts.
-    pub aborted: u64,
-    /// Subscriber notifications sent.
-    pub notifications: u64,
-}
-
-impl StatDelta {
-    /// The all-zero delta.
-    pub const ZERO: StatDelta = StatDelta {
-        asks: 0,
-        grants: 0,
-        denials: 0,
-        confirmations: 0,
-        expired: 0,
-        aborted: 0,
-        notifications: 0,
-    };
-
-    /// Accumulates `other` into `self`.
-    pub fn add(&mut self, other: &StatDelta) {
-        self.asks += other.asks;
-        self.grants += other.grants;
-        self.denials += other.denials;
-        self.confirmations += other.confirmations;
-        self.expired += other.expired;
-        self.aborted += other.aborted;
-        self.notifications += other.notifications;
-    }
-
-    /// What of `self` is not in `other`, field by field.
-    pub(crate) fn minus(&self, other: &StatDelta) -> StatDelta {
-        StatDelta {
-            asks: self.asks.saturating_sub(other.asks),
-            grants: self.grants.saturating_sub(other.grants),
-            denials: self.denials.saturating_sub(other.denials),
-            confirmations: self.confirmations.saturating_sub(other.confirmations),
-            expired: self.expired.saturating_sub(other.expired),
-            aborted: self.aborted.saturating_sub(other.aborted),
-            notifications: self.notifications.saturating_sub(other.notifications),
-        }
-    }
-
-    /// The delta as a [`ManagerStats`] (same field order).
-    pub fn as_stats(&self) -> ManagerStats {
-        ManagerStats {
-            asks: self.asks,
-            grants: self.grants,
-            denials: self.denials,
-            confirmations: self.confirmations,
-            expired_reservations: self.expired,
-            aborted_reservations: self.aborted,
-            notifications: self.notifications,
-        }
-    }
-}
-
-pub(super) fn encode_delta(w: &mut Writer, d: &StatDelta) {
+pub(super) fn encode_delta(w: &mut Writer, d: &ManagerStats) {
     w.u64(d.asks);
     w.u64(d.grants);
     w.u64(d.denials);
     w.u64(d.confirmations);
-    w.u64(d.expired);
-    w.u64(d.aborted);
+    w.u64(d.expired_reservations);
+    w.u64(d.aborted_reservations);
     w.u64(d.notifications);
 }
 
-pub(super) fn decode_delta(r: &mut Reader) -> Result<StatDelta, CodecError> {
-    Ok(StatDelta {
+pub(super) fn decode_delta(r: &mut Reader) -> Result<ManagerStats, CodecError> {
+    Ok(ManagerStats {
         asks: r.u64()?,
         grants: r.u64()?,
         denials: r.u64()?,
         confirmations: r.u64()?,
-        expired: r.u64()?,
-        aborted: r.u64()?,
+        expired_reservations: r.u64()?,
+        aborted_reservations: r.u64()?,
         notifications: r.u64()?,
     })
 }
@@ -111,16 +40,16 @@ pub(crate) enum WalRecord {
     /// primary owner (position 0 of the ascending owner set), which is the
     /// only echo whose `delta` is non-zero and the only one that appends to
     /// the durable action log on replay.
-    Commit { key: LogKey, action: Action, is_primary: bool, delta: StatDelta },
+    Commit { key: LogKey, action: Action, is_primary: bool, delta: ManagerStats },
     /// A reservation inserted into this shard's table.
-    Reserve { reservation: Reservation, delta: StatDelta },
+    Reserve { reservation: Reservation, delta: ManagerStats },
     /// A reservation removed from this shard's table (confirm, abort,
     /// expiry, or rejected confirmation).
-    Release { id: u64, delta: StatDelta },
+    Release { id: u64, delta: ManagerStats },
     /// A pure statistics event with no deterministic shard attribution
     /// (denials, cross-commit notifications, aborts/expiries of multi-owner
     /// reservations).
-    Event { delta: StatDelta },
+    Event { delta: ManagerStats },
     /// The logical clock advanced to `now`.
     Clock { now: u64 },
     /// A subscription registered after the covering checkpoint.  Echoed on
@@ -249,7 +178,7 @@ impl WalRecord {
 
     /// The record's statistics contribution (zero for the non-delta
     /// records: `Clock`, `Subscribe`, `Unsubscribe`).
-    pub(crate) fn delta(&self) -> StatDelta {
+    pub(crate) fn delta(&self) -> ManagerStats {
         match self {
             WalRecord::Commit { delta, .. }
             | WalRecord::Reserve { delta, .. }
@@ -257,7 +186,7 @@ impl WalRecord {
             | WalRecord::Event { delta } => *delta,
             WalRecord::Clock { .. }
             | WalRecord::Subscribe { .. }
-            | WalRecord::Unsubscribe { .. } => StatDelta::ZERO,
+            | WalRecord::Unsubscribe { .. } => ManagerStats::ZERO,
         }
     }
 }
@@ -299,8 +228,8 @@ impl DurabilityHub {
     /// that have no deterministic owner shard (inline denials, cross-shard
     /// decision counters, notification fan-outs).  A zero delta writes
     /// nothing.
-    pub(crate) fn log_event(&self, delta: StatDelta) {
-        if delta != StatDelta::ZERO {
+    pub(crate) fn log_event(&self, delta: ManagerStats) {
+        if delta != ManagerStats::ZERO {
             self.log_meta(&WalRecord::Event { delta });
         }
     }

@@ -10,8 +10,9 @@
 //!   what makes per-shard snapshot cuts independent: a shard's snapshot plus
 //!   its own log tail fully determines its state, no matter where the other
 //!   owners' cuts fall, and truncating one shard's stream can never orphan
-//!   another shard's replay.  Statistics ride along as [`StatDelta`]s —
-//!   deterministically attributed deltas on the shard records (carried by
+//!   another shard's replay.  Statistics ride along as
+//!   [`ManagerStats`](crate::ManagerStats) deltas — deterministically
+//!   attributed ones on the shard records (carried by
 //!   the commit's *primary* owner), order-independent ones as `Event`
 //!   records on the meta stream, so recovered counters equal the live ones.
 //! * **Checkpoints** (`ShardCheckpoint`, `Manifest`): each shard is
@@ -49,7 +50,6 @@ pub(crate) use checkpoint::{
     merged_log, persist_repartition, persist_shards, run_checkpoint, save_topology, visit_log,
     Gaps, ShardCapture,
 };
-pub use journal::StatDelta;
 pub(crate) use journal::{DurabilityHub, WalRecord};
 pub(crate) use recover::recover_runtime;
 pub use recover::{inspect_vault, ShardInspection, VaultInspection};
@@ -103,7 +103,7 @@ mod tests {
     use super::journal::*;
     use super::*;
     use crate::log::ShardLog;
-    use crate::manager::Reservation;
+    use crate::{ManagerStats, Reservation};
     use ix_core::{parse, Action};
     use ix_durable::{encode_action, history_stream, Reader, Vault, Writer};
     use ix_state::Engine;
@@ -120,7 +120,7 @@ mod tests {
                 key: (7, 1, 3),
                 action: act("x"),
                 is_primary: true,
-                delta: StatDelta { asks: 1, grants: 1, confirmations: 1, ..StatDelta::ZERO },
+                delta: ManagerStats { asks: 1, grants: 1, confirmations: 1, ..ManagerStats::ZERO },
             },
             WalRecord::Reserve {
                 reservation: Reservation {
@@ -130,10 +130,13 @@ mod tests {
                     granted_at: 10,
                     expires_at: u64::MAX,
                 },
-                delta: StatDelta { asks: 1, grants: 1, ..StatDelta::ZERO },
+                delta: ManagerStats { asks: 1, grants: 1, ..ManagerStats::ZERO },
             },
-            WalRecord::Release { id: 9, delta: StatDelta { aborted: 1, ..StatDelta::ZERO } },
-            WalRecord::Event { delta: StatDelta { notifications: 3, ..StatDelta::ZERO } },
+            WalRecord::Release {
+                id: 9,
+                delta: ManagerStats { aborted_reservations: 1, ..ManagerStats::ZERO },
+            },
+            WalRecord::Event { delta: ManagerStats { notifications: 3, ..ManagerStats::ZERO } },
             WalRecord::Clock { now: 42 },
         ];
         for rec in records {
@@ -176,7 +179,7 @@ mod tests {
                 expires_at: 5,
             }],
             subscriptions: vec![(act("b"), act("b"), vec![7, 8], true)],
-            stat_base: StatDelta { asks: 2, grants: 1, denials: 1, ..StatDelta::ZERO },
+            stat_base: ManagerStats { asks: 2, grants: 1, denials: 1, ..ManagerStats::ZERO },
         };
         let bytes = encode_shard_checkpoint(&cap);
         // The table sequence follows the state's root id, and is empty.
@@ -337,7 +340,7 @@ mod tests {
             log: log.clone(),
             reservations: Vec::new(),
             subscriptions: Vec::new(),
-            stat_base: StatDelta::ZERO,
+            stat_base: ManagerStats::ZERO,
         };
         let mut log = ShardLog::new();
         let mut expected = Vec::new();
@@ -383,7 +386,7 @@ mod tests {
         let manifest = Manifest {
             clock: 11,
             meta_covered: 5,
-            meta_base: StatDelta { notifications: 2, ..StatDelta::ZERO },
+            meta_base: ManagerStats { notifications: 2, ..ManagerStats::ZERO },
             log_seq: 20,
             next_reservation: 31,
             cross: vec![(act("x"), vec![0, 2], vec![true, false], vec![1], false)],

@@ -4,15 +4,15 @@
 use super::checkpoint::{
     decode_shard_checkpoint, load_manifest, load_topology, snap_blob, Manifest, ShardHistory,
 };
-use super::journal::{DurabilityHub, StatDelta, WalRecord};
+use super::journal::{DurabilityHub, WalRecord};
 use super::{codec_err, durability_err};
 use crate::error::{ManagerError, ManagerResult};
 use crate::log::LogKey;
-use crate::manager::Reservation;
 use crate::runtime::{spawn_runtime, ManagerRuntime, RecoveredGlobals, RuntimeOptions};
 use crate::shard::ShardState;
 use crate::subscription::{CrossSubscriptions, SubscriptionRegistry};
 use crate::timer::Timers;
+use crate::{ManagerStats, Reservation};
 use ix_core::{parse, Action, Component, Partition, Route};
 use ix_durable::{history_stream, Vault, META_STREAM};
 use ix_state::Engine;
@@ -137,7 +137,7 @@ pub(crate) fn recover_runtime(
     let manifest = load_manifest(hub.vault().as_ref())?.unwrap_or(Manifest {
         clock: 0,
         meta_covered: 0,
-        meta_base: StatDelta::ZERO,
+        meta_base: ManagerStats::ZERO,
         log_seq: 0,
         next_reservation: 1,
         cross: Vec::new(),
@@ -236,7 +236,7 @@ pub(crate) fn recover_runtime(
                 key: commit.key,
                 action: commit.action.clone(),
                 is_primary: pos == 0,
-                delta: StatDelta::ZERO,
+                delta: ManagerStats::ZERO,
             })?;
         }
     }
@@ -261,12 +261,12 @@ pub(crate) fn recover_runtime(
             for &owner in owners.iter().filter(|o| !holding.contains(o)) {
                 seeds[owner].repair(WalRecord::Reserve {
                     reservation: reservation.clone(),
-                    delta: StatDelta::ZERO,
+                    delta: ManagerStats::ZERO,
                 })?;
             }
         } else {
             for &owner in holding {
-                seeds[owner].repair(WalRecord::Release { id: *rid, delta: StatDelta::ZERO })?;
+                seeds[owner].repair(WalRecord::Release { id: *rid, delta: ManagerStats::ZERO })?;
             }
         }
     }
@@ -334,7 +334,7 @@ pub(crate) fn recover_runtime(
             continue;
         }
         if reservation.expires_at != u64::MAX {
-            let at = reservation.expires_at.max(clock + 1);
+            let at = reservation.expires_at.max(clock.saturating_add(1));
             timers.schedule(at, *rid);
         }
         reservation_index.insert(*rid, owners);
@@ -344,7 +344,7 @@ pub(crate) fn recover_runtime(
         clock,
         log_seq: next_seq,
         next_reservation,
-        stats: stat_total.as_stats(),
+        stats: stat_total,
         reservation_index,
         timers,
         cross_subscriptions,

@@ -314,21 +314,12 @@ impl ShardLog {
         iter
     }
 
-    /// The given segments merged by key (ties go to the earlier segment):
-    /// the commit order across shards.  Every segment is already in key
-    /// order, so this is a k-way merge that holds one decoded entry per
-    /// segment, not a sort of the concatenation.
+    /// The given resident segments merged by key ([`Merge`]).  Readers of a
+    /// whole log go through `durability::visit_log`, which also reads what a
+    /// vault archived; the tests merge resident segments directly.
+    #[cfg(test)]
     pub(crate) fn merge<'a>(logs: impl IntoIterator<Item = &'a ShardLog>) -> Merge<Iter<'a>> {
         Merge::new(logs.into_iter().map(ShardLog::iter))
-    }
-
-    /// The actions of the merged segments in commit order.
-    pub(crate) fn merged_actions<'a>(
-        logs: impl IntoIterator<Item = &'a ShardLog> + Clone,
-    ) -> Vec<Action> {
-        let mut out = Vec::with_capacity(logs.clone().into_iter().map(ShardLog::len).sum());
-        out.extend(ShardLog::merge(logs).map(|(_, action)| action));
-        out
     }
 }
 
@@ -426,9 +417,12 @@ impl Iterator for Iter<'_> {
     }
 }
 
-/// K-way merge of segments by key ([`ShardLog::merge`]).  A segment is any
-/// iterator over one shard's entries in commit order: the resident entries,
-/// or what the vault archived chained before them.
+/// The segments merged by key, ties going to the earlier segment: the commit
+/// order across shards.  A segment is any iterator over one shard's entries
+/// in commit order: the resident entries, or what the vault archived chained
+/// before them.  Every segment is already in key order, so this is a k-way
+/// merge that holds one decoded entry per segment, not a sort of the
+/// concatenation.
 pub(crate) struct Merge<I> {
     iters: Vec<I>,
     /// The next entry of every segment not being drained as `run`.
@@ -1094,9 +1088,7 @@ mod tests {
             }
             let mut expected: Vec<(LogKey, Action)> = shadows.concat();
             expected.sort_by_key(|(key, _)| *key);
-            prop_assert_eq!(ShardLog::merge(&logs).collect::<Vec<_>>(), expected.clone());
-            let actions: Vec<Action> = expected.into_iter().map(|(_, a)| a).collect();
-            prop_assert_eq!(ShardLog::merged_actions(&logs), actions);
+            prop_assert_eq!(ShardLog::merge(&logs).collect::<Vec<_>>(), expected);
         }
     }
 

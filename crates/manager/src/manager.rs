@@ -55,72 +55,19 @@
 //! external mutex.  Expressions that do not decompose run as a single
 //! shard, which reproduces the paper's central scheduler exactly.
 
+use crate::durability::merged_log;
 use crate::error::{ManagerError, ManagerResult};
-use crate::lock;
 use crate::log::ShardLog;
 use crate::subscription::{
     ClientId, CrossBit, CrossSubscriptions, Notification, SubscriptionRegistry,
 };
 use crate::timer::Timers;
+use crate::{lock, ManagerStats, ProtocolVariant, Reservation, SharedStats};
 use ix_core::{Action, Component, Expr, Partition};
 use ix_state::Engine;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-
-/// The coordination-protocol variant used by a manager (Sec. 7 mentions
-/// "several alternative coordination protocols, possessing different
-/// complexity and particular advantages and disadvantages").
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ProtocolVariant {
-    /// Ask / reply / confirm with an unbounded reservation: simple, but a
-    /// crashed client leaves its shard's slot reserved forever.
-    #[default]
-    Simple,
-    /// Ask / reply / confirm where every grant carries a lease measured in
-    /// logical time units; expired reservations are rolled back.
-    Leased {
-        /// Number of logical time units a grant stays reserved.
-        lease: u64,
-    },
-    /// Combined request: ask and confirm collapse into a single message (the
-    /// client is trusted to execute the action after the reply).
-    Combined,
-}
-
-/// A granted, not yet confirmed reservation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Reservation {
-    /// Identifier returned to the client.
-    pub id: u64,
-    /// The reserved action.
-    pub action: Action,
-    /// The client holding the reservation.
-    pub client: ClientId,
-    /// Logical time at which the reservation was granted.
-    pub granted_at: u64,
-    /// Logical expiry time (`u64::MAX` for the simple protocol).
-    pub expires_at: u64,
-}
-
-/// Statistics of a manager instance.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ManagerStats {
-    /// Number of ask requests processed.
-    pub asks: u64,
-    /// Number of grants (positive replies).
-    pub grants: u64,
-    /// Number of denials.
-    pub denials: u64,
-    /// Number of confirmed executions (state transitions performed).
-    pub confirmations: u64,
-    /// Number of reservations rolled back because their lease expired.
-    pub expired_reservations: u64,
-    /// Number of reservations explicitly aborted by their client.
-    pub aborted_reservations: u64,
-    /// Number of notifications sent to subscribers.
-    pub notifications: u64,
-}
 
 /// The result of [`InteractionManager::try_execute_batch`].
 #[derive(Clone, Debug, Default)]
@@ -162,43 +109,6 @@ impl Shard {
         // requested one — without cloning the engine (hot path: this probe
         // runs once per owner per ask/execute).
         self.engine.permitted_after(self.reservations.values().map(|r| &r.action), action)
-    }
-}
-
-/// Lock-free running counters behind [`ManagerStats`].
-#[derive(Debug, Default)]
-pub(crate) struct SharedStats {
-    pub(crate) asks: AtomicU64,
-    pub(crate) grants: AtomicU64,
-    pub(crate) denials: AtomicU64,
-    pub(crate) confirmations: AtomicU64,
-    pub(crate) expired_reservations: AtomicU64,
-    pub(crate) aborted_reservations: AtomicU64,
-    pub(crate) notifications: AtomicU64,
-}
-
-impl SharedStats {
-    /// Seeds the counters with recovered totals.
-    pub(crate) fn restore(&self, stats: ManagerStats) {
-        self.asks.store(stats.asks, Ordering::Relaxed);
-        self.grants.store(stats.grants, Ordering::Relaxed);
-        self.denials.store(stats.denials, Ordering::Relaxed);
-        self.confirmations.store(stats.confirmations, Ordering::Relaxed);
-        self.expired_reservations.store(stats.expired_reservations, Ordering::Relaxed);
-        self.aborted_reservations.store(stats.aborted_reservations, Ordering::Relaxed);
-        self.notifications.store(stats.notifications, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> ManagerStats {
-        ManagerStats {
-            asks: self.asks.load(Ordering::Relaxed),
-            grants: self.grants.load(Ordering::Relaxed),
-            denials: self.denials.load(Ordering::Relaxed),
-            confirmations: self.confirmations.load(Ordering::Relaxed),
-            expired_reservations: self.expired_reservations.load(Ordering::Relaxed),
-            aborted_reservations: self.aborted_reservations.load(Ordering::Relaxed),
-            notifications: self.notifications.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -339,7 +249,7 @@ impl InteractionManager {
         // Each lock is held for a snapshot of its segment (shared chunks),
         // not for decoding it.
         let segments: Vec<ShardLog> = self.shards.iter().map(|s| lock(s).log.clone()).collect();
-        ShardLog::merged_actions(&segments)
+        merged_log(None, segments.iter().enumerate()).expect("without a vault nothing is released")
     }
 
     /// Current logical time.
@@ -359,7 +269,7 @@ impl InteractionManager {
     /// their locks, so the owners never disagree about an outstanding grant.
     /// Returns the rolled-back reservations, in deadline order.
     pub fn advance_time(&self, delta: u64) -> Vec<Reservation> {
-        let now = self.clock.fetch_add(delta, Ordering::Relaxed) + delta;
+        let now = crate::tick(&self.clock, delta);
         let due = lock(&self.timers).advance(now);
         let mut out = Vec::new();
         for id in due {
@@ -429,11 +339,7 @@ impl InteractionManager {
         }
         self.stats.grants.fetch_add(1, Ordering::Relaxed);
         let now = self.now();
-        let expires_at = match self.variant {
-            ProtocolVariant::Simple => u64::MAX,
-            ProtocolVariant::Leased { lease } => now + lease,
-            ProtocolVariant::Combined => unreachable!("handled above"),
-        };
+        let expires_at = self.variant.expires_at(now);
         let id = self.next_reservation.fetch_add(1, Ordering::Relaxed);
         let reservation =
             Reservation { id, action: action.clone(), client, granted_at: now, expires_at };

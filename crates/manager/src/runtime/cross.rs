@@ -6,12 +6,12 @@ use super::drive::{account, apply_local, conclude, finish, settle_single, vote_l
 use super::repartition::ensure_single_route;
 use super::slots::{help_one, task_units, Help, ShardSlot, SingleTask, Task, WorkerCtx, HELP_PARK};
 use super::{read_topology, Completion, RuntimeShared, Topology};
-use crate::durability::StatDelta;
 use crate::error::ManagerError;
 use crate::lock;
-use crate::manager::Reservation;
 use crate::shard::{Effects, LocalVote, Op, Role, ShardState, Verdict, DENIED};
 use crate::ticket::TicketIssuer;
+use crate::ManagerStats;
+use crate::Reservation;
 use ix_core::Action;
 use ix_state::{empty_reservation_fingerprint, StateRef};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -851,7 +851,7 @@ pub(super) fn process_batch(
                         settle_single(shared, st, &op, vote)
                     }
                     Spec::Deny => {
-                        account(shared, DENIED, StatDelta::ZERO);
+                        account(shared, DENIED, ManagerStats::ZERO);
                         Completion::Denied
                     }
                     _ => unreachable!("a local item resolves once, on its own spec"),

@@ -9,12 +9,12 @@
 use super::cross::Vote;
 use super::slots::{SingleTask, WorkerCtx};
 use super::{Completion, RuntimeShared};
-use crate::durability::StatDelta;
 use crate::error::ManagerError;
 use crate::lock;
-use crate::manager::Reservation;
 use crate::shard::{Effects, LocalVote, Op, Role, ShardState, Verdict};
 use crate::subscription::{ClientId, Notification};
+use crate::ManagerStats;
+use crate::Reservation;
 use ix_core::Action;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -186,7 +186,7 @@ pub(super) fn finish(
 /// (asks aside — a submission counts as an ask when it arrives, whatever
 /// becomes of it), and the part of it no shard record carried as an event on
 /// the meta stream, so that recovered counters equal the live ones.
-pub(super) fn account(shared: &RuntimeShared, total: StatDelta, journaled: StatDelta) {
+pub(super) fn account(shared: &RuntimeShared, total: ManagerStats, journaled: ManagerStats) {
     let count = |counter: &AtomicU64, n: u64| {
         if n > 0 {
             counter.fetch_add(n, Ordering::Relaxed);
@@ -196,8 +196,8 @@ pub(super) fn account(shared: &RuntimeShared, total: StatDelta, journaled: StatD
     count(&stats.grants, total.grants);
     count(&stats.denials, total.denials);
     count(&stats.confirmations, total.confirmations);
-    count(&stats.expired_reservations, total.expired);
-    count(&stats.aborted_reservations, total.aborted);
+    count(&stats.expired_reservations, total.expired_reservations);
+    count(&stats.aborted_reservations, total.aborted_reservations);
     count(&stats.notifications, total.notifications);
     if let Some(hub) = &shared.durability {
         hub.log_event(total.minus(&journaled));

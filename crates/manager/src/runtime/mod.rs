@@ -84,10 +84,10 @@ pub(crate) use slots::{ask_shards, control, Answer};
 use crate::durability::{self, durability_err, DurabilityHub};
 use crate::error::{ManagerError, ManagerResult};
 use crate::lock;
-use crate::manager::{ManagerStats, ProtocolVariant, Reservation, SharedStats};
 use crate::shard::ShardState;
 use crate::subscription::{ClientId, CrossSubscriptions, Notification, SubscriptionRegistry};
 use crate::timer::Timers;
+use crate::{ManagerStats, ProtocolVariant, Reservation, SharedStats};
 use admission::ShardGate;
 use cross::CascadeCounters;
 use crossbeam::channel::{unbounded, Sender};
@@ -312,8 +312,8 @@ pub(crate) struct RuntimeShared {
     /// kept here so repartitions gate their new shards identically.
     queue_limit: usize,
     /// The worker pool: parkers and the slot bench.  Shards are scheduling
-    /// units; workers are the OS threads that serve them (see the
-    /// worker-pool section of ARCHITECTURE.md).
+    /// units; workers are the OS threads that serve them (ARCHITECTURE.md,
+    /// "Caller frames and the pool").
     pool: Arc<PoolCtl>,
 }
 
@@ -907,17 +907,12 @@ impl RuntimeShared {
 
     fn new_reservation(&self, client: ClientId, action: &Action) -> Reservation {
         let now = self.clock.load(Ordering::Relaxed);
-        let expires_at = match self.variant {
-            ProtocolVariant::Simple => u64::MAX,
-            ProtocolVariant::Leased { lease } => now + lease,
-            ProtocolVariant::Combined => unreachable!("combined grants commit immediately"),
-        };
         Reservation {
             id: self.next_reservation.fetch_add(1, Ordering::Relaxed),
             action: action.clone(),
             client,
             granted_at: now,
-            expires_at,
+            expires_at: self.variant.expires_at(now),
         }
     }
 }

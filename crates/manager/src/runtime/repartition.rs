@@ -8,13 +8,12 @@ use super::drive::{account, deliver, publish_reservation_fp};
 use super::session::{cross_unsubscribe, enqueue_single, settle_unowned};
 use super::slots::{seat_shard, PauseTask, PoolCtl, SingleTask, Task};
 use super::{read_topology, Completion, ManagerRuntime, RuntimeShared, Topology};
-use crate::durability::{
-    persist_repartition, persist_shards, visit_log, Gaps, ShardCapture, StatDelta,
-};
+use crate::durability::{persist_repartition, persist_shards, visit_log, Gaps, ShardCapture};
 use crate::error::{ManagerError, ManagerResult};
 use crate::lock;
 use crate::shard::{Op, ShardState};
 use crate::subscription::Notification;
+use crate::ManagerStats;
 use crossbeam::channel::{unbounded, Sender};
 use ix_core::{Expr, Route};
 use std::ops::ControlFlow;
@@ -346,8 +345,8 @@ impl ManagerRuntime {
         }
         account(
             shared,
-            StatDelta { notifications: flips.len() as u64, ..StatDelta::ZERO },
-            StatDelta::ZERO,
+            ManagerStats { notifications: flips.len() as u64, ..ManagerStats::ZERO },
+            ManagerStats::ZERO,
         );
         deliver(shared, &flips);
         let report = RepartitionReport {

@@ -7,13 +7,13 @@ use super::cross::enqueue_multi;
 use super::drive::{account, settle_single, vote_local};
 use super::slots::{caller_frame, Frame, SingleTask, Task};
 use super::{read_topology, Completion, RuntimeShared, Topology, TopologySlot};
-use crate::durability::StatDelta;
 use crate::error::{ManagerError, ManagerResult, SubmitError};
 use crate::lock;
-use crate::manager::Reservation;
 use crate::shard::{Op, DENIED};
 use crate::subscription::{ClientId, Notification};
 use crate::ticket::{completed, ticket, Ticket, TicketIssuer};
+use crate::ManagerStats;
+use crate::Reservation;
 use crossbeam::channel::Receiver;
 use ix_core::{Action, Route};
 use std::sync::atomic::Ordering;
@@ -330,7 +330,7 @@ impl Session {
 /// What an ask or an execute of a non-concrete action comes to, counted as
 /// the blocking manager counts it.
 fn non_concrete(shared: &RuntimeShared, action: &Action) -> Completion {
-    account(shared, StatDelta { asks: 1, ..StatDelta::ZERO }, StatDelta::ZERO);
+    account(shared, ManagerStats { asks: 1, ..ManagerStats::ZERO }, ManagerStats::ZERO);
     Completion::Failed { error: ManagerError::NonConcreteAction { action: action.to_string() } }
 }
 
@@ -361,7 +361,7 @@ pub(super) fn settle_unowned(shared: &RuntimeShared, op: Op) -> Completion {
         }
         Op::Query { .. } => Completion::Status { permitted: false },
         _ => {
-            account(shared, DENIED, StatDelta::ZERO);
+            account(shared, DENIED, ManagerStats::ZERO);
             Completion::Denied
         }
     }
@@ -577,7 +577,7 @@ pub(super) fn advance_clock(
     slot: &TopologySlot,
     delta: u64,
 ) -> Vec<Reservation> {
-    let now = shared.clock.fetch_add(delta, Ordering::Relaxed) + delta;
+    let now = crate::tick(&shared.clock, delta);
     if let Some(hub) = &shared.durability {
         hub.log_clock(now);
     }

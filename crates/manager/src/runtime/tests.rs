@@ -3,9 +3,9 @@
 
 use super::slots::{PauseTask, Task};
 use super::*;
-use crate::durability::{StatDelta, WalRecord};
+use crate::durability::WalRecord;
 use crate::ticket::Ticket;
-use crate::InteractionManager;
+use crate::{InteractionManager, ManagerStats};
 use crossbeam::channel::Receiver;
 use ix_core::{parse, Value};
 use std::sync::atomic::AtomicBool;
@@ -596,7 +596,7 @@ fn torn_cross_commit_rolls_forward_on_every_missing_owner() {
             key: (100, 0, 0),
             action: audit(),
             is_primary: true,
-            delta: StatDelta { asks: 1, grants: 1, confirmations: 1, ..StatDelta::ZERO },
+            delta: ManagerStats { asks: 1, grants: 1, confirmations: 1, ..ManagerStats::ZERO },
         },
     );
     let recovered = ManagerRuntime::recover(
@@ -638,7 +638,7 @@ fn torn_reservation_grant_completes_and_torn_release_drops() {
     for shard in [0usize, 1] {
         hub.log_shard(
             shard,
-            &WalRecord::Reserve { reservation: lease(70), delta: StatDelta::ZERO },
+            &WalRecord::Reserve { reservation: lease(70), delta: ManagerStats::ZERO },
         );
     }
     // Reservation 71: granted everywhere, but shard 2 also journaled
@@ -647,10 +647,10 @@ fn torn_reservation_grant_completes_and_torn_release_drops() {
     for shard in 0..4usize {
         hub.log_shard(
             shard,
-            &WalRecord::Reserve { reservation: lease(71), delta: StatDelta::ZERO },
+            &WalRecord::Reserve { reservation: lease(71), delta: ManagerStats::ZERO },
         );
     }
-    hub.log_shard(2, &WalRecord::Release { id: 71, delta: StatDelta::ZERO });
+    hub.log_shard(2, &WalRecord::Release { id: 71, delta: ManagerStats::ZERO });
     let recovered = ManagerRuntime::recover(
         vault,
         RuntimeOptions {

@@ -30,11 +30,11 @@
 //! other owner echoes a zero, and the driver puts the rest on the meta
 //! stream.
 
-use crate::durability::{durability_err, DurabilityHub, ShardCapture, StatDelta, WalRecord};
+use crate::durability::{durability_err, DurabilityHub, ShardCapture, WalRecord};
 use crate::error::{ManagerError, ManagerResult};
 use crate::log::{LogKey, ShardLog};
-use crate::manager::{ProtocolVariant, Reservation};
 use crate::subscription::{ClientId, CrossBit, Notification, SubscriptionRegistry};
+use crate::{ManagerStats, ProtocolVariant, Reservation};
 use ix_core::{Action, Alphabet, Component};
 use ix_state::{Engine, StateRef};
 use std::collections::BTreeMap;
@@ -118,7 +118,7 @@ pub(crate) enum Verdict {
 }
 
 /// An ask or an execute that was denied, by an owner or for want of one.
-pub(crate) const DENIED: StatDelta = StatDelta { asks: 1, denials: 1, ..StatDelta::ZERO };
+pub(crate) const DENIED: ManagerStats = ManagerStats { asks: 1, denials: 1, ..ManagerStats::ZERO };
 
 impl Verdict {
     /// The verdict on `op` from its owners' votes: `ok` is their conjunction,
@@ -161,17 +161,21 @@ impl Verdict {
 
     /// What the operation moves the statistics by, notifications aside —
     /// the same as the blocking manager counts for it.
-    pub(crate) fn total(&self, op: &Op) -> StatDelta {
+    pub(crate) fn total(&self, op: &Op) -> ManagerStats {
         match (self, op) {
             (Verdict::Commit { granted: true, .. }, _) => {
-                StatDelta { asks: 1, grants: 1, confirmations: 1, ..StatDelta::ZERO }
+                ManagerStats { asks: 1, grants: 1, confirmations: 1, ..ManagerStats::ZERO }
             }
-            (Verdict::Commit { .. }, _) => StatDelta { confirmations: 1, ..StatDelta::ZERO },
-            (Verdict::Reserve(_), _) => StatDelta { asks: 1, grants: 1, ..StatDelta::ZERO },
+            (Verdict::Commit { .. }, _) => ManagerStats { confirmations: 1, ..ManagerStats::ZERO },
+            (Verdict::Reserve(_), _) => ManagerStats { asks: 1, grants: 1, ..ManagerStats::ZERO },
             (Verdict::Deny, _) => DENIED,
-            (Verdict::Released(_), Op::Abort { .. }) => StatDelta { aborted: 1, ..StatDelta::ZERO },
-            (Verdict::Released(_), _) => StatDelta { expired: 1, ..StatDelta::ZERO },
-            (Verdict::Unknown | Verdict::Rejected(_) | Verdict::Status(_), _) => StatDelta::ZERO,
+            (Verdict::Released(_), Op::Abort { .. }) => {
+                ManagerStats { aborted_reservations: 1, ..ManagerStats::ZERO }
+            }
+            (Verdict::Released(_), _) => {
+                ManagerStats { expired_reservations: 1, ..ManagerStats::ZERO }
+            }
+            (Verdict::Unknown | Verdict::Rejected(_) | Verdict::Status(_), _) => ManagerStats::ZERO,
         }
     }
 }
@@ -189,14 +193,14 @@ pub(crate) struct Effects {
     /// The statistics this owner's records carry (nothing without
     /// durability: no records).  The driver counts the verdict's total once
     /// and journals only what is missing here.
-    pub(crate) delta: StatDelta,
+    pub(crate) delta: ManagerStats,
 }
 
 impl Effects {
     /// Nothing for the driver to merge or count (the usual case for an
     /// owner of a commit nobody subscribed to, on a runtime without a vault).
     pub(crate) fn is_empty(&self) -> bool {
-        self.notes.is_empty() && self.cross_bits.is_empty() && self.delta == StatDelta::ZERO
+        self.notes.is_empty() && self.cross_bits.is_empty() && self.delta == ManagerStats::ZERO
     }
 
     /// What several owners left, as one: their notifications and bits in
@@ -232,7 +236,7 @@ pub(crate) struct ShardState {
     /// Sum of the statistics of every record the shard's stream ever
     /// carried, truncated ones included.  Snapshotted with the shard;
     /// recovery sums the bases and the tails.
-    pub(crate) stat_base: StatDelta,
+    pub(crate) stat_base: ManagerStats,
     /// The component's alphabet, whose entries index the subscriptions (an
     /// action is filed under the entry covering it).
     alphabet: Alphabet,
@@ -256,7 +260,7 @@ impl ShardState {
             reservations: BTreeMap::new(),
             subscriptions: SubscriptionRegistry::new(),
             log: ShardLog::new(),
-            stat_base: StatDelta::ZERO,
+            stat_base: ManagerStats::ZERO,
             alphabet,
             wal,
         }
@@ -361,7 +365,7 @@ impl ShardState {
         let mut fx = Effects::default();
         // What this owner's records carry of the verdict's count (worked out
         // only if a record is written).
-        let share = || if role == Role::Echo { StatDelta::ZERO } else { verdict.total(op) };
+        let share = || if role == Role::Echo { ManagerStats::ZERO } else { verdict.total(op) };
         if let Some(gone) = &vote.removed {
             // The release goes first: it precedes the commit it may have
             // confirmed.  It carries a count only where it is the whole
@@ -370,7 +374,7 @@ impl ShardState {
                 id: gone.id,
                 delta: match (verdict, role) {
                     (Verdict::Released(_), Role::Sole) => share(),
-                    _ => StatDelta::ZERO,
+                    _ => ManagerStats::ZERO,
                 },
             });
         }
@@ -408,7 +412,7 @@ impl ShardState {
                     key,
                     action: action.clone(),
                     is_primary: role != Role::Echo,
-                    delta: StatDelta { notifications: notified, ..share() },
+                    delta: ManagerStats { notifications: notified, ..share() },
                 });
             }
             (Verdict::Reserve(reservation), _) => {
@@ -567,7 +571,7 @@ impl ShardState {
 mod tests {
     use super::*;
     use crate::log::LogKey;
-    use crate::manager::{InteractionManager, ManagerStats};
+    use crate::manager::InteractionManager;
     use crate::subscription::SubscriptionRow;
     use ix_core::{parse, Expr, Partition};
     use ix_durable::{MemVault, Vault};
@@ -603,9 +607,9 @@ mod tests {
         verdict: Verdict,
         sole: bool,
         /// The statistics the operation counts, notifications included.
-        total: StatDelta,
+        total: ManagerStats,
         /// What each owner's records carry of them.
-        carried: Vec<(Role, StatDelta)>,
+        carried: Vec<(Role, ManagerStats)>,
     }
 
     impl Bench {
@@ -659,16 +663,12 @@ mod tests {
                 },
                 |client, action| {
                     self.reservations += 1;
-                    let expires_at = match variant {
-                        ProtocolVariant::Leased { lease } => clock + lease,
-                        _ => u64::MAX,
-                    };
                     Reservation {
                         id: self.reservations,
                         action: action.clone(),
                         client,
                         granted_at: clock,
-                        expires_at,
+                        expires_at: variant.expires_at(clock),
                     }
                 },
             );
@@ -711,18 +711,6 @@ mod tests {
             .collect()
     }
 
-    fn moved(after: ManagerStats, before: ManagerStats) -> ManagerStats {
-        ManagerStats {
-            asks: after.asks - before.asks,
-            grants: after.grants - before.grants,
-            denials: after.denials - before.denials,
-            confirmations: after.confirmations - before.confirmations,
-            expired_reservations: after.expired_reservations - before.expired_reservations,
-            aborted_reservations: after.aborted_reservations - before.aborted_reservations,
-            notifications: after.notifications - before.notifications,
-        }
-    }
-
     /// The bench and the blocking manager, one operation at a time.
     struct Lockstep {
         bench: Bench,
@@ -746,18 +734,21 @@ mod tests {
             let before = self.manager.stats();
             counterpart(&self.manager);
             let out = self.bench.run(&op).expect("an owned operation");
-            assert_eq!(out.total.as_stats(), moved(self.manager.stats(), before), "{op:?}");
-            let mut carried = StatDelta::ZERO;
+            assert_eq!(out.total, self.manager.stats().minus(&before), "{op:?}");
+            let mut carried = ManagerStats::ZERO;
             for (role, delta) in &out.carried {
-                assert!(*role != Role::Echo || *delta == StatDelta::ZERO, "{op:?}: echo {delta:?}");
+                assert!(
+                    *role != Role::Echo || *delta == ManagerStats::ZERO,
+                    "{op:?}: echo {delta:?}"
+                );
                 carried.add(delta);
             }
             let left_to_the_driver = match (&out.verdict, out.sole) {
                 (Verdict::Deny, _) => DENIED,
-                (_, true) => StatDelta::ZERO,
+                (_, true) => ManagerStats::ZERO,
                 (Verdict::Released(_), false) => out.total,
                 (_, false) => {
-                    StatDelta { notifications: out.total.notifications, ..StatDelta::ZERO }
+                    ManagerStats { notifications: out.total.notifications, ..ManagerStats::ZERO }
                 }
             };
             assert_eq!(out.total.minus(&carried), left_to_the_driver, "{op:?}");
@@ -907,7 +898,7 @@ mod tests {
         Vec<Reservation>,
         Vec<SubscriptionRow>,
         (u64, Vec<(LogKey, Action)>),
-        StatDelta,
+        ManagerStats,
     );
 
     fn observe(st: &ShardState) -> Observed {
@@ -998,9 +989,9 @@ mod tests {
         assert_eq!(execute(&mut st, "a"), 1);
         let held =
             Reservation { id: 1, action: act("c"), client: 1, granted_at: 0, expires_at: u64::MAX };
-        st.replay(WalRecord::Reserve { reservation: held, delta: StatDelta::ZERO }).unwrap();
+        st.replay(WalRecord::Reserve { reservation: held, delta: ManagerStats::ZERO }).unwrap();
         assert_eq!(execute(&mut st, "b"), 3);
-        st.replay(WalRecord::Release { id: 1, delta: StatDelta::ZERO }).unwrap();
+        st.replay(WalRecord::Release { id: 1, delta: ManagerStats::ZERO }).unwrap();
         assert_eq!(execute(&mut st, "a"), 1);
     }
 }

@@ -33,7 +33,7 @@
 //! A table is a cache, never state: snapshots carry the engine's state and
 //! none of its tables, and a recovered engine installs its tier around the
 //! decoded state on first use, as a fresh one does (ARCHITECTURE.md,
-//! "Sharing, snapshots and epoch invalidation").
+//! "The lazy tier").
 //!
 //! # Why a cell is exact
 //!

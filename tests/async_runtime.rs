@@ -171,6 +171,36 @@ fn cross_shard_leases_expire_on_every_owner_via_the_timer_wheel() {
     assert!(matches!(session.confirm_blocking(id), Err(ManagerError::UnknownReservation { .. })));
 }
 
+/// A grant's deadline and the clock stop at `u64::MAX` on both managers: a
+/// lease as long as the clock can count, granted once time has moved, never
+/// expires and its confirm commits, and advancing past the end of time
+/// leaves the clock there.
+#[test]
+fn a_lease_to_the_end_of_time_never_expires_and_the_clock_saturates() {
+    let expr = coupled_constraint(2);
+    let variant = ProtocolVariant::Leased { lease: u64::MAX };
+    let blocking = InteractionManager::with_protocol(&expr, variant).unwrap();
+    blocking.advance_time(1);
+    let id = blocking.ask(1, &call(0, 1)).unwrap().expect("granted");
+    assert!(blocking.advance_time(1_000).is_empty(), "blocking: the lease expired");
+    blocking.confirm(id).unwrap();
+    assert_eq!(blocking.log(), [call(0, 1)]);
+    blocking.advance_time(u64::MAX);
+    blocking.advance_time(u64::MAX);
+    assert_eq!(blocking.now(), u64::MAX);
+
+    let runtime = ManagerRuntime::with_protocol(&expr, variant).unwrap();
+    let session = runtime.session(1);
+    runtime.advance_time(1);
+    let id = session.ask_blocking(&call(0, 1)).unwrap().expect("granted");
+    assert!(runtime.advance_time(1_000).is_empty(), "runtime: the lease expired");
+    session.confirm_blocking(id).unwrap();
+    assert_eq!(runtime.log(), [call(0, 1)]);
+    runtime.advance_time(u64::MAX);
+    runtime.advance_time(u64::MAX);
+    assert_eq!(runtime.now(), u64::MAX);
+}
+
 /// A denial mid-chain invalidates the conditional votes of its downstream
 /// dependents: audits pipelined behind an open call/perform pair are all
 /// denied — the first by recompute, the rest by invalidation of their
