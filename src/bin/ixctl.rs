@@ -69,7 +69,9 @@ fn main() -> ExitCode {
         }
         _ => {}
     }
-    let Some(source) = rest.first() else {
+    // Of the expression commands, only `word` takes arguments after it.
+    let one_argument = matches!(command, "check" | "simplify" | "dot" | "run");
+    let Some(source) = rest.first().filter(|_| !one_argument || rest.len() == 1) else {
         eprintln!("{usage}");
         return ExitCode::from(2);
     };
@@ -184,7 +186,10 @@ fn recover(dir: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn check(expr: &Expr) -> CoreResult<()> {
+/// What a command fails with: a parse, state-model or stdin error.
+type CmdResult = Result<(), Box<dyn std::error::Error>>;
+
+fn check(expr: &Expr) -> CmdResult {
     println!("expression : {expr}");
     println!("size       : {} nodes, depth {}", expr.size(), expr.depth());
     println!("alphabet   : {}", expr.alphabet());
@@ -200,36 +205,23 @@ fn check(expr: &Expr) -> CoreResult<()> {
     Ok(())
 }
 
-fn word(expr: &Expr, action_sources: &[String]) -> CoreResult<()> {
+fn word(expr: &Expr, action_sources: &[String]) -> CmdResult {
     let actions = parse_actions(action_sources)?;
-    match ix_state::word_problem(expr, &actions) {
-        Ok(status) => {
-            let name = match status {
-                WordStatus::Complete => "complete",
-                WordStatus::Partial => "partial",
-                WordStatus::Illegal => "illegal",
-            };
-            println!("{} ({})", status.code(), name);
-            Ok(())
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            Ok(())
-        }
-    }
+    let status = ix_state::word_problem(expr, &actions)?;
+    let name = match status {
+        WordStatus::Complete => "complete",
+        WordStatus::Partial => "partial",
+        WordStatus::Illegal => "illegal",
+    };
+    println!("{} ({})", status.code(), name);
+    Ok(())
 }
 
-fn run(expr: &Expr) -> CoreResult<()> {
-    let mut engine = match Engine::new(expr) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("{e}");
-            return Ok(());
-        }
-    };
+fn run(expr: &Expr) -> CmdResult {
+    let mut engine = Engine::new(expr)?;
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
-        let line = line.unwrap_or_default();
+        let line = line?;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
