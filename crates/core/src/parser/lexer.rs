@@ -18,8 +18,9 @@ pub enum TokenKind<'src> {
     /// An identifier: action names, parameter names, symbolic values and the
     /// keywords `some`, `all`, `sync`, `each`, `mult`, `empty`.
     Ident(&'src str),
-    /// An integer literal.
-    Int(i64),
+    /// An integer literal's digits; a sign before them is the parser's to
+    /// read, so the literal is unsigned here.
+    Int(u64),
     /// `$name` — a template hole.
     Hole(&'src str),
     LParen,
@@ -161,7 +162,7 @@ pub fn lex(src: &str) -> CoreResult<Vec<Token<'_>>> {
                     i += 1;
                 }
                 let text = &src[start..i];
-                let value: i64 = text.parse().map_err(|_| CoreError::Parse {
+                let value: u64 = text.parse().map_err(|_| CoreError::Parse {
                     position: start,
                     message: format!("integer literal `{text}` is out of range"),
                 })?;

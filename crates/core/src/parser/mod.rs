@@ -217,10 +217,12 @@ impl<'src> Parser<'src, '_> {
 
     fn parse_multiplier(&mut self) -> CoreResult<Expr> {
         let n = match self.advance().kind {
-            TokenKind::Int(i) if i > 0 => i as u32,
-            TokenKind::Int(i) => {
-                return Err(self.error(format!("multiplier count must be positive, got {i}")))
+            TokenKind::Int(0) => {
+                return Err(self.error("multiplier count must be positive, got 0".into()))
             }
+            TokenKind::Int(i) => u32::try_from(i).map_err(|_| {
+                self.error(format!("multiplier count {i} is out of range (at most {})", u32::MAX))
+            })?,
             other => {
                 return Err(self.error(format!(
                     "expected a positive integer after `mult`, found {}",
@@ -266,8 +268,25 @@ impl<'src> Parser<'src, '_> {
     }
 
     fn parse_term(&mut self) -> CoreResult<Term> {
-        match self.advance().kind {
-            TokenKind::Int(i) => Ok(Term::Value(Value::Int(i))),
+        let token = self.advance();
+        // In an argument list `-` cannot be the sequence operator: directly
+        // before an integer it is the integer's sign.
+        let negative = token.kind == TokenKind::Minus
+            && matches!(self.peek().kind, TokenKind::Int(_))
+            && self.peek().offset == token.offset + 1;
+        let kind = if negative { self.advance().kind } else { token.kind };
+        match kind {
+            TokenKind::Int(digits) => {
+                let value = if negative {
+                    0i64.checked_sub_unsigned(digits)
+                } else {
+                    digits.try_into().ok()
+                };
+                let sign = if negative { "-" } else { "" };
+                value
+                    .map(|i| Term::Value(Value::Int(i)))
+                    .ok_or_else(|| self.error(format!("integer `{sign}{digits}` is out of range")))
+            }
             TokenKind::Ident(name) => {
                 if self.scope.contains(&name) {
                     Ok(Term::Param(Param::new(name)))
@@ -341,6 +360,31 @@ mod tests {
     fn parses_integers_and_values() {
         let e = parse("call(1, sono)").unwrap();
         assert_eq!(e, actv("call", [Value::int(1), Value::sym("sono")]));
+    }
+
+    #[test]
+    fn multiplier_counts_past_u32_are_rejected_by_name() {
+        assert_eq!(parse("mult 4294967295 { a }").unwrap(), Expr::mult(u32::MAX, act0("a")));
+        for count in ["4294967296", "4294967297"] {
+            match parse(&format!("mult {count} {{ a }}")).unwrap_err() {
+                CoreError::Parse { message, .. } => assert!(message.contains(count), "{message}"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_sign_directly_before_an_integer_argument_is_read() {
+        for i in [-1, i64::MIN, i64::MAX] {
+            let e = parse(&format!("a({i}) - b")).unwrap();
+            assert_eq!(e, Expr::seq(actv("a", [Value::int(i)]), act0("b")), "{i}");
+            assert_eq!(parse(&e.to_string()).unwrap(), e);
+        }
+        // A sign standing apart, or a value past the range, is no integer.
+        assert!(parse("a(- 1)").is_err());
+        assert!(parse("a(-x)").is_err());
+        assert!(parse("a(-9223372036854775809)").is_err());
+        assert!(parse("a(9223372036854775808)").is_err());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 
 use crate::convert::graph_to_expr;
 use crate::model::InteractionGraph;
-use ix_core::{Action, Expr, TemplateRegistry, Value};
+use ix_core::{Action, Expr, TemplateRegistry};
+use ix_semantics::Universe;
 use ix_state::{init, is_final, trans, State};
 use std::collections::BTreeSet;
 
@@ -87,7 +88,11 @@ pub fn validate_expr(
     budget: ExplorationBudget,
 ) -> Result<ValidationReport, ix_state::StateError> {
     let initial = init(expr)?;
-    let alphabet = exploration_alphabet(expr, budget.sample_values);
+    // Every abstract action grounded over the values the expression
+    // mentions plus `sample_values` fresh ones — the oracle's grounding.
+    let alphabet = Universe::observed(expr, &[])
+        .with_fresh(budget.sample_values)
+        .ground_alphabet(&expr.alphabet());
     // States embed interior-mutable coverage memos that are excluded from
     // their Eq/Ord/Hash, so they are sound set keys.
     #[allow(clippy::mutable_key_type)]
@@ -131,38 +136,6 @@ pub fn validate_expr(
         explored_states: seen.len(),
         budget,
     })
-}
-
-/// The concrete actions used to explore an expression: every abstract action
-/// of its alphabet grounded over the values mentioned in the expression plus
-/// a few sample values.
-fn exploration_alphabet(expr: &Expr, sample_values: usize) -> Vec<Action> {
-    let mut values: Vec<Value> = expr.mentioned_values().into_iter().collect();
-    for i in 0..sample_values {
-        let v = Value::Int(9_000 + i as i64);
-        if !values.contains(&v) {
-            values.push(v);
-        }
-    }
-    let mut out = Vec::new();
-    for abstract_action in expr.alphabet().actions() {
-        let mut ground = vec![abstract_action.clone()];
-        for p in abstract_action.params() {
-            let mut next = Vec::new();
-            for g in &ground {
-                for v in &values {
-                    next.push(g.substitute(p, *v));
-                }
-            }
-            ground = next;
-        }
-        for g in ground {
-            if g.is_concrete() && !out.contains(&g) {
-                out.push(g);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

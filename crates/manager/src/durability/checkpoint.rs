@@ -25,43 +25,32 @@ use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// The cheap clones a worker hands the checkpoint coordinator at its task
-/// boundary: CoW handles, `Arc`s (the log's sealed chunks among them), and
-/// small tables.  Encoding happens off the worker thread.
+/// One shard's snapshot: what a worker captures at its task boundary and
+/// hands the checkpoint coordinator, and what recovery decodes and installs
+/// ([`ShardState::restore`](crate::shard::ShardState::restore)).  Captured,
+/// it holds cheap clones — CoW handles, `Arc`s (the log's sealed chunks
+/// among them) and small tables — so encoding happens off the worker thread.
 #[derive(Clone)]
-pub(crate) struct ShardCapture {
+pub(crate) struct ShardCheckpoint {
     pub(crate) shard: usize,
-    /// Stream index the capture covers: every record with a smaller index
-    /// is reflected in the captured state.
+    /// Stream index the snapshot covers: every record with a smaller index
+    /// is reflected in the snapshotted state.
     pub(crate) covered: u64,
     /// Sequence of the last cross-shard commit applied on this shard.
     pub(crate) epoch: u64,
     pub(crate) accepted: u64,
     pub(crate) rejected: u64,
     pub(crate) state: StateRef,
-    /// The log as of the capture; [`persist_shards`] archives what it holds
-    /// past its archived mark.
+    /// Captured, the log as of the capture: [`persist_shards`] archives what
+    /// it holds past its archived mark.  Decoded, the log the shard resumes
+    /// with: every entry the snapshot counts archived and none resident —
+    /// or, from a snapshot with the log inline, all of them resident and
+    /// none archived.
     pub(crate) log: ShardLog,
     pub(crate) reservations: Vec<Reservation>,
     pub(crate) subscriptions: Vec<SubscriptionRow>,
     /// Cumulative statistics delta of every record this shard's stream ever
     /// carried up to `covered`.
-    pub(crate) stat_base: ManagerStats,
-}
-
-/// A decoded shard snapshot.
-pub(crate) struct ShardCheckpoint {
-    pub(crate) covered: u64,
-    pub(crate) epoch: u64,
-    pub(crate) accepted: u64,
-    pub(crate) rejected: u64,
-    pub(crate) state: StateRef,
-    /// The log the shard resumes with: every entry the snapshot counts
-    /// archived and none resident — or, from a snapshot with the log inline,
-    /// all of them resident and none archived.
-    pub(crate) log: ShardLog,
-    pub(crate) reservations: Vec<Reservation>,
-    pub(crate) subscriptions: Vec<SubscriptionRow>,
     pub(crate) stat_base: ManagerStats,
 }
 
@@ -78,13 +67,13 @@ fn decode_subscription_rows(r: &mut Reader) -> Result<Vec<SubscriptionRow>, Code
     get_seq(r, |r| Ok((decode_action(r)?, decode_action(r)?, get_seq(r, Reader::u64)?, r.bool()?)))
 }
 
-/// Serializes one shard capture: the state that decides the next action,
+/// Serializes one shard snapshot: the state that decides the next action,
 /// through the pointer-deduplicating node pool, and none of the engine's
 /// tier tables, which are a cache the recovered engine refills — the table
 /// sequence the format keeps is written empty.  Of the log only the entry
 /// count and the key high-water mark go in: the caller ([`persist_shards`])
 /// has archived the entries themselves.
-pub(super) fn encode_shard_checkpoint(cap: &ShardCapture) -> Vec<u8> {
+pub(super) fn encode_shard_checkpoint(cap: &ShardCheckpoint) -> Vec<u8> {
     let mut pool = StateTableBuilder::new();
     let root = pool.add_root(&cap.state);
     let mut w = Writer::new();
@@ -104,7 +93,11 @@ pub(super) fn encode_shard_checkpoint(cap: &ShardCapture) -> Vec<u8> {
     w.into_bytes()
 }
 
-pub(crate) fn decode_shard_checkpoint(bytes: &[u8]) -> ManagerResult<ShardCheckpoint> {
+/// Decodes the snapshot blob of `shard`.
+pub(crate) fn decode_shard_checkpoint(
+    shard: usize,
+    bytes: &[u8],
+) -> ManagerResult<ShardCheckpoint> {
     let mut r = Reader::new(bytes);
     (|| -> Result<ShardCheckpoint, CodecError> {
         let version = r.u8()?;
@@ -147,6 +140,7 @@ pub(crate) fn decode_shard_checkpoint(bytes: &[u8]) -> ManagerResult<ShardCheckp
         let reservations = get_seq(&mut r, decode_reservation)?;
         let subscriptions = decode_subscription_rows(&mut r)?;
         Ok(ShardCheckpoint {
+            shard,
             covered,
             epoch,
             accepted,
@@ -427,7 +421,7 @@ pub(crate) struct Persisted {
 /// next archive, [`ShardHistory`]); after it, the entries it counts are on
 /// stable storage.  The caller truncates the covered write-ahead prefix
 /// afterwards, and releases the archived entries from memory last.
-pub(crate) fn persist_shards(vault: &dyn Vault, captures: &[ShardCapture]) -> Persisted {
+pub(crate) fn persist_shards(vault: &dyn Vault, captures: &[ShardCheckpoint]) -> Persisted {
     let mut out = Persisted::default();
     let mut scratch = Writer::new();
     for cap in captures {
@@ -610,7 +604,7 @@ pub(crate) fn run_checkpoint(
     let _persisting = lock(&shared.persisting);
     let topo = read_topology(slot);
     let shards = topo.gates.len();
-    let mut captures: Vec<ShardCapture> =
+    let mut captures: Vec<ShardCheckpoint> =
         ask_shards(&topo, |st| st.capture()).into_iter().flatten().collect();
     captures.sort_by_key(|c| c.shard);
     let persisted = persist_shards(vault, &captures);
@@ -683,7 +677,7 @@ pub(crate) fn run_checkpoint(
 /// the old partition.
 pub(crate) fn persist_repartition(
     vault: &dyn Vault,
-    captures: &[ShardCapture],
+    captures: &[ShardCheckpoint],
     expr: &Expr,
     partition: &Partition,
     cross: Vec<CrossRow>,

@@ -48,7 +48,7 @@ mod recover;
 
 pub(crate) use checkpoint::{
     merged_log, persist_repartition, persist_shards, run_checkpoint, save_topology, visit_log,
-    Gaps, ShardCapture,
+    Gaps, ShardCheckpoint,
 };
 pub(crate) use journal::{DurabilityHub, WalRecord};
 pub(crate) use recover::recover_runtime;
@@ -159,7 +159,7 @@ mod tests {
         let mut engine = Engine::new(&expr).unwrap();
         assert!(engine.try_execute(&act("a")) && engine.try_execute(&act("b")));
         assert_eq!(engine.tier_stats().tables, 1);
-        let cap = ShardCapture {
+        let cap = ShardCheckpoint {
             shard: 0,
             covered: 17,
             epoch: 3,
@@ -192,7 +192,7 @@ mod tests {
         ix_durable::StateTableReader::read(&mut r).unwrap();
         r.u32().unwrap();
         assert_eq!(r.len_prefix().unwrap(), 0, "a snapshot holds no tier table");
-        let decoded = decode_shard_checkpoint(&bytes).expect("decode");
+        let decoded = decode_shard_checkpoint(0, &bytes).expect("decode");
         assert_eq!(decoded.covered, 17);
         assert_eq!(decoded.epoch, 3);
         assert_eq!(decoded.accepted, cap.accepted);
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn a_snapshot_with_tables_decodes_to_its_state() {
         let bytes = include_bytes!("../../../../tests/fixtures/ward_round_snapshot");
-        let decoded = decode_shard_checkpoint(bytes).expect("decode");
+        let decoded = decode_shard_checkpoint(2, bytes).expect("decode");
         assert_eq!((decoded.accepted, decoded.rejected), (2, 0));
         let expr = parse("(ward_open - ward_round - ward_close)*").unwrap();
         let mut engine =
@@ -330,7 +330,7 @@ mod tests {
         let vault = MemVault::new();
         let expr = parse("(a - b)*").unwrap();
         let engine = Engine::new(&expr).unwrap();
-        let capture = |log: &ShardLog| ShardCapture {
+        let capture = |log: &ShardLog| ShardCheckpoint {
             shard: 1,
             covered: 0,
             epoch: log.epoch(),
@@ -376,7 +376,7 @@ mod tests {
         assert_eq!(read(&log), expected);
 
         // The snapshot resumes the log where the archive ends.
-        let decoded = decode_shard_checkpoint(&vault.load_blob(&snap_blob(1)).unwrap()).unwrap();
+        let decoded = decode_shard_checkpoint(1, &vault.load_blob(&snap_blob(1)).unwrap()).unwrap();
         assert_eq!((decoded.log.len(), decoded.log.archived()), (expected.len(), expected.len()));
         assert_eq!(read(&decoded.log), expected);
     }

@@ -6,7 +6,7 @@ use super::checkpoint::{
 };
 use super::journal::{DurabilityHub, WalRecord};
 use super::{codec_err, durability_err};
-use crate::error::{ManagerError, ManagerResult};
+use crate::error::ManagerResult;
 use crate::log::LogKey;
 use crate::runtime::{spawn_runtime, ManagerRuntime, RecoveredGlobals, RuntimeOptions};
 use crate::shard::ShardState;
@@ -15,7 +15,6 @@ use crate::timer::Timers;
 use crate::{ManagerStats, Reservation};
 use ix_core::{parse, Action, Component, Partition, Route};
 use ix_durable::{history_stream, Vault, META_STREAM};
-use ix_state::Engine;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -84,7 +83,7 @@ pub fn inspect_vault(vault: &Arc<dyn Vault>) -> ManagerResult<VaultInspection> {
         let stream = DurabilityHub::shard_stream(shard);
         let mut row = ShardInspection { shard, ..ShardInspection::default() };
         if let Some(blob) = vault.load_blob(&snap_blob(shard)) {
-            let cp = decode_shard_checkpoint(&blob)?;
+            let cp = decode_shard_checkpoint(shard, &blob)?;
             row.snapshot = true;
             row.snapshot_bytes = blob.len() as u64;
             row.covered = cp.covered;
@@ -155,14 +154,9 @@ pub(crate) fn recover_runtime(
         let mut seed = ShardState::of(id, component, Some(hub.clone()))?;
         let mut covered = 0;
         if let Some(blob) = hub.vault().load_blob(&snap_blob(id)) {
-            let cp = decode_shard_checkpoint(&blob)?;
-            seed.engine = Engine::restore(&component.expr, cp.state, cp.accepted, cp.rejected)
-                .map_err(ManagerError::State)?;
-            seed.reservations = cp.reservations.into_iter().map(|r| (r.id, r)).collect();
-            seed.subscriptions = SubscriptionRegistry::import(cp.subscriptions);
-            seed.log = cp.log;
-            seed.stat_base = cp.stat_base;
-            covered = cp.covered;
+            let snapshot = decode_shard_checkpoint(id, &blob)?;
+            covered = snapshot.covered;
+            seed.restore(snapshot)?;
         }
         if let Some(seq) = seed.log.max_seq() {
             next_seq = next_seq.max(seq + 1);

@@ -715,8 +715,6 @@ impl ManagerRuntime {
             total.fills += t.fills;
             total.compiles += t.compiles;
             total.bailouts += t.bailouts;
-            total.invalidations += t.invalidations;
-            total.epoch = total.epoch.max(t.epoch);
         }
         total
     }

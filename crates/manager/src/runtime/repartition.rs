@@ -8,7 +8,7 @@ use super::drive::{account, deliver, publish_reservation_fp};
 use super::session::{cross_unsubscribe, enqueue_single, settle_unowned};
 use super::slots::{seat_shard, PauseTask, PoolCtl, SingleTask, Task};
 use super::{read_topology, Completion, ManagerRuntime, RuntimeShared, Topology};
-use crate::durability::{persist_repartition, persist_shards, visit_log, Gaps, ShardCapture};
+use crate::durability::{persist_repartition, persist_shards, visit_log, Gaps, ShardCheckpoint};
 use crate::error::{ManagerError, ManagerResult};
 use crate::lock;
 use crate::shard::{Op, ShardState};
@@ -313,16 +313,12 @@ impl ManagerRuntime {
         }
 
         // ---- Resume the quiesced workers and commit the bookkeeping.  A
-        // tile compiled against the pre-migration ensemble must never serve
-        // a post-migration step: drop every affected engine's tables (and
-        // bump its tier epoch) before the worker resumes.
+        // migration only appends components: a paused engine keeps its
+        // expression, so its tables stay exact.
         let migrated_shards: Vec<usize> = paused.iter().map(|(s, _, _)| *s).collect();
-        for (_, state, _) in paused.iter_mut() {
-            state.engine.invalidate_tier();
-        }
         // ---- Make the repartition durable before any worker resumes.
         if let Some(vault) = shared.vault() {
-            let captures: Vec<ShardCapture> =
+            let captures: Vec<ShardCheckpoint> =
                 paused.iter().filter_map(|(_, state, _)| state.capture()).collect();
             let cross = lock(&shared.cross_subscriptions).export();
             let orphans = lock(&shared.orphan_subscriptions).export();

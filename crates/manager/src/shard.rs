@@ -30,7 +30,7 @@
 //! other owner echoes a zero, and the driver puts the rest on the meta
 //! stream.
 
-use crate::durability::{durability_err, DurabilityHub, ShardCapture, WalRecord};
+use crate::durability::{durability_err, DurabilityHub, ShardCheckpoint, WalRecord};
 use crate::error::{ManagerError, ManagerResult};
 use crate::log::{LogKey, ShardLog};
 use crate::subscription::{ClientId, CrossBit, Notification, SubscriptionRegistry};
@@ -550,9 +550,9 @@ impl ShardState {
     /// snapshot covers — taken between two operations, so state and offset
     /// are exactly consistent.  The engine's tier tables are not captured:
     /// they are a cache of τ̂, and a recovered engine refills them.
-    pub(crate) fn capture(&self) -> Option<ShardCapture> {
+    pub(crate) fn capture(&self) -> Option<ShardCheckpoint> {
         let hub = self.wal.as_ref()?;
-        Some(ShardCapture {
+        Some(ShardCheckpoint {
             shard: self.id,
             covered: hub.vault().stream_len(DurabilityHub::shard_stream(self.id)),
             epoch: self.log.epoch(),
@@ -564,6 +564,21 @@ impl ShardState {
             subscriptions: self.subscriptions.export(),
             stat_base: self.stat_base,
         })
+    }
+
+    /// Installs a decoded snapshot of this shard: the engine at the
+    /// snapshot's state and counters, and its reservations, subscriptions,
+    /// log and statistics base.  The log tail past `snapshot.covered` is
+    /// the caller's to replay.
+    pub(crate) fn restore(&mut self, snapshot: ShardCheckpoint) -> ManagerResult<()> {
+        let (accepted, rejected) = (snapshot.accepted, snapshot.rejected);
+        self.engine = Engine::restore(self.engine.expr(), snapshot.state, accepted, rejected)
+            .map_err(ManagerError::State)?;
+        self.reservations = snapshot.reservations.into_iter().map(|r| (r.id, r)).collect();
+        self.subscriptions = SubscriptionRegistry::import(snapshot.subscriptions);
+        self.log = snapshot.log;
+        self.stat_base = snapshot.stat_base;
+        Ok(())
     }
 }
 

@@ -14,8 +14,8 @@
 //!
 //! [`classify`] evaluates these criteria syntactically and produces a
 //! [`Classification`] with a [`Benignity`] verdict and human-readable
-//! reasons; [`malignant_family`] constructs the expressions used by the
-//! `malignant_growth` benchmark.
+//! reasons; [`malignant_family`] constructs the expression whose state growth
+//! the `paper_figures` example prints for Sec. 6.
 
 use ix_core::{Expr, ExprKind, Param};
 
@@ -231,8 +231,8 @@ pub fn quantifier_depth(expr: &Expr) -> u32 {
 /// number of alternatives after processing `a^n` grows like the number of
 /// integer partitions of n (super-polynomial).  Sec. 6 notes that such
 /// expressions "have to be selectively constructed and do not seem to have
-/// any practical relevance"; the benchmark `malignant_growth` measures
-/// exactly this family.
+/// any practical relevance"; the `paper_figures` example prints this
+/// family's state growth for Sec. 6.
 pub fn malignant_family() -> Expr {
     // (a# - b)# : every outer instance contains an inner a-iteration whose
     // progress (number of a's consumed) distinguishes it from the others.

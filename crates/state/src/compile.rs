@@ -6,8 +6,8 @@
 //! everything `ix_baselines` models as regex/matrix scenarios) have small
 //! state spaces.  A [`CompiledTable`] tabulates the τ̂-graph of one such
 //! subexpression: interned state handles, a dense `state × symbol → state`
-//! array over the subexpression's (finite) symbol candidates, and per-state
-//! ϕ/permitted bitsets.
+//! array over the subexpression's (finite) symbol candidates, and a ϕ bitset
+//! over the states.
 //!
 //! The table is a **lazy DFA**, the paper's on-demand τ̂ (Sec. 6, Fig. 9)
 //! with a cache in front.  Installing one costs O(|subexpression|) — the
@@ -33,7 +33,8 @@
 //! A table is a cache, never state: snapshots carry the engine's state and
 //! none of its tables, and a recovered engine installs its tier around the
 //! decoded state on first use, as a fresh one does (ARCHITECTURE.md,
-//! "The lazy tier").
+//! "The lazy tier").  Nor does a table go stale: an engine's expression
+//! never changes, so every cell stays exact for the engine's lifetime.
 //!
 //! # Why a cell is exact
 //!
@@ -55,8 +56,9 @@
 //! via array lookup composes transparently with the CoW spine around it:
 //! sorting, deduplication, and state-value equality are unaffected.  ψ
 //! needs no bitset: on the optimized path every interned (non-`Null`)
-//! state is valid by the "invalid ⇔ `Null`" invariant; the per-state
-//! bitsets cover ϕ and the cells known to be live.
+//! state is valid by the "invalid ⇔ `Null`" invariant; the ϕ bitset covers
+//! finality, and whether an action is permitted is whether its cell is
+//! [`DEAD`].
 
 use crate::init::init;
 use crate::predicates::is_final;
@@ -152,13 +154,6 @@ pub struct CompiledTable {
     pub(crate) transitions: Vec<u32>,
     /// ϕ bitset over state ids.
     finals: Vec<u64>,
-    /// Per-state bitsets of the cells filled *and* live, `words_per_state`
-    /// words each.
-    permitted: Vec<u64>,
-    words_per_state: usize,
-    /// Tier epoch the table was installed under (stale tiles are dropped on
-    /// invalidation; the stamp lets the tier assert freshness structurally).
-    pub(crate) epoch: u64,
     /// Cap on interned states; growth stops here, answers do not.
     pub(crate) max_states: usize,
     /// Cells computed so far.
@@ -179,14 +174,11 @@ impl CompiledTable {
         }
         Ok(CompiledTable {
             expr: expr.clone(),
-            words_per_state: symbols.len().div_ceil(64),
             transitions: vec![UNKNOWN; symbols.len()],
-            permitted: vec![0; symbols.len().div_ceil(64)],
             symbols,
             finals: vec![is_final(&start) as u64],
             states: vec![start],
             index: HashMap::new(),
-            epoch: 0,
             max_states: budget.max_states,
             filled: 0,
         })
@@ -264,7 +256,6 @@ impl CompiledTable {
                 }
                 self.states.push(handle);
                 self.transitions.resize(self.transitions.len() + self.symbols.len(), UNKNOWN);
-                self.permitted.resize(self.permitted.len() + self.words_per_state, 0);
                 Ok(id as u32)
             }
         }
@@ -279,9 +270,6 @@ impl CompiledTable {
         let id = if next.is_null() { DEAD } else { self.intern(Shared::new(next))? };
         self.transitions[state as usize * self.symbols.len() + sym] = id;
         self.filled += 1;
-        if id != DEAD {
-            self.permitted[state as usize * self.words_per_state + sym / 64] |= 1 << (sym % 64);
-        }
         Ok(id)
     }
 
@@ -304,20 +292,6 @@ impl CompiledTable {
     /// ϕ of a state id.
     pub fn is_final_state(&self, id: u32) -> bool {
         self.finals[id as usize / 64] & (1 << (id as usize % 64)) != 0
-    }
-
-    /// Whether `action` is known to be permitted in state `id` (the
-    /// per-state bitset of cells filled and live — on a closed table
-    /// equivalent to `step(id, action) != DEAD`).
-    pub fn is_permitted(&self, id: u32, action: &Action) -> bool {
-        self.column(action).is_some_and(|sym| {
-            self.permitted[id as usize * self.words_per_state + sym / 64] & (1 << (sym % 64)) != 0
-        })
-    }
-
-    /// Tier epoch the table was installed under.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Runs a word from σ through the table alone.  Returns `None` as soon
@@ -446,8 +420,8 @@ fn operand_runs(state: &State, i: usize) -> Vec<&Shared<State>> {
     }
 }
 
-/// Counter surface of an engine's tier, mirroring the memo stats: table
-/// inventory, hit/fill/fallback counts, and the invalidation epoch.
+/// Counter surface of an engine's tier: table inventory and hit, fill,
+/// fallback, compile and bailout counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Number of installed tables (the maximal resident subtrees).
@@ -466,11 +440,6 @@ pub struct TierStats {
     pub compiles: u64,
     /// Subtrees that bailed out during install passes.
     pub bailouts: u64,
-    /// Times the tier was invalidated (topology migrations, budget changes).
-    pub invalidations: u64,
-    /// Current tier epoch (bumped on every invalidation; installed tables
-    /// are stamped with the epoch they were installed under).
-    pub epoch: u64,
 }
 
 #[cfg(test)]
@@ -520,9 +489,7 @@ mod tests {
         assert_ne!(idle, DEAD);
         assert!(t.is_final_state(idle), "release returns to an idle state");
         assert_eq!(t.step(idle, &a("r0")), reading, "the cycle closes");
-        assert!(t.is_permitted(t.start(), &a("r0")));
-        assert!(!t.is_permitted(reading, &a("w0")));
-        assert!(!t.is_permitted(reading, &a("zzz")), "unknown symbols are dead");
+        assert_eq!(t.step(reading, &a("zzz")), DEAD, "unknown symbols are dead");
     }
 
     /// [`CompiledTable::run`] for a table that is filled by the walk itself:
@@ -608,8 +575,8 @@ mod tests {
         let lap: Vec<Action> = ["s0", "s1", "s2", "s3"].map(a).to_vec();
         let end = run_filling(&mut t, &lap).expect("a lap is a word");
         assert_eq!((t.state_count(), t.filled), (5, 4), "one cell and one state per step");
-        assert!(t.is_final_state(end) && t.is_permitted(0, &a("s0")));
-        assert!(!t.is_permitted(0, &a("s1")), "an unfilled cell is not known to be live");
+        assert!(t.is_final_state(end) && t.step(0, &a("s0")) != DEAD);
+        assert_eq!(t.transitions[1], UNKNOWN, "σ's `s1` cell is not filled by a lap");
         // The second lap closes the ring on its first step and computes
         // nothing after it.
         run_filling(&mut t, &[lap.clone(), lap].concat()).unwrap();
@@ -618,7 +585,8 @@ mod tests {
         assert_eq!((t.state_count(), t.filled), (5, 20));
         let closed = compile(&e, budget(64)).unwrap();
         assert_eq!((&t.states, &t.transitions), (&closed.states, &closed.transitions));
-        assert_eq!((&t.finals, &t.permitted), (&closed.finals, &closed.permitted));
+        assert_eq!(t.finals, closed.finals);
+        assert_eq!(t.step(0, &a("s1")), DEAD);
     }
 
     #[test]
@@ -723,7 +691,7 @@ mod tests {
         assert_eq!(t.state_count(), 5);
         let mut id = t.start();
         for step in ["s0", "s1", "s2", "s3"] {
-            assert!(!t.is_permitted(id, &a("s9")));
+            assert_eq!(t.step(id, &a("s9")), DEAD);
             id = t.step(id, &a(step));
             assert_ne!(id, DEAD, "protocol step {step} permitted");
         }

@@ -134,20 +134,15 @@ fn pin(attach: &mut HashMap<usize, Attached>, handle: &Shared<State>, table: usi
 struct Tier {
     /// State-count budget per table (0 = tiering disabled).
     budget: Cell<usize>,
-    /// The install pass ran since the last invalidation — whether or not it
-    /// found a subtree to tabulate.
+    /// The install pass ran since the budget was last set — whether or not
+    /// it found a subtree to tabulate.
     installed: Cell<bool>,
-    /// Invalidation epoch; installed tables are stamped with the epoch they
-    /// were installed under, so a stale tile is structurally impossible to
-    /// consult (it is dropped *and* its stamp no longer matches).
-    epoch: Cell<u64>,
     tables: RefCell<Vec<Arc<CompiledTable>>>,
     attach: RefCell<HashMap<usize, Attached>>,
     hits: Cell<u64>,
     fallbacks: Cell<u64>,
     compiles: Cell<u64>,
     bailouts: Cell<u64>,
-    invalidations: Cell<u64>,
 }
 
 impl Tier {
@@ -155,14 +150,12 @@ impl Tier {
         Tier {
             budget: Cell::new(budget),
             installed: Cell::new(false),
-            epoch: Cell::new(0),
             tables: RefCell::new(Vec::new()),
             attach: RefCell::new(HashMap::new()),
             hits: Cell::new(0),
             fallbacks: Cell::new(0),
             compiles: Cell::new(0),
             bailouts: Cell::new(0),
-            invalidations: Cell::new(0),
         }
     }
 
@@ -170,9 +163,8 @@ impl Tier {
         !self.tables.borrow().is_empty()
     }
 
-    /// The install pass: one table per maximal resident subtree of `expr`,
-    /// stamped with the tier's epoch and budget, and the attach map rebuilt
-    /// around them.
+    /// The install pass: one table per maximal resident subtree of `expr`
+    /// under the tier's budget, and the attach map rebuilt around them.
     ///
     /// A subtree keeps its table if the tier has one (`reset`, `close_tier`)
     /// or gets one holding σ and nothing more: the engine's own `sigma` at
@@ -207,7 +199,6 @@ impl Tier {
                     }
                 };
                 let tile = Arc::make_mut(&mut table);
-                tile.epoch = self.epoch.get();
                 for (id, handle) in tile.states.iter().enumerate() {
                     pin(&mut attach, handle, tables.len(), id);
                 }
@@ -228,17 +219,6 @@ impl Tier {
         self.bailouts.set(self.bailouts.get() + bailouts);
     }
 
-    /// Drops every table and attach entry and bumps the epoch: after this,
-    /// no stale tile can serve a step (the tables are gone, and any clone
-    /// held elsewhere carries a stale epoch stamp).
-    fn invalidate(&self) {
-        self.tables.borrow_mut().clear();
-        self.attach.borrow_mut().clear();
-        self.installed.set(false);
-        self.epoch.set(self.epoch.get() + 1);
-        self.invalidations.set(self.invalidations.get() + 1);
-    }
-
     fn stats(&self) -> TierStats {
         let tables = self.tables.borrow();
         TierStats {
@@ -249,8 +229,6 @@ impl Tier {
             fills: tables.iter().map(|t| t.filled as u64).sum(),
             compiles: self.compiles.get(),
             bailouts: self.bailouts.get(),
-            invalidations: self.invalidations.get(),
-            epoch: self.epoch.get(),
         }
     }
 }
@@ -272,7 +250,6 @@ impl TierLookup for Tier {
         let (table, state) = (at.table as usize, at.state);
         let mut tables = self.tables.borrow_mut();
         let tile = &mut tables[table];
-        debug_assert_eq!(tile.epoch, self.epoch.get(), "stale tile consulted");
         let Some(sym) = tile.column(action) else {
             // Off the closed alphabet: `Null` in every state, no cell needed.
             self.hits.set(self.hits.get() + 1);
@@ -408,8 +385,8 @@ impl Engine {
         next
     }
 
-    /// Installs the tier on first use (idempotent until the next
-    /// invalidation) and says whether there is a table to consult.  Which
+    /// Installs the tier on first use (idempotent until the budget is next
+    /// set) and says whether there is a table to consult.  Which
     /// subtrees are resident is read off the expression's shape, so this
     /// costs O(|expression|) and computes no transition; a successor list
     /// filled before the tables existed is emptied so the tier takes over.
@@ -459,12 +436,6 @@ impl Engine {
         }
         let next = self.transition(&self.state, action);
         !next.is_null()
-    }
-
-    /// Filters the permitted actions out of a candidate list (used to keep
-    /// worklists up to date).
-    pub fn permitted<'a>(&self, candidates: &'a [Action]) -> Vec<&'a Action> {
-        candidates.iter().filter(|a| self.is_permitted(a)).collect()
     }
 
     /// Reservation-aware permissibility probe: simulates the `reserved`
@@ -631,20 +602,21 @@ impl Engine {
         self.tier.budget.get()
     }
 
-    /// Sets the tier budget, dropping any installed tables; 0 disables
-    /// tiering entirely — the lockstep equivalence property tests drive a
-    /// tiered and a `tier_budget = 0` engine against each other.
+    /// Sets the tier budget, dropping any installed tables, so the next use
+    /// installs fresh ones around the current state; 0 disables tiering
+    /// entirely — the lockstep equivalence property tests drive a tiered and
+    /// a `tier_budget = 0` engine against each other.
     pub fn set_tier_budget(&mut self, budget: usize) {
-        if self.tier.installed.get() {
-            self.tier.invalidate();
-        }
+        self.tier.tables.get_mut().clear();
+        self.tier.attach.get_mut().clear();
+        self.tier.installed.set(false);
         self.tier.budget.set(budget);
     }
 
     /// Makes sure the tier is installed — one table per maximal resident
     /// subtree, σ interned, cells filling as steps visit them — and returns
     /// its stats.  Every transition does the same on first use; this only
-    /// does it now.  Idempotent until the next invalidation.
+    /// does it now.  Idempotent until the budget is next set.
     pub fn compile_tier(&mut self) -> TierStats {
         self.tier_ready();
         self.tier.stats()
@@ -661,14 +633,6 @@ impl Engine {
             self.tier.install(&self.expr, &self.sigma, &self.state);
         }
         self.tier.stats()
-    }
-
-    /// Drops all tables and bumps the tier epoch; the next use installs
-    /// fresh ones.  Topology migrations (`add_constraint`/`couple`) call
-    /// this on every affected shard engine, so a tile filled before the
-    /// migration can never serve a post-migration step.
-    pub fn invalidate_tier(&mut self) {
-        self.tier.invalidate();
     }
 
     /// The tier's counter surface.
@@ -845,13 +809,17 @@ mod tests {
         let e = parse("(call(1, sono) - perform(1, sono)) @ (call(1, endo) - perform(1, endo))")
             .unwrap();
         let eng = Engine::new(&e).unwrap();
-        let candidates = vec![
+        let candidates = [
             Action::concrete("call", [Value::int(1), Value::sym("sono")]),
             Action::concrete("perform", [Value::int(1), Value::sym("sono")]),
             Action::concrete("call", [Value::int(1), Value::sym("endo")]),
         ];
-        let permitted = eng.permitted(&candidates);
-        assert_eq!(permitted.len(), 2, "both calls allowed, perform not yet");
+        let permitted: Vec<&Action> = candidates.iter().filter(|c| eng.is_permitted(c)).collect();
+        assert_eq!(
+            permitted,
+            [&candidates[0], &candidates[2]],
+            "both calls allowed, perform not yet"
+        );
     }
 
     #[test]
@@ -1112,7 +1080,7 @@ mod tests {
         let script = ["s0", "s1", "s2", "s3", "s0", "s1"];
         for (k, step) in script.iter().enumerate() {
             if k == 2 {
-                tiered.invalidate_tier();
+                tiered.set_tier_budget(DEFAULT_TIER_BUDGET);
                 let stats = tiered.compile_tier();
                 assert_eq!((stats.tables, stats.states), (1, 2), "σ and the state in flight");
             }
@@ -1154,7 +1122,7 @@ mod tests {
         // and the state in flight is interned by value beside it.
         assert!(eng.try_execute(&a("s1")));
         let in_flight = eng.state_handle().clone();
-        eng.invalidate_tier();
+        eng.set_tier_budget(DEFAULT_TIER_BUDGET);
         let stats = eng.compile_tier();
         assert_eq!((stats.tables, stats.states, stats.fills), (1, 2, 0), "{stats:?}");
         assert!(Shared::ptr_eq(&state_zero(&eng), &sigma));
@@ -1163,25 +1131,6 @@ mod tests {
         assert!(Shared::ptr_eq(eng.state_handle(), &sigma));
         assert!(eng.try_execute(&a("s0")));
         assert_eq!(eng.tier_stats().compiles, stats.compiles, "a reset re-attaches");
-    }
-
-    #[test]
-    fn invalidation_drops_tables_and_allows_recompilation() {
-        let e = parse("(a - b)*").unwrap();
-        let mut eng = Engine::new(&e).unwrap();
-        assert!(eng.compile_tier().tables >= 1);
-        assert!(eng.try_execute(&a("a")));
-        assert!(eng.tier_stats().hits > 0);
-        let epoch_before = eng.tier_stats().epoch;
-        eng.invalidate_tier();
-        let stats = eng.tier_stats();
-        assert_eq!((stats.tables, stats.fills), (0, 0), "invalidation must drop every tile");
-        assert_eq!(stats.invalidations, 1);
-        assert!(stats.epoch > epoch_before);
-        let hits = stats.hits;
-        assert!(eng.try_execute(&a("b")), "the next step installs fresh tables and is served");
-        assert_eq!(eng.tier_stats().hits, hits + 1);
-        assert!(eng.try_execute(&a("a")));
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //!
 //! * [`init()`] — the initial-state function σ,
 //! * [`trans()`] — the optimized transition function τ̂ = ρ ∘ τ, computed in
-//!   one fused copy-on-write pass ([`trans_reference`] is the two-pass ρ ∘
-//!   [`step`] the property suites compare it against),
+//!   one fused copy-on-write pass that applies ρ while it rebuilds (the
+//!   property suites compare it against the textbook two-pass pipeline,
+//!   which lives with them),
 //! * [`is_valid`] / [`is_final`] — the predicates ψ and ϕ,
-//! * [`optimize()`] — the optimization function ρ,
 //! * [`Engine`] / [`word_problem`] — the action and word problems of Fig. 9:
 //!   one engine steps through the fused τ̂ behind its table tier, and keeps
 //!   the successors of its committed state for the confirm that follows an
@@ -50,7 +50,6 @@ pub mod compile;
 pub mod engine;
 pub mod error;
 pub mod init;
-pub mod optimize;
 pub mod predicates;
 pub mod state;
 pub mod trans;
@@ -62,10 +61,9 @@ pub use compile::{
 pub use engine::{empty_reservation_fingerprint, word_problem, Engine, WordStatus};
 pub use error::{StateError, StateResult};
 pub use init::{init, initial_state, validate};
-pub use optimize::optimize;
 pub use predicates::{is_final, is_valid};
-pub use state::{fresh_nodes, null_state, QuantState, ScopedAlphabet, Shared, State, StateMetrics};
-pub use trans::{step, trans, trans_reference};
+pub use state::{null_state, QuantState, ScopedAlphabet, Shared, State, StateMetrics};
+pub use trans::trans;
 
 /// A shared handle on a state — the value [`Engine::prepare`] returns and
 /// [`Engine::commit_prepared`] installs.

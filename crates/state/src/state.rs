@@ -5,8 +5,8 @@
 //! the predicates ψ ("valid") and ϕ ("final") correspond to the partial- and
 //! complete-word sets of the formal semantics; and the optimization function
 //! ρ replaces states by equivalent but smaller ones.  The construction of
-//! σ, τ, ψ, ϕ and ρ lives in the sibling modules `init`, `trans`,
-//! `predicates` and `optimize`; this module defines the state *data* and the
+//! σ, of τ̂ = ρ ∘ τ and of ψ and ϕ lives in the sibling modules `init`,
+//! `trans` and `predicates`; this module defines the state *data* and the
 //! generic helpers they share (size metrics and parameter substitution, which
 //! is what turns a quantifier's template state into the state of a concrete
 //! branch).
@@ -668,7 +668,8 @@ impl StateMetrics {
 /// allocation proxy for the copy-on-write rebuild.  Both states are walked
 /// through their `Shared` handles; the precomputed σ templates are skipped,
 /// matching [`State::size`].
-pub fn fresh_nodes(prev: &State, next: &State) -> usize {
+#[cfg(test)]
+pub(crate) fn fresh_nodes(prev: &State, next: &State) -> usize {
     let mut seen: std::collections::HashSet<*const State> = std::collections::HashSet::new();
     fn collect(s: &State, seen: &mut std::collections::HashSet<*const State>) {
         s.for_each_child(&mut |c| {
@@ -690,6 +691,7 @@ pub fn fresh_nodes(prev: &State, next: &State) -> usize {
     count(next, &seen)
 }
 
+#[cfg(test)]
 impl State {
     /// Visits every direct child handle (walker positions only — the
     /// precomputed σ templates are spawning data, not children).

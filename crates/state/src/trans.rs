@@ -1,29 +1,20 @@
-//! The state transition function τ and its optimized variant τ̂ = ρ ∘ τ
-//! (Secs. 4–5).
+//! The optimized state transition function τ̂ = ρ ∘ τ (Secs. 4–5).
 //!
-//! Two implementations live here:
+//! [`trans`] is the **fused copy-on-write** τ̂: one pass that advances every
+//! walker position, prunes invalid alternatives, deduplicates, and collapses
+//! invalid states to [`State::Null`] *while rebuilding*.  Only the spine
+//! from the root to the touched operands is allocated; every untouched
+//! subtree (the idle side of a ⊗, unstepped quantifier branches, the n−1
+//! unchanged threads of each parallel alternative) is shared by reference.
+//! The fusion removes ρ's separate rebuild pass and its repeated ψ walks (a
+//! two-pass pipeline recomputes `is_valid` at every node, an O(n²) habit on
+//! deep states); the output satisfies the invariant **invalid ⇔ `Null`**,
+//! which in turn makes ψ a constant-time null check on the optimized path.
 //!
-//! * [`trans`] — the **fused copy-on-write** τ̂: one pass that advances every
-//!   walker position, prunes invalid alternatives, deduplicates, and
-//!   collapses invalid states to [`State::Null`] *while rebuilding*.  Only
-//!   the spine from the root to the touched operands is allocated; every
-//!   untouched subtree (the idle side of a ⊗, unstepped quantifier branches,
-//!   the n−1 unchanged threads of each parallel alternative) is shared by
-//!   reference.  The fusion removes ρ's separate rebuild pass and its
-//!   repeated ψ walks (the old pipeline recomputed `is_valid` at every node,
-//!   an O(n²) habit on deep states); the fused output satisfies the
-//!   invariant **invalid ⇔ `Null`**, which in turn makes ψ a constant-time
-//!   null check on the optimized path.
-//! * [`step`] + [`crate::optimize::optimize`] — the textbook two-pass
-//!   pipeline (pure τ, then ρ).  [`trans_reference`] composes them; it is
-//!   the reference implementation the property suites compare the fused
-//!   function against, and [`step`] alone is the raw τ whose unbounded state
-//!   growth Sec. 6 analyses.
-//!
-//! Both produce identical state *values*: `trans(s, a) == trans_reference(s, a)`
-//! for every reachable state (exercised by the workspace property tests).
+//! The textbook two-pass pipeline — the pure τ, then ρ — lives with the
+//! workspace property tests (`tests/reference`), which check that it and
+//! [`trans`] produce identical state *values* on every reachable state.
 
-use crate::optimize::optimize;
 use crate::predicates::is_final;
 use crate::state::{null_state, QuantState, Shared, State};
 use ix_core::{Action, Value};
@@ -55,13 +46,6 @@ impl TierLookup for NoTier {
     fn tier_step(&self, _child: &Shared<State>, _action: &Action) -> Option<Shared<State>> {
         None
     }
-}
-
-/// The reference implementation of τ̂: the pure transition followed by a
-/// separate ρ pass.  Kept for the equivalence property suites and the
-/// old-vs-new benchmark; the engine uses the fused [`trans`].
-pub fn trans_reference(state: &State, action: &Action) -> State {
-    optimize(&step(state, action))
 }
 
 // ---------------------------------------------------------------------------
@@ -434,196 +418,6 @@ fn fused_sync_quant<T: TierLookup>(q: &QuantState, action: &Action, tier: &T) ->
     })
 }
 
-// ---------------------------------------------------------------------------
-// The pure transition function τ (reference / ablation path).
-// ---------------------------------------------------------------------------
-
-/// The pure transition function τ(s, a), without ρ.  Untouched subtrees are
-/// still shared by reference (sharing does not change state *values*), but
-/// nothing is pruned: alternatives accumulate exactly as the worst-case
-/// analysis of Sec. 6 describes.
-pub fn step(state: &State, action: &Action) -> State {
-    let sh = |s: State| Shared::new(s);
-    match state {
-        State::Null => State::Null,
-        State::Epsilon => State::Null,
-        State::AtomFresh { action: expected } => {
-            if expected == action {
-                State::AtomDone
-            } else {
-                State::Null
-            }
-        }
-        State::AtomDone => State::Null,
-        State::Option { body, .. } => {
-            State::Option { at_start: false, body: sh(step(body, action)) }
-        }
-        State::Seq { left, rights, right_init } => {
-            let new_left = step(left, action);
-            let mut new_rights: Vec<Shared<State>> =
-                rights.iter().map(|r| sh(step(r, action))).collect();
-            if is_final(&new_left) {
-                new_rights.push(right_init.clone());
-            }
-            new_rights.sort();
-            new_rights.dedup();
-            State::Seq { left: sh(new_left), rights: new_rights, right_init: right_init.clone() }
-        }
-        State::SeqIter { runs, body_init, .. } => {
-            let mut new_runs: Vec<Shared<State>> =
-                runs.iter().map(|r| sh(step(r, action))).collect();
-            let boundary = new_runs.iter().any(|r| is_final(r));
-            if boundary {
-                new_runs.push(body_init.clone());
-            }
-            new_runs.sort();
-            new_runs.dedup();
-            State::SeqIter { boundary, runs: new_runs, body_init: body_init.clone() }
-        }
-        State::Par { alts } => {
-            let mut new_alts = Vec::with_capacity(alts.len() * 2);
-            for (l, r) in alts {
-                new_alts.push((sh(step(l, action)), r.clone()));
-                new_alts.push((l.clone(), sh(step(r, action))));
-            }
-            State::Par { alts: new_alts }
-        }
-        State::ParIter { alts, body_init } => State::ParIter {
-            alts: step_thread_alts(alts, body_init, action, None),
-            body_init: body_init.clone(),
-        },
-        State::Or { left, right } => {
-            State::Or { left: sh(step(left, action)), right: sh(step(right, action)) }
-        }
-        State::And { left, right } => {
-            State::And { left: sh(step(left, action)), right: sh(step(right, action)) }
-        }
-        State::Sync { left, right, left_alpha, right_alpha } => {
-            let in_left = left_alpha.covers(action);
-            let in_right = right_alpha.covers(action);
-            if !in_left && !in_right {
-                return State::Null;
-            }
-            State::Sync {
-                left: if in_left { sh(step(left, action)) } else { left.clone() },
-                right: if in_right { sh(step(right, action)) } else { right.clone() },
-                left_alpha: left_alpha.clone(),
-                right_alpha: right_alpha.clone(),
-            }
-        }
-        State::SomeQ(q) => State::SomeQ(step_broadcast_quant(q, action)),
-        State::AllQ(q) => State::AllQ(step_broadcast_quant(q, action)),
-        State::SyncQ(q) => step_sync_quant(q, action),
-        State::ParQ { param, body_accepts_epsilon, alts, body_init } => {
-            let values = action.values();
-            if values.is_empty() {
-                return State::Null;
-            }
-            let mut new_alts = Vec::new();
-            for branches in alts {
-                for v in &values {
-                    let mut next = branches.clone();
-                    let branch_state = match branches.get(v) {
-                        Some(existing) => step(existing, action),
-                        None => {
-                            let fresh = body_init.substitute(*param, *v);
-                            step(&fresh, action)
-                        }
-                    };
-                    next.insert(*v, sh(branch_state));
-                    new_alts.push(next);
-                }
-            }
-            State::ParQ {
-                param: *param,
-                body_accepts_epsilon: *body_accepts_epsilon,
-                alts: new_alts,
-                body_init: body_init.clone(),
-            }
-        }
-        State::Mult { capacity, body_accepts_epsilon, alts, body_init } => State::Mult {
-            capacity: *capacity,
-            body_accepts_epsilon: *body_accepts_epsilon,
-            alts: step_thread_alts(alts, body_init, action, Some(*capacity)),
-            body_init: body_init.clone(),
-        },
-    }
-}
-
-/// Pure-τ transition of thread alternatives (parallel iteration and
-/// multiplier), without pruning.
-fn step_thread_alts(
-    alts: &[Vec<Shared<State>>],
-    body_init: &Shared<State>,
-    action: &Action,
-    capacity: Option<u32>,
-) -> Vec<Vec<Shared<State>>> {
-    let mut new_alts = Vec::new();
-    for threads in alts {
-        for i in 0..threads.len() {
-            let mut next = threads.clone();
-            next[i] = Shared::new(step(&threads[i], action));
-            next.sort();
-            new_alts.push(next);
-        }
-        let may_start = match capacity {
-            Some(cap) => (threads.len() as u32) < cap,
-            None => true,
-        };
-        if may_start {
-            let mut next = threads.clone();
-            next.push(Shared::new(step(body_init, action)));
-            next.sort();
-            new_alts.push(next);
-        }
-    }
-    new_alts
-}
-
-/// Pure-τ transition of the broadcast quantifiers.
-fn step_broadcast_quant(q: &QuantState, action: &Action) -> QuantState {
-    let mut branches = q.branches.clone();
-    for v in new_values(q, action) {
-        branches.insert(v, Shared::new(q.template.substitute(q.param, v)));
-    }
-    let branches = branches.iter().map(|(v, s)| (*v, Shared::new(step(s, action)))).collect();
-    QuantState {
-        param: q.param,
-        template: Shared::new(step(&q.template, action)),
-        branches,
-        scope: q.scope.clone(),
-    }
-}
-
-/// Pure-τ transition of the synchronization quantifier.
-fn step_sync_quant(q: &QuantState, action: &Action) -> State {
-    let covered_somewhere = q.scope.covers_blocking(action, &[])
-        || action.values().iter().any(|v| q.scope.covers_with(action, q.param, *v));
-    if !covered_somewhere {
-        return State::Null;
-    }
-    let mut branches = q.branches.clone();
-    for v in new_values(q, action) {
-        branches.insert(v, Shared::new(q.template.substitute(q.param, v)));
-    }
-    let branches = branches
-        .iter()
-        .map(|(v, s)| {
-            if q.scope.covers_with(action, q.param, *v) {
-                (*v, Shared::new(step(s, action)))
-            } else {
-                (*v, s.clone())
-            }
-        })
-        .collect();
-    let template = if q.scope.covers_blocking(action, &[]) {
-        Shared::new(step(&q.template, action))
-    } else {
-        q.template.clone()
-    };
-    State::SyncQ(QuantState { param: q.param, template, branches, scope: q.scope.clone() })
-}
-
 /// Values occurring in the action that have no instantiated branch yet.
 fn new_values(q: &QuantState, action: &Action) -> Vec<Value> {
     action.values().into_iter().filter(|v| !q.branches.contains_key(v)).collect()
@@ -793,37 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_transition_matches_the_two_pass_reference() {
-        let words: &[&[&str]] = &[
-            &["a"],
-            &["a", "b"],
-            &["a", "b", "a"],
-            &["b"],
-            &["a", "a"],
-            &["a", "b", "a", "b", "a"],
-        ];
-        for src in [
-            "(a - b)* | (a + b)",
-            "(a | b) - a",
-            "a# & (a - a)",
-            "(a - b)* @ (b - a)*",
-            "mult 2 { a - b }",
-            "(a? - b)#",
-        ] {
-            let e = parse(src).unwrap();
-            for word in words {
-                let mut cow = init(&e).unwrap();
-                let mut reference = init(&e).unwrap();
-                for n in *word {
-                    cow = trans(&cow, &a(n));
-                    reference = trans_reference(&reference, &a(n));
-                    assert_eq!(cow, reference, "fused τ̂ diverged on {src} after {n} of {word:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fused_transition_keeps_the_invalid_means_null_invariant() {
         for (src, word) in [
             ("a - b", &["b"][..]),
@@ -838,25 +601,6 @@ mod tests {
             for act in &actions {
                 s = trans(&s, act);
                 assert_eq!(is_valid(&s), !s.is_null(), "invariant broken on {src} at {act}");
-            }
-        }
-    }
-
-    #[test]
-    fn optimization_keeps_transition_results_equivalent() {
-        let words: &[&[&str]] = &[&["a"], &["a", "b"], &["a", "b", "a"], &["b"]];
-        for src in ["(a - b)* | (a + b)", "(a | b) - a", "a# & (a - a)"] {
-            let e = parse(src).unwrap();
-            for word in words {
-                let mut opt = init(&e).unwrap();
-                let mut raw = init(&e).unwrap();
-                for n in *word {
-                    opt = trans(&opt, &a(n));
-                    raw = step(&raw, &a(n));
-                }
-                assert_eq!(is_valid(&opt), is_valid(&raw), "ψ for {src} on {word:?}");
-                assert_eq!(is_final(&opt), is_final(&raw), "ϕ for {src} on {word:?}");
-                assert!(opt.size() <= raw.size());
             }
         }
     }

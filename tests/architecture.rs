@@ -123,6 +123,10 @@ const RULES: &[Rule] = &[
         scope: NonTest, check: Bodies { fns: "fn install(|fn reset(", found: 3, calls: r"\binit(|\bvalidate(" },
         witness: ("crates/state/src/compile.rs", "    fn install(&self) { validate(e);\n    }"),
         reason: "Engine::new builds and validates the paper's σ once; reset and both installs start from it." },
+    Rule { name: "One decision path in ix_state", pr: 42, paths: &["crates", "src", "examples", "benchmark/src"],
+        scope: Whole, check: Banned("trans_reference|invalidate_tier|pub mod optimize|words_per_state"),
+        witness: ("crates/state/src/lib.rs", "pub mod optimize;"),
+        reason: "The fused τ̂ is the one transition; the two-pass reference is test support, and tables never go stale." },
     Rule { name: "One benchmark harness", pr: 27, paths: &["crates", "src", "tests", "examples", "Cargo.toml"],
         scope: Whole, check: Banned("ix-bench|ix_bench|BENCH_|criterion *=|criterion *::|criterion *.workspace"),
         witness: ("Cargo.toml", "criterion  = \"0.5\""), reason: "ixbench (benchmark/) is the only benchmark." },

@@ -318,7 +318,7 @@ fn malformed_input_reports_the_same_positions_and_messages() {
         ("99999999999999999999", 0, "integer literal `99999999999999999999` is out of range"),
         ("a - - b", 4, "expected an expression, found `-`"),
         ("some p { a(p) ", 14, "expected `}`, found end of input"),
-        ("a(-1)", 3, "expected an action argument (integer or identifier), found `-`"),
+        ("a(- 1)", 4, "expected an action argument (integer or identifier), found `-`"),
         ("all p { b(p) } }", 15, "expected end of input, found `}`"),
         ("mult 3 a", 7, "expected `{`, found identifier `a`"),
         ("(a - $)", 5, "expected identifier after `$`"),

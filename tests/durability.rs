@@ -711,6 +711,28 @@ fn file_backed_vault_survives_a_crash_and_a_rollover() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The topology blob stores expressions in their printed form, so every
+/// value an expression carries must parse back: a durable runtime built
+/// over `a(-1) - b` recovers from its directory and goes on after `a(-1)`.
+#[test]
+fn a_vault_over_a_negative_integer_recovers() {
+    let dir = temp_vault_dir();
+    let minus_one = Action::concrete("a", [Value::int(-1)]);
+    let expr = Expr::seq(Expr::atom(minus_one.clone()), parse("b").unwrap());
+    let options = || RuntimeOptions { variant: ProtocolVariant::Combined, ..Default::default() };
+    let runtime = ManagerRuntime::with_durability_path(&expr, options(), &dir).unwrap();
+    let session = runtime.session(1);
+    assert!(matches!(session.execute(&minus_one).wait(), Completion::Executed { .. }));
+    runtime.shutdown().unwrap();
+
+    let recovered = ManagerRuntime::recover_path(&dir, options()).unwrap();
+    assert_eq!(recovered.log(), [minus_one]);
+    let session = recovered.session(2);
+    assert!(matches!(session.execute(&Action::nullary("b")).wait(), Completion::Executed { .. }));
+    recovered.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A file-vault runtime under `Interval(64)` that commits fewer than 64
 /// records and is dropped without `shutdown()` has passed no barrier: its
 /// topology and its records are in the page cache only.  Returns the vault

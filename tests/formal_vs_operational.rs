@@ -15,6 +15,8 @@ use ix_semantics::{classify_word_in, Universe, WordClass};
 use ix_state::{word_problem, Engine, WordStatus};
 use proptest::prelude::*;
 
+mod reference;
+
 /// The concrete actions words are built from in the exhaustive tests.
 fn action_pool() -> Vec<Action> {
     vec![
@@ -291,7 +293,8 @@ proptest! {
         // The fused copy-on-write τ̂ must produce the same state *values* as
         // the two-pass ρ∘τ reference on every quantifier class (branch
         // instantiation, template substitution, per-branch routing).
-        use ix_state::{init, is_valid, trans, trans_reference};
+        use ix_state::{init, is_valid, trans};
+        use reference::trans_reference;
         let mut cow = init(&expr).unwrap();
         let mut reference = init(&expr).unwrap();
         for action in &word {
@@ -306,7 +309,8 @@ proptest! {
 
     #[test]
     fn optimization_never_changes_the_verdict(expr in expr_strategy(), word in word_strategy()) {
-        use ix_state::{init, is_final, is_valid, step, trans};
+        use ix_state::{init, is_final, is_valid, trans};
+        use reference::step;
         let mut optimized = init(&expr).unwrap();
         let mut raw = init(&expr).unwrap();
         for action in &word {

@@ -13,7 +13,11 @@ fn ixctl(args: &[&str], stdin: &[u8]) -> Output {
         .stderr(Stdio::piped())
         .spawn()
         .expect("ixctl starts");
-    child.stdin.take().unwrap().write_all(stdin).unwrap();
+    // `ixctl` may fail before it reads its input (an expression without an
+    // engine fails first), and then closes the pipe under the write.
+    if let Err(e) = child.stdin.take().unwrap().write_all(stdin) {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{e}");
+    }
     child.wait_with_output().unwrap()
 }
 

@@ -14,6 +14,8 @@ use ix_semantics::{equivalent, Universe};
 use ix_state::Engine;
 use proptest::prelude::*;
 
+mod reference;
+
 fn universe() -> Universe {
     Universe::new([Value::int(1), Value::int(2)]).with_fresh(1)
 }
@@ -372,7 +374,8 @@ fn assert_cow_reference_equivalence(
     x: &Expr,
     word: &[ix_core::Action],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    use ix_state::{init, is_final, is_valid, trans, trans_reference};
+    use ix_state::{init, is_final, is_valid, trans};
+    use reference::trans_reference;
     let Ok(mut cow) = init(x) else {
         return Ok(());
     };
@@ -463,9 +466,9 @@ fn assert_memo_equivalence(
 /// (pure-CoW) engine in lockstep, asserting identical verdicts, probe
 /// answers, states and counters — the correctness contract of the
 /// execution tier.  The tiered side is every way a table comes to hold its
-/// cells: filled by the walk itself (installed at σ, then invalidated and
-/// re-installed mid-word, so the state in flight re-attaches to fresh
-/// tables), closed up front by `close_tier()`, starved (two states per
+/// cells: filled by the walk itself (installed at σ, then dropped by
+/// `set_tier_budget` and re-installed mid-word, so the state in flight
+/// re-attaches to fresh tables), closed up front by `close_tier()`, starved (two states per
 /// table: the walk leaves the table almost at once and the tree answers),
 /// and a clone taken mid-word that fills its copy of the tables it shared.
 fn assert_tier_equivalence(
@@ -488,7 +491,7 @@ fn assert_tier_equivalence(
         if i == word.len() / 2 {
             let clone = tiered[0].1.clone();
             tiered.push(("cloned", clone));
-            tiered[0].1.invalidate_tier();
+            tiered[0].1.set_tier_budget(ix_state::DEFAULT_TIER_BUDGET);
             tiered[0].1.compile_tier();
         }
         let reserved = [word.first().cloned().unwrap_or_else(|| action.clone())];
@@ -681,10 +684,18 @@ proptest! {
     }
 
     #[test]
-    fn print_parse_round_trip(x in small_expr()) {
-        let printed = x.to_string();
-        let reparsed = parse(&printed).unwrap();
-        prop_assert_eq!(x, reparsed, "round trip failed via {}", printed);
+    fn print_parse_round_trip(
+        x in small_expr(),
+        edge in prop_oneof![Just(i64::MIN), Just(-1i64), Just(i64::MAX)],
+    ) {
+        // Beside `x`, an atom carrying an integer at an edge of its range:
+        // a negative one prints with its sign, and must parse back.
+        let signed = Expr::seq(x.clone(), ix_core::builder::actv("e", [Value::int(edge)]));
+        for x in [x, signed] {
+            let printed = x.to_string();
+            let reparsed = parse(&printed).unwrap();
+            prop_assert_eq!(x, reparsed, "round trip failed via {}", printed);
+        }
     }
 
     #[test]
