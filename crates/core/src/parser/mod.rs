@@ -26,13 +26,20 @@ pub fn parse(src: &str) -> CoreResult<Expr> {
 /// Parses an expression, expanding template applications against `registry`.
 pub fn parse_with(src: &str, registry: &TemplateRegistry) -> CoreResult<Expr> {
     let tokens = lex(src)?;
-    let mut parser = Parser { tokens, pos: 0, registry, scope: Vec::new() };
+    let mut parser = Parser { tokens, pos: 0, registry, scope: Vec::new(), depth: 0 };
     let expr = parser.parse_expr()?;
     parser.expect(TokenKind::Eof)?;
     Ok(expr)
 }
 
 const KEYWORDS: &[&str] = &["some", "all", "sync", "each", "mult", "empty"];
+
+/// How deep groups — parentheses, quantifier and `mult` bodies, template
+/// arguments — may nest.  Every level costs the parser, σ, τ and the printer
+/// stack frames, so an unbounded depth overflows the stack.  At this depth
+/// all four still fit a 2 MiB thread in a debug build; the deepest
+/// expression the repository prints nests 4 groups.
+const MAX_NESTING: usize = 256;
 
 /// The parser state: tokens borrow identifiers from the source, so peeking,
 /// advancing and scoping copy a few words and never allocate.
@@ -42,6 +49,8 @@ struct Parser<'src, 'r> {
     registry: &'r TemplateRegistry,
     /// Parameters bound by enclosing quantifiers, innermost last.
     scope: Vec<&'src str>,
+    /// Groups open around the current token.
+    depth: usize,
 }
 
 impl<'src> Parser<'src, '_> {
@@ -88,6 +97,16 @@ impl<'src> Parser<'src, '_> {
 
     // expr := and_level ( '@' and_level )*
     fn parse_expr(&mut self) -> CoreResult<Expr> {
+        if self.depth > MAX_NESTING {
+            return Err(self.error(format!("groups nest deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let e = self.parse_sync();
+        self.depth -= 1;
+        e
+    }
+
+    fn parse_sync(&mut self) -> CoreResult<Expr> {
         let mut e = self.parse_and()?;
         while self.eat(&TokenKind::At) {
             let rhs = self.parse_and()?;
@@ -385,6 +404,23 @@ mod tests {
         assert!(parse("a(-x)").is_err());
         assert!(parse("a(-9223372036854775809)").is_err());
         assert!(parse("a(9223372036854775808)").is_err());
+    }
+
+    #[test]
+    fn groups_nest_up_to_the_limit_and_no_deeper() {
+        let nested = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(parse(&nested(MAX_NESTING)).unwrap(), act0("a"));
+        match parse(&nested(MAX_NESTING + 1)).unwrap_err() {
+            CoreError::Parse { position, message } => {
+                assert_eq!(position, MAX_NESTING + 1);
+                assert!(message.contains(&MAX_NESTING.to_string()), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // Quantifier bodies count as groups too.
+        let bodies = |n: usize| format!("{}a{}", "some p { ".repeat(n), " }".repeat(n));
+        assert!(parse(&bodies(MAX_NESTING)).is_ok());
+        assert!(parse(&bodies(MAX_NESTING + 1)).is_err());
     }
 
     #[test]

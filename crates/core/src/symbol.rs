@@ -7,10 +7,9 @@
 //! cheap even though states and alternatives are duplicated frequently by the
 //! operational semantics.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// An interned identifier.
 ///
@@ -57,17 +56,17 @@ impl Symbol {
     pub fn new(s: &str) -> Symbol {
         // Fast path: already interned, only a read lock is needed.
         {
-            let g = global().read();
+            let g = global().read().unwrap_or_else(PoisonError::into_inner);
             if let Some(&id) = g.map.get(s) {
                 return Symbol(id);
             }
         }
-        Symbol(global().write().intern(s))
+        Symbol(global().write().unwrap_or_else(PoisonError::into_inner).intern(s))
     }
 
     /// Returns the string this symbol was interned from.
     pub fn as_str(&self) -> Arc<str> {
-        global().read().resolve(self.0)
+        global().read().unwrap_or_else(PoisonError::into_inner).resolve(self.0)
     }
 
     /// The raw interning index (stable within a process).
@@ -78,7 +77,8 @@ impl Symbol {
     /// The symbol with the given interning index, if one was interned — the
     /// inverse of [`Symbol::index`] for the in-memory packed action codec.
     pub(crate) fn from_index(index: u32) -> Option<Symbol> {
-        ((index as usize) < global().read().strings.len()).then_some(Symbol(index))
+        ((index as usize) < global().read().unwrap_or_else(PoisonError::into_inner).strings.len())
+            .then_some(Symbol(index))
     }
 }
 

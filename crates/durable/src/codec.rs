@@ -1,13 +1,17 @@
-//! A minimal binary codec: LEB128 varints, zigzag-encoded signed integers,
-//! length-prefixed strings, and the CRC32 (IEEE polynomial) used to frame
-//! on-disk WAL records.
+//! A minimal binary codec: LEB128 varints (those of [`ix_core::pack`]),
+//! zigzag-encoded signed integers, length-prefixed strings, counted
+//! sequences, and the CRC32 (IEEE polynomial) used to frame on-disk WAL
+//! records.
 //!
 //! The codec is deliberately schema-free — every record type that uses it
 //! writes and reads its fields in a fixed order and versions itself with a
 //! leading byte.  Decoding is total: every read returns a [`CodecError`]
-//! instead of panicking, so a torn or corrupt record surfaces as an error
-//! the WAL reader can treat as the end of the valid prefix.
+//! instead of panicking, and every count is read through [`Reader::seq`],
+//! which allocates nothing for a count past the input, so a torn or corrupt
+//! record surfaces as an error the WAL reader can treat as the end of the
+//! valid prefix.
 
+use ix_core::pack::{read_varint, write_varint};
 use std::fmt;
 
 /// A decoding failure: the buffer ended early or contained an invalid tag.
@@ -97,16 +101,8 @@ impl Writer {
     }
 
     /// Writes an unsigned integer as a LEB128 varint.
-    pub fn u64(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
+    pub fn u64(&mut self, v: u64) {
+        write_varint(&mut self.buf, v);
     }
 
     /// Writes a `u32` as a varint.
@@ -140,6 +136,19 @@ impl Writer {
     pub fn raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
+
+    /// Writes a counted sequence, `item` writing each element — in at least
+    /// one byte, which is what bounds [`Reader::seq`].
+    pub fn seq<I: IntoIterator>(&mut self, items: I, mut item: impl FnMut(&mut Writer, I::Item))
+    where
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.len_prefix(items.len());
+        for x in items {
+            item(self, x);
+        }
+    }
 }
 
 /// A cursor over an encode buffer.
@@ -167,20 +176,20 @@ impl<'a> Reader<'a> {
         Ok(self.u8()? != 0)
     }
 
-    /// Reads a LEB128 varint.
+    /// Reads a LEB128 varint: one cut short is [`CodecError::Truncated`],
+    /// one past `u64::MAX` a [`CodecError::BadTag`] naming its tenth byte.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            v |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
+        let tail = &self.buf[self.pos..];
+        let mut rest = tail;
+        match read_varint(&mut rest) {
+            Some(v) => {
+                self.pos = self.buf.len() - rest.len();
+                Ok(v)
             }
-            shift += 7;
-            if shift >= 64 {
-                return Err(CodecError::BadTag { tag: byte });
-            }
+            None => match tail.get(9) {
+                Some(&tag) => Err(CodecError::BadTag { tag }),
+                None => Err(CodecError::Truncated),
+            },
         }
     }
 
@@ -218,6 +227,24 @@ impl<'a> Reader<'a> {
         let slice = &self.buf[self.pos..end];
         self.pos = end;
         Ok(slice)
+    }
+
+    /// Reads a sequence [`Writer::seq`] wrote, `item` reading each element.
+    /// Every element takes at least one byte, so a count past the bytes
+    /// left is [`CodecError::Truncated`] before anything is allocated.
+    pub fn seq<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let n = self.len_prefix()?;
+        if n > self.buf.len() - self.pos {
+            return Err(CodecError::Truncated);
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
     }
 }
 
@@ -299,6 +326,32 @@ mod tests {
         assert_eq!(r.u64(), Err(CodecError::Truncated));
         let mut r = Reader::new(&[0x85]);
         assert_eq!(r.u64(), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn a_varint_past_u64_max_is_an_error() {
+        let mut bytes = [0xff; 11];
+        bytes[9] = 0x7f;
+        assert_eq!(Reader::new(&bytes[..10]).u64(), Err(CodecError::BadTag { tag: 0x7f }));
+        bytes[9] = 0x01;
+        assert_eq!(Reader::new(&bytes[..10]).u64(), Ok(u64::MAX));
+        bytes[9] = 0xff;
+        assert_eq!(Reader::new(&bytes).u64(), Err(CodecError::BadTag { tag: 0xff }));
+        assert_eq!(Reader::new(&bytes[..9]).u64(), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn sequences_round_trip_and_a_count_past_the_input_is_truncated() {
+        let mut w = Writer::new();
+        w.seq([3u64, 300], Writer::u64);
+        w.seq(["a", "bc"], |w, s| w.str(s));
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.seq(Reader::u64), Ok(vec![3, 300]));
+        assert_eq!(r.seq(Reader::str), Ok(vec!["a".to_string(), "bc".to_string()]));
+        // Four elements promised, three bytes left.
+        let mut r = Reader::new(&[4, 0, 0, 0]);
+        assert_eq!(r.seq(Reader::u8), Err(CodecError::Truncated));
     }
 
     #[test]

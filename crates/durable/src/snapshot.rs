@@ -77,39 +77,23 @@ fn decode_term(r: &mut Reader) -> Result<Term, CodecError> {
 /// parameters).
 pub fn encode_action(w: &mut Writer, a: &Action) {
     w.str(&a.name().as_str());
-    w.len_prefix(a.arity());
-    for t in a.args() {
-        encode_term(w, t);
-    }
+    w.seq(a.args(), encode_term);
 }
 
 /// Decodes an action.
 pub fn decode_action(r: &mut Reader) -> Result<Action, CodecError> {
     let name = r.str()?;
-    let arity = r.len_prefix()?;
-    let mut args = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        args.push(decode_term(r)?);
-    }
-    Ok(Action::new(name.as_str(), args))
+    Ok(Action::new(name.as_str(), r.seq(decode_term)?))
 }
 
 /// Encodes an alphabet as its sorted action set.
 pub fn encode_alphabet(w: &mut Writer, a: &Alphabet) {
-    w.len_prefix(a.len());
-    for action in a.actions() {
-        encode_action(w, action);
-    }
+    w.seq(a.actions(), encode_action);
 }
 
 /// Decodes an alphabet.
 pub fn decode_alphabet(r: &mut Reader) -> Result<Alphabet, CodecError> {
-    let len = r.len_prefix()?;
-    let mut actions = Vec::with_capacity(len);
-    for _ in 0..len {
-        actions.push(decode_action(r)?);
-    }
-    Ok(Alphabet::from_actions(actions))
+    Ok(Alphabet::from_actions(r.seq(decode_action)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -172,10 +156,7 @@ impl StateTableBuilder {
             return id;
         }
         encode_alphabet(&mut self.scopes, &scope.alphabet);
-        self.scopes.len_prefix(scope.blocked.len());
-        for p in &scope.blocked {
-            self.scopes.str(&p.name().as_str());
-        }
+        self.scopes.seq(&scope.blocked, |w, p| w.str(&p.name().as_str()));
         let id = self.scope_count;
         self.scope_count += 1;
         self.scope_ids.insert(key, id);
@@ -198,11 +179,10 @@ impl StateTableBuilder {
         w.u8(node_tag);
         w.str(&q.param.name().as_str());
         w.u32(template);
-        w.len_prefix(branches.len());
-        for (v, id) in branches {
+        w.seq(branches, |w, (v, id)| {
             encode_value(w, &v);
             w.u32(id);
-        }
+        });
         w.u32(scope);
     }
 
@@ -232,10 +212,7 @@ impl StateTableBuilder {
                 let right_init = self.node_id(right_init);
                 self.nodes.u8(tag::SEQ);
                 self.nodes.u32(left);
-                self.nodes.len_prefix(rights.len());
-                for id in rights {
-                    self.nodes.u32(id);
-                }
+                self.nodes.seq(rights, Writer::u32);
                 self.nodes.u32(right_init);
             }
             State::SeqIter { boundary, runs, body_init } => {
@@ -243,21 +220,17 @@ impl StateTableBuilder {
                 let body_init = self.node_id(body_init);
                 self.nodes.u8(tag::SEQ_ITER);
                 self.nodes.bool(*boundary);
-                self.nodes.len_prefix(runs.len());
-                for id in runs {
-                    self.nodes.u32(id);
-                }
+                self.nodes.seq(runs, Writer::u32);
                 self.nodes.u32(body_init);
             }
             State::Par { alts } => {
                 let alts: Vec<(u32, u32)> =
                     alts.iter().map(|(l, r)| (self.node_id(l), self.node_id(r))).collect();
                 self.nodes.u8(tag::PAR);
-                self.nodes.len_prefix(alts.len());
-                for (l, r) in alts {
-                    self.nodes.u32(l);
-                    self.nodes.u32(r);
-                }
+                self.nodes.seq(alts, |w, (l, r)| {
+                    w.u32(l);
+                    w.u32(r);
+                });
             }
             State::ParIter { alts, body_init } => {
                 let alts: Vec<Vec<u32>> = alts
@@ -266,7 +239,7 @@ impl StateTableBuilder {
                     .collect();
                 let body_init = self.node_id(body_init);
                 self.nodes.u8(tag::PAR_ITER);
-                self.write_nested(&alts);
+                self.write_nested(alts);
                 self.nodes.u32(body_init);
             }
             State::Or { left, right } => {
@@ -302,14 +275,12 @@ impl StateTableBuilder {
                 self.nodes.u8(tag::PAR_Q);
                 self.nodes.str(&param.name().as_str());
                 self.nodes.bool(*body_accepts_epsilon);
-                self.nodes.len_prefix(alts.len());
-                for branches in alts {
-                    self.nodes.len_prefix(branches.len());
-                    for (v, id) in branches {
-                        encode_value(&mut self.nodes, &v);
-                        self.nodes.u32(id);
-                    }
-                }
+                self.nodes.seq(alts, |w, branches| {
+                    w.seq(branches, |w, (v, id)| {
+                        encode_value(w, &v);
+                        w.u32(id);
+                    })
+                });
                 self.nodes.u32(body_init);
             }
             State::Mult { capacity, body_accepts_epsilon, alts, body_init } => {
@@ -321,7 +292,7 @@ impl StateTableBuilder {
                 self.nodes.u8(tag::MULT);
                 self.nodes.u32(*capacity);
                 self.nodes.bool(*body_accepts_epsilon);
-                self.write_nested(&alts);
+                self.write_nested(alts);
                 self.nodes.u32(body_init);
             }
         }
@@ -331,14 +302,8 @@ impl StateTableBuilder {
         id
     }
 
-    fn write_nested(&mut self, alts: &[Vec<u32>]) {
-        self.nodes.len_prefix(alts.len());
-        for threads in alts {
-            self.nodes.len_prefix(threads.len());
-            for &id in threads {
-                self.nodes.u32(id);
-            }
-        }
+    fn write_nested(&mut self, alts: Vec<Vec<u32>>) {
+        self.nodes.seq(alts, |w, threads| w.seq(threads, Writer::u32));
     }
 
     /// Serializes the table: scope count + scopes, node count + nodes.
@@ -358,23 +323,23 @@ pub struct StateTableReader {
 impl StateTableReader {
     /// Decodes a table serialized by [`StateTableBuilder::finish`].
     pub fn read(r: &mut Reader) -> Result<StateTableReader, CodecError> {
-        let scope_count = r.u32()?;
-        let mut scopes: Vec<Shared<ScopedAlphabet>> = Vec::with_capacity(scope_count as usize);
-        for _ in 0..scope_count {
+        let scopes = r.seq(|r| {
             let alphabet = decode_alphabet(r)?;
             let blocked_len = r.len_prefix()?;
             let mut blocked = BTreeSet::new();
             for _ in 0..blocked_len {
                 blocked.insert(Param::new(&r.str()?));
             }
-            scopes.push(Shared::new(ScopedAlphabet::new(alphabet, blocked)));
-        }
-        let node_count = r.u32()?;
-        let mut reader = StateTableReader { nodes: Vec::with_capacity(node_count as usize) };
-        for _ in 0..node_count {
+            Ok(Shared::new(ScopedAlphabet::new(alphabet, blocked)))
+        })?;
+        // A node refers back into the pool, so each one joins it as it is
+        // read; the sequence itself is of `()`, which allocates nothing.
+        let mut reader = StateTableReader { nodes: Vec::new() };
+        r.seq(|r| {
             let node = reader.read_node(r, &scopes)?;
             reader.nodes.push(node);
-        }
+            Ok(())
+        })?;
         Ok(reader)
     }
 
@@ -422,17 +387,7 @@ impl StateTableReader {
     }
 
     fn read_nested(&self, r: &mut Reader) -> Result<Vec<Vec<Shared<State>>>, CodecError> {
-        let len = r.len_prefix()?;
-        let mut alts = Vec::with_capacity(len);
-        for _ in 0..len {
-            let inner = r.len_prefix()?;
-            let mut threads = Vec::with_capacity(inner);
-            for _ in 0..inner {
-                threads.push(self.child(r.u32()?)?);
-            }
-            alts.push(threads);
-        }
-        Ok(alts)
+        r.seq(|r| r.seq(|r| self.child(r.u32()?)))
     }
 
     fn read_node(
@@ -452,33 +407,18 @@ impl StateTableReader {
             }
             tag::SEQ => {
                 let left = self.child(r.u32()?)?;
-                let len = r.len_prefix()?;
-                let mut rights = Vec::with_capacity(len);
-                for _ in 0..len {
-                    rights.push(self.child(r.u32()?)?);
-                }
+                let rights = r.seq(|r| self.child(r.u32()?))?;
                 let right_init = self.child(r.u32()?)?;
                 State::Seq { left, rights, right_init }
             }
             tag::SEQ_ITER => {
                 let boundary = r.bool()?;
-                let len = r.len_prefix()?;
-                let mut runs = Vec::with_capacity(len);
-                for _ in 0..len {
-                    runs.push(self.child(r.u32()?)?);
-                }
+                let runs = r.seq(|r| self.child(r.u32()?))?;
                 let body_init = self.child(r.u32()?)?;
                 State::SeqIter { boundary, runs, body_init }
             }
             tag::PAR => {
-                let len = r.len_prefix()?;
-                let mut alts = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let l = self.child(r.u32()?)?;
-                    let rr = self.child(r.u32()?)?;
-                    alts.push((l, rr));
-                }
-                State::Par { alts }
+                State::Par { alts: r.seq(|r| Ok((self.child(r.u32()?)?, self.child(r.u32()?)?)))? }
             }
             tag::PAR_ITER => {
                 let alts = self.read_nested(r)?;
@@ -500,17 +440,15 @@ impl StateTableReader {
             tag::PAR_Q => {
                 let param = Param::new(&r.str()?);
                 let body_accepts_epsilon = r.bool()?;
-                let len = r.len_prefix()?;
-                let mut alts = Vec::with_capacity(len);
-                for _ in 0..len {
+                let alts = r.seq(|r| {
                     let inner = r.len_prefix()?;
                     let mut branches = BTreeMap::new();
                     for _ in 0..inner {
                         let v = decode_value(r)?;
                         branches.insert(v, self.child(r.u32()?)?);
                     }
-                    alts.push(branches);
-                }
+                    Ok(branches)
+                })?;
                 let body_init = self.child(r.u32()?)?;
                 State::ParQ { param, body_accepts_epsilon, alts, body_init }
             }
@@ -580,6 +518,19 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(decode_alphabet(&mut r).unwrap(), alphabet);
+    }
+
+    #[test]
+    fn a_count_past_the_input_is_an_error_not_an_allocation() {
+        // 2^62 actions or terms overflow a capacity computation.
+        let mut count = Writer::new();
+        count.u64(1 << 62);
+        assert_eq!(decode_alphabet(&mut Reader::new(count.as_bytes())), Err(CodecError::Truncated));
+        let mut action = Writer::new();
+        action.str("a");
+        action.raw(count.as_bytes());
+        let bytes = action.into_bytes();
+        assert_eq!(decode_action(&mut Reader::new(&bytes)), Err(CodecError::Truncated));
     }
 
     #[test]

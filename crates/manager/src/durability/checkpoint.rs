@@ -5,7 +5,7 @@ use super::journal::{
     decode_delta, decode_key, decode_reservation, encode_delta, encode_key, encode_reservation,
     DurabilityHub, WalRecord,
 };
-use super::{codec_err, durability_err, get_seq, put_seq, FORMAT_VERSION, SNAPSHOT_VERSION};
+use super::{codec_err, durability_err, FORMAT_VERSION, SNAPSHOT_VERSION};
 use crate::error::{ManagerError, ManagerResult};
 use crate::lock;
 use crate::log::{LogKey, ShardLog};
@@ -55,16 +55,16 @@ pub(crate) struct ShardCheckpoint {
 }
 
 fn encode_subscription_rows(w: &mut Writer, rows: &[SubscriptionRow]) {
-    put_seq(w, rows, |w, (key, action, clients, permitted)| {
+    w.seq(rows, |w, (key, action, clients, permitted)| {
         encode_action(w, key);
         encode_action(w, action);
-        put_seq(w, clients, |w, c| w.u64(*c));
+        w.seq(clients, |w, c| w.u64(*c));
         w.bool(*permitted);
     });
 }
 
 fn decode_subscription_rows(r: &mut Reader) -> Result<Vec<SubscriptionRow>, CodecError> {
-    get_seq(r, |r| Ok((decode_action(r)?, decode_action(r)?, get_seq(r, Reader::u64)?, r.bool()?)))
+    r.seq(|r| Ok((decode_action(r)?, decode_action(r)?, r.seq(Reader::u64)?, r.bool()?)))
 }
 
 /// Serializes one shard snapshot: the state that decides the next action,
@@ -88,7 +88,7 @@ pub(super) fn encode_shard_checkpoint(cap: &ShardCheckpoint) -> Vec<u8> {
     w.len_prefix(0); // no tier tables
     w.len_prefix(cap.log.len());
     w.u64(cap.log.max_seq().unwrap_or(0));
-    put_seq(&mut w, &cap.reservations, encode_reservation);
+    w.seq(&cap.reservations, encode_reservation);
     encode_subscription_rows(&mut w, &cap.subscriptions);
     w.into_bytes()
 }
@@ -114,12 +114,12 @@ pub(crate) fn decode_shard_checkpoint(
         // The tier tables older snapshots carry (axis, state ids, cells, two
         // bitsets, a fingerprint, a spare word) are read past: a recovered
         // engine installs its own.
-        get_seq(&mut r, |r| {
-            get_seq(r, decode_action)?;
-            get_seq(r, Reader::u32)?;
-            get_seq(r, Reader::u32)?;
-            get_seq(r, Reader::u64)?;
-            get_seq(r, Reader::u64)?;
+        r.seq(|r| {
+            r.seq(decode_action)?;
+            r.seq(Reader::u32)?;
+            r.seq(Reader::u32)?;
+            r.seq(Reader::u64)?;
+            r.seq(Reader::u64)?;
             r.u64()?;
             r.u64()
         })?;
@@ -137,7 +137,7 @@ pub(crate) fn decode_shard_checkpoint(
             log.set_epoch(epoch);
             log
         };
-        let reservations = get_seq(&mut r, decode_reservation)?;
+        let reservations = r.seq(decode_reservation)?;
         let subscriptions = decode_subscription_rows(&mut r)?;
         Ok(ShardCheckpoint {
             shard,
@@ -474,11 +474,11 @@ pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
     encode_delta(&mut w, &m.meta_base);
     w.u64(m.log_seq);
     w.u64(m.next_reservation);
-    put_seq(&mut w, &m.cross, |w, (action, owners, bits, clients, permitted)| {
+    w.seq(&m.cross, |w, (action, owners, bits, clients, permitted)| {
         encode_action(w, action);
-        put_seq(w, owners, |w, o| w.u64(*o as u64));
-        put_seq(w, bits, |w, b| w.bool(*b));
-        put_seq(w, clients, |w, c| w.u64(*c));
+        w.seq(owners, |w, o| w.u64(*o as u64));
+        w.seq(bits, |w, b| w.bool(*b));
+        w.seq(clients, |w, c| w.u64(*c));
         w.bool(*permitted);
     });
     encode_subscription_rows(&mut w, &m.orphans);
@@ -497,10 +497,10 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> ManagerResult<Manifest> {
         let meta_base = decode_delta(&mut r)?;
         let log_seq = r.u64()?;
         let next_reservation = r.u64()?;
-        let cross = get_seq(&mut r, |r| {
+        let cross = r.seq(|r| {
             let action = decode_action(r)?;
-            let owners = get_seq(r, |r| Ok(r.u64()? as usize))?;
-            Ok((action, owners, get_seq(r, Reader::bool)?, get_seq(r, Reader::u64)?, r.bool()?))
+            let owners = r.seq(|r| Ok(r.u64()? as usize))?;
+            Ok((action, owners, r.seq(Reader::bool)?, r.seq(Reader::u64)?, r.bool()?))
         })?;
         let orphans = decode_subscription_rows(&mut r)?;
         // Whatever follows the orphan rows — the worker-placement trailer of
@@ -529,7 +529,7 @@ pub(crate) fn encode_topology(t: &TopologyCheckpoint) -> Vec<u8> {
     w.u8(FORMAT_VERSION);
     w.u64(t.epoch);
     w.str(&t.expr);
-    put_seq(&mut w, &t.components, |w, (expr, alphabet)| {
+    w.seq(&t.components, |w, (expr, alphabet)| {
         w.str(expr);
         encode_alphabet(w, alphabet);
     });
@@ -544,7 +544,7 @@ pub(super) fn decode_topology(bytes: &[u8]) -> Result<TopologyCheckpoint, CodecE
     }
     let epoch = r.u64()?;
     let expr = r.str()?;
-    let components = get_seq(&mut r, |r| Ok((r.str()?, decode_alphabet(r)?)))?;
+    let components = r.seq(|r| Ok((r.str()?, decode_alphabet(r)?)))?;
     Ok(TopologyCheckpoint { epoch, expr, components })
 }
 

@@ -55,7 +55,7 @@ pub(crate) use recover::recover_runtime;
 pub use recover::{inspect_vault, ShardInspection, VaultInspection};
 
 use crate::error::ManagerError;
-use ix_durable::{CodecError, Reader, Writer};
+use ix_durable::CodecError;
 
 /// Version byte every persisted record and blob starts with.
 const FORMAT_VERSION: u8 = 1;
@@ -65,27 +65,6 @@ const FORMAT_VERSION: u8 = 1;
 /// [`FORMAT_VERSION`] marks the layout with the log inline, which vaults
 /// written before the history streams hold and recovery still reads.
 const SNAPSHOT_VERSION: u8 = 2;
-
-/// Writes a length-prefixed sequence, `item` writing each element.
-fn put_seq<T>(w: &mut Writer, items: &[T], mut item: impl FnMut(&mut Writer, &T)) {
-    w.len_prefix(items.len());
-    for x in items {
-        item(w, x);
-    }
-}
-
-/// Reads a length-prefixed sequence, `item` reading each element.
-fn get_seq<'a, T>(
-    r: &mut Reader<'a>,
-    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
-    let n = r.len_prefix()?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(item(r)?);
-    }
-    Ok(items)
-}
 
 /// Wraps a codec failure into a [`ManagerError::Durability`].
 pub(crate) fn codec_err(what: &str, e: CodecError) -> ManagerError {
@@ -420,5 +399,16 @@ mod tests {
         assert_eq!(decoded.components.len(), 1);
         assert_eq!(parse(&decoded.components[0].0).unwrap(), expr);
         assert_eq!(decoded.components[0].1, expr.alphabet());
+    }
+
+    #[test]
+    fn a_topology_counting_past_its_bytes_is_an_error() {
+        // 2^62 components overflow a capacity computation.
+        let mut w = Writer::new();
+        w.u8(FORMAT_VERSION);
+        w.u64(0);
+        w.str("");
+        w.u64(1 << 62);
+        assert_eq!(decode_topology(w.as_bytes()).err(), Some(CodecError::Truncated));
     }
 }

@@ -266,23 +266,6 @@ impl ScopedAlphabet {
         })
     }
 
-    /// Like [`ScopedAlphabet::covers`] but with additional temporarily
-    /// blocked parameters (used for quantifier templates, where the
-    /// quantifier's own parameter is also fresh).  Not memoized — the extra
-    /// blocking is caller-supplied state.
-    pub fn covers_blocking(&self, concrete: &Action, extra_blocked: &[Param]) -> bool {
-        if extra_blocked.is_empty() {
-            return self.covers(concrete);
-        }
-        self.candidates(concrete).any(|a| {
-            let mentions = a.args().iter().any(|t| match t {
-                Term::Param(p) => self.blocked.contains(p) || extra_blocked.contains(p),
-                Term::Value(_) => false,
-            });
-            !mentions && a.matches_concrete(concrete)
-        })
-    }
-
     /// Coverage for a specific instantiation of a parameter (used for
     /// quantifier branches): the parameter is substituted before matching.
     pub fn covers_with(&self, concrete: &Action, param: Param, value: Value) -> bool {
@@ -824,11 +807,6 @@ mod tests {
         let scope = ScopedAlphabet::of(&body);
         assert!(scope.covers(&ix_core::Action::concrete("a", [Value::int(7)])));
         assert!(!scope.covers(&ix_core::Action::nullary("b")));
-        // Extra blocking (template use) can still disable matching.
-        assert!(scope.covers_blocking(
-            &ix_core::Action::concrete("a", [Value::int(7)]),
-            &[ix_core::Param::new("r")]
-        ));
     }
 
     #[test]

@@ -127,6 +127,10 @@ const RULES: &[Rule] = &[
         scope: Whole, check: Banned("trans_reference|invalidate_tier|pub mod optimize|words_per_state"),
         witness: ("crates/state/src/lib.rs", "pub mod optimize;"),
         reason: "The fused τ̂ is the one transition; the two-pass reference is test support, and tables never go stale." },
+    Rule { name: "One of each", pr: 44, paths: &["crates", "src", "tests", "examples", "Cargo.toml"], scope: Whole,
+        check: Banned(r"\bparking_lot|\brand::|rand.workspace|fn get_seq|fn put_seq|covers_blocking"),
+        witness: ("crates/wfms/Cargo.toml", "rand.workspace = true"),
+        reason: "std's RwLock and a private SplitMix64 replace the stand-ins; ix_durable's codec reads every count." },
     Rule { name: "One benchmark harness", pr: 27, paths: &["crates", "src", "tests", "examples", "Cargo.toml"],
         scope: Whole, check: Banned("ix-bench|ix_bench|BENCH_|criterion *=|criterion *::|criterion *.workspace"),
         witness: ("Cargo.toml", "criterion  = \"0.5\""), reason: "ixbench (benchmark/) is the only benchmark." },

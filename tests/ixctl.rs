@@ -1,7 +1,10 @@
 //! The `ixctl` binary end to end: its answers, and the exit codes a script
 //! relies on (0 answered, 1 failed, 2 misused).
 
+use ix_core::{parse, Action};
+use ix_manager::{ManagerRuntime, RuntimeOptions};
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
 /// Runs `ixctl args…` with `stdin` as its standard input.
@@ -71,4 +74,73 @@ fn extra_arguments_after_the_expression_are_a_usage_error() {
         assert!(stderr(&out).starts_with("usage: ixctl"), "{command}");
         assert_eq!(stdout(&out), "", "{command}");
     }
+}
+
+#[test]
+fn groups_nested_past_the_parser_limit_are_a_parse_error() {
+    let deep = format!("{}a{}", "(".repeat(20_000), ")".repeat(20_000));
+    let out = ixctl(&["check", &deep], b"");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).starts_with("parse error"), "{}", stderr(&out));
+}
+
+/// A fresh vault directory for `case`, removed first if a run left one.
+fn vault_dir(case: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ix-ixctl-{case}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Both commands that read a vault fail on `dir` with an error naming `what`.
+fn assert_unreadable(dir: &Path, what: &str) {
+    for command in [&["snapshot", "inspect"][..], &["recover"]] {
+        let out = ixctl(&[command, &[dir.to_str().unwrap()]].concat(), b"");
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(what), "{command:?}: {}", stderr(&out));
+        assert_eq!(stdout(&out), "", "{command:?}");
+    }
+}
+
+#[test]
+fn a_topology_counting_past_its_bytes_is_an_error() {
+    // Version 1, epoch 0, the empty expression, then a component count of
+    // 2^63 - 1 and of 2^32: no bytes follow for any component.
+    let counts: [&[u8]; 2] =
+        [&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f], &[0x80, 0x80, 0x80, 0x80, 0x10]];
+    for (i, count) in counts.into_iter().enumerate() {
+        let dir = vault_dir(&format!("topology-{i}"));
+        std::fs::create_dir_all(dir.join("blobs")).unwrap();
+        std::fs::write(dir.join("blobs/topology"), [&[1, 0, 0][..], count].concat()).unwrap();
+        assert_unreadable(&dir, "topology");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn a_snapshot_counting_more_nodes_than_its_bytes_is_an_error() {
+    let dir = vault_dir("snapshot");
+    let runtime = ManagerRuntime::with_durability_path(
+        &parse("(a - b)*").unwrap(),
+        RuntimeOptions::default(),
+        &dir,
+    )
+    .unwrap();
+    runtime.session(1).execute_blocking(&Action::nullary("a")).unwrap().unwrap();
+    runtime.checkpoint().unwrap();
+    runtime.shutdown().unwrap();
+    // The snapshot opens with a version byte and eleven varints (four
+    // counters and the seven statistics), then the state pool: the scope
+    // count, 0 for an expression without `@`, and the node count.
+    let path = dir.join("blobs/snap-0");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mut at = 1;
+    for _ in 0..11 {
+        at += bytes[at..].iter().position(|&b| b < 0x80).unwrap() + 1;
+    }
+    assert_eq!(bytes[at], 0, "no scope");
+    let count_len = bytes[at + 1..].iter().position(|&b| b < 0x80).unwrap() + 1;
+    bytes.splice(at + 1..at + 1 + count_len, [0xff, 0xff, 0xff, 0xff, 0x0f]);
+    std::fs::write(&path, bytes).unwrap();
+    assert_unreadable(&dir, "shard checkpoint");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

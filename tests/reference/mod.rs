@@ -186,7 +186,7 @@ fn step_broadcast_quant(q: &QuantState, action: &Action) -> QuantState {
 
 /// Pure-τ transition of the synchronization quantifier.
 fn step_sync_quant(q: &QuantState, action: &Action) -> State {
-    let covered_somewhere = q.scope.covers_blocking(action, &[])
+    let covered_somewhere = q.scope.covers(action)
         || action.values().iter().any(|v| q.scope.covers_with(action, q.param, *v));
     if !covered_somewhere {
         return State::Null;
@@ -205,7 +205,7 @@ fn step_sync_quant(q: &QuantState, action: &Action) -> State {
             }
         })
         .collect();
-    let template = if q.scope.covers_blocking(action, &[]) {
+    let template = if q.scope.covers(action) {
         Shared::new(step(&q.template, action))
     } else {
         q.template.clone()
