@@ -690,13 +690,40 @@ impl Vault for FileVault {
 mod tests {
     use super::*;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("ix-durable-test-{tag}-{}", std::process::id()))
-            .join(format!("{:?}", std::thread::current().id()));
+    /// A fresh, empty directory under the system temp dir.  Dropping it —
+    /// on a failing test's unwind too — removes it with the
+    /// `ix-durable-test-<tag>-<pid>` directory that holds it.
+    struct TempDir {
+        root: PathBuf,
+        dir: PathBuf,
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.dir
+        }
+    }
+
+    impl AsRef<Path> for TempDir {
+        fn as_ref(&self) -> &Path {
+            &self.dir
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.root);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
+        let root =
+            std::env::temp_dir().join(format!("ix-durable-test-{tag}-{}", std::process::id()));
+        let dir = root.join(format!("{:?}", std::thread::current().id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        dir
+        TempDir { root, dir }
     }
 
     #[test]
@@ -809,7 +836,8 @@ mod tests {
     /// held bytes are what `load_blob` reads back.
     #[test]
     fn a_fresh_vault_holds_its_first_blob_in_memory() {
-        let missing = temp_dir("missing").join("vault");
+        let root = temp_dir("missing");
+        let missing = root.join("vault");
         let v = FileVault::open(&missing, FsyncPolicy::Always).unwrap();
         assert_eq!(
             (v.load_blob("topology"), v.streams(), v.read_from(0, 0)),

@@ -603,7 +603,7 @@ pub(crate) fn run_checkpoint(
     // mark the previous one released at.
     let _persisting = lock(&shared.persisting);
     let topo = read_topology(slot);
-    let shards = topo.gates.len();
+    let shards = topo.slots.len();
     let mut captures: Vec<ShardCheckpoint> =
         ask_shards(&topo, |st| st.capture()).into_iter().flatten().collect();
     captures.sort_by_key(|c| c.shard);
@@ -645,7 +645,7 @@ pub(crate) fn run_checkpoint(
     let released: Vec<Answer<()>> = captures
         .iter()
         .map(|cap| {
-            let (archived, gate) = (cap.log.len(), Arc::clone(&topo.gates[cap.shard]));
+            let (archived, gate) = (cap.log.len(), Arc::clone(&topo.slots[cap.shard].gate));
             control(&topo, cap.shard, move |st| {
                 st.log.release(archived);
                 // Published before the answer: a load report read after the

@@ -315,12 +315,12 @@ pub(super) fn admit_route(
 ) -> Result<(), SubmitError> {
     match route {
         Route::None => Ok(()),
-        Route::Single(shard) => topo.gates[*shard].try_admit(1, single),
+        Route::Single(shard) => topo.slots[*shard].gate.try_admit(1, single),
         Route::Multi(owners) => {
             for (i, &owner) in owners.iter().enumerate() {
-                if let Err(e) = topo.gates[owner].try_admit(1, multi) {
+                if let Err(e) = topo.slots[owner].gate.try_admit(1, multi) {
                     for &acquired in &owners[..i] {
-                        topo.gates[acquired].release(1);
+                        topo.slots[acquired].gate.release(1);
                     }
                     return Err(e);
                 }

@@ -4,7 +4,7 @@
 use super::admission::Credit;
 use super::drive::{account, apply_local, conclude, finish, settle_single, vote_local, Tally};
 use super::repartition::ensure_single_route;
-use super::slots::{help_one, task_units, Help, ShardSlot, SingleTask, Task, WorkerCtx, HELP_PARK};
+use super::slots::{help_one, Help, ShardSlot, SingleTask, Task, WorkerCtx, HELP_PARK};
 use super::{read_topology, Completion, RuntimeShared, Topology};
 use crate::error::ManagerError;
 use crate::lock;
@@ -236,44 +236,43 @@ struct MultiSync {
 /// Coalesces the already-queued consecutive run of same-owner-set executes
 /// behind `first` — plus the single-owner executes interleaved between them
 /// — into one speculative batch: the rendezvous votes once per batch instead
-/// of once per action.  Also returns the task that ended the run, if one was
-/// received (its queue credit returned already).
+/// of once per action.  The task that ends the run, or lies past the help
+/// bound `limit`, stays queued.
 pub(super) fn coalesce(
     shared: &Arc<RuntimeShared>,
     slot: &ShardSlot,
     st: &ShardState,
     first: Arc<MultiTask>,
     limit: u64,
-    cx: &mut WorkerCtx,
     divert_below: &mut u64,
-) -> (Batch, Option<Task>) {
+) -> Batch {
     let mut batch = Batch::new(first);
     while batch.items.len() < MAX_BATCH {
-        match slot.rx.try_recv() {
-            Ok(Task::Multi(next))
-                if next.owners == batch.owners
+        let joins = |task: &Task| match task {
+            Task::Multi(next) => {
+                next.owners == batch.owners
                     && next.seq <= limit
-                    && matches!(next.op, Op::Execute { .. }) =>
-            {
-                cx.gate.release(1);
+                    && matches!(next.op, Op::Execute { .. })
+            }
+            Task::Single(single) => matches!(single.op, Op::Execute { .. }),
+            _ => false,
+        };
+        match slot.pop_if(joins) {
+            Some(Task::Multi(next)) => {
                 if multi_is_live(shared, &next, divert_below) {
                     batch.push_exec(next)
                 }
             }
-            Ok(Task::Single(single)) if matches!(single.op, Op::Execute { .. }) => {
-                cx.gate.release(1);
+            Some(Task::Single(single)) => {
                 if let Some(single) = ensure_single_route(shared, st, single, divert_below) {
                     batch.push_local(single)
                 }
             }
-            Ok(other) => {
-                cx.gate.release(task_units(&other));
-                return (batch, Some(other));
-            }
-            Err(_) => break,
+            Some(_) => unreachable!("only executes join a batch"),
+            None => break,
         }
     }
-    (batch, None)
+    batch
 }
 
 // ---------------------------------------------------------------------------
@@ -295,7 +294,7 @@ pub(super) fn enqueue_multi(
 ) {
     if credit == Credit::Charge {
         for &owner in &owners {
-            topo.gates[owner].charge(1);
+            topo.slots[owner].gate.charge(1);
         }
     }
     let votes = owners.iter().map(|_| Vote::Pending).collect();
@@ -321,7 +320,7 @@ pub(super) fn enqueue_multi(
         barrier: Condvar::new(),
     });
     for &owner in &task.owners {
-        // Queues only disconnect when the runtime is gone: nobody will
+        // A shard only finishes when the runtime is going: nobody will
         // ever rendezvous, and the failed send failed the ticket.
         if !topo.send(owner, Task::Multi(Arc::clone(&task))) {
             return;

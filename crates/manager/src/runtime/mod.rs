@@ -88,17 +88,15 @@ use crate::shard::ShardState;
 use crate::subscription::{ClientId, CrossSubscriptions, Notification, SubscriptionRegistry};
 use crate::timer::Timers;
 use crate::{ManagerStats, ProtocolVariant, Reservation, SharedStats};
-use admission::ShardGate;
 use cross::CascadeCounters;
-use crossbeam::channel::{unbounded, Sender};
 use ix_core::{Action, Expr, Partition};
 use ix_durable::{FileVault, FsyncPolicy, Vault};
 use ix_state::TierStats;
 use session::advance_clock;
-use slots::{host_parallelism, pool_worker, retire_unstarted, seat_shard, PoolCtl, Task};
+use slots::{host_parallelism, pool_worker, retire_unstarted, seat_shard, PoolCtl, ShardSlot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{mpsc, Arc, Mutex, RwLock, Weak};
 
 /// Construction options of a [`ManagerRuntime`] (by default: the simple
 /// protocol, and every knob below off or 0).
@@ -202,24 +200,22 @@ pub enum Completion {
 }
 
 /// One immutable snapshot of the runtime's shard topology: the
-/// epoch-versioned partition that routes every action, and the task-queue
-/// senders (index = shard id), plus the joined expression the runtime
-/// currently enforces.
+/// epoch-versioned partition that routes every action, and the shard slots
+/// (index = shard id) that hold each shard's task queue and admission gate,
+/// plus the joined expression the runtime currently enforces.
 ///
 /// Submissions clone the current snapshot, classify against its partition, and
 /// stamp their tasks with its epoch.  A repartition installs a *new*
-/// snapshot (existing queues keep their senders — shard ids are stable, new
+/// snapshot (existing shards keep their slots — shard ids are stable, new
 /// shards append), so a worker that dequeues a task stamped with an older
 /// epoch knows the routing decision may be stale and re-checks it against
 /// the current topology instead of misdelivering the task.
 pub(crate) struct Topology {
     partition: Partition,
-    queues: Vec<Sender<Task>>,
-    /// Per-shard admission gates, aligned with `queues`.  Shared by [`Arc`]
-    /// across topology snapshots — a repartition carries the gates of
-    /// retained shards forward, so credits charged under the old snapshot
+    /// The shards' slots, shared by [`Arc`] with the pool's bench and across
+    /// topology snapshots — so credits charged under an old snapshot
     /// release correctly under the new one.
-    pub(crate) gates: Vec<Arc<ShardGate>>,
+    pub(crate) slots: Vec<Arc<ShardSlot>>,
     /// Whether any gate enforces a limit — the one-branch fast path that
     /// keeps unbounded runtimes free of admission work.
     bounded: bool,
@@ -238,10 +234,10 @@ impl Topology {
 }
 
 /// The swappable topology slot.  Held strongly by the runtime handle and
-/// its sessions; workers reach it through the
-/// [`Weak`] in [`RuntimeShared`], so dropping every strong handle still
-/// drops the queue senders, disconnects the channels, and lets the workers
-/// exit — exactly the pre-repartitioning shutdown semantics.
+/// its sessions; workers reach it through the [`Weak`] in
+/// [`RuntimeShared`], so once every strong handle is dropped nothing can
+/// queue a task any more: a worker that finds a shard's queue empty and the
+/// weak handle dead finishes the shard, and exits with the last one.
 pub(crate) type TopologySlot = RwLock<Arc<Topology>>;
 
 /// Reads the current topology snapshot.
@@ -250,9 +246,9 @@ pub(crate) fn read_topology(slot: &TopologySlot) -> Arc<Topology> {
 }
 
 /// Everything a worker, a session, and the runtime handle share.  Note that
-/// the task-queue *senders* are deliberately **not** strongly held in here:
-/// workers hold only receivers plus a weak topology handle, so dropping the
-/// runtime and its sessions disconnects the queues and the workers exit.
+/// the topology is deliberately **not** strongly held in here: workers hold
+/// a weak handle, so dropping the runtime and its sessions lets them finish
+/// every shard and exit.
 pub(crate) struct RuntimeShared {
     variant: ProtocolVariant,
     /// Weak handle onto the swappable topology (see [`TopologySlot`]).
@@ -280,7 +276,7 @@ pub(crate) struct RuntimeShared {
     reservation_index: Mutex<HashMap<u64, Vec<usize>>>,
     pub(crate) cross_subscriptions: Mutex<CrossSubscriptions>,
     pub(crate) orphan_subscriptions: Mutex<SubscriptionRegistry>,
-    notification_channels: Mutex<HashMap<ClientId, Sender<Notification>>>,
+    notification_channels: Mutex<HashMap<ClientId, mpsc::Sender<Notification>>>,
     /// Number of registered cross-shard subscription entries — commits skip
     /// the registry lock entirely while this is zero (the common case).
     cross_entry_count: AtomicU64,
@@ -330,7 +326,7 @@ impl std::fmt::Debug for ManagerRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let topo = read_topology(&self.topology);
         f.debug_struct("ManagerRuntime")
-            .field("shards", &topo.queues.len())
+            .field("shards", &topo.slots.len())
             .field("epoch", &topo.epoch())
             .field("variant", &self.shared.variant)
             .finish()
@@ -419,12 +415,10 @@ pub(crate) fn spawn_runtime(
     // recovered reservation tables must be visible before any worker serves
     // its first task.
     let fps = seeds.iter().map(|st| (st.id, st.reservation_fingerprint())).collect();
-    let (queues, gates) =
-        seeds.into_iter().map(|st| seat_shard(&pool, st, options.queue_limit)).unzip();
+    let slots = seeds.into_iter().map(|st| seat_shard(&pool, st, options.queue_limit)).collect();
     let topology = Arc::new(RwLock::new(Arc::new(Topology {
         partition,
-        queues,
-        gates,
+        slots,
         bounded: options.queue_limit > 0,
         pool: Arc::clone(&pool),
         expr: expr.clone(),
@@ -542,13 +536,13 @@ impl ManagerRuntime {
     /// tickets, and subscription notifications arrive on the session's own
     /// channel.
     pub fn session(&self, client: ClientId) -> Session {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         lock(&self.shared.notification_channels).insert(client, tx);
         Session {
             client,
             shared: Arc::clone(&self.shared),
             topology: Arc::clone(&self.topology),
-            notifications: rx,
+            notifications: Arc::new(Mutex::new(rx)),
         }
     }
 
@@ -571,7 +565,7 @@ impl ManagerRuntime {
 
     /// Number of shard workers (1 when the expression does not decompose).
     pub fn shard_count(&self) -> usize {
-        self.topo().queues.len()
+        self.topo().slots.len()
     }
 
     /// The primary (lowest-id) shard an action is routed to, if any.
@@ -629,7 +623,7 @@ impl ManagerRuntime {
         let topo = self.topo();
         LoadReport {
             queue_limit: self.shared.queue_limit,
-            shards: topo.gates.iter().enumerate().map(|(i, g)| g.load(i)).collect(),
+            shards: topo.slots.iter().enumerate().map(|(i, slot)| slot.gate.load(i)).collect(),
         }
     }
 
@@ -818,24 +812,22 @@ impl ManagerRuntime {
     }
 
     /// Lets every worker drain its queue, joins them, and returns the
-    /// merged log plus final statistics.  Submissions
-    /// racing the shutdown complete with [`ManagerError::Disconnected`] —
-    /// either failed inline (queue already closed) or failed during the
-    /// worker's final drain.  A submission that lands in the narrow window
-    /// after a worker's drain but before its queue closes is abandoned, and
-    /// a `wait()` on its ticket panics; callers should quiesce their
-    /// sessions before shutting down (`wait_timeout`/`poll` never panic).
+    /// merged log plus final statistics.  Each shard's queue closes as its
+    /// worker reaches the Stop marker shutdown queued on it: what was queued
+    /// before the marker is served, and a submission racing the shutdown
+    /// completes with [`ManagerError::Disconnected`] — failed with what is
+    /// queued behind the marker, or inline once the queue is closed.
     pub fn shutdown(self) -> ManagerResult<RuntimeReport> {
         let (workers, unstarted) = {
             // The enqueue lock makes the Stop markers atomic w.r.t.
             // cross-shard enqueues: a cross task is ordered either before
             // the Stop on *all* of its owners (processed normally) or after
-            // it on all of them (failed during the drain) — never half/half,
-            // which would strand owners at the rendezvous.
+            // it on all of them (failed as the shards close) — never
+            // half/half, which would strand owners at the rendezvous.
             let topo = self.topo();
             let _guard = lock(&self.shared.cross_enqueue);
-            for q in topo.queues.iter() {
-                let _ = q.send(Task::Stop);
+            for slot in &topo.slots {
+                let _ = slot.push(slots::Task::Stop);
             }
             // Closed under the same lock: a cross task ahead of the markers
             // woke — so started — the worker of every owner while it was
@@ -847,13 +839,6 @@ impl ManagerRuntime {
         retire_unstarted(&self.shared, &unstarted);
         for handle in workers {
             handle.join().map_err(|_| ManagerError::Disconnected)?;
-        }
-        // The slot cells keep the queue receivers alive past the workers
-        // that served them, so a dropped-worker disconnect never happens on
-        // its own: close each queue explicitly so surviving sessions get
-        // their submissions failed inline instead of enqueued for nobody.
-        for slot in self.shared.pool.slot_snapshot() {
-            slot.rx.close();
         }
         let mut finished = std::mem::take(&mut *lock(&self.shared.pool.finished));
         finished.sort_by_key(|state| state.id);
@@ -875,8 +860,8 @@ impl ManagerRuntime {
 
 impl Drop for ManagerRuntime {
     /// Dropping without [`ManagerRuntime::shutdown`] must not leak threads:
-    /// once the sessions are gone too the channels disconnect and every
-    /// running pool worker retires its shards and exits — a
+    /// once the sessions are gone too, every running pool worker finishes
+    /// its shards as it finds their queues empty, and exits — a
     /// parked worker re-polls within `IDLE_PARK`, the wake below just
     /// shortens that.  The shards of workers that never started are retired
     /// by the ones that did (see `pool_worker`); if none did, there is no

@@ -14,11 +14,10 @@ use crate::lock;
 use crate::shard::{Op, ShardState};
 use crate::subscription::Notification;
 use crate::ManagerStats;
-use crossbeam::channel::{unbounded, Sender};
 use ix_core::{Expr, Route};
 use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Counters of the dynamic-repartitioning machinery.  The headline
 /// invariant: a *disjoint* constraint addition leaves
@@ -100,7 +99,7 @@ impl ManagerRuntime {
         let mut migrated_reservations = 0usize;
         let mut migrated_subscriptions = 0usize;
         let mut flips: Vec<Notification> = Vec::new();
-        let mut paused: Vec<(usize, ShardState, Sender<ShardState>)> = Vec::new();
+        let mut paused: Vec<(usize, ShardState, mpsc::Sender<ShardState>)> = Vec::new();
 
         if !affected.is_empty() {
             // ---- Quiesce exactly the affected shards.  The pause barriers
@@ -113,8 +112,8 @@ impl ManagerRuntime {
             {
                 let _guard = lock(&shared.cross_enqueue);
                 for &s in &affected {
-                    let (state_tx, state_rx) = unbounded();
-                    let (resume_tx, resume_rx) = unbounded();
+                    let (state_tx, state_rx) = mpsc::channel();
+                    let (resume_tx, resume_rx) = mpsc::channel();
                     if !topo.send(s, Task::Pause(PauseTask { state_tx, resume_rx })) {
                         // Shard gone (runtime tearing down concurrently).
                         // The migration must not proceed with a partially
@@ -280,17 +279,14 @@ impl ManagerRuntime {
         // against the migrated table, not the empty default; and each is
         // born with replayed history its (empty) log stream does not cover,
         // so it is snapshotted before it serves.
-        let mut queues = topo.queues.clone();
-        let mut gates = topo.gates.clone();
+        let mut slots = topo.slots.clone();
         for mut st in new_shards {
             flips.extend(st.subscriptions.refresh(|a| st.engine.is_permitted(a)));
             publish_reservation_fp(shared, &st);
             if let (Some(cap), Some(vault)) = (st.capture(), shared.vault()) {
                 persist_shards(vault, &[cap]);
             }
-            let (queue, gate) = seat_shard(&shared.pool, st, shared.queue_limit);
-            queues.push(queue);
-            gates.push(gate);
+            slots.push(seat_shard(&shared.pool, st, shared.queue_limit));
         }
 
         // ---- Install the next epoch.  The store of the epoch mirror
@@ -300,8 +296,7 @@ impl ManagerRuntime {
         let epoch = new_partition.epoch();
         let new_topology = Arc::new(Topology {
             partition: new_partition,
-            queues,
-            gates,
+            slots,
             bounded: shared.queue_limit > 0,
             pool: Arc::clone(&topo.pool),
             expr: Expr::sync(topo.expr.clone(), constraint.clone()),
@@ -361,7 +356,7 @@ impl ManagerRuntime {
 /// Hands every quiesced shard state back to its worker (used on both the
 /// success and the abort path of a migration — a paused worker is always
 /// resumed).
-fn resume_paused(pool: &PoolCtl, paused: Vec<(usize, ShardState, Sender<ShardState>)>) {
+fn resume_paused(pool: &PoolCtl, paused: Vec<(usize, ShardState, mpsc::Sender<ShardState>)>) {
     for (_, state, resume_tx) in paused {
         let _ = resume_tx.send(state);
     }

@@ -14,10 +14,9 @@ use crate::subscription::{ClientId, Notification};
 use crate::ticket::{completed, ticket, Ticket, TicketIssuer};
 use crate::ManagerStats;
 use crate::Reservation;
-use crossbeam::channel::Receiver;
 use ix_core::{Action, Route};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// Enqueue-instant stamp of a submission: taken when queueing-delay
@@ -41,7 +40,7 @@ pub struct Session {
     pub(super) client: ClientId,
     pub(super) shared: Arc<RuntimeShared>,
     pub(super) topology: Arc<TopologySlot>,
-    pub(super) notifications: Receiver<Notification>,
+    pub(super) notifications: Arc<Mutex<mpsc::Receiver<Notification>>>,
 }
 
 impl std::fmt::Debug for Session {
@@ -127,7 +126,7 @@ impl Session {
     }
 
     /// Submits a whole *window* of combined executes with one topology
-    /// snapshot, one enqueue-lock acquisition, and one channel send per
+    /// snapshot, one enqueue-lock acquisition, and one queued task per
     /// consecutive same-shard run — the session-side batching that closes
     /// most of the per-action queue overhead of the runtime on low-core
     /// hosts.  The returned tickets align with `actions`; per-action
@@ -262,7 +261,7 @@ impl Session {
 
     /// Drains the subscription notifications received so far.
     pub fn poll_notifications(&self) -> Vec<Notification> {
-        self.notifications.try_iter().collect()
+        lock(&self.notifications).try_iter().collect()
     }
 
     /// Advances the runtime's logical clock (see
@@ -420,7 +419,7 @@ pub(super) fn enqueue_single(
     credit: Credit,
 ) {
     if credit == Credit::Charge {
-        topo.gates[shard].charge(1);
+        topo.slots[shard].gate.charge(1);
     }
     topo.send(
         shard,
@@ -484,7 +483,8 @@ fn dispatch_single(
     });
     match served {
         Frame::Served(completion) => completed(completion),
-        _ => queue_single(shared, topo, shard, op, credit),
+        Frame::Done => completed(Completion::Failed { error: ManagerError::Disconnected }),
+        Frame::NotAtRest => queue_single(shared, topo, shard, op, credit),
     }
 }
 
@@ -521,7 +521,7 @@ fn dispatch_owners(
 ) -> Ticket<Completion> {
     let needed = owners.iter().copied().max().map_or(0, |m| m + 1);
     let mut topo = read_topology(slot);
-    while topo.queues.len() < needed {
+    while topo.slots.len() < needed {
         std::thread::yield_now();
         topo = read_topology(slot);
     }
@@ -531,7 +531,7 @@ fn dispatch_owners(
     }
 }
 
-/// Sends a batched run of same-shard single tasks as one channel message
+/// Queues a batched run of same-shard single tasks as one task
 /// (one [`Task::Single`] when the run has a single element).  The caller
 /// holds the enqueue lock and already holds one queue credit per run
 /// element (the batch path admits per action); `run` is left empty.

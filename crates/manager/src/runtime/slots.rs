@@ -31,8 +31,9 @@ use crate::error::ManagerError;
 use crate::lock;
 use crate::shard::{Op, ShardState};
 use crate::ticket::{ticket, Ticket, TicketIssuer};
-use crossbeam::channel::{unbounded, Receiver, SendError, Sender, TryRecvError};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -68,8 +69,8 @@ impl WorkerParker {
     }
 
     /// Consumes the token, or sleeps until one arrives or `timeout` passes.
-    /// The timeout is a liveness backstop (channel disconnects do not route
-    /// through the parker), not the scheduling mechanism.
+    /// The timeout is a liveness backstop (a runtime dropped with its last
+    /// session wakes nobody), not the scheduling mechanism.
     fn park_timeout(&self, timeout: Duration) {
         if self.token.swap(false, Ordering::AcqRel) {
             return;
@@ -120,7 +121,8 @@ pub(super) struct PoolCore {
     /// [`PoolCore::wake_worker`] is all an enqueue pays once it has.
     started: Vec<AtomicBool>,
     threads: Mutex<PoolThreads>,
-    /// Shards whose slot has not yet finished (stop marker or disconnect).
+    /// Shards whose slot has not yet finished (stop marker, or the runtime
+    /// dropped).
     /// Workers exit when they own nothing and this reaches zero.
     pub(super) live: AtomicUsize,
 }
@@ -254,31 +256,62 @@ enum SlotPhase {
     /// the worker does **not** block here — it keeps serving its other
     /// shards and polls the receiver on later visits, so one worker owning
     /// two quiesced shards cannot deadlock a migration.
-    Suspended(Receiver<ShardState>),
-    /// The shard is finished (stop marker or disconnected queue); its final
-    /// state was harvested into [`PoolCtl::finished`].
+    Suspended(mpsc::Receiver<ShardState>),
+    /// The shard is finished (stop marker, or the runtime dropped); its
+    /// final state was harvested into [`PoolCtl::finished`], and nothing
+    /// queues on it any more.
     Done,
 }
 
-/// The mutable part of a shard's slot, guarded by the slot mutex.  The
-/// mutex is held only for phase transitions — never while tasks run.
+/// The mutable part of a shard's slot, guarded by the slot mutex: who may
+/// serve the shard, and what is queued for it.  The mutex is held to change
+/// the phase or to push or pop one task — never while tasks run.
 struct SlotServe {
     phase: SlotPhase,
-    /// The one-slot pushback buffer of the exec-coalescing loop, carried
-    /// across slices (its queue credit was already released).
-    pushback: Option<Task>,
+    /// The shard's ordered task queue.  Only the thread holding the slot
+    /// Busy pops it, so tasks run in queue order; popped in place, it keeps
+    /// its capacity.
+    tasks: VecDeque<Task>,
     /// The stale-route divert watermark, carried across slices.
     divert_below: u64,
 }
 
-/// One shard's pool-visible serving context.
-pub(super) struct ShardSlot {
-    /// The shard's ordered task queue.  Only the worker holding the slot
-    /// Busy receives from it, so queue order is preserved.
-    pub(super) rx: Receiver<Task>,
-    /// The shard's admission gate (same `Arc` as the topology's).
-    pub(super) gate: Arc<ShardGate>,
+/// One shard's serving context, named by the bench and the topology alike:
+/// its admission gate, and under one mutex its phase and task queue.
+pub(crate) struct ShardSlot {
+    /// The shard's admission gate.
+    pub(crate) gate: Arc<ShardGate>,
     serve: Mutex<SlotServe>,
+}
+
+impl ShardSlot {
+    /// Queues `task` behind everything queued before it, unless the shard
+    /// has finished: then the task comes back.
+    pub(super) fn push(&self, task: Task) -> Result<(), Task> {
+        let mut serve = lock(&self.serve);
+        if matches!(serve.phase, SlotPhase::Done) {
+            return Err(task);
+        }
+        if serve.tasks.capacity() == 0 {
+            // Room for a slice at the first task: a backlog shorter than
+            // that never grows the queue, however the worker keeps pace.
+            serve.tasks.reserve_exact(SLICE_BUDGET);
+        }
+        serve.tasks.push_back(task);
+        Ok(())
+    }
+
+    /// Pops the front task if `takes` accepts it, and leaves it queued
+    /// otherwise.  A task leaves the queue only to be served, so this is
+    /// where its queue credits return, exactly once.
+    pub(super) fn pop_if(&self, takes: impl FnOnce(&Task) -> bool) -> Option<Task> {
+        let task = {
+            let mut serve = lock(&self.serve);
+            serve.tasks.pop_front_if(|task| takes(task))?
+        };
+        self.gate.release(task_units(&task));
+        Some(task)
+    }
 }
 
 /// Everything the worker pool shares: the parkers and threads
@@ -316,33 +349,27 @@ impl PoolCtl {
     pub(super) fn slot(&self, shard: usize) -> Option<Arc<ShardSlot>> {
         self.slots.read().unwrap_or_else(|e| e.into_inner()).get(shard).cloned()
     }
-
-    pub(super) fn slot_snapshot(&self) -> Vec<Arc<ShardSlot>> {
-        self.slots.read().unwrap_or_else(|e| e.into_inner()).clone()
-    }
 }
 
 /// The one way a shard joins the bench, at construction, recovery or a
-/// repartition: its seeded state goes on a slot of its own, at rest, behind
-/// a fresh queue and gate, which it returns for the topology to name — so no
-/// enqueue can race a missing slot.  Worker `shard % workers` picks it up.
-pub(super) fn seat_shard(
-    pool: &PoolCtl,
-    state: ShardState,
-    queue_limit: usize,
-) -> (Sender<Task>, Arc<ShardGate>) {
-    let (tx, rx) = unbounded();
+/// repartition: its seeded state goes on a slot of its own, at rest, with an
+/// empty queue and a fresh gate, which it returns for the topology to name —
+/// so no enqueue can race a missing slot.  Worker `shard % workers` picks it
+/// up.
+pub(super) fn seat_shard(pool: &PoolCtl, state: ShardState, queue_limit: usize) -> Arc<ShardSlot> {
+    let id = state.id;
     let gate = Arc::new(ShardGate::new(queue_limit));
     gate.publish_log(&state.log);
+    let phase = SlotPhase::Live(Box::new(state));
+    let serve = SlotServe { phase, tasks: VecDeque::new(), divert_below: 0 };
+    let slot = Arc::new(ShardSlot { gate, serve: Mutex::new(serve) });
     {
         let mut slots = pool.slots.write().unwrap_or_else(|e| e.into_inner());
-        debug_assert_eq!(slots.len(), state.id, "shards join the bench in id order");
-        let phase = SlotPhase::Live(Box::new(state));
-        let serve = Mutex::new(SlotServe { phase, pushback: None, divert_below: 0 });
-        slots.push(Arc::new(ShardSlot { rx, gate: Arc::clone(&gate), serve }));
+        debug_assert_eq!(slots.len(), id, "shards join the bench in id order");
+        slots.push(Arc::clone(&slot));
     }
     pool.core.push_shard();
-    (tx, gate)
+    slot
 }
 
 /// What a worker's visit to one shard slot accomplished.
@@ -352,47 +379,50 @@ enum SliceOutcome {
     /// Nothing was served: the queue was empty, or the slot was busy in
     /// another frame, suspended, or not on the bench yet.
     Idle,
-    /// The shard is done (stop marker, disconnect, or already finished).
+    /// The shard is done (stop marker, the runtime dropped, or already finished).
     Finished,
 }
 
 /// Result of taking a shard state off the bench.
 enum Checkout {
-    /// The state plus the carried pushback buffer and divert watermark.
-    State(Box<ShardState>, Option<Task>, u64),
+    /// The state plus the carried divert watermark.
+    State(Box<ShardState>, u64),
     Skip,
     Done,
 }
 
-fn checkout(slot: &ShardSlot) -> Checkout {
+/// Takes a shard's state off the bench, marking the slot Busy.  With
+/// `at_rest`, only if nothing is queued — phase and queue read under the
+/// one lock.
+fn checkout(slot: &ShardSlot, at_rest: bool) -> Checkout {
     let mut serve = lock(&slot.serve);
-    match &mut serve.phase {
-        SlotPhase::Busy => Checkout::Skip,
-        SlotPhase::Done => Checkout::Done,
-        SlotPhase::Suspended(rx) => match rx.try_recv() {
-            Ok(st) => {
-                serve.phase = SlotPhase::Busy;
-                Checkout::State(Box::new(st), serve.pushback.take(), serve.divert_below)
-            }
-            Err(TryRecvError::Empty) => Checkout::Skip,
+    if let SlotPhase::Suspended(rx) = &serve.phase {
+        match rx.try_recv() {
+            Ok(st) => serve.phase = SlotPhase::Live(Box::new(st)),
+            Err(TryRecvError::Empty) => return Checkout::Skip,
             Err(TryRecvError::Disconnected) => {
                 panic!("migration coordinator always returns the shard state")
             }
-        },
-        SlotPhase::Live(_) => {
-            let SlotPhase::Live(st) = std::mem::replace(&mut serve.phase, SlotPhase::Busy) else {
-                unreachable!("matched Live above")
-            };
-            Checkout::State(st, serve.pushback.take(), serve.divert_below)
         }
     }
+    match serve.phase {
+        SlotPhase::Busy => return Checkout::Skip,
+        SlotPhase::Done => return Checkout::Done,
+        _ if at_rest && !serve.tasks.is_empty() => return Checkout::Skip,
+        _ => {}
+    }
+    let SlotPhase::Live(st) = std::mem::replace(&mut serve.phase, SlotPhase::Busy) else {
+        unreachable!("a suspended slot resumed above")
+    };
+    Checkout::State(st, serve.divert_below)
 }
 
-fn checkin(slot: &ShardSlot, st: Box<ShardState>, pushback: Option<Task>, divert_below: u64) {
+/// Puts a shard's state back on the bench; returns whether tasks wait.
+fn checkin(slot: &ShardSlot, st: Box<ShardState>, divert_below: u64) -> bool {
     let mut serve = lock(&slot.serve);
     serve.phase = SlotPhase::Live(st);
-    serve.pushback = pushback;
     serve.divert_below = divert_below;
+    !serve.tasks.is_empty()
 }
 
 /// What [`control`] hands back: the value itself when the request ran on
@@ -422,8 +452,8 @@ pub(super) enum Frame<T> {
 }
 
 /// A *caller frame*: runs `serve` on shard `shard` right here, on the
-/// calling thread, if the shard is at rest — slot Live, nothing carried
-/// over from a slice, queue empty.  A shard at rest has served everything
+/// calling thread, if the shard is at rest — slot Live and queue empty,
+/// read under the slot's one lock.  A shard at rest has served everything
 /// queued before the call, so what runs in the frame runs behind all of it,
 /// exactly where a task queued now would; the calling thread holds the slot
 /// Busy for the length of `serve` and no worker is involved.  `serve` may
@@ -440,17 +470,15 @@ pub(super) fn caller_frame<T>(
     shard: usize,
     serve: impl FnOnce(&ShardSlot, &mut ShardState) -> Option<T>,
 ) -> Frame<T> {
-    let slot = topo.pool.slot(shard).expect("a routed shard has a slot on the bench");
-    match checkout(&slot) {
-        Checkout::State(mut st, pushback, divert_below) => {
+    let slot = &topo.slots[shard];
+    match checkout(slot, true) {
+        Checkout::State(mut st, divert_below) => {
             // What `serve` publishes through the gate relies on it.
             debug_assert!(matches!(lock(&slot.serve).phase, SlotPhase::Busy));
-            let served =
-                if pushback.is_none() && slot.rx.is_empty() { serve(&slot, &mut st) } else { None };
-            checkin(&slot, st, pushback, divert_below);
+            let served = serve(slot, &mut st);
             // A wake-up sent while this frame held the slot found it Busy,
             // and the worker it woke has parked again: repeat it.
-            if !slot.rx.is_empty() {
+            if checkin(slot, st, divert_below) {
                 topo.pool.core.wake_shard(shard);
             }
             served.map_or(Frame::NotAtRest, Frame::Served)
@@ -490,18 +518,24 @@ where
     T: Clone + Default + Send + 'static,
 {
     let answers: Vec<Answer<T>> =
-        (0..topo.queues.len()).map(|shard| control(topo, shard, request)).collect();
+        (0..topo.slots.len()).map(|shard| control(topo, shard, request)).collect();
     answers.into_iter().map(Answer::wait).collect()
 }
 
-/// Parks a finished shard's state for [`ManagerRuntime::shutdown`] and
-/// retires the slot.  The last shard to finish wakes every worker so they
-/// observe `live == 0` and exit.
+/// Retires a slot in one step: under its lock the shard becomes Done, so
+/// every later send fails, and takes what is still queued, which fails once
+/// the lock is let go.  Parks the final state for
+/// [`ManagerRuntime::shutdown`]; the last shard to finish wakes every worker
+/// so they observe `live == 0` and exit.
 fn finish_slot(pool: &PoolCtl, slot: &ShardSlot, st: Box<ShardState>) {
-    {
+    let queued = {
         let mut serve = lock(&slot.serve);
         serve.phase = SlotPhase::Done;
-        serve.pushback = None;
+        std::mem::take(&mut serve.tasks)
+    };
+    for task in queued {
+        slot.gate.release(task_units(&task));
+        fail_task(task);
     }
     lock(&pool.finished).push(*st);
     if pool.core.live.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -509,7 +543,7 @@ fn finish_slot(pool: &PoolCtl, slot: &ShardSlot, st: Box<ShardState>) {
     }
 }
 
-/// Queued client task units a channel message represents — the unit of the
+/// Queued client task units a task represents — the unit of the
 /// [`ShardGate`] credit accounting.  Control messages (pause barriers,
 /// control requests, stop markers) are free: they are runtime-internal and
 /// never admitted.
@@ -539,7 +573,7 @@ pub(super) type ControlFn = Box<dyn FnOnce(Option<&mut ShardState>) + Send>;
 pub(super) enum Task {
     Single(SingleTask),
     /// A session-side submission window: consecutive same-shard executes
-    /// batched into one channel send (see [`Session::submit_batch`]).
+    /// batched into one queued task (see [`Session::submit_batch`]).
     Batch(Vec<SingleTask>),
     /// An operation several shards own, on each owner's queue.
     Multi(Arc<MultiTask>),
@@ -555,8 +589,8 @@ pub(super) enum Task {
 /// through `state_tx` and parks on `resume_rx` until the migration
 /// coordinator hands the (possibly migrated) state back.
 pub(super) struct PauseTask {
-    pub(super) state_tx: Sender<ShardState>,
-    pub(super) resume_rx: Receiver<ShardState>,
+    pub(super) state_tx: mpsc::Sender<ShardState>,
+    pub(super) resume_rx: mpsc::Receiver<ShardState>,
 }
 
 pub(super) struct SingleTask {
@@ -593,8 +627,8 @@ const SLICE_BUDGET: usize = 128;
 pub(super) const HELP_PARK: Duration = Duration::from_micros(200);
 
 /// Idle-worker park backstop.  Wakeups route through the placement rule;
-/// events that bypass it (a queue disconnecting on runtime drop) are caught
-/// by this periodic re-poll.
+/// an event that bypasses it (the last session of a dropped runtime going)
+/// is caught by this periodic re-poll.
 const IDLE_PARK: Duration = Duration::from_millis(10);
 
 /// Per-drain context a shard worker threads through its task processing:
@@ -731,7 +765,7 @@ pub(super) fn pool_worker(shared: Arc<RuntimeShared>, me: usize) {
             }
         }
         // A finished shard means the runtime is going — stopped, or dropped
-        // and its queues disconnected.  The shards of workers that never
+        // with its last session.  The shards of workers that never
         // started are then retired by the ones that did: nobody else will,
         // after a drop, and `live` reaches zero only when every slot is.
         // (Should such a worker start this moment, the slot phase keeps the
@@ -769,8 +803,8 @@ fn serve_slice(
     limit: u64,
 ) -> SliceOutcome {
     let Some(slot) = pool.slot(shard) else { return SliceOutcome::Idle };
-    let (mut st, mut pushback, mut divert_below) = match checkout(&slot) {
-        Checkout::State(st, pushback, divert) => (st, pushback, divert),
+    let (mut st, mut divert_below) = match checkout(&slot, false) {
+        Checkout::State(st, divert) => (st, divert),
         Checkout::Skip => return SliceOutcome::Idle,
         Checkout::Done => return SliceOutcome::Finished,
     };
@@ -783,34 +817,19 @@ fn serve_slice(
         if served >= budget {
             break SliceOutcome::Progressed;
         }
-        // A pushback was released at its original dequeue; everything
-        // freshly received returns its queue credits here, exactly once.
-        let fresh = pushback.is_none();
-        let task = match pushback.take() {
-            Some(task) => task,
-            None => match slot.rx.try_recv() {
-                Ok(task) => task,
-                Err(TryRecvError::Empty) => {
-                    break if served > 0 { SliceOutcome::Progressed } else { SliceOutcome::Idle };
-                }
-                Err(TryRecvError::Disconnected) => {
-                    // Every sender dropped (runtime dropped without
-                    // shutdown): the shard is finished.
-                    finish_slot(pool, &slot, st);
-                    cx.gate = prev_gate;
-                    return SliceOutcome::Finished;
-                }
-            },
-        };
-        if fresh {
-            cx.gate.release(task_units(&task));
-        }
         // Help-frame ordering bound: a rendezvous task ordered after the one
-        // the caller is blocked on must not start beneath it.
-        if task_seq(&task) > limit {
-            pushback = Some(task);
+        // the caller is blocked on must not start beneath it, so it stays
+        // queued.
+        let Some(task) = slot.pop_if(|task| task_seq(task) <= limit) else {
+            // Unbounded, the queue is empty.  If the runtime was dropped
+            // with its last session, nothing will queue here again.
+            if limit == u64::MAX && shared.topology.strong_count() == 0 {
+                finish_slot(pool, &slot, st);
+                cx.gate = prev_gate;
+                return SliceOutcome::Finished;
+            }
             break if served > 0 { SliceOutcome::Progressed } else { SliceOutcome::Idle };
-        }
+        };
         cx.stamp_dequeue();
         served += 1;
         match task {
@@ -833,9 +852,7 @@ fn serve_slice(
                     continue;
                 }
                 if matches!(task.op, Op::Execute { .. }) {
-                    let (batch, ended_by) =
-                        coalesce(shared, &slot, &st, task, limit, cx, &mut divert_below);
-                    pushback = ended_by;
+                    let batch = coalesce(shared, &slot, &st, task, limit, &mut divert_below);
                     process_batch(shared, &mut st, batch, &help, cx);
                 } else {
                     process_multi(shared, &mut st, &task, &help, cx);
@@ -855,26 +872,21 @@ fn serve_slice(
                     Ok(()) => {
                         let mut serve = lock(&slot.serve);
                         serve.phase = SlotPhase::Suspended(pause.resume_rx);
-                        serve.pushback = pushback.take();
                         serve.divert_below = divert_below;
                         drop(serve);
                         cx.gate = prev_gate;
                         return SliceOutcome::Progressed;
                     }
                     // Coordinator already gone: keep the state and carry on.
-                    Err(SendError(state)) => st = Box::new(state),
+                    Err(mpsc::SendError(state)) => st = Box::new(state),
                 }
             }
             Task::Control(request) => request(Some(&mut st)),
             Task::Stop => {
-                // Fail everything still queued behind the Stop marker; the
-                // enqueue lock guarantees a cross task behind one owner's
-                // Stop is behind every owner's Stop, so nobody waits for a
-                // vote that never comes.
-                for task in slot.rx.try_iter() {
-                    cx.gate.release(task_units(&task));
-                    fail_task(task);
-                }
+                // Everything still queued behind the Stop marker fails as
+                // the slot finishes; the enqueue lock guarantees a cross
+                // task behind one owner's Stop is behind every owner's Stop,
+                // so nobody waits for a vote that never comes.
                 cx.flush(shared);
                 finish_slot(pool, &slot, st);
                 cx.gate = prev_gate;
@@ -883,18 +895,19 @@ fn serve_slice(
         }
         slot.gate.publish_log(&st.log);
     };
-    checkin(&slot, st, pushback, divert_below);
+    checkin(&slot, st, divert_below);
     cx.gate = prev_gate;
     outcome
 }
 
 impl Topology {
     /// Enqueues `task` on shard `shard` and wakes the worker that serves it.
-    /// A closed queue fails the task instead; returns whether it was queued.
+    /// A finished shard fails the task instead; returns whether it was
+    /// queued.
     pub(super) fn send(&self, shard: usize, task: Task) -> bool {
-        match self.queues[shard].send(task) {
+        match self.slots[shard].push(task) {
             Ok(()) => self.pool.core.wake_shard(shard),
-            Err(SendError(task)) => {
+            Err(task) => {
                 fail_task(task);
                 return false;
             }
@@ -922,8 +935,13 @@ pub(super) fn fail_task(task: Task) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
+
+    /// How many tasks are queued on a shard.
+    pub(in crate::runtime) fn queued(slot: &ShardSlot) -> usize {
+        lock(&slot.serve).tasks.len()
+    }
 
     #[test]
     fn parker_token_deposited_before_park_is_consumed() {

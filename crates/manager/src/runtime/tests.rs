@@ -1,12 +1,12 @@
 //! Unit tests of the runtime: tickets, sessions, migrations, recovery of
 //! torn records, and the scheduling rules of caller frames and workers.
 
+use super::slots::tests::queued;
 use super::slots::{PauseTask, Task};
 use super::*;
 use crate::durability::WalRecord;
 use crate::ticket::Ticket;
 use crate::{InteractionManager, ManagerStats};
-use crossbeam::channel::Receiver;
 use ix_core::{parse, Value};
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
@@ -712,13 +712,13 @@ fn ask_behind_backlog(
     stuck: &[usize],
     unstick: impl FnOnce(),
 ) -> (Vec<Action>, TierStats) {
-    let slots = runtime.shared.pool.slot_snapshot();
-    let before: Vec<usize> = stuck.iter().map(|&s| slots[s].rx.len()).collect();
+    let slots = read_topology(&runtime.topology).slots.clone();
+    let before: Vec<usize> = stuck.iter().map(|&s| queued(&slots[s])).collect();
     std::thread::scope(|scope| {
         let asker = scope.spawn(|| (runtime.log(), runtime.tier_stats()));
         let deadline = Instant::now() + Duration::from_secs(2);
-        let queued = || stuck.iter().zip(&before).all(|(&s, &n)| slots[s].rx.len() > n);
-        while !queued() && Instant::now() < deadline {
+        let grown = || stuck.iter().zip(&before).all(|(&s, &n)| queued(&slots[s]) > n);
+        while !grown() && Instant::now() < deadline {
             std::thread::yield_now();
         }
         unstick();
@@ -753,14 +753,13 @@ fn control_calls_never_overtake_queued_submissions() {
     let runtime = ring_runtime(2, 1);
     let topo = read_topology(&runtime.topology);
     let session = runtime.session(1);
-    let (entered_tx, entered_rx) = unbounded();
-    let (release_tx, release_rx) = unbounded::<()>();
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
     let hold = Task::Control(Box::new(move |_| {
         entered_tx.send(()).unwrap();
         let _ = release_rx.recv();
     }));
-    assert!(topo.queues[0].send(hold).is_ok());
-    topo.pool.core.wake_shard(0);
+    assert!(topo.send(0, hold));
     entered_rx.recv().unwrap();
     let mut sent = ring_word(2, 50);
     let tickets = session.submit_batch(&sent);
@@ -770,10 +769,9 @@ fn control_calls_never_overtake_queued_submissions() {
     assert_eq!(tiers, runtime.tier_stats());
 
     // Forced: shard 0 is Suspended by a pause barrier in flight.
-    let (state_tx, state_rx) = unbounded();
-    let (resume_tx, resume_rx) = unbounded();
-    assert!(topo.queues[0].send(Task::Pause(PauseTask { state_tx, resume_rx })).is_ok());
-    topo.pool.core.wake_shard(0);
+    let (state_tx, state_rx) = mpsc::channel();
+    let (resume_tx, resume_rx) = mpsc::channel();
+    assert!(topo.send(0, Task::Pause(PauseTask { state_tx, resume_rx })));
     let state = state_rx.recv().unwrap();
     let more = ring_word(2, 50);
     let tickets = session.submit_batch(&more);
@@ -836,8 +834,8 @@ fn a_caller_frame_repeats_the_wake_up_it_swallowed() {
     let started = Instant::now();
     for turn in done..done + 200 {
         let action = Action::nullary(["a_0", "b_0"][turn % 2]);
-        let (entered_tx, entered_rx) = unbounded();
-        let (release_tx, release_rx) = unbounded::<()>();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let hold = move |_: &mut ShardState| {
@@ -874,14 +872,13 @@ fn a_data_frame_never_overtakes_a_queued_submission() {
     let session = runtime.session(1);
     // The one worker is held inside a task of shard 0: slot 0 is Busy,
     // slot 1 Live, and whatever is queued on either stays queued.
-    let (entered_tx, entered_rx) = unbounded();
-    let (release_tx, release_rx) = unbounded::<()>();
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
     let hold = Task::Control(Box::new(move |_| {
         entered_tx.send(()).unwrap();
         let _ = release_rx.recv();
     }));
-    assert!(topo.queues[0].send(hold).is_ok());
-    topo.pool.core.wake_shard(0);
+    assert!(topo.send(0, hold));
     entered_rx.recv().unwrap();
     let mut sent = ring_word(2, 50);
     let mut tickets = session.submit_batch(&sent);
@@ -917,7 +914,7 @@ fn a_data_frame_never_overtakes_a_queued_submission() {
 struct HeldVault {
     inner: ix_durable::MemVault,
     /// Taken by the next append: it reports in, then waits to be let go.
-    hold: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+    hold: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
     syncs: std::sync::atomic::AtomicUsize,
 }
 
@@ -990,8 +987,8 @@ fn a_data_frame_repeats_the_wake_up_it_swallowed() {
                 break;
             }
         }
-        let (entered_tx, entered_rx) = unbounded();
-        let (release_tx, release_rx) = unbounded::<()>();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
         *lock(&vault.hold) = Some((entered_tx, release_rx));
         std::thread::scope(|scope| {
             let held = scope.spawn(|| {

@@ -15,9 +15,9 @@
 //!   fulfilling worker thread) — the push style the subscription protocol
 //!   uses for worklist updates.
 //!
-//! The implementation is the oneshot analogue of the vendored crossbeam
-//! channel surface — a mutex-guarded slot plus a condvar, no async runtime —
-//! so tickets are `Send + Sync`, cheap to clone, and never spin.
+//! The implementation is a oneshot channel of its own — a mutex-guarded
+//! slot plus a condvar, no async runtime — so tickets are `Send + Sync`,
+//! cheap to clone, and never spin.
 
 use crate::lock;
 use std::sync::{Arc, Condvar, Mutex};

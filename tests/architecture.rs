@@ -131,6 +131,10 @@ const RULES: &[Rule] = &[
         check: Banned(r"\bparking_lot|\brand::|rand.workspace|fn get_seq|fn put_seq|covers_blocking"),
         witness: ("crates/wfms/Cargo.toml", "rand.workspace = true"),
         reason: "std's RwLock and a private SplitMix64 replace the stand-ins; ix_durable's codec reads every count." },
+    Rule { name: "One shard queue", pr: 45, paths: &["crates", "src", "tests", "examples", "Cargo.toml"], scope: Whole,
+        check: Banned("crossbeam|pushback"),
+        witness: ("crates/manager/src/runtime/session.rs", "use crossbeam::channel::Receiver;"),
+        reason: "A shard's tasks live in its slot, under the slot's one lock; every other channel is std's mpsc." },
     Rule { name: "One benchmark harness", pr: 27, paths: &["crates", "src", "tests", "examples", "Cargo.toml"],
         scope: Whole, check: Banned("ix-bench|ix_bench|BENCH_|criterion *=|criterion *::|criterion *.workspace"),
         witness: ("Cargo.toml", "criterion  = \"0.5\""), reason: "ixbench (benchmark/) is the only benchmark." },

@@ -16,6 +16,7 @@ use ix_manager::{
     RuntimeOptions, Ticket, Vault,
 };
 use ix_state::{word_problem, WordStatus};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -375,6 +376,55 @@ fn queue_metrics_sample_each_queued_execute_only_when_enabled() {
         }
         assert!(runtime.drain_queue_samples().is_empty(), "a drain takes every sample");
     }
+}
+
+/// A submission racing `shutdown` is served or fails, and never waits for
+/// nobody: while one worker works off a long backlog on `a`'s shard, the
+/// other has already closed `b`'s, and a session that keeps submitting `b`
+/// until `shutdown` returns sees each of those tickets resolve to
+/// `Executed` (queued before the close) or to `Disconnected` (after it).
+#[test]
+fn a_submission_racing_shutdown_fails_instead_of_hanging() {
+    let options = RuntimeOptions {
+        variant: ProtocolVariant::Combined,
+        worker_threads: 2,
+        ..RuntimeOptions::default()
+    };
+    let runtime = ManagerRuntime::with_options(&parse("a* | b*").unwrap(), options).unwrap();
+    let session = runtime.session(1);
+    let (a, b) = (Action::nullary("a"), Action::nullary("b"));
+    let mut tickets: Vec<Ticket<Completion>> =
+        (0..20_000).map(|_| session.submit(&a).unwrap()).collect();
+    let stopped = AtomicBool::new(false);
+    tickets.extend(std::thread::scope(|scope| {
+        let racer = scope.spawn(|| {
+            let mut racing = Vec::new();
+            while !stopped.load(Ordering::Acquire) {
+                racing.push(session.submit(&b).unwrap());
+            }
+            racing
+        });
+        runtime.shutdown().unwrap();
+        stopped.store(true, Ordering::Release);
+        racer.join().unwrap()
+    }));
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let unresolved = tickets
+        .iter()
+        .filter(|t| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            !matches!(
+                t.wait_timeout(left),
+                Some(
+                    Completion::Executed { .. }
+                        | Completion::Failed { error: ManagerError::Disconnected }
+                )
+            )
+        })
+        .count();
+    assert_eq!(unresolved, 0, "of {} tickets", tickets.len());
+    let late = session.submit(&b).unwrap();
+    assert_eq!(late.poll(), Some(Completion::Failed { error: ManagerError::Disconnected }));
 }
 
 /// A cascade racing a repartition is diverted and retried, never decided
