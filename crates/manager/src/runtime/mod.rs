@@ -688,8 +688,8 @@ impl ManagerRuntime {
     }
 
     /// Makes sure every shard engine's execution tier is installed — one
-    /// table per table-resident subtree, holding σ; cells fill as traffic
-    /// visits them — and returns the per-shard tier stats.  A shard at rest
+    /// table per engine whose expression is eligible, holding σ; cells fill
+    /// as traffic visits them — and returns the per-shard tier stats.  A shard at rest
     /// answers on the calling thread; a busy one at its next task boundary,
     /// behind the submissions already queued (see `control`).  An engine
     /// installs its tier on its first transition anyway; this only says up
@@ -708,7 +708,6 @@ impl ManagerRuntime {
             total.fallbacks += t.fallbacks;
             total.fills += t.fills;
             total.compiles += t.compiles;
-            total.bailouts += t.bailouts;
         }
         total
     }

@@ -1,34 +1,36 @@
-//! Tiered execution: flat DFA tables over stable subexpressions, filled as
-//! traffic visits them.
+//! Tiered execution: a flat DFA table over a finite expression, filled as
+//! traffic visits it.
 //!
 //! The copy-on-write τ̂ rebuilds a tree spine on every step, but most real
 //! constraints (mutexes, capacity counters, sequencing templates —
 //! everything `ix_baselines` models as regex/matrix scenarios) have small
 //! state spaces.  A [`CompiledTable`] tabulates the τ̂-graph of one such
-//! subexpression: interned state handles, a dense `state × symbol → state`
-//! array over the subexpression's (finite) symbol candidates, and a ϕ bitset
+//! expression: interned state handles, a dense `state × symbol → state`
+//! array over the expression's (finite) symbol candidates, and a ϕ bitset
 //! over the states.
 //!
 //! The table is a **lazy DFA**, the paper's on-demand τ̂ (Sec. 6, Fig. 9)
-//! with a cache in front.  Installing one costs O(|subexpression|) — the
-//! sorted atom axis and σ as state 0, an engine's own σ at its root table,
-//! hashed at the first lookup — and every cell starts *unknown*.  The first
-//! step through a cell computes the one fused τ̂ the tree walk would have
-//! computed anyway, interns the successor by value and records its id; from
-//! the second visit on, the step is an array lookup.  [`compile()`] and
-//! `Engine::close_tier` are the same path run to the end: install, then
-//! fill every cell breadth-first.
+//! with a cache in front.  Installing one costs O(|expression|) — the
+//! sorted atom axis and σ as state 0 (an engine's own σ), hashed at the
+//! first lookup — and every cell starts *unknown*.  The first step through
+//! a cell computes the one τ̂ the tree walk would have computed anyway,
+//! interns the successor by value and records its id; from the second visit
+//! on, the step is an array lookup.  [`compile()`] and `Engine::close_tier`
+//! are the same path run to the end: install, then fill every cell
+//! breadth-first.
 //!
 //! Eligibility is structural ([`CompileBailout`]): no quantifier, no `#`,
-//! no hole, concrete atoms only.  The *maximal* eligible subtrees of an
-//! expression get a table each and the spine around them keeps running on
-//! the CoW walk.  The state budget caps interned states per table; a
-//! **full table** keeps answering every cell it knows, still records cells
-//! whose successor is dead or already interned, and hands any other
-//! successor back un-interned — from there the walk leaves the table and
-//! the tree walk answers, exactly.  A state that left is not hashed back
-//! in on the per-transition path (nothing is hashed there); only install
-//! and `reset` look at the live state again.
+//! no hole, concrete atoms only.  An engine has at most one table, over its
+//! whole expression, and only if the expression passes the check
+//! [`compile()`] makes; any other engine steps through plain τ̂.  The
+//! partition gives each `@`-operand an engine of its own, so a finite
+//! operand beside a quantified one still runs from a table.  The state
+//! budget caps interned states; a **full table** keeps answering every cell
+//! it knows, still records cells whose successor is dead or already
+//! interned, and hands any other successor back un-interned — from there
+//! the tree walk answers, exactly.  A state that left is not hashed back in
+//! on the per-transition path (nothing is hashed there); only install looks
+//! at the live state.
 //!
 //! A table is a cache, never state: snapshots carry the engine's state and
 //! none of its tables, and a recovered engine installs its tier around the
@@ -41,7 +43,7 @@
 //! The argument is per cell, not per table.  A cell holds τ̂(s, a) for an
 //! interned state `s` — a value the fused τ̂ itself produced — and a symbol
 //! `a` of the axis, computed by that same τ̂; nothing about the rest of the
-//! table enters.  Off the axis, the subexpression is **closed over a
+//! table enters.  Off the axis, the expression is **closed over a
 //! concrete alphabet**: every atom is a concrete action, so for any
 //! concrete action outside the atom set τ̂ is `Null` in *every* state
 //! (atoms compare by equality, ⊗-coverage is decided by the same concrete
@@ -52,13 +54,12 @@
 //! defensively.
 //!
 //! Interned states are canonical `Shared` handles whose *values* are
-//! exactly what the fused τ̂ computes, so a table-resident subtree stepped
-//! via array lookup composes transparently with the CoW spine around it:
-//! sorting, deduplication, and state-value equality are unaffected.  ψ
-//! needs no bitset: on the optimized path every interned (non-`Null`)
-//! state is valid by the "invalid ⇔ `Null`" invariant; the ϕ bitset covers
-//! finality, and whether an action is permitted is whether its cell is
-//! [`DEAD`].
+//! exactly what the fused τ̂ computes, so a state the table answered and one
+//! the tree walk built are interchangeable: state-value equality is
+//! unaffected.  ψ needs no bitset: on the optimized path every interned
+//! (non-`Null`) state is valid by the "invalid ⇔ `Null`" invariant; the ϕ
+//! bitset covers finality, and whether an action is permitted is whether
+//! its cell is [`DEAD`].
 
 use crate::init::init;
 use crate::predicates::is_final;
@@ -67,7 +68,6 @@ use crate::trans::trans;
 use ix_core::{Action, Alphabet, Expr, ExprKind};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::iter::once;
 
 /// Default state-count budget of an engine's tier (0 disables tiering).
 pub const DEFAULT_TIER_BUDGET: usize = 512;
@@ -79,21 +79,21 @@ pub const DEAD: u32 = u32::MAX;
 /// The cell has not been computed yet.
 pub(crate) const UNKNOWN: u32 = u32::MAX - 1;
 
-/// Why a subexpression gets no table.
+/// Why an expression gets no table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CompileBailout {
     /// The budget is zero — tiering is switched off.
     Disabled,
-    /// The subexpression mentions parameters, holes, or abstract atoms, so
+    /// The expression mentions parameters, holes, or abstract atoms, so
     /// its symbol candidates are not a finite concrete set.
     AbstractAlphabet,
-    /// The subexpression contains a quantifier (branches materialize per
+    /// The expression contains a quantifier (branches materialize per
     /// value at run time — there is no one symbol axis to tabulate over).
     Quantifier,
-    /// The subexpression contains a parallel iteration (`#`), whose
+    /// The expression contains a parallel iteration (`#`), whose
     /// instance count is unbounded.
     Unbounded,
-    /// There is nothing to tabulate: σ rejected the subexpression, or it
+    /// There is nothing to tabulate: σ rejected the expression, or it
     /// has no atom at all (or more than the dense columns can number).
     Invalid,
 }
@@ -126,11 +126,11 @@ impl CompileBudget {
     }
 }
 
-/// A flat DFA tile: the τ̂-graph of one finite subexpression as far as it
+/// A flat DFA tile: the τ̂-graph of one finite expression as far as it
 /// has been visited, in a dense transition array.
 ///
 /// States are canonical [`Shared`] handles (value-identical to what the
-/// fused τ̂ computes), symbols are the subexpression's alphabet (its
+/// fused τ̂ computes), symbols are the expression's alphabet (its
 /// concrete atoms, sorted), and the transition array stores
 /// `state × symbol → state` ids with [`DEAD`] marking `Null` successors.
 /// A table from [`compile`] is *closed* (every cell filled, budget
@@ -138,9 +138,7 @@ impl CompileBudget {
 /// has visited.
 #[derive(Clone, Debug)]
 pub struct CompiledTable {
-    /// The subexpression the table runs.
-    pub(crate) expr: Expr,
-    /// The subexpression's alphabet — its sorted, deduplicated concrete
+    /// The expression's alphabet — its sorted, deduplicated concrete
     /// atoms — is the symbol axis; a column is a binary search into it.
     pub(crate) symbols: Alphabet,
     /// Interned canonical state handles; index = state id, id 0 = σ.
@@ -173,7 +171,6 @@ impl CompiledTable {
             return Err(CompileBailout::Invalid);
         }
         Ok(CompiledTable {
-            expr: expr.clone(),
             transitions: vec![UNKNOWN; symbols.len()],
             symbols,
             finals: vec![is_final(&start) as u64],
@@ -310,7 +307,7 @@ impl CompiledTable {
     }
 }
 
-/// Why the node `e` itself keeps any subexpression containing it out of a
+/// Why the node `e` itself keeps any expression containing it out of a
 /// table.
 fn node_bailout(e: &Expr) -> Option<CompileBailout> {
     match e.kind() {
@@ -324,122 +321,46 @@ fn node_bailout(e: &Expr) -> Option<CompileBailout> {
     }
 }
 
-/// Compiles one subexpression to a closed table, or reports why it cannot
-/// have one: validates it, installs the lazy table and fills every cell
+/// Whether `expr` may have a table under `budget` — the structural check
+/// [`compile()`] and an engine's tier share.
+pub(crate) fn eligible(expr: &Expr, budget: CompileBudget) -> Result<(), CompileBailout> {
+    let mut bail = (budget.max_states == 0).then_some(CompileBailout::Disabled);
+    expr.visit(&mut |e: &Expr| bail = bail.or_else(|| node_bailout(e)));
+    bail.map_or(Ok(()), Err)
+}
+
+/// Compiles an expression to a closed table, or reports why it cannot have
+/// one: checks and validates it, installs the lazy table and fills every cell
 /// breadth-first with the production fused transition, interning successor
 /// states by *value* so the emitted ids are canonical.  Past `budget` states
 /// the table stops growing and the cells needing a new state stay unfilled.
 pub fn compile(expr: &Expr, budget: CompileBudget) -> Result<CompiledTable, CompileBailout> {
-    let mut bail = (budget.max_states == 0).then_some(CompileBailout::Disabled);
-    expr.visit(&mut |e: &Expr| bail = bail.or_else(|| node_bailout(e)));
-    bail.map_or(Ok(()), Err)?;
+    eligible(expr, budget)?;
     let start = init(expr).map_err(|_| CompileBailout::Invalid)?;
     let mut table = CompiledTable::install(expr, budget, Shared::new(start))?;
     table.close();
     Ok(table)
 }
 
-/// Appends the size and structural eligibility of `expr` and of every node
-/// below it to `out`, in pre-order, computed bottom-up in one pass.
-pub(crate) fn survey(expr: &Expr, out: &mut Vec<(usize, bool)>) {
-    let at = out.len();
-    out.push((1, node_bailout(expr).is_none()));
-    for child in expr.iter_children() {
-        let first = out.len();
-        survey(child, out);
-        out[at] = (out[at].0 + out[first].0, out[at].1 && out[first].1);
-    }
-}
-
-/// The structural search for the maximal table-eligible subtrees of `expr`,
-/// outermost first: `found` is called on each with the live sub-states
-/// that run it and says whether it took the subtree; where it did not (or
-/// the subtree is not eligible), the search counts a bailout and descends.
-/// `surveys` is [`survey`] of `expr`, so the search is O(|expr|).
-///
-/// `nodes` are the distinct states at `expr`'s position in a live state
-/// tree (none, for a search without one).  τ̂ keeps a state's shape — every
-/// variant steps to itself or to `Null` — so walking the two trees side by
-/// side hands `found` exactly the reachable states of the subexpression, σ
-/// spawn templates included, without hashing anything on the way down.
-pub(crate) fn for_each_resident<'s, F>(
-    expr: &Expr,
-    surveys: &[(usize, bool)],
-    nodes: &[&'s Shared<State>],
-    bailouts: &mut u64,
-    found: &mut F,
-) where
-    F: FnMut(&Expr, &[&'s Shared<State>]) -> bool,
-{
-    let (size, eligible) = surveys[0];
-    if size < 3 {
-        // An atom or ε: the tree walk is already O(1); a tile would only
-        // pollute the attach map.
-        return;
-    }
-    if eligible && found(expr, nodes) {
-        return;
-    }
-    *bailouts += 1;
-    let mut at = 1;
-    for (i, child) in expr.iter_children().enumerate() {
-        let mut runs: Vec<_> = nodes.iter().flat_map(|n| operand_runs(n, i)).collect();
-        // A shared allocation (a σ template among the runs it spawned) once.
-        runs.sort_unstable_by_key(|n| Shared::as_ptr(n));
-        runs.dedup_by_key(|n| Shared::as_ptr(n));
-        for_each_resident(child, &surveys[at..], &runs, bailouts, found);
-        at += surveys[at].0;
-    }
-}
-
-/// The sub-states of `state` that run operand `i` of its expression,
-/// including the precomputed σ templates (`right_init`/`body_init`) and
-/// quantifier templates, so spawn sites attach to tables too.
-fn operand_runs(state: &State, i: usize) -> Vec<&Shared<State>> {
-    match state {
-        State::Null | State::Epsilon | State::AtomDone | State::AtomFresh { .. } => Vec::new(),
-        State::Option { body, .. } => vec![body],
-        State::Seq { left, .. } if i == 0 => vec![left],
-        State::Seq { rights, right_init, .. } => rights.iter().chain(once(right_init)).collect(),
-        State::SeqIter { runs, body_init, .. } => runs.iter().chain(once(body_init)).collect(),
-        State::Par { alts } => alts.iter().map(|(l, r)| if i == 0 { l } else { r }).collect(),
-        State::ParIter { alts, body_init } | State::Mult { alts, body_init, .. } => {
-            alts.iter().flatten().chain(once(body_init)).collect()
-        }
-        State::Or { left, right }
-        | State::And { left, right }
-        | State::Sync { left, right, .. } => {
-            vec![if i == 0 { left } else { right }]
-        }
-        State::SomeQ(q) | State::AllQ(q) | State::SyncQ(q) => {
-            q.branches.values().chain(once(&q.template)).collect()
-        }
-        State::ParQ { alts, body_init, .. } => {
-            alts.iter().flat_map(|b| b.values()).chain(once(body_init)).collect()
-        }
-    }
-}
-
 /// Counter surface of an engine's tier: table inventory and hit, fill,
-/// fallback, compile and bailout counts.
+/// fallback and compile counts.  Summed over engines, each field is a sum.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TierStats {
-    /// Number of installed tables (the maximal resident subtrees).
+    /// Number of installed tables: 1 if the engine's expression is eligible
+    /// and the tier is installed, else 0.
     pub tables: usize,
-    /// Total states interned so far across installed tables.
+    /// States interned so far.
     pub states: usize,
-    /// Transitions answered by a table (root or sub-state), the ones that
-    /// filled their cell on the way included.
+    /// Transitions answered by the table, the ones that filled their cell
+    /// on the way included.
     pub hits: u64,
-    /// Transitions computed by the tree walk while tables were installed.
+    /// Transitions computed by the tree walk while a table was installed.
     pub fallbacks: u64,
-    /// Cells computed so far across installed tables — each by one τ̂, once.
+    /// Cells computed so far — each by one τ̂, once.
     pub fills: u64,
-    /// Tables this engine installed over its lifetime (re-attaching its own
-    /// on `reset` or `close_tier` is not a compile).
+    /// Tables this engine installed over its lifetime (closing its own is
+    /// not a compile).
     pub compiles: u64,
-    /// Subtrees that bailed out during install passes.
-    pub bailouts: u64,
 }
 
 #[cfg(test)]
@@ -455,13 +376,6 @@ mod tests {
 
     fn a(name: &str) -> Action {
         Action::nullary(name)
-    }
-
-    fn surveys(e: &Expr) -> Vec<(usize, bool)> {
-        let mut out = Vec::new();
-        survey(e, &mut out);
-        assert_eq!(out[0].0, e.size());
-        out
     }
 
     /// A lazy table over `e`, σ its state 0 and no cell filled.
@@ -619,68 +533,6 @@ mod tests {
         let t = compile(&parse("a - b").unwrap(), budget(1)).unwrap();
         assert_eq!((t.state_count(), t.filled), (1, 1));
         assert_eq!(t.step(t.start(), &a("b")), DEAD);
-    }
-
-    #[test]
-    fn the_resident_search_compiles_maximal_subtrees() {
-        // The tier's install search, compiling every subtree it finds.
-        let resident = |e: &Expr| {
-            let (mut tables, mut bailouts) = (Vec::new(), 0);
-            for_each_resident(e, &surveys(e), &[], &mut bailouts, &mut |sub, _| {
-                compile(sub, budget(64)).map(|table| tables.push(table)).is_ok()
-            });
-            (tables, bailouts)
-        };
-        // A quantified spine over two finite operands: the root bails, the
-        // operands compile.
-        let (tables, bailouts) =
-            resident(&parse("((a - b)* @ (c - d)*) @ all p { e(p)# }").unwrap());
-        assert!(bailouts >= 1, "the quantified spine must bail");
-        assert_eq!(tables.len(), 1, "the ⊗ of the two finite loops is one tile");
-        assert_eq!(tables[0].state_count(), 9);
-        // Fully finite root: exactly one table, no bailouts.
-        let (tables, bailouts) = resident(&parse("(a - b)* @ (c - d)*").unwrap());
-        assert_eq!((tables.len(), bailouts), (1, 0));
-    }
-
-    #[test]
-    fn the_one_pass_search_finds_and_counts_what_the_level_by_level_search_did() {
-        // The search as it was: size and eligibility recomputed over the
-        // whole subtree at every level of the descent.
-        fn level_by_level(expr: &Expr, bailouts: &mut u64, found: &mut Vec<Expr>) {
-            if expr.size() < 3 {
-                return;
-            }
-            let mut eligible = true;
-            expr.visit(&mut |e: &Expr| eligible &= node_bailout(e).is_none());
-            if eligible && compile(expr, budget(64)).is_ok() {
-                found.push(expr.clone());
-                return;
-            }
-            *bailouts += 1;
-            expr.iter_children().for_each(|child| level_by_level(child, bailouts, found));
-        }
-        for src in [
-            "(a - b)*",
-            "a - b",
-            "((a - b)* @ (c - d)*) @ all p { e(p)# }",
-            "(some p { x(p) }) - ((a - b) + (c - d)*) - (e | f)# - (g - h - i)",
-            "mult 2 { (all q { (a - y(q))* }) | ((b + c) - d)* } & (e - f)*",
-            "((a - b)# - (c - d) - (e - (f | g)))* @ (h + (some p { i(p) - j }))",
-        ] {
-            let e = parse(src).unwrap();
-            let (mut expected, mut theirs) = (Vec::new(), 0);
-            level_by_level(&e, &mut theirs, &mut expected);
-            let (mut subtrees, mut mine) = (Vec::new(), 0);
-            for_each_resident(&e, &surveys(&e), &[], &mut mine, &mut |sub, _| {
-                let taken = compile(sub, budget(64)).is_ok();
-                if taken {
-                    subtrees.push(sub.clone());
-                }
-                taken
-            });
-            assert_eq!((subtrees, mine), (expected, theirs), "{src}");
-        }
     }
 
     #[test]

@@ -13,6 +13,15 @@
 //! wraps; it also records the per-transition state metrics used by the
 //! complexity experiments.
 //!
+//! # The tier
+//!
+//! An engine holds at most one [`CompiledTable`], over its whole
+//! expression: it installs it on first use if the expression passes
+//! [`crate::compile()`]'s eligibility check, and otherwise steps through
+//! plain [`trans`].  A step from a state the table holds is a cell lookup,
+//! the cell filled by one τ̂ on its first visit; any other step is the tree
+//! walk's.
+//!
 //! # The successor list
 //!
 //! The paper's protocol (Sec. 7, Fig. 10) runs one transition twice: an
@@ -24,17 +33,17 @@
 //! every assignment to the committed state empties it.  Since the engine
 //! holds the committed state, pointer equality with it identifies the state
 //! the list belongs to, and no dead state is kept alive: besides it, the
-//! engine holds only σ, which `reset` and the tier's root table reuse.  The
+//! engine holds only σ, which `reset` and the tier's table reuse.  The
 //! list is invisible semantically — τ̂ is pure — and the lockstep property
 //! tests compare the engine against the plain `trans` fold.
 
-use crate::compile::{for_each_resident, survey, CompileBudget, CompiledTable, TierStats};
+use crate::compile::{eligible, CompileBudget, CompiledTable, TierStats};
 use crate::compile::{DEAD, DEFAULT_TIER_BUDGET, UNKNOWN};
 use crate::error::StateResult;
-use crate::init::{init, initial_state};
+use crate::init::init;
 use crate::predicates::{is_final, is_valid};
 use crate::state::{null_state, Shared, State, StateMetrics};
-use crate::trans::{fused, trans, TierLookup};
+use crate::trans::trans;
 use ix_core::{Action, Expr};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -104,45 +113,43 @@ fn fingerprint_hasher() -> std::collections::hash_map::DefaultHasher {
 }
 
 /// One entry of the tier's pointer-keyed attach map: the keyed allocation
-/// is state `state` of table `table`.  `pin` keeps it alive, so the pointer
-/// key can never be reused while the entry exists.  An allocation without
-/// an entry is no table state the tier knows of, and is answered by the
-/// tree walk.
+/// is state `state` of the table.  `pin` keeps it alive, so the pointer key
+/// can never be reused while the entry exists.  An allocation without an
+/// entry is no table state the tier knows of, and is answered by the tree
+/// walk.
 #[derive(Clone, Debug)]
 struct Attached {
     pin: Shared<State>,
-    table: u32,
     state: u32,
 }
 
-/// Records `handle`'s allocation as state `state` of table `table`.
-fn pin(attach: &mut HashMap<usize, Attached>, handle: &Shared<State>, table: usize, state: usize) {
-    let entry = Attached { pin: handle.clone(), table: table as u32, state: state as u32 };
+/// Records `handle`'s allocation as state `state` of the table.
+fn pin(attach: &mut HashMap<usize, Attached>, handle: &Shared<State>, state: usize) {
+    let entry = Attached { pin: handle.clone(), state: state as u32 };
     attach.insert(Shared::as_ptr(handle) as usize, entry);
 }
 
-/// The engine's execution tier: lazily filled DFA tiles for the
-/// table-resident subtrees of the expression, plus the pointer-keyed attach
-/// map that links live state allocations to table state ids.
+/// The engine's execution tier: at most one lazily filled DFA table, over
+/// the whole expression, plus the pointer-keyed attach map that links live
+/// state allocations to its state ids.
 ///
 /// All fields are interior-mutable so the tier can be consulted (and can
-/// fill a cell) through the `&self` methods of the fused walk; the engine
-/// still owns the tier exclusively.  Tables sit behind `Arc` so a cloned
-/// engine can share one: a fill goes through `Arc::make_mut`, so whoever
-/// else holds the table keeps the cells it saw.
+/// fill a cell) through the engine's `&self` probes; the engine still owns
+/// the tier exclusively.  The table sits behind `Arc` so a cloned engine
+/// can share it: a fill goes through `Arc::make_mut`, so whoever else holds
+/// the table keeps the cells it saw.
 #[derive(Clone, Debug)]
 struct Tier {
-    /// State-count budget per table (0 = tiering disabled).
+    /// State-count budget of the table (0 = tiering disabled).
     budget: Cell<usize>,
-    /// The install pass ran since the budget was last set — whether or not
-    /// it found a subtree to tabulate.
+    /// The install ran since the budget was last set — whether or not the
+    /// expression got a table.
     installed: Cell<bool>,
-    tables: RefCell<Vec<Arc<CompiledTable>>>,
+    table: RefCell<Option<Arc<CompiledTable>>>,
     attach: RefCell<HashMap<usize, Attached>>,
     hits: Cell<u64>,
     fallbacks: Cell<u64>,
     compiles: Cell<u64>,
-    bailouts: Cell<u64>,
 }
 
 impl Tier {
@@ -150,91 +157,70 @@ impl Tier {
         Tier {
             budget: Cell::new(budget),
             installed: Cell::new(false),
-            tables: RefCell::new(Vec::new()),
+            table: RefCell::new(None),
             attach: RefCell::new(HashMap::new()),
             hits: Cell::new(0),
             fallbacks: Cell::new(0),
             compiles: Cell::new(0),
-            bailouts: Cell::new(0),
         }
     }
 
-    fn has_tables(&self) -> bool {
-        !self.tables.borrow().is_empty()
+    fn has_table(&self) -> bool {
+        self.table.borrow().is_some()
     }
 
-    /// The install pass: one table per maximal resident subtree of `expr`
-    /// under the tier's budget, and the attach map rebuilt around them.
-    ///
-    /// A subtree keeps its table if the tier has one (`reset`, `close_tier`)
-    /// or gets one holding σ and nothing more: the engine's own `sigma` at
-    /// the root, below it σ of the subtree, unchecked (the engine validated
-    /// all of `expr`).  Every table state is pinned, and so are the
-    /// sub-states of the live `state` that run a resident subtree — interned
-    /// by value unless already a state of that table, once each, here and
-    /// never on the per-transition path — so a tier installed mid-word picks
-    /// the walk up where it stands.
+    /// The install: if `expr` passes [`crate::compile()`]'s eligibility
+    /// check, a table with the engine's own `sigma` as state 0 and every
+    /// cell unknown, σ pinned, and the live `state` interned by value and
+    /// pinned — once, here and never on the per-transition path — so a tier
+    /// installed mid-word picks the walk up where it stands.
     fn install(&self, expr: &Expr, sigma: &Shared<State>, state: &Shared<State>) {
         self.installed.set(true);
         let budget = CompileBudget::with_states(self.budget.get());
-        let mut own = self.tables.take().into_iter().peekable();
-        let mut tables: Vec<Arc<CompiledTable>> = Vec::new();
-        let mut attach = HashMap::new();
-        let (mut compiles, mut bailouts) = (0, 0);
-        if budget.max_states > 0 {
-            let mut surveys = Vec::with_capacity(expr.size());
-            survey(expr, &mut surveys);
-            for_each_resident(expr, &surveys, &[state], &mut bailouts, &mut |sub, nodes| {
-                let mut table = match own.next_if(|table| table.expr.ptr_eq(sub)) {
-                    Some(table) => table,
-                    None => {
-                        let root = sub.ptr_eq(expr);
-                        let start =
-                            if root { sigma.clone() } else { Shared::new(initial_state(sub)) };
-                        let Ok(fresh) = CompiledTable::install(sub, budget, start) else {
-                            return false;
-                        };
-                        compiles += 1;
-                        Arc::new(fresh)
-                    }
-                };
-                let tile = Arc::make_mut(&mut table);
-                for (id, handle) in tile.states.iter().enumerate() {
-                    pin(&mut attach, handle, tables.len(), id);
-                }
-                for node in nodes.iter().filter(|n| !n.is_null()) {
-                    let known = attach.get(&(Shared::as_ptr(node) as usize));
-                    let unknown = known.is_none_or(|known| known.table as usize != tables.len());
-                    if let Some(Ok(id)) = unknown.then(|| tile.intern((*node).clone())) {
-                        pin(&mut attach, node, tables.len(), id as usize);
-                    }
-                }
-                tables.push(table);
-                true
-            });
+        let table = eligible(expr, budget)
+            .and_then(|()| CompiledTable::install(expr, budget, sigma.clone()));
+        let Ok(mut table) = table else { return };
+        self.compiles.set(self.compiles.get() + 1);
+        let mut attach = self.attach.borrow_mut();
+        pin(&mut attach, sigma, 0);
+        if !state.is_null() && !Shared::ptr_eq(state, sigma) {
+            if let Ok(id) = table.intern(state.clone()) {
+                pin(&mut attach, state, id as usize);
+            }
         }
-        *self.tables.borrow_mut() = tables;
-        *self.attach.borrow_mut() = attach;
-        self.compiles.set(self.compiles.get() + compiles);
-        self.bailouts.set(self.bailouts.get() + bailouts);
+        *self.table.borrow_mut() = Some(Arc::new(table));
+    }
+
+    /// Fills every cell the table can, breadth-first, and pins the states
+    /// that interned.
+    fn close(&self) {
+        if let Some(table) = self.table.borrow_mut().as_mut() {
+            let table = Arc::make_mut(table);
+            let known = table.state_count();
+            table.close();
+            let mut attach = self.attach.borrow_mut();
+            for (id, handle) in table.states.iter().enumerate().skip(known) {
+                pin(&mut attach, handle, id);
+            }
+        }
     }
 
     fn stats(&self) -> TierStats {
-        let tables = self.tables.borrow();
+        let table = self.table.borrow();
         TierStats {
-            tables: tables.len(),
-            states: tables.iter().map(|t| t.state_count()).sum(),
+            tables: table.is_some() as usize,
+            states: table.as_ref().map_or(0, |t| t.state_count()),
             hits: self.hits.get(),
             fallbacks: self.fallbacks.get(),
-            fills: tables.iter().map(|t| t.filled as u64).sum(),
+            fills: table.as_ref().map_or(0, |t| t.filled as u64),
             compiles: self.compiles.get(),
-            bailouts: self.bailouts.get(),
         }
     }
-}
 
-impl TierLookup for Tier {
-    fn tier_step(&self, child: &Shared<State>, action: &Action) -> Option<Shared<State>> {
+    /// The table's successor of `base` under `action`, if `base`'s
+    /// allocation is a state of the table; `None` leaves the step to the
+    /// tree walk.
+    fn step(&self, base: &Shared<State>, action: &Action) -> Option<Shared<State>> {
         if !action.is_concrete() {
             // Tables only decide concrete symbols; abstract actions fall
             // back to the tree walk (which rejects them combinator by
@@ -243,24 +229,24 @@ impl TierLookup for Tier {
         }
         // Known by allocation identity or not at all: nothing is hashed by
         // value on this path (hashing a large state here would tax exactly
-        // the expressions that gain nothing from the tier).
+        // the states that left a full table).
         let mut attach = self.attach.borrow_mut();
-        let at = attach.get(&(Shared::as_ptr(child) as usize))?;
-        debug_assert!(Shared::ptr_eq(&at.pin, child), "a pinned allocation was reused");
-        let (table, state) = (at.table as usize, at.state);
-        let mut tables = self.tables.borrow_mut();
-        let tile = &mut tables[table];
-        let Some(sym) = tile.column(action) else {
+        let at = attach.get(&(Shared::as_ptr(base) as usize))?;
+        debug_assert!(Shared::ptr_eq(&at.pin, base), "a pinned allocation was reused");
+        let state = at.state;
+        let mut slot = self.table.borrow_mut();
+        let table = slot.as_mut()?;
+        let Some(sym) = table.column(action) else {
             // Off the closed alphabet: `Null` in every state, no cell needed.
             self.hits.set(self.hits.get() + 1);
             return Some(null_state());
         };
-        let mut next = tile.transitions[state as usize * tile.symbol_count() + sym];
+        let mut next = table.transitions[state as usize * table.symbol_count() + sym];
         if next == UNKNOWN {
             // First visit: the one τ̂ the tree walk would have run, kept.
-            let tile = Arc::make_mut(tile);
-            let known = tile.state_count();
-            match tile.fill(state, sym) {
+            let table = Arc::make_mut(table);
+            let known = table.state_count();
+            match table.fill(state, sym) {
                 Ok(id) => next = id,
                 Err(successor) => {
                     // The table is full and the successor is new: it leaves
@@ -269,12 +255,12 @@ impl TierLookup for Tier {
                     return Some(successor);
                 }
             }
-            if tile.state_count() > known {
-                pin(&mut attach, &tile.states[known], table, known);
+            if table.state_count() > known {
+                pin(&mut attach, &table.states[known], known);
             }
         }
         self.hits.set(self.hits.get() + 1);
-        Some(if next == DEAD { null_state() } else { tile.states[next as usize].clone() })
+        Some(if next == DEAD { null_state() } else { table.states[next as usize].clone() })
     }
 }
 
@@ -284,7 +270,7 @@ impl TierLookup for Tier {
 #[derive(Clone, Debug)]
 pub struct Engine {
     expr: Expr,
-    /// σ, built once: `reset` and the tier's root table reuse it.
+    /// σ, built once: `reset` and the tier's table reuse it.
     sigma: Shared<State>,
     state: Shared<State>,
     /// Successors of `state` by action, see the module docs.
@@ -313,8 +299,8 @@ impl Engine {
     /// decoded state, and the accept/reject counters.  The expression is
     /// re-validated and σ built exactly as in [`Engine::new`]; the decoded
     /// state is the current one.  The successor list starts empty and the tier
-    /// is not installed yet: a snapshot carries no tables, and the first
-    /// transition installs fresh ones around the decoded state, as it does
+    /// is not installed yet: a snapshot carries no table, and the first
+    /// transition installs a fresh one around the decoded state, as it does
     /// on a new engine.
     pub fn restore(
         expr: &Expr,
@@ -345,16 +331,14 @@ impl Engine {
     }
 
     /// The tiered transition τ̂ from an explicit base state.  Order: the
-    /// table tier (exact cell by cell, filling the cell on its first
-    /// visit), then — from the committed state only — the successor list,
-    /// then the tree walk, which itself consults the tier at every shared
-    /// child, so table-resident subtrees under a CoW spine still answer in
-    /// O(1).  Every path keeps the fused τ̂'s invariant "invalid ⇔ null",
-    /// so ψ of a successor is a null check.
+    /// table (exact cell by cell, filling the cell on its first visit),
+    /// then — from the committed state only — the successor list, then the
+    /// tree walk.  Every path keeps the fused τ̂'s invariant "invalid ⇔
+    /// null", so ψ of a successor is a null check.
     fn transition(&self, base: &Shared<State>, action: &Action) -> Shared<State> {
         let tier_on = self.tier_ready();
         if tier_on {
-            if let Some(next) = self.tier.tier_step(base, action) {
+            if let Some(next) = self.tier.step(base, action) {
                 return next;
             }
         }
@@ -365,13 +349,10 @@ impl Engine {
                 return next.clone();
             }
         }
-        let next = if tier_on {
+        if tier_on {
             self.tier.fallbacks.set(self.tier.fallbacks.get() + 1);
-            fused(base, action, &self.tier)
-        } else {
-            trans(base, action)
-        };
-        let next = match next {
+        }
+        let next = match trans(base, action) {
             State::Null => null_state(),
             other => Shared::new(other),
         };
@@ -386,18 +367,18 @@ impl Engine {
     }
 
     /// Installs the tier on first use (idempotent until the budget is next
-    /// set) and says whether there is a table to consult.  Which
-    /// subtrees are resident is read off the expression's shape, so this
-    /// costs O(|expression|) and computes no transition; a successor list
-    /// filled before the tables existed is emptied so the tier takes over.
+    /// set) and says whether there is a table to consult.  Eligibility is
+    /// read off the expression's shape, so this costs O(|expression|) and
+    /// computes no transition; a successor list filled before the table
+    /// existed is emptied so the table takes over.
     fn tier_ready(&self) -> bool {
         if !self.tier.installed.get() {
             self.tier.install(&self.expr, &self.sigma, &self.state);
-            if self.tier.has_tables() {
+            if self.tier.has_table() {
                 self.successors.borrow_mut().clear();
             }
         }
-        self.tier.has_tables()
+        self.tier.has_table()
     }
 
     /// Metrics of the current state (size, alternatives).
@@ -585,53 +566,50 @@ impl Engine {
     /// Resets the engine to the initial state of its expression.
     pub fn reset(&mut self) {
         self.state = self.sigma.clone();
+        // σ is the table's state 0 and stays pinned: the table answers the
+        // next step as it did before, cells and all.
         self.successors.get_mut().clear();
-        if self.tier.has_tables() {
-            // Installed tables stay valid (the expression is unchanged);
-            // re-attach them, cells and all, around σ.
-            self.tier.install(&self.expr, &self.sigma, &self.state);
-        }
         self.accepted = 0;
         self.rejected = 0;
     }
 
     // -- the execution tier ------------------------------------------------
 
-    /// The tier's per-table state-count budget (0 = tiering disabled).
+    /// The tier's state-count budget (0 = tiering disabled).
     pub fn tier_budget(&self) -> usize {
         self.tier.budget.get()
     }
 
-    /// Sets the tier budget, dropping any installed tables, so the next use
-    /// installs fresh ones around the current state; 0 disables tiering
+    /// Sets the tier budget, dropping any installed table, so the next use
+    /// installs a fresh one around the current state; 0 disables tiering
     /// entirely — the lockstep equivalence property tests drive a tiered and
     /// a `tier_budget = 0` engine against each other.
     pub fn set_tier_budget(&mut self, budget: usize) {
-        self.tier.tables.get_mut().clear();
+        *self.tier.table.get_mut() = None;
         self.tier.attach.get_mut().clear();
         self.tier.installed.set(false);
         self.tier.budget.set(budget);
     }
 
-    /// Makes sure the tier is installed — one table per maximal resident
-    /// subtree, σ interned, cells filling as steps visit them — and returns
-    /// its stats.  Every transition does the same on first use; this only
-    /// does it now.  Idempotent until the budget is next set.
+    /// Makes sure the tier is installed — one table over the whole
+    /// expression if it is eligible, σ as state 0, cells filling as steps
+    /// visit them; none otherwise — and returns its stats.  Every transition
+    /// does the same on first use; this only does it now.  Idempotent until
+    /// the budget is next set.
     pub fn compile_tier(&mut self) -> TierStats {
         self.tier_ready();
         self.tier.stats()
     }
 
-    /// Installs the tier and fills every cell of every table breadth-first
-    /// — the closed tables [`crate::compile()`] returns, for callers that want
+    /// Installs the tier and fills every cell of its table breadth-first —
+    /// the closed table [`crate::compile()`] returns, for callers that want
     /// the whole reachable graph up front (exhaustive checks, benches that
     /// time pure lookups).  Cells a full table cannot intern a successor
-    /// for stay unknown and keep being answered by the tree walk.
+    /// for stay unknown and keep being answered by the tree walk.  An
+    /// engine without a table is left as it is.
     pub fn close_tier(&mut self) -> TierStats {
-        if self.tier_ready() {
-            self.tier.tables.borrow_mut().iter_mut().for_each(|t| Arc::make_mut(t).close());
-            self.tier.install(&self.expr, &self.sigma, &self.state);
-        }
+        self.tier_ready();
+        self.tier.close();
         self.tier.stats()
     }
 
@@ -883,6 +861,11 @@ mod tests {
         assert!(!m2.is_null);
     }
 
+    /// The engine's table.
+    fn table_of(eng: &Engine) -> Arc<CompiledTable> {
+        eng.tier.table.borrow().clone().expect("a table")
+    }
+
     /// The 2⁸-state product of eight two-step loops — far past any budget
     /// the starved-table tests give it.
     fn mutex_product() -> Expr {
@@ -917,33 +900,21 @@ mod tests {
             assert!(eng.try_execute(&a("r1")));
         }
         let stats = eng.compile_tier();
-        assert_eq!((stats.tables, stats.hits, stats.compiles, stats.bailouts), (0, 0, 0, 0));
+        assert_eq!((stats.tables, stats.hits, stats.compiles), (0, 0, 0));
     }
 
     #[test]
     fn tiered_engine_agrees_with_plain_engine_on_a_mixed_expression() {
-        // A table-resident mutex ⊗ a quantified (never tabulated) spine: the
-        // tier serves the mutex tile while the quantifier falls back.
+        // A finite mutex ⊗ a quantified spine: the whole expression is not
+        // eligible, so the engine has no table and every step is the tree
+        // walk's.  (The partition gives the two operands engines of their
+        // own, and the mutex's has a table.)
         let e = parse("((r0 - r1) + (w0 - w1))* @ (some p { r0 - go(p) })*").unwrap();
         let mut tiered = Engine::new(&e).unwrap();
         let mut plain = Engine::new(&e).unwrap();
         plain.set_tier_budget(0);
         let stats = tiered.compile_tier();
-        assert_eq!((stats.tables, stats.states, stats.fills), (1, 1, 0), "{stats:?}");
-        assert!(stats.bailouts >= 1, "the quantified spine is not eligible: {stats:?}");
-        // The mutex tile is a proper subtree: its σ is built unchecked, and
-        // it is the σ the validating `init` builds.
-        let mutex = parse("((r0 - r1) + (w0 - w1))*").unwrap();
-        let mut subtrees = Vec::new();
-        let mut surveys = Vec::new();
-        crate::compile::survey(&e, &mut surveys);
-        for_each_resident(&e, &surveys, &[], &mut 0, &mut |sub, _| {
-            assert_eq!(initial_state(sub), init(sub).unwrap(), "σ of {sub}");
-            subtrees.push(sub.clone());
-            true
-        });
-        assert_eq!(subtrees, std::slice::from_ref(&mutex));
-        assert_eq!(*tiered.tier.tables.borrow()[0].states[0], init(&mutex).unwrap());
+        assert_eq!((stats.tables, stats.states, stats.compiles), (0, 0, 0), "{stats:?}");
         let go = |p: i64| Action::concrete("go", [Value::int(p)]);
         let script =
             [a("r0"), go(1), a("r1"), a("w0"), a("r0"), a("w1"), a("r0"), go(2), a("r1"), a("zzz")];
@@ -958,7 +929,8 @@ mod tests {
             assert_eq!(tiered.state(), plain.state(), "state after {action}");
             assert_eq!(tiered.is_final(), plain.is_final(), "ϕ after {action}");
         }
-        assert!(tiered.tier_stats().hits > 0, "the mutex tile must have served steps");
+        let stats = tiered.tier_stats();
+        assert_eq!((stats.tables, stats.hits, stats.fallbacks), (0, 0, 0), "{stats:?}");
         assert_eq!(tiered.accepted(), plain.accepted());
         assert_eq!(tiered.rejected(), plain.rejected());
     }
@@ -987,9 +959,9 @@ mod tests {
             assert_eq!((closed.states, closed.fills), (states, states as u64 * 4), "{src}");
             assert_eq!(closed.compiles, 1, "closing is not another install");
             let table = crate::compile::compile(&e, CompileBudget::with_states(64)).unwrap();
-            let mine = eng.tier.tables.borrow().clone();
-            assert_eq!(mine[0].transitions, table.transitions, "{src}: same ids, same cells");
-            assert_eq!(mine[0].states, table.states);
+            let mine = table_of(&eng);
+            assert_eq!(mine.transitions, table.transitions, "{src}: same ids, same cells");
+            assert_eq!(mine.states, table.states);
             // Closing again computes nothing, and a closed table never
             // falls back.
             assert_eq!(eng.close_tier(), closed);
@@ -1006,8 +978,7 @@ mod tests {
         // 2^8 product states against a budget of two: the table holds σ and
         // the first successor, the walk leaves it on the next new state and
         // the tree answers from there — exactly, and without growing the
-        // table.  (The root is the one resident subtree: eligibility is
-        // structural, so a small budget no longer tiles the operands.)
+        // table.
         let e = mutex_product();
         let mut starved = Engine::new(&e).unwrap();
         let mut plain = Engine::new(&e).unwrap();
@@ -1103,7 +1074,7 @@ mod tests {
         let e = parse("(s0 - s1 - s2 - s3)*").unwrap();
         let mut eng = Engine::new(&e).unwrap();
         let sigma = eng.state_handle().clone();
-        let state_zero = |eng: &Engine| eng.tier.tables.borrow()[0].states[0].clone();
+        let state_zero = |eng: &Engine| table_of(eng).states[0].clone();
         eng.compile_tier();
         assert!(Shared::ptr_eq(&state_zero(&eng), &sigma), "σ is not built a second time");
         // A reset returns to that allocation, and the table knows it: the
@@ -1126,7 +1097,7 @@ mod tests {
         let stats = eng.compile_tier();
         assert_eq!((stats.tables, stats.states, stats.fills), (1, 2, 0), "{stats:?}");
         assert!(Shared::ptr_eq(&state_zero(&eng), &sigma));
-        assert_eq!(*eng.tier.tables.borrow()[0].states[1], *in_flight);
+        assert_eq!(*table_of(&eng).states[1], *in_flight);
         eng.reset();
         assert!(Shared::ptr_eq(eng.state_handle(), &sigma));
         assert!(eng.try_execute(&a("s0")));
@@ -1139,12 +1110,9 @@ mod tests {
         let mut left = Engine::new(&e).unwrap();
         assert!(left.try_execute(&a("s0")));
         let mut right = left.clone();
-        let shared = left.tier.tables.borrow().clone();
-        assert!(
-            Arc::ptr_eq(&shared[0], &right.tier.tables.borrow()[0]),
-            "a clone shares the table"
-        );
-        let seen = shared[0].transitions.clone();
+        let shared = table_of(&left);
+        assert!(Arc::ptr_eq(&shared, &table_of(&right)), "a clone shares the table");
+        let seen = shared.transitions.clone();
         // Left walks on, right probes denials: each fills cells the other
         // never sees, and what either saw before stays what it was.
         for name in ["s1", "s2", "s3", "s0"] {
@@ -1154,7 +1122,7 @@ mod tests {
             assert!(!right.is_permitted(&a(name)));
         }
         assert!(right.try_execute(&a("s1")));
-        assert_eq!(shared[0].transitions, seen, "a held table is not written through");
+        assert_eq!(shared.transitions, seen, "a held table is not written through");
         let (l, r) = (left.tier_stats(), right.tier_stats());
         assert_eq!((l.fills, l.states), (5, 5));
         assert_eq!((r.fills, r.states), (5, 3));

@@ -296,7 +296,7 @@ impl ScopedAlphabet {
 /// bump to keep — the tentative-transition pattern of the action problem
 /// (compute the successor, commit or drop it) never copies state that did
 /// not move.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum State {
     /// The null (invalid) state: no walker position is consistent with the
     /// actions processed so far.
@@ -417,6 +417,38 @@ pub enum State {
         /// instances.
         body_init: Shared<State>,
     },
+}
+
+/// Hashes the walker positions and skips the σ templates (`right_init`,
+/// `body_init`): they are static spawning data, shared at every level of a
+/// nested expression, so hashing them walks the same subtrees again and
+/// again — 2ⁿ times at nesting depth n.  Equal states still hash equal,
+/// since `Eq` compares every field.  A quantifier's `template` is hashed:
+/// it is the state of every branch not yet instantiated, which τ̂ steps.
+impl std::hash::Hash for State {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            State::Null | State::Epsilon | State::AtomDone => {}
+            State::AtomFresh { action } => action.hash(h),
+            State::Option { at_start, body } => (at_start, body).hash(h),
+            State::Seq { left, rights, .. } => (left, rights).hash(h),
+            State::SeqIter { boundary, runs, .. } => (boundary, runs).hash(h),
+            State::Par { alts } => alts.hash(h),
+            State::ParIter { alts, .. } => alts.hash(h),
+            State::Or { left, right } | State::And { left, right } => (left, right).hash(h),
+            State::Sync { left, right, left_alpha, right_alpha } => {
+                (left, right, left_alpha, right_alpha).hash(h)
+            }
+            State::SomeQ(q) | State::AllQ(q) | State::SyncQ(q) => q.hash(h),
+            State::ParQ { param, body_accepts_epsilon, alts, .. } => {
+                (param, body_accepts_epsilon, alts).hash(h)
+            }
+            State::Mult { capacity, body_accepts_epsilon, alts, .. } => {
+                (capacity, body_accepts_epsilon, alts).hash(h)
+            }
+        }
+    }
 }
 
 /// Shared representation of the three "whole word per branch" quantifiers
@@ -875,5 +907,34 @@ mod tests {
         let set: BTreeSet<State> =
             [State::Null, State::Epsilon, State::AtomDone, State::Null].into_iter().collect();
         assert_eq!(set.len(), 3);
+    }
+
+    /// A hasher that counts the writes it receives.
+    #[derive(Default)]
+    struct Counting(u64);
+
+    impl std::hash::Hasher for Counting {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+        fn write(&mut self, _: &[u8]) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn hashing_sigma_is_linear_in_the_nesting_depth() {
+        // `(b - `×n `a` `)*`×n: each level's σ template holds the level
+        // below, which its runs hold too, so a hash that walked the
+        // templates doubled its work per level.
+        let writes = |n: usize| {
+            let src = format!("{}a{}", "(b - ".repeat(n), ")*".repeat(n));
+            let sigma = crate::init::init(&ix_core::parse(&src).unwrap()).unwrap();
+            let mut hasher = Counting::default();
+            std::hash::Hash::hash(&sigma, &mut hasher);
+            hasher.0
+        };
+        let (ten, twenty) = (writes(10), writes(20));
+        assert!(twenty <= 3 * ten, "{ten} writes at depth 10, {twenty} at depth 20");
     }
 }

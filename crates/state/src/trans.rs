@@ -10,6 +10,8 @@
 //! two-pass pipeline recomputes `is_valid` at every node, an O(n²) habit on
 //! deep states); the output satisfies the invariant **invalid ⇔ `Null`**,
 //! which in turn makes ψ a constant-time null check on the optimized path.
+//! The walk consults no cache: an engine's table answers whole states, at
+//! the expression's root, before the walk is called (`crate::engine`).
 //!
 //! The textbook two-pass pipeline — the pure τ, then ρ — lives with the
 //! workspace property tests (`tests/reference`), which check that it and
@@ -19,58 +21,22 @@ use crate::predicates::is_final;
 use crate::state::{null_state, QuantState, Shared, State};
 use ix_core::{Action, Value};
 
-/// The optimized state transition function τ̂(s, a) = ρ(τ(s, a)), computed in
-/// one fused copy-on-write pass.
-pub fn trans(state: &State, action: &Action) -> State {
-    fused(state, action, &NoTier)
-}
-
-/// A hook the fused walk consults at every shared child: a tiered engine
-/// answers table-resident subtrees from a compiled DFA tile in O(1) while
-/// the surrounding copy-on-write spine keeps handling composition.
-/// Implementations must be *value-transparent*: a `Some` answer must equal
-/// (by state value) what the fused walk itself would have computed.
-pub(crate) trait TierLookup {
-    /// Table-resident successor of `child` under `action`, if the child's
-    /// allocation is attached to a compiled tile; `None` falls back to the
-    /// tree walk.
-    fn tier_step(&self, child: &Shared<State>, action: &Action) -> Option<Shared<State>>;
-}
-
-/// The zero-cost no-tier hook: the plain `trans` path monomorphizes to
-/// exactly the pre-tier code.
-pub(crate) struct NoTier;
-
-impl TierLookup for NoTier {
-    #[inline(always)]
-    fn tier_step(&self, _child: &Shared<State>, _action: &Action) -> Option<Shared<State>> {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The fused copy-on-write τ̂.
-// ---------------------------------------------------------------------------
-
 /// Steps a shared child, wrapping the fused result.  `Null` results share
-/// the process-wide null singleton.  The tier hook is consulted first: a
-/// table-attached child is answered by array lookup without walking it.
-fn fstep<T: TierLookup>(child: &Shared<State>, action: &Action, tier: &T) -> Shared<State> {
-    if let Some(next) = tier.tier_step(child, action) {
-        return next;
-    }
-    match fused(child, action, tier) {
+/// the process-wide null singleton.
+fn fstep(child: &Shared<State>, action: &Action) -> Shared<State> {
+    match trans(child, action) {
         State::Null => null_state(),
         other => Shared::new(other),
     }
 }
 
-/// The fused ρ∘τ on a state value.  Invariants (inductively maintained, and
+/// The optimized state transition function τ̂(s, a) = ρ(τ(s, a)), computed in
+/// one fused copy-on-write pass.  Invariants (inductively maintained, and
 /// trivially true of initial states): the input's live alternatives contain
 /// no `Null` components except where ρ deliberately keeps them (`Or`/`And`
 /// children, `Seq` left operands, disjunction-quantifier branches); the
 /// output is `Null` iff it is invalid.
-pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> State {
+pub fn trans(state: &State, action: &Action) -> State {
     match state {
         State::Null => State::Null,
         // ε accepts no action at all.
@@ -84,7 +50,7 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
         }
         State::AtomDone => State::Null,
         State::Option { body, .. } => {
-            let body = fstep(body, action, tier);
+            let body = fstep(body, action);
             if body.is_null() {
                 State::Null
             } else {
@@ -92,9 +58,9 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
             }
         }
         State::Seq { left, rights, right_init } => {
-            let new_left = fstep(left, action, tier);
+            let new_left = fstep(left, action);
             let mut new_rights: Vec<Shared<State>> =
-                rights.iter().map(|r| fstep(r, action, tier)).filter(|r| !r.is_null()).collect();
+                rights.iter().map(|r| fstep(r, action)).filter(|r| !r.is_null()).collect();
             if is_final(&new_left) {
                 // Spawn a fresh right-hand run: the precomputed σ(z) is
                 // shared, not rebuilt.
@@ -112,7 +78,7 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
             let mut boundary = false;
             let mut new_runs: Vec<Shared<State>> = Vec::with_capacity(runs.len() + 1);
             for run in runs {
-                let next = fstep(run, action, tier);
+                let next = fstep(run, action);
                 if next.is_null() {
                     continue;
                 }
@@ -138,11 +104,11 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
             let mut new_alts: Vec<(Shared<State>, Shared<State>)> =
                 Vec::with_capacity(alts.len() * 2);
             for (l, r) in alts {
-                let stepped_l = fstep(l, action, tier);
+                let stepped_l = fstep(l, action);
                 if !stepped_l.is_null() && !r.is_null() {
                     new_alts.push((stepped_l, r.clone()));
                 }
-                let stepped_r = fstep(r, action, tier);
+                let stepped_r = fstep(r, action);
                 if !l.is_null() && !stepped_r.is_null() {
                     new_alts.push((l.clone(), stepped_r));
                 }
@@ -156,14 +122,14 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
             }
         }
         State::ParIter { alts, body_init } => {
-            match fused_thread_alts(alts, body_init, action, None, tier) {
+            match fused_thread_alts(alts, body_init, action, None) {
                 None => State::Null,
                 Some(new_alts) => State::ParIter { alts: new_alts, body_init: body_init.clone() },
             }
         }
         State::Or { left, right } => {
-            let left = fstep(left, action, tier);
-            let right = fstep(right, action, tier);
+            let left = fstep(left, action);
+            let right = fstep(right, action);
             if left.is_null() && right.is_null() {
                 State::Null
             } else {
@@ -171,11 +137,11 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
             }
         }
         State::And { left, right } => {
-            let left = fstep(left, action, tier);
+            let left = fstep(left, action);
             if left.is_null() {
                 return State::Null;
             }
-            let right = fstep(right, action, tier);
+            let right = fstep(right, action);
             if right.is_null() {
                 return State::Null;
             }
@@ -191,11 +157,11 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
             }
             // The operand the action bypasses is shared untouched — the
             // copy-on-write payoff for coupled ensembles.
-            let new_left = if in_left { fstep(left, action, tier) } else { left.clone() };
+            let new_left = if in_left { fstep(left, action) } else { left.clone() };
             if new_left.is_null() {
                 return State::Null;
             }
-            let new_right = if in_right { fstep(right, action, tier) } else { right.clone() };
+            let new_right = if in_right { fstep(right, action) } else { right.clone() };
             if new_right.is_null() {
                 return State::Null;
             }
@@ -207,7 +173,7 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
             }
         }
         State::SomeQ(q) => {
-            let (template, branches) = fused_broadcast_quant(q, action, tier);
+            let (template, branches) = fused_broadcast_quant(q, action);
             // ρ keeps dead branches of a disjunction quantifier (as Null):
             // removing them could let a later re-instantiation from the
             // still-valid template resurrect a branch that is already dead.
@@ -223,7 +189,7 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
             }
         }
         State::AllQ(q) => {
-            let (template, branches) = fused_broadcast_quant(q, action, tier);
+            let (template, branches) = fused_broadcast_quant(q, action);
             if template.is_null() || branches.values().any(|b| b.is_null()) {
                 State::Null
             } else {
@@ -235,7 +201,7 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
                 })
             }
         }
-        State::SyncQ(q) => fused_sync_quant(q, action, tier),
+        State::SyncQ(q) => fused_sync_quant(q, action),
         State::ParQ { param, body_accepts_epsilon, alts, body_init } => {
             let values = action.values();
             if values.is_empty() {
@@ -251,7 +217,7 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
                 .iter()
                 .map(|v| {
                     let fresh = body_init.substitute(*param, *v);
-                    let stepped = match fused(&fresh, action, tier) {
+                    let stepped = match trans(&fresh, action) {
                         State::Null => null_state(),
                         other => Shared::new(other),
                     };
@@ -265,7 +231,7 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
                 }
                 for (v, fresh) in &fresh_branches {
                     let branch_state = match branches.get(v) {
-                        Some(existing) => fstep(existing, action, tier),
+                        Some(existing) => fstep(existing, action),
                         None => fresh.clone(),
                     };
                     if branch_state.is_null() {
@@ -290,7 +256,7 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
             }
         }
         State::Mult { capacity, body_accepts_epsilon, alts, body_init } => {
-            match fused_thread_alts(alts, body_init, action, Some(*capacity), tier) {
+            match fused_thread_alts(alts, body_init, action, Some(*capacity)) {
                 None => State::Null,
                 Some(new_alts) => State::Mult {
                     capacity: *capacity,
@@ -309,24 +275,23 @@ pub(crate) fn fused<T: TierLookup>(state: &State, action: &Action, tier: &T) -> 
 /// capacity permitting, "a new instance is started with this action".
 /// Variants with an invalid component are pruned before they are ever
 /// sorted; `None` means no alternative survived (the state is invalid).
-fn fused_thread_alts<T: TierLookup>(
+fn fused_thread_alts(
     alts: &[Vec<Shared<State>>],
     body_init: &Shared<State>,
     action: &Action,
     capacity: Option<u32>,
-    tier: &T,
 ) -> Option<Vec<Vec<Shared<State>>>> {
     let mut new_alts = Vec::new();
     // The freshly started instance is the same for every alternative —
     // compute it once per transition, not once per alternative.
-    let started = fstep(body_init, action, tier);
+    let started = fstep(body_init, action);
     let started = (!started.is_null()).then_some(started);
     for threads in alts {
         if threads.iter().any(|t| t.is_null()) {
             continue;
         }
         for (i, thread) in threads.iter().enumerate() {
-            let stepped = fstep(thread, action, tier);
+            let stepped = fstep(thread, action);
             if stepped.is_null() {
                 continue;
             }
@@ -363,17 +328,16 @@ fn fused_thread_alts<T: TierLookup>(
 /// are instantiated from the template *before* the transition (the
 /// template's state is exactly the state such a branch would have reached,
 /// because the branch's value has not occurred so far).
-fn fused_broadcast_quant<T: TierLookup>(
+fn fused_broadcast_quant(
     q: &QuantState,
     action: &Action,
-    tier: &T,
 ) -> (Shared<State>, std::collections::BTreeMap<Value, Shared<State>>) {
     let mut branches = q.branches.clone();
     for v in new_values(q, action) {
         branches.insert(v, Shared::new(q.template.substitute(q.param, v)));
     }
-    let branches = branches.iter().map(|(v, s)| (*v, fstep(s, action, tier))).collect();
-    (fstep(&q.template, action, tier), branches)
+    let branches = branches.iter().map(|(v, s)| (*v, fstep(s, action))).collect();
+    (fstep(&q.template, action), branches)
 }
 
 /// Fused transition of the synchronization quantifier: like the broadcast
@@ -381,7 +345,7 @@ fn fused_broadcast_quant<T: TierLookup>(
 /// (instantiated) alphabet; all other actions pass it by *shared*, not
 /// copied.  Actions covered by no instantiation at all are outside the
 /// quantifier's language.
-fn fused_sync_quant<T: TierLookup>(q: &QuantState, action: &Action, tier: &T) -> State {
+fn fused_sync_quant(q: &QuantState, action: &Action) -> State {
     let in_template = q.scope.covers(action);
     let covered_somewhere =
         in_template || action.values().iter().any(|v| q.scope.covers_with(action, q.param, *v));
@@ -394,11 +358,8 @@ fn fused_sync_quant<T: TierLookup>(q: &QuantState, action: &Action, tier: &T) ->
     }
     let mut new_branches = std::collections::BTreeMap::new();
     for (v, s) in &branches {
-        let next = if q.scope.covers_with(action, q.param, *v) {
-            fstep(s, action, tier)
-        } else {
-            s.clone()
-        };
+        let next =
+            if q.scope.covers_with(action, q.param, *v) { fstep(s, action) } else { s.clone() };
         if next.is_null() {
             // The synchronization quantifier is conjunctive: one dead branch
             // kills the whole state.
@@ -406,7 +367,7 @@ fn fused_sync_quant<T: TierLookup>(q: &QuantState, action: &Action, tier: &T) ->
         }
         new_branches.insert(*v, next);
     }
-    let template = if in_template { fstep(&q.template, action, tier) } else { q.template.clone() };
+    let template = if in_template { fstep(&q.template, action) } else { q.template.clone() };
     if template.is_null() {
         return State::Null;
     }

@@ -135,6 +135,10 @@ const RULES: &[Rule] = &[
         check: Banned("crossbeam|pushback"),
         witness: ("crates/manager/src/runtime/session.rs", "use crossbeam::channel::Receiver;"),
         reason: "A shard's tasks live in its slot, under the slot's one lock; every other channel is std's mpsc." },
+    Rule { name: "One table per engine", pr: 46, paths: WITH_BENCH, scope: Whole,
+        check: Banned("for_each_resident|operand_runs|TierLookup|NoTier|fn survey(|.bailouts"),
+        witness: ("crates/state/src/trans.rs", "pub(crate) trait TierLookup {"),
+        reason: "An engine tabulates its whole expression or nothing; the fused walk consults no tier." },
     Rule { name: "One benchmark harness", pr: 27, paths: &["crates", "src", "tests", "examples", "Cargo.toml"],
         scope: Whole, check: Banned("ix-bench|ix_bench|BENCH_|criterion *=|criterion *::|criterion *.workspace"),
         witness: ("Cargo.toml", "criterion  = \"0.5\""), reason: "ixbench (benchmark/) is the only benchmark." },

@@ -467,10 +467,12 @@ fn assert_memo_equivalence(
 /// answers, states and counters — the correctness contract of the
 /// execution tier.  The tiered side is every way a table comes to hold its
 /// cells: filled by the walk itself (installed at σ, then dropped by
-/// `set_tier_budget` and re-installed mid-word, so the state in flight
-/// re-attaches to fresh tables), closed up front by `close_tier()`, starved (two states per
-/// table: the walk leaves the table almost at once and the tree answers),
-/// and a clone taken mid-word that fills its copy of the tables it shared.
+/// `set_tier_budget` and re-installed mid-word, so the state in flight is
+/// interned into a fresh table), closed up front by `close_tier()`, starved
+/// (two states: the walk leaves the table almost at once and the tree
+/// answers), and a clone taken mid-word that fills its copy of the table it
+/// shared.  An expression that is not eligible gets no table, and every
+/// side is the tree walk.
 fn assert_tier_equivalence(
     x: &Expr,
     word: &[ix_core::Action],
@@ -534,8 +536,7 @@ fn assert_tier_equivalence(
         if *how == "starved" {
             prop_assert!(stats.states <= 2 * stats.tables, "a table grew past its budget");
         }
-        let whole = stats.tables == 1 && stats.bailouts == 0;
-        if *how == "closed" && whole && stats.states < ix_state::DEFAULT_TIER_BUDGET {
+        if *how == "closed" && stats.tables == 1 && stats.states < ix_state::DEFAULT_TIER_BUDGET {
             prop_assert_eq!(stats.fallbacks, 0, "a closed root table fell back on `{}`", x);
         }
     }
@@ -558,27 +559,6 @@ fn arb_action() -> impl Strategy<Value = ix_core::Action> {
     (0usize..4, proptest::collection::vec(term, 0..9)).prop_map(|(name, args)| {
         ix_core::Action::new(["call", "perform", "audit", "e"][name], args)
     })
-}
-
-/// Strategy mixing quantified spines (which the compiler bails on) with
-/// quantifier-free operands (which become tiles): the tier serves part of
-/// the expression while the tree walk handles the rest.
-fn mixed_quantified_expr() -> impl Strategy<Value = Expr> {
-    let quant = prop_oneof![
-        Just(parse("(some x { e(x) })*").unwrap()),
-        Just(parse("all x { e(x)* }").unwrap()),
-        Just(parse("(some x { e(x) - a })*").unwrap()),
-    ];
-    let joiner = prop_oneof![Just(true), Just(false)];
-    (small_expr(), quant, joiner).prop_map(
-        |(x, q, sync)| {
-            if sync {
-                Expr::sync(x, q)
-            } else {
-                Expr::par(x, q)
-            }
-        },
-    )
 }
 
 const BOUND: usize = 3;
@@ -629,14 +609,6 @@ proptest! {
     #[test]
     fn tiered_engine_matches_pure_cow_engine_on_overlapping_expressions(
         x in overlapping_expr(),
-        word in word_strategy(),
-    ) {
-        assert_tier_equivalence(&x, &word)?;
-    }
-
-    #[test]
-    fn tiered_engine_matches_pure_cow_engine_on_quantified_expressions(
-        x in mixed_quantified_expr(),
         word in word_strategy(),
     ) {
         assert_tier_equivalence(&x, &word)?;
