@@ -15,7 +15,7 @@
 //!
 //! Nodes are emitted in post-order, so every child index refers backwards;
 //! the decoder builds the table in one forward pass.  [`ScopedAlphabet`]s
-//! (shared between `Sync` states and quantifier scopes) get their own
+//! (the routing scopes of `Sync` and `SyncQ` states) get their own
 //! deduplicated table.  The table holds *multiple roots* in one pool, so
 //! sharing between them survives serialization too; a shard snapshot
 //! writes one, the engine's current state.
@@ -114,11 +114,15 @@ mod tag {
     pub const OR: u8 = 9;
     pub const AND: u8 = 10;
     pub const SYNC: u8 = 11;
-    pub const SOME_Q: u8 = 12;
-    pub const ALL_Q: u8 = 13;
+    /// `some` and `each` as written while they carried a scope id: read
+    /// (the id checked against the scope table and dropped), never written.
+    pub const SOME_Q_SCOPED: u8 = 12;
+    pub const ALL_Q_SCOPED: u8 = 13;
     pub const SYNC_Q: u8 = 14;
     pub const PAR_Q: u8 = 15;
     pub const MULT: u8 = 16;
+    pub const SOME_Q: u8 = 17;
+    pub const ALL_Q: u8 = 18;
 }
 
 /// Builds the pointer-deduplicated state table of one or more state roots.
@@ -163,18 +167,12 @@ impl StateTableBuilder {
         id
     }
 
-    fn quant(&mut self, q: &QuantState) -> (u32, Vec<(Value, u32)>, u32) {
-        let template = self.node_id(&q.template);
-        let branches: Vec<(Value, u32)> =
-            q.branches.iter().map(|(v, s)| (*v, self.node_id(s))).collect();
-        let scope = self.scope_id(&q.scope);
-        (template, branches, scope)
-    }
-
     /// Encodes a quantifier state's children (post-order: their records land
     /// *before* the parent's tag byte) and then writes the parent's fields.
     fn write_quant(&mut self, node_tag: u8, q: &QuantState) {
-        let (template, branches, scope) = self.quant(q);
+        let template = self.node_id(&q.template);
+        let branches: Vec<(Value, u32)> =
+            q.branches.iter().map(|(v, s)| (*v, self.node_id(s))).collect();
         let w = &mut self.nodes;
         w.u8(node_tag);
         w.str(&q.param.name().as_str());
@@ -183,7 +181,6 @@ impl StateTableBuilder {
             encode_value(w, &v);
             w.u32(id);
         });
-        w.u32(scope);
     }
 
     /// Encodes a node (children first — post-order) and returns its id.
@@ -265,7 +262,11 @@ impl StateTableBuilder {
             }
             State::SomeQ(q) => self.write_quant(tag::SOME_Q, q),
             State::AllQ(q) => self.write_quant(tag::ALL_Q, q),
-            State::SyncQ(q) => self.write_quant(tag::SYNC_Q, q),
+            State::SyncQ { quant, scope } => {
+                self.write_quant(tag::SYNC_Q, quant);
+                let scope = self.scope_id(scope);
+                self.nodes.u32(scope);
+            }
             State::ParQ { param, body_accepts_epsilon, alts, body_init } => {
                 let alts: Vec<Vec<(Value, u32)>> = alts
                     .iter()
@@ -369,11 +370,7 @@ impl StateTableReader {
         scopes.get(id as usize).cloned().ok_or(CodecError::BadReference { index: id as u64 })
     }
 
-    fn read_quant(
-        &self,
-        r: &mut Reader,
-        scopes: &[Shared<ScopedAlphabet>],
-    ) -> Result<QuantState, CodecError> {
+    fn read_quant(&self, r: &mut Reader) -> Result<QuantState, CodecError> {
         let param = Param::new(&r.str()?);
         let template = self.child(r.u32()?)?;
         let len = r.len_prefix()?;
@@ -382,8 +379,7 @@ impl StateTableReader {
             let v = decode_value(r)?;
             branches.insert(v, self.child(r.u32()?)?);
         }
-        let scope = Self::scope(scopes, r.u32()?)?;
-        Ok(QuantState { param, template, branches, scope })
+        Ok(QuantState { param, template, branches })
     }
 
     fn read_nested(&self, r: &mut Reader) -> Result<Vec<Vec<Shared<State>>>, CodecError> {
@@ -434,9 +430,21 @@ impl StateTableReader {
                 let right_alpha = Self::scope(scopes, r.u32()?)?;
                 State::Sync { left, right, left_alpha, right_alpha }
             }
-            tag::SOME_Q => State::SomeQ(self.read_quant(r, scopes)?),
-            tag::ALL_Q => State::AllQ(self.read_quant(r, scopes)?),
-            tag::SYNC_Q => State::SyncQ(self.read_quant(r, scopes)?),
+            tag::SOME_Q => State::SomeQ(self.read_quant(r)?),
+            tag::ALL_Q => State::AllQ(self.read_quant(r)?),
+            scoped @ (tag::SOME_Q_SCOPED | tag::ALL_Q_SCOPED) => {
+                let q = self.read_quant(r)?;
+                Self::scope(scopes, r.u32()?)?;
+                if scoped == tag::SOME_Q_SCOPED {
+                    State::SomeQ(q)
+                } else {
+                    State::AllQ(q)
+                }
+            }
+            tag::SYNC_Q => {
+                let quant = self.read_quant(r)?;
+                State::SyncQ { quant, scope: Self::scope(scopes, r.u32()?)? }
+            }
             tag::PAR_Q => {
                 let param = Param::new(&r.str()?);
                 let body_accepts_epsilon = r.bool()?;
@@ -599,6 +607,39 @@ mod tests {
         let mut r = Reader::new(&bytes);
         let table = StateTableReader::read(&mut r).unwrap();
         assert!(Shared::ptr_eq(&table.node(r1).unwrap(), &table.node(r2).unwrap()));
+    }
+
+    #[test]
+    fn a_scoped_some_or_each_node_decodes_and_drops_its_checked_scope() {
+        // A table of `scopes` empty scopes and two nodes: ε, then a `some`
+        // or `each` node in the layout that carried a scope id, over ε.
+        let decode = |scopes: usize, node_tag: u8| {
+            let mut w = Writer::new();
+            w.len_prefix(scopes);
+            for _ in 0..scopes {
+                w.len_prefix(0); // no actions
+                w.len_prefix(0); // no blocked parameters
+            }
+            w.len_prefix(2);
+            w.u8(tag::EPSILON);
+            w.u8(node_tag);
+            w.str("p");
+            w.u32(0); // the template
+            w.len_prefix(0); // no branches
+            w.u32(0); // the scope id
+            let bytes = w.into_bytes();
+            StateTableReader::read(&mut Reader::new(&bytes))?.node(1)
+        };
+        let quant = QuantState {
+            param: Param::new("p"),
+            template: Shared::new(State::Epsilon),
+            branches: BTreeMap::new(),
+        };
+        assert_eq!(*decode(1, tag::SOME_Q_SCOPED).unwrap(), State::SomeQ(quant.clone()));
+        assert_eq!(*decode(1, tag::ALL_Q_SCOPED).unwrap(), State::AllQ(quant));
+        for node_tag in [tag::SOME_Q_SCOPED, tag::ALL_Q_SCOPED] {
+            assert_eq!(decode(0, node_tag), Err(CodecError::BadReference { index: 0 }));
+        }
     }
 
     #[test]

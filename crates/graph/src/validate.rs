@@ -93,9 +93,6 @@ pub fn validate_expr(
     let alphabet = Universe::observed(expr, &[])
         .with_fresh(budget.sample_values)
         .ground_alphabet(&expr.alphabet());
-    // States embed interior-mutable coverage memos that are excluded from
-    // their Eq/Ord/Hash, so they are sound set keys.
-    #[allow(clippy::mutable_key_type)]
     let mut seen: BTreeSet<State> = BTreeSet::new();
     let mut frontier: Vec<State> = vec![initial.clone()];
     seen.insert(initial);

@@ -83,7 +83,7 @@ mod tests {
     use super::*;
     use crate::log::ShardLog;
     use crate::{ManagerStats, Reservation};
-    use ix_core::{parse, Action};
+    use ix_core::{parse, Action, Value};
     use ix_durable::{encode_action, history_stream, Reader, Vault, Writer};
     use ix_state::Engine;
     use std::cell::Cell;
@@ -213,6 +213,84 @@ mod tests {
         let permitted: Vec<&Action> = steps.iter().filter(|a| engine.is_permitted(a)).collect();
         assert_eq!(permitted, [&act("ward_close")]);
         assert!(steps.iter().all(|a| engine.try_execute(a)), "the round closes and reopens");
+    }
+
+    /// Shard snapshots written while every `some` and `each` state carried
+    /// a scoped alphabet, under node tags 12 and 13 with a scope id
+    /// (`tests/fixtures/scoped_quantifier_snapshots`): the two Fig. 7
+    /// shards of the golden runtime, whose re-encoding
+    /// `tests/fixtures/golden_blobs` holds, and the one shard of an
+    /// expression that nests `some` and `each` in `sync`, cut with branches
+    /// of all three instantiated.  Each decodes to the state this code
+    /// reaches on the same run, and an engine restored from it goes on.
+    #[test]
+    fn snapshots_with_quantifier_scopes_decode_to_their_states() {
+        let fixture = |name: &str| {
+            let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
+            std::fs::read(format!("{dir}/{name}")).unwrap()
+        };
+        let exam = |name: &str, p, x| Action::concrete(name, [Value::int(p), Value::sym(x)]);
+        let topology = decode_topology(&fixture("golden_blobs/topology")).unwrap();
+        for shard in 0..2 {
+            let old = fixture(&format!("scoped_quantifier_snapshots/golden-snap-{shard}"));
+            let old = decode_shard_checkpoint(shard, &old).expect("decode");
+            let new =
+                decode_shard_checkpoint(shard, &fixture(&format!("golden_blobs/snap-{shard}")));
+            assert_eq!(old.state, new.expect("decode").state, "shard {shard}");
+            let expr = parse(&topology.components[shard].0).unwrap();
+            let mut engine = Engine::restore(&expr, old.state, old.accepted, old.rejected).unwrap();
+            // Patient 2 is being called at endo; patient 1 was called at sono.
+            assert!(!engine.is_permitted(&exam("perform_examination_start", 2, "endo")));
+            for (name, p, x) in [
+                ("call_patient_end", 2, "endo"),
+                ("perform_examination_start", 1, "sono"),
+                ("perform_examination_end", 1, "sono"),
+                ("perform_examination_start", 2, "endo"),
+            ] {
+                assert!(engine.try_execute(&exam(name, p, x)), "shard {shard}: {name}({p}, {x})");
+            }
+        }
+
+        let expr = parse(
+            "sync p { (call(p) - some r { serve(p, r) - each k { (some j { log(p, j) })* } } \
+             - done(p))* }",
+        )
+        .unwrap();
+        let act =
+            |name: &str, args: &[i64]| Action::concrete(name, args.iter().map(|&v| Value::int(v)));
+        let old = decode_shard_checkpoint(0, &fixture("scoped_quantifier_snapshots/nested-snap-0"));
+        let old = old.expect("decode");
+        let mut live = Engine::new(&expr).unwrap();
+        // The run the fixture was cut after; `done(3)` was denied.
+        let run = [
+            ("call", &[1][..]),
+            ("serve", &[1, 4]),
+            ("log", &[1, 7]),
+            ("done", &[3]),
+            ("call", &[2]),
+            ("serve", &[2, 5]),
+        ];
+        for (name, args) in run {
+            let action = act(name, args);
+            assert_eq!(live.try_execute(&action), name != "done", "{action}");
+        }
+        // The runtime denies through `is_permitted`, which counts nothing.
+        assert_eq!((old.accepted, old.rejected), (live.accepted(), live.rejected() - 1));
+        assert_eq!(old.state, *live.state_handle());
+        let mut restored = Engine::restore(&expr, old.state, old.accepted, old.rejected).unwrap();
+        assert!(!restored.is_permitted(&act("done", &[3])));
+        let tail = [
+            ("log", &[1, 8][..]),
+            ("done", &[1]),
+            ("log", &[2, 9]),
+            ("done", &[2]),
+            ("call", &[1]),
+        ];
+        for (name, args) in tail {
+            let action = act(name, args);
+            assert!(restored.try_execute(&action) && live.try_execute(&action), "{action}");
+        }
+        assert_eq!(restored.state_handle(), live.state_handle());
     }
 
     /// A history record as [`archive`] writes it, entry `i` keyed

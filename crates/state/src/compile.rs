@@ -144,9 +144,6 @@ pub struct CompiledTable {
     /// Interned canonical state handles; index = state id, id 0 = σ.
     pub(crate) states: Vec<Shared<State>>,
     /// Value → state id; σ is entered at the first lookup, not at install.
-    // The interior-mutable coverage cache of `ScopedAlphabet` is excluded
-    // from `Eq`/`Ord`/`Hash`, so state values are well-behaved map keys.
-    #[allow(clippy::mutable_key_type)]
     index: HashMap<Shared<State>, u32>,
     /// Dense `states.len() × symbols.len()` successor array.
     pub(crate) transitions: Vec<u32>,

@@ -8,7 +8,8 @@
 //! σ is computed **once**: every spawning point of the expression — the
 //! right operand of a sequence, iteration and multiplier bodies, quantifier
 //! templates — stores its precomputed initial state (and, for ⊗ and the
-//! quantifiers, its precomputed scoped alphabet) inside the state itself.
+//! synchronization quantifier, its precomputed scoped alphabet) inside the
+//! state itself.
 //! The transition function spawns fresh sub-runs by sharing these templates
 //! instead of re-deriving them from expressions, so alphabets and initial
 //! states are never recomputed on the τ hot path.
@@ -151,7 +152,9 @@ pub fn initial_state(expr: &Expr) -> State {
         },
         ExprKind::SomeQ(p, y) => State::SomeQ(quant_state(*p, y)),
         ExprKind::AllQ(p, y) => State::AllQ(quant_state(*p, y)),
-        ExprKind::SyncQ(p, y) => State::SyncQ(quant_state(*p, y)),
+        ExprKind::SyncQ(p, y) => {
+            State::SyncQ { quant: quant_state(*p, y), scope: Shared::new(ScopedAlphabet::of(y)) }
+        }
         ExprKind::ParQ(p, y) => {
             let body_init = initial_state(y);
             State::ParQ {
@@ -174,12 +177,7 @@ pub fn initial_state(expr: &Expr) -> State {
 }
 
 fn quant_state(param: Param, body: &Expr) -> QuantState {
-    QuantState {
-        param,
-        template: Shared::new(initial_state(body)),
-        branches: BTreeMap::new(),
-        scope: Shared::new(ScopedAlphabet::of(body)),
-    }
+    QuantState { param, template: Shared::new(initial_state(body)), branches: BTreeMap::new() }
 }
 
 #[cfg(test)]

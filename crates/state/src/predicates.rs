@@ -35,7 +35,7 @@ pub fn is_valid(state: &State) -> bool {
         State::And { left, right } => is_valid(left) && is_valid(right),
         State::Sync { left, right, .. } => is_valid(left) && is_valid(right),
         State::SomeQ(q) => is_valid(&q.template) || q.branches.values().any(|s| is_valid(s)),
-        State::AllQ(q) | State::SyncQ(q) => {
+        State::AllQ(q) | State::SyncQ { quant: q, .. } => {
             is_valid(&q.template) && q.branches.values().all(|s| is_valid(s))
         }
         State::ParQ { alts, .. } => {
@@ -63,7 +63,7 @@ pub fn is_final(state: &State) -> bool {
         State::And { left, right } => is_final(left) && is_final(right),
         State::Sync { left, right, .. } => is_final(left) && is_final(right),
         State::SomeQ(q) => is_final(&q.template) || q.branches.values().any(|s| is_final(s)),
-        State::AllQ(q) | State::SyncQ(q) => {
+        State::AllQ(q) | State::SyncQ { quant: q, .. } => {
             is_final(&q.template) && q.branches.values().all(|s| is_final(s))
         }
         State::ParQ { body_accepts_epsilon, alts, .. } => {

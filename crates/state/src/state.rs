@@ -30,10 +30,10 @@
 //! the state value.
 
 use ix_core::{Action, Alphabet, Param, Term, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// A shared, immutable handle on a value with pointer-shortcut comparisons.
 ///
@@ -132,87 +132,33 @@ pub fn null_state() -> Shared<State> {
     NULL.get_or_init(|| Shared::new(State::Null)).clone()
 }
 
-/// Size bound of a [`ScopedAlphabet`]'s coverage memo; reaching it clears
-/// the memo (coverage working sets are tiny — the bound only guards against
-/// adversarial churn).
-const COVERAGE_CACHE_LIMIT: usize = 256;
-
-/// Alphabets below this size answer coverage queries faster by matching the
-/// symbol-indexed candidates directly than through the memo.
-const COVERAGE_CACHE_MIN_ALPHABET: usize = 4;
-
-/// Coverage memo key: the probed concrete action, plus the substituted
-/// parameter binding for branch coverage ([`ScopedAlphabet::covers_with`]).
-type CoverageKey = (Action, Option<(Param, Value)>);
-
 /// An alphabet together with the set of parameters that are bound by
 /// quantifiers *outside* the expression the alphabet belongs to.
 ///
-/// The synchronization operator and quantifier route an action to an operand
-/// only if the operand's alphabet covers it.  Parameters bound by quantifiers
-/// *inside* the operand act as wildcards (the operand's own quantifier will
-/// dispatch on the value), whereas parameters bound *outside* stand for a
+/// Only the synchronization operator ⊗ and the synchronization quantifier
+/// route an action by alphabet: they hand it to an operand only if the
+/// operand's alphabet covers it.  Parameters bound by quantifiers *inside*
+/// the operand act as wildcards (the operand's own quantifier will dispatch
+/// on the value), whereas parameters bound *outside* stand for a
 /// specific-but-not-yet-observed value ("fresh") and therefore never match a
 /// concrete action; they become concrete when the enclosing quantifier
 /// instantiates the state by substitution.
 ///
 /// Coverage queries are *symbol-indexed*: the alphabet's sorted slice orders
 /// abstract actions by name first, so the candidates for a concrete action
-/// are a contiguous range instead of a full scan, and composite states
-/// sharing this scope (behind one [`Shared`] handle) additionally memoize
-/// per-action verdicts for repeated probes of the same action.
-#[derive(Debug)]
+/// are a contiguous range instead of a full scan.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ScopedAlphabet {
     /// The abstract actions of the operand.
     pub alphabet: Alphabet,
     /// Parameters treated as "fresh, never matching" (bound outside).
     pub blocked: BTreeSet<Param>,
-    /// Memoized coverage verdicts, keyed by the concrete action and (for
-    /// branch coverage) the substituted parameter binding.  Interior
-    /// mutability keeps the scope logically immutable; the memo is excluded
-    /// from equality, ordering and hashing (every verdict is a pure function
-    /// of the alphabet and the key, so states containing a scope still
-    /// compare, hash and sort like plain values).
-    cache: Mutex<HashMap<CoverageKey, bool>>,
-}
-
-impl Clone for ScopedAlphabet {
-    fn clone(&self) -> ScopedAlphabet {
-        ScopedAlphabet::new(self.alphabet.clone(), self.blocked.clone())
-    }
-}
-
-impl PartialEq for ScopedAlphabet {
-    fn eq(&self, other: &ScopedAlphabet) -> bool {
-        self.alphabet == other.alphabet && self.blocked == other.blocked
-    }
-}
-
-impl Eq for ScopedAlphabet {}
-
-impl PartialOrd for ScopedAlphabet {
-    fn partial_cmp(&self, other: &ScopedAlphabet) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ScopedAlphabet {
-    fn cmp(&self, other: &ScopedAlphabet) -> std::cmp::Ordering {
-        (&self.alphabet, &self.blocked).cmp(&(&other.alphabet, &other.blocked))
-    }
-}
-
-impl std::hash::Hash for ScopedAlphabet {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.alphabet.hash(state);
-        self.blocked.hash(state);
-    }
 }
 
 impl ScopedAlphabet {
     /// Builds a scoped alphabet from its parts.
     pub fn new(alphabet: Alphabet, blocked: BTreeSet<Param>) -> ScopedAlphabet {
-        ScopedAlphabet { alphabet, blocked, cache: Mutex::new(HashMap::new()) }
+        ScopedAlphabet { alphabet, blocked }
     }
 
     /// Builds the scoped alphabet of an operand expression: its alphabet plus
@@ -237,43 +183,21 @@ impl ScopedAlphabet {
         })
     }
 
-    /// The verdict of `compute` for `probe`, through the memo when the
-    /// alphabet is large enough to use one — and only then is the key built.
-    fn cached(&self, probe: (&Action, Option<(Param, Value)>), compute: impl Fn() -> bool) -> bool {
-        if self.alphabet.len() < COVERAGE_CACHE_MIN_ALPHABET {
-            return compute();
-        }
-        let key: CoverageKey = (probe.0.clone(), probe.1);
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(&hit) = cache.get(&key) {
-            return hit;
-        }
-        let verdict = compute();
-        if cache.len() >= COVERAGE_CACHE_LIMIT {
-            cache.clear();
-        }
-        cache.insert(key, verdict);
-        verdict
-    }
-
     /// True if the concrete action is covered by the alphabet, treating
     /// blocked parameters as never matching and all other parameters as
     /// wildcards.
     pub fn covers(&self, concrete: &Action) -> bool {
-        self.cached((concrete, None), || {
-            self.candidates(concrete)
-                .any(|a| !self.mentions_blocked(a, None) && a.matches_concrete(concrete))
-        })
+        self.candidates(concrete)
+            .any(|a| !self.mentions_blocked(a, None) && a.matches_concrete(concrete))
     }
 
-    /// Coverage for a specific instantiation of a parameter (used for
-    /// quantifier branches): the parameter is substituted before matching.
+    /// Coverage for a specific instantiation of a parameter (used for the
+    /// synchronization quantifier's branches): the parameter is substituted
+    /// before matching.
     pub fn covers_with(&self, concrete: &Action, param: Param, value: Value) -> bool {
-        self.cached((concrete, Some((param, value))), || {
-            self.candidates(concrete).any(|a| {
-                !self.mentions_blocked(a, Some(param))
-                    && a.substitute(param, value).matches_concrete(concrete)
-            })
+        self.candidates(concrete).any(|a| {
+            !self.mentions_blocked(a, Some(param))
+                && a.substitute(param, value).matches_concrete(concrete)
         })
     }
 
@@ -386,7 +310,16 @@ pub enum State {
     /// State of a conjunction quantifier (for every p).
     AllQ(QuantState),
     /// State of a synchronization quantifier.
-    SyncQ(QuantState),
+    SyncQ {
+        /// The template and the instantiated branches.
+        quant: QuantState,
+        /// Scoped alphabet of the body, which routes actions to branches.
+        /// The blocked set contains every parameter free in the body (the
+        /// quantifier's own parameter included): branch coverage substitutes
+        /// the quantifier parameter before matching, template coverage leaves
+        /// it blocked.
+        scope: Shared<ScopedAlphabet>,
+    },
     /// State of a parallel quantifier (for all p, concurrently).
     ParQ {
         /// The quantified parameter.
@@ -440,7 +373,8 @@ impl std::hash::Hash for State {
             State::Sync { left, right, left_alpha, right_alpha } => {
                 (left, right, left_alpha, right_alpha).hash(h)
             }
-            State::SomeQ(q) | State::AllQ(q) | State::SyncQ(q) => q.hash(h),
+            State::SomeQ(q) | State::AllQ(q) => q.hash(h),
+            State::SyncQ { quant, scope } => (quant, scope).hash(h),
             State::ParQ { param, body_accepts_epsilon, alts, .. } => {
                 (param, body_accepts_epsilon, alts).hash(h)
             }
@@ -454,7 +388,10 @@ impl std::hash::Hash for State {
 /// Shared representation of the three "whole word per branch" quantifiers
 /// (disjunction, conjunction, synchronization): a *template* state standing
 /// for every value that has not occurred yet, plus one instantiated branch
-/// per observed value.
+/// per observed value.  It holds no alphabet: the disjunction and
+/// conjunction quantifiers hand every action to every branch, and the
+/// synchronization quantifier keeps its routing scope beside it
+/// ([`State::SyncQ`]).
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct QuantState {
     /// The quantified parameter.
@@ -466,12 +403,6 @@ pub struct QuantState {
     pub template: Shared<State>,
     /// Branch states for values that have occurred, keyed by value.
     pub branches: BTreeMap<Value, Shared<State>>,
-    /// Scoped alphabet of the body, used by the synchronization quantifier to
-    /// route actions.  The blocked set contains every parameter free in the
-    /// body (including the quantifier's own parameter); branch coverage
-    /// substitutes the quantifier parameter before matching, template
-    /// coverage leaves it blocked.
-    pub scope: Shared<ScopedAlphabet>,
 }
 
 impl State {
@@ -505,7 +436,7 @@ impl State {
                 1 + left.size() + right.size()
             }
             State::Sync { left, right, .. } => 1 + left.size() + right.size(),
-            State::SomeQ(q) | State::AllQ(q) | State::SyncQ(q) => {
+            State::SomeQ(q) | State::AllQ(q) | State::SyncQ { quant: q, .. } => {
                 1 + q.template.size() + q.branches.values().map(|s| s.size()).sum::<usize>()
             }
             State::ParQ { alts, .. } => {
@@ -550,7 +481,7 @@ impl State {
                 left.alternative_count() + right.alternative_count()
             }
             State::Sync { left, right, .. } => left.alternative_count() + right.alternative_count(),
-            State::SomeQ(q) | State::AllQ(q) | State::SyncQ(q) => {
+            State::SomeQ(q) | State::AllQ(q) | State::SyncQ { quant: q, .. } => {
                 q.template.alternative_count()
                     + q.branches.values().map(|s| s.alternative_count()).sum::<usize>()
             }
@@ -610,7 +541,15 @@ impl State {
             },
             State::SomeQ(q) => State::SomeQ(q.substitute(param, value)),
             State::AllQ(q) => State::AllQ(q.substitute(param, value)),
-            State::SyncQ(q) => State::SyncQ(q.substitute(param, value)),
+            State::SyncQ { quant, scope } => State::SyncQ {
+                quant: quant.substitute(param, value),
+                // Shadowed like the quantifier's branches.
+                scope: if quant.param == param {
+                    scope.clone()
+                } else {
+                    Shared::new(scope.substitute(param, value))
+                },
+            },
             State::ParQ { param: own, body_accepts_epsilon, alts, body_init } => {
                 if *own == param {
                     // Shadowed: the inner quantifier rebinds the parameter.
@@ -651,7 +590,6 @@ impl QuantState {
                 .iter()
                 .map(|(v, s)| (*v, Shared::new(s.substitute(param, value))))
                 .collect(),
-            scope: Shared::new(self.scope.substitute(param, value)),
         }
     }
 }
@@ -734,7 +672,7 @@ impl State {
                 f(left);
                 f(right);
             }
-            State::SomeQ(q) | State::AllQ(q) | State::SyncQ(q) => {
+            State::SomeQ(q) | State::AllQ(q) | State::SyncQ { quant: q, .. } => {
                 f(&q.template);
                 q.branches.values().for_each(f);
             }
@@ -799,14 +737,12 @@ mod tests {
     #[test]
     fn substitution_respects_quantifier_shadowing() {
         let p = ix_core::Param::new("p");
-        let body = actp("a", &["p"]);
         let inner = QuantState {
             param: p,
             template: Shared::new(State::AtomFresh {
                 action: ix_core::Action::new("a", [ix_core::Term::Param(p)]),
             }),
             branches: BTreeMap::new(),
-            scope: Shared::new(ScopedAlphabet::of(&body)),
         };
         let s = State::SomeQ(inner.clone());
         let s2 = s.substitute(p, Value::int(1));
@@ -839,25 +775,6 @@ mod tests {
         let scope = ScopedAlphabet::of(&body);
         assert!(scope.covers(&ix_core::Action::concrete("a", [Value::int(7)])));
         assert!(!scope.covers(&ix_core::Action::nullary("b")));
-    }
-
-    #[test]
-    fn coverage_memo_agrees_with_direct_matching_on_large_alphabets() {
-        // Enough distinct atoms to enable the memo.
-        let src = "a(p) - b(p) - c(p) - d(p) - e(p)";
-        let body = ix_core::parse(&format!("some p {{ {src} }}")).unwrap();
-        let inner = match body.kind() {
-            ix_core::ExprKind::SomeQ(_, b) => b.clone(),
-            _ => unreachable!(),
-        };
-        let scope = ScopedAlphabet::of(&inner);
-        let a1 = ix_core::Action::concrete("a", [Value::int(1)]);
-        // Repeated queries hit the memo and must stay stable.
-        for _ in 0..3 {
-            assert!(!scope.covers(&a1), "p is blocked");
-            assert!(scope.covers_with(&a1, ix_core::Param::new("p"), Value::int(1)));
-            assert!(!scope.covers_with(&a1, ix_core::Param::new("p"), Value::int(2)));
-        }
     }
 
     #[test]
@@ -901,9 +818,6 @@ mod tests {
     #[test]
     fn states_order_and_hash() {
         use std::collections::BTreeSet;
-        // The coverage memo inside ScopedAlphabet is interior-mutable but
-        // excluded from Eq/Ord/Hash, so states are sound set keys.
-        #[allow(clippy::mutable_key_type)]
         let set: BTreeSet<State> =
             [State::Null, State::Epsilon, State::AtomDone, State::Null].into_iter().collect();
         assert_eq!(set.len(), 3);

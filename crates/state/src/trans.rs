@@ -18,7 +18,7 @@
 //! [`trans`] produce identical state *values* on every reachable state.
 
 use crate::predicates::is_final;
-use crate::state::{null_state, QuantState, Shared, State};
+use crate::state::{null_state, QuantState, ScopedAlphabet, Shared, State};
 use ix_core::{Action, Value};
 
 /// Steps a shared child, wrapping the fused result.  `Null` results share
@@ -180,12 +180,7 @@ pub fn trans(state: &State, action: &Action) -> State {
             if template.is_null() && branches.values().all(|b| b.is_null()) {
                 State::Null
             } else {
-                State::SomeQ(QuantState {
-                    param: q.param,
-                    template,
-                    branches,
-                    scope: q.scope.clone(),
-                })
+                State::SomeQ(QuantState { param: q.param, template, branches })
             }
         }
         State::AllQ(q) => {
@@ -193,15 +188,10 @@ pub fn trans(state: &State, action: &Action) -> State {
             if template.is_null() || branches.values().any(|b| b.is_null()) {
                 State::Null
             } else {
-                State::AllQ(QuantState {
-                    param: q.param,
-                    template,
-                    branches,
-                    scope: q.scope.clone(),
-                })
+                State::AllQ(QuantState { param: q.param, template, branches })
             }
         }
-        State::SyncQ(q) => fused_sync_quant(q, action),
+        State::SyncQ { quant, scope } => fused_sync_quant(quant, scope, action),
         State::ParQ { param, body_accepts_epsilon, alts, body_init } => {
             let values = action.values();
             if values.is_empty() {
@@ -345,10 +335,10 @@ fn fused_broadcast_quant(
 /// (instantiated) alphabet; all other actions pass it by *shared*, not
 /// copied.  Actions covered by no instantiation at all are outside the
 /// quantifier's language.
-fn fused_sync_quant(q: &QuantState, action: &Action) -> State {
-    let in_template = q.scope.covers(action);
+fn fused_sync_quant(q: &QuantState, scope: &Shared<ScopedAlphabet>, action: &Action) -> State {
+    let in_template = scope.covers(action);
     let covered_somewhere =
-        in_template || action.values().iter().any(|v| q.scope.covers_with(action, q.param, *v));
+        in_template || action.values().iter().any(|v| scope.covers_with(action, q.param, *v));
     if !covered_somewhere {
         return State::Null;
     }
@@ -359,7 +349,7 @@ fn fused_sync_quant(q: &QuantState, action: &Action) -> State {
     let mut new_branches = std::collections::BTreeMap::new();
     for (v, s) in &branches {
         let next =
-            if q.scope.covers_with(action, q.param, *v) { fstep(s, action) } else { s.clone() };
+            if scope.covers_with(action, q.param, *v) { fstep(s, action) } else { s.clone() };
         if next.is_null() {
             // The synchronization quantifier is conjunctive: one dead branch
             // kills the whole state.
@@ -371,12 +361,10 @@ fn fused_sync_quant(q: &QuantState, action: &Action) -> State {
     if template.is_null() {
         return State::Null;
     }
-    State::SyncQ(QuantState {
-        param: q.param,
-        template,
-        branches: new_branches,
-        scope: q.scope.clone(),
-    })
+    State::SyncQ {
+        quant: QuantState { param: q.param, template, branches: new_branches },
+        scope: scope.clone(),
+    }
 }
 
 /// Values occurring in the action that have no instantiated branch yet.

@@ -114,8 +114,9 @@ fn routing_a_cross_shard_action_allocates_its_owner_list_once() {
 }
 
 #[test]
-fn scoped_coverage_allocates_nothing_with_or_without_its_memo() {
-    // Three actions answer without the memo, six through it.
+fn scoped_coverage_allocates_nothing() {
+    // Three atoms and six: coverage matches the symbol-indexed candidates
+    // directly, whatever the alphabet's size.
     for body in ["a(p) - b(p) - c(p)", "a(p) - b(p) - c(p) - d(p) - e(p) - f(p)"] {
         let scope = ScopedAlphabet::of(&parse(&format!("some p {{ {body} }}")).unwrap());
         let inside = Action::concrete("a", [Value::int(1)]);
@@ -128,11 +129,10 @@ fn scoped_coverage_allocates_nothing_with_or_without_its_memo() {
 
 /// What an engine keeps alive between decisions: `local_sync`'s cases
 /// driven through 10⁴ `is_permitted` + `try_execute` pairs, a fresh patient
-/// per case, then dropped.  Besides its committed state and the successors
-/// of that state, the engine holds only its quantifier scopes' bounded
-/// coverage memos — the rest of the bytes it frees on drop.  (A transition
-/// memo of 256 `(state, action)` entries, both states kept alive, freed
-/// 345 KB here.)
+/// per case, then dropped.  The engine holds its committed state and the
+/// successors of that state, and nothing else — the bytes it frees on drop.
+/// (A transition memo of 256 `(state, action)` entries, both states kept
+/// alive, freed 345 KB here.)
 #[test]
 fn an_engine_keeps_only_its_committed_state_alive() {
     let expr = parse(&cases_src()).unwrap();
@@ -227,7 +227,7 @@ fn a_set_up_stays_under_its_pinned_allocation_count() {
             allocations(|| set_up(&rings, options(ProtocolVariant::Combined), 2, true, None)),
         ),
     ];
-    let bounds = [131, 164, 160];
+    let bounds = [115, 148, 160];
     let over: Vec<String> = measured
         .into_iter()
         .zip(bounds)
@@ -351,7 +351,7 @@ fn a_framed_copy_on_write_decision_allocates_a_pinned_count() {
 /// department, in order — one examination of a seeded patient at a seeded
 /// department: `is_permitted` + `try_execute` of its first two steps, then
 /// of its last two, which leaves the patient idle again.  From the fourth
-/// examination on the counts repeat exactly: 1 461 for the calls and 1 284
+/// examination on the counts repeat exactly: 1 237 for the calls and 1 060
 /// for the performs — every step rebuilds a path through 32 patients' and
 /// 4 departments' quantified instances, where a tier hit allocates nothing.
 #[test]
@@ -384,12 +384,12 @@ fn a_fig7_copy_on_write_step_allocates_a_pinned_count() {
         ALLOCATIONS.with(Cell::get) - before
     };
     let mut run = || (step(&exam[..2]), step(&exam[2..]));
-    // The first examinations still grow the state: 1175/1046, 1193/1134,
-    // 1347/1284.
+    // The first examinations still grow the state: 951/822, 969/910,
+    // 1123/1060.
     for _ in 0..3 {
         run();
     }
-    assert_eq!([(); 3].map(|()| run()), [(1461, 1284); 3]);
+    assert_eq!([(); 3].map(|()| run()), [(1237, 1060); 3]);
 }
 
 /// ROADMAP item 13(v): the same `execute` pair on `local_sync`'s cases,

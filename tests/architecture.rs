@@ -139,6 +139,10 @@ const RULES: &[Rule] = &[
         check: Banned("for_each_resident|operand_runs|TierLookup|NoTier|fn survey(|.bailouts"),
         witness: ("crates/state/src/trans.rs", "pub(crate) trait TierLookup {"),
         reason: "An engine tabulates its whole expression or nothing; the fused walk consults no tier." },
+    Rule { name: "A state holds what τ̂ reads", pr: 47, paths: WORKSPACE, scope: Whole,
+        check: Banned("CoverageKey|COVERAGE_CACHE|mutable_key_type"),
+        witness: ("crates/state/src/state.rs", "const COVERAGE_CACHE_LIMIT: usize = 256;"),
+        reason: "Only ⊗ and the sync quantifier carry a scoped alphabet, and it memoizes nothing: a state is a plain value." },
     Rule { name: "One benchmark harness", pr: 27, paths: &["crates", "src", "tests", "examples", "Cargo.toml"],
         scope: Whole, check: Banned("ix-bench|ix_bench|BENCH_|criterion *=|criterion *::|criterion *.workspace"),
         witness: ("Cargo.toml", "criterion  = \"0.5\""), reason: "ixbench (benchmark/) is the only benchmark." },

@@ -130,7 +130,7 @@ fn a_snapshot_counting_more_nodes_than_its_bytes_is_an_error() {
     runtime.shutdown().unwrap();
     // The snapshot opens with a version byte and eleven varints (four
     // counters and the seven statistics), then the state pool: the scope
-    // count, 0 for an expression without `@`, and the node count.
+    // count, 0 for an expression without `@` or `sync`, and the node count.
     let path = dir.join("blobs/snap-0");
     let mut bytes = std::fs::read(&path).unwrap();
     let mut at = 1;

@@ -18,7 +18,7 @@
 //! Everything here is built from `ix_state`'s public state API only.
 
 use ix_core::{Action, Value};
-use ix_state::{is_final, is_valid, QuantState, Shared, State};
+use ix_state::{is_final, is_valid, QuantState, ScopedAlphabet, Shared, State};
 
 /// The reference implementation of τ̂: the pure transition followed by a
 /// separate ρ pass.
@@ -102,7 +102,7 @@ pub fn step(state: &State, action: &Action) -> State {
         }
         State::SomeQ(q) => State::SomeQ(step_broadcast_quant(q, action)),
         State::AllQ(q) => State::AllQ(step_broadcast_quant(q, action)),
-        State::SyncQ(q) => step_sync_quant(q, action),
+        State::SyncQ { quant, scope } => step_sync_quant(quant, scope, action),
         State::ParQ { param, body_accepts_epsilon, alts, body_init } => {
             let values = action.values();
             if values.is_empty() {
@@ -176,18 +176,13 @@ fn step_broadcast_quant(q: &QuantState, action: &Action) -> QuantState {
         branches.insert(v, Shared::new(q.template.substitute(q.param, v)));
     }
     let branches = branches.iter().map(|(v, s)| (*v, Shared::new(step(s, action)))).collect();
-    QuantState {
-        param: q.param,
-        template: Shared::new(step(&q.template, action)),
-        branches,
-        scope: q.scope.clone(),
-    }
+    QuantState { param: q.param, template: Shared::new(step(&q.template, action)), branches }
 }
 
 /// Pure-τ transition of the synchronization quantifier.
-fn step_sync_quant(q: &QuantState, action: &Action) -> State {
-    let covered_somewhere = q.scope.covers(action)
-        || action.values().iter().any(|v| q.scope.covers_with(action, q.param, *v));
+fn step_sync_quant(q: &QuantState, scope: &Shared<ScopedAlphabet>, action: &Action) -> State {
+    let covered_somewhere = scope.covers(action)
+        || action.values().iter().any(|v| scope.covers_with(action, q.param, *v));
     if !covered_somewhere {
         return State::Null;
     }
@@ -198,19 +193,19 @@ fn step_sync_quant(q: &QuantState, action: &Action) -> State {
     let branches = branches
         .iter()
         .map(|(v, s)| {
-            if q.scope.covers_with(action, q.param, *v) {
+            if scope.covers_with(action, q.param, *v) {
                 (*v, Shared::new(step(s, action)))
             } else {
                 (*v, s.clone())
             }
         })
         .collect();
-    let template = if q.scope.covers(action) {
+    let template = if scope.covers(action) {
         Shared::new(step(&q.template, action))
     } else {
         q.template.clone()
     };
-    State::SyncQ(QuantState { param: q.param, template, branches, scope: q.scope.clone() })
+    State::SyncQ { quant: QuantState { param: q.param, template, branches }, scope: scope.clone() }
 }
 
 /// Values occurring in the action that have no instantiated branch yet.
@@ -269,7 +264,9 @@ pub fn optimize(state: &State) -> State {
         },
         State::SomeQ(q) => State::SomeQ(optimize_quant(q)),
         State::AllQ(q) => State::AllQ(optimize_quant(q)),
-        State::SyncQ(q) => State::SyncQ(optimize_quant(q)),
+        State::SyncQ { quant, scope } => {
+            State::SyncQ { quant: optimize_quant(quant), scope: scope.clone() }
+        }
         State::ParQ { param, body_accepts_epsilon, alts, body_init } => {
             let mut new_alts: Vec<_> = alts
                 .iter()
@@ -324,7 +321,6 @@ fn optimize_quant(q: &QuantState) -> QuantState {
         param: q.param,
         template: Shared::new(optimize(&q.template)),
         branches: q.branches.iter().map(|(v, s)| (*v, Shared::new(optimize(s)))).collect(),
-        scope: q.scope.clone(),
     }
 }
 
