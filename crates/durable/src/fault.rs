@@ -206,6 +206,10 @@ impl Vault for FaultVault {
         self.live.streams()
     }
 
+    fn is_empty(&self) -> bool {
+        self.live.is_empty()
+    }
+
     fn sync(&self) {}
 }
 

@@ -116,6 +116,12 @@ pub trait Vault: Send + Sync {
     fn load_blob(&self, name: &str) -> Option<Vec<u8>>;
     /// The stream ids that currently hold data.
     fn streams(&self) -> Vec<u32>;
+    /// Whether the vault holds no stream and no blob, so that a fresh
+    /// runtime may journal into it.  The default reads [`Vault::streams`],
+    /// which sees no blob.
+    fn is_empty(&self) -> bool {
+        self.streams().is_empty()
+    }
     /// Flushes everything to stable storage (no-op for memory vaults).  A
     /// barrier: every record appended and every blob saved before it is
     /// durable when it returns.
@@ -216,6 +222,11 @@ impl Vault for MemVault {
         let mut ids: Vec<u32> = inner.streams.keys().copied().collect();
         ids.sort_unstable();
         ids
+    }
+
+    fn is_empty(&self) -> bool {
+        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.streams.is_empty() && inner.blobs.is_empty()
     }
 
     fn sync(&self) {}
@@ -671,6 +682,12 @@ impl Vault for FileVault {
         }
         ids.sort_unstable();
         ids
+    }
+
+    /// Answered from what open found and what was written since: no
+    /// stream, and a first blob still to come.
+    fn is_empty(&self) -> bool {
+        self.with_inner(|streams| streams.is_empty()) && self.debt().hold_first_blob
     }
 
     fn sync(&self) {

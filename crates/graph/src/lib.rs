@@ -11,7 +11,8 @@
 //!   start/termination action pairs),
 //! * [`figures`] — the graphs printed in the paper (Figs. 3–7),
 //! * [`dot`] — Graphviz export,
-//! * [`validate`] — structural checks and bounded dead-end detection.
+//! * [`validate`] — grounding a graph's alphabet for `ix_state`'s soundness
+//!   explorer (traps, dead actions, a complete word).
 //!
 //! ```
 //! use ix_graph::figures;

@@ -3,50 +3,21 @@
 //! Sec. 3 warns that — typically by misusing the coupling operator — it is
 //! possible to construct graphs with "dead ends": graphs possessing partial
 //! but no complete words, i.e. traversals that can start but never reach the
-//! right-hand end of the graph.  [`validate_graph`] performs structural
-//! checks (expandable templates, executable expression) and a bounded
-//! explorative check for dead ends and unreachable activities using the
-//! operational state model.
+//! right-hand end of the graph.  [`validate_graph`] converts a graph
+//! (expanding templates), grounds its alphabet, and hands both to
+//! [`ix_state::soundness()`], which explores the engine's own state graph for
+//! traps, dead actions and a complete word.
 
 use crate::convert::graph_to_expr;
 use crate::model::InteractionGraph;
-use ix_core::{Action, Expr, TemplateRegistry};
+use ix_core::{Expr, TemplateRegistry};
 use ix_semantics::Universe;
-use ix_state::{init, is_final, trans, State};
-use std::collections::BTreeSet;
+use ix_state::{soundness, Engine};
 
-/// Outcome of the graph validation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ValidationReport {
-    /// The expression the graph denotes.
-    pub expr: Expr,
-    /// Whether a complete word was reachable within the exploration budget.
-    pub completable: bool,
-    /// Concrete actions (from the exploration alphabet) that were never
-    /// permitted in any explored state.
-    pub never_permitted: Vec<Action>,
-    /// Number of distinct states explored.
-    pub explored_states: usize,
-    /// The exploration budget that was used.
-    pub budget: ExplorationBudget,
-}
+pub use ix_state::ExplorationBudget;
 
-/// Bounds for the explorative validation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExplorationBudget {
-    /// Maximum traversal depth (number of actions).
-    pub max_depth: usize,
-    /// Maximum number of distinct states to visit.
-    pub max_states: usize,
-    /// Number of sample values used to ground parameterized actions.
-    pub sample_values: usize,
-}
-
-impl Default for ExplorationBudget {
-    fn default() -> Self {
-        ExplorationBudget { max_depth: 8, max_states: 2_000, sample_values: 2 }
-    }
-}
+/// Outcome of the graph validation: what [`ix_state::soundness()`] found.
+pub type ValidationReport = ix_state::Soundness;
 
 /// Errors of graph validation.
 #[derive(Debug)]
@@ -68,10 +39,8 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Validates a graph: converts it (expanding templates), builds its initial
-/// state, and explores reachable states breadth-first over a grounded action
-/// alphabet, looking for a final state and for actions that are never
-/// permitted.
+/// Validates a graph: converts it (expanding templates) and validates the
+/// expression it denotes.
 pub fn validate_graph(
     graph: &InteractionGraph,
     registry: &TemplateRegistry,
@@ -81,58 +50,18 @@ pub fn validate_graph(
     validate_expr(&expr, budget).map_err(ValidationError::State)
 }
 
-/// Validates an expression directly (used for expressions not built from a
-/// graph).
+/// Validates an expression: explores its engine from σ over every abstract
+/// action grounded over the values the expression mentions plus
+/// `sample_values` fresh ones — the oracle's grounding.
 pub fn validate_expr(
     expr: &Expr,
     budget: ExplorationBudget,
 ) -> Result<ValidationReport, ix_state::StateError> {
-    let initial = init(expr)?;
-    // Every abstract action grounded over the values the expression
-    // mentions plus `sample_values` fresh ones — the oracle's grounding.
+    let mut engine = Engine::new(expr)?;
     let alphabet = Universe::observed(expr, &[])
         .with_fresh(budget.sample_values)
         .ground_alphabet(&expr.alphabet());
-    let mut seen: BTreeSet<State> = BTreeSet::new();
-    let mut frontier: Vec<State> = vec![initial.clone()];
-    seen.insert(initial);
-    let mut completable = false;
-    let mut ever_permitted: BTreeSet<Action> = BTreeSet::new();
-
-    for _depth in 0..budget.max_depth {
-        if frontier.is_empty() || seen.len() >= budget.max_states {
-            break;
-        }
-        let mut next = Vec::new();
-        for state in &frontier {
-            if is_final(state) {
-                completable = true;
-            }
-            for action in &alphabet {
-                let succ = trans(state, action);
-                if succ.is_null() {
-                    continue;
-                }
-                ever_permitted.insert(action.clone());
-                if !seen.contains(&succ) && seen.len() < budget.max_states {
-                    seen.insert(succ.clone());
-                    next.push(succ);
-                }
-            }
-        }
-        frontier = next;
-    }
-    if frontier.iter().any(is_final) {
-        completable = true;
-    }
-    let never_permitted = alphabet.into_iter().filter(|a| !ever_permitted.contains(a)).collect();
-    Ok(ValidationReport {
-        expr: expr.clone(),
-        completable,
-        never_permitted,
-        explored_states: seen.len(),
-        budget,
-    })
+    Ok(soundness(&mut engine, &alphabet, budget))
 }
 
 #[cfg(test)]

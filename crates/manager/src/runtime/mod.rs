@@ -472,6 +472,13 @@ fn spawn_fresh(
 ) -> ManagerResult<ManagerRuntime> {
     let partition = Partition::of(expr);
     if let Some(hub) = &hub {
+        // A used vault is recovered, never journaled over: its streams and
+        // topology belong to the runtime that wrote them.
+        if !hub.vault().is_empty() {
+            return Err(durability_err(
+                "the vault already holds a journal; open it with ManagerRuntime::recover",
+            ));
+        }
         // Persist the topology before anything journals against it: the log
         // streams are meaningless without the component table that routed
         // them.  A fresh file vault writes it with its first record and

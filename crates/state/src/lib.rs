@@ -14,6 +14,8 @@
 //!   one engine steps through the fused τ̂ behind its table tier, and keeps
 //!   the successors of its committed state for the confirm that follows an
 //!   ask,
+//! * [`soundness()`] — Sec. 3's dead ends: traps and dead actions of an
+//!   engine's reachable state graph, found through the engine's own step,
 //! * [`analysis`] — the complexity classification of Sec. 6 (harmless /
 //!   benign / potentially malignant).
 //!
@@ -51,6 +53,7 @@ pub mod engine;
 pub mod error;
 pub mod init;
 pub mod predicates;
+pub mod soundness;
 pub mod state;
 pub mod trans;
 
@@ -62,6 +65,7 @@ pub use engine::{empty_reservation_fingerprint, word_problem, Engine, WordStatus
 pub use error::{StateError, StateResult};
 pub use init::{init, initial_state, validate};
 pub use predicates::{is_final, is_valid};
+pub use soundness::{soundness, ExplorationBudget, Soundness, Verdict};
 pub use state::{null_state, QuantState, ScopedAlphabet, Shared, State, StateMetrics};
 pub use trans::trans;
 

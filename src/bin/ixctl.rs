@@ -1,7 +1,7 @@
 //! `ixctl` — command-line front end for interaction expressions.
 //!
 //! ```text
-//! ixctl check    '<expression>'            parse, validate, classify
+//! ixctl check    '<expression>'            parse, classify, explore for traps and dead actions
 //! ixctl simplify '<expression>'            apply the algebraic simplification pass
 //! ixctl dot      '<expression>'            print the Graphviz rendering of the graph view
 //! ixctl word     '<expression>' a b(1) …   solve the word problem for the given actions
@@ -18,9 +18,9 @@
 //! (`ManagerRuntime::with_durability_path`).
 
 use ix_core::{parse_with, Action, CoreResult, Expr, ExprKind, TemplateRegistry};
-use ix_graph::{from_expr, to_dot, InteractionGraph};
+use ix_graph::{from_expr, to_dot, validate_expr, ExplorationBudget, InteractionGraph};
 use ix_manager::{inspect_vault, FileVault, FsyncPolicy, ManagerRuntime, RuntimeOptions, Vault};
-use ix_state::{classify, validate, Engine, WordStatus};
+use ix_state::{classify, Engine, WordStatus};
 use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -193,14 +193,25 @@ fn check(expr: &Expr) -> CmdResult {
     println!("expression : {expr}");
     println!("size       : {} nodes, depth {}", expr.size(), expr.depth());
     println!("alphabet   : {}", expr.alphabet());
-    match validate(expr) {
-        Ok(()) => println!("state model: executable"),
+    let report = validate_expr(expr, ExplorationBudget::default());
+    match &report {
+        Ok(_) => println!("state model: executable"),
         Err(e) => println!("state model: NOT executable ({e})"),
     }
     let c = classify(expr);
     println!("complexity : {:?}", c.benignity);
     for reason in &c.reasons {
         println!("             - {reason}");
+    }
+    let Ok(report) = report else { return Ok(()) };
+    let closed = if report.closed { "closed" } else { "budget ran out" };
+    println!("soundness  : {:?} ({} states, {closed})", report.verdict(), report.explored_states);
+    println!("completable: {}", report.completable);
+    let dead: Vec<String> = report.never_permitted.iter().map(Action::to_string).collect();
+    println!("dead       : [{}]", dead.join(", "));
+    for witness in &report.traps {
+        let word: Vec<String> = witness.iter().map(Action::to_string).collect();
+        println!("trap       : after ⟨{}⟩", word.join(" "));
     }
     Ok(())
 }

@@ -143,6 +143,10 @@ const RULES: &[Rule] = &[
         check: Banned("CoverageKey|COVERAGE_CACHE|mutable_key_type"),
         witness: ("crates/state/src/state.rs", "const COVERAGE_CACHE_LIMIT: usize = 256;"),
         reason: "Only ⊗ and the sync quantifier carry a scoped alphabet, and it memoizes nothing: a state is a plain value." },
+    Rule { name: "One explorer", pr: 50, paths: &["crates/graph/src"], scope: Whole,
+        check: Banned(r"\btrans(|BTreeSet<State>"),
+        witness: ("crates/graph/src/validate.rs", "let succ = trans(state, action);"),
+        reason: "ix_state::soundness explores through the engine's own step; ix_graph grounds, and steps no state." },
     Rule { name: "One benchmark harness", pr: 27, paths: &["crates", "src", "tests", "examples", "Cargo.toml"],
         scope: Whole, check: Banned("ix-bench|ix_bench|BENCH_|criterion *=|criterion *::|criterion *.workspace"),
         witness: ("Cargo.toml", "criterion  = \"0.5\""), reason: "ixbench (benchmark/) is the only benchmark." },

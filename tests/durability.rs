@@ -877,6 +877,57 @@ fn a_durable_set_up_leaves_its_directory_empty() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every file under `dir` with its bytes, in path order.
+fn files_under(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(files_under(&path));
+        } else {
+            files.push((path.clone(), std::fs::read(&path).unwrap()));
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A used vault is recovered, never journaled over: a fresh runtime on a
+/// directory (or a memory vault) another runtime wrote fails, naming
+/// recovery, and leaves every byte as it was, so the first runtime's
+/// journal still recovers.
+#[test]
+fn a_fresh_runtime_refuses_a_used_vault_and_leaves_it_as_it_was() {
+    let refused = |made: Result<ManagerRuntime, ix_manager::ManagerError>| match made {
+        Err(ix_manager::ManagerError::Durability { detail }) => {
+            assert!(detail.contains("ManagerRuntime::recover"), "{detail}")
+        }
+        Err(other) => panic!("refused with {other}"),
+        Ok(_) => panic!("a fresh runtime journaled over a used vault"),
+    };
+    let dir = temp_vault_dir();
+    let options = RuntimeOptions { fsync: FsyncPolicy::Always, ..RuntimeOptions::default() };
+    let first = ManagerRuntime::with_durability_path(&parse("(a - b)*").unwrap(), options, &dir);
+    let (first, word) = (first.unwrap(), [Action::nullary("a"), Action::nullary("b")]);
+    let session = first.session(1);
+    for action in [&word[0], &word[1], &word[0]] {
+        assert!(matches!(session.execute(action).wait(), Completion::Executed { .. }));
+    }
+    first.checkpoint().unwrap();
+    drop(session);
+    first.shutdown().unwrap();
+    let before = files_under(&dir);
+    refused(ManagerRuntime::with_durability_path(&parse("(c - d)*").unwrap(), options, &dir));
+    assert!(files_under(&dir) == before, "the refused runtime wrote to {dir:?}");
+    let recovered = ManagerRuntime::recover_path(&dir, options).unwrap();
+    assert_eq!(recovered.log(), [&word[..], &word[..1]].concat());
+    recovered.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let vault = Arc::new(MemVault::new());
+    vault.save_blob("topology", b"");
+    refused(ManagerRuntime::with_durability(&parse("(c - d)*").unwrap(), options, vault));
+}
+
 /// Writes what a runtime with the retired durable submission queue left in
 /// its vault directory: the queue's stream, holding one framed enqueue record
 /// of the old format, and the blob the queue compacted into.

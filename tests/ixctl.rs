@@ -40,6 +40,15 @@ fn word_solves_the_word_problem_of_a_coupled_expression() {
 }
 
 #[test]
+fn check_names_a_trap_with_its_witness() {
+    let out = ixctl(&["check", "(x - a - b + y - b - a) @ (b - a)*"], b"");
+    assert_eq!(out.status.code(), Some(0));
+    let report = stdout(&out);
+    assert!(report.contains("soundness  : Unsound (5 states, closed)\n"), "{report}");
+    assert!(report.contains("dead       : []\ntrap       : after ⟨x⟩\n"), "{report}");
+}
+
+#[test]
 fn run_answers_each_stdin_action_and_sums_up() {
     let out = ixctl(&["run", "(a - b)*"], b"a\n\nb\nb\n");
     assert_eq!(out.status.code(), Some(0));
